@@ -94,14 +94,18 @@ class BandwidthSchedule:
     beta_exponent: float | None = None
 
     def __post_init__(self) -> None:
-        if self.c1 <= 0.0:
+        if not (math.isfinite(self.c1) and self.c1 > 0.0):
             raise InvalidBandwidthError(f"c1 must be positive, got {self.c1!r}")
         if (self.c2 is None) != (self.beta_exponent is None):
             raise InvalidBandwidthError(
                 "c2 and beta_exponent must be given together"
             )
-        if self.c2 is not None and self.c2 <= 0.0:
+        if self.c2 is not None and not (math.isfinite(self.c2) and self.c2 > 0.0):
             raise InvalidBandwidthError(f"c2 must be positive, got {self.c2!r}")
+        if self.beta_exponent is not None and not math.isfinite(self.beta_exponent):
+            raise InvalidBandwidthError(
+                f"beta_exponent must be finite, got {self.beta_exponent!r}"
+            )
 
     def alpha(self, n: int) -> float:
         return self.c1 * float(n) ** -0.2

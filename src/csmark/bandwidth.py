@@ -28,16 +28,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DegeneratePilotError,
-    InvalidBandwidthError,
-    SelectionError,
-    UnstableDenominatorError,
-)
-from .estimators import (
+from .errors import DegeneratePilotError, InvalidBandwidthError, SelectionError
+# f1 is not called here, but stays importable as bandwidth.f1, which
+# perfbench/tracing.py wraps
+from .estimators import (  # noqa: F401
     DEFAULT_G_FLOOR,
     EstimatorConfig,
-    _f2_components,
+    _kernel_sums,
     f1,
     f2,
 )
@@ -47,7 +44,6 @@ from .kernels import (
     KernelFamily,
     UnivariateKernel,
     epanechnikov_kernel,
-    eval_rescaled,
     product_kernel,
 )
 from .scenarios import Sample
@@ -68,6 +64,10 @@ UNIT_BOX = ((0.0, 1.0), (0.0, 1.0))
 # pilot smoothing reference: generous bandwidth 0.4 at sample size 100,
 # scaled by the usual n^{-1/5} law for other sizes
 _PILOT_REFERENCE = (0.4, 100)
+
+# rejection rounds after which draw_xy gives up on a pilot density that
+# (almost) never accepts a proposal
+_MAX_DRAW_ROUNDS = 1000
 
 
 def pilot_bandwidth(n: int, reference: float | None = None) -> float:
@@ -99,15 +99,15 @@ class BootstrapPlan:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.alpha0 <= 0.0 or self.beta0 <= 0.0:
-            raise InvalidBandwidthError("pilot bandwidths must be positive")
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.alpha0, self.beta0)):
+            raise InvalidBandwidthError("pilot bandwidths must be finite and positive")
         if self.replications < 1:
             raise ValueError("need at least one bootstrap replication")
         for label, grid in (("alpha", self.alpha_grid), ("beta", self.beta_grid)):
             if len(grid) == 0:
                 raise ValueError(f"{label}_grid must be nonempty")
-            if any(v <= 0.0 for v in grid):
-                raise InvalidBandwidthError(f"{label}_grid must be positive")
+            if not all(math.isfinite(v) and v > 0.0 for v in grid):
+                raise InvalidBandwidthError(f"{label}_grid must be finite and positive")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{label}_grid must be strictly increasing")
 
@@ -151,7 +151,10 @@ class PilotModel:
         """Clipped pilot density: max(density estimate, 0), 0 where unstable."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        g, gp, h, dh = _f2_components(self.sample, self.config, t, z)
+        bw = self.config.bandwidths
+        g, gp, h, dh = _kernel_sums(
+            self.sample, self.config, t, z, bw.alpha, bw.beta, ("g", "gp", "h", "dh")
+        )
         out = np.zeros(t.shape)
         ok = g >= self.config.g_floor
         out[ok] = (g[ok] * dh[ok] - gp[ok] * h[ok]) / g[ok] ** 2
@@ -176,13 +179,19 @@ class PilotModel:
     def draw_xy(
         self, rng: np.random.Generator, size: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw latent pairs from the pilot density by rejection on the box."""
+        """Draw latent pairs from the pilot density by rejection on the box;
+        :class:`DegeneratePilotError` after ``_MAX_DRAW_ROUNDS`` rounds."""
         (x_lo, x_hi), (y_lo, y_hi) = self.box
         envelope = self.envelope
         xs: list[np.ndarray] = []
         ys: list[np.ndarray] = []
-        got = 0
+        got = proposed = 0
         while got < size:
+            if len(xs) == _MAX_DRAW_ROUNDS:
+                raise DegeneratePilotError(
+                    f"rejection sampling accepted {got} of {proposed} proposals "
+                    f"in {len(xs)} rounds, {size} needed"
+                )
             batch = max(256, 2 * (size - got))
             x = rng.uniform(x_lo, x_hi, batch)
             y = rng.uniform(y_lo, y_hi, batch)
@@ -196,6 +205,7 @@ class PilotModel:
             xs.append(x[keep])
             ys.append(y[keep])
             got += int(np.count_nonzero(keep))
+            proposed += batch
         x_all = np.concatenate(xs)[:size]
         y_all = np.concatenate(ys)[:size]
         return x_all, y_all
@@ -292,6 +302,10 @@ class BootstrapMseTable:
                 _write(fh)
 
 
+def _mse(values: np.ndarray, center: float) -> float:
+    return float(np.mean((values - center) ** 2)) if values.size else math.nan
+
+
 def bootstrap_mse(
     sample_: Sample,
     plan: BootstrapPlan,
@@ -329,12 +343,17 @@ def bootstrap_mse(
     t0, z0 = plan.point
     target = pilot.target(t0, z0)
     n = len(sample_)
-    kt = pilot.config.kernel_t
-    ktz = pilot.config.kernel_tz
 
+    # one batch of candidates, each with its own bandwidths, per estimator:
+    # the alphas for F1, all (alpha, beta) pairs for F2
     pairs = list(itertools.product(plan.alpha_grid, plan.beta_grid))
-    n_f1 = len(plan.alpha_grid)
-    estimates = np.full((plan.replications, n_f1 + len(pairs)), np.nan)
+    k = len(plan.alpha_grid)
+    pair_alpha, pair_beta = np.array(pairs, dtype=float).T
+    batches = (
+        ("f1", slice(0, k), np.array(plan.alpha_grid, dtype=float), None),
+        ("f2", slice(k, None), pair_alpha, pair_beta),
+    )
+    estimates = np.full((plan.replications, k + len(pairs)), np.nan)
 
     for b in range(plan.replications):
         rng = np.random.default_rng(plan.seed + b)
@@ -343,53 +362,30 @@ def bootstrap_mse(
         delta = (x <= t).astype(np.int64)
         z = np.where(delta == 1, y, 0.0)
         boot = Sample(t=t, z=z, delta=delta)
-        for j, alpha in enumerate(plan.alpha_grid):
-            config = EstimatorConfig(
-                kernel_t=kt, bandwidths=Bandwidths(alpha), g_floor=g_floor
-            )
-            try:
-                estimates[b, j] = f1(boot, config, t0, z0)
-            except UnstableDenominatorError:
-                pass
-        for j, (alpha, beta) in enumerate(pairs):
-            config = EstimatorConfig(
-                kernel_t=kt,
-                bandwidths=Bandwidths(alpha, beta),
-                kernel_tz=ktz,
-                g_floor=g_floor,
-            )
-            try:
-                estimates[b, n_f1 + j] = f2(boot, config, t0, z0)
-            except UnstableDenominatorError:
-                pass
+        for term, cols, alpha, beta in batches:
+            m = alpha.size
+            t_m, z_m = np.full(m, t0), np.full(m, z0)
+            g, num = _kernel_sums(boot, pilot.config, t_m, z_m, alpha, beta, ("g", term))
+            # unstable candidates keep their NaN
+            np.divide(num, g, out=estimates[b, cols], where=g >= g_floor)
 
     labels: list[tuple[str, float, float | None]] = [
         ("F1", alpha, None) for alpha in plan.alpha_grid
     ] + [("F2", alpha, beta) for alpha, beta in pairs]
 
     rows = []
-    for j, (estimator, alpha, beta) in enumerate(labels):
-        col = estimates[:, j]
-        ok = ~np.isnan(col)
-        failures = int(np.count_nonzero(~ok))
-        valid = failures <= 0.01 * plan.replications and bool(np.any(ok))
-        mse_hat = float(np.mean((col[ok] - target) ** 2)) if np.any(ok) else math.nan
-        mse_tilde = None
-        if true_value is not None:
-            mse_tilde = (
-                float(np.mean((col[ok] - true_value) ** 2))
-                if np.any(ok)
-                else math.nan
-            )
+    for col, (estimator, alpha, beta) in zip(estimates.T, labels):
+        ok = col[~np.isnan(col)]
+        failures = plan.replications - ok.size
         rows.append(
             MseRow(
                 estimator=estimator,
                 alpha=float(alpha),
                 beta=None if beta is None else float(beta),
-                mse_hat=mse_hat,
-                mse_tilde=mse_tilde,
+                mse_hat=_mse(ok, target),
+                mse_tilde=None if true_value is None else _mse(ok, true_value),
                 failures=failures,
-                valid=valid,
+                valid=failures <= 0.01 * plan.replications and ok.size > 0,
             )
         )
     return BootstrapMseTable(

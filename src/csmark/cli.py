@@ -136,6 +136,25 @@ def _float_of(cfg, key, default=None) -> float | None:
     return _as_float(entry, key)
 
 
+_BOOLEANS = {
+    "1": True, "true": True, "yes": True, "0": False, "false": False, "no": False
+}
+
+
+def _bool_of(cfg, key, default: bool) -> bool:
+    entry = _take(cfg, key)
+    if entry is None:
+        return default
+    try:
+        return _BOOLEANS[entry.value.lower()]
+    except KeyError:
+        raise ConfigError(
+            f"{key!r} must be one of 1/0/true/false/yes/no, got {entry.value!r}",
+            entry.line,
+            entry.col,
+        ) from None
+
+
 def _float_list(cfg, key, default=None) -> tuple[float, ...] | None:
     entry = _take(cfg, key)
     if entry is None:
@@ -505,7 +524,7 @@ def _cmd_bw_select(cfg, args, run: _Run) -> None:
     beta_grid = _float_list(cfg, "beta_grid")
     if alpha_grid is None or beta_grid is None:
         raise ConfigError("bw-select needs 'alpha_grid' and 'beta_grid'")
-    compare_truth = _take(cfg, "compare_truth")
+    compare_truth = _bool_of(cfg, "compare_truth", False)
     _reject_unknown(cfg)
     s = sample(scenario, n, run.seed)
     plan = BootstrapPlan(
@@ -518,7 +537,7 @@ def _cmd_bw_select(cfg, args, run: _Run) -> None:
         seed=run.seed + 1,
     )
     true_value = None
-    if compare_truth is not None and compare_truth.value.lower() in ("1", "true", "yes"):
+    if compare_truth:
         true_value = float(scenario.cdf(t0, z0))
     table = bootstrap_mse(s, plan, true_value=true_value)
     table.to_csv(run.path("bootstrap_mse.csv"))

@@ -26,6 +26,9 @@ The bivariate density estimate differentiates the same ratio:
 with ``h_hat`` the smoothed sub-density of uncensored observations.  The
 ratio form makes a positive floor on ``g_hat`` essential; evaluations where
 ``g_hat`` falls below ``g_floor`` raise ``UnstableDenominatorError``.
+
+One private routine, :func:`_kernel_sums`, computes every kernel sample mean
+these ratios need, at one point or at many points with their own bandwidths.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from .kernels import (
     epanechnikov_kernel,
     eval_rescaled,
     eval_rescaled_cdf,
-    product_kernel,
 )
 from .scenarios import Sample
 
@@ -71,9 +73,9 @@ __all__ = [
 
 DEFAULT_G_FLOOR = 1e-8
 
-# chunk size bound for vectorized multi-point evaluation: keeps the
-# (points x n) weight matrices under ~2e6 doubles
-_CHUNK_BUDGET = 2_000_000
+# bound on the (points x n) matrices of one chunk of _kernel_sums: about
+# one point per chunk at n = 2e5, thousands at the bootstrap's small n
+_CHUNK_BUDGET = 250_000
 
 
 @dataclass(frozen=True)
@@ -124,17 +126,80 @@ def _require_mark_kernel(config: EstimatorConfig) -> BivariateKernel:
     return k2
 
 
-def _require_beta(config: EstimatorConfig) -> float:
-    beta = config.bandwidths.beta
-    if beta is None:
-        raise InvalidBandwidthError(
-            "doubly-smoothed estimation needs a mark bandwidth (beta)"
-        )
-    return beta
+def _at(value, sl: slice):
+    """A bandwidth for the points in ``sl``: shared scalar or per-point column."""
+    return value[sl, None] if isinstance(value, np.ndarray) else value
 
 
-def _time_weights(sample: Sample, config: EstimatorConfig, t0: float) -> np.ndarray:
-    return eval_rescaled(config.kernel_t, config.bandwidths.alpha, t0 - sample.t)
+def _kernel_sums(sample, config, t, z, alpha, beta, terms) -> list[np.ndarray]:
+    """Kernel sample means at the paired points ``(t[j], z[j])``.
+
+    ``t`` and ``z`` are float arrays of the points; ``alpha``/``beta`` are
+    shared scalars or arrays of one value per point.  With
+    ``w = k_alpha(t_j - t_i)``, ``d = k'((t_j - t_i) / alpha) / alpha^2`` and
+    ``v = kz_beta(z_j - z_i)``, returns for each name in ``terms`` the mean
+    over ``i`` of: ``g``: w; ``f1``: w delta 1{z_i <= z_j}; ``f2``: w delta
+    K2((z_j - z_i) / beta); ``h0``: w (1 - delta); ``gp``: d; ``h``: w v
+    delta; ``dh``: d v delta.  Works in chunks of ``_CHUNK_BUDGET // n``
+    points.
+    """
+    kt = config.kernel_t
+    kz = None
+    if {"f2", "h", "dh"}.intersection(terms):
+        kz = _require_mark_kernel(config).factor_z
+        if beta is None:
+            raise InvalidBandwidthError(
+                "doubly-smoothed estimation needs a mark bandwidth (beta)"
+            )
+    differentiated = (kt, kz) if "dh" in terms else (kt,) if "gp" in terms else ()
+    for k in differentiated:
+        if k.deriv is None:
+            raise DerivativeUnavailableError(f"kernel {k.name!r} has no derivative")
+    n = len(sample)
+    delta = sample.delta
+    out = [np.empty(t.size) for _ in terms]
+    step = max(1, _CHUNK_BUDGET // n)
+    for start in range(0, t.size, step):
+        sl = slice(start, start + step)
+        a, b = _at(alpha, sl), _at(beta, sl)
+        # every (points x n) array is dropped as soon as it is used, those
+        # of the last chunk before any of this one: at n = 2e5 a single row
+        # takes 1.6 MB
+        w = d = v = None
+        w = eval_rescaled(kt, a, t[sl, None] - sample.t)
+        for term, mean in zip(terms, out):
+            if term in ("gp", "dh") and d is None:
+                d = kt.deriv((t[sl, None] - sample.t) / a) / a**2
+            if term in ("h", "dh") and v is None:
+                v = eval_rescaled(kz, b, z[sl, None] - sample.z)
+            if term == "g":
+                x = w
+            elif term == "f1":
+                x = w * delta * (sample.z <= z[sl, None])
+            elif term == "f2":
+                x = eval_rescaled_cdf(kz, b, z[sl, None] - sample.z)
+                x = w * delta * x
+            elif term == "h0":
+                x = w * (1 - delta)
+            elif term == "gp":
+                x = d
+            elif term == "h":
+                x = w * v * delta
+            else:
+                x = d * v * delta
+            mean[sl] = np.add.reduce(x, axis=1) / n  # np.mean's arithmetic
+            del x
+    return out
+
+
+def _at_point(
+    sample: Sample, config: EstimatorConfig, t0: float, z0: float, terms: tuple[str, ...]
+) -> list[float]:
+    """:func:`_kernel_sums` at one point with the config's bandwidths."""
+    bw = config.bandwidths
+    t, z = np.array([t0], dtype=float), np.array([z0], dtype=float)
+    sums = _kernel_sums(sample, config, t, z, bw.alpha, bw.beta, terms)
+    return [float(x[0]) for x in sums]
 
 
 def g_hat(sample: Sample, config: EstimatorConfig, t0: float) -> float:
@@ -143,19 +208,12 @@ def g_hat(sample: Sample, config: EstimatorConfig, t0: float) -> float:
     ``g_hat(t0) = n^{-1} sum_i k_alpha(t0 - t_i)``.  May legitimately be
     zero when no censoring time falls within ``alpha`` of ``t0``.
     """
-    return float(np.mean(_time_weights(sample, config, t0)))
+    return _at_point(sample, config, t0, 0.0, ("g",))[0]
 
 
 def g_hat_prime(sample: Sample, config: EstimatorConfig, t0: float) -> float:
     """Derivative of :func:`g_hat` at ``t0`` via the kernel derivative."""
-    deriv = config.kernel_t.deriv
-    if deriv is None:
-        raise DerivativeUnavailableError(
-            f"kernel {config.kernel_t.name!r} has no derivative"
-        )
-    alpha = config.bandwidths.alpha
-    u = (t0 - sample.t) / alpha
-    return float(np.mean(deriv(u)) / alpha**2)
+    return _at_point(sample, config, t0, 0.0, ("gp",))[0]
 
 
 def h0_hat(sample: Sample, config: EstimatorConfig, t0: float) -> float:
@@ -164,17 +222,16 @@ def h0_hat(sample: Sample, config: EstimatorConfig, t0: float) -> float:
     Averages ``(1 - delta_i) k_alpha(t0 - t_i)``; together with the
     uncensored sub-density this decomposes ``g_hat``.
     """
-    w = _time_weights(sample, config, t0)
-    return float(np.mean(w * (1 - sample.delta)))
+    return _at_point(sample, config, t0, 0.0, ("h0",))[0]
 
 
-def _ratio(num: float, den: float, g_floor: float) -> float:
+def _stable(den: float, g_floor: float) -> float:
     if den < g_floor:
         raise UnstableDenominatorError(
             f"censoring density estimate {den:.3e} below floor {g_floor:.3e}",
             g_value=den,
         )
-    return num / den
+    return den
 
 
 def f1(sample: Sample, config: EstimatorConfig, t0: float, z0: float) -> float:
@@ -185,10 +242,8 @@ def f1(sample: Sample, config: EstimatorConfig, t0: float, z0: float) -> float:
     are a subset of the denominator terms; monotonicity in ``t0`` is *not*
     guaranteed.
     """
-    w = _time_weights(sample, config, t0)
-    num = float(np.mean(w * sample.delta * (sample.z <= z0)))
-    den = float(np.mean(w))
-    return _ratio(num, den, config.g_floor)
+    g, num = _at_point(sample, config, t0, z0, ("g", "f1"))
+    return num / _stable(g, config.g_floor)
 
 
 def f1_counting(sample: Sample, config: EstimatorConfig, t0: float, z0: float) -> float:
@@ -208,7 +263,7 @@ def f1_counting(sample: Sample, config: EstimatorConfig, t0: float, z0: float) -
     den = float(np.sum(inside))
     # scale both counts to density units so the floor means the same thing
     scale = 1.0 / (2.0 * alpha * len(sample))
-    return _ratio(num * scale, den * scale, config.g_floor)
+    return num * scale / _stable(den * scale, config.g_floor)
 
 
 def f2(sample: Sample, config: EstimatorConfig, t0: float, z0: float) -> float:
@@ -221,57 +276,8 @@ def f2(sample: Sample, config: EstimatorConfig, t0: float, z0: float) -> float:
     ``z0 >= max mark + beta`` every smoothed indicator equals one and the
     estimator reduces exactly to the uncensored mass over ``g_hat``.
     """
-    k2 = _require_mark_kernel(config)
-    beta = _require_beta(config)
-    w = _time_weights(sample, config, t0)
-    mark = eval_rescaled_cdf(k2.factor_z, beta, z0 - sample.z)
-    num = float(np.mean(w * sample.delta * mark))
-    den = float(np.mean(w))
-    return _ratio(num, den, config.g_floor)
-
-
-def _f2_components(
-    sample: Sample,
-    config: EstimatorConfig,
-    t_points: np.ndarray,
-    z_points: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized pieces of the density estimate at paired points.
-
-    Returns arrays ``(g, g_prime, h, dh_dt)`` over ``(t_points[j],
-    z_points[j])``.  Evaluation is chunked so the intermediate weight
-    matrices stay small.
-    """
-    k2 = _require_mark_kernel(config)
-    beta = _require_beta(config)
-    alpha = config.bandwidths.alpha
-    kd_t = config.kernel_t.deriv
-    kz = k2.factor_z
-    if kd_t is None or kz.deriv is None:
-        raise DerivativeUnavailableError(
-            "density estimation differentiates both kernel factors; "
-            f"{config.kernel_t.name!r} x {kz.name!r} lacks a derivative"
-        )
-    t_points = np.atleast_1d(np.asarray(t_points, dtype=float))
-    z_points = np.atleast_1d(np.asarray(z_points, dtype=float))
-    n = len(sample)
-    m = t_points.size
-    g = np.empty(m)
-    gp = np.empty(m)
-    h = np.empty(m)
-    dh = np.empty(m)
-    chunk = max(1, _CHUNK_BUDGET // max(n, 1))
-    for start in range(0, m, chunk):
-        sl = slice(start, min(start + chunk, m))
-        ut = (t_points[sl, None] - sample.t[None, :]) / alpha
-        uz = (z_points[sl, None] - sample.z[None, :]) / beta
-        wt = config.kernel_t.pdf(ut) / alpha
-        wz = kz.pdf(uz) / beta
-        g[sl] = wt.mean(axis=1)
-        gp[sl] = (kd_t(ut) / alpha**2).mean(axis=1)
-        h[sl] = (wt * wz * sample.delta).mean(axis=1)
-        dh[sl] = ((kd_t(ut) / alpha**2) * wz * sample.delta).mean(axis=1)
-    return g, gp, h, dh
+    g, num = _at_point(sample, config, t0, z0, ("g", "f2"))
+    return num / _stable(g, config.g_floor)
 
 
 def f2_density(sample: Sample, config: EstimatorConfig, t0: float, z0: float) -> float:
@@ -283,14 +289,8 @@ def f2_density(sample: Sample, config: EstimatorConfig, t0: float, z0: float) ->
     small samples, though it is positive with probability tending to one
     under undersmoothing.
     """
-    g, gp, h, dh = _f2_components(sample, config, np.array([t0]), np.array([z0]))
-    if g[0] < config.g_floor:
-        raise UnstableDenominatorError(
-            f"censoring density estimate {g[0]:.3e} below floor "
-            f"{config.g_floor:.3e}",
-            g_value=float(g[0]),
-        )
-    return float((g[0] * dh[0] - gp[0] * h[0]) / g[0] ** 2)
+    g, gp, h, dh = _at_point(sample, config, t0, z0, ("g", "gp", "h", "dh"))
+    return (g * dh - gp * h) / _stable(g, config.g_floor) ** 2
 
 
 @dataclass(frozen=True)
@@ -320,27 +320,27 @@ def evaluate_grid(
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     z_grid = np.atleast_1d(np.asarray(z_grid, dtype=float))
-    want_f2 = config.kernel_tz is not None and config.bandwidths.beta is not None
-    want_density = want_f2
-    if want_density:
-        kz = config.kernel_tz.factor_z
-        want_density = config.kernel_t.deriv is not None and kz.deriv is not None
+    terms: tuple[str, ...] = ("g", "f1")
+    if config.kernel_tz is not None and config.bandwidths.beta is not None:
+        terms += ("f2",)
+        if config.kernel_t.deriv is not None and config.kernel_tz.factor_z.deriv is not None:
+            terms += ("gp", "h", "dh")
+    t = np.repeat(t_grid, z_grid.size)
+    z = np.tile(z_grid, t_grid.size)
+    bw = config.bandwidths
+    sums = _kernel_sums(sample, config, t, z, bw.alpha, bw.beta, terms)
 
     rows: list[GridValue] = []
-    for t0 in t_grid:
-        for z0 in z_grid:
-            try:
-                v1 = f1(sample, config, float(t0), float(z0))
-            except UnstableDenominatorError:
-                rows.append(GridValue(float(t0), float(z0), None, None, None))
-                continue
-            v2 = f2(sample, config, float(t0), float(z0)) if want_f2 else None
-            vd = (
-                f2_density(sample, config, float(t0), float(z0))
-                if want_density
-                else None
-            )
-            rows.append(GridValue(float(t0), float(z0), v1, v2, vd))
+    columns = [x.tolist() for x in sums]
+    for t0, z0, *point in zip(t.tolist(), z.tolist(), *columns):
+        v = dict(zip(terms, point))
+        g = v["g"]
+        if g < config.g_floor:
+            rows.append(GridValue(t0, z0, None, None, None))
+            continue
+        v2 = v["f2"] / g if "f2" in v else None
+        vd = (g * v["dh"] - v["gp"] * v["h"]) / g**2 if "dh" in v else None
+        rows.append(GridValue(t0, z0, v["f1"] / g, v2, vd))
     return rows
 
 

@@ -207,29 +207,39 @@ def product_kernel(
     return BivariateKernel(factor_t=factor_t, factor_z=factor_z)
 
 
-def eval_rescaled(kernel: UnivariateKernel, bandwidth: float, u) -> np.ndarray:
+def _check_bandwidth(bandwidth) -> None:
+    # the chained comparison is False for NaN, inf and nonpositive values
+    if isinstance(bandwidth, np.ndarray):
+        ok = bool(np.all((0.0 < bandwidth) & (bandwidth < np.inf)))
+    else:
+        ok = 0.0 < bandwidth < np.inf
+    if not ok:
+        raise InvalidBandwidthError(
+            f"bandwidth must be positive, got {bandwidth!r}"
+        )
+
+
+def eval_rescaled(kernel: UnivariateKernel, bandwidth, u) -> np.ndarray:
     """Evaluate ``k(u / bandwidth) / bandwidth`` elementwise.
+
+    ``bandwidth`` is a scalar or an array that broadcasts against ``u``
+    (one bandwidth per row, say).
 
     Raises
     ------
     InvalidBandwidthError
-        If ``bandwidth`` is not strictly positive.
+        If any bandwidth is not finite and strictly positive.
     """
-    if not np.isfinite(bandwidth) or bandwidth <= 0.0:
-        raise InvalidBandwidthError(
-            f"bandwidth must be positive, got {bandwidth!r}"
-        )
+    _check_bandwidth(bandwidth)
     return kernel.pdf(np.asarray(u, dtype=float) / bandwidth) / bandwidth
 
 
-def eval_rescaled_cdf(
-    kernel: UnivariateKernel, bandwidth: float, u
-) -> np.ndarray:
-    """Evaluate the rescaled antiderivative ``cdf(u / bandwidth)``."""
-    if not np.isfinite(bandwidth) or bandwidth <= 0.0:
-        raise InvalidBandwidthError(
-            f"bandwidth must be positive, got {bandwidth!r}"
-        )
+def eval_rescaled_cdf(kernel: UnivariateKernel, bandwidth, u) -> np.ndarray:
+    """Evaluate the rescaled antiderivative ``cdf(u / bandwidth)``.
+
+    ``bandwidth`` broadcasts as in :func:`eval_rescaled`.
+    """
+    _check_bandwidth(bandwidth)
     return kernel.cdf(np.asarray(u, dtype=float) / bandwidth)
 
 

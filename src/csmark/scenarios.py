@@ -95,9 +95,10 @@ class Observation:
 class Sample:
     """Arrays ``t``, ``z``, ``delta`` of equal length, plus the seed used.
 
-    Invariants enforced at construction: ``delta`` is 0/1, marks are
-    nonnegative, and censored rows carry a zero mark.  The arrays are
-    frozen (non-writeable views) so estimators can share them safely.
+    Invariants enforced at construction: times and marks are finite,
+    ``delta`` is 0/1, marks are nonnegative, and censored rows carry a zero
+    mark.  The arrays are frozen (non-writeable views) so estimators can
+    share them safely.
     """
 
     t: np.ndarray
@@ -115,11 +116,16 @@ class Sample:
             raise ValueError("sample arrays must share one length")
         if t.size == 0:
             raise EmptySampleError("sample must contain at least one row")
-        if not np.all((delta == 0) | (delta == 1)):
+        # min and max propagate NaN; few whole-array passes keep this cheap
+        # for the many small samples of threaded Monte Carlo runs
+        if not (np.isfinite(t.min()) and np.isfinite(t.max())):
+            raise ValueError("times must be finite")
+        censored = delta == 0
+        if not np.all(censored | (delta == 1)):
             raise ValueError("delta must be 0 or 1")
-        if np.any(z < 0.0):
-            raise ValueError("marks must be nonnegative")
-        if np.any(z[delta == 0] != 0.0):
+        if not (0.0 <= z.min() and z.max() < np.inf):
+            raise ValueError("marks must be finite and nonnegative")
+        if np.any(z[censored] != 0.0):
             raise ValueError("censored rows must carry a zero mark")
         for name, arr in (("t", t), ("z", z), ("delta", delta)):
             arr.setflags(write=False)

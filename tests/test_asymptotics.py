@@ -125,6 +125,16 @@ def test_bandwidth_schedule_values_and_validation():
         BandwidthSchedule(c1=0.5, c2=-0.1, beta_exponent=0.2)
 
 
+def test_bandwidth_schedule_rejects_non_finite_constants():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidBandwidthError):
+            BandwidthSchedule(c1=bad)
+        with pytest.raises(InvalidBandwidthError):
+            BandwidthSchedule(c1=0.5, c2=bad, beta_exponent=0.2)
+        with pytest.raises(InvalidBandwidthError):
+            BandwidthSchedule(c1=0.5, c2=0.5, beta_exponent=bad)
+
+
 def test_mc_normality_plumbing():
     summary = mc_normality(B, "F1", (0.5, 0.5), 300, 8, seed=123, alpha=0.25)
     assert summary.values.size == 8

@@ -73,6 +73,17 @@ def test_bootstrap_plan_validation():
         small_plan(alpha0=0.0)
 
 
+def test_bootstrap_plan_rejects_non_finite_bandwidths():
+    for bad in (np.nan, np.inf):
+        for field in ("alpha0", "beta0"):
+            with pytest.raises(InvalidBandwidthError):
+                small_plan(**{field: bad})
+        with pytest.raises(InvalidBandwidthError):
+            small_plan(alpha_grid=(0.2, bad))
+        with pytest.raises(InvalidBandwidthError):
+            small_plan(beta_grid=(bad,))
+
+
 def test_kernel_noise_distributions():
     rng = np.random.default_rng(90)
     epa = _kernel_noise(epanechnikov_kernel(), rng, 20_000)
@@ -135,6 +146,13 @@ def test_pilot_draws_deterministic_and_in_box():
     np.testing.assert_array_equal(t1, t2)
     assert t1.min() >= s.t.min() - 0.4
     assert t1.max() <= s.t.max() + 0.4
+
+
+def test_draw_xy_gives_up_when_nothing_is_accepted(monkeypatch):
+    pilot = fit_pilot(sample(B, 100, 14), 0.4, 0.4)
+    monkeypatch.setattr(pilot, "density", lambda t, z: np.zeros(np.shape(t)))
+    with pytest.raises(DegeneratePilotError, match="accepted 0 of"):
+        pilot.draw_xy(np.random.default_rng(3), 10)
 
 
 def test_pilot_resamples_match_observed_censoring_rate():

@@ -213,6 +213,24 @@ def test_bw_select_command_reproducible(tmp_path):
     ).read_bytes()
 
 
+def test_bw_select_compare_truth_accepts_only_booleans(tmp_path, capsys):
+    base = (
+        "kind = bw-select\nscenario = B\nn = 50\nt0 = 0.5\nz0 = 0.5\n"
+        "replications = 2\nalpha_grid = 0.45\nbeta_grid = 0.3\nseed = 6\n"
+    )
+    for value, compared in (("YES", True), ("1", True), ("False", False), ("no", False)):
+        code, outdir = run(tmp_path, "bw-select", base + f"compare_truth = {value}\n",
+                           out=f"ok-{value}")
+        assert code == 0
+        first_row = (outdir / "bootstrap_mse.csv").read_text().splitlines()[1]
+        assert (first_row.split(",")[4] != "") == compared
+
+    code, _ = run(tmp_path, "bw-select", base + "compare_truth = treu\n", out="bad")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 10, column" in err and "compare_truth" in err and "treu" in err
+
+
 def test_threads_flag_does_not_change_results(tmp_path):
     text = (
         "kind = mc-normality\nscenario = B\nestimator = F2\n"

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from csmark import (
     Bandwidths,
+    DegeneratePilotError,
     DerivativeUnavailableError,
     EstimatorConfig,
     InvalidBandwidthError,
     KernelAssumptionError,
+    PilotModel,
     Sample,
     UnstableDenominatorError,
     custom_kernel,
@@ -32,6 +37,7 @@ from csmark import (
     uniform_kernel,
     write_grid_csv,
 )
+from csmark import estimators
 
 EPA = epanechnikov_kernel()
 UNI = uniform_kernel()
@@ -333,3 +339,167 @@ def test_estimator_config_validation():
     assert swapped.kernel_tz is base.kernel_tz
     assert swapped.bandwidths.alpha == 0.3
     assert swapped.bandwidths.beta == 0.05
+
+
+# --- property tests against a plain dense oracle ---------------------------
+#
+# The oracle evaluates one point at a time over the whole sample, exactly in
+# the arithmetic the estimators are defined by; the package's batched,
+# chunked evaluation must reproduce it bit for bit.
+
+
+def dense_sums(s, config, t0, z0):
+    """Kernel means at one point: g, f1 and f2 numerators, g', h, dh/dt."""
+    kt, alpha, beta = config.kernel_t, config.bandwidths.alpha, config.bandwidths.beta
+    ut = (t0 - s.t) / alpha
+    w = kt.pdf(ut) / alpha
+    sums = {"g": np.mean(w), "f1": np.mean(w * s.delta * (s.z <= z0))}
+    if beta is not None:
+        kz = config.kernel_tz.factor_z
+        sums["f2"] = np.mean(w * s.delta * kz.cdf((z0 - s.z) / beta))
+        if kt.deriv is not None:
+            wz = kz.pdf((z0 - s.z) / beta) / beta
+            d = kt.deriv(ut) / alpha**2
+            sums.update(gp=np.mean(d), h=np.mean(w * wz * s.delta), dh=np.mean(d * wz * s.delta))
+    return sums
+
+
+def dense_oracle(s, config, t0, z0):
+    """f1, f2 and f2_density at one point; None where g is below the floor."""
+    v = dense_sums(s, config, t0, z0)
+    g = v["g"]
+    if g < config.g_floor:
+        return None
+    f2_ = v["f2"] / g if "f2" in v else None
+    dens = (g * v["dh"] - v["gp"] * v["h"]) / g**2 if "dh" in v else None
+    return float(v["f1"] / g), f2_, dens
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def samples(draw, max_n=40):
+    n = draw(st.integers(1, max_n))
+    t = draw(st.lists(unit, min_size=n, max_size=n))
+    y = draw(st.lists(unit, min_size=n, max_size=n))
+    delta = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return Sample(t=t, z=np.where(delta == 1, y, 0.0), delta=delta)
+
+
+@st.composite
+def configs(draw, kernel=None, floors=(1e-8, 0.1, 0.5, 2.0)):
+    k = kernel or draw(st.sampled_from([EPA, UNI]))
+    alpha = draw(st.floats(0.02, 0.6))
+    beta = draw(st.one_of(st.none(), st.floats(0.02, 0.6)))
+    return EstimatorConfig(
+        kernel_t=k,
+        bandwidths=Bandwidths(alpha, beta),
+        kernel_tz=product_kernel(k),
+        # floors up to the size of a typical g probe both sides of the check
+        g_floor=draw(st.sampled_from(floors)),
+    )
+
+
+def grid_axis(lo, hi, ties):
+    """Up to four distinct values: anywhere in [lo, hi], or one of ``ties``."""
+    value = st.one_of(st.floats(lo, hi), st.sampled_from(ties))
+    return st.lists(value, min_size=1, max_size=4, unique=True)
+
+
+def times(s, config):
+    # t0 beyond the data's range reaches empty windows and unstable
+    # denominators; t_i +- alpha sits on a window's edge
+    alpha = config.bandwidths.alpha
+    return grid_axis(-0.4, 1.4, [t + e for t in s.t.tolist() for e in (-alpha, 0.0, alpha)])
+
+
+def marks(s):
+    # z0 equal to an observed mark probes the indicator's tie
+    return grid_axis(-0.2, 1.4, s.z.tolist())
+
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(samples(), configs(), st.data(), st.integers(1, 100))
+def test_estimators_and_grid_match_dense_oracle(s, config, data, budget):
+    beta = config.bandwidths.beta
+    t_grid = data.draw(times(s, config))
+    z_grid = data.draw(marks(s))
+    # a small chunk budget splits the grid into chunks of one or more points
+    with mock.patch.object(estimators, "_CHUNK_BUDGET", budget):
+        rows = evaluate_grid(s, config, np.array(t_grid), np.array(z_grid))
+    assert [(r.t, r.z) for r in rows] == [(t0, z0) for t0 in t_grid for z0 in z_grid]
+    for r in rows:
+        expected = dense_oracle(s, config, r.t, r.z)
+        if expected is None:
+            assert (r.f1, r.f2, r.density) == (None, None, None)
+            with pytest.raises(UnstableDenominatorError):
+                f1(s, config, r.t, r.z)
+            if beta is not None:
+                with pytest.raises(UnstableDenominatorError):
+                    f2(s, config, r.t, r.z)
+            continue
+        v1, v2, vd = expected
+        assert r.f1 == v1 == f1(s, config, r.t, r.z)
+        assert r.f2 == v2
+        assert r.density == vd
+        if beta is not None:
+            assert f2(s, config, r.t, r.z) == v2
+        if vd is not None:
+            assert f2_density(s, config, r.t, r.z) == vd
+
+
+@PROPERTY
+@given(samples(), configs(kernel=EPA).filter(lambda c: c.bandwidths.beta is not None),
+       st.data(), st.integers(1, 100))
+def test_pilot_density_matches_dense_oracle(s, config, data, budget):
+    t_points = data.draw(times(s, config))
+    z_points = data.draw(marks(s))
+    try:
+        pilot = PilotModel(s, config, envelope_grid=5)
+    except DegeneratePilotError:
+        assume(False)
+    t, z = np.meshgrid(t_points, z_points, indexing="ij")
+    with mock.patch.object(estimators, "_CHUNK_BUDGET", budget):
+        got = pilot.density(t.ravel(), z.ravel())
+    for j, (t0, z0) in enumerate(zip(t.ravel(), z.ravel())):
+        v = dense_sums(s, config, t0, z0)
+        g = v["g"]
+        want = 0.0 if g < config.g_floor else max((g * v["dh"] - v["gp"] * v["h"]) / (g * g), 0.0)
+        assert got[j] == want
+
+
+@PROPERTY
+@given(samples(), configs(), st.floats(-0.2, 1.2), st.data())
+def test_distribution_estimates_are_bounded_and_monotone_in_mark(s, config, t0, data):
+    beta = config.bandwidths.beta
+    z_points = data.draw(marks(s))
+    try:
+        v1 = [f1(s, config, t0, z0) for z0 in sorted(z_points)]
+        v2 = [f2(s, config, t0, z0) for z0 in sorted(z_points)] if beta is not None else []
+    except UnstableDenominatorError:
+        assume(False)
+    for v in v1 + v2:
+        assert 0.0 <= v <= 1.0
+    assert all(lo <= hi for lo, hi in zip(v1, v1[1:]))
+    assert all(lo <= hi + 1e-12 for lo, hi in zip(v2, v2[1:]))
+
+
+@PROPERTY
+@given(samples(), configs(kernel=UNI, floors=(1e-8,)), st.floats(-0.2, 1.2),
+       st.floats(-0.2, 1.2))
+def test_f1_with_uniform_kernel_is_the_counting_form(s, config, t0, z0):
+    # away from ties at the window's edge, where |t_i - t0| <= alpha and
+    # |(t0 - t_i) / alpha| <= 1 may round differently
+    gap = np.abs(np.abs(s.t - t0) / config.bandwidths.alpha - 1.0)
+    assume(np.all(gap > 1e-9))
+    try:
+        counted = f1_counting(s, config, t0, z0)
+    except UnstableDenominatorError:
+        with pytest.raises(UnstableDenominatorError):
+            f1(s, config, t0, z0)
+        return
+    assert abs(f1(s, config, t0, z0) - counted) <= 1e-12

@@ -228,6 +228,15 @@ def test_sample_validation_errors():
         s.t[0] = 9.0
 
 
+def test_sample_rejects_non_finite_times_and_marks():
+    with pytest.raises(ValueError, match="finite"):
+        Sample(t=[np.nan, 0.5, 0.6], z=[0.0, 0.3, np.inf], delta=[0, 1, 1])
+    with pytest.raises(ValueError, match="finite"):
+        Sample(t=[0.4, np.inf], z=[0.0, 0.3], delta=[0, 1])
+    with pytest.raises(ValueError, match="finite"):
+        Sample(t=[0.4, 0.5], z=[0.0, np.nan], delta=[0, 1])
+
+
 def test_csv_round_trip():
     s = sample(scenario_b(), 64, 123)
     buf = io.StringIO()
