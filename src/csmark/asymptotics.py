@@ -176,20 +176,21 @@ def mu2(
     """Limiting mean of the doubly-smoothed estimator under a schedule.
 
     Equals ``mu1`` whenever the mark bandwidth decays strictly faster than
-    ``n^{-1/5}``; at the critical exponent it gains
+    ``n^{-1/5}``; at the critical exponent (1/5, to within 1e-9) it gains
     ``(c2^2 / 2) m2(kz) d22 F0``; slower decay makes the standardized bias
     diverge and raises :class:`BandwidthRegimeError`.
     """
     if schedule.beta_exponent is None:
         raise InvalidBandwidthError("schedule carries no mark bandwidth")
     base = mu1_sigma2(scenario, point, schedule.c1, kernel_tz.factor_t)
-    critical = 0.2
-    if schedule.beta_exponent < critical:
+    # an exponent written as, say, 0.3 - 0.1 misses 1/5 by an ulp
+    critical = math.isclose(schedule.beta_exponent, 0.2, abs_tol=1e-9)
+    if not critical and schedule.beta_exponent < 0.2:
         raise BandwidthRegimeError(
             f"mark bandwidth exponent {schedule.beta_exponent!r} below 1/5: "
             "standardized bias diverges"
         )
-    if schedule.beta_exponent == critical:
+    if critical:
         t0, z0 = point
         # the product kernel's second moment is taken in the first
         # coordinate; the moment condition makes the two coordinates agree
@@ -208,12 +209,14 @@ class MonteCarloSummary:
     """Replicated standardized estimates plus their reference law.
 
     ``values`` holds ``n^{2/5} (estimate - F0)`` (or the functional's
-    ``sqrt(n)`` analogue) for the replications that produced an estimate;
+    ``sqrt(n)`` analogue) for the replications that produced an estimate,
+    ``replicates`` the index ``r`` (seed offset) of each of them;
     ``failures`` counts those that did not.  ``ks_distance`` compares the
     values with N(mu, sigma2) when a reference law applies.
     """
 
     values: np.ndarray
+    replicates: np.ndarray
     failures: int
     n: int
     mu: float | None = None
@@ -341,7 +344,8 @@ def mc_normality(
 
     raw, failures = _replicate(worker, m, workers)
     _check_failures(failures, m)
-    values = raw[~np.isnan(raw)]
+    replicates = np.flatnonzero(~np.isnan(raw))
+    values = raw[replicates]
 
     c = alpha * float(n) ** 0.2
     params = mu1_sigma2(scenario, point, c, config.kernel_t)
@@ -354,6 +358,7 @@ def mc_normality(
     sq = (values / rate) ** 2
     return MonteCarloSummary(
         values=values,
+        replicates=replicates,
         failures=failures,
         n=n,
         mu=mu,
@@ -402,10 +407,12 @@ def mc_mse(
 
     raw, failures = _replicate(worker, replications, workers)
     _check_failures(failures, replications)
-    errors = raw[~np.isnan(raw)]
+    replicates = np.flatnonzero(~np.isnan(raw))
+    errors = raw[replicates]
     sq = errors**2
     return MonteCarloSummary(
         values=errors,
+        replicates=replicates,
         failures=failures,
         n=n,
         mse=float(np.mean(sq)),
@@ -497,10 +504,13 @@ def difference_sample(
 
     raw, failures = _replicate(worker, m, workers)
     _check_failures(failures, m)
-    values = raw[~np.isnan(raw)]
+    replicates = np.flatnonzero(~np.isnan(raw))
+    values = raw[replicates]
     base = mu1_sigma2(scenario, point, schedule.c1, config.kernel_t)
     shift = mu2(scenario, point, schedule, config.kernel_tz) - base.mu1
-    return MonteCarloSummary(values=values, failures=failures, n=n, mu=shift)
+    return MonteCarloSummary(
+        values=values, replicates=replicates, failures=failures, n=n, mu=shift
+    )
 
 
 @dataclass(frozen=True)
@@ -644,9 +654,11 @@ def mc_functional(
 
     raw, failures = _replicate(worker, m, workers)
     _check_failures(failures, m)
-    values = raw[~np.isnan(raw)]
+    replicates = np.flatnonzero(~np.isnan(raw))
+    values = raw[replicates]
     return MonteCarloSummary(
         values=values,
+        replicates=replicates,
         failures=failures,
         n=n,
         sigma2=efficient_variance(scenario),

@@ -34,6 +34,7 @@ from .errors import DegeneratePilotError, InvalidBandwidthError, SelectionError
 from .estimators import (  # noqa: F401
     DEFAULT_G_FLOOR,
     EstimatorConfig,
+    _density_quotient,
     _kernel_sums,
     f1,
     f2,
@@ -157,7 +158,7 @@ class PilotModel:
         )
         out = np.zeros(t.shape)
         ok = g >= self.config.g_floor
-        out[ok] = (g[ok] * dh[ok] - gp[ok] * h[ok]) / g[ok] ** 2
+        out[ok] = _density_quotient(g[ok], gp[ok], h[ok], dh[ok])
         np.maximum(out, 0.0, out=out)
         return out
 

@@ -255,7 +255,7 @@ def _write_values_csv(path: Path, summary: MonteCarloSummary) -> None:
     _write_csv(
         path,
         ["replicate", "statistic"],
-        ((r, v) for r, v in enumerate(summary.values)),
+        zip(summary.replicates, summary.values),
     )
 
 

@@ -29,6 +29,11 @@ ratio form makes a positive floor on ``g_hat`` essential; evaluations where
 
 One private routine, :func:`_kernel_sums`, computes every kernel sample mean
 these ratios need, at one point or at many points with their own bandwidths.
+The kernels vanish outside [-1, 1], so it visits only the observations in
+each point's time window ``|t0 - t_i| / alpha <= 1``, and the uncensored
+ones among them for the mark-dependent terms.  A point's sums depend only on the
+sample, the point and its bandwidths, bit for bit: a grid row, a
+single-point call and the pilot density agree exactly.
 """
 
 from __future__ import annotations
@@ -46,11 +51,14 @@ from .errors import (
     KernelAssumptionError,
     UnstableDenominatorError,
 )
-from .kernels import (
+# eval_rescaled and eval_rescaled_cdf are not called here, but stay
+# importable from this module, where perfbench/tracing.py wraps them
+from .kernels import (  # noqa: F401
     Bandwidths,
     BivariateKernel,
     KernelFamily,
     UnivariateKernel,
+    _check_bandwidth,
     epanechnikov_kernel,
     eval_rescaled,
     eval_rescaled_cdf,
@@ -73,8 +81,9 @@ __all__ = [
 
 DEFAULT_G_FLOOR = 1e-8
 
-# bound on the (points x n) matrices of one chunk of _kernel_sums: about
-# one point per chunk at n = 2e5, thousands at the bootstrap's small n
+# bound on the (runs x n) window masks and on the (points x n) pairs of one
+# chunk of _kernel_sums: one run per chunk at n = 2e5, thousands at the
+# bootstrap's small n
 _CHUNK_BUDGET = 250_000
 
 
@@ -126,9 +135,50 @@ def _require_mark_kernel(config: EstimatorConfig) -> BivariateKernel:
     return k2
 
 
-def _at(value, sl: slice):
-    """A bandwidth for the points in ``sl``: shared scalar or per-point column."""
-    return value[sl, None] if isinstance(value, np.ndarray) else value
+def _segment_sums(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Sums of the segments ``x[edges[k]:edges[k + 1]]``, each a pairwise
+    sum from its own first entry, so independent of what surrounds it."""
+    out = np.zeros(edges.size - 1)
+    nonempty = edges[:-1] < edges[1:]
+    if x.size:
+        out[nonempty] = np.add.reduceat(x, edges[:-1][nonempty])
+    return out
+
+
+def _point_sums(sample, kt, kz, t0, z0, alpha, beta, terms) -> list[np.ndarray]:
+    """:func:`_kernel_sums` at one point, in the same arithmetic.
+
+    A single point, the Monte Carlo drivers' case, would otherwise spend
+    more on the batch bookkeeping than on its window at moderate ``n``.
+    """
+    u = (t0 - sample.t) / alpha
+    col = (np.abs(u) <= 1.0).nonzero()[0]
+    u = u[col]
+    w = kt.pdf(u)
+    d = kt.deriv(u) if {"gp", "dh"}.intersection(terms) else None
+    unc = sample.delta[col] == 1
+    keep = unc.nonzero()[0]
+    zu = sample.z[col[keep]]
+    if kz is not None:
+        scaled = (z0 - zu) / beta
+        v = kz.pdf(scaled) if {"h", "dh"}.intersection(terms) else None
+    scale = 1.0 / (len(sample) * alpha)
+    out = []
+    for term in terms:
+        if term in ("g", "gp"):
+            x = w if term == "g" else d
+        elif term == "h0":
+            x = w[(~unc).nonzero()[0]]
+        elif term == "f1":
+            x = w[keep] * (zu <= z0)
+        elif term == "f2":
+            x = w[keep] * kz.cdf(scaled)
+        else:
+            x = (w if term == "h" else d)[keep] * v
+        total = np.add.reduceat(x, [0]) if x.size else np.zeros(1)  # as _segment_sums
+        total *= scale / alpha if term in ("gp", "dh") else scale
+        out.append(total / beta if term in ("h", "dh") else total)
+    return out
 
 
 def _kernel_sums(sample, config, t, z, alpha, beta, terms) -> list[np.ndarray]:
@@ -140,8 +190,18 @@ def _kernel_sums(sample, config, t, z, alpha, beta, terms) -> list[np.ndarray]:
     ``v = kz_beta(z_j - z_i)``, returns for each name in ``terms`` the mean
     over ``i`` of: ``g``: w; ``f1``: w delta 1{z_i <= z_j}; ``f2``: w delta
     K2((z_j - z_i) / beta); ``h0``: w (1 - delta); ``gp``: d; ``h``: w v
-    delta; ``dh``: d v delta.  Works in chunks of ``_CHUNK_BUDGET // n``
-    points.
+    delta; ``dh``: d v delta.
+
+    Only observations in a point's time window ``|(t_j - t_i) / alpha| <=
+    1`` (the kernels' own support test) are visited.  Consecutive points
+    sharing ``(t, alpha)`` form a run with one window, on which the time
+    kernel is evaluated once; ``g``, ``gp`` and ``h0`` sum over the window,
+    the other terms over (point, uncensored window column) pairs, and the
+    sums are scaled by the bandwidths and ``1 / n``.  Runs go
+    ``_CHUNK_BUDGET // n`` at a time, their points an eighth of that at a
+    time when pairs are formed.  Every sum adds its own entries in sample
+    order, so a point's sums are bit for bit the same whatever the chunk
+    budget and whatever other points share the call.
     """
     kt = config.kernel_t
     kz = None
@@ -151,45 +211,77 @@ def _kernel_sums(sample, config, t, z, alpha, beta, terms) -> list[np.ndarray]:
             raise InvalidBandwidthError(
                 "doubly-smoothed estimation needs a mark bandwidth (beta)"
             )
+        _check_bandwidth(beta)
+        beta = np.full(t.shape, beta, dtype=float)
     differentiated = (kt, kz) if "dh" in terms else (kt,) if "gp" in terms else ()
     for k in differentiated:
         if k.deriv is None:
             raise DerivativeUnavailableError(f"kernel {k.name!r} has no derivative")
-    n = len(sample)
-    delta = sample.delta
-    out = [np.empty(t.size) for _ in terms]
+    _check_bandwidth(alpha)
+    alpha = np.full(t.shape, alpha, dtype=float)
+    if t.size == 1:  # spares a single point the batch bookkeeping
+        b = None if kz is None else beta[0]
+        return _point_sums(sample, kt, kz, t[0], z[0], alpha[0], b, terms)
+    n, m = len(sample), t.size
+    out = {term: np.empty(m) for term in terms}
+    new_run = np.ones(m + 1, dtype=bool)
+    new_run[1:m] = (t[1:] != t[:-1]) | (alpha[1:] != alpha[:-1])
+    bounds = new_run.nonzero()[0]  # run r holds the points bounds[r]:bounds[r + 1]
     step = max(1, _CHUNK_BUDGET // n)
-    for start in range(0, t.size, step):
-        sl = slice(start, start + step)
-        a, b = _at(alpha, sl), _at(beta, sl)
-        # every (points x n) array is dropped as soon as it is used, those
-        # of the last chunk before any of this one: at n = 2e5 a single row
-        # takes 1.6 MB
-        w = d = v = None
-        w = eval_rescaled(kt, a, t[sl, None] - sample.t)
-        for term, mean in zip(terms, out):
-            if term in ("gp", "dh") and d is None:
-                d = kt.deriv((t[sl, None] - sample.t) / a) / a**2
-            if term in ("h", "dh") and v is None:
-                v = eval_rescaled(kz, b, z[sl, None] - sample.z)
-            if term == "g":
-                x = w
-            elif term == "f1":
-                x = w * delta * (sample.z <= z[sl, None])
-            elif term == "f2":
-                x = eval_rescaled_cdf(kz, b, z[sl, None] - sample.z)
-                x = w * delta * x
-            elif term == "h0":
-                x = w * (1 - delta)
-            elif term == "gp":
-                x = d
-            elif term == "h":
-                x = w * v * delta
+    for r0 in range(0, bounds.size - 1, step):
+        first = bounds[r0 : r0 + step + 1]
+        size, first = first[1:] - first[:-1], first[:-1]  # points per run, first points
+        p0 = first[0]
+        u = ((t[first, None] - sample.t) / alpha[first, None]).ravel()
+        flat = (np.abs(u) <= 1.0).nonzero()[0]  # the runs' windows, one after another
+        col = flat % n
+        ends = np.arange(first.size + 1) * n  # run r's entries of flat lie below ends[r + 1]
+        u = u[flat]
+        w = kt.pdf(u)
+        d = kt.deriv(u) if differentiated else None
+        unc = sample.delta[col] == 1
+        for term, x in (("g", w), ("gp", d), ("h0", w)):
+            if term in out:
+                keep = (~unc).nonzero()[0] if term == "h0" else slice(None)
+                sums = _segment_sums(x[keep], np.searchsorted(flat[keep], ends))
+                out[term][p0 : p0 + size.sum()] = sums.repeat(size)
+        # pair each point with its run's uncensored window columns
+        keep = unc.nonzero()[0]
+        edges = np.searchsorted(flat[keep], ends)
+        w, zu = w[keep], sample.z[col[keep]]
+        d = d[keep] if d is not None else None
+        cols = (edges[1:] - edges[:-1]).repeat(size)  # pairs per point
+        start = edges[:-1].repeat(size)
+        # about ten pair-sized temporaries live at once, so pairs are formed
+        # for an eighth of a chunk's points at a time
+        pair_step = max(1, step // 8)
+        for j in range(0, cols.size, pair_step):
+            counts = cols[j : j + pair_step]
+            pair_edges = np.concatenate(([0], np.cumsum(counts)))
+            if counts.size == 1:  # one point, whose pairs are a slice of columns
+                i = slice(start[j], start[j] + counts[0])
             else:
-                x = d * v * delta
-            mean[sl] = np.add.reduce(x, axis=1) / n  # np.mean's arithmetic
-            del x
-    return out
+                offset = start[j : j + pair_step] - pair_edges[:-1]
+                i = np.arange(pair_edges[-1]) + offset.repeat(counts)
+            points = slice(p0 + j, p0 + j + counts.size)
+            zi, zj = zu[i], z[points].repeat(counts)
+            if kz is not None:
+                scaled = (zj - zi) / beta[points].repeat(counts)
+                v = kz.pdf(scaled) if {"h", "dh"}.intersection(terms) else None
+            for term in {"f1", "f2", "h", "dh"}.intersection(terms):
+                if term == "f1":
+                    x = w[i] * (zi <= zj)
+                elif term == "f2":
+                    x = w[i] * kz.cdf(scaled)
+                else:
+                    x = (w if term == "h" else d)[i] * v
+                out[term][points] = _segment_sums(x, pair_edges)
+    scale = 1.0 / (n * alpha)  # the kernels' 1 / bandwidth and the mean's 1 / n
+    for term in terms:
+        out[term] *= scale / alpha if term in ("gp", "dh") else scale
+        if term in ("h", "dh"):
+            out[term] /= beta
+    return [out[term] for term in terms]
 
 
 def _at_point(
@@ -280,6 +372,11 @@ def f2(sample: Sample, config: EstimatorConfig, t0: float, z0: float) -> float:
     return num / _stable(g, config.g_floor)
 
 
+def _density_quotient(g, gp, h, dh):
+    """``(g dh - gp h) / g^2`` in one arithmetic for floats and arrays."""
+    return (g * dh - gp * h) / (g * g)
+
+
 def f2_density(sample: Sample, config: EstimatorConfig, t0: float, z0: float) -> float:
     """Estimate of the joint density ``f0(t0, z0)``.
 
@@ -290,7 +387,7 @@ def f2_density(sample: Sample, config: EstimatorConfig, t0: float, z0: float) ->
     under undersmoothing.
     """
     g, gp, h, dh = _at_point(sample, config, t0, z0, ("g", "gp", "h", "dh"))
-    return (g * dh - gp * h) / _stable(g, config.g_floor) ** 2
+    return _density_quotient(_stable(g, config.g_floor), gp, h, dh)
 
 
 @dataclass(frozen=True)
@@ -339,7 +436,7 @@ def evaluate_grid(
             rows.append(GridValue(t0, z0, None, None, None))
             continue
         v2 = v["f2"] / g if "f2" in v else None
-        vd = (g * v["dh"] - v["gp"] * v["h"]) / g**2 if "dh" in v else None
+        vd = _density_quotient(g, v["gp"], v["h"], v["dh"]) if "dh" in v else None
         rows.append(GridValue(t0, z0, v["f1"] / g, v2, vd))
     return rows
 

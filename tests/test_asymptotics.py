@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csmark import (
     BandwidthRegimeError,
@@ -97,13 +99,18 @@ def test_mu2_regimes():
     base = mu1_sigma2(B, point, 0.5, EPA).mu1
     # increment = c2^2/2 * m2 * d22 F0 = 0.125 * 0.2 * 0.5
     assert mu2(B, point, critical, ktz) - base == pytest.approx(0.0125, abs=1e-10)
+    # 0.3 - 0.1 is 0.19999999999999998, one ulp below 1/5
+    rounded = BandwidthSchedule(c1=0.5, c2=0.5, beta_exponent=0.3 - 0.1)
+    assert mu2(B, point, rounded, ktz) == mu2(B, point, critical, ktz)
 
-    fast = BandwidthSchedule(c1=0.5, c2=0.5, beta_exponent=1.0 / 3.0)
-    assert mu2(B, point, fast, ktz) == base
+    for exponent in (1.0 / 3.0, 0.2 + 1e-3):
+        fast = BandwidthSchedule(c1=0.5, c2=0.5, beta_exponent=exponent)
+        assert mu2(B, point, fast, ktz) == base
 
-    slow = BandwidthSchedule(c1=0.5, c2=0.5, beta_exponent=0.1)
-    with pytest.raises(BandwidthRegimeError):
-        mu2(B, point, slow, ktz)
+    for exponent in (0.1, 0.2 - 1e-3):
+        slow = BandwidthSchedule(c1=0.5, c2=0.5, beta_exponent=exponent)
+        with pytest.raises(BandwidthRegimeError):
+            mu2(B, point, slow, ktz)
 
     no_mark = BandwidthSchedule(c1=0.5)
     with pytest.raises(InvalidBandwidthError):
@@ -185,6 +192,27 @@ def test_replication_results_independent_of_worker_count():
     m3 = mc_mse(B, "F1", (0.4, 0.4), 300, 20, alpha=0.2, seed=11, workers=3)
     assert np.array_equal(m1.values, m3.values)
     assert m1.mse == m3.mse
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["F1", "F2"]), st.integers(20, 300), st.integers(2, 8),
+       st.integers(0, 2**31), st.floats(0.05, 0.4), st.floats(0.2, 0.8), st.floats(0.1, 0.9))
+def test_mc_mse_is_byte_identical_for_any_worker_count(estimator, n, m, seed, alpha, t0, z0):
+    beta = 0.15 if estimator == "F2" else None
+    results = []
+    for workers in (1, 2):
+        try:
+            results.append(mc_mse(B, estimator, (t0, z0), n, m, alpha=alpha, beta=beta,
+                                  seed=seed, workers=workers))
+        except ReplicationFailureError:
+            results.append(None)
+    one, two = results
+    if one is None:
+        assert two is None
+        return
+    assert one.values.tobytes() == two.values.tobytes()
+    assert one.replicates.tobytes() == two.replicates.tobytes()
+    assert (one.failures, one.mse, one.mse_se) == (two.failures, two.mse, two.mse_se)
 
 
 def test_failure_accounting():

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from csmark import Sample, mc_mse, scenario_b
+from csmark import Sample, UnstableDenominatorError, asymptotics, mc_mse, scenario_b
 from csmark.cli import ConfigError, format_config, main, parse_config
 
 
@@ -115,6 +115,29 @@ def test_mc_normality_command(tmp_path):
         assert key in summary
     assert summary["m"] == 12
     assert summary["failures"] == 0
+
+
+def test_values_csv_numbers_rows_by_replicate(tmp_path, monkeypatch):
+    text = (
+        "kind = mc-normality\nscenario = B\nestimator = F1\n"
+        "t0 = 0.5\nz0 = 0.5\nn = 200\nm = 100\nalpha = 0.2\nseed = 1\n"
+    )
+    code, full = run(tmp_path, "mc-normality", text, out="full")
+    draw = asymptotics.sample
+
+    def fail_replicate_3(scenario, n, seed):
+        if seed == 1 + 3:
+            raise UnstableDenominatorError("forced failure", g_value=0.0)
+        return draw(scenario, n, seed)
+
+    monkeypatch.setattr(asymptotics, "sample", fail_replicate_3)
+    code_failed, failed = run(tmp_path, "mc-normality", text, out="failed")
+    assert code == code_failed == 0
+    assert json.loads((failed / "summary.json").read_text())["failures"] == 1
+    rows = (full / "values.csv").read_text().splitlines()
+    kept = (failed / "values.csv").read_text().splitlines()
+    assert kept == rows[:4] + rows[5:]  # the header, then every row but replicate 3's
+    assert [row.split(",")[0] for row in kept[1:]] == [str(r) for r in range(100) if r != 3]
 
 
 def test_mc_mse_command_matches_library(tmp_path):
