@@ -29,6 +29,7 @@ closed form ``int F (1 - F) / g`` computed by :func:`efficient_variance`.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -77,6 +78,8 @@ __all__ = [
 ]
 
 MAX_FAILURE_FRACTION = 0.01
+# smaller samples replicate serially: threads there lose to the GIL (see _replicate)
+_THREAD_MIN_ROWS = 20_000
 
 
 @dataclass(frozen=True)
@@ -235,38 +238,52 @@ class MonteCarloSummary:
         return float(np.var(self.values, ddof=1))
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _replicate(
-    worker: Callable[[int], float], m: int, workers: int
-) -> tuple[np.ndarray, int]:
-    """Run ``worker(0..m-1)``, mapping unstable denominators to NaN.
+    scenario: Scenario,
+    n: int,
+    m: int,
+    seed: int,
+    statistic: Callable[[Sample], float],
+    workers: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Evaluate ``statistic(sample(scenario, n, seed + r))`` for ``r < m``.
 
-    Results are reduced in replication order whatever the worker count, so
-    the output is bitwise identical for any ``workers``.
+    Returns the kept values, their replication indices and the number of
+    replications whose statistic raised :class:`UnstableDenominatorError`;
+    more than 1% of those raise :class:`ReplicationFailureError`.  A pool of
+    ``min(workers, m, usable CPUs)`` threads is used only from
+    ``_THREAD_MIN_ROWS`` rows on: below that, threads mostly trade the GIL
+    between short numpy calls and lose.  Values are kept in replication
+    order, so the output is bitwise identical for any ``workers``.
     """
+    if m < 2:
+        raise ValueError(f"need at least two replications, got m={m}")
 
-    def safe(r: int) -> float:
+    def one(r: int) -> float:
         try:
-            return worker(r)
+            return statistic(sample(scenario, n, seed + r))
         except UnstableDenominatorError:
             return math.nan
 
-    out = np.empty(m)
-    if workers <= 1:
-        for r in range(m):
-            out[r] = safe(r)
+    threads = min(workers, m, _usable_cpus()) if n >= _THREAD_MIN_ROWS else 1
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            raw = np.fromiter(pool.map(one, range(m)), float, count=m)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for r, val in enumerate(pool.map(safe, range(m))):
-                out[r] = val
-    return out, int(np.count_nonzero(np.isnan(out)))
-
-
-def _check_failures(failures: int, m: int) -> None:
+        raw = np.fromiter(map(one, range(m)), float, count=m)
+    replicates = np.flatnonzero(~np.isnan(raw))
+    failures = m - replicates.size
     if failures > MAX_FAILURE_FRACTION * m:
         raise ReplicationFailureError(
-            f"{failures} of {m} replications failed "
-            f"(> {MAX_FAILURE_FRACTION:.0%})"
+            f"{failures} of {m} replications failed (> {MAX_FAILURE_FRACTION:.0%})"
         )
+    return raw[replicates], replicates, failures
 
 
 def _resolve_config(
@@ -320,9 +337,9 @@ def mc_normality(
     ``schedule`` evaluated at ``n`` (exactly one of the two forms must be
     used).  More than 1% failed replications raise
     :class:`ReplicationFailureError`.
+    Threads (``workers``, capped at the usable CPUs) share replications
+    only when ``n >= 20_000``; results do not depend on ``workers``.
     """
-    if m < 2:
-        raise ValueError(f"need at least two replications, got m={m}")
     if schedule is not None:
         if alpha is not None or beta is not None:
             raise InvalidBandwidthError(
@@ -338,14 +355,10 @@ def mc_normality(
     rate = float(n) ** 0.4
     est = f1 if estimator == "F1" else f2
 
-    def worker(r: int) -> float:
-        s = sample(scenario, n, seed + r)
-        return rate * (est(s, config, t0, z0) - truth)
-
-    raw, failures = _replicate(worker, m, workers)
-    _check_failures(failures, m)
-    replicates = np.flatnonzero(~np.isnan(raw))
-    values = raw[replicates]
+    values, replicates, failures = _replicate(
+        scenario, n, m, seed,
+        lambda s: rate * (est(s, config, t0, z0) - truth), workers,
+    )
 
     c = alpha * float(n) ** 0.2
     params = mu1_sigma2(scenario, point, c, config.kernel_t)
@@ -391,24 +404,18 @@ def mc_mse(
     average of ``(estimate - F0(point))^2`` over successful replications
     and ``mse_se`` its sampling standard error.  ``values`` holds the raw
     (unstandardized) errors for inspection.
+    Threads (``workers``, capped at the usable CPUs) share replications
+    only when ``n >= 20_000``; results do not depend on ``workers``.
     """
-    if replications < 2:
-        raise ValueError(
-            f"need at least two replications, got {replications}"
-        )
     config = _resolve_config(estimator, alpha, beta, kernel_t, kernel_tz, g_floor)
     t0, z0 = point
     truth = float(scenario.cdf(t0, z0))
     est = f1 if estimator == "F1" else f2
 
-    def worker(r: int) -> float:
-        s = sample(scenario, n, seed + r)
-        return est(s, config, t0, z0) - truth
-
-    raw, failures = _replicate(worker, replications, workers)
-    _check_failures(failures, replications)
-    replicates = np.flatnonzero(~np.isnan(raw))
-    errors = raw[replicates]
+    errors, replicates, failures = _replicate(
+        scenario, n, replications, seed,
+        lambda s: est(s, config, t0, z0) - truth, workers,
+    )
     sq = errors**2
     return MonteCarloSummary(
         values=errors,
@@ -487,9 +494,9 @@ def difference_sample(
 
     At the critical mark-bandwidth exponent 1/5 the mean difference tends
     to ``mu2 - mu1``; the summary's ``mu`` records that reference value.
+    Threads (``workers``, capped at the usable CPUs) share replications
+    only when ``n >= 20_000``; results do not depend on ``workers``.
     """
-    if m < 2:
-        raise ValueError(f"need at least two replications, got m={m}")
     if schedule.beta_exponent is None:
         raise InvalidBandwidthError("the schedule must include a mark bandwidth")
     config = _resolve_config(
@@ -498,14 +505,10 @@ def difference_sample(
     t0, z0 = point
     rate = float(n) ** 0.4
 
-    def worker(r: int) -> float:
-        s = sample(scenario, n, seed + r)
-        return rate * (f2(s, config, t0, z0) - f1(s, config, t0, z0))
-
-    raw, failures = _replicate(worker, m, workers)
-    _check_failures(failures, m)
-    replicates = np.flatnonzero(~np.isnan(raw))
-    values = raw[replicates]
+    values, replicates, failures = _replicate(
+        scenario, n, m, seed,
+        lambda s: rate * (f2(s, config, t0, z0) - f1(s, config, t0, z0)), workers,
+    )
     base = mu1_sigma2(scenario, point, schedule.c1, config.kernel_t)
     shift = mu2(scenario, point, schedule, config.kernel_tz) - base.mu1
     return MonteCarloSummary(
@@ -641,21 +644,17 @@ def mc_functional(
     undersmooth enough for the centered statistic to stabilize at the
     efficient variance, while the pointwise-optimal 1/5 leaves a visible
     bias.  The summary's ``sigma2`` records :func:`efficient_variance`.
+    Threads (``workers``, capped at the usable CPUs) share replications
+    only when ``n >= 20_000``; results do not depend on ``workers``.
     """
-    if m < 2:
-        raise ValueError(f"need at least two replications, got m={m}")
     truth = true_mean_event_time(scenario)
     alpha = float(n) ** -float(alpha_exponent)
     root_n = math.sqrt(n)
 
-    def worker(r: int) -> float:
-        s = sample(scenario, n, seed + r)
-        return root_n * (mean_functional(s, alpha, grid_points) - truth)
-
-    raw, failures = _replicate(worker, m, workers)
-    _check_failures(failures, m)
-    replicates = np.flatnonzero(~np.isnan(raw))
-    values = raw[replicates]
+    values, replicates, failures = _replicate(
+        scenario, n, m, seed,
+        lambda s: root_n * (mean_functional(s, alpha, grid_points) - truth), workers,
+    )
     return MonteCarloSummary(
         values=values,
         replicates=replicates,

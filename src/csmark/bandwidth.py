@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .asymptotics import MAX_FAILURE_FRACTION
 from .errors import DegeneratePilotError, InvalidBandwidthError, SelectionError
 # f1 is not called here, but stays importable as bandwidth.f1, which
 # perfbench/tracing.py wraps
@@ -47,7 +48,7 @@ from .kernels import (
     epanechnikov_kernel,
     product_kernel,
 )
-from .scenarios import Sample
+from .scenarios import Sample, _current_status
 
 __all__ = [
     "BootstrapPlan",
@@ -359,10 +360,7 @@ def bootstrap_mse(
     for b in range(plan.replications):
         rng = np.random.default_rng(plan.seed + b)
         x, y = pilot.draw_xy(rng, n)
-        t = pilot.draw_t(rng, n)
-        delta = (x <= t).astype(np.int64)
-        z = np.where(delta == 1, y, 0.0)
-        boot = Sample(t=t, z=z, delta=delta)
+        boot = _current_status(x, y, pilot.draw_t(rng, n))
         for term, cols, alpha, beta in batches:
             m = alpha.size
             t_m, z_m = np.full(m, t0), np.full(m, z0)
@@ -375,6 +373,7 @@ def bootstrap_mse(
     ] + [("F2", alpha, beta) for alpha, beta in pairs]
 
     rows = []
+    max_failures = MAX_FAILURE_FRACTION * plan.replications
     for col, (estimator, alpha, beta) in zip(estimates.T, labels):
         ok = col[~np.isnan(col)]
         failures = plan.replications - ok.size
@@ -386,7 +385,7 @@ def bootstrap_mse(
                 mse_hat=_mse(ok, target),
                 mse_tilde=None if true_value is None else _mse(ok, true_value),
                 failures=failures,
-                valid=failures <= 0.01 * plan.replications and ok.size > 0,
+                valid=failures <= max_failures and ok.size > 0,
             )
         )
     return BootstrapMseTable(

@@ -563,6 +563,16 @@ _COMMANDS = {
 }
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csmark",
@@ -576,7 +586,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="key = value config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="overrides config seed")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument(
+            "--threads", type=_thread_count, default=1, metavar="K",
+            help="worker threads for replications of samples of 20 000 rows or more",
+        )
     return parser
 
 

@@ -315,6 +315,15 @@ def scenario_b() -> Scenario:
     )
 
 
+def _current_status(
+    x: np.ndarray, y: np.ndarray, t: np.ndarray, seed: int | None = None
+) -> Sample:
+    """What is observed of latent pairs ``(x, y)`` inspected at times ``t``:
+    ``delta = 1{x <= t}`` and the mark ``y`` on uncensored rows, else 0."""
+    delta = (x <= t).astype(np.int64)
+    return Sample(t=t, z=np.where(delta == 1, y, 0.0), delta=delta, seed=seed)
+
+
 def sample(
     scenario: Scenario,
     n: int,
@@ -334,9 +343,7 @@ def sample(
     rng = np.random.default_rng(seed)
     x, y = scenario.draw_xy(rng, n)
     t = scenario.draw_t(rng, n)
-    delta = (x <= t).astype(np.int64)
-    z = np.where(delta == 1, y, 0.0)
-    out = Sample(t=t, z=z, delta=delta, seed=seed)
+    out = _current_status(x, y, t, seed)
     if return_hidden:
         return out, (x, y)
     return out

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -40,7 +41,8 @@ from csmark import (
     true_mean_event_time,
     uniform_kernel,
 )
-from csmark.asymptotics import _check_failures, _replicate
+from csmark import asymptotics
+from csmark.asymptotics import _replicate
 
 B = scenario_b()
 EPA = epanechnikov_kernel()
@@ -181,7 +183,15 @@ def test_mc_normality_moments_track_the_limit():
     assert abs(summary.variance - summary.sigma2) <= 0.25 * summary.sigma2
 
 
-def test_replication_results_independent_of_worker_count():
+def threads_for_any_size(mp):
+    """Let the replication pool run on samples of any size, with up to four
+    threads, so small samples exercise it."""
+    mp.setattr(asymptotics, "_THREAD_MIN_ROWS", 1)
+    mp.setattr(asymptotics, "_usable_cpus", lambda: 4)
+
+
+def test_replication_results_independent_of_worker_count(monkeypatch):
+    threads_for_any_size(monkeypatch)
     kwargs = dict(seed=42, alpha=0.2, beta=0.15)
     one = mc_normality(B, "F2", (0.5, 0.5), 400, 30, workers=1, **kwargs)
     four = mc_normality(B, "F2", (0.5, 0.5), 400, 30, workers=4, **kwargs)
@@ -200,12 +210,14 @@ def test_replication_results_independent_of_worker_count():
 def test_mc_mse_is_byte_identical_for_any_worker_count(estimator, n, m, seed, alpha, t0, z0):
     beta = 0.15 if estimator == "F2" else None
     results = []
-    for workers in (1, 2):
-        try:
-            results.append(mc_mse(B, estimator, (t0, z0), n, m, alpha=alpha, beta=beta,
-                                  seed=seed, workers=workers))
-        except ReplicationFailureError:
-            results.append(None)
+    with pytest.MonkeyPatch.context() as mp:
+        threads_for_any_size(mp)
+        for workers in (1, 2):
+            try:
+                results.append(mc_mse(B, estimator, (t0, z0), n, m, alpha=alpha, beta=beta,
+                                      seed=seed, workers=workers))
+            except ReplicationFailureError:
+                results.append(None)
     one, two = results
     if one is None:
         assert two is None
@@ -215,22 +227,81 @@ def test_mc_mse_is_byte_identical_for_any_worker_count(estimator, n, m, seed, al
     assert (one.failures, one.mse, one.mse_se) == (two.failures, two.mse, two.mse_se)
 
 
-def test_failure_accounting():
-    def worker(r):
-        if r == 3:
+def fails_on(*replications):
+    """A statistic that fails on the given replications (seed offsets)."""
+
+    def statistic(s):
+        if s.seed in replications:
             raise UnstableDenominatorError("empty window", g_value=0.0)
-        return float(r)
+        return float(s.seed)
 
-    out, failures = _replicate(worker, 6, workers=1)
-    assert failures == 1
-    assert np.isnan(out[3])
-    out2, failures2 = _replicate(worker, 6, workers=3)
-    np.testing.assert_array_equal(np.isnan(out), np.isnan(out2))
-    assert failures2 == 1
+    return statistic
 
-    _check_failures(1, 100)  # exactly at the 1% cap: tolerated
-    with pytest.raises(ReplicationFailureError):
-        _check_failures(2, 100)
+
+def test_failure_accounting(monkeypatch):
+    threads_for_any_size(monkeypatch)
+    kept = [r for r in range(100) if r != 3]
+    for workers in (1, 3):
+        # one failure in 100 is exactly at the 1% cap: tolerated
+        values, replicates, failures = _replicate(B, 5, 100, 0, fails_on(3), workers)
+        np.testing.assert_array_equal(replicates, kept)
+        np.testing.assert_array_equal(values, np.array(kept, dtype=float))
+        assert failures == 1
+        with pytest.raises(ReplicationFailureError):
+            _replicate(B, 5, 100, 0, fails_on(3, 8), workers)
+    with pytest.raises(ValueError):
+        _replicate(B, 5, 1, 0, fails_on(), 1)
+
+
+class RecordingPool:
+    """Stands in for ThreadPoolExecutor: records each pool's size and maps
+    serially, starting no thread."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_thread_pool_only_for_large_samples_and_capped(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(
+        asymptotics, "ThreadPoolExecutor",
+        lambda max_workers: RecordingPool(sizes, max_workers),
+    )
+    monkeypatch.setattr(asymptotics, "_usable_cpus", lambda: 2)
+    first_t = lambda s: float(s.t[0])  # noqa: E731
+    large = asymptotics._THREAD_MIN_ROWS
+    assert large == 20_000
+
+    serial = _replicate(B, large - 1, 3, 0, first_t, 2)
+    assert sizes == []
+    _replicate(B, large, 3, 0, first_t, 1)
+    assert sizes == []
+    pooled = _replicate(B, large, 3, 0, first_t, 2)
+    assert sizes == [2]
+    assert serial[2] == pooled[2] == 0
+
+    # the pool never outgrows the replications or the usable CPUs
+    monkeypatch.setattr(asymptotics, "_THREAD_MIN_ROWS", 1)
+    sizes.clear()
+    _replicate(B, 5, 1000, 0, first_t, 1000)
+    _replicate(B, 5, 3, 0, first_t, 8)
+    monkeypatch.setattr(asymptotics, "_usable_cpus", lambda: 16)
+    _replicate(B, 5, 3, 0, first_t, 8)
+    _replicate(B, 5, 20, 0, first_t, 5)
+    assert sizes == [2, 2, 3, 5]
+
+
+def test_usable_cpus_is_a_positive_count():
+    assert 1 <= asymptotics._usable_cpus() <= (os.cpu_count() or 1)
 
 
 def test_mc_raises_when_windows_are_usually_empty():

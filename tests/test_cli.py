@@ -254,7 +254,10 @@ def test_bw_select_compare_truth_accepts_only_booleans(tmp_path, capsys):
     assert "line 10, column" in err and "compare_truth" in err and "treu" in err
 
 
-def test_threads_flag_does_not_change_results(tmp_path):
+def test_threads_flag_does_not_change_results(tmp_path, monkeypatch):
+    # a pool for any sample size, so the 200-row samples run threaded
+    monkeypatch.setattr(asymptotics, "_THREAD_MIN_ROWS", 1)
+    monkeypatch.setattr(asymptotics, "_usable_cpus", lambda: 4)
     text = (
         "kind = mc-normality\nscenario = B\nestimator = F2\n"
         "t0 = 0.5\nz0 = 0.5\nn = 200\nm = 10\nalpha = 0.25\nbeta = 0.2\nseed = 21\n"
@@ -262,6 +265,18 @@ def test_threads_flag_does_not_change_results(tmp_path):
     _, out1 = run(tmp_path, "mc-normality", text, out="t1")
     _, out4 = run(tmp_path, "mc-normality", text, out="t4", extra=("--threads", "4"))
     assert (out1 / "values.csv").read_bytes() == (out4 / "values.csv").read_bytes()
+
+
+def test_threads_must_be_positive(tmp_path, capsys):
+    cfg = tmp_path / "mse.cfg"
+    cfg.write_text("kind = mc-mse\n")
+    for value in ("0", "-3", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(["mc-mse", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                  "--threads", value])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_exit_code_2_for_config_problems(tmp_path, capsys):
