@@ -535,7 +535,8 @@ def mean_functional_detail(
     ``grid_points`` cells of [0, 1].  With the Uniform kernel the estimator
     at grid point ``x`` is the fraction of uncensored observations among
     those with ``|t_i - x| <= alpha``, which is computed for all grid points
-    at once from a sorted cumulative count.
+    at once by binary search in the sorted censoring times, once among all
+    of them and once among the uncensored ones.
 
     Grid points with no censoring time within ``alpha`` borrow the value of
     the nearest evaluable grid point (ties resolve to the left);
@@ -546,21 +547,20 @@ def mean_functional_detail(
         raise InvalidBandwidthError(f"bandwidth must be positive, got {alpha!r}")
     if grid_points < 1:
         raise ValueError(f"grid_points must be positive, got {grid_points}")
-    order = np.argsort(s.t, kind="stable")
-    ts = s.t[order]
-    prefix = np.concatenate(([0], np.cumsum(s.delta[order])))
+    ts = np.sort(s.t)
+    tu = np.sort(s.t[s.delta == 1])
     x = (np.arange(grid_points) + 0.5) / grid_points
-    lo = np.searchsorted(ts, x - alpha, side="left")
-    hi = np.searchsorted(ts, x + alpha, side="right")
-    den = hi - lo
+    left, right = x - alpha, x + alpha
+    den = np.searchsorted(ts, right, "right") - np.searchsorted(ts, left, "left")
     good = den > 0
     if not np.any(good):
         raise UnstableDenominatorError(
             "no censoring times within the bandwidth of any grid point",
             g_value=0.0,
         )
+    num = np.searchsorted(tu, right, "right") - np.searchsorted(tu, left, "left")
     fx = np.empty(grid_points)
-    fx[good] = (prefix[hi[good]] - prefix[lo[good]]) / den[good]
+    fx[good] = num[good] / den[good]
     fallback = int(np.count_nonzero(~good))
     if fallback:
         gi = np.flatnonzero(good)

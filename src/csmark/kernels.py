@@ -134,7 +134,8 @@ class Bandwidths:
 
 def _uniform_pdf(u):
     u = np.asarray(u, dtype=float)
-    return np.where(np.abs(u) <= 1.0, 0.5, 0.0)
+    # NaN fails the comparison, so it maps to 0 like any point off [-1, 1]
+    return 0.5 * (np.abs(u) <= 1.0)
 
 
 def _uniform_cdf(u):
@@ -144,12 +145,15 @@ def _uniform_cdf(u):
 
 def _epanechnikov_pdf(u):
     u = np.asarray(u, dtype=float)
-    return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+    # 1 - u*u is negative exactly off [-1, 1] (-inf at +-inf) and fmax maps
+    # NaN to 0, so this equals the masked form bit for bit without a select
+    return np.fmax(0.75 * (1.0 - u * u), 0.0)
 
 
 def _epanechnikov_cdf(u):
     u = np.clip(np.asarray(u, dtype=float), -1.0, 1.0)
-    return 0.25 * (2.0 + 3.0 * u - u**3)
+    # u * u * u, not u**3: numpy sends a cube through libm pow (~90x dearer)
+    return 0.25 * (2.0 + 3.0 * u - u * u * u)
 
 
 def _epanechnikov_deriv(u):

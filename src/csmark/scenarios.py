@@ -109,7 +109,7 @@ class Sample:
     def __post_init__(self) -> None:
         t = np.ascontiguousarray(np.asarray(self.t, dtype=float))
         z = np.ascontiguousarray(np.asarray(self.z, dtype=float))
-        delta = np.ascontiguousarray(np.asarray(self.delta, dtype=np.int64))
+        delta = np.asarray(self.delta)
         if not (t.ndim == z.ndim == delta.ndim == 1):
             raise ValueError("sample arrays must be one-dimensional")
         if not (t.shape == z.shape == delta.shape):
@@ -120,12 +120,17 @@ class Sample:
         # for the many small samples of threaded Monte Carlo runs
         if not (np.isfinite(t.min()) and np.isfinite(t.max())):
             raise ValueError("times must be finite")
-        censored = delta == 0
-        if not np.all(censored | (delta == 1)):
+        # the integer cast would truncate 0.7 to 0 and fail on NaN
+        if delta.dtype.kind not in "biu" and not np.all(
+            (delta == 0) | (delta == 1)
+        ):
+            raise ValueError("delta must be 0 or 1")
+        delta = np.ascontiguousarray(delta, dtype=np.int64)
+        if not (0 <= delta.min() and delta.max() <= 1):
             raise ValueError("delta must be 0 or 1")
         if not (0.0 <= z.min() and z.max() < np.inf):
             raise ValueError("marks must be finite and nonnegative")
-        if np.any(z[censored] != 0.0):
+        if np.any((z != 0.0) & (delta == 0)):
             raise ValueError("censored rows must carry a zero mark")
         for name, arr in (("t", t), ("z", z), ("delta", delta)):
             arr.setflags(write=False)
@@ -321,7 +326,11 @@ def _current_status(
     """What is observed of latent pairs ``(x, y)`` inspected at times ``t``:
     ``delta = 1{x <= t}`` and the mark ``y`` on uncensored rows, else 0."""
     delta = (x <= t).astype(np.int64)
-    return Sample(t=t, z=np.where(delta == 1, y, 0.0), delta=delta, seed=seed)
+    # -delta is all ones bits on uncensored rows and all zero bits (+0.0) on
+    # censored ones: np.where(delta == 1, y, 0.0) bit for bit, without a select
+    bits = -delta
+    bits &= np.asarray(y, dtype=float).view(np.int64)
+    return Sample(t=t, z=bits.view(float), delta=delta, seed=seed)
 
 
 def sample(

@@ -191,3 +191,63 @@ def test_product_kernel_defaults_and_pdf():
         epanechnikov_kernel().pdf(y)
     )
     assert float(square.pdf(np.array(x), np.array(y))) == pytest.approx(expected)
+
+
+def masked_uniform_pdf(u):
+    u = np.asarray(u, dtype=float)
+    return np.where(np.abs(u) <= 1.0, 0.5, 0.0)
+
+
+def masked_epanechnikov_pdf(u):
+    u = np.asarray(u, dtype=float)
+    return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+
+
+EDGES = np.array(
+    [
+        -1.0,
+        1.0,
+        np.nextafter(1.0, 2.0),
+        np.nextafter(-1.0, -2.0),
+        np.nextafter(1.0, 0.0),
+        np.nextafter(-1.0, 0.0),
+        0.0,
+        -0.0,
+        5e-324,
+        np.inf,
+        -np.inf,
+        np.nan,
+    ]
+)
+
+
+def test_builtin_pdfs_equal_the_masked_definitions_bit_for_bit():
+    u = np.concatenate([np.linspace(-1.5, 1.5, 300_001), EDGES])
+    for kernel, masked in (
+        (uniform_kernel(), masked_uniform_pdf),
+        (epanechnikov_kernel(), masked_epanechnikov_pdf),
+    ):
+        got, want = kernel.pdf(u), masked(u)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), kernel.name
+
+
+def test_epanechnikov_antiderivative_is_exactly_0_and_1_off_the_support():
+    cdf = epanechnikov_kernel().cdf
+    below = np.array([-1.0, np.nextafter(-1.0, -2.0), -1.5, -1e300, -np.inf])
+    low, high = cdf(below), cdf(-below)
+    assert np.all(low == 0.0) and not np.any(np.signbit(low))
+    assert np.all(high == 1.0)
+
+
+def test_epanechnikov_antiderivative_is_nondecreasing():
+    values = epanechnikov_kernel().cdf(np.linspace(-1.5, 1.5, 2_000_000))
+    assert np.all(np.diff(values) >= 0.0)
+
+
+def test_epanechnikov_antiderivative_agrees_with_the_pow_form():
+    rng = np.random.default_rng(5)
+    u = np.concatenate([np.linspace(-1.5, 1.5, 1_000_001), rng.uniform(-1, 1, 10**6)])
+    c = np.clip(u, -1.0, 1.0)
+    pow_form = 0.25 * (2.0 + 3.0 * c - c**3)
+    assert np.max(np.abs(epanechnikov_kernel().cdf(u) - pow_form)) <= 2.3e-16

@@ -6,6 +6,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from csmark import (
@@ -17,6 +19,7 @@ from csmark import (
     scenario_a,
     scenario_b,
 )
+from csmark.scenarios import _current_status
 
 INTERIOR = np.linspace(0.1, 0.9, 9)
 
@@ -212,6 +215,9 @@ def test_sample_validation_errors():
         Sample(t=good_t, z=np.array([-0.5, 0.0]), delta=np.array([1, 0]))
     with pytest.raises(ValueError):
         Sample(t=good_t, z=np.array([0.5, 0.3]), delta=np.array([1, 0]))
+    with pytest.raises(ValueError, match="zero mark"):
+        Sample(t=good_t, z=np.array([0.5, 5e-324]), delta=np.array([1, 0]))
+    Sample(t=good_t, z=np.array([0.5, -0.0]), delta=np.array([1, 0]))
     with pytest.raises(ValueError):
         Sample(t=good_t, z=np.array([0.5]), delta=np.array([1]))
     with pytest.raises(ValueError):
@@ -235,6 +241,90 @@ def test_sample_rejects_non_finite_times_and_marks():
         Sample(t=[0.4, np.inf], z=[0.0, 0.3], delta=[0, 1])
     with pytest.raises(ValueError, match="finite"):
         Sample(t=[0.4, 0.5], z=[0.0, np.nan], delta=[0, 1])
+
+
+def test_sample_rejects_non_integral_delta():
+    with pytest.raises(ValueError, match="^delta must be 0 or 1$"):
+        Sample(t=[0.1, 0.2], z=[0.0, 0.3], delta=[0.7, 1.9])
+    with pytest.raises(ValueError, match="^delta must be 0 or 1$"):
+        Sample(t=[0.1, 0.2], z=[0.0, 0.3], delta=[np.nan, 1.0])
+    s = Sample(t=[0.1, 0.2], z=[0.0, 0.3], delta=[0.0, 1.0])
+    assert s.delta.dtype == np.int64
+    assert s.delta.tolist() == [0, 1]
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+# latent marks a censored row may carry: they never reach the sample
+ANY_MARK = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, np.nan, np.inf, -np.inf, -5e-324, -1.0]),
+)
+# uncensored marks must pass the sample's checks
+VALID_MARK = st.one_of(
+    st.floats(0.0, 1e300), st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308])
+)
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.one_of(st.tuples(st.just(0), ANY_MARK), st.tuples(st.just(1), VALID_MARK)),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_current_status_marks_are_the_masked_latent_marks(rows):
+    delta = np.array([d for d, _ in rows])
+    y = np.array([m for _, m in rows])
+    t = np.linspace(0.1, 0.9, delta.size)
+    x = np.where(delta == 1, t - 0.05, t + 0.05)
+    s = _current_status(x, y, t, seed=3)
+    assert s.delta.tolist() == delta.tolist()
+    assert s.z.tobytes() == np.where(delta == 1, y, 0.0).tobytes()
+    assert s.t.tobytes() == t.tobytes() and s.seed == 3
+
+
+def masked_sample_verdict(t, z, delta):
+    """The sample checks as written with a boolean gather, for integer delta."""
+    t, z = np.asarray(t, dtype=float), np.asarray(z, dtype=float)
+    delta = np.asarray(delta, dtype=np.int64)
+    if not np.all(np.isfinite(t)):
+        return "times must be finite"
+    censored = delta == 0
+    if not np.all(censored | (delta == 1)):
+        return "delta must be 0 or 1"
+    if not (np.all(z >= 0.0) and np.all(np.isfinite(z))):
+        return "marks must be finite and nonnegative"
+    if np.any(z[censored] != 0.0):
+        return "censored rows must carry a zero mark"
+    return None
+
+
+ROW = st.tuples(
+    st.one_of(st.floats(0.0, 1.0), st.sampled_from([np.nan, np.inf, -np.inf])),
+    st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.nan, np.inf, -1.0]),
+    ),
+    st.integers(-1, 2),
+)
+
+
+@PROPERTY
+@given(st.lists(ROW, min_size=1, max_size=6))
+@example([(0.5, -0.0, 0), (0.6, 0.3, 1)])  # censored -0.0 is a zero mark
+@example([(0.5, 5e-324, 0), (0.6, 0.3, 1)])  # a subnormal one is not
+@example([(0.5, 0.0, -1)])
+@example([(0.5, 0.3, 2)])
+def test_sample_accepts_and_rejects_as_the_masked_checks(rows):
+    t, z, delta = (list(col) for col in zip(*rows))
+    try:
+        Sample(t=t, z=z, delta=delta)
+        verdict = None
+    except ValueError as exc:
+        verdict = str(exc)
+    assert verdict == masked_sample_verdict(t, z, delta)
 
 
 def test_csv_round_trip():
