@@ -104,14 +104,14 @@ class BootstrapPlan:
         if not all(math.isfinite(v) and v > 0.0 for v in (self.alpha0, self.beta0)):
             raise InvalidBandwidthError("pilot bandwidths must be finite and positive")
         if self.replications < 1:
-            raise ValueError("need at least one bootstrap replication")
+            raise InvalidBandwidthError("need at least one bootstrap replication")
         for label, grid in (("alpha", self.alpha_grid), ("beta", self.beta_grid)):
             if len(grid) == 0:
-                raise ValueError(f"{label}_grid must be nonempty")
+                raise InvalidBandwidthError(f"{label}_grid must be nonempty")
             if not all(math.isfinite(v) and v > 0.0 for v in grid):
                 raise InvalidBandwidthError(f"{label}_grid must be finite and positive")
             if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ValueError(f"{label}_grid must be strictly increasing")
+                raise InvalidBandwidthError(f"{label}_grid must be strictly increasing")
 
 
 class PilotModel:

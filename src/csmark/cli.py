@@ -4,7 +4,9 @@ Every subcommand reads a flat ``key = value`` config file (``#`` starts a
 comment), draws everything from an explicit seed, and writes its outputs
 plus a ``manifest.json`` echoing the exact configuration into the output
 directory.  Outputs contain no timestamps or environment details, so a rerun
-with the same config and seed reproduces them byte for byte.
+with the same config and seed reproduces them byte for byte.  Each command's
+keys are declared once, in ``_COMMANDS``; a config is checked in full before
+the output directory is created.
 
 Exit codes: 0 success, 2 configuration error (with line/column), 3 a
 replication or selection failure at run time.
@@ -13,23 +15,19 @@ replication or selection failure at run time.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import zip_longest
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 from . import __version__
-from .asymptotics import (
-    BandwidthSchedule,
-    MonteCarloSummary,
-    equivalence_curve,
-    mc_functional,
-    mc_mse,
-    mc_normality,
-    true_mean_event_time,
-)
+from .asymptotics import BandwidthSchedule, equivalence_curve, mc_functional
+from .asymptotics import mc_mse, mc_normality, true_mean_event_time
 from .bandwidth import BootstrapPlan, bootstrap_mse, select
 from .errors import CsmarkError
 from .estimators import EstimatorConfig, evaluate_grid, write_grid_csv
@@ -39,7 +37,6 @@ from .scenarios import sample, scenario_a, scenario_b
 __all__ = ["main"]
 
 _SCENARIOS = {"A": scenario_a, "B": scenario_b}
-_KERNELS = {"epanechnikov": epanechnikov_kernel, "uniform": uniform_kernel}
 
 
 class ConfigError(CsmarkError):
@@ -55,9 +52,12 @@ class ConfigError(CsmarkError):
 
 @dataclass(frozen=True)
 class _Entry:
+    """A config value with its 1-based line and the columns of value and key."""
+
     value: str
-    line: int
-    col: int
+    line: int | None
+    col: int | None
+    key_col: int | None
 
 
 def parse_config(text: str) -> dict[str, _Entry]:
@@ -73,201 +73,139 @@ def parse_config(text: str) -> dict[str, _Entry]:
         k = key.strip()
         if not k:
             raise ConfigError("missing key before '='", lineno, 1)
+        kcol = raw.find(k) + 1
         if k in entries:
-            raise ConfigError(f"duplicate key {k!r}", lineno, raw.find(k) + 1)
+            raise ConfigError(f"duplicate key {k!r}", lineno, kcol)
         v = value.strip()
-        vcol = body.find("=") + 2
         if not v:
-            raise ConfigError(f"missing value for {k!r}", lineno, vcol)
-        entries[k] = _Entry(v, lineno, vcol)
+            raise ConfigError(f"missing value for {k!r}", lineno, len(key) + 2)
+        entries[k] = _Entry(v, lineno, len(key) + 2 + value.index(v[0]), kcol)
     return entries
 
 
-def format_config(entries: dict[str, _Entry]) -> str:
-    """Inverse of :func:`parse_config` up to layout."""
-    return "".join(f"{k} = {e.value}\n" for k, e in entries.items())
+def _items(parse: Callable[[str], Any]) -> Callable[[str], tuple]:
+    def items(text: str) -> tuple:
+        values = tuple(parse(p) for p in text.split(",") if p.strip())
+        if not values:
+            raise ValueError("empty list")
+        return values
+
+    return items
 
 
-def _take(cfg: dict[str, _Entry], key: str) -> _Entry | None:
-    return cfg.pop(key, None)
+def _boolean(text: str) -> bool:
+    return {"1": True, "true": True, "yes": True,
+            "0": False, "false": False, "no": False}[text.lower()]
 
 
-def _require(cfg: dict[str, _Entry], key: str) -> _Entry:
-    entry = _take(cfg, key)
-    if entry is None:
-        raise ConfigError(f"missing required key {key!r}")
-    return entry
+_floats, _ints = _items(float), _items(int)
+_WHAT = {int: "an integer", float: "a number", _boolean: "one of 1/0/true/false/yes/no",
+         _ints: "comma-separated integers", _floats: "comma-separated numbers"}
 
 
-def _as_int(entry: _Entry, key: str, minimum: int | None = None) -> int:
-    try:
-        val = int(entry.value)
-    except ValueError:
-        raise ConfigError(
-            f"{key!r} must be an integer, got {entry.value!r}", entry.line, entry.col
-        ) from None
-    if minimum is not None and val < minimum:
-        raise ConfigError(
-            f"{key!r} must be >= {minimum}, got {val}", entry.line, entry.col
-        )
-    return val
+def _kernel(name: str):
+    # looked up per call, so a kernel factory patched on this module is used
+    return {"epanechnikov": epanechnikov_kernel, "uniform": uniform_kernel}[name]()
 
 
-def _as_float(entry: _Entry, key: str) -> float:
-    try:
-        return float(entry.value)
-    except ValueError:
-        raise ConfigError(
-            f"{key!r} must be a number, got {entry.value!r}", entry.line, entry.col
-        ) from None
+@dataclass(frozen=True)
+class _Key:
+    """One config key.  ``default`` is config text, parsed like a value from
+    the file (an optional key without one is ``None`` when absent);
+    ``minimum`` bounds a number or every item of a list."""
+
+    name: str
+    parse: Callable[[str], Any] = float
+    required: bool = True
+    default: str | None = None
+    minimum: int | None = None
+    choices: tuple[str, ...] = ()
+
+    def value(self, entry: _Entry | None) -> Any:
+        if entry is None:
+            if self.required:
+                raise ConfigError(f"missing required key {self.name!r}")
+            return None if self.default is None else self.parse(self.default)
+
+        def error(what: str, got) -> ConfigError:
+            return ConfigError(f"{self.name!r} must be {what}, got {got}",
+                               entry.line, entry.col)
+
+        if self.choices and entry.value not in self.choices:
+            raise error(f"one of {list(self.choices)}", repr(entry.value))
+        try:
+            value = self.parse(entry.value)
+        except (KeyError, ValueError):
+            raise error(_WHAT[self.parse], repr(entry.value)) from None
+        low = min(value) if isinstance(value, tuple) else value
+        if self.minimum is not None and low < self.minimum:
+            raise error(f">= {self.minimum}", low)
+        return value
 
 
-def _int_of(cfg, key, default=None, minimum=None) -> int | None:
-    entry = _take(cfg, key)
-    if entry is None:
-        return default
-    return _as_int(entry, key, minimum)
+def _optional(name: str, default: str | None = None, parse=float, **checks) -> _Key:
+    return _Key(name, parse, required=False, default=default, **checks)
 
 
-def _float_of(cfg, key, default=None) -> float | None:
-    entry = _take(cfg, key)
-    if entry is None:
-        return default
-    return _as_float(entry, key)
+_SEED = _Key("seed", int, minimum=0)
+_SCENARIO = _Key("scenario", lambda name: _SCENARIOS[name](), choices=tuple(_SCENARIOS))
+_N, _M = _Key("n", int, minimum=1), _Key("m", int, minimum=2)
+_T0, _Z0, _ALPHA, _BETA = _Key("t0"), _Key("z0"), _Key("alpha"), _optional("beta")
+_ESTIMATOR = _Key("estimator", str, choices=("F1", "F2"))
+_KERNEL = _optional("kernel", "epanechnikov", _kernel,
+                    choices=("epanechnikov", "uniform"))
+_REPLICATIONS = _Key("replications", int, minimum=2)
+# one mc-mse run, in the order of a table1 cell's fields and of its CSV row
+_MSE_CELL = (_T0, _Z0, _N, _ESTIMATOR, _ALPHA, _BETA)
+_MSE_HEADER = [key.name for key in _MSE_CELL] + ["mse", "se"]
+_CELL_SYNTAX = ",".join(key.name for key in _MSE_CELL[:-1]) + f"[,{_BETA.name}]"
 
 
-_BOOLEANS = {
-    "1": True, "true": True, "yes": True, "0": False, "false": False, "no": False
-}
-
-
-def _bool_of(cfg, key, default: bool) -> bool:
-    entry = _take(cfg, key)
-    if entry is None:
-        return default
-    try:
-        return _BOOLEANS[entry.value.lower()]
-    except KeyError:
-        raise ConfigError(
-            f"{key!r} must be one of 1/0/true/false/yes/no, got {entry.value!r}",
-            entry.line,
-            entry.col,
-        ) from None
-
-
-def _float_list(cfg, key, default=None) -> tuple[float, ...] | None:
-    entry = _take(cfg, key)
-    if entry is None:
-        return default
-    try:
-        return tuple(float(p) for p in entry.value.split(",") if p.strip())
-    except ValueError:
-        raise ConfigError(
-            f"{key!r} must be comma-separated numbers, got {entry.value!r}",
-            entry.line,
-            entry.col,
-        ) from None
-
-
-def _int_list(cfg, key, default=None) -> tuple[int, ...] | None:
-    entry = _take(cfg, key)
-    if entry is None:
-        return default
-    try:
-        return tuple(int(p) for p in entry.value.split(",") if p.strip())
-    except ValueError:
-        raise ConfigError(
-            f"{key!r} must be comma-separated integers, got {entry.value!r}",
-            entry.line,
-            entry.col,
-        ) from None
-
-
-def _scenario_of(cfg):
-    entry = _require(cfg, "scenario")
-    try:
-        return _SCENARIOS[entry.value]()
-    except KeyError:
-        raise ConfigError(
-            f"scenario must be one of {sorted(_SCENARIOS)}, got {entry.value!r}",
-            entry.line,
-            entry.col,
-        ) from None
-
-
-def _kernel_of(cfg, key, default):
-    entry = _take(cfg, key)
-    if entry is None:
-        return default
-    try:
-        return _KERNELS[entry.value]()
-    except KeyError:
-        raise ConfigError(
-            f"{key!r} must be one of {sorted(_KERNELS)}, got {entry.value!r}",
-            entry.line,
-            entry.col,
-        ) from None
-
-
-def _estimator_of(cfg) -> str:
-    entry = _require(cfg, "estimator")
-    if entry.value not in ("F1", "F2"):
-        raise ConfigError(
-            f"estimator must be 'F1' or 'F2', got {entry.value!r}",
-            entry.line,
-            entry.col,
-        )
-    return entry.value
-
-
-def _seed_of(cfg, args) -> int:
-    if args.seed is not None:
-        _take(cfg, "seed")
-        return args.seed
-    return _as_int(_require(cfg, "seed"), "seed")
-
-
-def _reject_unknown(cfg: dict[str, _Entry]) -> None:
-    if cfg:
-        key, entry = next(iter(cfg.items()))
-        raise ConfigError(f"unknown key {key!r}", entry.line, entry.col)
+def _cells(cfg: dict[str, _Entry]) -> list[dict[str, Any]]:
+    """Pop the ``cell.<i>`` keys of a table1 config; parse them in index order."""
+    cells: dict[int, tuple[str, _Entry]] = {}
+    for key in [k for k in cfg if k.startswith("cell.")]:
+        entry = cfg.pop(key)
+        if not key[len("cell."):].isdecimal():
+            raise ConfigError(f"{key!r} needs an index of digits, as in 'cell.1'",
+                              entry.line, entry.key_col)
+        index = int(key[len("cell."):])
+        if index in cells:
+            raise ConfigError(f"{key!r} repeats the index of {cells[index][0]!r}",
+                              entry.line, entry.key_col)
+        cells[index] = key, entry
+    parsed = []
+    for _, (key, entry) in sorted(cells.items()):
+        fields = [replace(entry, value=part.strip()) for part in entry.value.split(",")]
+        if len(fields) not in (len(_MSE_CELL) - 1, len(_MSE_CELL)):
+            raise ConfigError(f"{key!r} must be {_CELL_SYNTAX!r}",
+                              entry.line, entry.col)
+        parsed.append({k.name: replace(k, name=f"{key}.{k.name}").value(field)
+                       for k, field in zip_longest(_MSE_CELL, fields)})
+    return parsed
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+    if x is None or isinstance(x, str):
+        return x or ""
+    return str(int(x)) if isinstance(x, (int, np.integer)) else repr(float(x))
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    import csv as _csv
-
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if not isinstance(v, str) else v for v in row])
-
-
-def _write_values_csv(path: Path, summary: MonteCarloSummary) -> None:
-    _write_csv(
-        path,
-        ["replicate", "statistic"],
-        zip(summary.replicates, summary.values),
-    )
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 class _Run:
     """Output directory plus the manifest accumulated during a run."""
 
-    def __init__(self, args, command: str, cfg_text: str, seed: int) -> None:
+    def __init__(self, args, cfg_text: str, entries: dict, seed: int) -> None:
         self.outdir = Path(args.out)
         self.outdir.mkdir(parents=True, exist_ok=True)
-        self.command = command
-        self.cfg_text = cfg_text
-        self.seed = seed
+        self.command, self.threads = args.command, args.threads
+        self.cfg_text, self.entries, self.seed = cfg_text, entries, seed
         self.outputs: list[str] = []
 
     def path(self, name: str) -> Path:
@@ -279,317 +217,178 @@ class _Run:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    def finish(self) -> None:
-        manifest = {
-            "command": self.command,
-            "config": {
-                k: e.value for k, e in parse_config(self.cfg_text).items()
-            },
-            "config_text": self.cfg_text,
-            "outputs": sorted(self.outputs),
-            "seed": self.seed,
-            "version": __version__,
-        }
-        with open(self.outdir / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    def finish(self) -> list[str]:
+        """Write ``manifest.json``; the outputs written before it."""
+        outputs = sorted(self.outputs)
+        self.write_json("manifest.json", {
+            "command": self.command, "config_text": self.cfg_text,
+            "config": {k: e.value for k, e in self.entries.items()},
+            "outputs": outputs, "seed": self.seed, "version": __version__,
+        })
+        return outputs
 
 
-def _cmd_simulate(cfg, args, run: _Run) -> None:
-    scenario = _scenario_of(cfg)
-    n = _as_int(_require(cfg, "n"), "n", minimum=1)
-    _reject_unknown(cfg)
+# per command: its config keys, in the order they are checked, and the run
+# function that takes their values as keyword arguments
+_COMMANDS: dict[str, tuple[tuple[_Key, ...], Callable[..., None]]] = {}
+
+
+def _command(name: str, *keys: _Key):
+    """Register the decorated run function as command ``name`` with ``keys``."""
+    return lambda run: _COMMANDS.setdefault(name, (keys, run))[1]
+
+
+@_command("simulate", _SCENARIO, _N)
+def _simulate(run: _Run, scenario, n) -> None:
+    sample(scenario, n, run.seed).to_csv(run.path("sample.csv"))
+
+
+@_command("estimate-grid", _SCENARIO, _N, _ALPHA, _BETA, _Key("t_grid", _floats),
+          _Key("z_grid", _floats), _KERNEL,
+          replace(_KERNEL, name="kernel_z", default=None))
+def _estimate_grid(run: _Run, scenario, n, alpha, beta, t_grid, z_grid, kernel,
+                   kernel_z) -> None:
+    tz = None if beta is None else product_kernel(kernel, kernel_z or kernel)
+    config = EstimatorConfig(kernel, Bandwidths(alpha, beta), kernel_tz=tz)
     s = sample(scenario, n, run.seed)
-    s.to_csv(run.path("sample.csv"))
-
-
-def _cmd_estimate_grid(cfg, args, run: _Run) -> None:
-    scenario = _scenario_of(cfg)
-    n = _as_int(_require(cfg, "n"), "n", minimum=1)
-    alpha = _as_float(_require(cfg, "alpha"), "alpha")
-    beta = _float_of(cfg, "beta")
-    t_grid = _float_list(cfg, "t_grid")
-    z_grid = _float_list(cfg, "z_grid")
-    if t_grid is None or z_grid is None:
-        raise ConfigError("estimate-grid needs 't_grid' and 'z_grid'")
-    kernel_t = _kernel_of(cfg, "kernel", epanechnikov_kernel())
-    kernel_z = _kernel_of(cfg, "kernel_z", kernel_t)
-    _reject_unknown(cfg)
-    s = sample(scenario, n, run.seed)
-    config = EstimatorConfig(
-        kernel_t=kernel_t,
-        bandwidths=Bandwidths(alpha, beta),
-        kernel_tz=product_kernel(kernel_t, kernel_z) if beta is not None else None,
-    )
     rows = evaluate_grid(s, config, np.array(t_grid), np.array(z_grid))
     write_grid_csv(rows, run.path("grid.csv"))
 
 
-def _normality_summary_payload(summary: MonteCarloSummary) -> dict:
-    return {
-        "m": int(summary.values.size + summary.failures),
-        "failures": summary.failures,
-        "ks": summary.ks_distance,
-        "mu": summary.mu,
-        "sigma2": summary.sigma2,
-        "mean": summary.mean,
-        "variance": summary.variance,
-    }
+@_command("mc-normality", _SCENARIO, _ESTIMATOR, _T0, _Z0, _N, _M, _optional("alpha"),
+          _BETA, _optional("c1"), _optional("c2"), _optional("beta_exponent"), _KERNEL)
+def _mc_normality(run: _Run, scenario, estimator, t0, z0, n, m, alpha, beta, c1, c2,
+                  beta_exponent, kernel) -> None:
+    schedule = None if c1 is None else BandwidthSchedule(c1, c2, beta_exponent)
+    summary = mc_normality(scenario, estimator, (t0, z0), n, m, seed=run.seed,
+                           alpha=alpha, beta=beta, schedule=schedule, kernel_t=kernel,
+                           workers=run.threads)
+    _write_csv(run.path("values.csv"), ["replicate", "statistic"],
+               zip(summary.replicates, summary.values))
+    run.write_json("summary.json", {
+        "m": int(summary.values.size + summary.failures), "failures": summary.failures,
+        "ks": summary.ks_distance, "mu": summary.mu, "sigma2": summary.sigma2,
+        "mean": summary.mean, "variance": summary.variance,
+    })
 
 
-def _cmd_mc_normality(cfg, args, run: _Run) -> None:
-    scenario = _scenario_of(cfg)
-    estimator = _estimator_of(cfg)
-    t0 = _as_float(_require(cfg, "t0"), "t0")
-    z0 = _as_float(_require(cfg, "z0"), "z0")
-    n = _as_int(_require(cfg, "n"), "n", minimum=1)
-    m = _as_int(_require(cfg, "m"), "m", minimum=2)
-    alpha = _float_of(cfg, "alpha")
-    beta = _float_of(cfg, "beta")
-    c1 = _float_of(cfg, "c1")
-    c2 = _float_of(cfg, "c2")
-    beta_exponent = _float_of(cfg, "beta_exponent")
-    kernel_t = _kernel_of(cfg, "kernel", epanechnikov_kernel())
-    _reject_unknown(cfg)
-    schedule = None
-    if c1 is not None:
-        schedule = BandwidthSchedule(c1=c1, c2=c2, beta_exponent=beta_exponent)
-    summary = mc_normality(
-        scenario,
-        estimator,
-        (t0, z0),
-        n,
-        m,
-        seed=run.seed,
-        alpha=alpha,
-        beta=beta,
-        schedule=schedule,
-        kernel_t=kernel_t,
-        workers=args.threads,
-    )
-    _write_values_csv(run.path("values.csv"), summary)
-    run.write_json("summary.json", _normality_summary_payload(summary))
+def _mse_row(run: _Run, scenario, replications, t0, z0, n, estimator, alpha, beta):
+    summary = mc_mse(scenario, estimator, (t0, z0), n, replications, alpha=alpha,
+                     beta=beta, seed=run.seed, workers=run.threads)
+    return t0, z0, n, estimator, alpha, beta, summary.mse, summary.mse_se
 
 
-def _cmd_mc_mse(cfg, args, run: _Run) -> None:
-    scenario = _scenario_of(cfg)
-    estimator = _estimator_of(cfg)
-    t0 = _as_float(_require(cfg, "t0"), "t0")
-    z0 = _as_float(_require(cfg, "z0"), "z0")
-    n = _as_int(_require(cfg, "n"), "n", minimum=1)
-    replications = _as_int(_require(cfg, "replications"), "replications", minimum=2)
-    alpha = _as_float(_require(cfg, "alpha"), "alpha")
-    beta = _float_of(cfg, "beta")
-    _reject_unknown(cfg)
-    summary = mc_mse(
-        scenario,
-        estimator,
-        (t0, z0),
-        n,
-        replications,
-        alpha=alpha,
-        beta=beta,
-        seed=run.seed,
-        workers=args.threads,
-    )
-    _write_csv(
-        run.path("mse.csv"),
-        ["t0", "z0", "n", "estimator", "alpha", "beta", "mse", "se"],
-        [(t0, z0, n, estimator, alpha, beta, summary.mse, summary.mse_se)],
-    )
+@_command("mc-mse", _SCENARIO, _ESTIMATOR, _T0, _Z0, _N, _REPLICATIONS, _ALPHA, _BETA)
+def _mc_mse(run: _Run, scenario, replications, **cell) -> None:
+    row = _mse_row(run, scenario, replications, **cell)
+    _write_csv(run.path("mse.csv"), _MSE_HEADER, [row])
 
 
-def _cmd_table1(cfg, args, run: _Run) -> None:
-    scenario = _scenario_of(cfg)
-    replications = _as_int(_require(cfg, "replications"), "replications", minimum=2)
-    cells = []
-    for key in sorted(
-        [k for k in cfg if k.startswith("cell.")],
-        key=lambda k: int(k.split(".", 1)[1]),
-    ):
-        entry = _take(cfg, key)
-        parts = [p.strip() for p in entry.value.split(",")]
-        if len(parts) not in (5, 6):
-            raise ConfigError(
-                f"{key!r} must be 't0,z0,n,estimator,alpha[,beta]'",
-                entry.line,
-                entry.col,
-            )
-        try:
-            t0, z0 = float(parts[0]), float(parts[1])
-            n = int(parts[2])
-            estimator = parts[3]
-            alpha = float(parts[4])
-            beta = float(parts[5]) if len(parts) == 6 else None
-        except ValueError:
-            raise ConfigError(
-                f"{key!r} has a malformed field", entry.line, entry.col
-            ) from None
-        if estimator not in ("F1", "F2"):
-            raise ConfigError(
-                f"{key!r}: estimator must be 'F1' or 'F2'", entry.line, entry.col
-            )
-        cells.append((t0, z0, n, estimator, alpha, beta))
-    _reject_unknown(cfg)
-    rows = []
-    for t0, z0, n, estimator, alpha, beta in cells:
-        summary = mc_mse(
-            scenario,
-            estimator,
-            (t0, z0),
-            n,
-            replications,
-            alpha=alpha,
-            beta=beta,
-            seed=run.seed,
-            workers=args.threads,
-        )
-        rows.append((t0, z0, n, estimator, alpha, beta, summary.mse, summary.mse_se))
-    _write_csv(
-        run.path("table1.csv"),
-        ["t0", "z0", "n", "estimator", "alpha", "beta", "mse", "se"],
-        rows,
-    )
+@_command("table1", _SCENARIO, _REPLICATIONS)  # and the cells, parsed by _cells
+def _table1(run: _Run, scenario, replications, cells) -> None:
+    rows = [_mse_row(run, scenario, replications, **cell) for cell in cells]
+    _write_csv(run.path("table1.csv"), _MSE_HEADER, rows)
 
 
-def _cmd_equivalence(cfg, args, run: _Run) -> None:
-    scenario = _scenario_of(cfg)
-    t0 = _as_float(_require(cfg, "t0"), "t0")
-    z0 = _as_float(_require(cfg, "z0"), "z0")
-    c1 = _as_float(_require(cfg, "c1"), "c1")
-    c2 = _as_float(_require(cfg, "c2"), "c2")
-    beta_exponent = _as_float(_require(cfg, "beta_exponent"), "beta_exponent")
-    n_grid = _int_list(cfg, "n_grid")
-    if n_grid is None:
-        raise ConfigError("equivalence needs 'n_grid'")
-    envelope_constant = _float_of(cfg, "envelope_constant", 1.5)
-    _reject_unknown(cfg)
-    schedule = BandwidthSchedule(c1=c1, c2=c2, beta_exponent=beta_exponent)
-    curve = equivalence_curve(
-        scenario,
-        (t0, z0),
-        np.array(n_grid),
-        schedule,
-        seed=run.seed,
-        envelope_constant=envelope_constant,
-    )
-    _write_csv(
-        run.path("equivalence.csv"),
-        ["n", "diff", "envelope"],
-        zip(curve.n_grid, curve.diffs, curve.envelopes),
-    )
-    run.write_json(
-        "summary.json", {"fraction_inside": curve.fraction_inside()}
-    )
+@_command("equivalence", _SCENARIO, _T0, _Z0, _Key("c1"), _Key("c2"),
+          _Key("beta_exponent"), _Key("n_grid", _ints, minimum=1),
+          _optional("envelope_constant", "1.5"))
+def _equivalence(run: _Run, scenario, t0, z0, c1, c2, beta_exponent, n_grid,
+                 envelope_constant) -> None:
+    schedule = BandwidthSchedule(c1, c2, beta_exponent)
+    curve = equivalence_curve(scenario, (t0, z0), np.array(n_grid), schedule,
+                              seed=run.seed, envelope_constant=envelope_constant)
+    _write_csv(run.path("equivalence.csv"), ["n", "diff", "envelope"],
+               zip(curve.n_grid, curve.diffs, curve.envelopes))
+    run.write_json("summary.json", {"fraction_inside": curve.fraction_inside()})
 
 
-def _cmd_functional(cfg, args, run: _Run) -> None:
-    scenario = _scenario_of(cfg)
-    n = _as_int(_require(cfg, "n"), "n", minimum=1)
-    m = _as_int(_require(cfg, "m"), "m", minimum=2)
-    alpha_exponent = _float_of(cfg, "alpha_exponent", 1.0 / 3.0)
-    grid_points = _int_of(cfg, "grid_points", 2000, minimum=1)
-    _reject_unknown(cfg)
-    summary = mc_functional(
-        scenario,
-        n,
-        m,
-        alpha_exponent=alpha_exponent,
-        seed=run.seed,
-        grid_points=grid_points,
-        workers=args.threads,
-    )
-    _write_values_csv(run.path("values.csv"), summary)
-    run.write_json(
-        "summary.json",
-        {
-            "mean": summary.mean,
-            "variance": summary.variance,
-            "efficient_variance": summary.sigma2,
-            "true_mean": true_mean_event_time(scenario),
-            "failures": summary.failures,
-        },
-    )
+@_command("functional", _SCENARIO, _N, _M, _optional("alpha_exponent", repr(1.0 / 3.0)),
+          _optional("grid_points", "2000", int, minimum=1))
+def _functional(run: _Run, scenario, n, m, alpha_exponent, grid_points) -> None:
+    summary = mc_functional(scenario, n, m, alpha_exponent=alpha_exponent,
+                            seed=run.seed, grid_points=grid_points, workers=run.threads)
+    _write_csv(run.path("values.csv"), ["replicate", "statistic"],
+               zip(summary.replicates, summary.values))
+    run.write_json("summary.json", {
+        "mean": summary.mean, "variance": summary.variance,
+        "efficient_variance": summary.sigma2, "failures": summary.failures,
+        "true_mean": true_mean_event_time(scenario),
+    })
 
 
-def _cmd_bw_select(cfg, args, run: _Run) -> None:
-    scenario = _scenario_of(cfg)
-    n = _as_int(_require(cfg, "n"), "n", minimum=1)
-    t0 = _as_float(_require(cfg, "t0"), "t0")
-    z0 = _as_float(_require(cfg, "z0"), "z0")
-    replications = _as_int(_require(cfg, "replications"), "replications", minimum=1)
-    alpha0 = _float_of(cfg, "alpha0", 0.4)
-    beta0 = _float_of(cfg, "beta0", 0.4)
-    alpha_grid = _float_list(cfg, "alpha_grid")
-    beta_grid = _float_list(cfg, "beta_grid")
-    if alpha_grid is None or beta_grid is None:
-        raise ConfigError("bw-select needs 'alpha_grid' and 'beta_grid'")
-    compare_truth = _bool_of(cfg, "compare_truth", False)
-    _reject_unknown(cfg)
-    s = sample(scenario, n, run.seed)
-    plan = BootstrapPlan(
-        alpha0=alpha0,
-        beta0=beta0,
-        replications=replications,
-        alpha_grid=alpha_grid,
-        beta_grid=beta_grid,
-        point=(t0, z0),
-        seed=run.seed + 1,
-    )
-    true_value = None
-    if compare_truth:
-        true_value = float(scenario.cdf(t0, z0))
-    table = bootstrap_mse(s, plan, true_value=true_value)
+@_command("bw-select", _SCENARIO, _N, _T0, _Z0, _Key("replications", int, minimum=1),
+          _optional("alpha0", "0.4"), _optional("beta0", "0.4"),
+          _Key("alpha_grid", _floats), _Key("beta_grid", _floats),
+          _optional("compare_truth", "false", _boolean))
+def _bw_select(run: _Run, scenario, n, t0, z0, replications, alpha0, beta0, alpha_grid,
+               beta_grid, compare_truth) -> None:
+    plan = BootstrapPlan(alpha0, beta0, replications, alpha_grid, beta_grid,
+                         point=(t0, z0), seed=run.seed + 1)
+    true_value = float(scenario.cdf(t0, z0)) if compare_truth else None
+    table = bootstrap_mse(sample(scenario, n, run.seed), plan, true_value=true_value)
     table.to_csv(run.path("bootstrap_mse.csv"))
-    chosen = select(table)
-    run.write_json(
-        "selected.json",
-        {
-            est: {"alpha": alpha, "beta": beta}
-            for est, (alpha, beta) in chosen.items()
-        },
-    )
+    run.write_json("selected.json", {est: {"alpha": alpha, "beta": beta}
+                                     for est, (alpha, beta) in select(table).items()})
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "estimate-grid": _cmd_estimate_grid,
-    "mc-normality": _cmd_mc_normality,
-    "mc-mse": _cmd_mc_mse,
-    "table1": _cmd_table1,
-    "equivalence": _cmd_equivalence,
-    "functional": _cmd_functional,
-    "bw-select": _cmd_bw_select,
-}
+def _parse(args, cfg: dict[str, _Entry]) -> tuple[int, dict[str, Any]]:
+    """Check every key of ``cfg`` for ``args.command``; the seed and the values."""
+    kind = cfg.pop("kind", None)
+    if kind is not None and kind.value != args.command:
+        raise ConfigError(f"config is for {kind.value!r}, not {args.command!r}",
+                          kind.line, kind.col)
+    # the config's seed is checked even where --seed overrides it
+    seed = replace(_SEED, required=args.seed is None).value(cfg.pop("seed", None))
+    keys = _COMMANDS[args.command][0]
+    values = {key.name: key.value(cfg.pop(key.name, None)) for key in keys}
+    if args.command == "table1":
+        values["cells"] = _cells(cfg)
+    if cfg:
+        key, entry = next(iter(cfg.items()))
+        raise ConfigError(f"unknown key {key!r}", entry.line, entry.key_col)
+    return (seed if args.seed is None else args.seed), values
 
 
-def _thread_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _epilog(command: str) -> str:
+    keys = _COMMANDS[command][0]
+    optional = [k.name if k.default is None else f"{k.name} = {k.default}"
+                for k in keys if not k.required]
+    lines = [f"config keys ('kind = {command}' is optional; --seed overrides seed):",
+             "  required: " + ", ".join(k.name for k in (_SEED, *keys) if k.required),
+             "  optional: " + (", ".join(optional) or "none")]
+    if command == "table1":
+        lines.append(f"  cells:    cell.<i> = {_CELL_SYNTAX}, one mc-mse row each")
+    return "\n".join(lines)
+
+
+def _flag(key: _Key) -> Callable[[str], Any]:
+    """An argparse type that checks a command-line value like config ``key``."""
+
+    def parse(text: str) -> Any:
+        try:
+            return key.value(_Entry(text, None, None, None))
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="csmark",
-        description="Seeded estimation and simulation runs for current "
-        "status data with marks.",
-    )
+        prog="csmark", description="Seeded estimation and simulation runs for "
+        "current status data with marks.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, epilog=_epilog(name),
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--config", required=True, help="key = value config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="overrides config seed")
-        p.add_argument(
-            "--threads", type=_thread_count, default=1, metavar="K",
-            help="worker threads for replications of samples of 20 000 rows or more",
-        )
+        p.add_argument("--seed", type=_flag(_SEED), help="overrides config seed")
+        p.add_argument("--threads", type=_flag(_Key("threads", int, minimum=1)),
+                       default=1, metavar="K", help="worker threads for replications "
+                       "of samples of 20 000 rows or more")
     return parser
 
 
@@ -601,30 +400,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        cfg = parse_config(cfg_text)
-        kind = _take(cfg, "kind")
-        if kind is not None and kind.value != args.command:
-            raise ConfigError(
-                f"config is for {kind.value!r}, not {args.command!r}",
-                kind.line,
-                kind.col,
-            )
-        seed = _seed_of(cfg, args)
-        run = _Run(args, args.command, cfg_text, seed)
-        _COMMANDS[args.command](cfg, args, run)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        entries = parse_config(cfg_text)
+        seed, values = _parse(args, dict(entries))
+        run = _Run(args, cfg_text, entries, seed)
+        _COMMANDS[args.command][1](run, **values)
     except CsmarkError as exc:
         # misuse-class errors (bad bandwidths, malformed samples) are
         # configuration problems; data-driven failures are runtime ones
-        if isinstance(exc, ValueError):
+        if isinstance(exc, (ConfigError, ValueError)):
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    run.finish()
-    print(f"wrote {', '.join(sorted(run.outputs))} to {run.outdir}")
+    print(f"wrote {', '.join(run.finish())} to {run.outdir}")
     return 0
 
 

@@ -61,11 +61,12 @@ def test_pilot_bandwidth_scaling():
 
 def test_bootstrap_plan_validation():
     small_plan()  # the baseline parameters are valid
-    with pytest.raises(ValueError):
+    assert issubclass(InvalidBandwidthError, ValueError)
+    with pytest.raises(InvalidBandwidthError):
         small_plan(replications=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidBandwidthError):
         small_plan(alpha_grid=())
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidBandwidthError):
         small_plan(beta_grid=(0.4, 0.2))
     with pytest.raises(InvalidBandwidthError):
         small_plan(alpha_grid=(0.0, 0.2))

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from csmark import Sample, UnstableDenominatorError, asymptotics, mc_mse, scenario_b
-from csmark.cli import ConfigError, format_config, main, parse_config
+from csmark.cli import ConfigError, main, parse_config
 
 
 def run(tmp_path, command, config_text, out="out", extra=()):
@@ -34,11 +36,6 @@ def test_parse_config_layout():
     assert cfg["n"].value == "50"
     assert cfg["n"].line == 4
     assert cfg["alpha_grid"].value == "0.1, 0.2"
-
-    reparsed = parse_config(format_config(cfg))
-    assert {k: e.value for k, e in reparsed.items()} == {
-        k: e.value for k, e in cfg.items()
-    }
 
 
 def test_parse_config_errors_carry_positions():
@@ -277,6 +274,136 @@ def test_threads_must_be_positive(tmp_path, capsys):
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_seed_flag_must_be_nonnegative(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("kind = simulate\nscenario = B\nn = 5\nseed = 1\n")
+    for value in ("-4", "four"):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                  "--seed", value])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# a valid config per command; each bad case below replaces or adds one key
+VALID = {
+    "simulate": "scenario = B\nn = 5\nseed = 1\n",
+    "estimate-grid": "scenario = B\nn = 150\nseed = 4\nalpha = 0.25\nt_grid = 0.4\n"
+    "z_grid = 0.5\n",
+    "mc-normality": "scenario = B\nestimator = F1\nt0 = 0.5\nz0 = 0.5\nn = 250\nm = 12\n"
+    "alpha = 0.2\nseed = 1\n",
+    "mc-mse": "scenario = B\nestimator = F1\nt0 = 0.4\nz0 = 0.4\nn = 120\n"
+    "replications = 10\nalpha = 0.25\nseed = 4\n",
+    "table1": "scenario = B\nreplications = 5\nseed = 0\ncell.1 = 0.4, 0.4, 80, F1, 0.25\n",
+    "equivalence": "scenario = B\nt0 = 0.5\nz0 = 0.5\nc1 = 0.5\nc2 = 0.5\n"
+    "beta_exponent = 0.45\nn_grid = 400\nseed = 12\n",
+    "functional": "scenario = B\nn = 300\nm = 6\nseed = 3\n",
+    "bw-select": "scenario = B\nn = 50\nt0 = 0.5\nz0 = 0.5\nreplications = 2\n"
+    "alpha_grid = 0.45\nbeta_grid = 0.3\nseed = 6\n",
+}
+CELL = "0.4, 0.4, 80, F1, 0.25"
+
+# command, key, bad value (None drops the key), extra arguments, expected
+# message, and where it points: the key's value, the key itself, or nowhere
+BAD_CONFIGS = [
+    ("simulate", "n", "five", (), "'n' must be an integer, got 'five'", "value"),
+    ("simulate", "n", "0", (), "'n' must be >= 1, got 0", "value"),
+    ("mc-normality", "m", "1", (), "'m' must be >= 2, got 1", "value"),
+    ("functional", "grid_points", "0", (), "'grid_points' must be >= 1, got 0", "value"),
+    ("mc-mse", "t0", "abc", (), "'t0' must be a number, got 'abc'", "value"),
+    ("estimate-grid", "t_grid", "0.3, x", (),
+     "'t_grid' must be comma-separated numbers, got '0.3, x'", "value"),
+    ("estimate-grid", "t_grid", ",", (),
+     "'t_grid' must be comma-separated numbers, got ','", "value"),
+    ("bw-select", "alpha_grid", ",", (),
+     "'alpha_grid' must be comma-separated numbers, got ','", "value"),
+    ("equivalence", "n_grid", "400, 9.5", (),
+     "'n_grid' must be comma-separated integers, got '400, 9.5'", "value"),
+    ("equivalence", "n_grid", "0, -5", (), "'n_grid' must be >= 1, got -5", "value"),
+    ("equivalence", "n_grid", ",", (),
+     "'n_grid' must be comma-separated integers, got ','", "value"),
+    ("simulate", "scenario", "Q", (), "'scenario' must be one of ['A', 'B'], got 'Q'",
+     "value"),
+    ("mc-mse", "estimator", "F3", (), "'estimator' must be one of ['F1', 'F2'], got 'F3'",
+     "value"),
+    ("estimate-grid", "kernel", "gauss", (),
+     "'kernel' must be one of ['epanechnikov', 'uniform'], got 'gauss'", "value"),
+    ("bw-select", "compare_truth", "treu", (),
+     "'compare_truth' must be one of 1/0/true/false/yes/no, got 'treu'", "value"),
+    ("estimate-grid", "t_grid", None, (), "missing required key 't_grid'", None),
+    ("simulate", "seed", None, (), "missing required key 'seed'", None),
+    ("simulate", "bogus", "3", (), "unknown key 'bogus'", "key"),
+    ("simulate", "kind", "mc-mse", (), "config is for 'mc-mse', not 'simulate'", "value"),
+    ("simulate", "seed", "-4", (), "'seed' must be >= 0, got -4", "value"),
+    ("simulate", "seed", "abc", ("--seed", "3"), "'seed' must be an integer, got 'abc'",
+     "value"),
+    ("table1", "cell.x", CELL, (), "'cell.x' needs an index of digits", "key"),
+    ("table1", "cell.", CELL, (), "'cell.' needs an index of digits", "key"),
+    ("table1", "cell.01", CELL, (), "'cell.01' repeats the index of 'cell.1'", "key"),
+    ("table1", "cell.2", "0.4, 0.4, 0, F1, 0.25", (), "'cell.2.n' must be >= 1, got 0",
+     "value"),
+    ("table1", "cell.2", "0.4, 0.4, 80, F3, 0.25", (),
+     "'cell.2.estimator' must be one of ['F1', 'F2'], got 'F3'", "value"),
+    ("table1", "cell.2", "0.4, 0.4, 80", (),
+     "'cell.2' must be 't0,z0,n,estimator,alpha[,beta]'", "value"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, key, value, extra, message, where", BAD_CONFIGS,
+    ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in BAD_CONFIGS],
+)
+def test_bad_config_exits_2_with_position_and_no_output(
+    tmp_path, capsys, command, key, value, extra, message, where
+):
+    lines = [line for line in VALID[command].splitlines()
+             if not line.startswith(f"{key} =")]
+    if value is not None:
+        lines.append(f"{key} = {value}")
+    code, outdir = run(tmp_path, command, "\n".join(lines) + "\n", extra=extra)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and message in err
+    if where is None:
+        assert "line " not in err
+    else:
+        col = 1 if where == "key" else len(key) + 4
+        assert f"line {len(lines)}, column {col}: " in err
+    assert not outdir.exists()
+
+
+def test_bw_select_unsorted_grid_is_a_config_error(tmp_path, capsys):
+    text = VALID["bw-select"].replace("alpha_grid = 0.45", "alpha_grid = 0.3, 0.2")
+    code, _ = run(tmp_path, "bw-select", text)
+    assert code == 2
+    assert "config error: alpha_grid must be strictly increasing" in capsys.readouterr().err
+
+
+def test_readme_grid_example(tmp_path, capsys):
+    """The README's grid.cfg run reproduces the rows it prints, digit for digit."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    config = re.search(r"\$ cat grid.cfg\n(.*?)\n\n", readme, re.S).group(1)
+    shown = re.search(r"\$ head -3 run1/grid.csv\n(.*?)\n```", readme, re.S).group(1)
+    code, outdir = run(tmp_path, "estimate-grid", config + "\n", out="run1")
+    assert code == 0
+    assert capsys.readouterr().out == f"wrote grid.csv to {outdir}\n"
+    assert (outdir / "grid.csv").read_text().splitlines()[:3] == shown.splitlines()
+    assert len(shown.splitlines()) == 3
+
+
+def test_help_lists_each_commands_keys(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate-grid", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "required: seed, scenario, n, alpha, t_grid, z_grid" in out
+    assert "optional: beta, kernel = epanechnikov, kernel_z" in out
+    with pytest.raises(SystemExit):
+        main(["table1", "--help"])
+    assert "cell.<i> = t0,z0,n,estimator,alpha[,beta]" in capsys.readouterr().out
 
 
 def test_exit_code_2_for_config_problems(tmp_path, capsys):
