@@ -32,7 +32,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -45,7 +45,7 @@ from .errors import (
     ReplicationFailureError,
     UnstableDenominatorError,
 )
-from .estimators import DEFAULT_G_FLOOR, EstimatorConfig, f1, f2
+from .estimators import EstimatorConfig, f1, f2
 from .kernels import (
     Bandwidths,
     BivariateKernel,
@@ -291,20 +291,14 @@ def _resolve_config(
     alpha: float,
     beta: float | None,
     kernel_t: UnivariateKernel | None,
-    kernel_tz: BivariateKernel | None,
-    g_floor: float,
 ) -> EstimatorConfig:
     if estimator not in ("F1", "F2"):
         raise ValueError(f"estimator must be 'F1' or 'F2', got {estimator!r}")
     kt = kernel_t if kernel_t is not None else epanechnikov_kernel()
-    ktz = kernel_tz
-    if estimator == "F2" and ktz is None:
-        ktz = product_kernel(kt)
     return EstimatorConfig(
         kernel_t=kt,
         bandwidths=Bandwidths(alpha, beta),
-        kernel_tz=ktz,
-        g_floor=g_floor,
+        kernel_tz=product_kernel(kt) if estimator == "F2" else None,
     )
 
 
@@ -320,14 +314,12 @@ def mc_normality(
     beta: float | None = None,
     schedule: BandwidthSchedule | None = None,
     kernel_t: UnivariateKernel | None = None,
-    kernel_tz: BivariateKernel | None = None,
-    g_floor: float = DEFAULT_G_FLOOR,
     workers: int = 1,
 ) -> MonteCarloSummary:
     """Replicate an estimator and compare with its limiting normal.
 
-    Replication ``r`` draws a fresh sample with seed ``seed + r``, evaluates
-    the chosen estimator at ``point``, and records
+    Takes the :func:`mc_mse` errors at ``point`` (replication ``r`` draws
+    a fresh sample with seed ``seed + r``) and records
     ``n^{2/5} (estimate - F0(point))``.  The summary carries the
     Kolmogorov-Smirnov distance between those values and N(mu, sigma2),
     where the reference mean respects the mark-bandwidth regime when a
@@ -335,7 +327,8 @@ def mc_normality(
 
     Bandwidths come either from ``alpha``/``beta`` directly or from a
     ``schedule`` evaluated at ``n`` (exactly one of the two forms must be
-    used).  More than 1% failed replications raise
+    used).  The time kernel defaults to Epanechnikov, its product kernel
+    smooths F2's marks.  More than 1% failed replications raise
     :class:`ReplicationFailureError`.
     Threads (``workers``, capped at the usable CPUs) share replications
     only when ``n >= 20_000``; results do not depend on ``workers``.
@@ -349,36 +342,22 @@ def mc_normality(
         beta = schedule.beta(n)
     if alpha is None:
         raise InvalidBandwidthError("a time bandwidth is required")
-    config = _resolve_config(estimator, alpha, beta, kernel_t, kernel_tz, g_floor)
-    t0, z0 = point
-    truth = float(scenario.cdf(t0, z0))
-    rate = float(n) ** 0.4
-    est = f1 if estimator == "F1" else f2
-
-    values, replicates, failures = _replicate(
-        scenario, n, m, seed,
-        lambda s: rate * (est(s, config, t0, z0) - truth), workers,
+    kt = kernel_t if kernel_t is not None else epanechnikov_kernel()
+    errors = mc_mse(
+        scenario, estimator, point, n, m,
+        alpha=alpha, beta=beta, seed=seed, kernel_t=kt, workers=workers,
     )
+    values = float(n) ** 0.4 * errors.values
 
     c = alpha * float(n) ** 0.2
-    params = mu1_sigma2(scenario, point, c, config.kernel_t)
+    params = mu1_sigma2(scenario, point, c, kt)
     mu = params.mu1
     if estimator == "F2" and schedule is not None and schedule.beta_exponent is not None:
-        mu = mu2(scenario, point, schedule, config.kernel_tz)
+        mu = mu2(scenario, point, schedule, product_kernel(kt))
     sigma = math.sqrt(params.sigma2)
     ks = float(stats.kstest(values, "norm", args=(mu, sigma)).statistic)
-
-    sq = (values / rate) ** 2
-    return MonteCarloSummary(
-        values=values,
-        replicates=replicates,
-        failures=failures,
-        n=n,
-        mu=mu,
-        sigma2=params.sigma2,
-        ks_distance=ks,
-        mse=float(np.mean(sq)),
-        mse_se=float(np.std(sq, ddof=1) / math.sqrt(sq.size)),
+    return replace(
+        errors, values=values, mu=mu, sigma2=params.sigma2, ks_distance=ks,
         degenerate_bias=params.degenerate_bias,
     )
 
@@ -394,8 +373,6 @@ def mc_mse(
     beta: float | None = None,
     seed: int,
     kernel_t: UnivariateKernel | None = None,
-    kernel_tz: BivariateKernel | None = None,
-    g_floor: float = DEFAULT_G_FLOOR,
     workers: int = 1,
 ) -> MonteCarloSummary:
     """Monte Carlo mean squared error of an estimator at fixed bandwidths.
@@ -403,11 +380,12 @@ def mc_mse(
     Replication ``r`` uses seed ``seed + r``; the summary's ``mse`` is the
     average of ``(estimate - F0(point))^2`` over successful replications
     and ``mse_se`` its sampling standard error.  ``values`` holds the raw
-    (unstandardized) errors for inspection.
+    (unstandardized) errors for inspection.  The time kernel defaults to
+    Epanechnikov, its product kernel smooths F2's marks.
     Threads (``workers``, capped at the usable CPUs) share replications
     only when ``n >= 20_000``; results do not depend on ``workers``.
     """
-    config = _resolve_config(estimator, alpha, beta, kernel_t, kernel_tz, g_floor)
+    config = _resolve_config(estimator, alpha, beta, kernel_t)
     t0, z0 = point
     truth = float(scenario.cdf(t0, z0))
     est = f1 if estimator == "F1" else f2
@@ -447,9 +425,6 @@ def equivalence_curve(
     *,
     seed: int,
     envelope_constant: float = 1.5,
-    kernel_t: UnivariateKernel | None = None,
-    kernel_tz: BivariateKernel | None = None,
-    g_floor: float = DEFAULT_G_FLOOR,
 ) -> EquivalenceCurve:
     """One realization of the scaled difference per grid sample size.
 
@@ -457,7 +432,8 @@ def equivalence_curve(
     and records ``n^{2/5} (f2 - f1)`` at ``point`` next to the reference
     envelope ``envelope_constant * n^{-1/6}``; when the mark bandwidth
     shrinks faster than ``n^{-1/5}`` the differences should sit inside the
-    envelope for most sizes.
+    envelope for most sizes.  Both estimators use the Epanechnikov kernel,
+    F2 its product kernel.
     """
     if schedule.beta_exponent is None:
         raise InvalidBandwidthError("the schedule must include a mark bandwidth")
@@ -467,9 +443,7 @@ def equivalence_curve(
     envelopes = envelope_constant * n_grid.astype(float) ** (-1.0 / 6.0)
     for i, n in enumerate(n_grid):
         n = int(n)
-        config = _resolve_config(
-            "F2", schedule.alpha(n), schedule.beta(n), kernel_t, kernel_tz, g_floor
-        )
+        config = _resolve_config("F2", schedule.alpha(n), schedule.beta(n), None)
         s = sample(scenario, n, seed + i)
         diffs[i] = float(n) ** 0.4 * (
             f2(s, config, t0, z0) - f1(s, config, t0, z0)
@@ -485,23 +459,19 @@ def difference_sample(
     schedule: BandwidthSchedule,
     *,
     seed: int,
-    kernel_t: UnivariateKernel | None = None,
-    kernel_tz: BivariateKernel | None = None,
-    g_floor: float = DEFAULT_G_FLOOR,
     workers: int = 1,
 ) -> MonteCarloSummary:
     """Replicated scaled differences ``n^{2/5} (f2 - f1)`` at fixed ``n``.
 
     At the critical mark-bandwidth exponent 1/5 the mean difference tends
     to ``mu2 - mu1``; the summary's ``mu`` records that reference value.
+    Both estimators use the Epanechnikov kernel, F2 its product kernel.
     Threads (``workers``, capped at the usable CPUs) share replications
     only when ``n >= 20_000``; results do not depend on ``workers``.
     """
     if schedule.beta_exponent is None:
         raise InvalidBandwidthError("the schedule must include a mark bandwidth")
-    config = _resolve_config(
-        "F2", schedule.alpha(n), schedule.beta(n), kernel_t, kernel_tz, g_floor
-    )
+    config = _resolve_config("F2", schedule.alpha(n), schedule.beta(n), None)
     t0, z0 = point
     rate = float(n) ** 0.4
 

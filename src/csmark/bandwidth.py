@@ -13,8 +13,8 @@ empirical distribution -- naive resampling cannot see the effect of the mark
 bandwidth at all.  Censoring times are drawn by perturbing resampled observed
 times with pilot-bandwidth kernel noise (that is exactly a draw from the
 kernel estimate of the censoring density); latent pairs come from the pilot
-density by rejection sampling on the scenario box under a grid-based
-envelope.
+density by rejection sampling on the unit box, the support of both
+scenarios, under a grid-based envelope.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import DegeneratePilotError, InvalidBandwidthError, SelectionError
 # f1 is not called here, but stays importable as bandwidth.f1, which
 # perfbench/tracing.py wraps
 from .estimators import (  # noqa: F401
-    DEFAULT_G_FLOOR,
     EstimatorConfig,
     _density_quotient,
     _kernel_sums,
@@ -42,7 +41,6 @@ from .estimators import (  # noqa: F401
 )
 from .kernels import (
     Bandwidths,
-    BivariateKernel,
     KernelFamily,
     UnivariateKernel,
     epanechnikov_kernel,
@@ -61,7 +59,8 @@ __all__ = [
     "select",
 ]
 
-UNIT_BOX = ((0.0, 1.0), (0.0, 1.0))
+# rejection envelope: this factor times the largest pilot density seen
+_ENVELOPE_SAFETY = 1.1
 
 # pilot smoothing reference: generous bandwidth 0.4 at sample size 100,
 # scaled by the usual n^{-1/5} law for other sizes
@@ -120,34 +119,26 @@ class PilotModel:
     Holds the original sample, the pilot estimator configuration, the
     clipped pilot density (negative values and unstable denominators are
     treated as zero) and a rejection envelope precomputed on a grid over
-    the box.  The envelope is immutable; rejection batches that encounter
-    density values above it enlarge a local copy and continue, so every
-    draw is a pure function of the generator passed in.
+    the unit box, 1.1 times the largest density seen there.  The envelope
+    is immutable; rejection batches that encounter density values above it
+    enlarge a local copy and continue, so every draw is a pure function of
+    the generator passed in.
     """
 
     def __init__(
-        self,
-        sample_: Sample,
-        config: EstimatorConfig,
-        box: tuple[tuple[float, float], tuple[float, float]] = UNIT_BOX,
-        envelope_grid: int = 200,
-        envelope_safety: float = 1.1,
+        self, sample_: Sample, config: EstimatorConfig, envelope_grid: int = 200
     ) -> None:
         self.sample = sample_
         self.config = config
-        self.box = box
-        self.envelope_safety = float(envelope_safety)
-        (x_lo, x_hi), (y_lo, y_hi) = box
-        gx = np.linspace(x_lo, x_hi, envelope_grid)
-        gy = np.linspace(y_lo, y_hi, envelope_grid)
-        tt, zz = np.meshgrid(gx, gy, indexing="ij")
+        grid = np.linspace(0.0, 1.0, envelope_grid)
+        tt, zz = np.meshgrid(grid, grid, indexing="ij")
         dens = self.density(tt.ravel(), zz.ravel())
         peak = float(np.max(dens))
         if peak <= 0.0:
             raise DegeneratePilotError(
                 "pilot density is nonpositive everywhere on the envelope grid"
             )
-        self.envelope = self.envelope_safety * peak
+        self.envelope = _ENVELOPE_SAFETY * peak
 
     def density(self, t, z) -> np.ndarray:
         """Clipped pilot density: max(density estimate, 0), 0 where unstable."""
@@ -181,9 +172,8 @@ class PilotModel:
     def draw_xy(
         self, rng: np.random.Generator, size: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw latent pairs from the pilot density by rejection on the box;
+        """Draw latent pairs from the pilot density by rejection on the unit box;
         :class:`DegeneratePilotError` after ``_MAX_DRAW_ROUNDS`` rounds."""
-        (x_lo, x_hi), (y_lo, y_hi) = self.box
         envelope = self.envelope
         xs: list[np.ndarray] = []
         ys: list[np.ndarray] = []
@@ -195,14 +185,14 @@ class PilotModel:
                     f"in {len(xs)} rounds, {size} needed"
                 )
             batch = max(256, 2 * (size - got))
-            x = rng.uniform(x_lo, x_hi, batch)
-            y = rng.uniform(y_lo, y_hi, batch)
+            x = rng.uniform(0.0, 1.0, batch)
+            y = rng.uniform(0.0, 1.0, batch)
             u = rng.random(batch)
             dens = self.density(x, y)
             peak = float(np.max(dens))
             if peak > envelope:
                 # local refresh: the precomputed envelope missed a spike
-                envelope = self.envelope_safety * peak
+                envelope = _ENVELOPE_SAFETY * peak
             keep = u * envelope <= dens
             xs.append(x[keep])
             ys.append(y[keep])
@@ -228,30 +218,17 @@ def _kernel_noise(
     return np.interp(u, kernel.cdf(grid), grid)
 
 
-def fit_pilot(
-    sample_: Sample,
-    alpha0: float,
-    beta0: float,
-    *,
-    kernel_t: UnivariateKernel | None = None,
-    kernel_tz: BivariateKernel | None = None,
-    g_floor: float = DEFAULT_G_FLOOR,
-    box: tuple[tuple[float, float], tuple[float, float]] = UNIT_BOX,
-) -> PilotModel:
+def fit_pilot(sample_: Sample, alpha0: float, beta0: float) -> PilotModel:
     """Fit the smooth pilot model at the pilot bandwidths.
 
-    Kernels default to Epanechnikov (the pilot must be differentiable, so
-    the Uniform kernel is not accepted for the time direction).
+    The pilot smooths with the Epanechnikov kernel and its product kernel:
+    its density needs the kernel's derivative.
     """
-    kt = kernel_t if kernel_t is not None else epanechnikov_kernel()
-    ktz = kernel_tz if kernel_tz is not None else product_kernel(kt)
+    kt = epanechnikov_kernel()
     config = EstimatorConfig(
-        kernel_t=kt,
-        bandwidths=Bandwidths(alpha0, beta0),
-        kernel_tz=ktz,
-        g_floor=g_floor,
+        kernel_t=kt, bandwidths=Bandwidths(alpha0, beta0), kernel_tz=product_kernel(kt)
     )
-    return PilotModel(sample_, config, box=box)
+    return PilotModel(sample_, config)
 
 
 @dataclass(frozen=True)
@@ -312,36 +289,26 @@ def bootstrap_mse(
     sample_: Sample,
     plan: BootstrapPlan,
     *,
-    kernel_t: UnivariateKernel | None = None,
-    kernel_tz: BivariateKernel | None = None,
     true_value: float | None = None,
-    g_floor: float = DEFAULT_G_FLOOR,
-    box: tuple[tuple[float, float], tuple[float, float]] = UNIT_BOX,
 ) -> BootstrapMseTable:
     """Bootstrap MSE curves for every candidate bandwidth.
 
     Replication ``b`` (seeded ``plan.seed + b``) draws latent pairs and
-    censoring times of the original sample size from the pilot model,
+    censoring times of the original sample size from the pilot model
+    (:func:`fit_pilot` at ``plan``'s pilot bandwidths),
     assembles the induced current status sample, and evaluates each
     candidate: every ``alpha`` for the singly-smoothed estimator and every
     ``(alpha, beta)`` pair for the doubly-smoothed one.  A candidate's
     ``mse_hat`` averages squared deviations from the pilot value; when
     ``true_value`` is given (simulations only), ``mse_tilde`` additionally
-    averages deviations from the truth.  Candidates whose estimate failed
-    in more than 1% of replications are marked invalid.
+    averages deviations from the truth.  Candidates use the pilot's kernels
+    and ``g_floor``; those whose estimate failed in more than 1% of
+    replications are marked invalid.
 
     Replications are processed in a fixed order, so results do not depend
     on scheduling.
     """
-    pilot = fit_pilot(
-        sample_,
-        plan.alpha0,
-        plan.beta0,
-        kernel_t=kernel_t,
-        kernel_tz=kernel_tz,
-        g_floor=g_floor,
-        box=box,
-    )
+    pilot = fit_pilot(sample_, plan.alpha0, plan.beta0)
     t0, z0 = plan.point
     target = pilot.target(t0, z0)
     n = len(sample_)
@@ -366,7 +333,7 @@ def bootstrap_mse(
             t_m, z_m = np.full(m, t0), np.full(m, z0)
             g, num = _kernel_sums(boot, pilot.config, t_m, z_m, alpha, beta, ("g", term))
             # unstable candidates keep their NaN
-            np.divide(num, g, out=estimates[b, cols], where=g >= g_floor)
+            np.divide(num, g, out=estimates[b, cols], where=g >= pilot.config.g_floor)
 
     labels: list[tuple[str, float, float | None]] = [
         ("F1", alpha, None) for alpha in plan.alpha_grid

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from itertools import zip_longest
@@ -93,13 +94,33 @@ def _items(parse: Callable[[str], Any]) -> Callable[[str], tuple]:
     return items
 
 
+class _NotFinite(ValueError):
+    """A number that parsed, but is ``nan`` or an infinity the key refuses."""
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise _NotFinite("finite")
+    return value
+
+
+def _mark(text: str) -> float:
+    """A mark: finite, or ``inf`` for the marginal ``F0(t, inf)``."""
+    value = float(text)
+    if not (math.isfinite(value) or value == math.inf):
+        raise _NotFinite("finite or inf")
+    return value
+
+
 def _boolean(text: str) -> bool:
     return {"1": True, "true": True, "yes": True,
             "0": False, "false": False, "no": False}[text.lower()]
 
 
-_floats, _ints = _items(float), _items(int)
-_WHAT = {int: "an integer", float: "a number", _boolean: "one of 1/0/true/false/yes/no",
+_floats, _ints = _items(_finite), _items(int)
+_WHAT = {int: "an integer", _finite: "a number", _mark: "a number",
+         _boolean: "one of 1/0/true/false/yes/no",
          _ints: "comma-separated integers", _floats: "comma-separated numbers"}
 
 
@@ -115,7 +136,7 @@ class _Key:
     ``minimum`` bounds a number or every item of a list."""
 
     name: str
-    parse: Callable[[str], Any] = float
+    parse: Callable[[str], Any] = _finite
     required: bool = True
     default: str | None = None
     minimum: int | None = None
@@ -135,6 +156,8 @@ class _Key:
             raise error(f"one of {list(self.choices)}", repr(entry.value))
         try:
             value = self.parse(entry.value)
+        except _NotFinite as exc:
+            raise error(str(exc), repr(entry.value)) from None
         except (KeyError, ValueError):
             raise error(_WHAT[self.parse], repr(entry.value)) from None
         low = min(value) if isinstance(value, tuple) else value
@@ -143,14 +166,15 @@ class _Key:
         return value
 
 
-def _optional(name: str, default: str | None = None, parse=float, **checks) -> _Key:
+def _optional(name: str, default: str | None = None, parse=_finite, **checks) -> _Key:
     return _Key(name, parse, required=False, default=default, **checks)
 
 
 _SEED = _Key("seed", int, minimum=0)
 _SCENARIO = _Key("scenario", lambda name: _SCENARIOS[name](), choices=tuple(_SCENARIOS))
 _N, _M = _Key("n", int, minimum=1), _Key("m", int, minimum=2)
-_T0, _Z0, _ALPHA, _BETA = _Key("t0"), _Key("z0"), _Key("alpha"), _optional("beta")
+_T0, _Z0 = _Key("t0"), _Key("z0", _mark)
+_ALPHA, _BETA = _Key("alpha"), _optional("beta")
 _ESTIMATOR = _Key("estimator", str, choices=("F1", "F2"))
 _KERNEL = _optional("kernel", "epanechnikov", _kernel,
                     choices=("epanechnikov", "uniform"))
@@ -203,7 +227,10 @@ class _Run:
 
     def __init__(self, args, cfg_text: str, entries: dict, seed: int) -> None:
         self.outdir = Path(args.out)
-        self.outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create --out directory: {exc}") from None
         self.command, self.threads = args.command, args.threads
         self.cfg_text, self.entries, self.seed = cfg_text, entries, seed
         self.outputs: list[str] = []

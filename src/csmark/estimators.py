@@ -106,14 +106,6 @@ class EstimatorConfig:
         if self.g_floor <= 0.0 or not np.isfinite(self.g_floor):
             raise ValueError(f"g_floor must be positive, got {self.g_floor!r}")
 
-    def with_bandwidths(self, alpha: float, beta: float | None = None) -> "EstimatorConfig":
-        return EstimatorConfig(
-            kernel_t=self.kernel_t,
-            bandwidths=Bandwidths(alpha, beta),
-            kernel_tz=self.kernel_tz,
-            g_floor=self.g_floor,
-        )
-
 
 def _require_mark_kernel(config: EstimatorConfig) -> BivariateKernel:
     """Return the product kernel, checking it matches the time kernel."""

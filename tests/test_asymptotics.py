@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 import os
 
@@ -17,15 +18,18 @@ from csmark import (
     EstimatorConfig,
     Bandwidths,
     InvalidBandwidthError,
+    PilotModel,
     QuadratureError,
     ReplicationFailureError,
     Sample,
     UnstableDenominatorError,
+    bootstrap_mse,
     difference_sample,
     efficient_variance,
     epanechnikov_kernel,
     equivalence_curve,
     f1_counting,
+    fit_pilot,
     mc_functional,
     mc_mse,
     mc_normality,
@@ -174,6 +178,35 @@ def test_mc_normality_plumbing():
             alpha=0.2,
             schedule=BandwidthSchedule(c1=0.5),
         )
+
+
+def test_mc_normality_scales_the_mc_mse_errors():
+    schedule = BandwidthSchedule(0.5, 0.3, 0.2)
+    summary = mc_normality(B, "F2", (0.5, 0.5), 400, 6, seed=9, schedule=schedule)
+    errors = mc_mse(B, "F2", (0.5, 0.5), 400, 6, seed=9,
+                    alpha=schedule.alpha(400), beta=schedule.beta(400))
+    assert summary.values.tobytes() == (400.0**0.4 * errors.values).tobytes()
+    assert summary.replicates.tolist() == errors.replicates.tolist()
+    assert (summary.mse, summary.mse_se) == (errors.mse, errors.mse_se)
+    assert summary.mu == mu2(B, (0.5, 0.5), schedule, product_kernel(EPA))
+
+
+def test_driver_and_bootstrap_parameters_are_pinned():
+    """Kernels, g_floor, the box and the envelope safety are fixed, not options."""
+    expected = {
+        mc_normality: "scenario estimator point n m seed alpha beta schedule kernel_t "
+        "workers",
+        mc_mse: "scenario estimator point n replications alpha beta seed kernel_t "
+        "workers",
+        equivalence_curve: "scenario point n_grid schedule seed envelope_constant",
+        difference_sample: "scenario point n m schedule seed workers",
+        mc_functional: "scenario n m alpha_exponent seed grid_points workers",
+        bootstrap_mse: "sample_ plan true_value",
+        fit_pilot: "sample_ alpha0 beta0",
+        PilotModel: "sample_ config envelope_grid",
+    }
+    for fn, names in expected.items():
+        assert list(inspect.signature(fn).parameters) == names.split(), fn.__name__
 
 
 def test_mc_normality_moments_track_the_limit():

@@ -349,6 +349,25 @@ BAD_CONFIGS = [
      "'cell.2.estimator' must be one of ['F1', 'F2'], got 'F3'", "value"),
     ("table1", "cell.2", "0.4, 0.4, 80", (),
      "'cell.2' must be 't0,z0,n,estimator,alpha[,beta]'", "value"),
+    # numbers are finite; a mark may also be inf, for the marginal F0(t, inf)
+    ("mc-mse", "t0", "nan", (), "'t0' must be finite, got 'nan'", "value"),
+    ("mc-mse", "t0", "inf", (), "'t0' must be finite, got 'inf'", "value"),
+    ("mc-mse", "alpha", "-inf", (), "'alpha' must be finite, got '-inf'", "value"),
+    ("mc-mse", "alpha", "1e400", (), "'alpha' must be finite, got '1e400'", "value"),
+    ("mc-mse", "z0", "nan", (), "'z0' must be finite or inf, got 'nan'", "value"),
+    ("mc-normality", "z0", "-inf", (), "'z0' must be finite or inf, got '-inf'",
+     "value"),
+    ("equivalence", "envelope_constant", "nan", (),
+     "'envelope_constant' must be finite, got 'nan'", "value"),
+    ("estimate-grid", "z_grid", "0.5, inf", (),
+     "'z_grid' must be finite, got '0.5, inf'", "value"),
+    ("bw-select", "alpha0", "inf", (), "'alpha0' must be finite, got 'inf'", "value"),
+    ("table1", "cell.2", "nan, 0.4, 80, F1, 0.25", (),
+     "'cell.2.t0' must be finite, got 'nan'", "value"),
+    ("table1", "cell.2", "0.4, -inf, 80, F1, 0.25", (),
+     "'cell.2.z0' must be finite or inf, got '-inf'", "value"),
+    ("table1", "cell.2", "0.4, 0.4, 80, F2, 0.25, nan", (),
+     "'cell.2.beta' must be finite, got 'nan'", "value"),
 ]
 
 
@@ -372,6 +391,31 @@ def test_bad_config_exits_2_with_position_and_no_output(
     else:
         col = 1 if where == "key" else len(key) + 4
         assert f"line {len(lines)}, column {col}: " in err
+    assert not outdir.exists()
+
+
+def test_z0_inf_is_the_marginal_distribution(tmp_path):
+    mse = VALID["mc-mse"].replace("z0 = 0.4", "z0 = inf")
+    code, outdir = run(tmp_path, "mc-mse", mse, out="mse")
+    assert code == 0
+    row = (outdir / "mse.csv").read_text().splitlines()[1].split(",")
+    assert row[1] == "inf"
+    library = mc_mse(scenario_b(), "F1", (0.4, float("inf")), 120, 10, alpha=0.25,
+                     seed=4)
+    assert float(row[6]) == library.mse
+    cell = VALID["table1"] + "cell.2 = 0.4, inf, 80, F1, 0.25\n"
+    code, outdir = run(tmp_path, "table1", cell, out="table1")
+    assert code == 0
+    assert (outdir / "table1.csv").read_text().splitlines()[2].startswith("0.4,inf,80,")
+
+
+def test_out_that_cannot_be_created_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    code, outdir = run(tmp_path, "simulate", VALID["simulate"], out="file/sub")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: cannot create --out directory: ")
+    assert "Traceback" not in err
     assert not outdir.exists()
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -328,17 +330,24 @@ def test_write_grid_csv():
     assert lines[2].endswith(",,,")  # all estimates missing at t = 9.0
 
 
+def test_readme_quick_start_digits():
+    """Each ``# 0.xxxx`` comment in the README's Python quick start is its
+    line's value rounded to 4 places."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    namespace: dict = {}
+    exec(block, namespace)
+    shown = re.findall(r"^(\S.*?)\s+#\s+(0\.\d+)\b", block, re.M)
+    assert len(shown) == 4
+    for expression, digits in shown:
+        assert round(float(eval(expression, namespace)), 4) == float(digits), expression
+
+
 def test_estimator_config_validation():
     with pytest.raises(ValueError):
         EstimatorConfig(g_floor=0.0)
     with pytest.raises(ValueError):
         EstimatorConfig(g_floor=-1e-3)
-    base = epa_config(0.2, 0.1)
-    swapped = base.with_bandwidths(0.3, 0.05)
-    assert swapped.kernel_t is base.kernel_t
-    assert swapped.kernel_tz is base.kernel_tz
-    assert swapped.bandwidths.alpha == 0.3
-    assert swapped.bandwidths.beta == 0.05
 
 
 # --- property tests against a plain dense oracle ---------------------------
