@@ -151,8 +151,10 @@ def mu1_sigma2(
     kernel : UnivariateKernel
         The time-direction kernel.
     """
-    if c <= 0.0:
-        raise InvalidBandwidthError(f"bandwidth constant must be positive: {c!r}")
+    if not (math.isfinite(c) and c > 0.0):
+        raise InvalidBandwidthError(
+            f"bandwidth constant must be finite and positive: {c!r}"
+        )
     t0, z0 = point
     g0 = float(scenario.g(t0))
     if g0 <= 0.0:
@@ -256,10 +258,11 @@ def _replicate(
 
     Returns the kept values, their replication indices and the number of
     replications whose statistic raised :class:`UnstableDenominatorError`;
-    more than 1% of those raise :class:`ReplicationFailureError`.  A pool of
-    ``min(workers, m, usable CPUs)`` threads is used only from
-    ``_THREAD_MIN_ROWS`` rows on: below that, threads mostly trade the GIL
-    between short numpy calls and lose.  Values are kept in replication
+    more than 1% of those raise :class:`ReplicationFailureError`.  A NaN
+    statistic is a bug, not a failure: it raises ``RuntimeError`` naming
+    its seed.  A pool of ``min(workers, m, usable CPUs)`` threads is used
+    only from ``_THREAD_MIN_ROWS`` rows on: below that, threads mostly trade
+    the GIL between short numpy calls and lose.  Values are kept in replication
     order, so the output is bitwise identical for any ``workers``.
     """
     if m < 2:
@@ -267,9 +270,12 @@ def _replicate(
 
     def one(r: int) -> float:
         try:
-            return statistic(sample(scenario, n, seed + r))
+            value = statistic(sample(scenario, n, seed + r))
         except UnstableDenominatorError:
-            return math.nan
+            return math.nan  # marks a failed replication
+        if math.isnan(value):
+            raise RuntimeError(f"the statistic is NaN at seed {seed + r}")
+        return value
 
     threads = min(workers, m, _usable_cpus()) if n >= _THREAD_MIN_ROWS else 1
     if threads > 1:

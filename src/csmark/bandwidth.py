@@ -19,7 +19,6 @@ scenarios, under a grid-based envelope.
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import math
@@ -29,16 +28,15 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import MAX_FAILURE_FRACTION
-from .errors import DegeneratePilotError, InvalidBandwidthError, SelectionError
+from .errors import (
+    DegeneratePilotError,
+    InvalidBandwidthError,
+    SelectionError,
+    SupportError,
+)
 # f1 is not called here, but stays importable as bandwidth.f1, which
 # perfbench/tracing.py wraps
-from .estimators import (  # noqa: F401
-    EstimatorConfig,
-    _density_quotient,
-    _kernel_sums,
-    f1,
-    f2,
-)
+from .estimators import EstimatorConfig, _estimates, f1, f2  # noqa: F401
 from .kernels import (
     Bandwidths,
     KernelFamily,
@@ -46,7 +44,7 @@ from .kernels import (
     epanechnikov_kernel,
     product_kernel,
 )
-from .scenarios import Sample, _current_status
+from .scenarios import Sample, _current_status, _write_csv
 
 __all__ = [
     "BootstrapPlan",
@@ -111,6 +109,11 @@ class BootstrapPlan:
                 raise InvalidBandwidthError(f"{label}_grid must be finite and positive")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise InvalidBandwidthError(f"{label}_grid must be strictly increasing")
+        t0, z0 = self.point
+        if not math.isfinite(t0) or math.isnan(z0):
+            raise SupportError(
+                f"point needs a finite t0 and a z0 that is not NaN, got {self.point!r}"
+            )
 
 
 class PilotModel:
@@ -142,17 +145,8 @@ class PilotModel:
 
     def density(self, t, z) -> np.ndarray:
         """Clipped pilot density: max(density estimate, 0), 0 where unstable."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        bw = self.config.bandwidths
-        g, gp, h, dh = _kernel_sums(
-            self.sample, self.config, t, z, bw.alpha, bw.beta, ("g", "gp", "h", "dh")
-        )
-        out = np.zeros(t.shape)
-        ok = g >= self.config.g_floor
-        out[ok] = _density_quotient(g[ok], gp[ok], h[ok], dh[ok])
-        np.maximum(out, 0.0, out=out)
-        return out
+        _, (density,) = _estimates(self.sample, self.config, t, z, ("density",))
+        return np.fmax(density, 0.0)
 
     def target(self, t0: float, z0: float) -> float:
         """The pilot's own distribution value, the bootstrap 'truth'."""
@@ -257,28 +251,10 @@ class BootstrapMseTable:
         return [r for r in self.rows if r.estimator == estimator]
 
     def to_csv(self, path: str | Path | io.TextIOBase) -> None:
-        def _write(fh) -> None:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["estimator", "alpha", "beta", "mse_hat", "mse_tilde", "failures"]
-            )
-            for r in self.rows:
-                writer.writerow(
-                    [
-                        r.estimator,
-                        repr(r.alpha),
-                        "" if r.beta is None else repr(r.beta),
-                        repr(r.mse_hat),
-                        "" if r.mse_tilde is None else repr(r.mse_tilde),
-                        r.failures,
-                    ]
-                )
-
-        if isinstance(path, io.TextIOBase):
-            _write(path)
-        else:
-            with open(path, "w", newline="") as fh:
-                _write(fh)
+        """Write the rows as CSV ('' = missing)."""
+        header = ["estimator", "alpha", "beta", "mse_hat", "mse_tilde", "failures"]
+        _write_csv(path, header, [(r.estimator, r.alpha, r.beta, r.mse_hat,
+                                   r.mse_tilde, r.failures) for r in self.rows])
 
 
 def _mse(values: np.ndarray, center: float) -> float:
@@ -302,7 +278,7 @@ def bootstrap_mse(
     ``mse_hat`` averages squared deviations from the pilot value; when
     ``true_value`` is given (simulations only), ``mse_tilde`` additionally
     averages deviations from the truth.  Candidates use the pilot's kernels
-    and ``g_floor``; those whose estimate failed in more than 1% of
+    and denominator floor; those whose estimate failed in more than 1% of
     replications are marked invalid.
 
     Replications are processed in a fixed order, so results do not depend
@@ -319,8 +295,8 @@ def bootstrap_mse(
     k = len(plan.alpha_grid)
     pair_alpha, pair_beta = np.array(pairs, dtype=float).T
     batches = (
-        ("f1", slice(0, k), np.array(plan.alpha_grid, dtype=float), None),
-        ("f2", slice(k, None), pair_alpha, pair_beta),
+        ("F1", slice(0, k), np.array(plan.alpha_grid, dtype=float), None),
+        ("F2", slice(k, None), pair_alpha, pair_beta),
     )
     estimates = np.full((plan.replications, k + len(pairs)), np.nan)
 
@@ -328,12 +304,12 @@ def bootstrap_mse(
         rng = np.random.default_rng(plan.seed + b)
         x, y = pilot.draw_xy(rng, n)
         boot = _current_status(x, y, pilot.draw_t(rng, n))
-        for term, cols, alpha, beta in batches:
-            m = alpha.size
-            t_m, z_m = np.full(m, t0), np.full(m, z0)
-            g, num = _kernel_sums(boot, pilot.config, t_m, z_m, alpha, beta, ("g", term))
-            # unstable candidates keep their NaN
-            np.divide(num, g, out=estimates[b, cols], where=g >= pilot.config.g_floor)
+        for kind, cols, alpha, beta in batches:
+            t_m, z_m = np.full(alpha.size, t0), np.full(alpha.size, z0)
+            # unstable candidates are NaN
+            _, (estimates[b, cols],) = _estimates(
+                boot, pilot.config, t_m, z_m, (kind,), alpha, beta
+            )
 
     labels: list[tuple[str, float, float | None]] = [
         ("F1", alpha, None) for alpha in plan.alpha_grid

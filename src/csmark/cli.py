@@ -15,7 +15,6 @@ replication or selection failure at run time.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -33,7 +32,7 @@ from .bandwidth import BootstrapPlan, bootstrap_mse, select
 from .errors import CsmarkError
 from .estimators import EstimatorConfig, evaluate_grid, write_grid_csv
 from .kernels import Bandwidths, epanechnikov_kernel, product_kernel, uniform_kernel
-from .scenarios import sample, scenario_a, scenario_b
+from .scenarios import _write_csv, sample, scenario_a, scenario_b
 
 __all__ = ["main"]
 
@@ -207,19 +206,6 @@ def _cells(cfg: dict[str, _Entry]) -> list[dict[str, Any]]:
         parsed.append({k.name: replace(k, name=f"{key}.{k.name}").value(field)
                        for k, field in zip_longest(_MSE_CELL, fields)})
     return parsed
-
-
-def _fmt(x) -> str:
-    if x is None or isinstance(x, str):
-        return x or ""
-    return str(int(x)) if isinstance(x, (int, np.integer)) else repr(float(x))
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 class _Run:

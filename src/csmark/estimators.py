@@ -33,14 +33,16 @@ The kernels vanish outside [-1, 1], so it visits only the observations in
 each point's time window ``|t0 - t_i| / alpha <= 1``, and the uncensored
 ones among them for the mark-dependent terms.  A point's sums depend only on the
 sample, the point and its bandwidths, bit for bit: a grid row, a
-single-point call and the pilot density agree exactly.
+single-point call and the pilot density agree exactly.  One more,
+:func:`_estimates`, forms every estimate from those means: it refuses bad
+points and applies the floor on ``g_hat``, the same way for all of them.
 """
 
 from __future__ import annotations
 
-import csv
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +51,7 @@ from .errors import (
     DerivativeUnavailableError,
     InvalidBandwidthError,
     KernelAssumptionError,
+    SupportError,
     UnstableDenominatorError,
 )
 # eval_rescaled and eval_rescaled_cdf are not called here, but stay
@@ -63,7 +66,7 @@ from .kernels import (  # noqa: F401
     eval_rescaled,
     eval_rescaled_cdf,
 )
-from .scenarios import Sample
+from .scenarios import Sample, _write_csv
 
 __all__ = [
     "EstimatorConfig",
@@ -286,6 +289,51 @@ def _at_point(
     return [float(x[0]) for x in sums]
 
 
+# the kernel sums each estimate needs besides g; a ratio's numerator comes first
+_TERMS = {"F1": ("f1",), "F2": ("f2",), "density": ("gp", "h", "dh")}
+
+
+def _estimates(sample, config, t, z, kinds, alpha=None, beta=None):
+    """g_hat and the estimates ``kinds`` at the paired points ``(t[j], z[j])``.
+
+    ``kinds`` names estimates among ``"F1"`` (:func:`f1`), ``"F2"``
+    (:func:`f2`) and ``"density"`` (:func:`f2_density`).  ``t`` and ``z``
+    are equal-length arrays, or a single point's scalars; ``alpha``/``beta``
+    are the config's bandwidths when None, else scalars or arrays of one
+    value per point.  Every estimate is NaN where g_hat falls below
+    ``config.g_floor``.  A NaN ``t`` or ``z`` or an infinite ``t`` raises
+    :class:`SupportError`; ``z = +-inf`` gives the limit in the mark.
+    """
+    t, z = np.array(t, dtype=float, ndmin=1), np.array(z, dtype=float, ndmin=1)
+    bad = ~np.isfinite(t) | np.isnan(z)
+    if bad.any():
+        j = bad.argmax()
+        raise SupportError(
+            f"cannot estimate at (t, z) = ({t[j]}, {z[j]}): "
+            "t must be finite and z a number"
+        )
+    bw = config.bandwidths
+    alpha = bw.alpha if alpha is None else alpha
+    beta = bw.beta if beta is None else beta
+    terms = ("g",) + tuple(term for kind in kinds for term in _TERMS[kind])
+    sums = dict(zip(terms, _kernel_sums(sample, config, t, z, alpha, beta, terms)))
+    g = sums["g"]
+    stable = np.where(g >= config.g_floor, g, np.nan)  # NaN spreads to every estimate
+    return g, [
+        (stable * sums["dh"] - sums["gp"] * sums["h"]) / (stable * stable)
+        if kind == "density" else sums[_TERMS[kind][0]] / stable
+        for kind in kinds
+    ]
+
+
+def _estimate(sample, config, t0, z0, kind) -> float:
+    """One estimate at one point; :class:`UnstableDenominatorError` below the floor."""
+    (g,), ((value,),) = _estimates(sample, config, t0, z0, (kind,))
+    if math.isnan(value):
+        raise _unstable(float(g), config.g_floor)
+    return float(value)
+
+
 def g_hat(sample: Sample, config: EstimatorConfig, t0: float) -> float:
     """Kernel estimate of the censoring density at ``t0``.
 
@@ -309,13 +357,10 @@ def h0_hat(sample: Sample, config: EstimatorConfig, t0: float) -> float:
     return _at_point(sample, config, t0, 0.0, ("h0",))[0]
 
 
-def _stable(den: float, g_floor: float) -> float:
-    if den < g_floor:
-        raise UnstableDenominatorError(
-            f"censoring density estimate {den:.3e} below floor {g_floor:.3e}",
-            g_value=den,
-        )
-    return den
+def _unstable(den: float, g_floor: float) -> UnstableDenominatorError:
+    return UnstableDenominatorError(
+        f"censoring density estimate {den:.3e} below floor {g_floor:.3e}", g_value=den
+    )
 
 
 def f1(sample: Sample, config: EstimatorConfig, t0: float, z0: float) -> float:
@@ -326,8 +371,7 @@ def f1(sample: Sample, config: EstimatorConfig, t0: float, z0: float) -> float:
     are a subset of the denominator terms; monotonicity in ``t0`` is *not*
     guaranteed.
     """
-    g, num = _at_point(sample, config, t0, z0, ("g", "f1"))
-    return num / _stable(g, config.g_floor)
+    return _estimate(sample, config, t0, z0, "F1")
 
 
 def f1_counting(sample: Sample, config: EstimatorConfig, t0: float, z0: float) -> float:
@@ -344,10 +388,12 @@ def f1_counting(sample: Sample, config: EstimatorConfig, t0: float, z0: float) -
     alpha = config.bandwidths.alpha
     inside = np.abs(sample.t - t0) <= alpha
     num = float(np.sum(inside & (sample.delta == 1) & (sample.z <= z0)))
-    den = float(np.sum(inside))
     # scale both counts to density units so the floor means the same thing
     scale = 1.0 / (2.0 * alpha * len(sample))
-    return num * scale / _stable(den * scale, config.g_floor)
+    den = float(np.sum(inside)) * scale
+    if den < config.g_floor:
+        raise _unstable(den, config.g_floor)
+    return num * scale / den
 
 
 def f2(sample: Sample, config: EstimatorConfig, t0: float, z0: float) -> float:
@@ -360,13 +406,7 @@ def f2(sample: Sample, config: EstimatorConfig, t0: float, z0: float) -> float:
     ``z0 >= max mark + beta`` every smoothed indicator equals one and the
     estimator reduces exactly to the uncensored mass over ``g_hat``.
     """
-    g, num = _at_point(sample, config, t0, z0, ("g", "f2"))
-    return num / _stable(g, config.g_floor)
-
-
-def _density_quotient(g, gp, h, dh):
-    """``(g dh - gp h) / g^2`` in one arithmetic for floats and arrays."""
-    return (g * dh - gp * h) / (g * g)
+    return _estimate(sample, config, t0, z0, "F2")
 
 
 def f2_density(sample: Sample, config: EstimatorConfig, t0: float, z0: float) -> float:
@@ -378,8 +418,7 @@ def f2_density(sample: Sample, config: EstimatorConfig, t0: float, z0: float) ->
     small samples, though it is positive with probability tending to one
     under undersmoothing.
     """
-    g, gp, h, dh = _at_point(sample, config, t0, z0, ("g", "gp", "h", "dh"))
-    return _density_quotient(_stable(g, config.g_floor), gp, h, dh)
+    return _estimate(sample, config, t0, z0, "density")
 
 
 @dataclass(frozen=True)
@@ -409,49 +448,19 @@ def evaluate_grid(
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     z_grid = np.atleast_1d(np.asarray(z_grid, dtype=float))
-    terms: tuple[str, ...] = ("g", "f1")
+    kinds: tuple[str, ...] = ("F1",)
     if config.kernel_tz is not None and config.bandwidths.beta is not None:
-        terms += ("f2",)
+        kinds += ("F2",)
         if config.kernel_t.deriv is not None and config.kernel_tz.factor_z.deriv is not None:
-            terms += ("gp", "h", "dh")
+            kinds += ("density",)
     t = np.repeat(t_grid, z_grid.size)
     z = np.tile(z_grid, t_grid.size)
-    bw = config.bandwidths
-    sums = _kernel_sums(sample, config, t, z, bw.alpha, bw.beta, terms)
-
-    rows: list[GridValue] = []
-    columns = [x.tolist() for x in sums]
-    for t0, z0, *point in zip(t.tolist(), z.tolist(), *columns):
-        v = dict(zip(terms, point))
-        g = v["g"]
-        if g < config.g_floor:
-            rows.append(GridValue(t0, z0, None, None, None))
-            continue
-        v2 = v["f2"] / g if "f2" in v else None
-        vd = _density_quotient(g, v["gp"], v["h"], v["dh"]) if "dh" in v else None
-        rows.append(GridValue(t0, z0, v["f1"] / g, v2, vd))
-    return rows
+    _, values = _estimates(sample, config, t, z, kinds)
+    columns = [[None if math.isnan(v) else v for v in x.tolist()] for x in values]
+    columns += [[None] * t.size] * (3 - len(columns))
+    return [GridValue(*row) for row in zip(t.tolist(), z.tolist(), *columns)]
 
 
 def write_grid_csv(rows: list[GridValue], path: str | Path | io.TextIOBase) -> None:
     """Write grid values as CSV with header ``t,z,F1,F2,f2`` ('' = missing)."""
-
-    def _write(fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "z", "F1", "F2", "f2"])
-        for r in rows:
-            writer.writerow(
-                [
-                    repr(r.t),
-                    repr(r.z),
-                    "" if r.f1 is None else repr(r.f1),
-                    "" if r.f2 is None else repr(r.f2),
-                    "" if r.density is None else repr(r.density),
-                ]
-            )
-
-    if isinstance(path, io.TextIOBase):
-        _write(path)
-    else:
-        with open(path, "w", newline="") as fh:
-            _write(fh)
+    _write_csv(path, ["t", "z", "F1", "F2", "f2"], [astuple(r) for r in rows])

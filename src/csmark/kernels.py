@@ -144,10 +144,11 @@ def _uniform_cdf(u):
 
 
 def _epanechnikov_pdf(u):
-    u = np.asarray(u, dtype=float)
-    # 1 - u*u is negative exactly off [-1, 1] (-inf at +-inf) and fmax maps
-    # NaN to 0, so this equals the masked form bit for bit without a select
-    return np.fmax(0.75 * (1.0 - u * u), 0.0)
+    # |u| capped at 1 (fmin maps NaN to 1 too) before squaring, so a huge u
+    # cannot overflow: 1 - u*u is then 0 exactly off [-1, 1], and this
+    # equals the masked form bit for bit without a select
+    u = np.fmin(np.abs(np.asarray(u, dtype=float)), 1.0)
+    return 0.75 * (1.0 - u * u)
 
 
 def _epanechnikov_cdf(u):

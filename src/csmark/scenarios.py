@@ -147,17 +147,8 @@ class Sample:
 
     def to_csv(self, path: str | Path | io.TextIOBase) -> None:
         """Write ``t,z,delta`` rows at full float precision."""
-        if isinstance(path, io.TextIOBase):
-            self._write(path)
-        else:
-            with open(path, "w", newline="") as fh:
-                self._write(fh)
-
-    def _write(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "z", "delta"])
-        for t, z, d in zip(self.t, self.z, self.delta):
-            writer.writerow([repr(float(t)), repr(float(z)), int(d)])
+        rows = zip(self.t.tolist(), self.z.tolist(), self.delta.tolist())
+        _write_csv(path, ["t", "z", "delta"], rows)
 
     @classmethod
     def from_csv(cls, path: str | Path | io.TextIOBase) -> "Sample":
@@ -180,6 +171,26 @@ class Sample:
             z.append(float(row[1]))
             d.append(int(row[2]))
         return cls(t=np.array(t), z=np.array(z), delta=np.array(d))
+
+
+def _cell(x) -> str:
+    if x is None or isinstance(x, str):
+        return x or ""
+    return str(int(x)) if isinstance(x, (int, np.integer)) else repr(float(x))
+
+
+def _write_csv(path: str | Path | io.TextIOBase, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows`` as CSV to a path or a text stream.
+
+    The one format of every result file: floats as ``repr(float)`` (full
+    precision), integers as integers, strings as they are, None as ''.
+    """
+    if not isinstance(path, io.TextIOBase):
+        with open(path, "w", newline="") as fh:
+            return _write_csv(fh, header, rows)
+    writer = csv.writer(path, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(x) for x in row] for row in rows)
 
 
 def _box(lo: float, hi: float, v: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from csmark import (
     QuadratureError,
     ReplicationFailureError,
     Sample,
+    SupportError,
     UnstableDenominatorError,
     bootstrap_mse,
     difference_sample,
@@ -94,6 +95,9 @@ def test_mu1_domain_errors():
         mu1_sigma2(B, (0.5, 0.5), 0.0, EPA)
     with pytest.raises(InvalidBandwidthError):
         mu1_sigma2(B, (0.5, 0.5), -1.0, EPA)
+    for c in (math.nan, math.inf):
+        with pytest.raises(InvalidBandwidthError):
+            mu1_sigma2(B, (0.5, 0.5), c, EPA)
     with pytest.raises(UnstableDenominatorError):
         mu1_sigma2(B, (0.0, 0.5), 0.5, EPA)  # g(0) = 0 in scenario B
 
@@ -282,6 +286,10 @@ def test_failure_accounting(monkeypatch):
         assert failures == 1
         with pytest.raises(ReplicationFailureError):
             _replicate(B, 5, 100, 0, fails_on(3, 8), workers)
+        # a NaN statistic is a bug, not a failed replication
+        nan_on_7 = lambda s: math.nan if s.seed == 7 else float(s.seed)  # noqa: E731
+        with pytest.raises(RuntimeError, match="NaN at seed 7"):
+            _replicate(B, 5, 100, 0, nan_on_7, workers)
     with pytest.raises(ValueError):
         _replicate(B, 5, 1, 0, fails_on(), 1)
 
@@ -340,6 +348,13 @@ def test_usable_cpus_is_a_positive_count():
 def test_mc_raises_when_windows_are_usually_empty():
     with pytest.raises(ReplicationFailureError):
         mc_mse(B, "F1", (0.98, 0.5), 40, 40, alpha=0.005, seed=5)
+
+
+@pytest.mark.parametrize("point", [(0.5, math.nan), (math.nan, 0.5), (math.inf, 0.5)])
+def test_mc_rejects_bad_points(point):
+    # not 20 "failed" replications: the point itself is refused
+    with pytest.raises(SupportError):
+        mc_mse(B, "F2", point, 200, 20, alpha=0.2, beta=0.1, seed=0)
 
 
 def test_equivalence_curve_shape_and_envelope():

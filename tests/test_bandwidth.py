@@ -16,6 +16,7 @@ from csmark import (
     MseRow,
     Sample,
     SelectionError,
+    SupportError,
     bootstrap_mse,
     custom_kernel,
     epanechnikov_kernel,
@@ -83,6 +84,14 @@ def test_bootstrap_plan_rejects_non_finite_bandwidths():
             small_plan(alpha_grid=(0.2, bad))
         with pytest.raises(InvalidBandwidthError):
             small_plan(beta_grid=(bad,))
+
+
+@pytest.mark.parametrize(
+    "point", [(np.nan, 0.5), (np.inf, 0.5), (-np.inf, 0.5), (0.5, np.nan)]
+)
+def test_bootstrap_plan_rejects_bad_points(point):
+    with pytest.raises(SupportError):
+        small_plan(point=point)
 
 
 def test_kernel_noise_distributions():

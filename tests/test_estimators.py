@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import re
+import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -21,6 +23,7 @@ from csmark import (
     KernelAssumptionError,
     PilotModel,
     Sample,
+    SupportError,
     UnstableDenominatorError,
     custom_kernel,
     epanechnikov_kernel,
@@ -297,6 +300,40 @@ def test_f2_density_unstable_point():
         f2_density(s, epa_config(0.05, 0.1), 0.95, 0.5)
 
 
+@pytest.mark.parametrize(
+    "t0, z0", [(np.nan, 0.5), (0.5, np.nan), (np.inf, 0.5), (-np.inf, 0.5)]
+)
+def test_points_with_nan_or_infinite_time_are_rejected(t0, z0):
+    s = sample(scenario_b(), 200, 1)
+    config = epa_config(0.2, 0.1)
+    assert issubclass(SupportError, ValueError)
+    for estimator in (f1, f2, f2_density):
+        with pytest.raises(SupportError):
+            estimator(s, config, t0, z0)
+    with pytest.raises(SupportError):
+        evaluate_grid(s, config, np.array([0.5, t0]), np.array([0.5, z0]))
+
+
+def test_infinite_marks_give_the_limits():
+    s = sample(scenario_b(), 200, 1)
+    config = epa_config(0.2, 0.1)
+    top = float(s.z.max()) + 0.1  # every smoothed mark indicator is one
+    for estimator in (f1, f2):
+        assert estimator(s, config, 0.5, np.inf) == estimator(s, config, 0.5, top) > 0.0
+        assert estimator(s, config, 0.5, -np.inf) == 0.0
+    for z0 in (np.inf, -np.inf):
+        assert f2_density(s, config, 0.5, z0) == 0.0
+
+
+def test_huge_finite_mark_warns_nothing():
+    s = sample(scenario_b(), 200, 1)
+    config = epa_config(0.2, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert f2_density(s, config, 0.5, 1e300) == 0.0
+        assert f2(s, config, 0.5, 1e300) == f2(s, config, 0.5, np.inf)
+
+
 def test_evaluate_grid_rows_and_missing_values():
     s = sample(scenario_b(), 300, 18)
     t_grid = np.array([0.3, 0.5, 5.0])
@@ -557,6 +594,32 @@ def test_kernel_sums_of_a_point_do_not_depend_on_its_batch(s, kernel, data, budg
         alone = estimators._kernel_sums(s, config, t[j : j + 1], z[j : j + 1], a, b, terms)
         for term, x, y in zip(terms, batched, alone):
             assert x[j] == y[0], term
+
+
+@PROPERTY
+@given(samples(), st.sampled_from([EPA, UNI]), st.sampled_from([1e-8, 0.1, 0.5, 2.0]),
+       st.data(), st.integers(1, 100))
+def test_batch_estimates_equal_single_point_estimates(s, kernel, floor, data, budget):
+    # the bootstrap's use: one batch of points, each with its own bandwidths
+    estimates = {"F1": f1, "F2": f2} | ({"density": f2_density} if kernel is EPA else {})
+    config = EstimatorConfig(
+        kernel_t=kernel, kernel_tz=product_kernel(kernel), g_floor=floor
+    )
+    points = [p for run in data.draw(st.lists(runs(s), min_size=1, max_size=5))
+              for p in run]
+    t, z, alpha, beta = (np.array(column) for column in zip(*points))
+    with mock.patch.object(estimators, "_CHUNK_BUDGET", budget):
+        _, batched = estimators._estimates(
+            s, config, t, z, tuple(estimates), alpha, beta
+        )
+    for j, (t0, z0, a, b) in enumerate(points):
+        alone = replace(config, bandwidths=Bandwidths(a, b))
+        for estimator, values in zip(estimates.values(), batched):
+            single = unless_unstable(estimator, s, alone, t0, z0)
+            if single is None:
+                assert np.isnan(values[j])
+            else:
+                assert values[j] == single
 
 
 @PROPERTY
