@@ -15,6 +15,15 @@ times with pilot-bandwidth kernel noise (that is exactly a draw from the
 kernel estimate of the censoring density); latent pairs come from the pilot
 density by rejection sampling on the unit box, the support of both
 scenarios, under a grid-based envelope.
+
+Both uses of the pilot density go through certified bounds on it
+(``estimators._density_bounds``) and evaluate it exactly only where the
+bounds cannot decide.  The envelope's peak is searched among the few grid
+nodes whose upper bound reaches the largest lower bound.  Rejection is
+squeezed (Marsaglia 1977; Devroye 1986, §II.5): a proposal whose
+``u * envelope`` lies above its grid cell's upper bound is rejected, and one
+at or below the lower bound accepted, without the density.  Every decision,
+and so every draw, is the one exact evaluation everywhere would give.
 """
 
 from __future__ import annotations
@@ -36,7 +45,13 @@ from .errors import (
 )
 # f1 is not called here, but stays importable as bandwidth.f1, which
 # perfbench/tracing.py wraps
-from .estimators import EstimatorConfig, _estimates, f1, f2  # noqa: F401
+from .estimators import (  # noqa: F401
+    EstimatorConfig,
+    _density_bounds,
+    _estimates,
+    f1,
+    f2,
+)
 from .kernels import (
     Bandwidths,
     KernelFamily,
@@ -122,8 +137,11 @@ class PilotModel:
     Holds the original sample, the pilot estimator configuration, the
     clipped pilot density (negative values and unstable denominators are
     treated as zero) and a rejection envelope precomputed on a grid over
-    the unit box, 1.1 times the largest density seen there.  The envelope
-    is immutable; rejection batches that encounter density values above it
+    the unit box, 1.1 times the largest density at its nodes.  Bounds on
+    the density at every node leave only a few nodes that can hold that
+    peak, and only those are evaluated.  Bounds on every cell of the grid
+    squeeze the rejection step of :meth:`draw_xy`.  The envelope is
+    immutable; rejection batches that encounter density values above it
     enlarge a local copy and continue, so every draw is a pure function of
     the generator passed in.
     """
@@ -131,17 +149,28 @@ class PilotModel:
     def __init__(
         self, sample_: Sample, config: EstimatorConfig, envelope_grid: int = 200
     ) -> None:
+        if envelope_grid < 2:
+            raise ValueError(f"envelope_grid needs two nodes or more, got {envelope_grid}")
         self.sample = sample_
         self.config = config
-        grid = np.linspace(0.0, 1.0, envelope_grid)
-        tt, zz = np.meshgrid(grid, grid, indexing="ij")
-        dens = self.density(tt.ravel(), zz.ravel())
-        peak = float(np.max(dens))
+        self._edges = grid = np.linspace(0.0, 1.0, envelope_grid)
+        # each node's density is at most its upper bound, and the largest
+        # one at least the largest lower bound: only nodes whose upper bound
+        # reaches that, and is positive, can hold a positive peak
+        lower, upper = _density_bounds(sample_, config, grid, grid, grid, grid)
+        near = ((upper >= lower.max()) & (upper > 0.0)).nonzero()
+        peak = float(np.max(self.density(grid[near[0]], grid[near[1]]), initial=0.0))
         if peak <= 0.0:
             raise DegeneratePilotError(
                 "pilot density is nonpositive everywhere on the envelope grid"
             )
         self.envelope = _ENVELOPE_SAFETY * peak
+        del lower, upper  # before the cell bounds take their place
+        # the squeeze's bounds on the grid's cells [edges[i], edges[i + 1]]
+        # x [edges[j], edges[j + 1]]
+        self._cells = _density_bounds(
+            sample_, config, grid[:-1], grid[1:], grid[:-1], grid[1:]
+        )
 
     def density(self, t, z) -> np.ndarray:
         """Clipped pilot density: max(density estimate, 0), 0 where unstable."""
@@ -167,8 +196,15 @@ class PilotModel:
         self, rng: np.random.Generator, size: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw latent pairs from the pilot density by rejection on the unit box;
-        :class:`DegeneratePilotError` after ``_MAX_DRAW_ROUNDS`` rounds."""
+        :class:`DegeneratePilotError` after ``_MAX_DRAW_ROUNDS`` rounds.
+
+        The density is evaluated only at proposals that the bounds of their
+        cell cannot decide, and at those whose upper bound exceeds the
+        envelope, so that a local refresh sees the same peak as exact
+        evaluation everywhere.
+        """
         envelope = self.envelope
+        lower, upper = self._cells
         xs: list[np.ndarray] = []
         ys: list[np.ndarray] = []
         got = proposed = 0
@@ -182,12 +218,27 @@ class PilotModel:
             x = rng.uniform(0.0, 1.0, batch)
             y = rng.uniform(0.0, 1.0, batch)
             u = rng.random(batch)
-            dens = self.density(x, y)
-            peak = float(np.max(dens))
+            cell = (
+                np.searchsorted(self._edges, x, "right") - 1,
+                np.searchsorted(self._edges, y, "right") - 1,
+            )
+            lo, hi = lower[cell], upper[cell]
+            # a proposal is accepted when u * envelope <= its density; lo
+            # stands in for the density where u * envelope <= lo or > hi,
+            # and an upper bound over the envelope may hide a spike
+            value = lo.copy()
+            bound = u * envelope
+            exact = (hi > envelope) | ((lo < bound) & (bound <= hi))
+            value[exact] = self.density(x[exact], y[exact])
+            peak = float(np.max(value[exact], initial=0.0))
             if peak > envelope:
-                # local refresh: the precomputed envelope missed a spike
+                # local refresh: the precomputed envelope missed a spike,
+                # which only an exactly evaluated proposal can hold
                 envelope = _ENVELOPE_SAFETY * peak
-            keep = u * envelope <= dens
+                bound = u * envelope
+                more = ~exact & (lo < bound) & (bound <= hi)
+                value[more] = self.density(x[more], y[more])
+            keep = bound <= value
             xs.append(x[keep])
             ys.append(y[keep])
             got += int(np.count_nonzero(keep))

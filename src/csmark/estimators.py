@@ -62,6 +62,8 @@ from .kernels import (  # noqa: F401
     KernelFamily,
     UnivariateKernel,
     _check_bandwidth,
+    _epanechnikov_deriv_bounds,
+    _epanechnikov_pdf_bounds,
     epanechnikov_kernel,
     eval_rescaled,
     eval_rescaled_cdf,
@@ -279,12 +281,29 @@ def _kernel_sums(sample, config, t, z, alpha, beta, terms) -> list[np.ndarray]:
     return [out[term] for term in terms]
 
 
+def _checked_points(t, z) -> tuple[np.ndarray, np.ndarray]:
+    """``t`` and ``z`` as float arrays, refusing points no estimate is defined at.
+
+    A NaN ``t`` or ``z`` or an infinite ``t`` raises :class:`SupportError`;
+    ``z = +-inf`` is the limit in the mark.
+    """
+    t, z = np.array(t, dtype=float, ndmin=1), np.array(z, dtype=float, ndmin=1)
+    bad = ~np.isfinite(t) | np.isnan(z)
+    if bad.any():
+        j = bad.argmax()
+        raise SupportError(
+            f"cannot estimate at (t, z) = ({t[j]}, {z[j]}): "
+            "t must be finite and z a number"
+        )
+    return t, z
+
+
 def _at_point(
     sample: Sample, config: EstimatorConfig, t0: float, z0: float, terms: tuple[str, ...]
 ) -> list[float]:
-    """:func:`_kernel_sums` at one point with the config's bandwidths."""
+    """:func:`_kernel_sums` at one checked point with the config's bandwidths."""
     bw = config.bandwidths
-    t, z = np.array([t0], dtype=float), np.array([z0], dtype=float)
+    t, z = _checked_points(t0, z0)
     sums = _kernel_sums(sample, config, t, z, bw.alpha, bw.beta, terms)
     return [float(x[0]) for x in sums]
 
@@ -304,14 +323,7 @@ def _estimates(sample, config, t, z, kinds, alpha=None, beta=None):
     ``config.g_floor``.  A NaN ``t`` or ``z`` or an infinite ``t`` raises
     :class:`SupportError`; ``z = +-inf`` gives the limit in the mark.
     """
-    t, z = np.array(t, dtype=float, ndmin=1), np.array(z, dtype=float, ndmin=1)
-    bad = ~np.isfinite(t) | np.isnan(z)
-    if bad.any():
-        j = bad.argmax()
-        raise SupportError(
-            f"cannot estimate at (t, z) = ({t[j]}, {z[j]}): "
-            "t must be finite and z a number"
-        )
+    t, z = _checked_points(t, z)
     bw = config.bandwidths
     alpha = bw.alpha if alpha is None else alpha
     beta = bw.beta if beta is None else beta
@@ -326,6 +338,126 @@ def _estimates(sample, config, t, z, kinds, alpha=None, beta=None):
     ]
 
 
+# the rounding allowance of _density_bounds is _BOUND_SLACK * (n + 8) * eps
+_BOUND_SLACK = 32
+
+# multiply-adds per matrix product that a threaded BLAS keeps on the calling
+# thread: OpenBLAS threads larger ones, and its threads then spin on the
+# other cores for a while after every call, doubling the process's CPU time
+_SERIAL_PRODUCT = 1 << 16
+
+
+def _density_bounds(sample, config, t_lo, t_hi, z_lo, z_hi):
+    """Bounds on the clipped density estimate over the cells of a grid.
+
+    Returns ``(lower, upper)`` of shape ``(t_lo.size, z_lo.size)``: at every
+    float ``t`` in ``[t_lo[i], t_hi[i]]`` and ``z`` in ``[z_lo[j], z_hi[j]]``
+    the float value of ``max(density, 0)`` from :func:`_estimates` (0 where
+    g_hat is under the floor) lies in ``[lower[i, j], upper[i, j]]``.
+    Intervals may be degenerate (``t_lo == t_hi``), giving bounds at points.
+
+    Every factor the kernel sums add up -- ``k(u_i)`` and ``k'(u_i)`` at
+    ``u_i = (t - t_i) / alpha``, ``kz((z - z_i) / beta)`` -- is bounded
+    exactly: ``u_i`` rounds monotonically in ``t``, and the kernel helpers
+    bound the float kernels over the ``u`` interval.  Sums of those bounds
+    bound ``g`` and ``gp`` per t-interval; matrix products of the (t-interval
+    x uncensored observation) and (z-interval x uncensored observation)
+    bounds bound ``h`` and ``dh``, with ``k'`` split into its positive and
+    negative parts.  Interval arithmetic then bounds the quotient in the
+    form ``dh / g - gp h / g^2``, in which the two ``g`` of ``g dh / g^2``
+    do not vary independently.
+
+    Rounding.  :func:`_kernel_sums` forms each sum from at most ``n``
+    products and scales it in at most 5 more operations, in some order;
+    by Higham (*Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    §3.1 and §4.2) its float value lies within ``gamma = (n + 5) eps / (1 -
+    (n + 5) eps)`` times the sum of absolute terms, ``A``, of the same sum
+    in exact arithmetic, and so do the matrix products and sums here of
+    the exact values of theirs.  With ``A_g = g``, ``A_h = h``, ``A_gp`` and
+    ``A_dh`` (bounded here through ``|k'|`` and ``kz <= 0.75``), these
+    errors move the quotient by
+    at most about ``4 gamma (g A_dh + A_gp h) / g^2`` in either evaluation,
+    and its last five roundings by ``5 eps`` times the same.  The sum,
+    under ``10 (n + 8) eps (g A_dh + A_gp h) / g^2``, is covered more than
+    three times by the margin ``delta (g_hi A_dh + A_gp h_hi) / g_lo^2`` with
+    ``delta = _BOUND_SLACK (n + 8) eps``, taken off the lower and added to
+    the upper bound.  A cell is stable when ``g_lo (1 - delta) >= g_floor``,
+    so g_hat there is at least the floor.
+
+    Cells that are not stable, or whose bounds overflow, get ``[0, inf]``;
+    so does every cell when either kernel factor is not Epanechnikov or
+    there is no mark bandwidth.
+    """
+    kz = _require_mark_kernel(config).factor_z
+    alpha, beta = config.bandwidths.alpha, config.bandwidths.beta
+    shape = (t_lo.size, z_lo.size)
+    epanechnikov = KernelFamily.EPANECHNIKOV
+    if beta is None or {config.kernel_t.family, kz.family} != {epanechnikov}:
+        return np.zeros(shape), np.full(shape, np.inf)
+    n, m = len(sample), t_lo.size
+    g_lo, g_hi, gp_lo, gp_hi, gp_abs, dh_abs = np.zeros((6, m))
+    h_lo, h_hi, dh_lo, dh_hi = np.zeros((4, m, z_lo.size))
+    # observations go in blocks, bounding the (interval x observation) arrays
+    step = max(1, _CHUNK_BUDGET // (8 * max(*shape, 1)))
+    for i0 in range(0, n, step):
+        block = slice(i0, i0 + step)
+        ti = sample.t[block]
+        ua, ub = (t_lo[:, None] - ti) / alpha, (t_hi[:, None] - ti) / alpha
+        w_lo, w_hi = _epanechnikov_pdf_bounds(ua, ub)
+        d_lo, d_hi = _epanechnikov_deriv_bounds(ua, ub)
+        d_abs = np.fmax(-d_lo, d_hi)
+        unc = (sample.delta[block] == 1).nonzero()[0]
+        # |dh| <= sum |k'| kz over the uncensored, and kz <= 0.75
+        for total, x in ((g_lo, w_lo), (g_hi, w_hi), (gp_lo, d_lo), (gp_hi, d_hi),
+                         (gp_abs, d_abs), (dh_abs, 0.75 * d_abs[:, unc])):
+            total += x.sum(axis=1)
+        zi = sample.z[block][unc]
+        v_lo, v_hi = _epanechnikov_pdf_bounds(  # (uncensored x z-interval)
+            (z_lo - zi[:, None]) / beta, (z_hi - zi[:, None]) / beta
+        )
+        w_lo, w_hi, d_lo, d_hi = (x[:, unc] for x in (w_lo, w_hi, d_lo, d_hi))
+        # k' is split into its positive and negative parts; the products go
+        # in blocks of rows small enough for BLAS to keep on this thread
+        rows = max(1, _SERIAL_PRODUCT // max(1, v_lo.size))
+        for r in range(0, m, rows):
+            b = slice(r, r + rows)
+            h_lo[b] += w_lo[b] @ v_lo
+            h_hi[b] += w_hi[b] @ v_hi
+            dh_lo[b] += np.fmax(d_lo[b], 0.0) @ v_lo - np.fmax(-d_lo[b], 0.0) @ v_hi
+            dh_hi[b] += np.fmax(d_hi[b], 0.0) @ v_hi - np.fmax(-d_hi[b], 0.0) @ v_lo
+    # the scale factors of _kernel_sums, in place: the arrays are the
+    # largest here
+    scale = 1.0 / (n * alpha)
+    for x in (h_lo, h_hi):
+        x *= scale / beta
+    for x in (dh_lo, dh_hi):
+        x *= scale / alpha / beta
+    g_lo, g_hi = g_lo * scale, g_hi * scale
+    gp_lo, gp_hi, gp_abs = (x * (scale / alpha) for x in (gp_lo, gp_hi, gp_abs))
+    dh_abs = dh_abs * (scale / alpha / beta)
+
+    delta = _BOUND_SLACK * (n + 8) * np.finfo(float).eps
+    stable = g_lo * (1.0 - delta) >= config.g_floor
+    g_lo, g_hi = (np.where(stable, x, 1.0)[:, None] for x in (g_lo, g_hi))
+    gp_lo, gp_hi, gp_abs, dh_abs = (x[:, None] for x in (gp_lo, gp_hi, gp_abs, dh_abs))
+    g2_lo, g2_hi = g_lo * g_lo, g_hi * g_hi
+    with np.errstate(all="ignore"):
+        # dh / g - gp h / g^2, with g > 0 and h >= 0
+        lower = np.fmin(dh_lo / g_lo, dh_lo / g_hi)
+        p = np.fmax(gp_hi * h_lo, gp_hi * h_hi)
+        lower -= np.fmax(p / g2_lo, p / g2_hi)
+        upper = np.fmax(dh_hi / g_lo, dh_hi / g_hi)
+        p = np.fmin(gp_lo * h_lo, gp_lo * h_hi)
+        upper -= np.fmin(p / g2_lo, p / g2_hi)
+        margin = delta * (g_hi * dh_abs + gp_abs * h_hi) / g2_lo
+        lower -= margin
+        upper += margin
+    ok = stable[:, None] & np.isfinite(lower) & np.isfinite(upper)
+    lower = np.where(ok, np.fmax(lower, 0.0), 0.0)
+    upper = np.where(ok, np.fmax(upper, 0.0), np.inf)
+    return lower, upper
+
+
 def _estimate(sample, config, t0, z0, kind) -> float:
     """One estimate at one point; :class:`UnstableDenominatorError` below the floor."""
     (g,), ((value,),) = _estimates(sample, config, t0, z0, (kind,))
@@ -338,7 +470,9 @@ def g_hat(sample: Sample, config: EstimatorConfig, t0: float) -> float:
     """Kernel estimate of the censoring density at ``t0``.
 
     ``g_hat(t0) = n^{-1} sum_i k_alpha(t0 - t_i)``.  May legitimately be
-    zero when no censoring time falls within ``alpha`` of ``t0``.
+    zero when no censoring time falls within ``alpha`` of ``t0``.  A NaN or
+    infinite ``t0`` raises :class:`SupportError`, here and in the other
+    time smoothers.
     """
     return _at_point(sample, config, t0, 0.0, ("g",))[0]
 
@@ -379,12 +513,14 @@ def f1_counting(sample: Sample, config: EstimatorConfig, t0: float, z0: float) -
 
     Counts observations with ``|t_i - t0| <= alpha``; equals :func:`f1`
     exactly (up to float rounding) when ``kernel_t`` is Uniform, and is the
-    natural unsmoothed reading of the estimator.
+    natural unsmoothed reading of the estimator.  Points are refused as
+    :func:`f1` refuses them.
     """
     if config.kernel_t.family is not KernelFamily.UNIFORM:
         raise KernelAssumptionError(
             "counting form is only defined for the uniform time kernel"
         )
+    _checked_points(t0, z0)
     alpha = config.bandwidths.alpha
     inside = np.abs(sample.t - t0) <= alpha
     num = float(np.sum(inside & (sample.delta == 1) & (sample.z <= z0)))

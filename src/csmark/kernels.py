@@ -162,6 +162,34 @@ def _epanechnikov_deriv(u):
     return np.where(np.abs(u) <= 1.0, -1.5 * u, 0.0)
 
 
+# Interval bounds.  Each rounded operation of the two functions above is
+# monotone, so their float values over the floats u in [a, b] are bounded
+# by their float values at a few points of [a, b], with no rounding margin.
+
+
+def _epanechnikov_pdf_bounds(a, b):
+    """Least and greatest :func:`_epanechnikov_pdf` over ``[a, b]``, elementwise.
+
+    The pdf does not increase in ``|u|``: its least value is at an end, its
+    greatest at the point nearest 0 (0.75 when 0 lies inside).
+    """
+    return (
+        np.minimum(_epanechnikov_pdf(a), _epanechnikov_pdf(b)),
+        _epanechnikov_pdf(np.clip(0.0, a, b)),
+    )
+
+
+def _epanechnikov_deriv_bounds(a, b):
+    """Least and greatest :func:`_epanechnikov_deriv` over ``[a, b]``, elementwise.
+
+    The derivative is ``-1.5 u`` on [-1, 1] and 0 off it, monotone on each
+    piece, so its extremes are at the ends and at the points of ``[a, b]``
+    nearest -1 and 1.
+    """
+    values = [_epanechnikov_deriv(np.clip(c, a, b)) for c in (a, b, -1.0, 1.0)]
+    return np.minimum.reduce(values), np.maximum.reduce(values)
+
+
 @lru_cache(maxsize=None)
 def uniform_kernel() -> UnivariateKernel:
     """The Uniform kernel ``1/2`` on [-1, 1].  Not differentiable."""

@@ -264,6 +264,23 @@ def test_mc_mse_is_byte_identical_for_any_worker_count(estimator, n, m, seed, al
     assert (one.failures, one.mse, one.mse_se) == (two.failures, two.mse, two.mse_se)
 
 
+coordinates = st.floats(0.0, 1.0) | st.floats(-3.0, 4.0) | st.floats(-1e300, 1e300)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["F1", "F2"]), st.integers(10, 120), st.integers(2, 5),
+       st.integers(0, 2**31), st.floats(0.05, 0.5), st.floats(0.05, 0.5),
+       coordinates, coordinates)
+def test_mc_mse_statistics_are_never_nan(estimator, n, m, seed, alpha, beta, t0, z0):
+    beta = beta if estimator == "F2" else None
+    try:
+        summary = mc_mse(B, estimator, (t0, z0), n, m, alpha=alpha, beta=beta, seed=seed)
+    except ReplicationFailureError:
+        return  # too many replications had no censoring time near t0
+    assert not np.isnan(summary.values).any()
+    assert not math.isnan(summary.mse) and not math.isnan(summary.mse_se)
+
+
 def fails_on(*replications):
     """A statistic that fails on the given replications (seed offsets)."""
 

@@ -6,6 +6,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from csmark import (
@@ -32,8 +34,11 @@ from csmark import (
     uniform_kernel,
     EstimatorConfig,
     Bandwidths,
+    product_kernel,
 )
-from csmark.bandwidth import _kernel_noise
+from csmark import bandwidth
+from csmark.bandwidth import _ENVELOPE_SAFETY, PilotModel, _kernel_noise
+from csmark.estimators import _density_bounds
 
 B = scenario_b()
 
@@ -141,6 +146,12 @@ def test_fit_pilot_degenerate_without_uncensored_mass():
         fit_pilot(s, 0.4, 0.4)
 
 
+def test_pilot_envelope_grid_needs_two_nodes():
+    pilot = fit_pilot(sample(B, 50, 14), 0.4, 0.4)
+    with pytest.raises(ValueError, match="two nodes"):
+        PilotModel(pilot.sample, pilot.config, envelope_grid=1)
+
+
 def test_pilot_draws_deterministic_and_in_box():
     s = sample(B, 100, 14)
     pilot = fit_pilot(s, 0.4, 0.4)
@@ -160,9 +171,179 @@ def test_pilot_draws_deterministic_and_in_box():
 
 def test_draw_xy_gives_up_when_nothing_is_accepted(monkeypatch):
     pilot = fit_pilot(sample(B, 100, 14), 0.4, 0.4)
+    # a density that is zero everywhere, in the squeeze's bounds as well
     monkeypatch.setattr(pilot, "density", lambda t, z: np.zeros(np.shape(t)))
+    zeros = np.zeros_like(pilot._cells[0])
+    monkeypatch.setattr(pilot, "_cells", (zeros, zeros))
     with pytest.raises(DegeneratePilotError, match="accepted 0 of"):
         pilot.draw_xy(np.random.default_rng(3), 10)
+
+
+def _exact_draw_xy(pilot, rng, size):
+    """``draw_xy`` without the squeeze: the density at every proposal.
+
+    Returns the draws and the number of local envelope refreshes.
+    """
+    envelope = pilot.envelope
+    xs, ys = [], []
+    got = refreshes = 0
+    while got < size:
+        batch = max(256, 2 * (size - got))
+        x = rng.uniform(0.0, 1.0, batch)
+        y = rng.uniform(0.0, 1.0, batch)
+        u = rng.random(batch)
+        dens = pilot.density(x, y)
+        peak = float(np.max(dens))
+        if peak > envelope:
+            envelope = _ENVELOPE_SAFETY * peak
+            refreshes += 1
+        keep = u * envelope <= dens
+        xs.append(x[keep])
+        ys.append(y[keep])
+        got += int(np.count_nonzero(keep))
+    return np.concatenate(xs)[:size], np.concatenate(ys)[:size], refreshes
+
+
+def test_envelope_is_the_exact_peak_from_a_few_nodes(monkeypatch):
+    s = sample(B, 100, 1)
+    evaluated = []
+    density = PilotModel.density
+
+    def counting(self, t, z):
+        evaluated.append(np.size(t))
+        return density(self, t, z)
+
+    with monkeypatch.context() as m:
+        m.setattr(PilotModel, "density", counting)
+        pilot = fit_pilot(s, 0.4, 0.4)
+    grid = np.linspace(0.0, 1.0, 200)
+    tt, zz = np.meshgrid(grid, grid, indexing="ij")
+    assert pilot.envelope == _ENVELOPE_SAFETY * pilot.density(tt.ravel(), zz.ravel()).max()
+    assert 1 <= sum(evaluated) <= 20
+
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+fractions = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@PROPERTY
+@given(
+    scenario=st.sampled_from([scenario_a(), B]),
+    n=st.integers(10, 150),
+    seed=st.integers(0, 10_000),
+    alpha=st.floats(0.03, 0.8),
+    beta=st.floats(0.03, 0.8),
+    g_floor=st.sampled_from([1e-8, 0.1, 0.6]),
+    t_cells=st.lists(st.tuples(st.floats(-0.3, 1.3), st.sampled_from([0.0]) | st.floats(0.0, 0.1)),
+                     min_size=1, max_size=4),
+    z_cells=st.lists(st.tuples(st.floats(-0.3, 1.3), st.sampled_from([0.0]) | st.floats(0.0, 0.1)),
+                     min_size=1, max_size=4),
+    frac=st.lists(st.tuples(fractions, fractions), min_size=1, max_size=6),
+)
+def test_density_bounds_hold_the_pilot_density(
+    scenario, n, seed, alpha, beta, g_floor, t_cells, z_cells, frac
+):
+    s = sample(scenario, n, seed)
+    epa = epanechnikov_kernel()
+    config = EstimatorConfig(
+        kernel_t=epa, bandwidths=Bandwidths(alpha, beta),
+        kernel_tz=product_kernel(epa), g_floor=g_floor,
+    )
+    try:
+        pilot = PilotModel(s, config, envelope_grid=20)
+    except DegeneratePilotError:
+        reject()
+    (t_lo, t_w), (z_lo, z_w) = (np.array(c).T for c in (t_cells, z_cells))
+    t_hi, z_hi = t_lo + t_w, z_lo + z_w
+    lower, upper = _density_bounds(s, config, t_lo, t_hi, z_lo, z_hi)
+    assert lower.shape == upper.shape == (t_lo.size, z_lo.size)
+    # every cell holds the corners, the edges' points and inner points
+    ft, fz = np.array(frac).T
+    ft, fz = np.concatenate((ft, [0.0, 1.0, 0.0, 1.0])), np.concatenate((fz, [0.0, 0.0, 1.0, 1.0]))
+    for i in range(t_lo.size):
+        t = np.clip(t_lo[i] + ft * t_w[i], t_lo[i], t_hi[i])
+        t = np.where(ft == 1.0, t_hi[i], t)
+        for j in range(z_lo.size):
+            z = np.clip(z_lo[j] + fz * z_w[j], z_lo[j], z_hi[j])
+            z = np.where(fz == 1.0, z_hi[j], z)
+            dens = pilot.density(t, z)
+            assert np.all(lower[i, j] <= dens), (i, j)
+            assert np.all(dens <= upper[i, j]), (i, j)
+
+
+def test_density_bounds_are_unbounded_for_other_kernels():
+    s = sample(B, 50, 3)
+    uni = uniform_kernel()
+    config = EstimatorConfig(
+        kernel_t=uni, bandwidths=Bandwidths(0.3, 0.3), kernel_tz=product_kernel(uni)
+    )
+    grid = np.linspace(0.0, 1.0, 5)
+    lower, upper = _density_bounds(s, config, grid, grid, grid, grid)
+    assert np.all(lower == 0.0) and np.all(upper == np.inf)
+
+
+def _scaled_fit(scale):
+    """fit_pilot with the envelope scaled, to force local refreshes."""
+    fit = bandwidth.fit_pilot
+
+    def scaled(sample_, alpha0, beta0):
+        pilot = fit(sample_, alpha0, beta0)
+        pilot.envelope *= scale
+        return pilot
+
+    return scaled
+
+
+def test_draw_xy_refreshes_as_the_exact_sampler_does():
+    pilot = _scaled_fit(0.3)(sample(B, 100, 14), 0.4, 0.4)
+    x, y = pilot.draw_xy(np.random.default_rng(5), 300)
+    ref_x, ref_y, refreshes = _exact_draw_xy(pilot, np.random.default_rng(5), 300)
+    assert refreshes > 0
+    np.testing.assert_array_equal(x, ref_x)
+    np.testing.assert_array_equal(y, ref_y)
+
+
+@PROPERTY
+@given(
+    scenario=st.sampled_from([scenario_a(), B]),
+    n=st.integers(20, 150),
+    seed=st.integers(0, 10_000),
+    alpha0=st.floats(0.15, 0.6),
+    beta0=st.floats(0.15, 0.6),
+    scale=st.sampled_from([1.0]) | st.floats(0.2, 1.0),
+    size=st.integers(1, 400),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+def test_squeezed_draws_equal_the_exact_sampler(
+    scenario, n, seed, alpha0, beta0, scale, size, draw_seed
+):
+    s = sample(scenario, n, seed)
+    try:
+        pilot = _scaled_fit(scale)(s, alpha0, beta0)
+    except DegeneratePilotError:
+        reject()
+    x, y = pilot.draw_xy(np.random.default_rng(draw_seed), size)
+    ref_x, ref_y, _ = _exact_draw_xy(pilot, np.random.default_rng(draw_seed), size)
+    assert x.tobytes() == ref_x.tobytes() and y.tobytes() == ref_y.tobytes()
+
+    plan = small_plan(
+        alpha0=alpha0, beta0=beta0, replications=2,
+        alpha_grid=(0.2, 0.4), beta_grid=(0.3,), seed=draw_seed,
+    )
+    tables = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bandwidth, "fit_pilot", _scaled_fit(scale))
+        tables.append(bootstrap_mse(s, plan))
+        m.setattr(PilotModel, "draw_xy", lambda self, rng, k: _exact_draw_xy(self, rng, k)[:2])
+        tables.append(bootstrap_mse(s, plan))
+    csv = []
+    for table in tables:
+        buf = io.StringIO()
+        table.to_csv(buf)
+        csv.append(buf.getvalue())
+    assert csv[0] == csv[1]
+    assert tables[0].target == tables[1].target
 
 
 def test_pilot_resamples_match_observed_censoring_rate():

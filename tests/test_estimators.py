@@ -314,6 +314,31 @@ def test_points_with_nan_or_infinite_time_are_rejected(t0, z0):
         evaluate_grid(s, config, np.array([0.5, t0]), np.array([0.5, z0]))
 
 
+@pytest.mark.parametrize("estimator", [g_hat, g_hat_prime, h0_hat])
+@pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf])
+def test_time_smoothers_reject_nan_or_infinite_times(estimator, t0):
+    s = sample(scenario_b(), 200, 1)
+    with pytest.raises(SupportError):
+        estimator(s, epa_config(0.2, 0.1), t0)
+
+
+@pytest.mark.parametrize(
+    "t0, z0", [(np.nan, 0.5), (0.5, np.nan), (np.inf, 0.5), (-np.inf, 0.5)]
+)
+def test_f1_counting_rejects_bad_points(t0, z0):
+    s = sample(scenario_b(), 200, 1)
+    with pytest.raises(SupportError):
+        f1_counting(s, uniform_config(0.2), t0, z0)
+
+
+def test_f1_counting_keeps_the_limits_in_the_mark():
+    s = sample(scenario_b(), 200, 1)
+    config = uniform_config(0.2)
+    top = float(s.z.max())
+    assert f1_counting(s, config, 0.5, np.inf) == f1_counting(s, config, 0.5, top) > 0.0
+    assert f1_counting(s, config, 0.5, -np.inf) == 0.0
+
+
 def test_infinite_marks_give_the_limits():
     s = sample(scenario_b(), 200, 1)
     config = epa_config(0.2, 0.1)

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from csmark import (
@@ -22,6 +24,12 @@ from csmark import (
     second_moment,
     uniform_kernel,
     validate_conditions,
+)
+from csmark.kernels import (
+    _epanechnikov_deriv,
+    _epanechnikov_deriv_bounds,
+    _epanechnikov_pdf,
+    _epanechnikov_pdf_bounds,
 )
 
 
@@ -251,3 +259,21 @@ def test_epanechnikov_antiderivative_agrees_with_the_pow_form():
     c = np.clip(u, -1.0, 1.0)
     pow_form = 0.25 * (2.0 + 3.0 * c - c**3)
     assert np.max(np.abs(epanechnikov_kernel().cdf(u) - pow_form)) <= 2.3e-16
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    a=st.floats(-1.6, 1.6),
+    width=st.sampled_from([0.0]) | st.floats(0.0, 1.0),
+)
+def test_epanechnikov_interval_bounds_hold_and_are_attained(a, width):
+    b = a + width
+    # the ends, the kinks and peak where inside, and points between
+    u = np.concatenate(([a, b], np.clip([-1.0, 0.0, 1.0], a, b), np.linspace(a, b, 41)))
+    for f, bounds in (
+        (_epanechnikov_pdf, _epanechnikov_pdf_bounds),
+        (_epanechnikov_deriv, _epanechnikov_deriv_bounds),
+    ):
+        lo, hi = bounds(np.array([a]), np.array([b]))
+        values = f(u)
+        assert values.min() == lo[0] and values.max() == hi[0]
