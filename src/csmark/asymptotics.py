@@ -48,11 +48,9 @@ from .errors import (
 from .estimators import EstimatorConfig, f1, f2
 from .kernels import (
     Bandwidths,
-    BivariateKernel,
     UnivariateKernel,
     epanechnikov_kernel,
     l2_norm_sq,
-    product_kernel,
     second_moment,
 )
 from .scenarios import Sample, Scenario, sample
@@ -176,18 +174,21 @@ def mu2(
     scenario: Scenario,
     point: tuple[float, float],
     schedule: BandwidthSchedule,
-    kernel_tz: BivariateKernel,
+    kernel: UnivariateKernel,
 ) -> float:
     """Limiting mean of the doubly-smoothed estimator under a schedule.
 
-    Equals ``mu1`` whenever the mark bandwidth decays strictly faster than
-    ``n^{-1/5}``; at the critical exponent (1/5, to within 1e-9) it gains
-    ``(c2^2 / 2) m2(kz) d22 F0``; slower decay makes the standardized bias
-    diverge and raises :class:`BandwidthRegimeError`.
+    ``kernel`` is the time kernel.  The result equals ``mu1`` whenever the
+    mark bandwidth decays strictly faster than ``n^{-1/5}``; at the critical
+    exponent (1/5, to within 1e-9) it gains ``(c2^2 / 2) m2(k) d22 F0``;
+    slower decay makes the standardized bias diverge and raises
+    :class:`BandwidthRegimeError`.  The mark kernel does not enter: the
+    moment condition of :func:`~csmark.kernels.validate_conditions` makes
+    its second moment that of the time kernel.
     """
     if schedule.beta_exponent is None:
         raise InvalidBandwidthError("schedule carries no mark bandwidth")
-    base = mu1_sigma2(scenario, point, schedule.c1, kernel_tz.factor_t)
+    base = mu1_sigma2(scenario, point, schedule.c1, kernel)
     # an exponent written as, say, 0.3 - 0.1 misses 1/5 by an ulp
     critical = math.isclose(schedule.beta_exponent, 0.2, abs_tol=1e-9)
     if not critical and schedule.beta_exponent < 0.2:
@@ -197,12 +198,10 @@ def mu2(
         )
     if critical:
         t0, z0 = point
-        # the product kernel's second moment is taken in the first
-        # coordinate; the moment condition makes the two coordinates agree
         extra = (
             0.5
             * schedule.c2**2
-            * second_moment(kernel_tz)
+            * second_moment(kernel)
             * float(scenario.d22(t0, z0))
         )
         return base.mu1 + extra
@@ -301,11 +300,7 @@ def _resolve_config(
     if estimator not in ("F1", "F2"):
         raise ValueError(f"estimator must be 'F1' or 'F2', got {estimator!r}")
     kt = kernel_t if kernel_t is not None else epanechnikov_kernel()
-    return EstimatorConfig(
-        kernel_t=kt,
-        bandwidths=Bandwidths(alpha, beta),
-        kernel_tz=product_kernel(kt) if estimator == "F2" else None,
-    )
+    return EstimatorConfig(kernel_t=kt, bandwidths=Bandwidths(alpha, beta))
 
 
 def mc_normality(
@@ -333,8 +328,8 @@ def mc_normality(
 
     Bandwidths come either from ``alpha``/``beta`` directly or from a
     ``schedule`` evaluated at ``n`` (exactly one of the two forms must be
-    used).  The time kernel defaults to Epanechnikov, its product kernel
-    smooths F2's marks.  More than 1% failed replications raise
+    used).  The time kernel defaults to Epanechnikov and smooths F2's marks
+    too.  More than 1% failed replications raise
     :class:`ReplicationFailureError`.
     Threads (``workers``, capped at the usable CPUs) share replications
     only when ``n >= 20_000``; results do not depend on ``workers``.
@@ -359,7 +354,7 @@ def mc_normality(
     params = mu1_sigma2(scenario, point, c, kt)
     mu = params.mu1
     if estimator == "F2" and schedule is not None and schedule.beta_exponent is not None:
-        mu = mu2(scenario, point, schedule, product_kernel(kt))
+        mu = mu2(scenario, point, schedule, kt)
     sigma = math.sqrt(params.sigma2)
     ks = float(stats.kstest(values, "norm", args=(mu, sigma)).statistic)
     return replace(
@@ -387,7 +382,7 @@ def mc_mse(
     average of ``(estimate - F0(point))^2`` over successful replications
     and ``mse_se`` its sampling standard error.  ``values`` holds the raw
     (unstandardized) errors for inspection.  The time kernel defaults to
-    Epanechnikov, its product kernel smooths F2's marks.
+    Epanechnikov and smooths F2's marks too.
     Threads (``workers``, capped at the usable CPUs) share replications
     only when ``n >= 20_000``; results do not depend on ``workers``.
     """
@@ -439,11 +434,19 @@ def equivalence_curve(
     envelope ``envelope_constant * n^{-1/6}``; when the mark bandwidth
     shrinks faster than ``n^{-1/5}`` the differences should sit inside the
     envelope for most sizes.  Both estimators use the Epanechnikov kernel,
-    F2 its product kernel.
+    F2 in time and mark.  An empty ``n_grid``, a size below 1 and an
+    ``envelope_constant`` that is not finite and positive raise
+    ``ValueError`` before any sample is drawn.
     """
     if schedule.beta_exponent is None:
         raise InvalidBandwidthError("the schedule must include a mark bandwidth")
     n_grid = np.asarray(n_grid, dtype=int)
+    if n_grid.size == 0 or n_grid.min() < 1:
+        raise ValueError(f"n_grid must hold sizes of at least 1, got {n_grid.tolist()}")
+    if not (math.isfinite(envelope_constant) and envelope_constant > 0.0):
+        raise ValueError(
+            f"envelope_constant must be finite and positive, got {envelope_constant!r}"
+        )
     t0, z0 = point
     diffs = np.empty(n_grid.size)
     envelopes = envelope_constant * n_grid.astype(float) ** (-1.0 / 6.0)
@@ -471,7 +474,7 @@ def difference_sample(
 
     At the critical mark-bandwidth exponent 1/5 the mean difference tends
     to ``mu2 - mu1``; the summary's ``mu`` records that reference value.
-    Both estimators use the Epanechnikov kernel, F2 its product kernel.
+    Both estimators use the Epanechnikov kernel, F2 in time and mark.
     Threads (``workers``, capped at the usable CPUs) share replications
     only when ``n >= 20_000``; results do not depend on ``workers``.
     """
@@ -486,7 +489,7 @@ def difference_sample(
         lambda s: rate * (f2(s, config, t0, z0) - f1(s, config, t0, z0)), workers,
     )
     base = mu1_sigma2(scenario, point, schedule.c1, config.kernel_t)
-    shift = mu2(scenario, point, schedule, config.kernel_tz) - base.mu1
+    shift = mu2(scenario, point, schedule, config.kernel_t) - base.mu1
     return MonteCarloSummary(
         values=values, replicates=replicates, failures=failures, n=n, mu=shift
     )

@@ -31,6 +31,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,7 +58,6 @@ from .kernels import (
     KernelFamily,
     UnivariateKernel,
     epanechnikov_kernel,
-    product_kernel,
 )
 from .scenarios import Sample, _current_status, _write_csv
 
@@ -85,9 +85,14 @@ _MAX_DRAW_ROUNDS = 1000
 
 
 def pilot_bandwidth(n: int, reference: float | None = None) -> float:
-    """Default pilot bandwidth ``0.4 * (100 / n)^{1/5}``."""
+    """Default pilot bandwidth ``0.4 * (100 / n)^{1/5}``; ``reference``
+    replaces the 0.4 and must be finite and positive."""
     ref, n_ref = _PILOT_REFERENCE
     if reference is not None:
+        if not (math.isfinite(reference) and reference > 0.0):
+            raise InvalidBandwidthError(
+                f"reference bandwidth must be finite and positive, got {reference!r}"
+            )
         ref = reference
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n}")
@@ -115,8 +120,10 @@ class BootstrapPlan:
     def __post_init__(self) -> None:
         if not all(math.isfinite(v) and v > 0.0 for v in (self.alpha0, self.beta0)):
             raise InvalidBandwidthError("pilot bandwidths must be finite and positive")
-        if self.replications < 1:
-            raise InvalidBandwidthError("need at least one bootstrap replication")
+        if not isinstance(self.replications, numbers.Integral) or self.replications < 1:
+            raise InvalidBandwidthError(
+                f"replications must be a positive integer, got {self.replications!r}"
+            )
         for label, grid in (("alpha", self.alpha_grid), ("beta", self.beta_grid)):
             if len(grid) == 0:
                 raise InvalidBandwidthError(f"{label}_grid must be nonempty")
@@ -266,12 +273,11 @@ def _kernel_noise(
 def fit_pilot(sample_: Sample, alpha0: float, beta0: float) -> PilotModel:
     """Fit the smooth pilot model at the pilot bandwidths.
 
-    The pilot smooths with the Epanechnikov kernel and its product kernel:
-    its density needs the kernel's derivative.
+    The pilot smooths time and mark with the Epanechnikov kernel: its
+    density needs the kernel's derivative.
     """
-    kt = epanechnikov_kernel()
     config = EstimatorConfig(
-        kernel_t=kt, bandwidths=Bandwidths(alpha0, beta0), kernel_tz=product_kernel(kt)
+        kernel_t=epanechnikov_kernel(), bandwidths=Bandwidths(alpha0, beta0)
     )
     return PilotModel(sample_, config)
 

@@ -31,7 +31,7 @@ from .asymptotics import mc_mse, mc_normality, true_mean_event_time
 from .bandwidth import BootstrapPlan, bootstrap_mse, select
 from .errors import CsmarkError
 from .estimators import EstimatorConfig, evaluate_grid, write_grid_csv
-from .kernels import Bandwidths, epanechnikov_kernel, product_kernel, uniform_kernel
+from .kernels import Bandwidths, epanechnikov_kernel, uniform_kernel
 from .scenarios import _write_csv, sample, scenario_a, scenario_b
 
 __all__ = ["main"]
@@ -261,8 +261,7 @@ def _simulate(run: _Run, scenario, n) -> None:
           replace(_KERNEL, name="kernel_z", default=None))
 def _estimate_grid(run: _Run, scenario, n, alpha, beta, t_grid, z_grid, kernel,
                    kernel_z) -> None:
-    tz = None if beta is None else product_kernel(kernel, kernel_z or kernel)
-    config = EstimatorConfig(kernel, Bandwidths(alpha, beta), kernel_tz=tz)
+    config = EstimatorConfig(kernel, Bandwidths(alpha, beta), kernel_z)
     s = sample(scenario, n, run.seed)
     rows = evaluate_grid(s, config, np.array(t_grid), np.array(z_grid))
     write_grid_csv(rows, run.path("grid.csv"))

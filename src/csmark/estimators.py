@@ -12,12 +12,14 @@ smoothing and taking the ratio.  Two variants are implemented:
 
 * ``f1`` smooths in the time direction only -- the numerator is a kernel
   average of ``1{z_i <= z0} delta_i``;
-* ``f2`` smooths in both directions -- the mark indicator is replaced by its
-  kernel smoothing, i.e. each uncensored observation contributes
-  ``K2((z0 - z_i) / beta)`` where ``K2`` is the antiderivative of the mark
-  factor.  Integrating out the mark recovers the time-only smoother exactly,
-  which keeps the marginal identity ``1 - f2(t0, z_max + beta) = h0/g`` an
-  algebraic fact rather than an approximation.
+* ``f2`` smooths in both directions with the product of the time kernel and
+  a mark kernel -- the mark indicator is replaced by its kernel smoothing,
+  i.e. each uncensored observation contributes ``K2((z0 - z_i) / beta)``
+  where ``K2`` is the antiderivative of the mark kernel.  The product's time
+  factor is the time kernel itself, so integrating out the mark recovers the
+  time-only smoother exactly, which keeps the marginal identity
+  ``1 - f2(t0, z_max + beta) = h0/g`` an algebraic fact rather than an
+  approximation.
 
 The bivariate density estimate differentiates the same ratio:
 
@@ -58,7 +60,6 @@ from .errors import (
 # importable from this module, where perfbench/tracing.py wraps them
 from .kernels import (  # noqa: F401
     Bandwidths,
-    BivariateKernel,
     KernelFamily,
     UnivariateKernel,
     _check_bandwidth,
@@ -96,40 +97,21 @@ _CHUNK_BUDGET = 250_000
 class EstimatorConfig:
     """Kernels, bandwidths and the denominator floor for one estimation run.
 
-    ``kernel_t`` smooths censoring times; ``kernel_tz`` (a product kernel)
-    is required by the doubly-smoothed estimators and must have a time
-    factor identical to ``kernel_t``.  ``g_floor`` is the positive floor
+    ``kernel_t`` smooths censoring times.  ``kernel_z`` smooths marks in the
+    doubly-smoothed estimators, whose product kernel is ``kernel_t(x)
+    kernel_z(y)``; None means ``kernel_t``.  Those estimators also need the
+    mark bandwidth ``bandwidths.beta``.  ``g_floor`` is the positive floor
     under the estimated censoring density below which ratios are refused.
     """
 
     kernel_t: UnivariateKernel = field(default_factory=epanechnikov_kernel)
     bandwidths: Bandwidths = field(default_factory=lambda: Bandwidths(0.1))
-    kernel_tz: BivariateKernel | None = None
+    kernel_z: UnivariateKernel | None = None
     g_floor: float = DEFAULT_G_FLOOR
 
     def __post_init__(self) -> None:
         if self.g_floor <= 0.0 or not np.isfinite(self.g_floor):
             raise ValueError(f"g_floor must be positive, got {self.g_floor!r}")
-
-
-def _require_mark_kernel(config: EstimatorConfig) -> BivariateKernel:
-    """Return the product kernel, checking it matches the time kernel."""
-    k2 = config.kernel_tz
-    if k2 is None:
-        raise KernelAssumptionError(
-            "doubly-smoothed estimation needs a bivariate kernel (kernel_tz)"
-        )
-    a, b = config.kernel_t, k2.factor_t
-    if a is b:
-        return k2
-    if a.family is b.family and a.family is not KernelFamily.CUSTOM:
-        return k2
-    probe = np.linspace(-1.25, 1.25, 101)
-    if float(np.max(np.abs(a.pdf(probe) - b.pdf(probe)))) > 1e-12:
-        raise KernelAssumptionError(
-            "time factor of the bivariate kernel must equal kernel_t"
-        )
-    return k2
 
 
 def _segment_sums(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -203,7 +185,7 @@ def _kernel_sums(sample, config, t, z, alpha, beta, terms) -> list[np.ndarray]:
     kt = config.kernel_t
     kz = None
     if {"f2", "h", "dh"}.intersection(terms):
-        kz = _require_mark_kernel(config).factor_z
+        kz = config.kernel_z or kt
         if beta is None:
             raise InvalidBandwidthError(
                 "doubly-smoothed estimation needs a mark bandwidth (beta)"
@@ -385,10 +367,10 @@ def _density_bounds(sample, config, t_lo, t_hi, z_lo, z_hi):
     so g_hat there is at least the floor.
 
     Cells that are not stable, or whose bounds overflow, get ``[0, inf]``;
-    so does every cell when either kernel factor is not Epanechnikov or
-    there is no mark bandwidth.
+    so does every cell when either kernel is not Epanechnikov or there is
+    no mark bandwidth.
     """
-    kz = _require_mark_kernel(config).factor_z
+    kz = config.kernel_z or config.kernel_t
     alpha, beta = config.bandwidths.alpha, config.bandwidths.beta
     shape = (t_lo.size, z_lo.size)
     epanechnikov = KernelFamily.EPANECHNIKOV
@@ -537,7 +519,7 @@ def f2(sample: Sample, config: EstimatorConfig, t0: float, z0: float) -> float:
 
     Each uncensored observation contributes the smoothed mark indicator
     ``K2((z0 - z_i) / beta)`` times ``k_alpha(t0 - t_i)``, where ``K2`` is
-    the antiderivative of the mark kernel factor; ``K2`` runs from 0 to 1,
+    the antiderivative of the mark kernel; ``K2`` runs from 0 to 1,
     so the value stays in [0, 1] and increases in ``z0``.  At
     ``z0 >= max mark + beta`` every smoothed indicator equals one and the
     estimator reduces exactly to the uncensored mass over ``g_hat``.
@@ -578,16 +560,17 @@ def evaluate_grid(
 
     The singly-smoothed estimate is always computed.  The doubly-smoothed
     estimate and the density require a mark bandwidth and (for the density)
-    differentiable kernels; when those prerequisites are missing the
-    corresponding columns are left as None rather than failing the whole
-    grid.  Points whose denominator is unstable get None everywhere.
+    time and mark kernels with derivatives; when those prerequisites are
+    missing the corresponding columns are left as None rather than failing
+    the whole grid.  Points whose denominator is unstable get None everywhere.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     z_grid = np.atleast_1d(np.asarray(z_grid, dtype=float))
     kinds: tuple[str, ...] = ("F1",)
-    if config.kernel_tz is not None and config.bandwidths.beta is not None:
+    if config.bandwidths.beta is not None:
         kinds += ("F2",)
-        if config.kernel_t.deriv is not None and config.kernel_tz.factor_z.deriv is not None:
+        kz = config.kernel_z or config.kernel_t
+        if config.kernel_t.deriv is not None and kz.deriv is not None:
             kinds += ("density",)
     t = np.repeat(t_grid, z_grid.size)
     z = np.tile(z_grid, t_grid.size)

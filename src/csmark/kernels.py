@@ -5,12 +5,13 @@ Conventions
 A univariate kernel k is a probability density supported on [-1, 1].  The
 estimators use three derived quantities: the rescaled kernel
 ``k_h(u) = k(u / h) / h``, the second moment ``m2 = int u^2 k(u) du`` and the
-squared L2 norm ``int k(u)^2 du``.  Bivariate smoothing uses a product kernel
-``K(x, y) = k(x) * kz(y)`` whose two factors may differ, subject to the
-conditions checked by :func:`validate_conditions`:
+squared L2 norm ``int k(u)^2 du``.  Bivariate smoothing uses the product
+``K(x, y) = k(x) * kz(y)`` of the time kernel ``k`` and a mark kernel
+``kz``, which may differ from it, subject to the conditions checked by
+:func:`validate_conditions`:
 
-* marginal consistency -- integrating the product kernel over its second
-  argument must recover the univariate kernel used for the time direction;
+* marginal consistency -- integrating the product over its second argument
+  must recover the time kernel;
 * each factor has compact support [-1, 1] and is symmetric (continuity is
   assumed, not checked numerically);
 * both first moments vanish and the two second moments agree.
@@ -36,13 +37,11 @@ from .errors import InvalidBandwidthError, KernelAssumptionError
 __all__ = [
     "KernelFamily",
     "UnivariateKernel",
-    "BivariateKernel",
     "Bandwidths",
     "KernelValidationReport",
     "uniform_kernel",
     "epanechnikov_kernel",
     "custom_kernel",
-    "product_kernel",
     "eval_rescaled",
     "eval_rescaled_cdf",
     "second_moment",
@@ -88,24 +87,6 @@ class UnivariateKernel:
 
     def __repr__(self) -> str:  # keep reprs short; callables are noise
         return f"UnivariateKernel({self.name})"
-
-
-@dataclass(frozen=True, eq=False)
-class BivariateKernel:
-    """Product kernel ``K(x, y) = factor_t.pdf(x) * factor_z.pdf(y)``."""
-
-    factor_t: UnivariateKernel
-    factor_z: UnivariateKernel
-
-    @property
-    def name(self) -> str:
-        return f"{self.factor_t.name} x {self.factor_z.name}"
-
-    def pdf(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.factor_t.pdf(x) * self.factor_z.pdf(y)
-
-    def __repr__(self) -> str:
-        return f"BivariateKernel({self.name})"
 
 
 @dataclass(frozen=True)
@@ -223,21 +204,12 @@ def custom_kernel(
     """Wrap user-supplied callables as a kernel.
 
     The callables must be vectorized over numpy arrays.  No validation is
-    performed here; run :func:`validate_conditions` on a product kernel built
-    from the result to check the standing assumptions.
+    performed here; run :func:`validate_conditions` on the result to check
+    the standing assumptions.
     """
     return UnivariateKernel(
         family=KernelFamily.CUSTOM, name=name, pdf=pdf, cdf=cdf, deriv=deriv
     )
-
-
-def product_kernel(
-    factor_t: UnivariateKernel, factor_z: UnivariateKernel | None = None
-) -> BivariateKernel:
-    """Build ``K(x, y) = factor_t(x) * factor_z(y)``; default is a square."""
-    if factor_z is None:
-        factor_z = factor_t
-    return BivariateKernel(factor_t=factor_t, factor_z=factor_z)
 
 
 def _check_bandwidth(bandwidth) -> None:
@@ -292,39 +264,36 @@ def _l2_cached(kernel: UnivariateKernel) -> float:
     return val
 
 
-def second_moment(kernel: UnivariateKernel | BivariateKernel) -> float:
-    """``int u^2 k(u) du`` (first factor for a product kernel).
+def second_moment(kernel: UnivariateKernel) -> float:
+    """``int u^2 k(u) du``.
 
     Computed by adaptive quadrature over [-1, 1] and cached per kernel
     object.  For the built-in families this agrees with the closed forms
     1/3 (Uniform) and 1/5 (Epanechnikov) to quadrature accuracy.
     """
-    if isinstance(kernel, BivariateKernel):
-        kernel = kernel.factor_t
     return _moment_cached(kernel, 2)
 
 
-def l2_norm_sq(kernel: UnivariateKernel | BivariateKernel) -> float:
-    """``int k(u)^2 du`` (first factor for a product kernel).
+def l2_norm_sq(kernel: UnivariateKernel) -> float:
+    """``int k(u)^2 du``.
 
     Closed forms for the built-ins are 1/2 (Uniform) and 3/5
     (Epanechnikov).
     """
-    if isinstance(kernel, BivariateKernel):
-        kernel = kernel.factor_t
     return _l2_cached(kernel)
 
 
 @dataclass(frozen=True)
 class KernelValidationReport:
-    """Outcome of :func:`validate_conditions` for one product kernel.
+    """Outcome of :func:`validate_conditions` for one kernel pair.
 
     ``marginal_ok`` -- integrating out the second argument recovers the
     time-direction kernel.  ``shape_ok`` -- the time factor has unit mass,
     compact support and is symmetric.  ``moments_ok`` -- both first moments
     vanish, the second moments of the two coordinates agree, and the mark
     factor is a symmetric compactly supported density as well.  Residuals
-    are the largest absolute violations found for each group.
+    are the largest absolute violations found for each group;
+    ``kernel_name`` reads ``"<time> x <mark>"``.
     """
 
     kernel_name: str
@@ -363,14 +332,19 @@ def _shape_residual(k: UnivariateKernel) -> float:
 
 
 def validate_conditions(
-    kernel: BivariateKernel, tol: float = _VALIDATION_TOL
+    kernel_t: UnivariateKernel,
+    kernel_z: UnivariateKernel | None = None,
+    tol: float = _VALIDATION_TOL,
 ) -> KernelValidationReport:
-    """Check a product kernel against the standing smoothing assumptions.
+    """Check the product of two kernels against the standing assumptions.
 
     Parameters
     ----------
-    kernel : BivariateKernel
-        The product kernel to examine.
+    kernel_t : UnivariateKernel
+        The time kernel.
+    kernel_z : UnivariateKernel or None
+        The mark kernel; None means ``kernel_t``, as in
+        :class:`~csmark.estimators.EstimatorConfig`.
     tol : float
         Largest residual accepted as a pass.
 
@@ -384,7 +358,7 @@ def validate_conditions(
     evaluations and is taken on trust; the Uniform factor therefore
     passes the shape check despite its jumps at the edges.
     """
-    kt, kz = kernel.factor_t, kernel.factor_z
+    kt, kz = kernel_t, kernel_z or kernel_t
 
     mass_t = _moment_cached(kt, 0)
     mass_z = _moment_cached(kz, 0)
@@ -410,7 +384,7 @@ def validate_conditions(
     )
 
     return KernelValidationReport(
-        kernel_name=kernel.name,
+        kernel_name=f"{kt.name} x {kz.name}",
         marginal_ok=marginal_residual <= tol,
         shape_ok=shape_residual <= tol,
         moments_ok=moments_residual <= tol,
@@ -421,9 +395,13 @@ def validate_conditions(
     )
 
 
-def require_valid(kernel: BivariateKernel, tol: float = _VALIDATION_TOL) -> None:
+def require_valid(
+    kernel_t: UnivariateKernel,
+    kernel_z: UnivariateKernel | None = None,
+    tol: float = _VALIDATION_TOL,
+) -> None:
     """Raise :class:`KernelAssumptionError` unless all conditions hold."""
-    report = validate_conditions(kernel, tol)
+    report = validate_conditions(kernel_t, kernel_z, tol)
     if not report.all_ok:
         raise KernelAssumptionError(
             f"kernel {report.kernel_name!r} fails: {', '.join(report.failures())}"

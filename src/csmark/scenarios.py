@@ -152,6 +152,11 @@ class Sample:
 
     @classmethod
     def from_csv(cls, path: str | Path | io.TextIOBase) -> "Sample":
+        """Read ``t,z,delta`` rows as :meth:`to_csv` writes them.
+
+        A row without exactly three fields raises ``ValueError`` naming its
+        line.
+        """
         if isinstance(path, io.TextIOBase):
             return cls._read(path)
         with open(path, newline="") as fh:
@@ -167,6 +172,10 @@ class Sample:
         for row in reader:
             if not row:
                 continue
+            if len(row) != 3:
+                raise ValueError(
+                    f"line {reader.line_num}: expected 3 fields t,z,delta, got {len(row)}"
+                )
             t.append(float(row[0]))
             z.append(float(row[1]))
             d.append(int(row[2]))

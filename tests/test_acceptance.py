@@ -35,7 +35,6 @@ from csmark import (
     mc_normality,
     mu1_sigma2,
     mu2,
-    product_kernel,
     sample,
     scenario_b,
     second_moment,
@@ -191,11 +190,7 @@ def test_06_identities():
     for i in range(20):
         s = sample(B, 300, 6000 + i)
         beta = 0.15
-        cfg = EstimatorConfig(
-            kernel_t=epa,
-            bandwidths=Bandwidths(0.2, beta),
-            kernel_tz=product_kernel(epa),
-        )
+        cfg = EstimatorConfig(kernel_t=epa, bandwidths=Bandwidths(0.2, beta))
         t0 = 0.3 + 0.4 * (i / 19.0)
         z_hi = float(s.z.max()) + beta
         weights = eval_rescaled(epa, 0.2, t0 - s.t)
@@ -205,7 +200,7 @@ def test_06_identities():
     # a fast mark bandwidth adds no bias term
     base = mu1_sigma2(B, POINT_MID, 0.5, epa).mu1
     worst_mu = max(
-        abs(mu2(B, POINT_MID, BandwidthSchedule(0.5, 0.5, e), product_kernel(epa)) - base)
+        abs(mu2(B, POINT_MID, BandwidthSchedule(0.5, 0.5, e), epa) - base)
         for e in (0.25, 1.0 / 3.0, 0.5)
     )
     ok = worst_counting <= 1e-12 and worst_tail <= 1e-12 and worst_mu <= 1e-12
@@ -243,11 +238,7 @@ def test_08_density_positivity():
     alpha = float(n) ** (-1.0 / 6.0)
     beta = float(n) ** (-1.0 / 5.0)
     epa = epanechnikov_kernel()
-    cfg = EstimatorConfig(
-        kernel_t=epa,
-        bandwidths=Bandwidths(alpha, beta),
-        kernel_tz=product_kernel(epa),
-    )
+    cfg = EstimatorConfig(kernel_t=epa, bandwidths=Bandwidths(alpha, beta))
     grid = np.round(np.arange(0.2, 0.81, 0.1), 1)
     positive_runs = 0
     worst_min = math.inf
@@ -284,9 +275,9 @@ def test_09_kernel_constants_and_validation():
         pdf=lambda u: epa.pdf(np.asarray(u, dtype=float) - 0.2),
         cdf=lambda u: epa.cdf(np.asarray(u, dtype=float) - 0.2),
     )
-    clean = validate_conditions(product_kernel(epa))
-    mismatched = validate_conditions(product_kernel(uniform_kernel(), epa))
-    asymmetric = validate_conditions(product_kernel(shifted, epa))
+    clean = validate_conditions(epa)
+    mismatched = validate_conditions(uniform_kernel(), epa)
+    asymmetric = validate_conditions(shifted, epa)
     ok_menu = (
         clean.all_ok
         and mismatched.failures() == ["moments"]

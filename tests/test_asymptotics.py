@@ -38,14 +38,16 @@ from csmark import (
     mean_functional_detail,
     mu1_sigma2,
     mu2,
-    product_kernel,
     qq_points,
+    require_valid,
     sample,
     scenario_a,
     scenario_b,
     true_mean_event_time,
     uniform_kernel,
+    validate_conditions,
 )
+import csmark
 from csmark import asymptotics
 from csmark.asymptotics import _replicate
 
@@ -103,28 +105,31 @@ def test_mu1_domain_errors():
 
 
 def test_mu2_regimes():
-    ktz = product_kernel(EPA)
     point = (0.5, 0.5)
     critical = BandwidthSchedule(c1=0.5, c2=0.5, beta_exponent=0.2)
     base = mu1_sigma2(B, point, 0.5, EPA).mu1
     # increment = c2^2/2 * m2 * d22 F0 = 0.125 * 0.2 * 0.5
-    assert mu2(B, point, critical, ktz) - base == pytest.approx(0.0125, abs=1e-10)
+    assert mu2(B, point, critical, EPA) - base == pytest.approx(0.0125, abs=1e-10)
+    # the increment takes the time kernel's m2: 1/3 for the uniform kernel
+    uni = uniform_kernel()
+    increment = mu2(B, point, critical, uni) - mu1_sigma2(B, point, 0.5, uni).mu1
+    assert increment == pytest.approx(0.125 / 6.0, abs=1e-10)
     # 0.3 - 0.1 is 0.19999999999999998, one ulp below 1/5
     rounded = BandwidthSchedule(c1=0.5, c2=0.5, beta_exponent=0.3 - 0.1)
-    assert mu2(B, point, rounded, ktz) == mu2(B, point, critical, ktz)
+    assert mu2(B, point, rounded, EPA) == mu2(B, point, critical, EPA)
 
     for exponent in (1.0 / 3.0, 0.2 + 1e-3):
         fast = BandwidthSchedule(c1=0.5, c2=0.5, beta_exponent=exponent)
-        assert mu2(B, point, fast, ktz) == base
+        assert mu2(B, point, fast, EPA) == base
 
     for exponent in (0.1, 0.2 - 1e-3):
         slow = BandwidthSchedule(c1=0.5, c2=0.5, beta_exponent=exponent)
         with pytest.raises(BandwidthRegimeError):
-            mu2(B, point, slow, ktz)
+            mu2(B, point, slow, EPA)
 
     no_mark = BandwidthSchedule(c1=0.5)
     with pytest.raises(InvalidBandwidthError):
-        mu2(B, point, no_mark, ktz)
+        mu2(B, point, no_mark, EPA)
 
 
 def test_bandwidth_schedule_values_and_validation():
@@ -192,7 +197,7 @@ def test_mc_normality_scales_the_mc_mse_errors():
     assert summary.values.tobytes() == (400.0**0.4 * errors.values).tobytes()
     assert summary.replicates.tolist() == errors.replicates.tolist()
     assert (summary.mse, summary.mse_se) == (errors.mse, errors.mse_se)
-    assert summary.mu == mu2(B, (0.5, 0.5), schedule, product_kernel(EPA))
+    assert summary.mu == mu2(B, (0.5, 0.5), schedule, EPA)
 
 
 def test_driver_and_bootstrap_parameters_are_pinned():
@@ -208,9 +213,15 @@ def test_driver_and_bootstrap_parameters_are_pinned():
         bootstrap_mse: "sample_ plan true_value",
         fit_pilot: "sample_ alpha0 beta0",
         PilotModel: "sample_ config envelope_grid",
+        EstimatorConfig: "kernel_t bandwidths kernel_z g_floor",
+        mu2: "scenario point schedule kernel",
+        validate_conditions: "kernel_t kernel_z tol",
+        require_valid: "kernel_t kernel_z tol",
     }
     for fn, names in expected.items():
         assert list(inspect.signature(fn).parameters) == names.split(), fn.__name__
+    # the mark kernel is EstimatorConfig.kernel_z, not a product-kernel type
+    assert not {"product_kernel", "BivariateKernel"} & set(csmark.__all__)
 
 
 def test_mc_normality_moments_track_the_limit():
@@ -385,8 +396,29 @@ def test_equivalence_curve_shape_and_envelope():
     assert np.all(np.isfinite(curve.diffs))
     assert 0.0 <= curve.fraction_inside() <= 1.0
 
-    with pytest.raises(InvalidBandwidthError):
-        equivalence_curve(B, (0.5, 0.5), ns, BandwidthSchedule(c1=0.7), seed=3)
+
+@pytest.mark.parametrize("n_grid,c,envelope_constant,error", [
+    ([500], None, 1.5, InvalidBandwidthError),  # no mark bandwidth
+    ([], 0.5, 1.5, ValueError),
+    ([0], 0.5, 1.5, ValueError),
+    ([500, -3], 0.5, 1.5, ValueError),
+    ([500], 0.5, math.nan, ValueError),
+    ([500], 0.5, -1.0, ValueError),
+    ([500], 0.5, 0.0, ValueError),
+    ([500], 0.5, math.inf, ValueError),
+])
+def test_equivalence_curve_rejects_bad_input(
+    monkeypatch, n_grid, c, envelope_constant, error
+):
+    def no_draws(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(asymptotics, "sample", no_draws)
+    sched = BandwidthSchedule(c1=0.7, c2=c, beta_exponent=None if c is None else 0.45)
+    with pytest.raises(error):
+        equivalence_curve(
+            B, (0.5, 0.5), n_grid, sched, seed=3, envelope_constant=envelope_constant
+        )
 
 
 def test_difference_shrinks_when_mark_bandwidth_decays_fast():

@@ -34,7 +34,6 @@ from csmark import (
     uniform_kernel,
     EstimatorConfig,
     Bandwidths,
-    product_kernel,
 )
 from csmark import bandwidth
 from csmark.bandwidth import _ENVELOPE_SAFETY, PilotModel, _kernel_noise
@@ -63,13 +62,18 @@ def test_pilot_bandwidth_scaling():
     assert pilot_bandwidth(100, reference=0.3) == 0.3
     with pytest.raises(ValueError):
         pilot_bandwidth(0)
+    for bad in (np.nan, 0.0, -0.4, np.inf):
+        with pytest.raises(InvalidBandwidthError):
+            pilot_bandwidth(100, reference=bad)
 
 
 def test_bootstrap_plan_validation():
     small_plan()  # the baseline parameters are valid
     assert issubclass(InvalidBandwidthError, ValueError)
-    with pytest.raises(InvalidBandwidthError):
-        small_plan(replications=0)
+    for bad in (0, 2.5):
+        with pytest.raises(InvalidBandwidthError):
+            small_plan(replications=bad)
+    small_plan(replications=np.int64(3))
     with pytest.raises(InvalidBandwidthError):
         small_plan(alpha_grid=())
     with pytest.raises(InvalidBandwidthError):
@@ -247,8 +251,7 @@ def test_density_bounds_hold_the_pilot_density(
     s = sample(scenario, n, seed)
     epa = epanechnikov_kernel()
     config = EstimatorConfig(
-        kernel_t=epa, bandwidths=Bandwidths(alpha, beta),
-        kernel_tz=product_kernel(epa), g_floor=g_floor,
+        kernel_t=epa, bandwidths=Bandwidths(alpha, beta), g_floor=g_floor
     )
     try:
         pilot = PilotModel(s, config, envelope_grid=20)
@@ -274,13 +277,12 @@ def test_density_bounds_hold_the_pilot_density(
 
 def test_density_bounds_are_unbounded_for_other_kernels():
     s = sample(B, 50, 3)
-    uni = uniform_kernel()
-    config = EstimatorConfig(
-        kernel_t=uni, bandwidths=Bandwidths(0.3, 0.3), kernel_tz=product_kernel(uni)
-    )
+    uni, epa = uniform_kernel(), epanechnikov_kernel()
     grid = np.linspace(0.0, 1.0, 5)
-    lower, upper = _density_bounds(s, config, grid, grid, grid, grid)
-    assert np.all(lower == 0.0) and np.all(upper == np.inf)
+    for kt, kz in ((uni, None), (epa, uni), (uni, epa)):
+        config = EstimatorConfig(kernel_t=kt, bandwidths=Bandwidths(0.3, 0.3), kernel_z=kz)
+        lower, upper = _density_bounds(s, config, grid, grid, grid, grid)
+        assert np.all(lower == 0.0) and np.all(upper == np.inf)
 
 
 def _scaled_fit(scale):
@@ -425,9 +427,7 @@ def test_bootstrap_single_replication_is_one_squared_deviation():
     v2 = f2(
         boot,
         EstimatorConfig(
-            kernel_t=kt,
-            bandwidths=Bandwidths(0.3, 0.3),
-            kernel_tz=pilot.config.kernel_tz,
+            kernel_t=kt, bandwidths=Bandwidths(0.3, 0.3), kernel_z=pilot.config.kernel_z
         ),
         0.5,
         0.5,

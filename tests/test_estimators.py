@@ -25,7 +25,6 @@ from csmark import (
     Sample,
     SupportError,
     UnstableDenominatorError,
-    custom_kernel,
     epanechnikov_kernel,
     evaluate_grid,
     f1,
@@ -35,7 +34,6 @@ from csmark import (
     g_hat,
     g_hat_prime,
     h0_hat,
-    product_kernel,
     sample,
     scenario_a,
     scenario_b,
@@ -49,13 +47,11 @@ UNI = uniform_kernel()
 
 
 def uniform_config(alpha, beta=None):
-    ktz = product_kernel(UNI) if beta is not None else None
-    return EstimatorConfig(kernel_t=UNI, bandwidths=Bandwidths(alpha, beta), kernel_tz=ktz)
+    return EstimatorConfig(kernel_t=UNI, bandwidths=Bandwidths(alpha, beta))
 
 
 def epa_config(alpha, beta=None):
-    ktz = product_kernel(EPA) if beta is not None else None
-    return EstimatorConfig(kernel_t=EPA, bandwidths=Bandwidths(alpha, beta), kernel_tz=ktz)
+    return EstimatorConfig(kernel_t=EPA, bandwidths=Bandwidths(alpha, beta))
 
 
 def tiny_sample():
@@ -218,33 +214,21 @@ def test_f2_collapses_to_f1_for_tiny_beta():
 
 
 def test_f2_configuration_errors():
-    s = tiny_sample()
-    no_beta = EstimatorConfig(
-        kernel_t=EPA, bandwidths=Bandwidths(0.1), kernel_tz=product_kernel(EPA)
-    )
+    no_beta = EstimatorConfig(kernel_t=EPA, bandwidths=Bandwidths(0.1))
     with pytest.raises(InvalidBandwidthError):
-        f2(s, no_beta, 0.5, 0.5)  # no mark bandwidth
-    config = EstimatorConfig(kernel_t=EPA, bandwidths=Bandwidths(0.1, 0.1))
-    with pytest.raises(KernelAssumptionError):
-        f2(s, config, 0.5, 0.5)  # no bivariate kernel
-    mismatched = EstimatorConfig(
-        kernel_t=UNI,
-        bandwidths=Bandwidths(0.1, 0.1),
-        kernel_tz=product_kernel(EPA),
-    )
-    with pytest.raises(KernelAssumptionError):
-        f2(s, mismatched, 0.5, 0.5)
-
-
-def test_f2_accepts_pointwise_identical_time_factor():
-    clone = custom_kernel("epa-clone", pdf=EPA.pdf, cdf=EPA.cdf, deriv=EPA.deriv)
-    config = EstimatorConfig(
-        kernel_t=clone,
-        bandwidths=Bandwidths(0.2, 0.2),
-        kernel_tz=product_kernel(EPA),
-    )
+        f2(tiny_sample(), no_beta, 0.5, 0.5)  # no mark bandwidth
+    # without a kernel_z the marks are smoothed with kernel_t
     s = sample(scenario_b(), 100, 6)
-    assert 0.0 <= f2(s, config, 0.5, 0.5) <= 1.0
+    bw = Bandwidths(0.3, 0.2)
+    for k, other in ((EPA, UNI), (UNI, EPA)):
+        default = EstimatorConfig(kernel_t=k, bandwidths=bw)
+        explicit = EstimatorConfig(kernel_t=k, bandwidths=bw, kernel_z=k)
+        mixed = EstimatorConfig(kernel_t=k, bandwidths=bw, kernel_z=other)
+        for z0 in (0.3, 0.5, 0.7):
+            assert f2(s, default, 0.5, z0) == f2(s, explicit, 0.5, z0)
+            assert f2(s, mixed, 0.5, z0) != f2(s, default, 0.5, z0)
+        if k.deriv is not None:
+            assert f2_density(s, default, 0.5, 0.5) == f2_density(s, explicit, 0.5, 0.5)
 
 
 def test_h0_decomposes_g_hat():
@@ -432,7 +416,7 @@ def dense_sums(s, config, t0, z0):
     w = kt.pdf(ut) / alpha
     terms = {"g": w, "f1": w * s.delta * (s.z <= z0)}
     if beta is not None:
-        kz = config.kernel_tz.factor_z
+        kz = config.kernel_z or kt
         terms["f2"] = w * s.delta * kz.cdf((z0 - s.z) / beta)
         if kt.deriv is not None:
             wz = kz.pdf((z0 - s.z) / beta) / beta
@@ -502,7 +486,6 @@ def configs(draw, kernel=None, floors=(1e-8, 0.1, 0.5, 2.0)):
     return EstimatorConfig(
         kernel_t=k,
         bandwidths=Bandwidths(alpha, beta),
-        kernel_tz=product_kernel(k),
         # floors up to the size of a typical g probe both sides of the check
         g_floor=draw(st.sampled_from(floors)),
     )
@@ -609,7 +592,7 @@ def runs(draw, s):
 @given(samples(), st.sampled_from([EPA, UNI]), st.data(), st.integers(1, 100))
 def test_kernel_sums_of_a_point_do_not_depend_on_its_batch(s, kernel, data, budget):
     terms = ("g", "f1", "f2", "h0") + (("gp", "h", "dh") if kernel is EPA else ())
-    config = EstimatorConfig(kernel_t=kernel, kernel_tz=product_kernel(kernel))
+    config = EstimatorConfig(kernel_t=kernel)
     points = [p for run in data.draw(st.lists(runs(s), min_size=1, max_size=5))
               for p in run]
     t, z, alpha, beta = (np.array(column) for column in zip(*points))
@@ -627,9 +610,7 @@ def test_kernel_sums_of_a_point_do_not_depend_on_its_batch(s, kernel, data, budg
 def test_batch_estimates_equal_single_point_estimates(s, kernel, floor, data, budget):
     # the bootstrap's use: one batch of points, each with its own bandwidths
     estimates = {"F1": f1, "F2": f2} | ({"density": f2_density} if kernel is EPA else {})
-    config = EstimatorConfig(
-        kernel_t=kernel, kernel_tz=product_kernel(kernel), g_floor=floor
-    )
+    config = EstimatorConfig(kernel_t=kernel, g_floor=floor)
     points = [p for run in data.draw(st.lists(runs(s), min_size=1, max_size=5))
               for p in run]
     t, z, alpha, beta = (np.array(column) for column in zip(*points))

@@ -19,8 +19,9 @@ from csmark import (
     eval_rescaled,
     eval_rescaled_cdf,
     l2_norm_sq,
-    product_kernel,
+    mu1_sigma2,
     require_valid,
+    scenario_b,
     second_moment,
     uniform_kernel,
     validate_conditions,
@@ -82,9 +83,17 @@ def test_moment_constants_match_closed_forms():
 
 
 def test_product_kernel_moments_use_time_factor():
-    k = product_kernel(uniform_kernel(), epanechnikov_kernel())
-    assert abs(second_moment(k) - 1.0 / 3.0) < 1e-10
-    assert abs(l2_norm_sq(k) - 0.5) < 1e-10
+    # a uniform-time x Epanechnikov-mark kernel: the limit-law constants take
+    # the time factor's m2 = 1/3 and ||k||^2 = 1/2, not the mark factor's
+    time, mark = uniform_kernel(), epanechnikov_kernel()
+    assert abs(second_moment(time) - 1.0 / 3.0) < 1e-10
+    assert abs(l2_norm_sq(time) - 0.5) < 1e-10
+    scenario, point = scenario_b(), (0.5, 0.5)
+    with_time = mu1_sigma2(scenario, point, 0.5, time)
+    with_mark = mu1_sigma2(scenario, point, 0.5, mark)
+    # mu1 scales with m2 and sigma2 with ||k||^2
+    assert with_time.mu1 / with_mark.mu1 == pytest.approx((1.0 / 3.0) / 0.2)
+    assert with_time.sigma2 / with_mark.sigma2 == pytest.approx(0.5 / 0.6)
 
 
 def test_eval_rescaled_point_values():
@@ -164,41 +173,30 @@ def test_epanechnikov_derivative_matches_finite_differences():
 
 
 def test_validate_conditions_menu():
-    ok = validate_conditions(product_kernel(epanechnikov_kernel()))
+    ok = validate_conditions(epanechnikov_kernel())
     assert ok.all_ok
     assert ok.failures() == []
+    assert ok.kernel_name == "epanechnikov x epanechnikov"
+    assert validate_conditions(epanechnikov_kernel(), epanechnikov_kernel()) == ok
 
-    mixed = validate_conditions(
-        product_kernel(uniform_kernel(), epanechnikov_kernel())
-    )
+    mixed = validate_conditions(uniform_kernel(), epanechnikov_kernel())
+    assert mixed.kernel_name == "uniform x epanechnikov"
     assert not mixed.moments_ok
     assert mixed.marginal_ok and mixed.shape_ok
     # the residual is the second-moment mismatch 1/3 - 1/5
     assert mixed.moments_residual == pytest.approx(2.0 / 15.0, rel=1e-6)
     assert mixed.failures() == ["moments"]
 
-    shifted = validate_conditions(
-        product_kernel(shifted_epanechnikov(), epanechnikov_kernel())
-    )
+    shifted = validate_conditions(shifted_epanechnikov(), epanechnikov_kernel())
     assert not shifted.shape_ok
     assert "shape" in shifted.failures()
 
 
 def test_require_valid_raises_on_bad_kernel():
-    require_valid(product_kernel(epanechnikov_kernel()))
+    require_valid(epanechnikov_kernel())
     with pytest.raises(KernelAssumptionError) as exc:
-        require_valid(product_kernel(uniform_kernel(), epanechnikov_kernel()))
+        require_valid(uniform_kernel(), epanechnikov_kernel())
     assert "moments" in str(exc.value)
-
-
-def test_product_kernel_defaults_and_pdf():
-    square = product_kernel(epanechnikov_kernel())
-    assert square.factor_z is square.factor_t
-    x, y = 0.3, -0.5
-    expected = float(epanechnikov_kernel().pdf(x)) * float(
-        epanechnikov_kernel().pdf(y)
-    )
-    assert float(square.pdf(np.array(x), np.array(y))) == pytest.approx(expected)
 
 
 def masked_uniform_pdf(u):

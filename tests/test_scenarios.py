@@ -339,6 +339,10 @@ def test_csv_round_trip():
     assert np.array_equal(back.delta, s.delta)
     with pytest.raises(ValueError):
         Sample.from_csv(io.StringIO("a,b,c\n0.1,0.2,1\n"))
+    # a row with too few or too many fields is refused by its line number
+    for row in ("0.5,0.1", "0.5,0.1,1,9"):
+        with pytest.raises(ValueError, match="^line 3: "):
+            Sample.from_csv(io.StringIO(f"t,z,delta\n0.4,0.2,1\n{row}\n"))
 
 
 def test_csv_file_round_trip(tmp_path):
