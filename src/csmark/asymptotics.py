@@ -24,6 +24,10 @@ estimated as ``int (1 - f1(x, z_max)) dx`` with the Uniform time kernel and a
 midpoint grid; undersmoothing (time bandwidth shrinking faster than
 ``n^{-1/4}``) recovers the root-n rate, and the limiting variance has the
 closed form ``int F (1 - F) / g`` computed by :func:`efficient_variance`.
+
+scipy (quadrature, the KS statistic, normal quantiles) is imported inside
+the functions that call it, so the Monte Carlo MSE and equivalence drivers
+run without loading it.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, stats
 
 from .errors import (
     BandwidthRegimeError,
@@ -356,6 +359,8 @@ def mc_normality(
     if estimator == "F2" and schedule is not None and schedule.beta_exponent is not None:
         mu = mu2(scenario, point, schedule, kt)
     sigma = math.sqrt(params.sigma2)
+    from scipy import stats
+
     ks = float(stats.kstest(values, "norm", args=(mu, sigma)).statistic)
     return replace(
         errors, values=values, mu=mu, sigma2=params.sigma2, ks_distance=ks,
@@ -434,15 +439,21 @@ def equivalence_curve(
     envelope ``envelope_constant * n^{-1/6}``; when the mark bandwidth
     shrinks faster than ``n^{-1/5}`` the differences should sit inside the
     envelope for most sizes.  Both estimators use the Epanechnikov kernel,
-    F2 in time and mark.  An empty ``n_grid``, a size below 1 and an
-    ``envelope_constant`` that is not finite and positive raise
-    ``ValueError`` before any sample is drawn.
+    F2 in time and mark.  An empty ``n_grid``, a size that is not a whole
+    number of at least 1 and an ``envelope_constant`` that is not finite and
+    positive raise ``ValueError`` before any sample is drawn.
     """
     if schedule.beta_exponent is None:
         raise InvalidBandwidthError("the schedule must include a mark bandwidth")
-    n_grid = np.asarray(n_grid, dtype=int)
-    if n_grid.size == 0 or n_grid.min() < 1:
-        raise ValueError(f"n_grid must hold sizes of at least 1, got {n_grid.tolist()}")
+    given = np.asarray(n_grid)
+    sizes = given.astype(float)
+    if sizes.size == 0 or not np.all(
+        np.isfinite(sizes) & (sizes >= 1.0) & (sizes == np.floor(sizes))
+    ):
+        raise ValueError(
+            f"n_grid must hold whole sizes of at least 1, got {given.tolist()}"
+        )
+    n_grid = sizes.astype(int)
     if not (math.isfinite(envelope_constant) and envelope_constant > 0.0):
         raise ValueError(
             f"envelope_constant must be finite and positive, got {envelope_constant!r}"
@@ -565,6 +576,8 @@ def mean_functional(s: Sample, alpha: float, grid_points: int = 2000) -> float:
 
 def true_mean_event_time(scenario: Scenario) -> float:
     """``E X = int (1 - F0(x, inf)) dx`` over the scenario's support."""
+    from scipy import integrate
+
     lo, hi = scenario.support[0]
     val, _ = integrate.quad(
         lambda x: 1.0 - float(scenario.marginal_cdf(x)), lo, hi
@@ -580,6 +593,8 @@ def efficient_variance(scenario: Scenario) -> float:
     misbehaves enough that the quadrature cannot reach roughly eight
     accurate digits raise :class:`QuadratureError`.
     """
+    from scipy import integrate
+
     lo, hi = scenario.support[0]
 
     def integrand(t: float) -> float:
@@ -651,4 +666,6 @@ def qq_points(summary: MonteCarloSummary) -> tuple[np.ndarray, np.ndarray]:
     """
     m = summary.values.size
     probs = (np.arange(1, m + 1) - 0.5) / m
+    from scipy import stats
+
     return stats.norm.ppf(probs), np.sort(summary.values)

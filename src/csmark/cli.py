@@ -15,6 +15,7 @@ replication or selection failure at run time.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -386,6 +387,7 @@ def _flag(key: _Key) -> Callable[[str], Any]:
     return parse
 
 
+@functools.cache  # _COMMANDS is complete once the module is imported
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csmark", description="Seeded estimation and simulation runs for "

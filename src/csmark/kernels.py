@@ -20,6 +20,10 @@ The Uniform kernel is ``1/2`` on [-1, 1]; the Epanechnikov kernel is
 ``(3/4) (1 - u^2)`` on [-1, 1].  Only the latter carries a derivative, so
 density estimation (which differentiates the kernel) requires it or a custom
 differentiable kernel.
+
+The moments and norms come from scipy's quadrature, imported only where it
+is called: a cold import of ``scipy.integrate`` takes about a second, and
+the estimators never need it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import InvalidBandwidthError, KernelAssumptionError
 
@@ -249,6 +252,8 @@ def eval_rescaled_cdf(kernel: UnivariateKernel, bandwidth, u) -> np.ndarray:
 
 
 def _moment(pdf: Callable, order: int) -> float:
+    from scipy import integrate
+
     val, _ = integrate.quad(lambda u: (u**order) * float(pdf(u)), -1.0, 1.0)
     return val
 
@@ -260,6 +265,8 @@ def _moment_cached(kernel: UnivariateKernel, order: int) -> float:
 
 @lru_cache(maxsize=None)
 def _l2_cached(kernel: UnivariateKernel) -> float:
+    from scipy import integrate
+
     val, _ = integrate.quad(lambda u: float(kernel.pdf(u)) ** 2, -1.0, 1.0)
     return val
 

@@ -154,8 +154,9 @@ class Sample:
     def from_csv(cls, path: str | Path | io.TextIOBase) -> "Sample":
         """Read ``t,z,delta`` rows as :meth:`to_csv` writes them.
 
-        A row without exactly three fields raises ``ValueError`` naming its
-        line.
+        A row without exactly three fields, or whose ``t`` or ``z`` is not a
+        number or whose ``delta`` is not an integer, raises ``ValueError``
+        naming its line.
         """
         if isinstance(path, io.TextIOBase):
             return cls._read(path)
@@ -176,9 +177,16 @@ class Sample:
                 raise ValueError(
                     f"line {reader.line_num}: expected 3 fields t,z,delta, got {len(row)}"
                 )
-            t.append(float(row[0]))
-            z.append(float(row[1]))
-            d.append(int(row[2]))
+            try:
+                ti, zi, di = float(row[0]), float(row[1]), int(row[2])
+            except ValueError:
+                raise ValueError(
+                    f"line {reader.line_num}: expected numbers t,z and an integer "
+                    f"delta, got {','.join(row)!r}"
+                ) from None
+            t.append(ti)
+            z.append(zi)
+            d.append(di)
         return cls(t=np.array(t), z=np.array(z), delta=np.array(d))
 
 

@@ -406,6 +406,9 @@ def test_equivalence_curve_shape_and_envelope():
     ([500], 0.5, -1.0, ValueError),
     ([500], 0.5, 0.0, ValueError),
     ([500], 0.5, math.inf, ValueError),
+    ([400, 9.5], 0.5, 1.5, ValueError),  # not cast to 9
+    ([500, math.nan], 0.5, 1.5, ValueError),
+    ([500, math.inf], 0.5, 1.5, ValueError),
 ])
 def test_equivalence_curve_rejects_bad_input(
     monkeypatch, n_grid, c, envelope_constant, error

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -486,3 +489,58 @@ def test_exit_code_3_for_runtime_failures(tmp_path, capsys):
     code, _ = run(tmp_path, "mc-mse", text, out="fail")
     assert code == 3
     assert "run failed" in capsys.readouterr().err
+
+
+# tiny configs of every command: the first six never need scipy, the last
+# two take quadrature, the KS statistic and the efficient variance from it
+_CONFIGS = {
+    "simulate": "scenario = B\nn = 50\nseed = 9\n",
+    "estimate-grid": "scenario = B\nn = 150\nseed = 4\nalpha = 0.25\nbeta = 0.2\n"
+                     "t_grid = 0.4, 0.6\nz_grid = 0.3, 0.5\n",
+    "mc-mse": "scenario = B\nestimator = F2\nt0 = 0.4\nz0 = 0.4\nn = 120\n"
+              "replications = 4\nalpha = 0.25\nbeta = 0.2\nseed = 4\n",
+    "table1": "scenario = A\nreplications = 3\nseed = 0\n"
+              "cell.1 = 0.4, 0.4, 80, F1, 0.25\ncell.2 = 0.5, 0.5, 80, F2, 0.25, 0.2\n",
+    "equivalence": "scenario = B\nt0 = 0.5\nz0 = 0.5\nc1 = 0.5\nc2 = 0.5\n"
+                   "beta_exponent = 0.45\nn_grid = 100, 200\nseed = 12\n",
+    "bw-select": "scenario = B\nn = 50\nt0 = 0.5\nz0 = 0.5\nreplications = 2\n"
+                 "alpha_grid = 0.25, 0.45\nbeta_grid = 0.3\nseed = 6\n",
+    "mc-normality": "scenario = B\nestimator = F1\nt0 = 0.5\nz0 = 0.5\nn = 100\n"
+                    "m = 4\nalpha = 0.25\nseed = 1\n",
+    "functional": "scenario = B\nn = 100\nm = 3\ngrid_points = 50\nseed = 3\n",
+}
+
+# imports the package and runs each command in order; after each, the scipy
+# modules loaded so far
+_PROBE = """\
+import json, sys
+import csmark, csmark.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+report = [["import", 0, scipy_modules()]]
+for command, config, out in json.loads(sys.argv[1]):
+    code = csmark.cli.main([command, "--config", config, "--out", out])
+    report.append([command, code, scipy_modules()])
+print(json.dumps(report))
+"""
+
+
+def test_only_mc_normality_and_functional_load_scipy(tmp_path):
+    runs = []
+    for command, text in _CONFIGS.items():
+        (tmp_path / f"{command}.cfg").write_text(text)
+        runs.append([command, str(tmp_path / f"{command}.cfg"), str(tmp_path / command)])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(runs)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=300,
+    )
+    assert probe.returncode == 0, probe.stderr
+    report = json.loads(probe.stdout.splitlines()[-1])
+    assert [(command, code) for command, code, _ in report] == (
+        [("import", 0)] + [(command, 0) for command in _CONFIGS])
+    for command, _, loaded in report[:7]:
+        assert loaded == [], f"{command} loaded {loaded[:3]}"
+    assert report[-1][2], "mc-normality and functional ran without scipy"

@@ -339,8 +339,9 @@ def test_csv_round_trip():
     assert np.array_equal(back.delta, s.delta)
     with pytest.raises(ValueError):
         Sample.from_csv(io.StringIO("a,b,c\n0.1,0.2,1\n"))
-    # a row with too few or too many fields is refused by its line number
-    for row in ("0.5,0.1", "0.5,0.1,1,9"):
+    # a row with too few or too many fields, a field that is not a number or
+    # a delta that is not an integer is refused by its line number
+    for row in ("0.5,0.1", "0.5,0.1,1,9", "0.5,x,1", "y,0.1,1", "0.5,0.1,0.5", "0.5,0.1,"):
         with pytest.raises(ValueError, match="^line 3: "):
             Sample.from_csv(io.StringIO(f"t,z,delta\n0.4,0.2,1\n{row}\n"))
 
