@@ -36,7 +36,6 @@ from .kernels import (
     validate_conditions,
 )
 from .scenarios import (
-    Observation,
     Sample,
     Scenario,
     observation_density,
@@ -82,7 +81,6 @@ from .bandwidth import (
     PilotModel,
     bootstrap_mse,
     fit_pilot,
-    pilot_bandwidth,
     select,
 )
 
@@ -118,7 +116,6 @@ __all__ = [
     "validate_conditions",
     # scenarios
     "Scenario",
-    "Observation",
     "Sample",
     "scenario_a",
     "scenario_b",
@@ -158,7 +155,6 @@ __all__ = [
     "BootstrapMseTable",
     "MseRow",
     "PilotModel",
-    "pilot_bandwidth",
     "fit_pilot",
     "bootstrap_mse",
     "select",

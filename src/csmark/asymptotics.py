@@ -52,6 +52,7 @@ from .estimators import EstimatorConfig, f1, f2
 from .kernels import (
     Bandwidths,
     UnivariateKernel,
+    _check_bandwidth,
     epanechnikov_kernel,
     l2_norm_sq,
     second_moment,
@@ -98,14 +99,13 @@ class BandwidthSchedule:
     beta_exponent: float | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.c1) and self.c1 > 0.0):
-            raise InvalidBandwidthError(f"c1 must be positive, got {self.c1!r}")
+        _check_bandwidth(self.c1, "c1")
         if (self.c2 is None) != (self.beta_exponent is None):
             raise InvalidBandwidthError(
                 "c2 and beta_exponent must be given together"
             )
-        if self.c2 is not None and not (math.isfinite(self.c2) and self.c2 > 0.0):
-            raise InvalidBandwidthError(f"c2 must be positive, got {self.c2!r}")
+        if self.c2 is not None:
+            _check_bandwidth(self.c2, "c2")
         if self.beta_exponent is not None and not math.isfinite(self.beta_exponent):
             raise InvalidBandwidthError(
                 f"beta_exponent must be finite, got {self.beta_exponent!r}"
@@ -152,10 +152,7 @@ def mu1_sigma2(
     kernel : UnivariateKernel
         The time-direction kernel.
     """
-    if not (math.isfinite(c) and c > 0.0):
-        raise InvalidBandwidthError(
-            f"bandwidth constant must be finite and positive: {c!r}"
-        )
+    _check_bandwidth(c, "c")
     t0, z0 = point
     g0 = float(scenario.g(t0))
     if g0 <= 0.0:
@@ -225,7 +222,6 @@ class MonteCarloSummary:
     values: np.ndarray
     replicates: np.ndarray
     failures: int
-    n: int
     mu: float | None = None
     sigma2: float | None = None
     ks_distance: float | None = None
@@ -405,7 +401,6 @@ def mc_mse(
         values=errors,
         replicates=replicates,
         failures=failures,
-        n=n,
         mse=float(np.mean(sq)),
         mse_se=float(np.std(sq, ddof=1) / math.sqrt(sq.size)),
     )
@@ -454,10 +449,7 @@ def equivalence_curve(
             f"n_grid must hold whole sizes of at least 1, got {given.tolist()}"
         )
     n_grid = sizes.astype(int)
-    if not (math.isfinite(envelope_constant) and envelope_constant > 0.0):
-        raise ValueError(
-            f"envelope_constant must be finite and positive, got {envelope_constant!r}"
-        )
+    _check_bandwidth(envelope_constant, "envelope_constant", ValueError)
     t0, z0 = point
     diffs = np.empty(n_grid.size)
     envelopes = envelope_constant * n_grid.astype(float) ** (-1.0 / 6.0)
@@ -502,7 +494,7 @@ def difference_sample(
     base = mu1_sigma2(scenario, point, schedule.c1, config.kernel_t)
     shift = mu2(scenario, point, schedule, config.kernel_t) - base.mu1
     return MonteCarloSummary(
-        values=values, replicates=replicates, failures=failures, n=n, mu=shift
+        values=values, replicates=replicates, failures=failures, mu=shift
     )
 
 
@@ -533,8 +525,7 @@ def mean_functional_detail(
     ``fallback_count`` reports how many needed this.  If no grid point is
     evaluable, :class:`UnstableDenominatorError` is raised.
     """
-    if alpha <= 0.0 or not np.isfinite(alpha):
-        raise InvalidBandwidthError(f"bandwidth must be positive, got {alpha!r}")
+    _check_bandwidth(alpha, "alpha")
     if grid_points < 1:
         raise ValueError(f"grid_points must be positive, got {grid_points}")
     ts = np.sort(s.t)
@@ -653,7 +644,6 @@ def mc_functional(
         values=values,
         replicates=replicates,
         failures=failures,
-        n=n,
         sigma2=efficient_variance(scenario),
     )
 

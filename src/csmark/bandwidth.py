@@ -57,6 +57,7 @@ from .kernels import (
     Bandwidths,
     KernelFamily,
     UnivariateKernel,
+    _check_bandwidth,
     epanechnikov_kernel,
 )
 from .scenarios import Sample, _current_status, _write_csv
@@ -64,7 +65,6 @@ from .scenarios import Sample, _current_status, _write_csv
 __all__ = [
     "BootstrapPlan",
     "PilotModel",
-    "pilot_bandwidth",
     "fit_pilot",
     "MseRow",
     "BootstrapMseTable",
@@ -75,28 +75,9 @@ __all__ = [
 # rejection envelope: this factor times the largest pilot density seen
 _ENVELOPE_SAFETY = 1.1
 
-# pilot smoothing reference: generous bandwidth 0.4 at sample size 100,
-# scaled by the usual n^{-1/5} law for other sizes
-_PILOT_REFERENCE = (0.4, 100)
-
 # rejection rounds after which draw_xy gives up on a pilot density that
 # (almost) never accepts a proposal
 _MAX_DRAW_ROUNDS = 1000
-
-
-def pilot_bandwidth(n: int, reference: float | None = None) -> float:
-    """Default pilot bandwidth ``0.4 * (100 / n)^{1/5}``; ``reference``
-    replaces the 0.4 and must be finite and positive."""
-    ref, n_ref = _PILOT_REFERENCE
-    if reference is not None:
-        if not (math.isfinite(reference) and reference > 0.0):
-            raise InvalidBandwidthError(
-                f"reference bandwidth must be finite and positive, got {reference!r}"
-            )
-        ref = reference
-    if n < 1:
-        raise ValueError(f"sample size must be positive, got {n}")
-    return ref * (n_ref / n) ** 0.2
 
 
 @dataclass(frozen=True)
@@ -118,8 +99,8 @@ class BootstrapPlan:
     seed: int
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) and v > 0.0 for v in (self.alpha0, self.beta0)):
-            raise InvalidBandwidthError("pilot bandwidths must be finite and positive")
+        _check_bandwidth(self.alpha0, "alpha0")
+        _check_bandwidth(self.beta0, "beta0")
         if not isinstance(self.replications, numbers.Integral) or self.replications < 1:
             raise InvalidBandwidthError(
                 f"replications must be a positive integer, got {self.replications!r}"
@@ -127,8 +108,7 @@ class BootstrapPlan:
         for label, grid in (("alpha", self.alpha_grid), ("beta", self.beta_grid)):
             if len(grid) == 0:
                 raise InvalidBandwidthError(f"{label}_grid must be nonempty")
-            if not all(math.isfinite(v) and v > 0.0 for v in grid):
-                raise InvalidBandwidthError(f"{label}_grid must be finite and positive")
+            _check_bandwidth(np.asarray(grid, dtype=float), f"{label}_grid")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise InvalidBandwidthError(f"{label}_grid must be strictly increasing")
         t0, z0 = self.point

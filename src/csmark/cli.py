@@ -94,14 +94,23 @@ def _items(parse: Callable[[str], Any]) -> Callable[[str], tuple]:
     return items
 
 
-class _NotFinite(ValueError):
-    """A number that parsed, but is ``nan`` or an infinity the key refuses."""
+class _Refused(ValueError):
+    """A number that parsed, but lies outside the values the key accepts;
+    the message says what it must be."""
 
 
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
-        raise _NotFinite("finite")
+        raise _Refused("finite")
+    return value
+
+
+def _positive(text: str) -> float:
+    """A bandwidth or a constant that scales one: finite and above 0."""
+    value = _finite(text)
+    if not value > 0.0:
+        raise _Refused("positive")
     return value
 
 
@@ -109,7 +118,7 @@ def _mark(text: str) -> float:
     """A mark: finite, or ``inf`` for the marginal ``F0(t, inf)``."""
     value = float(text)
     if not (math.isfinite(value) or value == math.inf):
-        raise _NotFinite("finite or inf")
+        raise _Refused("finite or inf")
     return value
 
 
@@ -118,10 +127,11 @@ def _boolean(text: str) -> bool:
             "0": False, "false": False, "no": False}[text.lower()]
 
 
-_floats, _ints = _items(_finite), _items(int)
-_WHAT = {int: "an integer", _finite: "a number", _mark: "a number",
-         _boolean: "one of 1/0/true/false/yes/no",
-         _ints: "comma-separated integers", _floats: "comma-separated numbers"}
+_floats, _positives, _ints = _items(_finite), _items(_positive), _items(int)
+_WHAT = {int: "an integer", _finite: "a number", _positive: "a number",
+         _mark: "a number", _boolean: "one of 1/0/true/false/yes/no",
+         _ints: "comma-separated integers", _floats: "comma-separated numbers",
+         _positives: "comma-separated numbers"}
 
 
 def _kernel(name: str):
@@ -156,7 +166,7 @@ class _Key:
             raise error(f"one of {list(self.choices)}", repr(entry.value))
         try:
             value = self.parse(entry.value)
-        except _NotFinite as exc:
+        except _Refused as exc:
             raise error(str(exc), repr(entry.value)) from None
         except (KeyError, ValueError):
             raise error(_WHAT[self.parse], repr(entry.value)) from None
@@ -174,7 +184,7 @@ _SEED = _Key("seed", int, minimum=0)
 _SCENARIO = _Key("scenario", lambda name: _SCENARIOS[name](), choices=tuple(_SCENARIOS))
 _N, _M = _Key("n", int, minimum=1), _Key("m", int, minimum=2)
 _T0, _Z0 = _Key("t0"), _Key("z0", _mark)
-_ALPHA, _BETA = _Key("alpha"), _optional("beta")
+_ALPHA, _BETA = _Key("alpha", _positive), _optional("beta", parse=_positive)
 _ESTIMATOR = _Key("estimator", str, choices=("F1", "F2"))
 _KERNEL = _optional("kernel", "epanechnikov", _kernel,
                     choices=("epanechnikov", "uniform"))
@@ -258,18 +268,17 @@ def _simulate(run: _Run, scenario, n) -> None:
 
 
 @_command("estimate-grid", _SCENARIO, _N, _ALPHA, _BETA, _Key("t_grid", _floats),
-          _Key("z_grid", _floats), _KERNEL,
-          replace(_KERNEL, name="kernel_z", default=None))
-def _estimate_grid(run: _Run, scenario, n, alpha, beta, t_grid, z_grid, kernel,
-                   kernel_z) -> None:
-    config = EstimatorConfig(kernel, Bandwidths(alpha, beta), kernel_z)
+          _Key("z_grid", _floats), _KERNEL)
+def _estimate_grid(run: _Run, scenario, n, alpha, beta, t_grid, z_grid, kernel) -> None:
+    config = EstimatorConfig(kernel, Bandwidths(alpha, beta))
     s = sample(scenario, n, run.seed)
     rows = evaluate_grid(s, config, np.array(t_grid), np.array(z_grid))
     write_grid_csv(rows, run.path("grid.csv"))
 
 
-@_command("mc-normality", _SCENARIO, _ESTIMATOR, _T0, _Z0, _N, _M, _optional("alpha"),
-          _BETA, _optional("c1"), _optional("c2"), _optional("beta_exponent"), _KERNEL)
+@_command("mc-normality", _SCENARIO, _ESTIMATOR, _T0, _Z0, _N, _M,
+          _optional("alpha", parse=_positive), _BETA, _optional("c1", parse=_positive),
+          _optional("c2", parse=_positive), _optional("beta_exponent"), _KERNEL)
 def _mc_normality(run: _Run, scenario, estimator, t0, z0, n, m, alpha, beta, c1, c2,
                   beta_exponent, kernel) -> None:
     schedule = None if c1 is None else BandwidthSchedule(c1, c2, beta_exponent)
@@ -303,9 +312,9 @@ def _table1(run: _Run, scenario, replications, cells) -> None:
     _write_csv(run.path("table1.csv"), _MSE_HEADER, rows)
 
 
-@_command("equivalence", _SCENARIO, _T0, _Z0, _Key("c1"), _Key("c2"),
-          _Key("beta_exponent"), _Key("n_grid", _ints, minimum=1),
-          _optional("envelope_constant", "1.5"))
+@_command("equivalence", _SCENARIO, _T0, _Z0, _Key("c1", _positive),
+          _Key("c2", _positive), _Key("beta_exponent"),
+          _Key("n_grid", _ints, minimum=1), _optional("envelope_constant", "1.5", _positive))
 def _equivalence(run: _Run, scenario, t0, z0, c1, c2, beta_exponent, n_grid,
                  envelope_constant) -> None:
     schedule = BandwidthSchedule(c1, c2, beta_exponent)
@@ -331,8 +340,8 @@ def _functional(run: _Run, scenario, n, m, alpha_exponent, grid_points) -> None:
 
 
 @_command("bw-select", _SCENARIO, _N, _T0, _Z0, _Key("replications", int, minimum=1),
-          _optional("alpha0", "0.4"), _optional("beta0", "0.4"),
-          _Key("alpha_grid", _floats), _Key("beta_grid", _floats),
+          _optional("alpha0", "0.4", _positive), _optional("beta0", "0.4", _positive),
+          _Key("alpha_grid", _positives), _Key("beta_grid", _positives),
           _optional("compare_truth", "false", _boolean))
 def _bw_select(run: _Run, scenario, n, t0, z0, replications, alpha0, beta0, alpha_grid,
                beta_grid, compare_truth) -> None:

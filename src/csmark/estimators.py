@@ -110,8 +110,7 @@ class EstimatorConfig:
     g_floor: float = DEFAULT_G_FLOOR
 
     def __post_init__(self) -> None:
-        if self.g_floor <= 0.0 or not np.isfinite(self.g_floor):
-            raise ValueError(f"g_floor must be positive, got {self.g_floor!r}")
+        _check_bandwidth(self.g_floor, "g_floor", ValueError)
 
 
 def _segment_sums(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -190,13 +189,13 @@ def _kernel_sums(sample, config, t, z, alpha, beta, terms) -> list[np.ndarray]:
             raise InvalidBandwidthError(
                 "doubly-smoothed estimation needs a mark bandwidth (beta)"
             )
-        _check_bandwidth(beta)
+        _check_bandwidth(beta, "beta")
         beta = np.full(t.shape, beta, dtype=float)
     differentiated = (kt, kz) if "dh" in terms else (kt,) if "gp" in terms else ()
     for k in differentiated:
         if k.deriv is None:
             raise DerivativeUnavailableError(f"kernel {k.name!r} has no derivative")
-    _check_bandwidth(alpha)
+    _check_bandwidth(alpha, "alpha")
     alpha = np.full(t.shape, alpha, dtype=float)
     if t.size == 1:  # spares a single point the batch bookkeeping
         b = None if kz is None else beta[0]

@@ -10,10 +10,8 @@ squared L2 norm ``int k(u)^2 du``.  Bivariate smoothing uses the product
 ``kz``, which may differ from it, subject to the conditions checked by
 :func:`validate_conditions`:
 
-* marginal consistency -- integrating the product over its second argument
-  must recover the time kernel;
-* each factor has compact support [-1, 1] and is symmetric (continuity is
-  assumed, not checked numerically);
+* each factor is a density with compact support [-1, 1] and is symmetric
+  (continuity is assumed, not checked numerically);
 * both first moments vanish and the two second moments agree.
 
 The Uniform kernel is ``1/2`` on [-1, 1]; the Epanechnikov kernel is
@@ -104,16 +102,9 @@ class Bandwidths:
     beta: float | None = None
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.alpha) or self.alpha <= 0.0:
-            raise InvalidBandwidthError(
-                f"time bandwidth must be positive, got {self.alpha!r}"
-            )
-        if self.beta is not None and (
-            not np.isfinite(self.beta) or self.beta <= 0.0
-        ):
-            raise InvalidBandwidthError(
-                f"mark bandwidth must be positive, got {self.beta!r}"
-            )
+        _check_bandwidth(self.alpha, "alpha")
+        if self.beta is not None:
+            _check_bandwidth(self.beta, "beta")
 
 
 def _uniform_pdf(u):
@@ -215,16 +206,16 @@ def custom_kernel(
     )
 
 
-def _check_bandwidth(bandwidth) -> None:
+def _check_bandwidth(value, name: str, error: type = InvalidBandwidthError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` (a number or an
+    array) is finite and strictly positive throughout."""
     # the chained comparison is False for NaN, inf and nonpositive values
-    if isinstance(bandwidth, np.ndarray):
-        ok = bool(np.all((0.0 < bandwidth) & (bandwidth < np.inf)))
+    if isinstance(value, np.ndarray):
+        ok = bool(np.all((0.0 < value) & (value < np.inf)))
     else:
-        ok = 0.0 < bandwidth < np.inf
+        ok = 0.0 < value < np.inf
     if not ok:
-        raise InvalidBandwidthError(
-            f"bandwidth must be positive, got {bandwidth!r}"
-        )
+        raise error(f"{name} must be finite and positive, got {value!r}")
 
 
 def eval_rescaled(kernel: UnivariateKernel, bandwidth, u) -> np.ndarray:
@@ -238,7 +229,7 @@ def eval_rescaled(kernel: UnivariateKernel, bandwidth, u) -> np.ndarray:
     InvalidBandwidthError
         If any bandwidth is not finite and strictly positive.
     """
-    _check_bandwidth(bandwidth)
+    _check_bandwidth(bandwidth, "bandwidth")
     return kernel.pdf(np.asarray(u, dtype=float) / bandwidth) / bandwidth
 
 
@@ -247,7 +238,7 @@ def eval_rescaled_cdf(kernel: UnivariateKernel, bandwidth, u) -> np.ndarray:
 
     ``bandwidth`` broadcasts as in :func:`eval_rescaled`.
     """
-    _check_bandwidth(bandwidth)
+    _check_bandwidth(bandwidth, "bandwidth")
     return kernel.cdf(np.asarray(u, dtype=float) / bandwidth)
 
 
@@ -294,32 +285,26 @@ def l2_norm_sq(kernel: UnivariateKernel) -> float:
 class KernelValidationReport:
     """Outcome of :func:`validate_conditions` for one kernel pair.
 
-    ``marginal_ok`` -- integrating out the second argument recovers the
-    time-direction kernel.  ``shape_ok`` -- the time factor has unit mass,
-    compact support and is symmetric.  ``moments_ok`` -- both first moments
-    vanish, the second moments of the two coordinates agree, and the mark
-    factor is a symmetric compactly supported density as well.  Residuals
-    are the largest absolute violations found for each group;
-    ``kernel_name`` reads ``"<time> x <mark>"``.
+    ``shape_ok`` -- the time factor has unit mass, compact support and is
+    symmetric.  ``moments_ok`` -- both first moments vanish, the second
+    moments of the two coordinates agree, and the mark factor is a
+    symmetric compactly supported density as well.  Residuals are the
+    largest absolute violations found for each group; ``kernel_name`` reads
+    ``"<time> x <mark>"``.
     """
 
     kernel_name: str
-    marginal_ok: bool
     shape_ok: bool
     moments_ok: bool
-    marginal_residual: float
     shape_residual: float
     moments_residual: float
-    tolerance: float
 
     @property
     def all_ok(self) -> bool:
-        return self.marginal_ok and self.shape_ok and self.moments_ok
+        return self.shape_ok and self.moments_ok
 
     def failures(self) -> list[str]:
         out = []
-        if not self.marginal_ok:
-            out.append("marginal")
         if not self.shape_ok:
             out.append("shape")
         if not self.moments_ok:
@@ -341,7 +326,6 @@ def _shape_residual(k: UnivariateKernel) -> float:
 def validate_conditions(
     kernel_t: UnivariateKernel,
     kernel_z: UnivariateKernel | None = None,
-    tol: float = _VALIDATION_TOL,
 ) -> KernelValidationReport:
     """Check the product of two kernels against the standing assumptions.
 
@@ -352,12 +336,11 @@ def validate_conditions(
     kernel_z : UnivariateKernel or None
         The mark kernel; None means ``kernel_t``, as in
         :class:`~csmark.estimators.EstimatorConfig`.
-    tol : float
-        Largest residual accepted as a pass.
 
     Returns
     -------
     KernelValidationReport
+        A group passes when its residual is at most ``1e-10``.
 
     Notes
     -----
@@ -369,11 +352,6 @@ def validate_conditions(
 
     mass_t = _moment_cached(kt, 0)
     mass_z = _moment_cached(kz, 0)
-
-    # Marginal consistency: int K(x, y) dy = k(x) * mass_z, so the residual
-    # scales the mass defect of the z factor by the peak of the t factor.
-    peak_t = float(np.max(kt.pdf(np.linspace(-1.0, 1.0, 201))))
-    marginal_residual = abs(mass_z - 1.0) * max(peak_t, 1.0)
 
     shape_residual = _shape_residual(kt)
 
@@ -392,23 +370,19 @@ def validate_conditions(
 
     return KernelValidationReport(
         kernel_name=f"{kt.name} x {kz.name}",
-        marginal_ok=marginal_residual <= tol,
-        shape_ok=shape_residual <= tol,
-        moments_ok=moments_residual <= tol,
-        marginal_residual=marginal_residual,
+        shape_ok=shape_residual <= _VALIDATION_TOL,
+        moments_ok=moments_residual <= _VALIDATION_TOL,
         shape_residual=shape_residual,
         moments_residual=moments_residual,
-        tolerance=tol,
     )
 
 
 def require_valid(
     kernel_t: UnivariateKernel,
     kernel_z: UnivariateKernel | None = None,
-    tol: float = _VALIDATION_TOL,
 ) -> None:
     """Raise :class:`KernelAssumptionError` unless all conditions hold."""
-    report = validate_conditions(kernel_t, kernel_z, tol)
+    report = validate_conditions(kernel_t, kernel_z)
     if not report.all_ok:
         raise KernelAssumptionError(
             f"kernel {report.kernel_name!r} fails: {', '.join(report.failures())}"

@@ -33,7 +33,6 @@ from .errors import EmptySampleError, SupportError
 
 __all__ = [
     "Scenario",
-    "Observation",
     "Sample",
     "scenario_a",
     "scenario_b",
@@ -84,13 +83,6 @@ class Scenario:
     draw_t: Callable[[np.random.Generator, int], np.ndarray]
 
 
-@dataclass(frozen=True)
-class Observation:
-    t: float
-    z: float
-    delta: int
-
-
 @dataclass(frozen=True, eq=False)
 class Sample:
     """Arrays ``t``, ``z``, ``delta`` of equal length, plus the seed used.
@@ -138,12 +130,6 @@ class Sample:
 
     def __len__(self) -> int:
         return int(self.t.size)
-
-    def observations(self) -> list[Observation]:
-        return [
-            Observation(float(t), float(z), int(d))
-            for t, z, d in zip(self.t, self.z, self.delta)
-        ]
 
     def to_csv(self, path: str | Path | io.TextIOBase) -> None:
         """Write ``t,z,delta`` rows at full float precision."""
@@ -361,29 +347,20 @@ def _current_status(
     return Sample(t=t, z=bits.view(float), delta=delta, seed=seed)
 
 
-def sample(
-    scenario: Scenario,
-    n: int,
-    seed: int,
-    return_hidden: bool = False,
-) -> Sample | tuple[Sample, tuple[np.ndarray, np.ndarray]]:
+def sample(scenario: Scenario, n: int, seed: int) -> Sample:
     """Draw ``n`` current status observations.
 
     The generator is seeded with ``seed`` and consumed in a fixed order
     (latent pairs first, censoring times second), so the result is bitwise
-    reproducible.  With ``return_hidden=True`` the latent ``(x, y)`` arrays
-    are returned alongside the observable sample; they exist only for
-    diagnostics and must never feed an estimator.
+    reproducible, and its latent pairs are those of
+    ``scenario.draw_xy(np.random.default_rng(seed), n)``.
     """
     if n < 1:
         raise EmptySampleError(f"need at least one observation, got n={n}")
     rng = np.random.default_rng(seed)
     x, y = scenario.draw_xy(rng, n)
     t = scenario.draw_t(rng, n)
-    out = _current_status(x, y, t, seed)
-    if return_hidden:
-        return out, (x, y)
-    return out
+    return _current_status(x, y, t, seed)
 
 
 def observation_density(

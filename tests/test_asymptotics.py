@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from csmark import (
     BandwidthRegimeError,
     BandwidthSchedule,
+    BootstrapPlan,
     EstimatorConfig,
     Bandwidths,
     InvalidBandwidthError,
@@ -215,13 +216,72 @@ def test_driver_and_bootstrap_parameters_are_pinned():
         PilotModel: "sample_ config envelope_grid",
         EstimatorConfig: "kernel_t bandwidths kernel_z g_floor",
         mu2: "scenario point schedule kernel",
-        validate_conditions: "kernel_t kernel_z tol",
-        require_valid: "kernel_t kernel_z tol",
+        validate_conditions: "kernel_t kernel_z",
+        require_valid: "kernel_t kernel_z",
+        sample: "scenario n seed",
     }
     for fn, names in expected.items():
         assert list(inspect.signature(fn).parameters) == names.split(), fn.__name__
-    # the mark kernel is EstimatorConfig.kernel_z, not a product-kernel type
-    assert not {"product_kernel", "BivariateKernel"} & set(csmark.__all__)
+
+
+def test_public_names_are_pinned():
+    """The package exports these names and no others, and each resolves."""
+    assert sorted(csmark.__all__) == [
+        "AsymptoticParams", "BandwidthRegimeError", "BandwidthSchedule", "Bandwidths",
+        "BootstrapMseTable", "BootstrapPlan", "CsmarkError", "DegeneratePilotError",
+        "DerivativeUnavailableError", "EmptySampleError", "EquivalenceCurve",
+        "EstimatorConfig", "InvalidBandwidthError", "KernelAssumptionError",
+        "KernelValidationReport", "MeanFunctionalResult", "MonteCarloSummary",
+        "MseRow", "PilotModel", "QuadratureError", "ReplicationFailureError",
+        "Sample", "Scenario", "SelectionError", "SupportError", "UnivariateKernel",
+        "UnstableDenominatorError", "__version__", "bootstrap_mse", "custom_kernel",
+        "difference_sample", "efficient_variance", "epanechnikov_kernel",
+        "equivalence_curve", "eval_rescaled", "eval_rescaled_cdf", "evaluate_grid",
+        "f1", "f1_counting", "f2", "f2_density", "fit_pilot", "g_hat", "g_hat_prime",
+        "h0_hat", "l2_norm_sq", "mc_functional", "mc_mse", "mc_normality",
+        "mean_functional",
+        "mean_functional_detail", "mu1_sigma2", "mu2", "observation_density",
+        "qq_points", "require_valid", "sample", "scenario_a", "scenario_b",
+        "second_moment", "select", "true_mean_event_time", "uniform_kernel",
+        "validate_conditions", "write_grid_csv",
+    ]
+    for name in csmark.__all__:
+        assert getattr(csmark, name) is not None, name
+
+
+def test_finite_positive_checks_name_their_parameter():
+    """Bandwidths and the constants that scale them share one check, whose
+    message names the parameter; g_floor and envelope_constant keep
+    raising a plain ValueError."""
+    s = sample(B, 50, 1)
+    schedule = BandwidthSchedule(0.5, 0.5, 0.3)
+    plan = dict(alpha0=0.4, beta0=0.4, replications=2, alpha_grid=(0.2,),
+                beta_grid=(0.2,), point=(0.5, 0.5), seed=1)
+    cases = [
+        ("alpha", InvalidBandwidthError, lambda: Bandwidths(-0.1)),
+        ("beta", InvalidBandwidthError, lambda: Bandwidths(0.1, math.nan)),
+        ("c1", InvalidBandwidthError, lambda: BandwidthSchedule(0.0)),
+        ("c2", InvalidBandwidthError, lambda: BandwidthSchedule(0.5, -1.0, 0.3)),
+        ("c", InvalidBandwidthError, lambda: mu1_sigma2(B, (0.5, 0.5), math.inf, EPA)),
+        ("alpha", InvalidBandwidthError, lambda: mean_functional_detail(s, -0.1)),
+        ("alpha0", InvalidBandwidthError,
+         lambda: BootstrapPlan(**{**plan, "alpha0": 0})),
+        ("beta0", InvalidBandwidthError,
+         lambda: BootstrapPlan(**{**plan, "beta0": math.inf})),
+        ("alpha_grid", InvalidBandwidthError,
+         lambda: BootstrapPlan(**{**plan, "alpha_grid": (0.2, -0.1)})),
+        ("beta_grid", InvalidBandwidthError,
+         lambda: BootstrapPlan(**{**plan, "beta_grid": (math.nan,)})),
+        ("g_floor", ValueError, lambda: EstimatorConfig(g_floor=0.0)),
+        ("envelope_constant", ValueError,
+         lambda: equivalence_curve(B, (0.5, 0.5), [400], schedule, seed=0,
+                                   envelope_constant=-1.0)),
+    ]
+    for name, error, call in cases:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert type(exc.value) is error, name
+        assert str(exc.value).startswith(f"{name} must be finite and positive, got ")
 
 
 def test_mc_normality_moments_track_the_limit():

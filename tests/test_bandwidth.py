@@ -26,7 +26,6 @@ from csmark import (
     f1,
     f2,
     fit_pilot,
-    pilot_bandwidth,
     sample,
     scenario_a,
     scenario_b,
@@ -54,17 +53,6 @@ def small_plan(**overrides):
     )
     params.update(overrides)
     return BootstrapPlan(**params)
-
-
-def test_pilot_bandwidth_scaling():
-    assert pilot_bandwidth(100) == 0.4
-    assert pilot_bandwidth(3200) == pytest.approx(0.2, rel=1e-12)
-    assert pilot_bandwidth(100, reference=0.3) == 0.3
-    with pytest.raises(ValueError):
-        pilot_bandwidth(0)
-    for bad in (np.nan, 0.0, -0.4, np.inf):
-        with pytest.raises(InvalidBandwidthError):
-            pilot_bandwidth(100, reference=bad)
 
 
 def test_bootstrap_plan_validation():

@@ -371,6 +371,26 @@ BAD_CONFIGS = [
      "'cell.2.z0' must be finite or inf, got '-inf'", "value"),
     ("table1", "cell.2", "0.4, 0.4, 80, F2, 0.25, nan", (),
      "'cell.2.beta' must be finite, got 'nan'", "value"),
+    # bandwidths, and the constants that scale them, are positive too
+    ("estimate-grid", "alpha", "-0.1", (), "'alpha' must be positive, got '-0.1'",
+     "value"),
+    ("estimate-grid", "beta", "0", (), "'beta' must be positive, got '0'", "value"),
+    ("mc-normality", "c1", "-1", (), "'c1' must be positive, got '-1'", "value"),
+    ("equivalence", "c2", "0", (), "'c2' must be positive, got '0'", "value"),
+    ("equivalence", "envelope_constant", "-1", (),
+     "'envelope_constant' must be positive, got '-1'", "value"),
+    ("bw-select", "alpha0", "0", (), "'alpha0' must be positive, got '0'", "value"),
+    ("bw-select", "beta0", "-0.4", (), "'beta0' must be positive, got '-0.4'", "value"),
+    ("bw-select", "alpha_grid", "0.2, -0.1", (),
+     "'alpha_grid' must be positive, got '0.2, -0.1'", "value"),
+    ("bw-select", "beta_grid", "0", (), "'beta_grid' must be positive, got '0'",
+     "value"),
+    ("table1", "cell.2", "0.4, 0.4, 80, F1, 0", (),
+     "'cell.2.alpha' must be positive, got '0'", "value"),
+    ("table1", "cell.2", "0.4, 0.4, 80, F2, 0.25, -0.2", (),
+     "'cell.2.beta' must be positive, got '-0.2'", "value"),
+    # marks are smoothed with 'kernel'; a second mark kernel is library-only
+    ("estimate-grid", "kernel_z", "uniform", (), "unknown key 'kernel_z'", "key"),
 ]
 
 
@@ -447,7 +467,7 @@ def test_help_lists_each_commands_keys(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "required: seed, scenario, n, alpha, t_grid, z_grid" in out
-    assert "optional: beta, kernel = epanechnikov, kernel_z" in out
+    assert "  optional: beta, kernel = epanechnikov\n" in out
     with pytest.raises(SystemExit):
         main(["table1", "--help"])
     assert "cell.<i> = t0,z0,n,estimator,alpha[,beta]" in capsys.readouterr().out

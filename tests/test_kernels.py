@@ -182,10 +182,18 @@ def test_validate_conditions_menu():
     mixed = validate_conditions(uniform_kernel(), epanechnikov_kernel())
     assert mixed.kernel_name == "uniform x epanechnikov"
     assert not mixed.moments_ok
-    assert mixed.marginal_ok and mixed.shape_ok
+    assert mixed.shape_ok
     # the residual is the second-moment mismatch 1/3 - 1/5
     assert mixed.moments_residual == pytest.approx(2.0 / 15.0, rel=1e-6)
     assert mixed.failures() == ["moments"]
+
+    # a mark kernel short of unit mass fails the moments group, by its defect
+    light_epa = epanechnikov_kernel()
+    light = custom_kernel("light", lambda u: 0.9 * light_epa.pdf(u),
+                          lambda u: 0.9 * light_epa.cdf(u))
+    short = validate_conditions(epanechnikov_kernel(), light)
+    assert short.failures() == ["moments"]
+    assert short.moments_residual == pytest.approx(0.1, rel=1e-9)
 
     shifted = validate_conditions(shifted_epanechnikov(), epanechnikov_kernel())
     assert not shifted.shape_ok
