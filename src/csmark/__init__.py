@@ -68,7 +68,6 @@ from .asymptotics import (
     mc_mse,
     mc_normality,
     mean_functional,
-    mean_functional_detail,
     mu1_sigma2,
     mu2,
     qq_points,
@@ -145,7 +144,6 @@ __all__ = [
     "difference_sample",
     "MeanFunctionalResult",
     "mean_functional",
-    "mean_functional_detail",
     "true_mean_event_time",
     "efficient_variance",
     "mc_functional",

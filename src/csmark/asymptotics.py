@@ -26,8 +26,8 @@ midpoint grid; undersmoothing (time bandwidth shrinking faster than
 closed form ``int F (1 - F) / g`` computed by :func:`efficient_variance`.
 
 scipy (quadrature, the KS statistic, normal quantiles) is imported inside
-the functions that call it, so the Monte Carlo MSE and equivalence drivers
-run without loading it.
+the functions and properties that call it, so the Monte Carlo MSE and
+equivalence drivers run without loading it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,6 +53,7 @@ from .kernels import (
     Bandwidths,
     UnivariateKernel,
     _check_bandwidth,
+    _check_count,
     epanechnikov_kernel,
     l2_norm_sq,
     second_moment,
@@ -71,7 +72,6 @@ __all__ = [
     "equivalence_curve",
     "difference_sample",
     "mean_functional",
-    "mean_functional_detail",
     "MeanFunctionalResult",
     "true_mean_event_time",
     "efficient_variance",
@@ -182,9 +182,9 @@ def mu2(
     mark bandwidth decays strictly faster than ``n^{-1/5}``; at the critical
     exponent (1/5, to within 1e-9) it gains ``(c2^2 / 2) m2(k) d22 F0``;
     slower decay makes the standardized bias diverge and raises
-    :class:`BandwidthRegimeError`.  The mark kernel does not enter: the
-    moment condition of :func:`~csmark.kernels.validate_conditions` makes
-    its second moment that of the time kernel.
+    :class:`BandwidthRegimeError`.  The estimators smooth the mark with
+    the time kernel itself, so the extra term's second moment is
+    ``kernel``'s too.
     """
     if schedule.beta_exponent is None:
         raise InvalidBandwidthError("schedule carries no mark bandwidth")
@@ -210,13 +210,12 @@ def mu2(
 
 @dataclass(frozen=True, eq=False)
 class MonteCarloSummary:
-    """Replicated standardized estimates plus their reference law.
+    """Replicated statistics plus the reference law's mean and variance.
 
-    ``values`` holds ``n^{2/5} (estimate - F0)`` (or the functional's
-    ``sqrt(n)`` analogue) for the replications that produced an estimate,
-    ``replicates`` the index ``r`` (seed offset) of each of them;
-    ``failures`` counts those that did not.  ``ks_distance`` compares the
-    values with N(mu, sigma2) when a reference law applies.
+    ``values`` holds an error ``estimate - F0``, its ``n^{2/5}`` scaling, or
+    the functional's ``sqrt(n)`` analogue for each replication that produced
+    one, ``replicates`` the index ``r`` (seed offset) of each of them;
+    ``failures`` counts those that did not.  ``mu``/``sigma2`` may be None.
     """
 
     values: np.ndarray
@@ -224,10 +223,6 @@ class MonteCarloSummary:
     failures: int
     mu: float | None = None
     sigma2: float | None = None
-    ks_distance: float | None = None
-    mse: float | None = None
-    mse_se: float | None = None
-    degenerate_bias: bool = False
 
     @property
     def mean(self) -> float:
@@ -236,6 +231,25 @@ class MonteCarloSummary:
     @property
     def variance(self) -> float:
         return float(np.var(self.values, ddof=1))
+
+    @property
+    def mse(self) -> float:
+        return float(np.mean(self.values**2))
+
+    @property
+    def mse_se(self) -> float:
+        """Sampling standard error of :attr:`mse`."""
+        return float(np.std(self.values**2, ddof=1) / math.sqrt(self.values.size))
+
+    @property
+    def ks_distance(self) -> float | None:
+        """Kolmogorov-Smirnov distance of the values from N(mu, sigma2), if set."""
+        if self.mu is None or self.sigma2 is None:
+            return None
+        from scipy import stats
+
+        args = (self.mu, math.sqrt(self.sigma2))
+        return float(stats.kstest(self.values, "norm", args=args).statistic)
 
 
 def _usable_cpus() -> int:
@@ -261,10 +275,12 @@ def _replicate(
     its seed.  A pool of ``min(workers, m, usable CPUs)`` threads is used
     only from ``_THREAD_MIN_ROWS`` rows on: below that, threads mostly trade
     the GIL between short numpy calls and lose.  Values are kept in replication
-    order, so the output is bitwise identical for any ``workers``.
+    order, so the output is bitwise identical for any ``workers``.  Counts out
+    of range raise ``ValueError`` before any sample is drawn.
     """
-    if m < 2:
-        raise ValueError(f"need at least two replications, got m={m}")
+    _check_count(m, "m", 2)
+    _check_count(seed, "seed", 0)
+    _check_count(workers, "workers", 1)
 
     def one(r: int) -> float:
         try:
@@ -320,10 +336,9 @@ def mc_normality(
 
     Takes the :func:`mc_mse` errors at ``point`` (replication ``r`` draws
     a fresh sample with seed ``seed + r``) and records
-    ``n^{2/5} (estimate - F0(point))``.  The summary carries the
-    Kolmogorov-Smirnov distance between those values and N(mu, sigma2),
-    where the reference mean respects the mark-bandwidth regime when a
-    schedule is given.
+    ``n^{2/5} (estimate - F0(point))``.  The summary's reference law is
+    N(mu, sigma2), whose mean respects the mark-bandwidth regime when a
+    schedule is given; its ``ks_distance`` compares the values with it.
 
     Bandwidths come either from ``alpha``/``beta`` directly or from a
     ``schedule`` evaluated at ``n`` (exactly one of the two forms must be
@@ -333,6 +348,7 @@ def mc_normality(
     Threads (``workers``, capped at the usable CPUs) share replications
     only when ``n >= 20_000``; results do not depend on ``workers``.
     """
+    _check_count(m, "m", 2)
     if schedule is not None:
         if alpha is not None or beta is not None:
             raise InvalidBandwidthError(
@@ -347,20 +363,14 @@ def mc_normality(
         scenario, estimator, point, n, m,
         alpha=alpha, beta=beta, seed=seed, kernel_t=kt, workers=workers,
     )
-    values = float(n) ** 0.4 * errors.values
-
     c = alpha * float(n) ** 0.2
     params = mu1_sigma2(scenario, point, c, kt)
     mu = params.mu1
     if estimator == "F2" and schedule is not None and schedule.beta_exponent is not None:
         mu = mu2(scenario, point, schedule, kt)
-    sigma = math.sqrt(params.sigma2)
-    from scipy import stats
-
-    ks = float(stats.kstest(values, "norm", args=(mu, sigma)).statistic)
-    return replace(
-        errors, values=values, mu=mu, sigma2=params.sigma2, ks_distance=ks,
-        degenerate_bias=params.degenerate_bias,
+    return MonteCarloSummary(
+        values=float(n) ** 0.4 * errors.values, replicates=errors.replicates,
+        failures=errors.failures, mu=mu, sigma2=params.sigma2,
     )
 
 
@@ -379,14 +389,15 @@ def mc_mse(
 ) -> MonteCarloSummary:
     """Monte Carlo mean squared error of an estimator at fixed bandwidths.
 
-    Replication ``r`` uses seed ``seed + r``; the summary's ``mse`` is the
-    average of ``(estimate - F0(point))^2`` over successful replications
-    and ``mse_se`` its sampling standard error.  ``values`` holds the raw
-    (unstandardized) errors for inspection.  The time kernel defaults to
+    Replication ``r`` uses seed ``seed + r``; ``values`` holds the raw
+    (unstandardized) errors ``estimate - F0(point)`` of the successful
+    replications, so the summary's ``mse`` is their mean square and
+    ``mse_se`` its sampling standard error.  The time kernel defaults to
     Epanechnikov and smooths F2's marks too.
     Threads (``workers``, capped at the usable CPUs) share replications
     only when ``n >= 20_000``; results do not depend on ``workers``.
     """
+    _check_count(replications, "replications", 2)
     config = _resolve_config(estimator, alpha, beta, kernel_t)
     t0, z0 = point
     truth = float(scenario.cdf(t0, z0))
@@ -396,14 +407,7 @@ def mc_mse(
         scenario, n, replications, seed,
         lambda s: est(s, config, t0, z0) - truth, workers,
     )
-    sq = errors**2
-    return MonteCarloSummary(
-        values=errors,
-        replicates=replicates,
-        failures=failures,
-        mse=float(np.mean(sq)),
-        mse_se=float(np.std(sq, ddof=1) / math.sqrt(sq.size)),
-    )
+    return MonteCarloSummary(values=errors, replicates=replicates, failures=failures)
 
 
 @dataclass(frozen=True, eq=False)
@@ -493,9 +497,7 @@ def difference_sample(
     )
     base = mu1_sigma2(scenario, point, schedule.c1, config.kernel_t)
     shift = mu2(scenario, point, schedule, config.kernel_t) - base.mu1
-    return MonteCarloSummary(
-        values=values, replicates=replicates, failures=failures, mu=shift
-    )
+    return MonteCarloSummary(values, replicates, failures, mu=shift)
 
 
 @dataclass(frozen=True)
@@ -506,7 +508,7 @@ class MeanFunctionalResult:
     fallback_count: int
 
 
-def mean_functional_detail(
+def mean_functional(
     s: Sample, alpha: float, grid_points: int = 2000
 ) -> MeanFunctionalResult:
     """Estimate ``int x dF0(x, inf)`` from a current status sample.
@@ -526,8 +528,7 @@ def mean_functional_detail(
     evaluable, :class:`UnstableDenominatorError` is raised.
     """
     _check_bandwidth(alpha, "alpha")
-    if grid_points < 1:
-        raise ValueError(f"grid_points must be positive, got {grid_points}")
+    _check_count(grid_points, "grid_points", 1)
     ts = np.sort(s.t)
     tu = np.sort(s.t[s.delta == 1])
     x = (np.arange(grid_points) + 0.5) / grid_points
@@ -558,11 +559,6 @@ def mean_functional_detail(
     return MeanFunctionalResult(
         value=float(np.mean(1.0 - fx)), fallback_count=fallback
     )
-
-
-def mean_functional(s: Sample, alpha: float, grid_points: int = 2000) -> float:
-    """Value-only wrapper of :func:`mean_functional_detail`."""
-    return mean_functional_detail(s, alpha, grid_points).value
 
 
 def true_mean_event_time(scenario: Scenario) -> float:
@@ -632,20 +628,19 @@ def mc_functional(
     Threads (``workers``, capped at the usable CPUs) share replications
     only when ``n >= 20_000``; results do not depend on ``workers``.
     """
+    _check_count(grid_points, "grid_points", 1)
     truth = true_mean_event_time(scenario)
     alpha = float(n) ** -float(alpha_exponent)
     root_n = math.sqrt(n)
 
+    # mean_functional is looked up at call time, where perfbench/tracing.py wraps it
     values, replicates, failures = _replicate(
         scenario, n, m, seed,
-        lambda s: root_n * (mean_functional(s, alpha, grid_points) - truth), workers,
+        lambda s: root_n * (mean_functional(s, alpha, grid_points).value - truth),
+        workers,
     )
-    return MonteCarloSummary(
-        values=values,
-        replicates=replicates,
-        failures=failures,
-        sigma2=efficient_variance(scenario),
-    )
+    return MonteCarloSummary(values, replicates, failures,
+                             sigma2=efficient_variance(scenario))
 
 
 def qq_points(summary: MonteCarloSummary) -> tuple[np.ndarray, np.ndarray]:

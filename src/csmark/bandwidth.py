@@ -31,7 +31,6 @@ from __future__ import annotations
 import io
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +40,7 @@ from .asymptotics import MAX_FAILURE_FRACTION
 from .errors import (
     DegeneratePilotError,
     InvalidBandwidthError,
+    KernelAssumptionError,
     SelectionError,
     SupportError,
 )
@@ -56,8 +56,8 @@ from .estimators import (  # noqa: F401
 from .kernels import (
     Bandwidths,
     KernelFamily,
-    UnivariateKernel,
     _check_bandwidth,
+    _check_count,
     epanechnikov_kernel,
 )
 from .scenarios import Sample, _current_status, _write_csv
@@ -74,6 +74,9 @@ __all__ = [
 
 # rejection envelope: this factor times the largest pilot density seen
 _ENVELOPE_SAFETY = 1.1
+
+# nodes per side of the envelope grid over the unit box
+_ENVELOPE_GRID = 200
 
 # rejection rounds after which draw_xy gives up on a pilot density that
 # (almost) never accepts a proposal
@@ -101,10 +104,7 @@ class BootstrapPlan:
     def __post_init__(self) -> None:
         _check_bandwidth(self.alpha0, "alpha0")
         _check_bandwidth(self.beta0, "beta0")
-        if not isinstance(self.replications, numbers.Integral) or self.replications < 1:
-            raise InvalidBandwidthError(
-                f"replications must be a positive integer, got {self.replications!r}"
-            )
+        _check_count(self.replications, "replications", 1, InvalidBandwidthError)
         for label, grid in (("alpha", self.alpha_grid), ("beta", self.beta_grid)):
             if len(grid) == 0:
                 raise InvalidBandwidthError(f"{label}_grid must be nonempty")
@@ -124,7 +124,9 @@ class PilotModel:
     Holds the original sample, the pilot estimator configuration, the
     clipped pilot density (negative values and unstable denominators are
     treated as zero) and a rejection envelope precomputed on a grid over
-    the unit box, 1.1 times the largest density at its nodes.  Bounds on
+    the unit box, 1.1 times the largest density at its nodes.  The config
+    must smooth with the Epanechnikov kernel, for which alone the bounds
+    and the noise below are exact, and carry a mark bandwidth.  Bounds on
     the density at every node leave only a few nodes that can hold that
     peak, and only those are evaluated.  Bounds on every cell of the grid
     squeeze the rejection step of :meth:`draw_xy`.  The envelope is
@@ -133,14 +135,15 @@ class PilotModel:
     the generator passed in.
     """
 
-    def __init__(
-        self, sample_: Sample, config: EstimatorConfig, envelope_grid: int = 200
-    ) -> None:
-        if envelope_grid < 2:
-            raise ValueError(f"envelope_grid needs two nodes or more, got {envelope_grid}")
+    def __init__(self, sample_: Sample, config: EstimatorConfig) -> None:
+        if config.kernel_t.family is not KernelFamily.EPANECHNIKOV:
+            raise KernelAssumptionError(f"the pilot kernel must be epanechnikov, "
+                                        f"not {config.kernel_t.name!r}")
+        if config.bandwidths.beta is None:
+            raise InvalidBandwidthError("the pilot needs a mark bandwidth (beta)")
         self.sample = sample_
         self.config = config
-        self._edges = grid = np.linspace(0.0, 1.0, envelope_grid)
+        self._edges = grid = np.linspace(0.0, 1.0, _ENVELOPE_GRID)
         # each node's density is at most its upper bound, and the largest
         # one at least the largest lower bound: only nodes whose upper bound
         # reaches that, and is positive, can hold a positive peak
@@ -176,7 +179,7 @@ class PilotModel:
         kernel estimate does.
         """
         idx = rng.integers(0, len(self.sample), size)
-        noise = _kernel_noise(self.config.kernel_t, rng, size)
+        noise = _epanechnikov_noise(rng, size)
         return self.sample.t[idx] + self.config.bandwidths.alpha * noise
 
     def draw_xy(
@@ -235,26 +238,20 @@ class PilotModel:
         return x_all, y_all
 
 
-def _kernel_noise(
-    kernel: UnivariateKernel, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Inverse-CDF draws from a kernel density on [-1, 1]."""
+def _epanechnikov_noise(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Inverse-CDF draws from the Epanechnikov kernel on [-1, 1]."""
     u = rng.random(size)
-    if kernel.family is KernelFamily.UNIFORM:
-        return 2.0 * u - 1.0
-    if kernel.family is KernelFamily.EPANECHNIKOV:
-        # closed-form inverse of (2 + 3w - w^3)/4 = u via the trigonometric
-        # root of the depressed cubic
-        return 2.0 * np.cos((np.arccos(1.0 - 2.0 * u) + 4.0 * np.pi) / 3.0)
-    grid = np.linspace(-1.0, 1.0, 4097)
-    return np.interp(u, kernel.cdf(grid), grid)
+    # closed-form inverse of (2 + 3w - w^3)/4 = u via the trigonometric
+    # root of the depressed cubic
+    return 2.0 * np.cos((np.arccos(1.0 - 2.0 * u) + 4.0 * np.pi) / 3.0)
 
 
 def fit_pilot(sample_: Sample, alpha0: float, beta0: float) -> PilotModel:
     """Fit the smooth pilot model at the pilot bandwidths.
 
-    The pilot smooths time and mark with the Epanechnikov kernel: its
-    density needs the kernel's derivative.
+    The pilot smooths time and mark with the Epanechnikov kernel, the one
+    :class:`PilotModel` takes: its density needs the kernel's derivative,
+    and its bounds and noise are exact for that kernel.
     """
     config = EstimatorConfig(
         kernel_t=epanechnikov_kernel(), bandwidths=Bandwidths(alpha0, beta0)

@@ -6,7 +6,7 @@ plus a ``manifest.json`` echoing the exact configuration into the output
 directory.  Outputs contain no timestamps or environment details, so a rerun
 with the same config and seed reproduces them byte for byte.  Each command's
 keys are declared once, in ``_COMMANDS``; a config is checked in full before
-the output directory is created.
+the run starts, and the output directory is created with the first output.
 
 Exit codes: 0 success, 2 configuration error (with line/column), 3 a
 replication or selection failure at run time.
@@ -220,19 +220,20 @@ def _cells(cfg: dict[str, _Entry]) -> list[dict[str, Any]]:
 
 
 class _Run:
-    """Output directory plus the manifest accumulated during a run."""
+    """Output directory (created for the first output) and a run's manifest."""
 
     def __init__(self, args, cfg_text: str, entries: dict, seed: int) -> None:
         self.outdir = Path(args.out)
-        try:
-            self.outdir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create --out directory: {exc}") from None
         self.command, self.threads = args.command, args.threads
         self.cfg_text, self.entries, self.seed = cfg_text, entries, seed
         self.outputs: list[str] = []
 
     def path(self, name: str) -> Path:
+        if not self.outputs:
+            try:
+                self.outdir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create --out directory: {exc}") from None
         self.outputs.append(name)
         return self.outdir / name
 

@@ -12,10 +12,10 @@ smoothing and taking the ratio.  Two variants are implemented:
 
 * ``f1`` smooths in the time direction only -- the numerator is a kernel
   average of ``1{z_i <= z0} delta_i``;
-* ``f2`` smooths in both directions with the product of the time kernel and
-  a mark kernel -- the mark indicator is replaced by its kernel smoothing,
+* ``f2`` smooths in both directions with the product ``k(x) k(y)`` of the
+  one kernel -- the mark indicator is replaced by its kernel smoothing,
   i.e. each uncensored observation contributes ``K2((z0 - z_i) / beta)``
-  where ``K2`` is the antiderivative of the mark kernel.  The product's time
+  where ``K2`` is the antiderivative of the kernel.  The product's time
   factor is the time kernel itself, so integrating out the mark recovers the
   time-only smoother exactly, which keeps the marginal identity
   ``1 - f2(t0, z_max + beta) = h0/g`` an algebraic fact rather than an
@@ -95,18 +95,18 @@ _CHUNK_BUDGET = 250_000
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Kernels, bandwidths and the denominator floor for one estimation run.
+    """Kernel, bandwidths and the denominator floor for one estimation run.
 
-    ``kernel_t`` smooths censoring times.  ``kernel_z`` smooths marks in the
-    doubly-smoothed estimators, whose product kernel is ``kernel_t(x)
-    kernel_z(y)``; None means ``kernel_t``.  Those estimators also need the
-    mark bandwidth ``bandwidths.beta``.  ``g_floor`` is the positive floor
-    under the estimated censoring density below which ratios are refused.
+    ``kernel_t`` smooths censoring times, and marks too in the
+    doubly-smoothed estimators, whose product kernel ``kernel_t(x)
+    kernel_t(y)`` so has two equal second moments, as the limit law needs.
+    Those estimators also need the mark bandwidth ``bandwidths.beta``.
+    ``g_floor`` is the positive floor under the estimated censoring density
+    below which ratios are refused.
     """
 
     kernel_t: UnivariateKernel = field(default_factory=epanechnikov_kernel)
     bandwidths: Bandwidths = field(default_factory=lambda: Bandwidths(0.1))
-    kernel_z: UnivariateKernel | None = None
     g_floor: float = DEFAULT_G_FLOOR
 
     def __post_init__(self) -> None:
@@ -123,8 +123,9 @@ def _segment_sums(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def _point_sums(sample, kt, kz, t0, z0, alpha, beta, terms) -> list[np.ndarray]:
-    """:func:`_kernel_sums` at one point, in the same arithmetic.
+def _point_sums(sample, kt, t0, z0, alpha, beta, terms) -> list[np.ndarray]:
+    """:func:`_kernel_sums` at one point, in the same arithmetic (``beta`` None
+    when no term smooths the mark).
 
     A single point, the Monte Carlo drivers' case, would otherwise spend
     more on the batch bookkeeping than on its window at moderate ``n``.
@@ -137,9 +138,9 @@ def _point_sums(sample, kt, kz, t0, z0, alpha, beta, terms) -> list[np.ndarray]:
     unc = sample.delta[col] == 1
     keep = unc.nonzero()[0]
     zu = sample.z[col[keep]]
-    if kz is not None:
+    if beta is not None:
         scaled = (z0 - zu) / beta
-        v = kz.pdf(scaled) if {"h", "dh"}.intersection(terms) else None
+        v = kt.pdf(scaled) if {"h", "dh"}.intersection(terms) else None
     scale = 1.0 / (len(sample) * alpha)
     out = []
     for term in terms:
@@ -150,7 +151,7 @@ def _point_sums(sample, kt, kz, t0, z0, alpha, beta, terms) -> list[np.ndarray]:
         elif term == "f1":
             x = w[keep] * (zu <= z0)
         elif term == "f2":
-            x = w[keep] * kz.cdf(scaled)
+            x = w[keep] * kt.cdf(scaled)
         else:
             x = (w if term == "h" else d)[keep] * v
         total = np.add.reduceat(x, [0]) if x.size else np.zeros(1)  # as _segment_sums
@@ -165,7 +166,7 @@ def _kernel_sums(sample, config, t, z, alpha, beta, terms) -> list[np.ndarray]:
     ``t`` and ``z`` are float arrays of the points; ``alpha``/``beta`` are
     shared scalars or arrays of one value per point.  With
     ``w = k_alpha(t_j - t_i)``, ``d = k'((t_j - t_i) / alpha) / alpha^2`` and
-    ``v = kz_beta(z_j - z_i)``, returns for each name in ``terms`` the mean
+    ``v = k_beta(z_j - z_i)``, returns for each name in ``terms`` the mean
     over ``i`` of: ``g``: w; ``f1``: w delta 1{z_i <= z_j}; ``f2``: w delta
     K2((z_j - z_i) / beta); ``h0``: w (1 - delta); ``gp``: d; ``h``: w v
     delta; ``dh``: d v delta.
@@ -182,24 +183,22 @@ def _kernel_sums(sample, config, t, z, alpha, beta, terms) -> list[np.ndarray]:
     budget and whatever other points share the call.
     """
     kt = config.kernel_t
-    kz = None
-    if {"f2", "h", "dh"}.intersection(terms):
-        kz = config.kernel_z or kt
+    marked = bool({"f2", "h", "dh"}.intersection(terms))
+    if marked:
         if beta is None:
             raise InvalidBandwidthError(
                 "doubly-smoothed estimation needs a mark bandwidth (beta)"
             )
         _check_bandwidth(beta, "beta")
         beta = np.full(t.shape, beta, dtype=float)
-    differentiated = (kt, kz) if "dh" in terms else (kt,) if "gp" in terms else ()
-    for k in differentiated:
-        if k.deriv is None:
-            raise DerivativeUnavailableError(f"kernel {k.name!r} has no derivative")
+    differentiated = bool({"gp", "dh"}.intersection(terms))
+    if differentiated and kt.deriv is None:
+        raise DerivativeUnavailableError(f"kernel {kt.name!r} has no derivative")
     _check_bandwidth(alpha, "alpha")
     alpha = np.full(t.shape, alpha, dtype=float)
     if t.size == 1:  # spares a single point the batch bookkeeping
-        b = None if kz is None else beta[0]
-        return _point_sums(sample, kt, kz, t[0], z[0], alpha[0], b, terms)
+        b = beta[0] if marked else None
+        return _point_sums(sample, kt, t[0], z[0], alpha[0], b, terms)
     n, m = len(sample), t.size
     out = {term: np.empty(m) for term in terms}
     new_run = np.ones(m + 1, dtype=bool)
@@ -243,14 +242,14 @@ def _kernel_sums(sample, config, t, z, alpha, beta, terms) -> list[np.ndarray]:
                 i = np.arange(pair_edges[-1]) + offset.repeat(counts)
             points = slice(p0 + j, p0 + j + counts.size)
             zi, zj = zu[i], z[points].repeat(counts)
-            if kz is not None:
+            if marked:
                 scaled = (zj - zi) / beta[points].repeat(counts)
-                v = kz.pdf(scaled) if {"h", "dh"}.intersection(terms) else None
+                v = kt.pdf(scaled) if {"h", "dh"}.intersection(terms) else None
             for term in {"f1", "f2", "h", "dh"}.intersection(terms):
                 if term == "f1":
                     x = w[i] * (zi <= zj)
                 elif term == "f2":
-                    x = w[i] * kz.cdf(scaled)
+                    x = w[i] * kt.cdf(scaled)
                 else:
                     x = (w if term == "h" else d)[i] * v
                 out[term][points] = _segment_sums(x, pair_edges)
@@ -337,8 +336,12 @@ def _density_bounds(sample, config, t_lo, t_hi, z_lo, z_hi):
     g_hat is under the floor) lies in ``[lower[i, j], upper[i, j]]``.
     Intervals may be degenerate (``t_lo == t_hi``), giving bounds at points.
 
+    The config's kernel must be Epanechnikov and its bandwidths must hold a
+    mark bandwidth; :class:`~csmark.bandwidth.PilotModel`, the one caller,
+    refuses any other config.
+
     Every factor the kernel sums add up -- ``k(u_i)`` and ``k'(u_i)`` at
-    ``u_i = (t - t_i) / alpha``, ``kz((z - z_i) / beta)`` -- is bounded
+    ``u_i = (t - t_i) / alpha``, ``k((z - z_i) / beta)`` -- is bounded
     exactly: ``u_i`` rounds monotonically in ``t``, and the kernel helpers
     bound the float kernels over the ``u`` interval.  Sums of those bounds
     bound ``g`` and ``gp`` per t-interval; matrix products of the (t-interval
@@ -355,7 +358,7 @@ def _density_bounds(sample, config, t_lo, t_hi, z_lo, z_hi):
     (n + 5) eps)`` times the sum of absolute terms, ``A``, of the same sum
     in exact arithmetic, and so do the matrix products and sums here of
     the exact values of theirs.  With ``A_g = g``, ``A_h = h``, ``A_gp`` and
-    ``A_dh`` (bounded here through ``|k'|`` and ``kz <= 0.75``), these
+    ``A_dh`` (bounded here through ``|k'|`` and ``k <= 0.75``), these
     errors move the quotient by
     at most about ``4 gamma (g A_dh + A_gp h) / g^2`` in either evaluation,
     and its last five roundings by ``5 eps`` times the same.  The sum,
@@ -365,16 +368,10 @@ def _density_bounds(sample, config, t_lo, t_hi, z_lo, z_hi):
     the upper bound.  A cell is stable when ``g_lo (1 - delta) >= g_floor``,
     so g_hat there is at least the floor.
 
-    Cells that are not stable, or whose bounds overflow, get ``[0, inf]``;
-    so does every cell when either kernel is not Epanechnikov or there is
-    no mark bandwidth.
+    Cells that are not stable, or whose bounds overflow, get ``[0, inf]``.
     """
-    kz = config.kernel_z or config.kernel_t
     alpha, beta = config.bandwidths.alpha, config.bandwidths.beta
     shape = (t_lo.size, z_lo.size)
-    epanechnikov = KernelFamily.EPANECHNIKOV
-    if beta is None or {config.kernel_t.family, kz.family} != {epanechnikov}:
-        return np.zeros(shape), np.full(shape, np.inf)
     n, m = len(sample), t_lo.size
     g_lo, g_hi, gp_lo, gp_hi, gp_abs, dh_abs = np.zeros((6, m))
     h_lo, h_hi, dh_lo, dh_hi = np.zeros((4, m, z_lo.size))
@@ -388,7 +385,7 @@ def _density_bounds(sample, config, t_lo, t_hi, z_lo, z_hi):
         d_lo, d_hi = _epanechnikov_deriv_bounds(ua, ub)
         d_abs = np.fmax(-d_lo, d_hi)
         unc = (sample.delta[block] == 1).nonzero()[0]
-        # |dh| <= sum |k'| kz over the uncensored, and kz <= 0.75
+        # |dh| <= sum |k'| k over the uncensored, and k <= 0.75
         for total, x in ((g_lo, w_lo), (g_hi, w_hi), (gp_lo, d_lo), (gp_hi, d_hi),
                          (gp_abs, d_abs), (dh_abs, 0.75 * d_abs[:, unc])):
             total += x.sum(axis=1)
@@ -559,7 +556,7 @@ def evaluate_grid(
 
     The singly-smoothed estimate is always computed.  The doubly-smoothed
     estimate and the density require a mark bandwidth and (for the density)
-    time and mark kernels with derivatives; when those prerequisites are
+    a kernel with a derivative; when those prerequisites are
     missing the corresponding columns are left as None rather than failing
     the whole grid.  Points whose denominator is unstable get None everywhere.
     """
@@ -568,8 +565,7 @@ def evaluate_grid(
     kinds: tuple[str, ...] = ("F1",)
     if config.bandwidths.beta is not None:
         kinds += ("F2",)
-        kz = config.kernel_z or config.kernel_t
-        if config.kernel_t.deriv is not None and kz.deriv is not None:
+        if config.kernel_t.deriv is not None:
             kinds += ("density",)
     t = np.repeat(t_grid, z_grid.size)
     z = np.tile(z_grid, t_grid.size)

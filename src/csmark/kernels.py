@@ -6,9 +6,9 @@ A univariate kernel k is a probability density supported on [-1, 1].  The
 estimators use three derived quantities: the rescaled kernel
 ``k_h(u) = k(u / h) / h``, the second moment ``m2 = int u^2 k(u) du`` and the
 squared L2 norm ``int k(u)^2 du``.  Bivariate smoothing uses the product
-``K(x, y) = k(x) * kz(y)`` of the time kernel ``k`` and a mark kernel
-``kz``, which may differ from it, subject to the conditions checked by
-:func:`validate_conditions`:
+``K(x, y) = k(x) * k(y)`` of the one kernel ``k``, which smooths time and
+mark alike.  :func:`validate_conditions` checks the paper's conditions on
+the product of any time factor and mark factor:
 
 * each factor is a density with compact support [-1, 1] and is symmetric
   (continuity is assumed, not checked numerically);
@@ -27,6 +27,7 @@ the estimators never need it.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -218,6 +219,13 @@ def _check_bandwidth(value, name: str, error: type = InvalidBandwidthError) -> N
         raise error(f"{name} must be finite and positive, got {value!r}")
 
 
+def _check_count(value, name: str, minimum: int, error: type = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an integer >= ``minimum``."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integer and value >= minimum):
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def eval_rescaled(kernel: UnivariateKernel, bandwidth, u) -> np.ndarray:
     """Evaluate ``k(u / bandwidth) / bandwidth`` elementwise.
 
@@ -325,17 +333,19 @@ def _shape_residual(k: UnivariateKernel) -> float:
 
 def validate_conditions(
     kernel_t: UnivariateKernel,
-    kernel_z: UnivariateKernel | None = None,
+    kernel_mark: UnivariateKernel | None = None,
 ) -> KernelValidationReport:
     """Check the product of two kernels against the standing assumptions.
+
+    The estimators' own product ``k(x) k(y)`` is the case ``kernel_mark=None``;
+    any other pair is checked against the paper's conditions all the same.
 
     Parameters
     ----------
     kernel_t : UnivariateKernel
         The time kernel.
-    kernel_z : UnivariateKernel or None
-        The mark kernel; None means ``kernel_t``, as in
-        :class:`~csmark.estimators.EstimatorConfig`.
+    kernel_mark : UnivariateKernel or None
+        The mark kernel; None means ``kernel_t``.
 
     Returns
     -------
@@ -348,7 +358,7 @@ def validate_conditions(
     evaluations and is taken on trust; the Uniform factor therefore
     passes the shape check despite its jumps at the edges.
     """
-    kt, kz = kernel_t, kernel_z or kernel_t
+    kt, kz = kernel_t, kernel_mark or kernel_t
 
     mass_t = _moment_cached(kt, 0)
     mass_z = _moment_cached(kz, 0)
@@ -379,10 +389,10 @@ def validate_conditions(
 
 def require_valid(
     kernel_t: UnivariateKernel,
-    kernel_z: UnivariateKernel | None = None,
+    kernel_mark: UnivariateKernel | None = None,
 ) -> None:
     """Raise :class:`KernelAssumptionError` unless all conditions hold."""
-    report = validate_conditions(kernel_t, kernel_z)
+    report = validate_conditions(kernel_t, kernel_mark)
     if not report.all_ok:
         raise KernelAssumptionError(
             f"kernel {report.kernel_name!r} fails: {', '.join(report.failures())}"

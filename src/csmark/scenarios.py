@@ -30,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EmptySampleError, SupportError
+from .kernels import _check_count
 
 __all__ = [
     "Scenario",
@@ -353,10 +354,11 @@ def sample(scenario: Scenario, n: int, seed: int) -> Sample:
     The generator is seeded with ``seed`` and consumed in a fixed order
     (latent pairs first, censoring times second), so the result is bitwise
     reproducible, and its latent pairs are those of
-    ``scenario.draw_xy(np.random.default_rng(seed), n)``.
+    ``scenario.draw_xy(np.random.default_rng(seed), n)``.  ``n`` must be an
+    integer >= 1 (:class:`EmptySampleError`), ``seed`` one >= 0.
     """
-    if n < 1:
-        raise EmptySampleError(f"need at least one observation, got n={n}")
+    _check_count(n, "n", 1, EmptySampleError)
+    _check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     x, y = scenario.draw_xy(rng, n)
     t = scenario.draw_t(rng, n)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from csmark import (
     BandwidthRegimeError,
@@ -19,6 +20,7 @@ from csmark import (
     EstimatorConfig,
     Bandwidths,
     InvalidBandwidthError,
+    MonteCarloSummary,
     PilotModel,
     QuadratureError,
     ReplicationFailureError,
@@ -36,7 +38,6 @@ from csmark import (
     mc_mse,
     mc_normality,
     mean_functional,
-    mean_functional_detail,
     mu1_sigma2,
     mu2,
     qq_points,
@@ -166,11 +167,6 @@ def test_mc_normality_plumbing():
     assert summary.mu is not None and summary.sigma2 is not None
     assert summary.mse is not None and summary.mse_se is not None
 
-    flagged = mc_normality(
-        scenario_a(), "F1", (0.5, 0.5), 60, 2, seed=3, alpha=0.3
-    )
-    assert flagged.degenerate_bias
-
     with pytest.raises(ValueError):
         mc_normality(B, "F1", (0.5, 0.5), 300, 1, seed=1, alpha=0.25)
     with pytest.raises(ValueError):
@@ -197,8 +193,15 @@ def test_mc_normality_scales_the_mc_mse_errors():
                     alpha=schedule.alpha(400), beta=schedule.beta(400))
     assert summary.values.tobytes() == (400.0**0.4 * errors.values).tobytes()
     assert summary.replicates.tolist() == errors.replicates.tolist()
-    assert (summary.mse, summary.mse_se) == (errors.mse, errors.mse_se)
     assert summary.mu == mu2(B, (0.5, 0.5), schedule, EPA)
+    # the derived statistics, recomputed from the values
+    for run in (errors, summary):
+        sq = run.values**2
+        assert run.mse == float(np.mean(sq))
+        assert run.mse_se == float(np.std(sq, ddof=1) / math.sqrt(sq.size))
+    ks = stats.kstest(summary.values, "norm", args=(summary.mu, math.sqrt(summary.sigma2)))
+    assert summary.ks_distance == float(ks.statistic)
+    assert errors.ks_distance is None
 
 
 def test_driver_and_bootstrap_parameters_are_pinned():
@@ -213,15 +216,17 @@ def test_driver_and_bootstrap_parameters_are_pinned():
         mc_functional: "scenario n m alpha_exponent seed grid_points workers",
         bootstrap_mse: "sample_ plan true_value",
         fit_pilot: "sample_ alpha0 beta0",
-        PilotModel: "sample_ config envelope_grid",
-        EstimatorConfig: "kernel_t bandwidths kernel_z g_floor",
+        PilotModel: "sample_ config",
+        EstimatorConfig: "kernel_t bandwidths g_floor",
         mu2: "scenario point schedule kernel",
-        validate_conditions: "kernel_t kernel_z",
-        require_valid: "kernel_t kernel_z",
+        validate_conditions: "kernel_t kernel_mark",
+        require_valid: "kernel_t kernel_mark",
         sample: "scenario n seed",
     }
     for fn, names in expected.items():
         assert list(inspect.signature(fn).parameters) == names.split(), fn.__name__
+    fields = [f.name for f in dataclasses.fields(MonteCarloSummary)]
+    assert fields == "values replicates failures mu sigma2".split()
 
 
 def test_public_names_are_pinned():
@@ -239,8 +244,7 @@ def test_public_names_are_pinned():
         "equivalence_curve", "eval_rescaled", "eval_rescaled_cdf", "evaluate_grid",
         "f1", "f1_counting", "f2", "f2_density", "fit_pilot", "g_hat", "g_hat_prime",
         "h0_hat", "l2_norm_sq", "mc_functional", "mc_mse", "mc_normality",
-        "mean_functional",
-        "mean_functional_detail", "mu1_sigma2", "mu2", "observation_density",
+        "mean_functional", "mu1_sigma2", "mu2", "observation_density",
         "qq_points", "require_valid", "sample", "scenario_a", "scenario_b",
         "second_moment", "select", "true_mean_event_time", "uniform_kernel",
         "validate_conditions", "write_grid_csv",
@@ -263,7 +267,7 @@ def test_finite_positive_checks_name_their_parameter():
         ("c1", InvalidBandwidthError, lambda: BandwidthSchedule(0.0)),
         ("c2", InvalidBandwidthError, lambda: BandwidthSchedule(0.5, -1.0, 0.3)),
         ("c", InvalidBandwidthError, lambda: mu1_sigma2(B, (0.5, 0.5), math.inf, EPA)),
-        ("alpha", InvalidBandwidthError, lambda: mean_functional_detail(s, -0.1)),
+        ("alpha", InvalidBandwidthError, lambda: mean_functional(s, -0.1)),
         ("alpha0", InvalidBandwidthError,
          lambda: BootstrapPlan(**{**plan, "alpha0": 0})),
         ("beta0", InvalidBandwidthError,
@@ -282,6 +286,42 @@ def test_finite_positive_checks_name_their_parameter():
             call()
         assert type(exc.value) is error, name
         assert str(exc.value).startswith(f"{name} must be finite and positive, got ")
+
+
+def test_counts_are_checked_before_any_sample_is_drawn(monkeypatch):
+    """Sizes, seeds, replication and worker counts and grid sizes share one
+    check, whose ValueError names the parameter; the drivers make it before
+    they draw a sample."""
+    s = sample(B, 50, 1)
+    schedule = BandwidthSchedule(0.5, 0.5, 0.3)
+    plan = dict(alpha0=0.4, beta0=0.4, replications=2.5, alpha_grid=(0.2,),
+                beta_grid=(0.2,), point=(0.5, 0.5), seed=1)
+    mse = dict(scenario=B, estimator="F1", point=(0.5, 0.5), n=100, replications=4,
+               alpha=0.2, seed=0)
+
+    def no_draws(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(asymptotics, "sample", no_draws)
+    cases = [
+        ("n", lambda: sample(B, 2.5, 0)),
+        ("n", lambda: sample(B, True, 0)),
+        ("seed", lambda: sample(B, 10, -1)),
+        ("replications", lambda: mc_mse(**{**mse, "replications": 2.5})),
+        ("seed", lambda: mc_mse(**{**mse, "seed": -1})),
+        ("workers", lambda: mc_mse(**{**mse, "n": 30_000, "workers": 0})),
+        ("m", lambda: mc_normality(B, "F1", (0.5, 0.5), 100, 2.5, seed=0, alpha=0.2)),
+        ("m", lambda: difference_sample(B, (0.5, 0.5), 100, 2.5, schedule, seed=0)),
+        ("grid_points", lambda: mean_functional(s, 0.2, grid_points=math.nan)),
+        ("grid_points", lambda: mc_functional(B, 100, 3, seed=0, grid_points=math.nan)),
+        ("replications", lambda: BootstrapPlan(**plan)),
+    ]
+    for name, call in cases:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value).startswith(f"{name} must be an integer >= "), name
+    with pytest.raises(InvalidBandwidthError):
+        BootstrapPlan(**plan)
 
 
 def test_mc_normality_moments_track_the_limit():
@@ -508,7 +548,7 @@ def test_mean_functional_zero_for_fully_uncensored_sample():
         z=np.full(n, 0.5),
         delta=np.ones(n, dtype=int),
     )
-    detail = mean_functional_detail(s, 0.2, grid_points=100)
+    detail = mean_functional(s, 0.2, grid_points=100)
     assert detail.value == 0.0
     assert detail.fallback_count == 0
 
@@ -524,14 +564,14 @@ def test_mean_functional_equals_counting_average():
             for i in range(grid_points)
         ]
     )
-    assert abs(mean_functional(s, alpha, grid_points) - manual) < 1e-15
+    assert abs(mean_functional(s, alpha, grid_points).value - manual) < 1e-15
 
 
 def test_mean_functional_fallback_and_errors():
     rng = np.random.default_rng(8)
     t = rng.uniform(0.45, 0.55, 30)
     s = Sample(t=t, z=np.zeros(30), delta=np.zeros(30, dtype=int))
-    detail = mean_functional_detail(s, 0.03, grid_points=50)
+    detail = mean_functional(s, 0.03, grid_points=50)
     assert detail.fallback_count > 0
     assert 0.0 <= detail.value <= 1.0
 
@@ -547,7 +587,7 @@ def test_mean_functional_fallback_and_errors():
 def test_mean_functional_single_sample_accuracy():
     n = 10_000
     s = sample(B, n, 31)
-    err = abs(mean_functional(s, n ** (-1.0 / 3.0)) - 7.0 / 12.0)
+    err = abs(mean_functional(s, n ** (-1.0 / 3.0)).value - 7.0 / 12.0)
     assert err <= 4.0 * math.sqrt(0.19792 / n)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from csmark import (
     BootstrapPlan,
     DegeneratePilotError,
     InvalidBandwidthError,
+    KernelAssumptionError,
     MseRow,
     Sample,
     SelectionError,
@@ -35,7 +37,7 @@ from csmark import (
     Bandwidths,
 )
 from csmark import bandwidth
-from csmark.bandwidth import _ENVELOPE_SAFETY, PilotModel, _kernel_noise
+from csmark.bandwidth import _ENVELOPE_SAFETY, PilotModel, _epanechnikov_noise
 from csmark.estimators import _density_bounds
 
 B = scenario_b()
@@ -93,31 +95,9 @@ def test_bootstrap_plan_rejects_bad_points(point):
 
 def test_kernel_noise_distributions():
     rng = np.random.default_rng(90)
-    epa = _kernel_noise(epanechnikov_kernel(), rng, 20_000)
+    epa = _epanechnikov_noise(rng, 20_000)
     assert np.all(np.abs(epa) <= 1.0)
     assert stats.kstest(epa, lambda u: epanechnikov_kernel().cdf(u)).pvalue > 0.01
-
-    uni = _kernel_noise(uniform_kernel(), rng, 20_000)
-    assert np.all(np.abs(uni) <= 1.0)
-    assert stats.kstest(uni, lambda u: uniform_kernel().cdf(u)).pvalue > 0.01
-
-    # kernels without a closed-form inverse go through a tabulated cdf
-    biweight = custom_kernel(
-        "biweight",
-        pdf=lambda u: np.where(
-            np.abs(np.asarray(u, float)) <= 1, 15 / 16 * (1 - np.asarray(u, float) ** 2) ** 2, 0.0
-        ),
-        cdf=lambda u: 15
-        / 16
-        * (
-            np.clip(np.asarray(u, float), -1, 1)
-            - 2 / 3 * np.clip(np.asarray(u, float), -1, 1) ** 3
-            + 0.2 * np.clip(np.asarray(u, float), -1, 1) ** 5
-        )
-        + 0.5,
-    )
-    bw = _kernel_noise(biweight, rng, 20_000)
-    assert stats.kstest(bw, lambda u: biweight.cdf(u)).pvalue > 0.01
 
 
 def test_fit_pilot_density_envelope_and_target():
@@ -136,12 +116,6 @@ def test_fit_pilot_degenerate_without_uncensored_mass():
     s = Sample(t=np.linspace(0.05, 0.95, n), z=np.zeros(n), delta=np.zeros(n, dtype=int))
     with pytest.raises(DegeneratePilotError):
         fit_pilot(s, 0.4, 0.4)
-
-
-def test_pilot_envelope_grid_needs_two_nodes():
-    pilot = fit_pilot(sample(B, 50, 14), 0.4, 0.4)
-    with pytest.raises(ValueError, match="two nodes"):
-        PilotModel(pilot.sample, pilot.config, envelope_grid=1)
 
 
 def test_pilot_draws_deterministic_and_in_box():
@@ -242,7 +216,8 @@ def test_density_bounds_hold_the_pilot_density(
         kernel_t=epa, bandwidths=Bandwidths(alpha, beta), g_floor=g_floor
     )
     try:
-        pilot = PilotModel(s, config, envelope_grid=20)
+        with mock.patch.object(bandwidth, "_ENVELOPE_GRID", 20):
+            pilot = PilotModel(s, config)
     except DegeneratePilotError:
         reject()
     (t_lo, t_w), (z_lo, z_w) = (np.array(c).T for c in (t_cells, z_cells))
@@ -263,14 +238,24 @@ def test_density_bounds_hold_the_pilot_density(
             assert np.all(dens <= upper[i, j]), (i, j)
 
 
-def test_density_bounds_are_unbounded_for_other_kernels():
+def test_pilot_refuses_other_kernels_and_a_missing_beta(monkeypatch):
+    """The pilot's bounds and noise hold for the Epanechnikov kernel alone, so
+    any other kernel, even an Epanechnikov copy, is refused before a bound is
+    computed; so is a config without a mark bandwidth."""
+
+    def no_bounds(*args):
+        raise AssertionError("a bound was computed")
+
+    monkeypatch.setattr(bandwidth, "_density_bounds", no_bounds)
     s = sample(B, 50, 3)
-    uni, epa = uniform_kernel(), epanechnikov_kernel()
-    grid = np.linspace(0.0, 1.0, 5)
-    for kt, kz in ((uni, None), (epa, uni), (uni, epa)):
-        config = EstimatorConfig(kernel_t=kt, bandwidths=Bandwidths(0.3, 0.3), kernel_z=kz)
-        lower, upper = _density_bounds(s, config, grid, grid, grid, grid)
-        assert np.all(lower == 0.0) and np.all(upper == np.inf)
+    epa = epanechnikov_kernel()
+    copy = custom_kernel("epanechnikov copy", epa.pdf, epa.cdf, epa.deriv)
+    for kernel, error in ((uniform_kernel(), KernelAssumptionError),
+                          (copy, KernelAssumptionError), (epa, InvalidBandwidthError)):
+        beta = None if error is InvalidBandwidthError else 0.3
+        config = EstimatorConfig(kernel_t=kernel, bandwidths=Bandwidths(0.3, beta))
+        with pytest.raises(error):
+            PilotModel(s, config)
 
 
 def _scaled_fit(scale):
@@ -414,9 +399,7 @@ def test_bootstrap_single_replication_is_one_squared_deviation():
     v1 = f1(boot, EstimatorConfig(kernel_t=kt, bandwidths=Bandwidths(0.3)), 0.5, 0.5)
     v2 = f2(
         boot,
-        EstimatorConfig(
-            kernel_t=kt, bandwidths=Bandwidths(0.3, 0.3), kernel_z=pilot.config.kernel_z
-        ),
+        EstimatorConfig(kernel_t=kt, bandwidths=Bandwidths(0.3, 0.3)),
         0.5,
         0.5,
     )

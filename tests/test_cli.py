@@ -389,7 +389,7 @@ BAD_CONFIGS = [
      "'cell.2.alpha' must be positive, got '0'", "value"),
     ("table1", "cell.2", "0.4, 0.4, 80, F2, 0.25, -0.2", (),
      "'cell.2.beta' must be positive, got '-0.2'", "value"),
-    # marks are smoothed with 'kernel'; a second mark kernel is library-only
+    # marks are smoothed with 'kernel' too; there is no mark-kernel key
     ("estimate-grid", "kernel_z", "uniform", (), "unknown key 'kernel_z'", "key"),
 ]
 
@@ -444,9 +444,31 @@ def test_out_that_cannot_be_created_is_a_config_error(tmp_path, capsys):
 
 def test_bw_select_unsorted_grid_is_a_config_error(tmp_path, capsys):
     text = VALID["bw-select"].replace("alpha_grid = 0.45", "alpha_grid = 0.3, 0.2")
-    code, _ = run(tmp_path, "bw-select", text)
+    code, outdir = run(tmp_path, "bw-select", text)
     assert code == 2
     assert "config error: alpha_grid must be strictly increasing" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+# key combinations that only the library checks: keys dropped from the valid
+# config, lines added to it, and the message
+LIBRARY_CHECKED = [
+    ((), "c1 = 0.5", "pass either fixed bandwidths or a schedule, not both"),
+    (("alpha",), "", "a time bandwidth is required"),
+    (("alpha",), "c1 = 0.5\nc2 = 0.3", "c2 and beta_exponent must be given together"),
+]
+
+
+@pytest.mark.parametrize("dropped, added, message", LIBRARY_CHECKED)
+def test_mc_normality_key_combinations_exit_2_with_no_output(
+    tmp_path, capsys, dropped, added, message
+):
+    lines = [line for line in VALID["mc-normality"].splitlines()
+             if line.partition(" =")[0] not in dropped]
+    code, outdir = run(tmp_path, "mc-normality", "\n".join(lines) + f"\n{added}\n")
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not outdir.exists()
 
 
 def test_readme_grid_example(tmp_path, capsys):
@@ -506,9 +528,10 @@ def test_exit_code_3_for_runtime_failures(tmp_path, capsys):
         "kind = mc-mse\nscenario = B\nestimator = F1\nt0 = 0.98\nz0 = 0.5\n"
         "n = 40\nreplications = 20\nalpha = 0.005\nseed = 5\n"
     )
-    code, _ = run(tmp_path, "mc-mse", text, out="fail")
+    code, outdir = run(tmp_path, "mc-mse", text, out="fail")
     assert code == 3
     assert "run failed" in capsys.readouterr().err
+    assert not outdir.exists()  # the run failed before its first output
 
 
 # tiny configs of every command: the first six never need scipy, the last

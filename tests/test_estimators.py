@@ -40,7 +40,7 @@ from csmark import (
     uniform_kernel,
     write_grid_csv,
 )
-from csmark import estimators
+from csmark import bandwidth, estimators
 
 EPA = epanechnikov_kernel()
 UNI = uniform_kernel()
@@ -217,18 +217,6 @@ def test_f2_configuration_errors():
     no_beta = EstimatorConfig(kernel_t=EPA, bandwidths=Bandwidths(0.1))
     with pytest.raises(InvalidBandwidthError):
         f2(tiny_sample(), no_beta, 0.5, 0.5)  # no mark bandwidth
-    # without a kernel_z the marks are smoothed with kernel_t
-    s = sample(scenario_b(), 100, 6)
-    bw = Bandwidths(0.3, 0.2)
-    for k, other in ((EPA, UNI), (UNI, EPA)):
-        default = EstimatorConfig(kernel_t=k, bandwidths=bw)
-        explicit = EstimatorConfig(kernel_t=k, bandwidths=bw, kernel_z=k)
-        mixed = EstimatorConfig(kernel_t=k, bandwidths=bw, kernel_z=other)
-        for z0 in (0.3, 0.5, 0.7):
-            assert f2(s, default, 0.5, z0) == f2(s, explicit, 0.5, z0)
-            assert f2(s, mixed, 0.5, z0) != f2(s, default, 0.5, z0)
-        if k.deriv is not None:
-            assert f2_density(s, default, 0.5, 0.5) == f2_density(s, explicit, 0.5, 0.5)
 
 
 def test_h0_decomposes_g_hat():
@@ -416,10 +404,9 @@ def dense_sums(s, config, t0, z0):
     w = kt.pdf(ut) / alpha
     terms = {"g": w, "f1": w * s.delta * (s.z <= z0)}
     if beta is not None:
-        kz = config.kernel_z or kt
-        terms["f2"] = w * s.delta * kz.cdf((z0 - s.z) / beta)
+        terms["f2"] = w * s.delta * kt.cdf((z0 - s.z) / beta)
         if kt.deriv is not None:
-            wz = kz.pdf((z0 - s.z) / beta) / beta
+            wz = kt.pdf((z0 - s.z) / beta) / beta
             d = kt.deriv(ut) / alpha**2
             terms.update(gp=d, h=w * wz * s.delta, dh=d * wz * s.delta)
     sums = {k: np.mean(x) for k, x in terms.items()}
@@ -545,7 +532,8 @@ def test_pilot_density_matches_dense_oracle(s, config, data, budget):
     t_points = data.draw(times(s, config))
     z_points = data.draw(marks(s))
     try:
-        pilot = PilotModel(s, config, envelope_grid=5)
+        with mock.patch.object(bandwidth, "_ENVELOPE_GRID", 5):
+            pilot = PilotModel(s, config)
     except DegeneratePilotError:
         assume(False)
     t, z = np.meshgrid(t_points, z_points, indexing="ij")
@@ -570,7 +558,8 @@ def test_pilot_density_is_the_clipped_f2_density():
     # so the two agree at every point only with one spelling of the quotient
     s = sample(scenario_b(), 100, 4)
     config = epa_config(0.4, 0.4)
-    pilot = PilotModel(s, config, envelope_grid=5)
+    with mock.patch.object(bandwidth, "_ENVELOPE_GRID", 5):
+        pilot = PilotModel(s, config)
     t, z = np.random.default_rng(7).uniform(-0.1, 1.1, (2, 10_000))
     want = [max(unless_unstable(f2_density, s, config, a, b) or 0.0, 0.0) for a, b in zip(t, z)]
     assert pilot.density(t, z).tolist() == want
