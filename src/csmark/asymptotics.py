@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import (
     BandwidthRegimeError,
+    EmptySampleError,
     InvalidBandwidthError,
     QuadratureError,
     ReplicationFailureError,
@@ -628,9 +629,11 @@ def mc_functional(
     Threads (``workers``, capped at the usable CPUs) share replications
     only when ``n >= 20_000``; results do not depend on ``workers``.
     """
+    _check_count(n, "n", 1, EmptySampleError)
     _check_count(grid_points, "grid_points", 1)
-    truth = true_mean_event_time(scenario)
     alpha = float(n) ** -float(alpha_exponent)
+    _check_bandwidth(alpha, "alpha")  # before any sample is drawn
+    truth = true_mean_event_time(scenario)
     root_n = math.sqrt(n)
 
     # mean_functional is looked up at call time, where perfbench/tracing.py wraps it

@@ -24,6 +24,14 @@ squeezed (Marsaglia 1977; Devroye 1986, §II.5): a proposal whose
 ``u * envelope`` lies above its grid cell's upper bound is rejected, and one
 at or below the lower bound accepted, without the density.  Every decision,
 and so every draw, is the one exact evaluation everywhere would give.
+
+Replications run in lockstep groups.  Each keeps its own generator and
+draws what it would draw alone; only the estimator calls are pooled: the
+pilot density evaluates a rejection round's exact proposals for the whole
+group together, in no more calls than one per replication, and one call per
+estimator evaluates every candidate on a stack of the group's samples.  A
+point's estimate does not depend on the other points of its call, so results
+do not depend on the grouping.
 """
 
 from __future__ import annotations
@@ -31,11 +39,13 @@ from __future__ import annotations
 import io
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import estimators
 from .asymptotics import MAX_FAILURE_FRACTION
 from .errors import (
     DegeneratePilotError,
@@ -60,7 +70,7 @@ from .kernels import (
     _check_count,
     epanechnikov_kernel,
 )
-from .scenarios import Sample, _current_status, _write_csv
+from .scenarios import Sample, _observed, _write_csv
 
 __all__ = [
     "BootstrapPlan",
@@ -77,6 +87,11 @@ _ENVELOPE_SAFETY = 1.1
 
 # nodes per side of the envelope grid over the unit box
 _ENVELOPE_GRID = 200
+
+# fewest exact proposals of a rejection round per pilot-density call: at
+# n = 100 a round's whole count, which varies from round to round, sized
+# temporaries that fragmented the heap and raised peak RSS op after op
+_DENSITY_PIECE = 78
 
 # rejection rounds after which draw_xy gives up on a pilot density that
 # (almost) never accepts a proposal
@@ -183,58 +198,78 @@ class PilotModel:
         return self.sample.t[idx] + self.config.bandwidths.alpha * noise
 
     def draw_xy(
-        self, rng: np.random.Generator, size: int
+        self, rngs: Sequence[np.random.Generator], size: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw latent pairs from the pilot density by rejection on the unit box;
         :class:`DegeneratePilotError` after ``_MAX_DRAW_ROUNDS`` rounds.
 
+        Returns ``(len(rngs), size)`` arrays whose row ``r`` is what generator
+        ``r`` alone gives.  Each generator makes its own proposals, squeeze
+        decisions and local envelope refreshes, round by round in lockstep;
+        the exact proposals of all of them go to the density together, in
+        pieces of at least ``_DENSITY_PIECE`` points and at least any one
+        generator's count, so never in more calls than one per generator.
         The density is evaluated only at proposals that the bounds of their
         cell cannot decide, and at those whose upper bound exceeds the
         envelope, so that a local refresh sees the same peak as exact
         evaluation everywhere.
         """
-        envelope = self.envelope
+        rngs = list(rngs)
         lower, upper = self._cells
-        xs: list[np.ndarray] = []
-        ys: list[np.ndarray] = []
-        got = proposed = 0
-        while got < size:
-            if len(xs) == _MAX_DRAW_ROUNDS:
-                raise DegeneratePilotError(
-                    f"rejection sampling accepted {got} of {proposed} proposals "
-                    f"in {len(xs)} rounds, {size} needed"
+        envelopes = [self.envelope] * len(rngs)
+        x_all, y_all = np.empty((2, len(rngs), size))
+        got, proposed, rounds = ([0] * len(rngs) for _ in range(3))
+        while active := [r for r in range(len(rngs)) if got[r] < size]:
+            proposals = []
+            for r in active:
+                if rounds[r] == _MAX_DRAW_ROUNDS:
+                    raise DegeneratePilotError(
+                        f"rejection sampling accepted {got[r]} of {proposed[r]} "
+                        f"proposals in {rounds[r]} rounds, {size} needed"
+                    )
+                batch = max(256, 2 * (size - got[r]))
+                x = rngs[r].uniform(0.0, 1.0, batch)
+                y = rngs[r].uniform(0.0, 1.0, batch)
+                u = rngs[r].random(batch)
+                cell = (
+                    np.searchsorted(self._edges, x, "right") - 1,
+                    np.searchsorted(self._edges, y, "right") - 1,
                 )
-            batch = max(256, 2 * (size - got))
-            x = rng.uniform(0.0, 1.0, batch)
-            y = rng.uniform(0.0, 1.0, batch)
-            u = rng.random(batch)
-            cell = (
-                np.searchsorted(self._edges, x, "right") - 1,
-                np.searchsorted(self._edges, y, "right") - 1,
-            )
-            lo, hi = lower[cell], upper[cell]
-            # a proposal is accepted when u * envelope <= its density; lo
-            # stands in for the density where u * envelope <= lo or > hi,
-            # and an upper bound over the envelope may hide a spike
-            value = lo.copy()
-            bound = u * envelope
-            exact = (hi > envelope) | ((lo < bound) & (bound <= hi))
-            value[exact] = self.density(x[exact], y[exact])
-            peak = float(np.max(value[exact], initial=0.0))
-            if peak > envelope:
-                # local refresh: the precomputed envelope missed a spike,
-                # which only an exactly evaluated proposal can hold
-                envelope = _ENVELOPE_SAFETY * peak
-                bound = u * envelope
-                more = ~exact & (lo < bound) & (bound <= hi)
-                value[more] = self.density(x[more], y[more])
-            keep = bound <= value
-            xs.append(x[keep])
-            ys.append(y[keep])
-            got += int(np.count_nonzero(keep))
-            proposed += batch
-        x_all = np.concatenate(xs)[:size]
-        y_all = np.concatenate(ys)[:size]
+                lo, hi = lower[cell], upper[cell]
+                # a proposal is accepted when u * envelope <= its density; lo
+                # stands in for the density where u * envelope <= lo or > hi,
+                # and an upper bound over the envelope may hide a spike
+                bound = u * envelopes[r]
+                exact = (hi > envelopes[r]) | ((lo < bound) & (bound <= hi))
+                proposals.append((r, x, y, u, lo, hi, exact))
+            x_exact = np.concatenate([x[exact] for _, x, _, _, _, _, exact in proposals])
+            y_exact = np.concatenate([y[exact] for _, _, y, _, _, _, exact in proposals])
+            counts = [int(np.count_nonzero(exact)) for *_, exact in proposals]
+            piece = max(_DENSITY_PIECE, *counts)
+            density = np.concatenate([
+                self.density(x_exact[i : i + piece], y_exact[i : i + piece])
+                for i in range(0, max(x_exact.size, 1), piece)
+            ])
+            for (r, x, y, u, lo, hi, exact), d in zip(
+                proposals, np.split(density, np.cumsum(counts)[:-1])
+            ):
+                value = lo.copy()
+                value[exact] = d
+                bound = u * envelopes[r]
+                peak = float(np.max(d, initial=0.0))
+                if peak > envelopes[r]:
+                    # local refresh: the precomputed envelope missed a spike,
+                    # which only an exactly evaluated proposal can hold
+                    envelopes[r] = _ENVELOPE_SAFETY * peak
+                    bound = u * envelopes[r]
+                    more = ~exact & (lo < bound) & (bound <= hi)
+                    value[more] = self.density(x[more], y[more])
+                keep = (bound <= value).nonzero()[0][: size - got[r]]
+                x_all[r, got[r] : got[r] + keep.size] = x[keep]
+                y_all[r, got[r] : got[r] + keep.size] = y[keep]
+                got[r] += keep.size
+                proposed[r] += x.size
+                rounds[r] += 1
         return x_all, y_all
 
 
@@ -315,13 +350,19 @@ def bootstrap_mse(
     and denominator floor; those whose estimate failed in more than 1% of
     replications are marked invalid.
 
-    Replications are processed in a fixed order, so results do not depend
-    on scheduling.
+    Replications go in lockstep groups of ``_CHUNK_BUDGET // n`` (at least
+    one): per group, one :meth:`PilotModel.draw_xy` call on the group's
+    generators, their :meth:`PilotModel.draw_t` calls, and one stack of the
+    group's samples on which every candidate is evaluated in one call per
+    estimator.  Each replication's draws are those of its own generator and
+    each estimate is the one its sample alone gives, so results do not
+    depend on the grouping.
     """
     pilot = fit_pilot(sample_, plan.alpha0, plan.beta0)
     t0, z0 = plan.point
     target = pilot.target(t0, z0)
     n = len(sample_)
+    group = max(1, estimators._CHUNK_BUDGET // n)
 
     # one batch of candidates, each with its own bandwidths, per estimator:
     # the alphas for F1, all (alpha, beta) pairs for F2
@@ -334,16 +375,23 @@ def bootstrap_mse(
     )
     estimates = np.full((plan.replications, k + len(pairs)), np.nan)
 
-    for b in range(plan.replications):
-        rng = np.random.default_rng(plan.seed + b)
-        x, y = pilot.draw_xy(rng, n)
-        boot = _current_status(x, y, pilot.draw_t(rng, n))
+    for b0 in range(0, plan.replications, group):
+        b1 = min(b0 + group, plan.replications)
+        rngs = [np.random.default_rng(plan.seed + b) for b in range(b0, b1)]
+        x, y = pilot.draw_xy(rngs, n)
+        t = np.stack([pilot.draw_t(rng, n) for rng in rngs])
+        boot = _observed(x, y, t)
         for kind, cols, alpha, beta in batches:
-            t_m, z_m = np.full(alpha.size, t0), np.full(alpha.size, z0)
+            # every candidate on every row, row by row
+            row = np.arange(b1 - b0).repeat(alpha.size)
+            t_m, z_m = np.full(row.size, t0), np.full(row.size, z0)
+            alpha_m = np.tile(alpha, b1 - b0)
+            beta_m = None if beta is None else np.tile(beta, b1 - b0)
             # unstable candidates are NaN
-            _, (estimates[b, cols],) = _estimates(
-                boot, pilot.config, t_m, z_m, (kind,), alpha, beta
+            _, (values,) = _estimates(
+                boot, pilot.config, t_m, z_m, (kind,), alpha_m, beta_m, row
             )
+            estimates[b0:b1, cols] = values.reshape(b1 - b0, alpha.size)
 
     labels: list[tuple[str, float, float | None]] = [
         ("F1", alpha, None) for alpha in plan.alpha_grid

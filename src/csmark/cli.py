@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from itertools import zip_longest
@@ -220,13 +221,29 @@ def _cells(cfg: dict[str, _Entry]) -> list[dict[str, Any]]:
 
 
 class _Run:
-    """Output directory (created for the first output) and a run's manifest."""
+    """Output directory (created for the first output) and a run's manifest.
+
+    An ``--out`` whose nearest existing ancestor is not a writable directory
+    raises :class:`ConfigError` here, before the run computes anything.
+    """
 
     def __init__(self, args, cfg_text: str, entries: dict, seed: int) -> None:
         self.outdir = Path(args.out)
         self.command, self.threads = args.command, args.threads
         self.cfg_text, self.entries, self.seed = cfg_text, entries, seed
         self.outputs: list[str] = []
+        try:  # pathlib raises on a directory that cannot be searched
+            ancestor = next(p for p in (self.outdir, *self.outdir.absolute().parents)
+                            if p.exists())
+            is_dir = ancestor.is_dir()
+        except OSError as exc:
+            raise ConfigError(f"cannot create --out directory: {exc}") from None
+        if not is_dir:
+            raise ConfigError(
+                f"cannot create --out directory: {ancestor} is not a directory")
+        if not os.access(ancestor, os.W_OK | os.X_OK):
+            raise ConfigError(
+                f"cannot create --out directory: {ancestor} is not writable")
 
     def path(self, name: str) -> Path:
         if not self.outputs:

@@ -30,14 +30,16 @@ ratio form makes a positive floor on ``g_hat`` essential; evaluations where
 ``g_hat`` falls below ``g_floor`` raise ``UnstableDenominatorError``.
 
 One private routine, :func:`_kernel_sums`, computes every kernel sample mean
-these ratios need, at one point or at many points with their own bandwidths.
-The kernels vanish outside [-1, 1], so it visits only the observations in
-each point's time window ``|t0 - t_i| / alpha <= 1``, and the uncensored
-ones among them for the mark-dependent terms.  A point's sums depend only on the
-sample, the point and its bandwidths, bit for bit: a grid row, a
-single-point call and the pilot density agree exactly.  One more,
-:func:`_estimates`, forms every estimate from those means: it refuses bad
-points and applies the floor on ``g_hat``, the same way for all of them.
+these ratios need, at one point or at many points with their own bandwidths,
+on one sample or on a stack of equal-size samples.  The kernels vanish
+outside [-1, 1], so it visits only the observations in each point's time
+window ``|t0 - t_i| / alpha <= 1``, and the uncensored ones among them for
+the mark-dependent terms.  A point's sums depend only on the sample, the
+point and its bandwidths, bit for bit: a grid row, a single-point call, the
+pilot density and a bootstrap replication's row of a stack agree exactly.
+One more, :func:`_estimates`, forms every estimate from those means: it
+refuses bad points and applies the floor on ``g_hat``, the same way for all
+of them.
 """
 
 from __future__ import annotations
@@ -123,25 +125,25 @@ def _segment_sums(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def _point_sums(sample, kt, t0, z0, alpha, beta, terms) -> list[np.ndarray]:
-    """:func:`_kernel_sums` at one point, in the same arithmetic (``beta`` None
-    when no term smooths the mark).
+def _point_sums(ti, zi, di, kt, t0, z0, alpha, beta, terms) -> list[np.ndarray]:
+    """:func:`_kernel_sums` at one point of the sample ``(ti, zi, di)``, in the
+    same arithmetic (``beta`` None when no term smooths the mark).
 
     A single point, the Monte Carlo drivers' case, would otherwise spend
     more on the batch bookkeeping than on its window at moderate ``n``.
     """
-    u = (t0 - sample.t) / alpha
+    u = (t0 - ti) / alpha
     col = (np.abs(u) <= 1.0).nonzero()[0]
     u = u[col]
     w = kt.pdf(u)
     d = kt.deriv(u) if {"gp", "dh"}.intersection(terms) else None
-    unc = sample.delta[col] == 1
+    unc = di[col] == 1
     keep = unc.nonzero()[0]
-    zu = sample.z[col[keep]]
+    zu = zi[col[keep]]
     if beta is not None:
         scaled = (z0 - zu) / beta
         v = kt.pdf(scaled) if {"h", "dh"}.intersection(terms) else None
-    scale = 1.0 / (len(sample) * alpha)
+    scale = 1.0 / (ti.size * alpha)
     out = []
     for term in terms:
         if term in ("g", "gp"):
@@ -160,27 +162,31 @@ def _point_sums(sample, kt, t0, z0, alpha, beta, terms) -> list[np.ndarray]:
     return out
 
 
-def _kernel_sums(sample, config, t, z, alpha, beta, terms) -> list[np.ndarray]:
+def _kernel_sums(sample, config, t, z, alpha, beta, terms, row=None) -> list[np.ndarray]:
     """Kernel sample means at the paired points ``(t[j], z[j])``.
 
-    ``t`` and ``z`` are float arrays of the points; ``alpha``/``beta`` are
-    shared scalars or arrays of one value per point.  With
-    ``w = k_alpha(t_j - t_i)``, ``d = k'((t_j - t_i) / alpha) / alpha^2`` and
-    ``v = k_beta(z_j - z_i)``, returns for each name in ``terms`` the mean
-    over ``i`` of: ``g``: w; ``f1``: w delta 1{z_i <= z_j}; ``f2``: w delta
+    ``sample`` is a :class:`Sample`, or with ``row`` a stack of equal-size
+    samples (``t``, ``z``, ``delta`` of shape ``(rows, n)``), on whose row
+    ``row[j]`` point ``j`` is evaluated.  ``t`` and ``z`` are float arrays of
+    the points; ``alpha``/``beta`` are shared scalars or arrays of one value
+    per point.  With ``w = k_alpha(t_j - t_i)``, ``d = k'((t_j - t_i) /
+    alpha) / alpha^2`` and ``v = k_beta(z_j - z_i)``, returns for each name
+    in ``terms`` the mean over the ``n`` observations ``i`` of the point's
+    sample of: ``g``: w; ``f1``: w delta 1{z_i <= z_j}; ``f2``: w delta
     K2((z_j - z_i) / beta); ``h0``: w (1 - delta); ``gp``: d; ``h``: w v
     delta; ``dh``: d v delta.
 
     Only observations in a point's time window ``|(t_j - t_i) / alpha| <=
     1`` (the kernels' own support test) are visited.  Consecutive points
-    sharing ``(t, alpha)`` form a run with one window, on which the time
+    sharing ``(row, t, alpha)`` form a run with one window, on which the time
     kernel is evaluated once; ``g``, ``gp`` and ``h0`` sum over the window,
     the other terms over (point, uncensored window column) pairs, and the
     sums are scaled by the bandwidths and ``1 / n``.  Runs go
     ``_CHUNK_BUDGET // n`` at a time, their points an eighth of that at a
     time when pairs are formed.  Every sum adds its own entries in sample
     order, so a point's sums are bit for bit the same whatever the chunk
-    budget and whatever other points share the call.
+    budget, whatever other points share the call and whether its sample is
+    alone or a row of a stack.
     """
     kt = config.kernel_t
     marked = bool({"f2", "h", "dh"}.intersection(terms))
@@ -196,27 +202,38 @@ def _kernel_sums(sample, config, t, z, alpha, beta, terms) -> list[np.ndarray]:
         raise DerivativeUnavailableError(f"kernel {kt.name!r} has no derivative")
     _check_bandwidth(alpha, "alpha")
     alpha = np.full(t.shape, alpha, dtype=float)
+    ts, zs, ds = sample.t, sample.z, sample.delta
     if t.size == 1:  # spares a single point the batch bookkeeping
+        if row is not None:
+            ts, zs, ds = ts[row[0]], zs[row[0]], ds[row[0]]
         b = beta[0] if marked else None
-        return _point_sums(sample, kt, t[0], z[0], alpha[0], b, terms)
-    n, m = len(sample), t.size
+        return _point_sums(ts, zs, ds, kt, t[0], z[0], alpha[0], b, terms)
+    n, m = ts.shape[-1], t.size
     out = {term: np.empty(m) for term in terms}
     new_run = np.ones(m + 1, dtype=bool)
     new_run[1:m] = (t[1:] != t[:-1]) | (alpha[1:] != alpha[:-1])
+    if row is not None:
+        new_run[1:m] |= row[1:] != row[:-1]
     bounds = new_run.nonzero()[0]  # run r holds the points bounds[r]:bounds[r + 1]
+    zs, ds = zs.ravel(), ds.ravel()
     step = max(1, _CHUNK_BUDGET // n)
     for r0 in range(0, bounds.size - 1, step):
         first = bounds[r0 : r0 + step + 1]
         size, first = first[1:] - first[:-1], first[:-1]  # points per run, first points
         p0 = first[0]
-        u = ((t[first, None] - sample.t) / alpha[first, None]).ravel()
+        rows = ts if row is None else ts[row[first]]  # a lone sample broadcasts
+        u = ((t[first, None] - rows) / alpha[first, None]).ravel()
         flat = (np.abs(u) <= 1.0).nonzero()[0]  # the runs' windows, one after another
-        col = flat % n
+        if row is None:
+            col = flat % n
+        else:  # the entries' places in the flattened stack
+            run, col = np.divmod(flat, n)
+            col += n * row[first][run]
         ends = np.arange(first.size + 1) * n  # run r's entries of flat lie below ends[r + 1]
         u = u[flat]
         w = kt.pdf(u)
         d = kt.deriv(u) if differentiated else None
-        unc = sample.delta[col] == 1
+        unc = ds[col] == 1
         for term, x in (("g", w), ("gp", d), ("h0", w)):
             if term in out:
                 keep = (~unc).nonzero()[0] if term == "h0" else slice(None)
@@ -225,7 +242,7 @@ def _kernel_sums(sample, config, t, z, alpha, beta, terms) -> list[np.ndarray]:
         # pair each point with its run's uncensored window columns
         keep = unc.nonzero()[0]
         edges = np.searchsorted(flat[keep], ends)
-        w, zu = w[keep], sample.z[col[keep]]
+        w, zu = w[keep], zs[col[keep]]
         d = d[keep] if d is not None else None
         cols = (edges[1:] - edges[:-1]).repeat(size)  # pairs per point
         start = edges[:-1].repeat(size)
@@ -292,23 +309,25 @@ def _at_point(
 _TERMS = {"F1": ("f1",), "F2": ("f2",), "density": ("gp", "h", "dh")}
 
 
-def _estimates(sample, config, t, z, kinds, alpha=None, beta=None):
+def _estimates(sample, config, t, z, kinds, alpha=None, beta=None, row=None):
     """g_hat and the estimates ``kinds`` at the paired points ``(t[j], z[j])``.
 
     ``kinds`` names estimates among ``"F1"`` (:func:`f1`), ``"F2"``
     (:func:`f2`) and ``"density"`` (:func:`f2_density`).  ``t`` and ``z``
     are equal-length arrays, or a single point's scalars; ``alpha``/``beta``
     are the config's bandwidths when None, else scalars or arrays of one
-    value per point.  Every estimate is NaN where g_hat falls below
-    ``config.g_floor``.  A NaN ``t`` or ``z`` or an infinite ``t`` raises
-    :class:`SupportError`; ``z = +-inf`` gives the limit in the mark.
+    value per point.  With ``row``, ``sample`` is a stack of samples and
+    point ``j`` is evaluated on its row ``row[j]`` (see :func:`_kernel_sums`).
+    Every estimate is NaN where g_hat falls below ``config.g_floor``.  A NaN
+    ``t`` or ``z`` or an infinite ``t`` raises :class:`SupportError`; ``z =
+    +-inf`` gives the limit in the mark.
     """
     t, z = _checked_points(t, z)
     bw = config.bandwidths
     alpha = bw.alpha if alpha is None else alpha
     beta = bw.beta if beta is None else beta
     terms = ("g",) + tuple(term for kind in kinds for term in _TERMS[kind])
-    sums = dict(zip(terms, _kernel_sums(sample, config, t, z, alpha, beta, terms)))
+    sums = dict(zip(terms, _kernel_sums(sample, config, t, z, alpha, beta, terms, row)))
     g = sums["g"]
     stable = np.where(g >= config.g_floor, g, np.nan)  # NaN spreads to every estimate
     return g, [

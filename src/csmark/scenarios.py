@@ -25,7 +25,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -335,17 +335,25 @@ def scenario_b() -> Scenario:
     )
 
 
-def _current_status(
-    x: np.ndarray, y: np.ndarray, t: np.ndarray, seed: int | None = None
-) -> Sample:
-    """What is observed of latent pairs ``(x, y)`` inspected at times ``t``:
-    ``delta = 1{x <= t}`` and the mark ``y`` on uncensored rows, else 0."""
+class _Stack(NamedTuple):
+    """Equal-size samples as the rows of ``(rows, n)`` arrays, unchecked: the
+    bootstrap's replications, which the estimators evaluate in one call."""
+
+    t: np.ndarray
+    z: np.ndarray
+    delta: np.ndarray
+
+
+def _observed(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> _Stack:
+    """What is observed of latent pairs ``(x, y)`` inspected at times ``t``,
+    arrays of one shape: ``delta = 1{x <= t}`` and the mark ``y`` on
+    uncensored entries, else 0."""
     delta = (x <= t).astype(np.int64)
     # -delta is all ones bits on uncensored rows and all zero bits (+0.0) on
     # censored ones: np.where(delta == 1, y, 0.0) bit for bit, without a select
     bits = -delta
     bits &= np.asarray(y, dtype=float).view(np.int64)
-    return Sample(t=t, z=bits.view(float), delta=delta, seed=seed)
+    return _Stack(t, bits.view(float), delta)
 
 
 def sample(scenario: Scenario, n: int, seed: int) -> Sample:
@@ -362,7 +370,7 @@ def sample(scenario: Scenario, n: int, seed: int) -> Sample:
     rng = np.random.default_rng(seed)
     x, y = scenario.draw_xy(rng, n)
     t = scenario.draw_t(rng, n)
-    return _current_status(x, y, t, seed)
+    return Sample(*_observed(x, y, t), seed=seed)
 
 
 def observation_density(

@@ -288,6 +288,15 @@ def test_finite_positive_checks_name_their_parameter():
         assert str(exc.value).startswith(f"{name} must be finite and positive, got ")
 
 
+def test_mc_functional_refuses_its_bandwidth_before_any_sample_is_drawn(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(asymptotics, "sample", lambda *args: drawn.append(args))
+    for exponent in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidBandwidthError, match="^alpha must be finite and pos"):
+            mc_functional(B, 100, 3, seed=0, alpha_exponent=exponent)
+    assert drawn == []
+
+
 def test_counts_are_checked_before_any_sample_is_drawn(monkeypatch):
     """Sizes, seeds, replication and worker counts and grid sizes share one
     check, whose ValueError names the parameter; the drivers make it before
@@ -314,6 +323,8 @@ def test_counts_are_checked_before_any_sample_is_drawn(monkeypatch):
         ("m", lambda: difference_sample(B, (0.5, 0.5), 100, 2.5, schedule, seed=0)),
         ("grid_points", lambda: mean_functional(s, 0.2, grid_points=math.nan)),
         ("grid_points", lambda: mc_functional(B, 100, 3, seed=0, grid_points=math.nan)),
+        ("n", lambda: mc_functional(B, 0, 3, seed=0)),
+        ("n", lambda: mc_functional(B, -5, 3, seed=0)),
         ("replications", lambda: BootstrapPlan(**plan)),
     ]
     for name, call in cases:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from csmark import (
     Sample,
     SelectionError,
     SupportError,
+    UnstableDenominatorError,
     bootstrap_mse,
     custom_kernel,
     epanechnikov_kernel,
@@ -36,7 +38,7 @@ from csmark import (
     EstimatorConfig,
     Bandwidths,
 )
-from csmark import bandwidth
+from csmark import bandwidth, estimators
 from csmark.bandwidth import _ENVELOPE_SAFETY, PilotModel, _epanechnikov_noise
 from csmark.estimators import _density_bounds
 
@@ -121,8 +123,8 @@ def test_fit_pilot_degenerate_without_uncensored_mass():
 def test_pilot_draws_deterministic_and_in_box():
     s = sample(B, 100, 14)
     pilot = fit_pilot(s, 0.4, 0.4)
-    x1, y1 = pilot.draw_xy(np.random.default_rng(7), 500)
-    x2, y2 = pilot.draw_xy(np.random.default_rng(7), 500)
+    (x1,), (y1,) = pilot.draw_xy([np.random.default_rng(7)], 500)
+    (x2,), (y2,) = pilot.draw_xy([np.random.default_rng(7)], 500)
     np.testing.assert_array_equal(x1, x2)
     np.testing.assert_array_equal(y1, y2)
     assert np.all((x1 >= 0.0) & (x1 <= 1.0))
@@ -142,7 +144,7 @@ def test_draw_xy_gives_up_when_nothing_is_accepted(monkeypatch):
     zeros = np.zeros_like(pilot._cells[0])
     monkeypatch.setattr(pilot, "_cells", (zeros, zeros))
     with pytest.raises(DegeneratePilotError, match="accepted 0 of"):
-        pilot.draw_xy(np.random.default_rng(3), 10)
+        pilot.draw_xy([np.random.default_rng(3)], 10)
 
 
 def _exact_draw_xy(pilot, rng, size):
@@ -272,11 +274,115 @@ def _scaled_fit(scale):
 
 def test_draw_xy_refreshes_as_the_exact_sampler_does():
     pilot = _scaled_fit(0.3)(sample(B, 100, 14), 0.4, 0.4)
-    x, y = pilot.draw_xy(np.random.default_rng(5), 300)
+    (x,), (y,) = pilot.draw_xy([np.random.default_rng(5)], 300)
     ref_x, ref_y, refreshes = _exact_draw_xy(pilot, np.random.default_rng(5), 300)
     assert refreshes > 0
     np.testing.assert_array_equal(x, ref_x)
     np.testing.assert_array_equal(y, ref_y)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.3])
+@pytest.mark.parametrize("piece", [None, 1])
+def test_lockstep_draws_equal_each_generator_alone(scale, piece, monkeypatch):
+    # at scale 0.3 the envelope misses the peak and draws refresh it locally;
+    # with a floor of 1, a round's exact proposals go to the density in
+    # pieces of the largest count, which cut across generators
+    pilot = _scaled_fit(scale)(sample(B, 100, 14), 0.4, 0.4)
+    if piece is not None:
+        monkeypatch.setattr(bandwidth, "_DENSITY_PIECE", piece)
+    calls = []
+    density = pilot.density
+    monkeypatch.setattr(pilot, "density", lambda t, z: calls.append(t.size) or density(t, z))
+    seeds = (5, 6, 7)
+    x, y = pilot.draw_xy([np.random.default_rng(seed) for seed in seeds], 300)
+    assert x.shape == y.shape == (3, 300)
+    lockstep_calls, alone_calls, refreshes = len(calls), 0, 0
+    for r, seed in enumerate(seeds):
+        before = len(calls)
+        (alone_x,), (alone_y,) = pilot.draw_xy([np.random.default_rng(seed)], 300)
+        middle = len(calls)
+        ref_x, ref_y, count = _exact_draw_xy(pilot, np.random.default_rng(seed), 300)
+        # alone, one density call per round (the exact sampler's count of
+        # calls) and one per refresh, however many exact proposals a round has
+        assert middle - before == len(calls) - middle + count
+        alone_calls += middle - before
+        refreshes += count
+        assert x[r].tobytes() == alone_x.tobytes() == ref_x.tobytes()
+        assert y[r].tobytes() == alone_y.tobytes() == ref_y.tobytes()
+    assert (refreshes > 0) == (scale < 1.0)
+    assert lockstep_calls <= alone_calls
+    assert max(calls) > bandwidth._DENSITY_PIECE  # a round's count can exceed it
+
+
+class _Stuck:
+    """A generator stand-in whose proposals all land where the density is 0."""
+
+    def uniform(self, low, high, size):
+        return np.full(size, 0.75)
+
+    def random(self, size):
+        return np.full(size, 0.5)
+
+
+def test_lockstep_draws_give_up_on_the_replication_that_never_accepts(monkeypatch):
+    pilot = fit_pilot(sample(B, 100, 14), 0.4, 0.4)
+    envelope = pilot.envelope
+    # the envelope itself left of t = 1/2, zero right of it; every proposal exact
+    monkeypatch.setattr(pilot, "density", lambda t, z: np.where(t < 0.5, envelope, 0.0))
+    zeros = np.zeros_like(pilot._cells[0])
+    monkeypatch.setattr(pilot, "_cells", (zeros, np.full_like(zeros, np.inf)))
+    monkeypatch.setattr(bandwidth, "_MAX_DRAW_ROUNDS", 5)
+    # the others accept in their first round; the stuck one uses its own five
+    message = "accepted 0 of 1280 proposals in 5 rounds, 10 needed"
+    rngs = [np.random.default_rng(1), _Stuck(), np.random.default_rng(2)]
+    with pytest.raises(DegeneratePilotError, match=message):
+        pilot.draw_xy(rngs, 10)
+    with pytest.raises(DegeneratePilotError, match=message):
+        pilot.draw_xy([_Stuck()], 10)
+    x, _ = pilot.draw_xy([rngs[0], rngs[2]], 10)
+    assert x.shape == (2, 10) and np.all(x < 0.5)
+
+
+def _bootstrap_reference(s, plan):
+    """bootstrap_mse as a loop over replications, one sample and one
+    estimate at a time: (mse_hat, failures) per candidate, in table order."""
+    pilot = fit_pilot(s, plan.alpha0, plan.beta0)
+    t0, z0 = plan.point
+    target = pilot.target(t0, z0)
+    candidates = [(f1, Bandwidths(a)) for a in plan.alpha_grid] + [
+        (f2, Bandwidths(a, b)) for a in plan.alpha_grid for b in plan.beta_grid
+    ]
+    values = np.full((plan.replications, len(candidates)), np.nan)
+    for b in range(plan.replications):
+        rng = np.random.default_rng(plan.seed + b)
+        (x,), (y,) = pilot.draw_xy([rng], len(s))
+        t = pilot.draw_t(rng, len(s))
+        delta = (x <= t).astype(int)
+        boot = Sample(t=t, z=np.where(delta == 1, y, 0.0), delta=delta)
+        for j, (estimator, bw) in enumerate(candidates):
+            try:
+                values[b, j] = estimator(boot, replace(pilot.config, bandwidths=bw), t0, z0)
+            except UnstableDenominatorError:
+                pass
+    out = []
+    for col in values.T:
+        ok = col[~np.isnan(col)]
+        out.append((float(np.mean((ok - target) ** 2)), plan.replications - ok.size))
+    return out
+
+
+def test_bootstrap_groups_equal_a_loop_over_replications(monkeypatch):
+    s = sample(B, 40, 31)
+    # a starved alpha makes some replications fail
+    plan = small_plan(replications=7, alpha_grid=(0.01, 0.3), beta_grid=(0.2, 0.4), seed=9)
+    # groups of 3, 3 and 1 replications
+    monkeypatch.setattr(estimators, "_CHUNK_BUDGET", 3 * len(s))
+    table = bootstrap_mse(s, plan)
+    got = [(r.mse_hat, r.failures) for r in table.rows]
+    assert got == _bootstrap_reference(s, plan)
+    assert any(failures for _, failures in got)
+    monkeypatch.undo()
+    assert bootstrap_mse(s, plan).rows == table.rows
 
 
 @PROPERTY
@@ -298,7 +404,7 @@ def test_squeezed_draws_equal_the_exact_sampler(
         pilot = _scaled_fit(scale)(s, alpha0, beta0)
     except DegeneratePilotError:
         reject()
-    x, y = pilot.draw_xy(np.random.default_rng(draw_seed), size)
+    (x,), (y,) = pilot.draw_xy([np.random.default_rng(draw_seed)], size)
     ref_x, ref_y, _ = _exact_draw_xy(pilot, np.random.default_rng(draw_seed), size)
     assert x.tobytes() == ref_x.tobytes() and y.tobytes() == ref_y.tobytes()
 
@@ -306,12 +412,19 @@ def test_squeezed_draws_equal_the_exact_sampler(
         alpha0=alpha0, beta0=beta0, replications=2,
         alpha_grid=(0.2, 0.4), beta_grid=(0.3,), seed=draw_seed,
     )
-    tables = []
+    tables, groups = [], []
+
+    def exact_draws(self, rngs, k):
+        groups.append(len(rngs))
+        draws = [_exact_draw_xy(self, rng, k)[:2] for rng in rngs]
+        return tuple(np.stack(parts) for parts in zip(*draws))
+
     with pytest.MonkeyPatch.context() as m:
         m.setattr(bandwidth, "fit_pilot", _scaled_fit(scale))
         tables.append(bootstrap_mse(s, plan))
-        m.setattr(PilotModel, "draw_xy", lambda self, rng, k: _exact_draw_xy(self, rng, k)[:2])
+        m.setattr(PilotModel, "draw_xy", exact_draws)
         tables.append(bootstrap_mse(s, plan))
+    assert groups == [2]  # the exact sampler drew both replications
     csv = []
     for table in tables:
         buf = io.StringIO()
@@ -328,7 +441,7 @@ def test_pilot_resamples_match_observed_censoring_rate():
     s = sample(B, 100, 14)
     pilot = fit_pilot(s, 0.4, 0.4)
     rng = np.random.default_rng(99)
-    x, _ = pilot.draw_xy(rng, 4000)
+    (x,), _ = pilot.draw_xy([rng], 4000)
     t = pilot.draw_t(rng, 4000)
     resampled_rate = float(np.mean(x <= t))
     assert abs(resampled_rate - float(np.mean(s.delta))) < 0.15
@@ -388,7 +501,7 @@ def test_bootstrap_single_replication_is_one_squared_deviation():
 
     pilot = fit_pilot(s, plan.alpha0, plan.beta0)
     rng = np.random.default_rng(plan.seed)
-    x, y = pilot.draw_xy(rng, len(s))
+    (x,), (y,) = pilot.draw_xy([rng], len(s))
     t = pilot.draw_t(rng, len(s))
     delta = (x <= t).astype(int)
     boot = Sample(t=t, z=np.where(delta == 1, y, 0.0), delta=delta)

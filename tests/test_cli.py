@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from csmark import Sample, UnstableDenominatorError, asymptotics, mc_mse, scenario_b
+from csmark import cli
 from csmark.cli import ConfigError, main, parse_config
 
 
@@ -432,15 +433,61 @@ def test_z0_inf_is_the_marginal_distribution(tmp_path):
     assert (outdir / "table1.csv").read_text().splitlines()[2].startswith("0.4,inf,80,")
 
 
-def test_out_that_cannot_be_created_is_a_config_error(tmp_path, capsys):
+def test_out_that_cannot_be_created_is_a_config_error(tmp_path, capsys, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(cli, "sample", lambda *args: drawn.append(args))
     (tmp_path / "file").write_text("")
-    code, outdir = run(tmp_path, "simulate", VALID["simulate"], out="file/sub")
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("config error: cannot create --out directory: ")
-    assert "Traceback" not in err
-    assert not outdir.exists()
+    for out in ("file/sub", "file/sub/deeper", "file"):
+        code, outdir = run(tmp_path, "simulate", VALID["simulate"], out=out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"config error: cannot create --out directory: "
+                       f"{tmp_path / 'file'} is not a directory\n")
+    assert drawn == []
+    assert (tmp_path / "file").read_text() == ""
 
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root searches any directory")
+def test_out_under_a_directory_that_cannot_be_searched_is_a_config_error(
+    tmp_path, capsys, monkeypatch
+):
+    drawn = []
+    monkeypatch.setattr(cli, "sample", lambda *args: drawn.append(args))
+    (tmp_path / "locked").mkdir(mode=0)
+    try:
+        code, _ = run(tmp_path, "simulate", VALID["simulate"], out="locked/x/out")
+    finally:
+        (tmp_path / "locked").chmod(0o700)
+    assert code == 2
+    # pathlib raises EACCES up to Python 3.13; later ones see no such path
+    # and name the locked directory as not writable
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create --out directory: ")
+    assert drawn == []
+    assert list((tmp_path / "locked").iterdir()) == []
+
+
+def test_out_whose_ancestors_cannot_be_examined_is_a_config_error(
+    tmp_path, capsys, monkeypatch
+):
+    # what pathlib does for a user who cannot search tmp_path / "locked"
+    def exists(path):
+        if Path(tmp_path, "locked") in path.parents:
+            raise PermissionError(13, "Permission denied", str(path))
+        return os.path.exists(path)
+
+    drawn = []
+    monkeypatch.setattr(cli, "sample", lambda *args: drawn.append(args))
+    monkeypatch.setattr(Path, "exists", exists)
+    code, outdir = run(tmp_path, "simulate", VALID["simulate"], out="locked/x/out")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: cannot create --out directory: [Errno 13] Permission "
+        f"denied: '{tmp_path / 'locked' / 'x' / 'out'}'\n"
+    )
+    assert drawn == []
+    assert not (tmp_path / "locked").exists()
 
 def test_bw_select_unsorted_grid_is_a_config_error(tmp_path, capsys):
     text = VALID["bw-select"].replace("alpha_grid = 0.45", "alpha_grid = 0.3, 0.2")

@@ -41,6 +41,7 @@ from csmark import (
     write_grid_csv,
 )
 from csmark import bandwidth, estimators
+from csmark.scenarios import _Stack
 
 EPA = epanechnikov_kernel()
 UNI = uniform_kernel()
@@ -457,8 +458,8 @@ unit = st.floats(0.0, 1.0)
 
 
 @st.composite
-def samples(draw, max_n=40):
-    n = draw(st.integers(1, max_n))
+def samples(draw, max_n=40, min_n=1):
+    n = draw(st.integers(min_n, max_n))
     t = draw(st.lists(unit, min_size=n, max_size=n))
     y = draw(st.lists(unit, min_size=n, max_size=n))
     delta = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
@@ -590,6 +591,34 @@ def test_kernel_sums_of_a_point_do_not_depend_on_its_batch(s, kernel, data, budg
     for j, (t0, z0, a, b) in enumerate(points):
         alone = estimators._kernel_sums(s, config, t[j : j + 1], z[j : j + 1], a, b, terms)
         for term, x, y in zip(terms, batched, alone):
+            assert x[j] == y[0], term
+
+
+@PROPERTY
+@given(st.integers(1, 30).flatmap(lambda n: st.lists(samples(n, n), min_size=1,
+                                                    max_size=5)),
+       st.sampled_from([EPA, UNI]), st.data(), st.integers(1, 100))
+def test_stacked_kernel_sums_equal_each_sample_alone(stack, kernel, data, budget):
+    # the bootstrap's use: replications' samples as the rows of one stack,
+    # each point on its own row
+    terms = ("g", "f1", "f2", "h0") + (("gp", "h", "dh") if kernel is EPA else ())
+    config = EstimatorConfig(kernel_t=kernel)
+    points = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        r = data.draw(st.integers(0, len(stack) - 1))
+        run = data.draw(runs(stack[r]))
+        if points and data.draw(st.booleans()):  # the last run's time and bandwidth
+            run = [(points[-1][1], z0, points[-1][3], b) for _, z0, _, b in run]
+        points += [(r, *p) for p in run]
+    row, t, z, alpha, beta = (np.array(column) for column in zip(*points))
+    stacked = _Stack(*(np.stack([getattr(s, name) for s in stack])
+                       for name in ("t", "z", "delta")))
+    with mock.patch.object(estimators, "_CHUNK_BUDGET", budget):
+        sums = estimators._kernel_sums(stacked, config, t, z, alpha, beta, terms, row)
+    for j, (r, t0, z0, a, b) in enumerate(points):
+        alone = estimators._kernel_sums(stack[r], config, t[j : j + 1], z[j : j + 1], a, b,
+                                        terms)
+        for term, x, y in zip(terms, sums, alone):
             assert x[j] == y[0], term
 
 

@@ -19,7 +19,7 @@ from csmark import (
     scenario_a,
     scenario_b,
 )
-from csmark.scenarios import _current_status
+from csmark.scenarios import _observed
 
 INTERIOR = np.linspace(0.1, 0.9, 9)
 
@@ -280,10 +280,10 @@ def test_current_status_marks_are_the_masked_latent_marks(rows):
     y = np.array([m for _, m in rows])
     t = np.linspace(0.1, 0.9, delta.size)
     x = np.where(delta == 1, t - 0.05, t + 0.05)
-    s = _current_status(x, y, t, seed=3)
+    s = _observed(x, y, t)
     assert s.delta.tolist() == delta.tolist()
     assert s.z.tobytes() == np.where(delta == 1, y, 0.0).tobytes()
-    assert s.t.tobytes() == t.tobytes() and s.seed == 3
+    assert s.t.tobytes() == t.tobytes()
 
 
 def masked_sample_verdict(t, z, delta):
