@@ -49,7 +49,7 @@ from .errors import (
     ReplicationFailureError,
     UnstableDenominatorError,
 )
-from .estimators import EstimatorConfig, f1, f2
+from .estimators import EstimatorConfig, _checked_points, f1, f2
 from .kernels import (
     Bandwidths,
     UnivariateKernel,
@@ -147,7 +147,9 @@ def mu1_sigma2(
     scenario : Scenario
         Supplies ``F0``, its partials and the censoring density.
     point : (t0, z0)
-        Interior evaluation point with ``g(t0) > 0``.
+        Interior evaluation point with ``g(t0) > 0``; a NaN ``t0`` or
+        ``z0`` or an infinite ``t0`` raises :class:`SupportError`, and
+        ``z0 = inf`` gives the constants of the marginal in ``t``.
     c : float
         Bandwidth constant in ``alpha = c n^{-1/5}``.
     kernel : UnivariateKernel
@@ -155,6 +157,7 @@ def mu1_sigma2(
     """
     _check_bandwidth(c, "c")
     t0, z0 = point
+    _checked_points(t0, z0)
     g0 = float(scenario.g(t0))
     if g0 <= 0.0:
         raise UnstableDenominatorError(
@@ -401,6 +404,7 @@ def mc_mse(
     _check_count(replications, "replications", 2)
     config = _resolve_config(estimator, alpha, beta, kernel_t)
     t0, z0 = point
+    _checked_points(t0, z0)  # before any sample is drawn
     truth = float(scenario.cdf(t0, z0))
     est = f1 if estimator == "F1" else f2
 
@@ -441,7 +445,8 @@ def equivalence_curve(
     envelope for most sizes.  Both estimators use the Epanechnikov kernel,
     F2 in time and mark.  An empty ``n_grid``, a size that is not a whole
     number of at least 1 and an ``envelope_constant`` that is not finite and
-    positive raise ``ValueError`` before any sample is drawn.
+    positive raise ``ValueError``, and a point no estimate is defined at
+    :class:`SupportError`, before any sample is drawn.
     """
     if schedule.beta_exponent is None:
         raise InvalidBandwidthError("the schedule must include a mark bandwidth")
@@ -456,6 +461,7 @@ def equivalence_curve(
     n_grid = sizes.astype(int)
     _check_bandwidth(envelope_constant, "envelope_constant", ValueError)
     t0, z0 = point
+    _checked_points(t0, z0)
     diffs = np.empty(n_grid.size)
     envelopes = envelope_constant * n_grid.astype(float) ** (-1.0 / 6.0)
     for i, n in enumerate(n_grid):
@@ -490,6 +496,7 @@ def difference_sample(
         raise InvalidBandwidthError("the schedule must include a mark bandwidth")
     config = _resolve_config("F2", schedule.alpha(n), schedule.beta(n), None)
     t0, z0 = point
+    _checked_points(t0, z0)
     rate = float(n) ** 0.4
 
     values, replicates, failures = _replicate(

@@ -16,10 +16,12 @@ kernel estimate of the censoring density); latent pairs come from the pilot
 density by rejection sampling on the unit box, the support of both
 scenarios, under a grid-based envelope.
 
-Both uses of the pilot density go through certified bounds on it
-(``estimators._density_bounds``) and evaluate it exactly only where the
-bounds cannot decide.  The envelope's peak is searched among the few grid
-nodes whose upper bound reaches the largest lower bound.  Rejection is
+Both uses of the pilot density go through one set of certified bounds on
+it over the envelope grid's cells (``estimators._density_bounds``) and
+evaluate it exactly only where the bounds cannot decide.  A node's density
+is at most the upper bound of each cell around it, and a cell's lower bound
+holds at its corners, so the envelope's peak is searched among the nodes
+whose least cell upper bound reaches the largest lower bound.  Rejection is
 squeezed (Marsaglia 1977; Devroye 1986, §II.5): a proposal whose
 ``u * envelope`` lies above its grid cell's upper bound is rejected, and one
 at or below the lower bound accepted, without the density.  Every decision,
@@ -142,9 +144,9 @@ class PilotModel:
     the unit box, 1.1 times the largest density at its nodes.  The config
     must smooth with the Epanechnikov kernel, for which alone the bounds
     and the noise below are exact, and carry a mark bandwidth.  Bounds on
-    the density at every node leave only a few nodes that can hold that
-    peak, and only those are evaluated.  Bounds on every cell of the grid
-    squeeze the rejection step of :meth:`draw_xy`.  The envelope is
+    the density over every cell of the grid, computed once, leave only the
+    nodes that can hold that peak, which alone are evaluated, and squeeze
+    the rejection step of :meth:`draw_xy`.  The envelope is
     immutable; rejection batches that encounter density values above it
     enlarge a local copy and continue, so every draw is a pure function of
     the generator passed in.
@@ -159,23 +161,25 @@ class PilotModel:
         self.sample = sample_
         self.config = config
         self._edges = grid = np.linspace(0.0, 1.0, _ENVELOPE_GRID)
-        # each node's density is at most its upper bound, and the largest
-        # one at least the largest lower bound: only nodes whose upper bound
+        # the squeeze's bounds on the grid's cells [edges[i], edges[i + 1]]
+        # x [edges[j], edges[j + 1]]
+        self._cells = lower, upper = _density_bounds(
+            sample_, config, grid[:-1], grid[1:], grid[:-1], grid[1:]
+        )
+        # a node's density is at most the upper bound of each cell around
+        # it, and a cell's lower bound holds at its corner nodes, so the
+        # peak is at least the largest lower bound: only nodes whose bound
         # reaches that, and is positive, can hold a positive peak
-        lower, upper = _density_bounds(sample_, config, grid, grid, grid, grid)
-        near = ((upper >= lower.max()) & (upper > 0.0)).nonzero()
+        padded = np.pad(upper, 1, constant_values=np.inf)
+        node = np.fmin.reduce([padded[:-1, :-1], padded[1:, :-1],
+                               padded[:-1, 1:], padded[1:, 1:]])
+        near = ((node >= lower.max()) & (node > 0.0)).nonzero()
         peak = float(np.max(self.density(grid[near[0]], grid[near[1]]), initial=0.0))
         if peak <= 0.0:
             raise DegeneratePilotError(
                 "pilot density is nonpositive everywhere on the envelope grid"
             )
         self.envelope = _ENVELOPE_SAFETY * peak
-        del lower, upper  # before the cell bounds take their place
-        # the squeeze's bounds on the grid's cells [edges[i], edges[i + 1]]
-        # x [edges[j], edges[j + 1]]
-        self._cells = _density_bounds(
-            sample_, config, grid[:-1], grid[1:], grid[:-1], grid[1:]
-        )
 
     def density(self, t, z) -> np.ndarray:
         """Clipped pilot density: max(density estimate, 0), 0 where unstable."""
@@ -346,9 +350,9 @@ def bootstrap_mse(
     ``(alpha, beta)`` pair for the doubly-smoothed one.  A candidate's
     ``mse_hat`` averages squared deviations from the pilot value; when
     ``true_value`` is given (simulations only), ``mse_tilde`` additionally
-    averages deviations from the truth.  Candidates use the pilot's kernels
-    and denominator floor; those whose estimate failed in more than 1% of
-    replications are marked invalid.
+    averages deviations from the truth, which must be finite.  Candidates
+    use the pilot's kernels and denominator floor; those whose estimate
+    failed in more than 1% of replications are marked invalid.
 
     Replications go in lockstep groups of ``_CHUNK_BUDGET // n`` (at least
     one): per group, one :meth:`PilotModel.draw_xy` call on the group's
@@ -358,6 +362,8 @@ def bootstrap_mse(
     each estimate is the one its sample alone gives, so results do not
     depend on the grouping.
     """
+    if true_value is not None and not math.isfinite(true_value):
+        raise ValueError(f"true_value must be finite, got {true_value!r}")
     pilot = fit_pilot(sample_, plan.alpha0, plan.beta0)
     t0, z0 = plan.point
     target = pilot.target(t0, z0)

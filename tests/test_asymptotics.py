@@ -104,6 +104,16 @@ def test_mu1_domain_errors():
             mu1_sigma2(B, (0.5, 0.5), c, EPA)
     with pytest.raises(UnstableDenominatorError):
         mu1_sigma2(B, (0.0, 0.5), 0.5, EPA)  # g(0) = 0 in scenario B
+    critical = BandwidthSchedule(c1=0.5, c2=0.5, beta_exponent=0.2)
+    for point in ((0.5, math.nan), (math.nan, 0.5), (math.inf, 0.5)):
+        with pytest.raises(SupportError):
+            mu1_sigma2(B, point, 0.5, EPA)
+        with pytest.raises(SupportError):
+            mu2(B, point, critical, EPA)
+    # z0 = inf is the marginal in t: F0 = 0.5 and a flat bracket at t0 = 0.5
+    marginal = mu1_sigma2(B, (0.5, math.inf), 0.5, EPA)
+    assert (marginal.mu1, marginal.sigma2) == (0.125, 0.28125)
+    assert mu2(B, (0.5, math.inf), critical, EPA) == 0.125
 
 
 def test_mu2_regimes():
@@ -490,10 +500,33 @@ def test_mc_raises_when_windows_are_usually_empty():
 
 
 @pytest.mark.parametrize("point", [(0.5, math.nan), (math.nan, 0.5), (math.inf, 0.5)])
-def test_mc_rejects_bad_points(point):
-    # not 20 "failed" replications: the point itself is refused
-    with pytest.raises(SupportError):
-        mc_mse(B, "F2", point, 200, 20, alpha=0.2, beta=0.1, seed=0)
+def test_mc_rejects_bad_points(monkeypatch, point):
+    # not 20 "failed" replications: the point itself is refused, before
+    # any sample is drawn
+    def no_draws(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(asymptotics, "sample", no_draws)
+    schedule = BandwidthSchedule(0.5, 0.5, 0.3)
+    for call in (
+        lambda: mc_mse(B, "F2", point, 200, 20, alpha=0.2, beta=0.1, seed=0),
+        lambda: mc_normality(B, "F1", point, 100, 4, seed=0, alpha=0.2),
+        lambda: difference_sample(B, point, 100, 4, schedule, seed=0),
+        lambda: equivalence_curve(B, point, [100, 200], schedule, seed=0),
+    ):
+        with pytest.raises(SupportError):
+            call()
+
+
+def test_mark_infinity_is_a_valid_point():
+    schedule = BandwidthSchedule(0.5, 0.5, 0.3)
+    point = (0.5, math.inf)
+    assert mc_mse(B, "F2", point, 100, 4, alpha=0.2, beta=0.2, seed=0).values.size == 4
+    normality = mc_normality(B, "F1", point, 100, 4, seed=0, alpha=0.2)
+    assert normality.values.size == 4
+    assert math.isfinite(normality.mu) and math.isfinite(normality.sigma2)
+    assert difference_sample(B, point, 100, 4, schedule, seed=0).values.size == 4
+    assert equivalence_curve(B, point, [100, 200], schedule, seed=0).diffs.size == 2
 
 
 def test_equivalence_curve_shape_and_envelope():

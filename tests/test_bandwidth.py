@@ -173,21 +173,31 @@ def _exact_draw_xy(pilot, rng, size):
 
 
 def test_envelope_is_the_exact_peak_from_a_few_nodes(monkeypatch):
+    """One bound pass per fit: the cell bounds of the squeeze also pick the
+    nodes that can hold the envelope's peak."""
     s = sample(B, 100, 1)
-    evaluated = []
-    density = PilotModel.density
+    calls = []
 
-    def counting(self, t, z):
-        evaluated.append(np.size(t))
-        return density(self, t, z)
+    def counting(*args):
+        calls.append(args)
+        return _density_bounds(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(PilotModel, "density", counting)
+        m.setattr(bandwidth, "_density_bounds", counting)
         pilot = fit_pilot(s, 0.4, 0.4)
     grid = np.linspace(0.0, 1.0, 200)
     tt, zz = np.meshgrid(grid, grid, indexing="ij")
     assert pilot.envelope == _ENVELOPE_SAFETY * pilot.density(tt.ravel(), zz.ravel()).max()
-    assert 1 <= sum(evaluated) <= 20
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed,envelope", [
+    (0, "0x1.bf78b7337964bp+0"),
+    (1, "0x1.3777581db0224p+1"),
+    (2, "0x1.1b3155056edcep+2"),
+])
+def test_envelopes_are_pinned(seed, envelope):
+    assert fit_pilot(sample(B, 100, seed), 0.4, 0.4).envelope == float.fromhex(envelope)
 
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -238,6 +248,30 @@ def test_density_bounds_hold_the_pilot_density(
             dens = pilot.density(t, z)
             assert np.all(lower[i, j] <= dens), (i, j)
             assert np.all(dens <= upper[i, j]), (i, j)
+
+
+@PROPERTY
+@given(
+    scenario=st.sampled_from([scenario_a(), B]),
+    n=st.integers(10, 150),
+    seed=st.integers(0, 10_000),
+    alpha=st.floats(0.03, 0.8),
+    beta=st.floats(0.03, 0.8),
+    nodes=st.integers(2, 120),
+)
+def test_envelope_is_the_exact_peak_over_all_nodes(scenario, n, seed, alpha, beta, nodes):
+    s = sample(scenario, n, seed)
+    config = EstimatorConfig(kernel_t=epanechnikov_kernel(), bandwidths=Bandwidths(alpha, beta))
+    grid = np.linspace(0.0, 1.0, nodes)
+    tt, zz = np.meshgrid(grid, grid, indexing="ij")
+    _, (density,) = estimators._estimates(s, config, tt.ravel(), zz.ravel(), ("density",))
+    peak = np.fmax(density, 0.0).max()
+    with mock.patch.object(bandwidth, "_ENVELOPE_GRID", nodes):
+        if peak <= 0.0:
+            with pytest.raises(DegeneratePilotError):
+                PilotModel(s, config)
+        else:
+            assert PilotModel(s, config).envelope == _ENVELOPE_SAFETY * peak
 
 
 def test_pilot_refuses_other_kernels_and_a_missing_beta(monkeypatch):
@@ -492,6 +526,17 @@ def test_bootstrap_mse_structure_and_determinism():
     truth = float(B.cdf(0.5, 0.5))
     with_truth = bootstrap_mse(s, plan, true_value=truth)
     assert all(r.mse_tilde is not None and r.mse_tilde >= 0.0 for r in with_truth.rows)
+
+
+def test_bootstrap_refuses_a_true_value_that_is_not_finite(monkeypatch):
+    def no_fit(*args):
+        raise AssertionError("a pilot was fitted")
+
+    monkeypatch.setattr(bandwidth, "fit_pilot", no_fit)
+    s = sample(B, 60, 23)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^true_value must be finite, got "):
+            bootstrap_mse(s, small_plan(), true_value=bad)
 
 
 def test_bootstrap_single_replication_is_one_squared_deviation():
