@@ -70,7 +70,6 @@ from .asymptotics import (
     mean_functional,
     mu1_sigma2,
     mu2,
-    qq_points,
     true_mean_event_time,
 )
 from .bandwidth import (
@@ -147,7 +146,6 @@ __all__ = [
     "true_mean_event_time",
     "efficient_variance",
     "mc_functional",
-    "qq_points",
     # bandwidth selection
     "BootstrapPlan",
     "BootstrapMseTable",

@@ -24,17 +24,15 @@ estimated as ``int (1 - f1(x, z_max)) dx`` with the Uniform time kernel and a
 midpoint grid; undersmoothing (time bandwidth shrinking faster than
 ``n^{-1/4}``) recovers the root-n rate, and the limiting variance has the
 closed form ``int F (1 - F) / g`` computed by :func:`efficient_variance`.
-
-scipy (quadrature, the KS statistic, normal quantiles) is imported inside
-the functions and properties that call it, so the Monte Carlo MSE and
-equivalence drivers run without loading it.
+Both of the functional's integrals use the Gauss-Legendre rule of
+:mod:`csmark.kernels`, and the KS distance the standard library's normal law.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import warnings
+import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -55,6 +53,7 @@ from .kernels import (
     UnivariateKernel,
     _check_bandwidth,
     _check_count,
+    _quad,
     epanechnikov_kernel,
     l2_norm_sq,
     second_moment,
@@ -77,7 +76,6 @@ __all__ = [
     "true_mean_event_time",
     "efficient_variance",
     "mc_functional",
-    "qq_points",
 ]
 
 MAX_FAILURE_FRACTION = 0.01
@@ -247,13 +245,14 @@ class MonteCarloSummary:
 
     @property
     def ks_distance(self) -> float | None:
-        """Kolmogorov-Smirnov distance of the values from N(mu, sigma2), if set."""
-        if self.mu is None or self.sigma2 is None:
+        """KS distance of the values from N(mu, sigma2); None if unset or degenerate."""
+        if self.mu is None or self.sigma2 is None or self.sigma2 == 0.0:
             return None
-        from scipy import stats
-
-        args = (self.mu, math.sqrt(self.sigma2))
-        return float(stats.kstest(self.values, "norm", args=args).statistic)
+        cdf = statistics.NormalDist(self.mu, math.sqrt(self.sigma2)).cdf
+        n = self.values.size
+        F = np.fromiter(map(cdf, np.sort(self.values).tolist()), float, count=n)
+        i = np.arange(1, n + 1)
+        return float(np.max(np.maximum(i / n - F, F - (i - 1) / n)))
 
 
 def _usable_cpus() -> int:
@@ -350,9 +349,11 @@ def mc_normality(
     too.  More than 1% failed replications raise
     :class:`ReplicationFailureError`.
     Threads (``workers``, capped at the usable CPUs) share replications
-    only when ``n >= 20_000``; results do not depend on ``workers``.
+    only when ``n >= 20_000``; results do not depend on ``workers``.  A
+    point or regime the reference law refuses is refused before any draw.
     """
     _check_count(m, "m", 2)
+    _check_count(n, "n", 1, EmptySampleError)
     if schedule is not None:
         if alpha is not None or beta is not None:
             raise InvalidBandwidthError(
@@ -363,15 +364,16 @@ def mc_normality(
     if alpha is None:
         raise InvalidBandwidthError("a time bandwidth is required")
     kt = kernel_t if kernel_t is not None else epanechnikov_kernel()
-    errors = mc_mse(
-        scenario, estimator, point, n, m,
-        alpha=alpha, beta=beta, seed=seed, kernel_t=kt, workers=workers,
-    )
+    _resolve_config(estimator, alpha, beta, kt)  # estimator, bandwidth errors first
     c = alpha * float(n) ** 0.2
     params = mu1_sigma2(scenario, point, c, kt)
     mu = params.mu1
     if estimator == "F2" and schedule is not None and schedule.beta_exponent is not None:
         mu = mu2(scenario, point, schedule, kt)
+    errors = mc_mse(
+        scenario, estimator, point, n, m,
+        alpha=alpha, beta=beta, seed=seed, kernel_t=kt, workers=workers,
+    )
     return MonteCarloSummary(
         values=float(n) ** 0.4 * errors.values, replicates=errors.replicates,
         failures=errors.failures, mu=mu, sigma2=params.sigma2,
@@ -487,24 +489,24 @@ def difference_sample(
     """Replicated scaled differences ``n^{2/5} (f2 - f1)`` at fixed ``n``.
 
     At the critical mark-bandwidth exponent 1/5 the mean difference tends
-    to ``mu2 - mu1``; the summary's ``mu`` records that reference value.
-    Both estimators use the Epanechnikov kernel, F2 in time and mark.
+    to ``mu2 - mu1``; the summary's ``mu`` records that reference value,
+    computed before any sample is drawn.  Both estimators use the
+    Epanechnikov kernel, F2 in time and mark.
     Threads (``workers``, capped at the usable CPUs) share replications
     only when ``n >= 20_000``; results do not depend on ``workers``.
     """
     if schedule.beta_exponent is None:
         raise InvalidBandwidthError("the schedule must include a mark bandwidth")
     config = _resolve_config("F2", schedule.alpha(n), schedule.beta(n), None)
+    base = mu1_sigma2(scenario, point, schedule.c1, config.kernel_t)
+    shift = mu2(scenario, point, schedule, config.kernel_t) - base.mu1
     t0, z0 = point
-    _checked_points(t0, z0)
     rate = float(n) ** 0.4
 
     values, replicates, failures = _replicate(
         scenario, n, m, seed,
         lambda s: rate * (f2(s, config, t0, z0) - f1(s, config, t0, z0)), workers,
     )
-    base = mu1_sigma2(scenario, point, schedule.c1, config.kernel_t)
-    shift = mu2(scenario, point, schedule, config.kernel_t) - base.mu1
     return MonteCarloSummary(values, replicates, failures, mu=shift)
 
 
@@ -571,50 +573,35 @@ def mean_functional(
 
 def true_mean_event_time(scenario: Scenario) -> float:
     """``E X = int (1 - F0(x, inf)) dx`` over the scenario's support."""
-    from scipy import integrate
-
     lo, hi = scenario.support[0]
-    val, _ = integrate.quad(
-        lambda x: 1.0 - float(scenario.marginal_cdf(x)), lo, hi
-    )
-    return float(val)
+    return _quad(lambda x: 1.0 - scenario.marginal_cdf(x), lo, hi)[0]
 
 
 def efficient_variance(scenario: Scenario) -> float:
     """Lower bound for the variance of root-n mean-functional estimates.
 
     Computes ``int F0(t, inf) (1 - F0(t, inf)) / g(t) dt`` over the
-    censoring support by adaptive quadrature.  Scenarios whose integrand
-    misbehaves enough that the quadrature cannot reach roughly eight
-    accurate digits raise :class:`QuadratureError`.
+    censoring support by Gauss-Legendre quadrature.  A value that is not
+    finite, an error estimate above ``1e-8 max(1, |value|)``, or a node
+    where ``g <= 0`` but ``F0 (1 - F0) != 0`` raises :class:`QuadratureError`.
     """
-    from scipy import integrate
-
     lo, hi = scenario.support[0]
 
-    def integrand(t: float) -> float:
-        F = float(scenario.marginal_cdf(t))
-        g = float(scenario.g(t))
+    def integrand(t: np.ndarray) -> np.ndarray:
+        F, g = scenario.marginal_cdf(t), scenario.g(t)
         num = F * (1.0 - F)
-        if num == 0.0:
-            return 0.0
-        if g <= 0.0:
-            raise QuadratureError(
-                f"censoring density vanishes at t={t!r} inside the support"
-            )
-        return num / g
+        vanishing = t[(num != 0.0) & (g <= 0.0)]
+        if vanishing.size:
+            raise QuadratureError(f"censoring density vanishes at t={float(vanishing[0])!r} "
+                                  "inside the support")
+        return np.divide(num, g, out=np.zeros_like(num), where=num != 0.0)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            val, err = integrate.quad(integrand, lo, hi)
-        except integrate.IntegrationWarning as exc:
-            raise QuadratureError(f"quadrature did not converge: {exc}") from exc
-    if not np.isfinite(val) or err > 1e-8 * max(1.0, abs(val)):
+    val, err = _quad(integrand, lo, hi)
+    if not (np.isfinite(val) and err <= 1e-8 * max(1.0, abs(val))):
         raise QuadratureError(
             f"quadrature error {err:.3e} too large for value {val!r}"
         )
-    return float(val)
+    return val
 
 
 def mc_functional(
@@ -632,7 +619,8 @@ def mc_functional(
     The time bandwidth is ``n^{-alpha_exponent}``; exponents above 1/4
     undersmooth enough for the centered statistic to stabilize at the
     efficient variance, while the pointwise-optimal 1/5 leaves a visible
-    bias.  The summary's ``sigma2`` records :func:`efficient_variance`.
+    bias.  The summary's ``sigma2`` records :func:`efficient_variance`,
+    computed before any sample is drawn.
     Threads (``workers``, capped at the usable CPUs) share replications
     only when ``n >= 20_000``; results do not depend on ``workers``.
     """
@@ -641,6 +629,7 @@ def mc_functional(
     alpha = float(n) ** -float(alpha_exponent)
     _check_bandwidth(alpha, "alpha")  # before any sample is drawn
     truth = true_mean_event_time(scenario)
+    variance = efficient_variance(scenario)
     root_n = math.sqrt(n)
 
     # mean_functional is looked up at call time, where perfbench/tracing.py wraps it
@@ -649,18 +638,4 @@ def mc_functional(
         lambda s: root_n * (mean_functional(s, alpha, grid_points).value - truth),
         workers,
     )
-    return MonteCarloSummary(values, replicates, failures,
-                             sigma2=efficient_variance(scenario))
-
-
-def qq_points(summary: MonteCarloSummary) -> tuple[np.ndarray, np.ndarray]:
-    """Normal quantiles versus ordered values for a QQ plot.
-
-    The reference line is ``y = mu + x * sqrt(sigma2)`` with the summary's
-    own parameters.
-    """
-    m = summary.values.size
-    probs = (np.arange(1, m + 1) - 0.5) / m
-    from scipy import stats
-
-    return stats.norm.ppf(probs), np.sort(summary.values)
+    return MonteCarloSummary(values, replicates, failures, sigma2=variance)

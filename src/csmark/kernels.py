@@ -19,9 +19,9 @@ The Uniform kernel is ``1/2`` on [-1, 1]; the Epanechnikov kernel is
 density estimation (which differentiates the kernel) requires it or a custom
 differentiable kernel.
 
-The moments and norms come from scipy's quadrature, imported only where it
-is called: a cold import of ``scipy.integrate`` takes about a second, and
-the estimators never need it.
+The built-in families take their second moments and norms from closed forms;
+custom kernels, and the scenario integrals of :mod:`csmark.asymptotics`, go
+through one adaptive composite Gauss-Legendre rule (Golub & Welsch 1969).
 """
 
 from __future__ import annotations
@@ -250,32 +250,56 @@ def eval_rescaled_cdf(kernel: UnivariateKernel, bandwidth, u) -> np.ndarray:
     return kernel.cdf(np.asarray(u, dtype=float) / bandwidth)
 
 
-def _moment(pdf: Callable, order: int) -> float:
-    from scipy import integrate
+# (m2, int k^2) of the built-in families; quadrature would round them by an ulp
+_CLOSED_FORMS = {KernelFamily.UNIFORM: (1.0 / 3.0, 0.5), KernelFamily.EPANECHNIKOV: (0.2, 0.6)}
 
-    val, _ = integrate.quad(lambda u: (u**order) * float(pdf(u)), -1.0, 1.0)
-    return val
+
+@lru_cache(maxsize=None)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 16-node Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _quad(f: Callable, lo: float, hi: float) -> tuple[float, float]:
+    """``int_lo^hi f`` for a vectorized ``f``, and an error estimate: the
+    16-node Gauss-Legendre rule on 16 panels, each split in two while that
+    moves it by more than its share, by length, of ``1e-14 max(1, |integral|)``,
+    for at most 40 levels and 1024 splits a level.  The estimate sums what
+    the last split moved each panel.
+    """
+    x, w = _gauss_legendre()
+    width = (hi - lo) / 16
+    starts = lo + width * np.arange(16)
+    whole = width * (f(starts[:, None] + width * x) @ w)
+    tol = 1e-14 * max(1.0, abs(float(np.sum(whole)))) / 16
+    value = error = 0.0
+    for level in range(40):
+        width /= 2.0
+        starts = np.stack([starts, starts + width], axis=1)
+        parts = width * (f(starts[..., None] + width * x) @ w)
+        gap = np.abs(parts.sum(axis=1) - whole)
+        split = gap > tol / 2.0**level  # NaN stops: it cannot settle
+        if level == 39 or not 0 < np.count_nonzero(split) <= 1024:
+            return value + float(np.sum(parts)), error + float(np.sum(gap))
+        value += float(np.sum(parts[~split]))
+        error += float(np.sum(gap[~split]))
+        starts, whole = starts[split].ravel(), parts[split].ravel()
 
 
 @lru_cache(maxsize=None)
 def _moment_cached(kernel: UnivariateKernel, order: int) -> float:
-    return _moment(kernel.pdf, order)
-
-
-@lru_cache(maxsize=None)
-def _l2_cached(kernel: UnivariateKernel) -> float:
-    from scipy import integrate
-
-    val, _ = integrate.quad(lambda u: float(kernel.pdf(u)) ** 2, -1.0, 1.0)
-    return val
+    if order == 2 and kernel.family in _CLOSED_FORMS:
+        return _CLOSED_FORMS[kernel.family][0]
+    return _quad(lambda u: u**order * kernel.pdf(u), -1.0, 1.0)[0]
 
 
 def second_moment(kernel: UnivariateKernel) -> float:
     """``int u^2 k(u) du``.
 
-    Computed by adaptive quadrature over [-1, 1] and cached per kernel
-    object.  For the built-in families this agrees with the closed forms
-    1/3 (Uniform) and 1/5 (Epanechnikov) to quadrature accuracy.
+    The closed forms 1/3 (Uniform) and 1/5 (Epanechnikov) for the built-in
+    families; otherwise Gauss-Legendre quadrature over [-1, 1], cached per
+    kernel object.
     """
     return _moment_cached(kernel, 2)
 
@@ -283,10 +307,12 @@ def second_moment(kernel: UnivariateKernel) -> float:
 def l2_norm_sq(kernel: UnivariateKernel) -> float:
     """``int k(u)^2 du``.
 
-    Closed forms for the built-ins are 1/2 (Uniform) and 3/5
-    (Epanechnikov).
+    The closed forms 1/2 (Uniform) and 3/5 (Epanechnikov) for the built-in
+    families; otherwise Gauss-Legendre quadrature over [-1, 1].
     """
-    return _l2_cached(kernel)
+    if kernel.family in _CLOSED_FORMS:
+        return _CLOSED_FORMS[kernel.family][1]
+    return _quad(lambda u: kernel.pdf(u) ** 2, -1.0, 1.0)[0]
 
 
 @dataclass(frozen=True)

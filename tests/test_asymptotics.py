@@ -40,7 +40,6 @@ from csmark import (
     mean_functional,
     mu1_sigma2,
     mu2,
-    qq_points,
     require_valid,
     sample,
     scenario_a,
@@ -212,6 +211,21 @@ def test_mc_normality_scales_the_mc_mse_errors():
     ks = stats.kstest(summary.values, "norm", args=(summary.mu, math.sqrt(summary.sigma2)))
     assert summary.ks_distance == float(ks.statistic)
     assert errors.ks_distance is None
+    # a degenerate law (F0 in {0, 1}) has no KS distance either
+    assert dataclasses.replace(summary, sigma2=0.0).ks_distance is None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=500),
+       st.floats(-10.0, 10.0), st.floats(1e-3, 1e2))
+def test_ks_distance_matches_scipy(values, mu, sigma):
+    """The KS distance from the standard library's normal law agrees with
+    scipy's one-sample test to within 4e-16."""
+    values = np.array(values)
+    summary = MonteCarloSummary(values, np.arange(values.size), 0, mu=mu,
+                                sigma2=sigma * sigma)
+    oracle = stats.kstest(values, "norm", args=(mu, math.sqrt(sigma * sigma)))
+    assert abs(summary.ks_distance - oracle.statistic) <= 4e-16
 
 
 def test_driver_and_bootstrap_parameters_are_pinned():
@@ -255,7 +269,7 @@ def test_public_names_are_pinned():
         "f1", "f1_counting", "f2", "f2_density", "fit_pilot", "g_hat", "g_hat_prime",
         "h0_hat", "l2_norm_sq", "mc_functional", "mc_mse", "mc_normality",
         "mean_functional", "mu1_sigma2", "mu2", "observation_density",
-        "qq_points", "require_valid", "sample", "scenario_a", "scenario_b",
+        "require_valid", "sample", "scenario_a", "scenario_b",
         "second_moment", "select", "true_mean_event_time", "uniform_kernel",
         "validate_conditions", "write_grid_csv",
     ]
@@ -343,6 +357,20 @@ def test_counts_are_checked_before_any_sample_is_drawn(monkeypatch):
         assert str(exc.value).startswith(f"{name} must be an integer >= "), name
     with pytest.raises(InvalidBandwidthError):
         BootstrapPlan(**plan)
+    # the reference law is refused before the replications, not after them
+    slow = BandwidthSchedule(0.5, 0.5, 0.1)
+    vanishing_g = dataclasses.replace(B, g=lambda t: 3.0 * np.asarray(t, dtype=float) ** 2)
+    refused = [
+        (BandwidthRegimeError,
+         lambda: mc_normality(B, "F2", (0.5, 0.5), 100, 20, seed=0, schedule=slow)),
+        (BandwidthRegimeError, lambda: difference_sample(B, (0.5, 0.5), 100, 20, slow, seed=0)),
+        (UnstableDenominatorError,  # g(0) = 0
+         lambda: mc_normality(B, "F1", (0.0, 0.5), 100, 20, seed=0, alpha=0.2)),
+        (QuadratureError, lambda: mc_functional(vanishing_g, 100, 20, seed=0)),
+    ]
+    for error, call in refused:
+        with pytest.raises(error):
+            call()
 
 
 def test_mc_normality_moments_track_the_limit():
@@ -658,13 +686,9 @@ def test_efficient_variance_divergent_integrand():
         efficient_variance(vanishing_g)
 
 
-def test_mc_functional_and_qq_points():
+def test_mc_functional_plumbing():
     summary = mc_functional(B, 400, 6, seed=2)
     assert summary.values.size == 6
     assert summary.sigma2 == pytest.approx(19.0 / 96.0, abs=1e-9)
-    x, y = qq_points(summary)
-    assert x.shape == y.shape == (6,)
-    assert np.all(np.diff(x) > 0)
-    np.testing.assert_array_equal(y, np.sort(summary.values))
     with pytest.raises(ValueError):
         mc_functional(B, 400, 1, seed=2)

@@ -118,6 +118,24 @@ def test_mc_normality_command(tmp_path):
     assert summary["failures"] == 0
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_mc_normality_with_a_degenerate_law_writes_a_null_ks(tmp_path):
+    # F0(t0, 0) = 0 on scenario B: sigma2 = 0 and the KS distance is undefined
+    text = (
+        "kind = mc-normality\nscenario = B\nestimator = F1\n"
+        "t0 = 0.5\nz0 = 0\nn = 100\nm = 4\nalpha = 0.2\nseed = 1\n"
+    )
+    code, outdir = run(tmp_path, "mc-normality", text)
+    assert code == 0
+    text = (outdir / "summary.json").read_text()
+    summary = json.loads(text, parse_constant=_reject_constant)
+    assert summary["sigma2"] == 0.0
+    assert summary["ks"] is None
+
+
 def test_values_csv_numbers_rows_by_replicate(tmp_path, monkeypatch):
     text = (
         "kind = mc-normality\nscenario = B\nestimator = F1\n"
@@ -581,8 +599,7 @@ def test_exit_code_3_for_runtime_failures(tmp_path, capsys):
     assert not outdir.exists()  # the run failed before its first output
 
 
-# tiny configs of every command: the first six never need scipy, the last
-# two take quadrature, the KS statistic and the efficient variance from it
+# tiny configs of every command
 _CONFIGS = {
     "simulate": "scenario = B\nn = 50\nseed = 9\n",
     "estimate-grid": "scenario = B\nn = 150\nseed = 4\nalpha = 0.25\nbeta = 0.2\n"
@@ -600,24 +617,34 @@ _CONFIGS = {
     "functional": "scenario = B\nn = 100\nm = 3\ngrid_points = 50\nseed = 3\n",
 }
 
-# imports the package and runs each command in order; after each, the scipy
-# modules loaded so far
+# makes scipy unimportable, then runs each command and the library's
+# integrals and KS distance; prints the exit codes, the results and the
+# scipy modules that got loaded regardless
 _PROBE = """\
 import json, sys
-import csmark, csmark.cli
+sys.modules["scipy"] = None  # "import scipy" and its submodules now raise
+import numpy as np
+import csmark.cli
+from csmark import (MonteCarloSummary, custom_kernel, efficient_variance,
+                    epanechnikov_kernel, scenario_b, true_mean_event_time,
+                    validate_conditions)
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.startswith("scipy"))
-
-report = [["import", 0, scipy_modules()]]
-for command, config, out in json.loads(sys.argv[1]):
-    code = csmark.cli.main([command, "--config", config, "--out", out])
-    report.append([command, code, scipy_modules()])
-print(json.dumps(report))
+codes = [csmark.cli.main([command, "--config", config, "--out", out])
+         for command, config, out in json.loads(sys.argv[1])]
+epa = epanechnikov_kernel()
+copy = custom_kernel("epanechnikov copy", epa.pdf, epa.cdf)
+summary = MonteCarloSummary(np.array([-0.3, 0.1, 0.4]), np.arange(3), 0, mu=0.0, sigma2=1.0)
+print(json.dumps({
+    "codes": codes, "valid": validate_conditions(copy).all_ok,
+    "efficient_variance": efficient_variance(scenario_b()),
+    "true_mean": true_mean_event_time(scenario_b()), "ks": summary.ks_distance,
+    "scipy": sorted(m for m, mod in sys.modules.items()
+                    if m.startswith("scipy") and mod is not None),
+}))
 """
 
 
-def test_only_mc_normality_and_functional_load_scipy(tmp_path):
+def test_every_command_runs_with_scipy_unimportable(tmp_path):
     runs = []
     for command, text in _CONFIGS.items():
         (tmp_path / f"{command}.cfg").write_text(text)
@@ -629,8 +656,10 @@ def test_only_mc_normality_and_functional_load_scipy(tmp_path):
     )
     assert probe.returncode == 0, probe.stderr
     report = json.loads(probe.stdout.splitlines()[-1])
-    assert [(command, code) for command, code, _ in report] == (
-        [("import", 0)] + [(command, 0) for command in _CONFIGS])
-    for command, _, loaded in report[:7]:
-        assert loaded == [], f"{command} loaded {loaded[:3]}"
-    assert report[-1][2], "mc-normality and functional ran without scipy"
+    assert report["codes"] == [0] * len(_CONFIGS), probe.stderr
+    assert report["valid"] is True
+    assert report["efficient_variance"] == pytest.approx(19.0 / 96.0, abs=1e-15)
+    assert report["true_mean"] == pytest.approx(7.0 / 12.0, abs=1e-15)
+    # the largest gap: the empirical cdf is 0 just below -0.3, Phi(-0.3) = 0.38209
+    assert report["ks"] == pytest.approx(0.3820885778110474, abs=1e-15)
+    assert report["scipy"] == []

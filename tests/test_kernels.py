@@ -31,6 +31,7 @@ from csmark.kernels import (
     _epanechnikov_deriv_bounds,
     _epanechnikov_pdf,
     _epanechnikov_pdf_bounds,
+    _moment_cached,
 )
 
 
@@ -72,14 +73,47 @@ def shifted_epanechnikov():
     )
 
 
+def light_epanechnikov():
+    """Nine tenths of the Epanechnikov kernel: short of unit mass."""
+    base = epanechnikov_kernel()
+    return custom_kernel("light", lambda u: 0.9 * base.pdf(u), lambda u: 0.9 * base.cdf(u))
+
+
+def narrow_uniform():
+    """The Uniform kernel on [-0.7, 0.7]: valid, with jumps off the panel edges."""
+    return custom_kernel(
+        name="narrow",
+        pdf=lambda u: np.where(np.abs(np.asarray(u, dtype=float)) <= 0.7, 1.0 / 1.4, 0.0),
+        cdf=lambda u: np.clip((np.asarray(u, dtype=float) + 0.7) / 1.4, 0.0, 1.0),
+    )
+
+
 def test_moment_constants_match_closed_forms():
-    # closed forms: m2 = 1/3, 1/5, 1/7 and l2 = 1/2, 3/5, 5/7
-    assert abs(second_moment(uniform_kernel()) - 1.0 / 3.0) < 1e-10
-    assert abs(second_moment(epanechnikov_kernel()) - 0.2) < 1e-10
+    # closed forms: m2 = 1/3, 1/5, 1/7 and l2 = 1/2, 3/5, 5/7; the built-ins
+    # take theirs exactly
+    assert second_moment(uniform_kernel()) == 1.0 / 3.0
+    assert second_moment(epanechnikov_kernel()) == 0.2
     assert abs(second_moment(biweight_kernel()) - 1.0 / 7.0) < 1e-10
-    assert abs(l2_norm_sq(uniform_kernel()) - 0.5) < 1e-10
-    assert abs(l2_norm_sq(epanechnikov_kernel()) - 0.6) < 1e-10
+    assert l2_norm_sq(uniform_kernel()) == 0.5
+    assert l2_norm_sq(epanechnikov_kernel()) == 0.6
     assert abs(l2_norm_sq(biweight_kernel()) - 5.0 / 7.0) < 1e-10
+
+
+def test_custom_kernel_constants_match_scipy_quadrature():
+    """Mass, first and second moments and squared norm of custom kernels,
+    kinks and jumps off the quadrature's panel edges included, agree with
+    scipy's adaptive quadrature told where the breaks are."""
+    cases = [(biweight_kernel(), None), (light_epanechnikov(), None),
+             (shifted_epanechnikov(), [-0.8]), (narrow_uniform(), [-0.7, 0.7])]
+    for kernel, breaks in cases:
+        for order in (0, 1, 2):
+            oracle, _ = integrate.quad(lambda u: u**order * float(kernel.pdf(u)),
+                                       -1.0, 1.0, points=breaks)
+            assert abs(_moment_cached(kernel, order) - oracle) <= 1e-12, (kernel, order)
+        oracle, _ = integrate.quad(lambda u: float(kernel.pdf(u)) ** 2, -1.0, 1.0,
+                                   points=breaks)
+        assert abs(l2_norm_sq(kernel) - oracle) <= 1e-12, kernel
+    assert validate_conditions(narrow_uniform()).all_ok
 
 
 def test_product_kernel_moments_use_time_factor():
@@ -188,10 +222,7 @@ def test_validate_conditions_menu():
     assert mixed.failures() == ["moments"]
 
     # a mark kernel short of unit mass fails the moments group, by its defect
-    light_epa = epanechnikov_kernel()
-    light = custom_kernel("light", lambda u: 0.9 * light_epa.pdf(u),
-                          lambda u: 0.9 * light_epa.cdf(u))
-    short = validate_conditions(epanechnikov_kernel(), light)
+    short = validate_conditions(epanechnikov_kernel(), light_epanechnikov())
     assert short.failures() == ["moments"]
     assert short.moments_residual == pytest.approx(0.1, rel=1e-9)
 
