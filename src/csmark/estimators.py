@@ -31,15 +31,14 @@ ratio form makes a positive floor on ``g_hat`` essential; evaluations where
 
 One private routine, :func:`_kernel_sums`, computes every kernel sample mean
 these ratios need, at one point or at many points with their own bandwidths,
-on one sample or on a stack of equal-size samples.  The kernels vanish
-outside [-1, 1], so it visits only the observations in each point's time
-window ``|t0 - t_i| / alpha <= 1``, and the uncensored ones among them for
-the mark-dependent terms.  A point's sums depend only on the sample, the
-point and its bandwidths, bit for bit: a grid row, a single-point call, the
-pilot density and a bootstrap replication's row of a stack agree exactly.
-One more, :func:`_estimates`, forms every estimate from those means: it
-refuses bad points and applies the floor on ``g_hat``, the same way for all
-of them.
+on one sample or on a stack of equal-size samples.  The kernel is taken as 0,
+and ``K2`` as 0 or 1, off [-1, 1], so only the observations in a point's
+time window ``|t0 - t_i| / alpha <= 1`` are visited, and a point's mark
+kernels are evaluated only in its mark window ``|z0 - z_i| / beta <= 1``
+unless it shares its pairs with other points.  A point's sums depend only
+on the sample, the point and its bandwidths, bit for bit.
+:func:`_estimates` forms every estimate from those means: it refuses bad
+points and applies the floor on ``g_hat``, the same way for all of them.
 """
 
 from __future__ import annotations
@@ -67,6 +66,7 @@ from .kernels import (  # noqa: F401
     _check_bandwidth,
     _epanechnikov_deriv_bounds,
     _epanechnikov_pdf_bounds,
+    _support_window,
     epanechnikov_kernel,
     eval_rescaled,
     eval_rescaled_cdf,
@@ -94,6 +94,8 @@ DEFAULT_G_FLOOR = 1e-8
 # bootstrap's small n
 _CHUNK_BUDGET = 250_000
 
+_FIRST = np.zeros(1, dtype=np.intp)  # reduceat's start of one whole segment
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -115,9 +117,12 @@ class EstimatorConfig:
         _check_bandwidth(self.g_floor, "g_floor", ValueError)
 
 
-def _segment_sums(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Sums of the segments ``x[edges[k]:edges[k + 1]]``, each a pairwise
-    sum from its own first entry, so independent of what surrounds it."""
+def _segment_sums(x: np.ndarray, edges: np.ndarray | None = None) -> np.ndarray:
+    """Sums of the segments ``x[edges[k]:edges[k + 1]]`` (of all of ``x``
+    when ``edges`` is None), each a pairwise sum from its own first entry,
+    so independent of what surrounds it."""
+    if edges is None:
+        return np.add.reduceat(x, _FIRST) if x.size else np.zeros(1)
     out = np.zeros(edges.size - 1)
     nonempty = edges[:-1] < edges[1:]
     if x.size:
@@ -125,40 +130,117 @@ def _segment_sums(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def _point_sums(ti, zi, di, kt, t0, z0, alpha, beta, terms) -> list[np.ndarray]:
-    """:func:`_kernel_sums` at one point of the sample ``(ti, zi, di)``, in the
-    same arithmetic (``beta`` None when no term smooths the mark).
-
-    A single point, the Monte Carlo drivers' case, would otherwise spend
-    more on the batch bookkeeping than on its window at moderate ``n``.
+def _mark_sums(kt, w, d, zi, zj, bj, terms, sums, edges=None) -> dict[str, np.ndarray]:
+    """``sums`` with the unscaled sums of the terms ``f1``, ``f2``, ``h``,
+    ``dh`` among ``terms`` over pairs with time kernel ``w``, its derivative
+    ``d`` and mark ``zi``: one point's, of mark ``zj`` and bandwidth ``bj``,
+    or with arrays of one per pair, several points' between ``edges``.  One
+    point evaluates its mark kernels only in its mark window and writes
+    their values off it: ``K2`` 1 below it (``z_i < zj``) and 0 above, ``k`` 0.
     """
-    u = (t0 - ti) / alpha
-    col = (np.abs(u) <= 1.0).nonzero()[0]
-    u = u[col]
-    w = kt.pdf(u)
-    d = kt.deriv(u) if {"gp", "dh"}.intersection(terms) else None
-    unc = di[col] == 1
-    keep = unc.nonzero()[0]
-    zu = zi[col[keep]]
-    if beta is not None:
-        scaled = (z0 - zu) / beta
-        v = kt.pdf(scaled) if {"h", "dh"}.intersection(terms) else None
-    scale = 1.0 / (ti.size * alpha)
-    out = []
+    cdf, pdf = "f2" in terms, "h" in terms or "dh" in terms
+    if isinstance(zj, np.ndarray):  # several points: every kernel on every pair
+        s = (zj - zi) / bj if cdf or pdf else None
+        k2, v = kt.cdf(s) if cdf else None, kt.pdf(s) if pdf else None
+    elif cdf or pdf:
+        col, s = _support_window(zi, zj, bj)
+        k2, v = (zi < zj).astype(float) if cdf else None, np.zeros(zi.size) if pdf else None
+        if cdf:
+            k2[col] = kt.cdf(s)
+        if pdf:
+            v[col] = kt.pdf(s)
     for term in terms:
-        if term in ("g", "gp"):
-            x = w if term == "g" else d
-        elif term == "h0":
-            x = w[(~unc).nonzero()[0]]
-        elif term == "f1":
-            x = w[keep] * (zu <= z0)
+        if term == "f1":
+            sums[term] = _segment_sums(w * (zi <= zj), edges)
         elif term == "f2":
-            x = w[keep] * kt.cdf(scaled)
+            sums[term] = _segment_sums(w * k2, edges)
+        elif term in ("h", "dh"):
+            sums[term] = _segment_sums((w if term == "h" else d) * v, edges)
+    return sums
+
+
+def _window_sums(kt, u, unc, terms, flat=None, ends=None):
+    """The unscaled sums of ``g``, ``gp``, ``h0`` among ``terms`` over a time
+    window of ``u`` and uncensored flags ``unc`` (over each run's entries of
+    ``flat`` below its ``ends``, given those); and the uncensored entries'
+    indices, time kernel and derivative (None unless differentiated)."""
+    w = kt.pdf(u)
+    d = kt.deriv(u) if "gp" in terms or "dh" in terms else None
+    sums = {}
+    for term in terms:
+        if term in ("g", "gp", "h0"):
+            keep = (~unc).nonzero()[0] if term == "h0" else slice(None)
+            edges = None if flat is None else np.searchsorted(flat[keep], ends)
+            sums[term] = _segment_sums((d if term == "gp" else w)[keep], edges)
+    keep = unc.nonzero()[0]
+    return sums, keep, w[keep], None if d is None else d[keep]
+
+
+def _point_sums(ti, zi, di, kt, t0, z0, alpha, beta, terms) -> dict[str, np.ndarray]:
+    """:func:`_kernel_sums` at one point, unscaled, without the batch
+    bookkeeping that outweighs a moderate window (``beta`` None if unused):
+    over its prefiltered time window, its mark kernels in its mark window."""
+    col, u = _support_window(ti, t0, alpha)
+    sums, keep, w, d = _window_sums(kt, u, di[col] == 1, terms)
+    return _mark_sums(kt, w, d, zi[col[keep]], z0, beta, terms, sums)
+
+
+def _batch_sums(kt, ts, zs, ds, t, z, alpha, beta, terms, row) -> dict[str, np.ndarray]:
+    """:func:`_kernel_sums` at several points, unscaled: ``alpha`` and
+    ``beta`` (None when no term smooths the mark) hold one value per point."""
+    n, m = ts.shape[-1], t.size
+    out = {term: np.empty(m) for term in terms}
+    new_run = np.ones(m + 1, dtype=bool)
+    new_run[1:m] = (t[1:] != t[:-1]) | (alpha[1:] != alpha[:-1])
+    if row is not None:
+        new_run[1:m] |= row[1:] != row[:-1]
+    bounds = new_run.nonzero()[0]  # run r holds the points bounds[r]:bounds[r + 1]
+    zs, ds = zs.ravel(), ds.ravel()
+    step = max(1, _CHUNK_BUDGET // n)
+    for r0 in range(0, bounds.size - 1, step):
+        first = bounds[r0 : r0 + step + 1]
+        size, first = first[1:] - first[:-1], first[:-1]  # points per run, first points
+        p0 = first[0]
+        if first.size == 1:  # one run, whose window is prefiltered
+            flat, u = _support_window(ts if row is None else ts[row[p0]], t[p0], alpha[p0])
+            col = flat if row is None else flat + n * row[p0]
         else:
-            x = (w if term == "h" else d)[keep] * v
-        total = np.add.reduceat(x, [0]) if x.size else np.zeros(1)  # as _segment_sums
-        total *= scale / alpha if term in ("gp", "dh") else scale
-        out.append(total / beta if term in ("h", "dh") else total)
+            rows = ts if row is None else ts[row[first]]  # a lone sample broadcasts
+            u = ((t[first, None] - rows) / alpha[first, None]).ravel()
+            flat = (np.abs(u) <= 1.0).nonzero()[0]  # the runs' windows, one after another
+            u = u[flat]
+            if row is None:
+                col = flat % n
+            else:  # the entries' places in the flattened stack
+                run, col = np.divmod(flat, n)
+                col += n * row[first][run]
+        ends = np.arange(first.size + 1) * n  # run r's entries of flat lie below ends[r + 1]
+        sums, keep, w, d = _window_sums(kt, u, ds[col] == 1, terms, flat, ends)
+        for term, x in sums.items():
+            out[term][p0 : p0 + size.sum()] = x.repeat(size)
+        # pair each point with its run's uncensored window columns
+        edges = np.searchsorted(flat[keep], ends)
+        zu = zs[col[keep]]
+        cols = (edges[1:] - edges[:-1]).repeat(size)  # pairs per point
+        start = edges[:-1].repeat(size)
+        # about ten pair-sized temporaries live at once, so pairs are formed
+        # for an eighth of a chunk's points at a time
+        pair_step = max(1, step // 8)
+        for j in range(0, cols.size, pair_step):
+            counts = cols[j : j + pair_step]
+            points = slice(p0 + j, p0 + j + counts.size)
+            if counts.size == 1:  # one point, whose pairs are a slice of columns
+                i, pair_edges = slice(start[j], start[j] + counts[0]), None
+                zj, bj = z[p0 + j], beta[p0 + j] if beta is not None else None
+            else:
+                pair_edges = np.concatenate(([0], np.cumsum(counts)))
+                offset = start[j : j + pair_step] - pair_edges[:-1]
+                i = np.arange(pair_edges[-1]) + offset.repeat(counts)
+                zj = z[points].repeat(counts)
+                bj = beta[points].repeat(counts) if beta is not None else None
+            for term, x in _mark_sums(kt, w[i], None if d is None else d[i], zu[i], zj, bj,
+                                      terms, {}, pair_edges).items():
+                out[term][points] = x
     return out
 
 
@@ -177,105 +259,43 @@ def _kernel_sums(sample, config, t, z, alpha, beta, terms, row=None) -> list[np.
     delta; ``dh``: d v delta.
 
     Only observations in a point's time window ``|(t_j - t_i) / alpha| <=
-    1`` (the kernels' own support test) are visited.  Consecutive points
-    sharing ``(row, t, alpha)`` form a run with one window, on which the time
-    kernel is evaluated once; ``g``, ``gp`` and ``h0`` sum over the window,
-    the other terms over (point, uncensored window column) pairs, and the
-    sums are scaled by the bandwidths and ``1 / n``.  Runs go
-    ``_CHUNK_BUDGET // n`` at a time, their points an eighth of that at a
-    time when pairs are formed.  Every sum adds its own entries in sample
-    order, so a point's sums are bit for bit the same whatever the chunk
-    budget, whatever other points share the call and whether its sample is
-    alone or a row of a stack.
+    1`` are visited.  Consecutive points sharing ``(row, t, alpha)`` form a
+    run with one window and one time-kernel evaluation; ``g``, ``gp`` and
+    ``h0`` sum over the window, the others over (point, uncensored window
+    column) pairs.  Runs go ``_CHUNK_BUDGET // n`` at a time, their points
+    an eighth of that at a time when pairs are formed.  A single point or a
+    chunk of one run finds its window with a bounds prefilter
+    (:func:`~csmark.kernels._support_window`); a chunk of several runs
+    tests every entry.  A point whose pairs are formed alone evaluates its
+    mark kernels only in its mark window ``|(z_j - z_i) / beta| <= 1``,
+    several points' pairs evaluate them on every pair (:func:`_mark_sums`).
+    Every sum adds the same values in sample order either way: a point's
+    sums are bit for bit the same whatever the chunk budget, the other
+    points of the call, and whether its sample is alone or a row of a stack.
     """
     kt = config.kernel_t
     marked = bool({"f2", "h", "dh"}.intersection(terms))
+    if marked and beta is None:
+        raise InvalidBandwidthError("doubly-smoothed estimation needs a mark bandwidth (beta)")
     if marked:
-        if beta is None:
-            raise InvalidBandwidthError(
-                "doubly-smoothed estimation needs a mark bandwidth (beta)"
-            )
         _check_bandwidth(beta, "beta")
-        beta = np.full(t.shape, beta, dtype=float)
-    differentiated = bool({"gp", "dh"}.intersection(terms))
-    if differentiated and kt.deriv is None:
+    if {"gp", "dh"}.intersection(terms) and kt.deriv is None:
         raise DerivativeUnavailableError(f"kernel {kt.name!r} has no derivative")
     _check_bandwidth(alpha, "alpha")
     alpha = np.full(t.shape, alpha, dtype=float)
+    beta = np.full(t.shape, beta, dtype=float) if marked else None
     ts, zs, ds = sample.t, sample.z, sample.delta
-    if t.size == 1:  # spares a single point the batch bookkeeping
+    n, m = ts.shape[-1], t.size
+    if m == 1:
         if row is not None:
             ts, zs, ds = ts[row[0]], zs[row[0]], ds[row[0]]
-        b = beta[0] if marked else None
-        return _point_sums(ts, zs, ds, kt, t[0], z[0], alpha[0], b, terms)
-    n, m = ts.shape[-1], t.size
-    out = {term: np.empty(m) for term in terms}
-    new_run = np.ones(m + 1, dtype=bool)
-    new_run[1:m] = (t[1:] != t[:-1]) | (alpha[1:] != alpha[:-1])
-    if row is not None:
-        new_run[1:m] |= row[1:] != row[:-1]
-    bounds = new_run.nonzero()[0]  # run r holds the points bounds[r]:bounds[r + 1]
-    zs, ds = zs.ravel(), ds.ravel()
-    step = max(1, _CHUNK_BUDGET // n)
-    for r0 in range(0, bounds.size - 1, step):
-        first = bounds[r0 : r0 + step + 1]
-        size, first = first[1:] - first[:-1], first[:-1]  # points per run, first points
-        p0 = first[0]
-        rows = ts if row is None else ts[row[first]]  # a lone sample broadcasts
-        u = ((t[first, None] - rows) / alpha[first, None]).ravel()
-        flat = (np.abs(u) <= 1.0).nonzero()[0]  # the runs' windows, one after another
-        if row is None:
-            col = flat % n
-        else:  # the entries' places in the flattened stack
-            run, col = np.divmod(flat, n)
-            col += n * row[first][run]
-        ends = np.arange(first.size + 1) * n  # run r's entries of flat lie below ends[r + 1]
-        u = u[flat]
-        w = kt.pdf(u)
-        d = kt.deriv(u) if differentiated else None
-        unc = ds[col] == 1
-        for term, x in (("g", w), ("gp", d), ("h0", w)):
-            if term in out:
-                keep = (~unc).nonzero()[0] if term == "h0" else slice(None)
-                sums = _segment_sums(x[keep], np.searchsorted(flat[keep], ends))
-                out[term][p0 : p0 + size.sum()] = sums.repeat(size)
-        # pair each point with its run's uncensored window columns
-        keep = unc.nonzero()[0]
-        edges = np.searchsorted(flat[keep], ends)
-        w, zu = w[keep], zs[col[keep]]
-        d = d[keep] if d is not None else None
-        cols = (edges[1:] - edges[:-1]).repeat(size)  # pairs per point
-        start = edges[:-1].repeat(size)
-        # about ten pair-sized temporaries live at once, so pairs are formed
-        # for an eighth of a chunk's points at a time
-        pair_step = max(1, step // 8)
-        for j in range(0, cols.size, pair_step):
-            counts = cols[j : j + pair_step]
-            pair_edges = np.concatenate(([0], np.cumsum(counts)))
-            if counts.size == 1:  # one point, whose pairs are a slice of columns
-                i = slice(start[j], start[j] + counts[0])
-            else:
-                offset = start[j : j + pair_step] - pair_edges[:-1]
-                i = np.arange(pair_edges[-1]) + offset.repeat(counts)
-            points = slice(p0 + j, p0 + j + counts.size)
-            zi, zj = zu[i], z[points].repeat(counts)
-            if marked:
-                scaled = (zj - zi) / beta[points].repeat(counts)
-                v = kt.pdf(scaled) if {"h", "dh"}.intersection(terms) else None
-            for term in {"f1", "f2", "h", "dh"}.intersection(terms):
-                if term == "f1":
-                    x = w[i] * (zi <= zj)
-                elif term == "f2":
-                    x = w[i] * kt.cdf(scaled)
-                else:
-                    x = (w if term == "h" else d)[i] * v
-                out[term][points] = _segment_sums(x, pair_edges)
+        alpha, beta = alpha[0], beta[0] if marked else None  # scalars scale faster
+        out = _point_sums(ts, zs, ds, kt, t[0], z[0], alpha, beta, terms)
+    else:
+        out = _batch_sums(kt, ts, zs, ds, t, z, alpha, beta, terms, row)
     scale = 1.0 / (n * alpha)  # the kernels' 1 / bandwidth and the mean's 1 / n
-    for term in terms:
-        out[term] *= scale / alpha if term in ("gp", "dh") else scale
-        if term in ("h", "dh"):
-            out[term] /= beta
-    return [out[term] for term in terms]
+    scaled = [out[term] * (scale / alpha if term in ("gp", "dh") else scale) for term in terms]
+    return [x / beta if term in ("h", "dh") else x for term, x in zip(terms, scaled)]
 
 
 def _checked_points(t, z) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,9 @@ the product of any time factor and mark factor:
 
 * each factor is a density with compact support [-1, 1] and is symmetric
   (continuity is assumed, not checked numerically);
-* both first moments vanish and the two second moments agree.
+* both first moments vanish and the two second moments agree;
+* the mark factor's ``cdf`` is 0 below -1 and 1 above 1, the values the
+  estimators assume off a point's mark window.
 
 The Uniform kernel is ``1/2`` on [-1, 1]; the Epanechnikov kernel is
 ``(3/4) (1 - u^2)`` on [-1, 1].  Only the latter carries a derivative, so
@@ -27,6 +29,7 @@ through one adaptive composite Gauss-Legendre rule (Golub & Welsch 1969).
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -200,7 +203,10 @@ def custom_kernel(
 
     The callables must be vectorized over numpy arrays.  No validation is
     performed here; run :func:`validate_conditions` on the result to check
-    the standing assumptions.
+    the standing assumptions.  Off [-1, 1] the estimators take ``pdf`` and
+    ``deriv`` as 0 and ``cdf`` as 0 below and 1 above, calling the callables
+    there on some paths and not on others; :func:`validate_conditions`
+    checks that ``pdf`` and ``cdf`` take those values there.
     """
     return UnivariateKernel(
         family=KernelFamily.CUSTOM, name=name, pdf=pdf, cdf=cdf, deriv=deriv
@@ -224,6 +230,35 @@ def _check_count(value, name: str, minimum: int, error: type = ValueError) -> No
     integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if not (integer and value >= minimum):
         raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+# how far _support_window widens its prefilter's bounds, per unit of |c| + h
+_WINDOW_SLACK = 4 * float(np.finfo(float).eps)
+
+
+def _support_window(x, c, h) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the entries of ``x`` in the support of ``k((c - x) / h)``,
+    ``|q| <= 1`` for ``q = (c - x_i) / h`` in float arithmetic, and their
+    ``q``; ``c`` is a number or +-inf, ``h`` finite and positive.
+
+    ``q`` is computed only on the entries between ``c -+ h`` moved out by
+    ``_WINDOW_SLACK (|c| + h)``, ``4 eps (|c| + h)``.  Near the edge the
+    quotient's two roundings move it by under ``1.1 eps``, ``1.1 eps h`` in
+    ``x``, and ``c -+ h`` round by half an ulp of ``|c| + h``, so those
+    entries hold the window: the same indices and ``q``, bit for bit, as
+    the test on every entry.
+    """
+    c, h = float(c), float(h)  # Python floats add faster than numpy scalars
+    slack = 0.0 if math.isinf(c) else _WINDOW_SLACK * (abs(c) + h)
+    near = x >= c - h - slack
+    near &= x <= c + h + slack
+    col = near.nonzero()[0]
+    q = c - x[col]
+    q /= h
+    inside = np.abs(q) <= 1.0
+    if np.count_nonzero(inside) < col.size:
+        col, q = col[inside], q[inside]
+    return col, q
 
 
 def eval_rescaled(kernel: UnivariateKernel, bandwidth, u) -> np.ndarray:
@@ -322,7 +357,8 @@ class KernelValidationReport:
     ``shape_ok`` -- the time factor has unit mass, compact support and is
     symmetric.  ``moments_ok`` -- both first moments vanish, the second
     moments of the two coordinates agree, and the mark factor is a
-    symmetric compactly supported density as well.  Residuals are the
+    symmetric compactly supported density as well, whose ``cdf`` is 0
+    below -1 and 1 above 1.  Residuals are the
     largest absolute violations found for each group; ``kernel_name`` reads
     ``"<time> x <mark>"``.
     """
@@ -355,6 +391,13 @@ def _shape_residual(k: UnivariateKernel) -> float:
         max(np.max(np.abs(k.pdf(outside))), np.max(np.abs(k.pdf(-outside))))
     )
     return max(abs(mass - 1.0), sym, support)
+
+
+def _cdf_residual(k: UnivariateKernel) -> float:
+    """How far ``k.cdf`` is from 0 below -1 and from 1 above 1, the values
+    the estimators take it to have there without calling it."""
+    outside = np.linspace(1.0 + 1e-6, 3.0, 50)
+    return float(max(np.max(np.abs(k.cdf(-outside))), np.max(np.abs(k.cdf(outside) - 1.0))))
 
 
 def validate_conditions(
@@ -402,6 +445,7 @@ def validate_conditions(
         abs(m1z * mass_t),
         abs(m2t * mass_z - m2z * mass_t),
         _shape_residual(kz),
+        _cdf_residual(kz),
     )
 
     return KernelValidationReport(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import re
 import warnings
@@ -688,3 +689,153 @@ def test_f1_with_uniform_kernel_is_the_counting_form(s, config, t0, z0):
             f1(s, config, t0, z0)
         return
     assert abs(f1(s, config, t0, z0) - counted) <= 1e-12
+
+
+# --- bit identity of the windowed kernel sums -------------------------------
+#
+# float.hex of the estimates as first computed by evaluating every kernel on
+# every observation in each point's time window.  The prefiltered time window
+# and the per-point mark window must leave every bit where it was, with one
+# run per chunk or many, and one point's pairs at a time or many.
+
+PINNED_N = 20_000
+PINNED_T = (0.2, 0.5, 0.8)
+PINNED_Z = (0.2, 0.5, 0.8, 1e300)
+# (F1, F2, density) on the t x z grid, row by row
+PINNED_GRID = [
+    ("0x1.1202b49d83e73p-7", "0x1.20d5dc54cd259p-7", "0x1.99bc52b4e014dp-2"),
+    ("0x1.72328c63db887p-5", "0x1.7526de554ede8p-5", "0x1.6f872e9f279bap-1"),
+    ("0x1.8605388935f22p-4", "0x1.8399e0d16d22fp-4", "0x1.d2bb7d1d3730ap-1"),
+    ("0x1.1b7a56ed731fcp-3", "0x1.1b7a56ed731fcp-3", "0x0.0p+0"),
+    ("0x1.4d282799eaaabp-5", "0x1.4672d1cc92d54p-5", "0x1.272c400ff0214p-1"),
+    ("0x1.0a290fbbbb6d8p-3", "0x1.0cbabd992b4a5p-3", "0x1.8496c46c1abbdp-1"),
+    ("0x1.15c933bf605d4p-2", "0x1.19361e3e8593fp-2", "0x1.5d513b3c176d3p+0"),
+    ("0x1.9811f7bd83f7dp-2", "0x1.9811f7bd83f7dp-2", "0x0.0p+0"),
+    ("0x1.41cc2b3c71969p-4", "0x1.47359a0a9c4bcp-4", "0x1.da78e46140a98p-1"),
+    ("0x1.06aac2d676e8ap-2", "0x1.08cc0508e61f4p-2", "0x1.a46d296c14715p+0"),
+    ("0x1.0769166e3a221p-1", "0x1.0883d68f32968p-1", "0x1.5bb1f2ea56e04p+0"),
+    ("0x1.7641c0ed7e8aap-1", "0x1.7641c0ed7e8aap-1", "0x0.0p+0"),
+]
+# (F1, F2) of the Uniform kernel at t = 0.5
+PINNED_UNIFORM_ROW = [
+    ("0x1.4ac17d5135297p-5", "0x1.4ae027816e1e8p-5"),
+    ("0x1.0e2ffe6b82414p-3", "0x1.120c67156d9e6p-3"),
+    ("0x1.1a4d17cca6095p-2", "0x1.1f01bf3f7e6c8p-2"),
+    ("0x1.a1a8814cdccfap-2", "0x1.a1a8814cdccfap-2"),
+]
+
+
+def hexes(*values):
+    return tuple(None if v is None else float(v).hex() for v in values)
+
+
+def constants(**values):
+    """``estimators``' module constants patched to ``values`` (none if empty)."""
+    return mock.patch.multiple(estimators, **values) if values else contextlib.nullcontext()
+
+
+@pytest.mark.parametrize("patches", [{}, {"_CHUNK_BUDGET": 1}, {"_CHUNK_BUDGET": 10**9}],
+                         ids=["defaults", "one-run-per-chunk", "one-chunk"])
+def test_estimates_are_pinned_bit_for_bit(patches):
+    n = PINNED_N
+    s = sample(scenario_b(), n, 7)
+    bw = Bandwidths(n ** (-1 / 6), n ** (-1 / 5))
+    epa = EstimatorConfig(kernel_t=EPA, bandwidths=bw)
+    uni = EstimatorConfig(kernel_t=UNI, bandwidths=bw)
+    with constants(**patches):
+        grid = evaluate_grid(s, epa, np.array(PINNED_T), np.array(PINNED_Z))
+        row = evaluate_grid(s, uni, np.array([0.5]), np.array(PINNED_Z))
+        points = {(t0, z0): hexes(f1(s, epa, t0, z0), f2(s, epa, t0, z0),
+                                  f2_density(s, epa, t0, z0))
+                  for t0, z0 in ((0.2, 0.8), (0.5, 0.5), (0.8, 0.2))}
+        at_infinity = f2(s, epa, 0.5, np.inf)
+    assert [hexes(r.f1, r.f2, r.density) for r in grid] == PINNED_GRID
+    assert [hexes(r.f1, r.f2) for r in row] == PINNED_UNIFORM_ROW
+    for (t0, z0), got in points.items():
+        assert got == PINNED_GRID[PINNED_T.index(t0) * len(PINNED_Z) + PINNED_Z.index(z0)]
+    assert at_infinity.hex() == "0x1.9811f7bd83f7dp-2"  # F2 at (0.5, 1e300)
+
+
+ALL_TERMS = ("g", "f1", "f2", "h0", "gp", "h", "dh")
+
+
+def reference_sums(kernel, ti, zi, di, t0, z0, alpha, beta, terms):
+    """One point's kernel means with every kernel evaluated on every
+    observation in the time window, in sample order."""
+    u = (t0 - ti) / alpha
+    inside = np.abs(u) <= 1.0
+    u, zw, unc = u[inside], zi[inside], di[inside] == 1
+    w = kernel.pdf(u)
+    s = (z0 - zw[unc]) / beta
+    x = {"g": w, "h0": w[~unc], "f1": w[unc] * (zw[unc] <= z0), "f2": w[unc] * kernel.cdf(s)}
+    if kernel.deriv is not None:
+        d = kernel.deriv(u)
+        x.update(gp=d, h=w[unc] * kernel.pdf(s), dh=d[unc] * kernel.pdf(s))
+    out = []
+    for term in terms:
+        total = np.add.reduceat(x[term], [0]) if x[term].size else np.zeros(1)
+        scale = 1.0 / (ti.size * alpha)
+        total *= scale / alpha if term in ("gp", "dh") else scale
+        out.append(total / beta if term in ("h", "dh") else total)
+    return out
+
+
+def neighbours(values, steps=3):
+    """Each value and the ``steps`` floats on either side of it."""
+    out = []
+    for v in values:
+        up = down = v
+        out.append(v)
+        for _ in range(steps):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            out += [up, down]
+    return out
+
+
+@st.composite
+def window_edges(draw):
+    """A point ``(t0, z0)`` with bandwidths, up to 1e9 bandwidths from 0 or
+    with ``z0`` infinite or 1e300, and a stack of two samples whose times and
+    marks are the floats on and next to the edges of the point's windows,
+    each row pairing them in its own order."""
+    alpha, beta = draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-3, 1e3))
+    ratio = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 1e9, -1e9]),
+                      st.floats(-1e9, 1e9))
+    t0 = alpha * draw(ratio)
+    z0 = draw(st.one_of(st.sampled_from([np.inf, -np.inf, 1e300]),
+                        ratio.map(lambda c: beta * c)))
+    times = neighbours([t0 - alpha, t0 + alpha, t0])
+    marks = neighbours([z0 - beta, z0 + beta, z0] if np.isfinite(z0) else [0.0, 1.0, 2.0])
+    rows = [(draw(st.permutations(times)), draw(st.permutations(marks)),
+             draw(st.lists(st.sampled_from([0, 1, 1]), min_size=len(times),
+                           max_size=len(times))))
+            for _ in range(2)]
+    stack = _Stack(*(np.array(c) for c in zip(*rows)))
+    other = (draw(st.sampled_from(times)), draw(st.sampled_from(marks)))
+    return stack, (t0, z0, alpha, beta), other
+
+
+@PROPERTY
+@given(window_edges(), st.sampled_from([EPA, UNI]), st.integers(1, 1000))
+def test_windowed_kernel_sums_equal_every_kernel_on_the_window(case, kernel, budget):
+    stack, (t0, z0, alpha, beta), (t1, z1) = case
+    terms = ALL_TERMS if kernel is EPA else ALL_TERMS[:4]
+    config = EstimatorConfig(kernel_t=kernel)
+    lone = _Stack(stack.t[0], stack.z[0], stack.delta[0])
+    # a batch holds the point in a run with another mark, and alone in the
+    # time of another observation; the stack holds the same on both rows
+    t = np.array([t0, t0, t1, t0])
+    z = np.array([z0, z1, z0, z0])
+    row = np.array([0, 0, 1, 1])
+    with constants(_CHUNK_BUDGET=budget):
+        calls = [
+            (estimators._kernel_sums(lone, config, t[:1], z[:1], alpha, beta, terms), [0]),
+            (estimators._kernel_sums(lone, config, t, z, alpha, beta, terms), [0, 0, 0, 0]),
+            (estimators._kernel_sums(stack, config, t, z, alpha, beta, terms, row), row),
+        ]
+    for sums, rows in calls:
+        for j, r in enumerate(rows):
+            want = reference_sums(kernel, stack.t[r], stack.z[r], stack.delta[r], t[j], z[j],
+                                  alpha, beta, terms)
+            for term, got, expected in zip(terms, sums, want):
+                assert got[j].hex() == expected[0].hex(), (term, j)

@@ -231,6 +231,19 @@ def test_validate_conditions_menu():
     assert "shape" in shifted.failures()
 
 
+def test_validate_conditions_checks_the_cdf_off_the_support():
+    # the estimators take the mark factor's cdf as 0 below -1 and 1 above 1
+    # without calling it there; a cdf that is not clipped fails the moments
+    epa = epanechnikov_kernel()
+    unclipped = custom_kernel("unclipped", epa.pdf,
+                              lambda u: 0.25 * (2.0 + 3.0 * u - u * u * u), epa.deriv)
+    report = validate_conditions(unclipped)
+    assert report.failures() == ["moments"]
+    assert report.moments_residual == pytest.approx(5.0)  # cdf(-3) = 5
+    assert validate_conditions(unclipped, epa).all_ok
+    assert validate_conditions(epa, unclipped).failures() == ["moments"]
+
+
 def test_require_valid_raises_on_bad_kernel():
     require_valid(epanechnikov_kernel())
     with pytest.raises(KernelAssumptionError) as exc:
