@@ -495,6 +495,7 @@ def difference_sample(
     Threads (``workers``, capped at the usable CPUs) share replications
     only when ``n >= 20_000``; results do not depend on ``workers``.
     """
+    _check_count(n, "n", 1, EmptySampleError)
     if schedule.beta_exponent is None:
         raise InvalidBandwidthError("the schedule must include a mark bandwidth")
     config = _resolve_config("F2", schedule.alpha(n), schedule.beta(n), None)

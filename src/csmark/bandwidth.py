@@ -122,10 +122,12 @@ class BootstrapPlan:
         _check_bandwidth(self.alpha0, "alpha0")
         _check_bandwidth(self.beta0, "beta0")
         _check_count(self.replications, "replications", 1, InvalidBandwidthError)
+        _check_count(self.seed, "seed", 0)
         for label, grid in (("alpha", self.alpha_grid), ("beta", self.beta_grid)):
             if len(grid) == 0:
                 raise InvalidBandwidthError(f"{label}_grid must be nonempty")
-            _check_bandwidth(np.asarray(grid, dtype=float), f"{label}_grid")
+            for value in grid:  # each entry, before a float cast could hide a bool
+                _check_bandwidth(value, f"{label}_grid")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise InvalidBandwidthError(f"{label}_grid must be strictly increasing")
         t0, z0 = self.point

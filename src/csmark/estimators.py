@@ -30,13 +30,12 @@ ratio form makes a positive floor on ``g_hat`` essential; evaluations where
 ``g_hat`` falls below ``g_floor`` raise ``UnstableDenominatorError``.
 
 One private routine, :func:`_kernel_sums`, computes every kernel sample mean
-these ratios need, at one point or at many points with their own bandwidths,
-on one sample or on a stack of equal-size samples.  The kernel is taken as 0,
-and ``K2`` as 0 or 1, off [-1, 1], so only the observations in a point's
-time window ``|t0 - t_i| / alpha <= 1`` are visited, and a point's mark
-kernels are evaluated only in its mark window ``|z0 - z_i| / beta <= 1``
-unless it shares its pairs with other points.  A point's sums depend only
-on the sample, the point and its bandwidths, bit for bit.
+these ratios need, at one or many points with their own bandwidths, on one
+sample or a stack of equal-size samples.  The kernel is taken as 0, and
+``K2`` as 0 or 1, off [-1, 1], so only a point's time window ``|t0 - t_i| /
+alpha <= 1`` is visited, along one of two paths that give a point the same
+sums, bit for bit: per run of points at one time, with mark windows, for one
+point and at large n; or vectorized over many points at once.
 :func:`_estimates` forms every estimate from those means: it refuses bad
 points and applies the floor on ``g_hat``, the same way for all of them.
 """
@@ -90,8 +89,8 @@ __all__ = [
 DEFAULT_G_FLOOR = 1e-8
 
 # bound on the (runs x n) window masks and on the (points x n) pairs of one
-# chunk of _kernel_sums: one run per chunk at n = 2e5, thousands at the
-# bootstrap's small n
+# chunk of _kernel_sums' vectorized path: thousands of runs at the
+# bootstrap's small n, and the per-run path where pairs would go singly
 _CHUNK_BUDGET = 250_000
 
 _FIRST = np.zeros(1, dtype=np.intp)  # reduceat's start of one whole segment
@@ -117,12 +116,9 @@ class EstimatorConfig:
         _check_bandwidth(self.g_floor, "g_floor", ValueError)
 
 
-def _segment_sums(x: np.ndarray, edges: np.ndarray | None = None) -> np.ndarray:
-    """Sums of the segments ``x[edges[k]:edges[k + 1]]`` (of all of ``x``
-    when ``edges`` is None), each a pairwise sum from its own first entry,
-    so independent of what surrounds it."""
-    if edges is None:
-        return np.add.reduceat(x, _FIRST) if x.size else np.zeros(1)
+def _segment_sums(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Sums of the segments ``x[edges[k]:edges[k + 1]]``, each a pairwise
+    sum from its own first entry, so independent of what surrounds it."""
     out = np.zeros(edges.size - 1)
     nonempty = edges[:-1] < edges[1:]
     if x.size:
@@ -130,118 +126,130 @@ def _segment_sums(x: np.ndarray, edges: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _mark_sums(kt, w, d, zi, zj, bj, terms, sums, edges=None) -> dict[str, np.ndarray]:
-    """``sums`` with the unscaled sums of the terms ``f1``, ``f2``, ``h``,
-    ``dh`` among ``terms`` over pairs with time kernel ``w``, its derivative
-    ``d`` and mark ``zi``: one point's, of mark ``zj`` and bandwidth ``bj``,
-    or with arrays of one per pair, several points' between ``edges``.  One
-    point evaluates its mark kernels only in its mark window and writes
-    their values off it: ``K2`` 1 below it (``z_i < zj``) and 0 above, ``k`` 0.
-    """
+def _total(x: np.ndarray) -> float:
+    """The sum of ``x`` as :func:`_segment_sums` forms a segment's."""
+    return np.add.reduceat(x, _FIRST).item() if x.size else 0.0
+
+
+def _mean(total, term, scale, alpha, beta):
+    """A kernel sum of ``term`` as a mean, given ``scale = 1 / (n alpha)``:
+    the mean's 1 / n and the kernels' 1 / bandwidth."""
+    total = total * (scale / alpha if term in ("gp", "dh") else scale)
+    return total / beta if term in ("h", "dh") else total
+
+
+def _summand(term, w, d, zi, zj, k2, v) -> np.ndarray:
+    """Pairs' summands of ``f1``, ``f2``, ``h`` or ``dh``: time kernel ``w``, its
+    derivative ``d``, marks ``zi``, ``zj``, mark kernels ``k2`` (``K2``), ``v`` (``k``)."""
+    if term == "f1":
+        return w * (zi <= zj)
+    if term == "f2":
+        return w * k2
+    return (w if term == "h" else d) * v
+
+
+def _run_sums(kt, sample, t, z, alpha, beta, terms, row) -> list[np.ndarray]:
+    """The per-run path of :func:`_kernel_sums`; off a point's mark window its mark
+    kernels take their values unevaluated: ``K2`` 1 below (``z_i < z_j``), 0 above, ``k`` 0."""
+    derivative = "gp" in terms or "dh" in terms
     cdf, pdf = "f2" in terms, "h" in terms or "dh" in terms
-    if isinstance(zj, np.ndarray):  # several points: every kernel on every pair
-        s = (zj - zi) / bj if cdf or pdf else None
-        k2, v = kt.cdf(s) if cdf else None, kt.pdf(s) if pdf else None
-    elif cdf or pdf:
-        col, s = _support_window(zi, zj, bj)
-        k2, v = (zi < zj).astype(float) if cdf else None, np.zeros(zi.size) if pdf else None
+    n, m = sample.t.shape[-1], t.size
+    out, run = [[] for _ in terms], None
+    # per point, as Python floats; a shared bandwidth in float64, as arrays hold it
+    alphas = alpha.tolist() if isinstance(alpha, np.ndarray) else [float(alpha)] * m
+    betas = beta.tolist() if isinstance(beta, np.ndarray) else [beta and float(beta)] * m
+    rows = [None] * m if row is None else row.tolist()
+    for t0, z0, a, b, r in zip(t.tolist(), z.tolist(), alphas, betas, rows):
+        if (r, t0, a) != run:  # a new run: its time window, and the sums over it
+            run, scale = (r, t0, a), 1.0 / (n * a)
+            ts, zs, ds = (sample.t, sample.z, sample.delta) if r is None else (
+                sample.t[r], sample.z[r], sample.delta[r])
+            col, u = _support_window(ts, t0, a)
+            w = kt.pdf(u)
+            d = kt.deriv(u) if derivative else None
+            unc = ds[col] == 1
+            window = {term: _mean(_total(w if term == "g" else d if term == "gp" else w[~unc]),
+                                  term, scale, a, None)
+                      for term in terms if term in ("g", "gp", "h0")}
+            keep = unc.nonzero()[0]
+            w, d = w[keep], None if d is None else d[keep]
+            zu = zs[col[keep]]  # once the whole window's w and d are freed
+        k2 = v = None
+        if cdf or pdf:
+            mcol, s = _support_window(zu, z0, b)
         if cdf:
-            k2[col] = kt.cdf(s)
+            k2 = (zu < z0).astype(float)
+            k2[mcol] = kt.cdf(s)
         if pdf:
-            v[col] = kt.pdf(s)
-    for term in terms:
-        if term == "f1":
-            sums[term] = _segment_sums(w * (zi <= zj), edges)
-        elif term == "f2":
-            sums[term] = _segment_sums(w * k2, edges)
-        elif term in ("h", "dh"):
-            sums[term] = _segment_sums((w if term == "h" else d) * v, edges)
-    return sums
+            v = np.zeros(zu.size)
+            v[mcol] = kt.pdf(s)
+        for term, x in zip(terms, out):
+            x.append(window[term] if term in window else
+                     _mean(_total(_summand(term, w, d, zu, z0, k2, v)), term, scale, a, b))
+    return [np.array(x) for x in out]
 
 
-def _window_sums(kt, u, unc, terms, flat=None, ends=None):
-    """The unscaled sums of ``g``, ``gp``, ``h0`` among ``terms`` over a time
-    window of ``u`` and uncensored flags ``unc`` (over each run's entries of
-    ``flat`` below its ``ends``, given those); and the uncensored entries'
-    indices, time kernel and derivative (None unless differentiated)."""
-    w = kt.pdf(u)
-    d = kt.deriv(u) if "gp" in terms or "dh" in terms else None
-    sums = {}
-    for term in terms:
-        if term in ("g", "gp", "h0"):
-            keep = (~unc).nonzero()[0] if term == "h0" else slice(None)
-            edges = None if flat is None else np.searchsorted(flat[keep], ends)
-            sums[term] = _segment_sums((d if term == "gp" else w)[keep], edges)
-    keep = unc.nonzero()[0]
-    return sums, keep, w[keep], None if d is None else d[keep]
-
-
-def _point_sums(ti, zi, di, kt, t0, z0, alpha, beta, terms) -> dict[str, np.ndarray]:
-    """:func:`_kernel_sums` at one point, unscaled, without the batch
-    bookkeeping that outweighs a moderate window (``beta`` None if unused):
-    over its prefiltered time window, its mark kernels in its mark window."""
-    col, u = _support_window(ti, t0, alpha)
-    sums, keep, w, d = _window_sums(kt, u, di[col] == 1, terms)
-    return _mark_sums(kt, w, d, zi[col[keep]], z0, beta, terms, sums)
-
-
-def _batch_sums(kt, ts, zs, ds, t, z, alpha, beta, terms, row) -> dict[str, np.ndarray]:
-    """:func:`_kernel_sums` at several points, unscaled: ``alpha`` and
-    ``beta`` (None when no term smooths the mark) hold one value per point."""
+def _batch_sums(kt, sample, t, z, alpha, beta, terms, row) -> list[np.ndarray]:
+    """The vectorized path of :func:`_kernel_sums`."""
+    ts, zs, ds = sample.t, sample.z.ravel(), sample.delta.ravel()
     n, m = ts.shape[-1], t.size
-    out = {term: np.empty(m) for term in terms}
+    derivative = "gp" in terms or "dh" in terms
+    cdf, pdf = "f2" in terms, "h" in terms or "dh" in terms
+    alpha = np.full(m, alpha, dtype=float)
+    beta = None if beta is None else np.full(m, beta, dtype=float)
+    out = [np.empty(m) for _ in terms]
     new_run = np.ones(m + 1, dtype=bool)
     new_run[1:m] = (t[1:] != t[:-1]) | (alpha[1:] != alpha[:-1])
     if row is not None:
         new_run[1:m] |= row[1:] != row[:-1]
     bounds = new_run.nonzero()[0]  # run r holds the points bounds[r]:bounds[r + 1]
-    zs, ds = zs.ravel(), ds.ravel()
-    step = max(1, _CHUNK_BUDGET // n)
+    step = _CHUNK_BUDGET // n
     for r0 in range(0, bounds.size - 1, step):
         first = bounds[r0 : r0 + step + 1]
         size, first = first[1:] - first[:-1], first[:-1]  # points per run, first points
         p0 = first[0]
-        if first.size == 1:  # one run, whose window is prefiltered
-            flat, u = _support_window(ts if row is None else ts[row[p0]], t[p0], alpha[p0])
-            col = flat if row is None else flat + n * row[p0]
-        else:
-            rows = ts if row is None else ts[row[first]]  # a lone sample broadcasts
-            u = ((t[first, None] - rows) / alpha[first, None]).ravel()
-            flat = (np.abs(u) <= 1.0).nonzero()[0]  # the runs' windows, one after another
-            u = u[flat]
-            if row is None:
-                col = flat % n
-            else:  # the entries' places in the flattened stack
-                run, col = np.divmod(flat, n)
-                col += n * row[first][run]
+        rows = ts if row is None else ts[row[first]]  # a lone sample broadcasts
+        u = ((t[first, None] - rows) / alpha[first, None]).ravel()
+        flat = (np.abs(u) <= 1.0).nonzero()[0]  # the runs' windows, one after another
+        u = u[flat]
+        col = flat % n
+        if row is not None:  # the entries' places in the flattened stack
+            col += n * row[first][flat // n]
         ends = np.arange(first.size + 1) * n  # run r's entries of flat lie below ends[r + 1]
-        sums, keep, w, d = _window_sums(kt, u, ds[col] == 1, terms, flat, ends)
-        for term, x in sums.items():
-            out[term][p0 : p0 + size.sum()] = x.repeat(size)
+        w = kt.pdf(u)
+        d = kt.deriv(u) if derivative else None
+        unc = ds[col] == 1
+        for x, term in zip(out, terms):
+            if term in ("g", "gp", "h0"):
+                keep = (~unc).nonzero()[0] if term == "h0" else slice(None)
+                sums = _segment_sums((d if term == "gp" else w)[keep],
+                                     np.searchsorted(flat[keep], ends))
+                x[p0 : p0 + size.sum()] = sums.repeat(size)
+        keep = unc.nonzero()[0]
+        w, d = w[keep], None if d is None else d[keep]
+        zu = zs[col[keep]]  # once the whole windows' w and d are freed
         # pair each point with its run's uncensored window columns
         edges = np.searchsorted(flat[keep], ends)
-        zu = zs[col[keep]]
         cols = (edges[1:] - edges[:-1]).repeat(size)  # pairs per point
         start = edges[:-1].repeat(size)
         # about ten pair-sized temporaries live at once, so pairs are formed
         # for an eighth of a chunk's points at a time
-        pair_step = max(1, step // 8)
-        for j in range(0, cols.size, pair_step):
-            counts = cols[j : j + pair_step]
+        for j in range(0, cols.size, step // 8):
+            counts = cols[j : j + step // 8]
             points = slice(p0 + j, p0 + j + counts.size)
-            if counts.size == 1:  # one point, whose pairs are a slice of columns
-                i, pair_edges = slice(start[j], start[j] + counts[0]), None
-                zj, bj = z[p0 + j], beta[p0 + j] if beta is not None else None
-            else:
-                pair_edges = np.concatenate(([0], np.cumsum(counts)))
-                offset = start[j : j + pair_step] - pair_edges[:-1]
-                i = np.arange(pair_edges[-1]) + offset.repeat(counts)
-                zj = z[points].repeat(counts)
-                bj = beta[points].repeat(counts) if beta is not None else None
-            for term, x in _mark_sums(kt, w[i], None if d is None else d[i], zu[i], zj, bj,
-                                      terms, {}, pair_edges).items():
-                out[term][points] = x
-    return out
+            pair_edges = np.concatenate(([0], np.cumsum(counts)))
+            offset = start[j : j + counts.size] - pair_edges[:-1]
+            i = np.arange(pair_edges[-1]) + offset.repeat(counts)
+            wi, di, zi = w[i], None if d is None else d[i], zu[i]
+            zj = z[points].repeat(counts)
+            s = (zj - zi) / beta[points].repeat(counts) if cdf or pdf else None
+            k2, v = kt.cdf(s) if cdf else None, kt.pdf(s) if pdf else None
+            for x, term in zip(out, terms):
+                if term in ("f1", "f2", "h", "dh"):
+                    x[points] = _segment_sums(_summand(term, wi, di, zi, zj, k2, v), pair_edges)
+            del wi, di, zi, zj, s, k2, v  # before the next batch's, not while it is formed
+    scale = 1.0 / (n * alpha)
+    return [_mean(x, term, scale, alpha, beta) for x, term in zip(out, terms)]
 
 
 def _kernel_sums(sample, config, t, z, alpha, beta, terms, row=None) -> list[np.ndarray]:
@@ -262,40 +270,34 @@ def _kernel_sums(sample, config, t, z, alpha, beta, terms, row=None) -> list[np.
     1`` are visited.  Consecutive points sharing ``(row, t, alpha)`` form a
     run with one window and one time-kernel evaluation; ``g``, ``gp`` and
     ``h0`` sum over the window, the others over (point, uncensored window
-    column) pairs.  Runs go ``_CHUNK_BUDGET // n`` at a time, their points
-    an eighth of that at a time when pairs are formed.  A single point or a
-    chunk of one run finds its window with a bounds prefilter
-    (:func:`~csmark.kernels._support_window`); a chunk of several runs
-    tests every entry.  A point whose pairs are formed alone evaluates its
-    mark kernels only in its mark window ``|(z_j - z_i) / beta| <= 1``,
-    several points' pairs evaluate them on every pair (:func:`_mark_sums`).
-    Every sum adds the same values in sample order either way: a point's
-    sums are bit for bit the same whatever the chunk budget, the other
-    points of the call, and whether its sample is alone or a row of a stack.
+    column) pairs, along one of two paths chosen from the point count and ``n``:
+
+    * per run (:func:`_run_sums`) for one point, and where the other path
+      would pair one point at a time (n > 15 625 by default): a run's window
+      by a bounds prefilter (:func:`~csmark.kernels._support_window`), a
+      point's mark kernels only in its mark window ``|(z_j - z_i) / beta|
+      <= 1``; for single estimates, grids at large n, the bootstrap's target;
+    * vectorized (:func:`_batch_sums`) otherwise: ``_CHUNK_BUDGET // n``
+      runs' windows at a time by one (runs x n) mask, an eighth of a chunk's
+      points paired at a time, every kernel on every pair; for the
+      bootstrap's pilot densities and candidate stacks.
+
+    Both add the same values in sample order: a point's sums are bit for
+    bit the same whatever the path, the chunk budget, the other points of
+    the call, and whether its sample is alone or a row of a stack.
     """
     kt = config.kernel_t
-    marked = bool({"f2", "h", "dh"}.intersection(terms))
+    marked = "f2" in terms or "h" in terms or "dh" in terms
     if marked and beta is None:
         raise InvalidBandwidthError("doubly-smoothed estimation needs a mark bandwidth (beta)")
     if marked:
         _check_bandwidth(beta, "beta")
-    if {"gp", "dh"}.intersection(terms) and kt.deriv is None:
+    if ("gp" in terms or "dh" in terms) and kt.deriv is None:
         raise DerivativeUnavailableError(f"kernel {kt.name!r} has no derivative")
     _check_bandwidth(alpha, "alpha")
-    alpha = np.full(t.shape, alpha, dtype=float)
-    beta = np.full(t.shape, beta, dtype=float) if marked else None
-    ts, zs, ds = sample.t, sample.z, sample.delta
-    n, m = ts.shape[-1], t.size
-    if m == 1:
-        if row is not None:
-            ts, zs, ds = ts[row[0]], zs[row[0]], ds[row[0]]
-        alpha, beta = alpha[0], beta[0] if marked else None  # scalars scale faster
-        out = _point_sums(ts, zs, ds, kt, t[0], z[0], alpha, beta, terms)
-    else:
-        out = _batch_sums(kt, ts, zs, ds, t, z, alpha, beta, terms, row)
-    scale = 1.0 / (n * alpha)  # the kernels' 1 / bandwidth and the mean's 1 / n
-    scaled = [out[term] * (scale / alpha if term in ("gp", "dh") else scale) for term in terms]
-    return [x / beta if term in ("h", "dh") else x for term, x in zip(terms, scaled)]
+    n = sample.t.shape[-1]
+    path = _run_sums if t.size == 1 or _CHUNK_BUDGET // n // 8 <= 1 else _batch_sums
+    return path(kt, sample, t, z, alpha, beta if marked else None, terms, row)
 
 
 def _checked_points(t, z) -> tuple[np.ndarray, np.ndarray]:
@@ -315,14 +317,11 @@ def _checked_points(t, z) -> tuple[np.ndarray, np.ndarray]:
     return t, z
 
 
-def _at_point(
-    sample: Sample, config: EstimatorConfig, t0: float, z0: float, terms: tuple[str, ...]
-) -> list[float]:
-    """:func:`_kernel_sums` at one checked point with the config's bandwidths."""
-    bw = config.bandwidths
-    t, z = _checked_points(t0, z0)
-    sums = _kernel_sums(sample, config, t, z, bw.alpha, bw.beta, terms)
-    return [float(x[0]) for x in sums]
+def _time_mean(sample: Sample, config: EstimatorConfig, t0: float, term: str) -> float:
+    """The time-only kernel mean ``term`` (``g``, ``gp`` or ``h0``) at a checked ``t0``."""
+    t, z = _checked_points(t0, 0.0)
+    (x,) = _kernel_sums(sample, config, t, z, config.bandwidths.alpha, None, (term,))
+    return float(x[0])
 
 
 # the kernel sums each estimate needs besides g; a ratio's numerator comes first
@@ -491,12 +490,12 @@ def g_hat(sample: Sample, config: EstimatorConfig, t0: float) -> float:
     infinite ``t0`` raises :class:`SupportError`, here and in the other
     time smoothers.
     """
-    return _at_point(sample, config, t0, 0.0, ("g",))[0]
+    return _time_mean(sample, config, t0, "g")
 
 
 def g_hat_prime(sample: Sample, config: EstimatorConfig, t0: float) -> float:
     """Derivative of :func:`g_hat` at ``t0`` via the kernel derivative."""
-    return _at_point(sample, config, t0, 0.0, ("gp",))[0]
+    return _time_mean(sample, config, t0, "gp")
 
 
 def h0_hat(sample: Sample, config: EstimatorConfig, t0: float) -> float:
@@ -505,7 +504,7 @@ def h0_hat(sample: Sample, config: EstimatorConfig, t0: float) -> float:
     Averages ``(1 - delta_i) k_alpha(t0 - t_i)``; together with the
     uncensored sub-density this decomposes ``g_hat``.
     """
-    return _at_point(sample, config, t0, 0.0, ("h0",))[0]
+    return _time_mean(sample, config, t0, "h0")
 
 
 def _unstable(den: float, g_floor: float) -> UnstableDenominatorError:

@@ -214,13 +214,15 @@ def custom_kernel(
 
 
 def _check_bandwidth(value, name: str, error: type = InvalidBandwidthError) -> None:
-    """Raise ``error`` naming ``name`` unless ``value`` (a number or an
-    array) is finite and strictly positive throughout."""
+    """Raise ``error`` naming ``name`` unless ``value``, a float, an int or a
+    numpy real, or an array of them, but not a bool, is finite and strictly
+    positive throughout."""
     # the chained comparison is False for NaN, inf and nonpositive values
     if isinstance(value, np.ndarray):
-        ok = bool(np.all((0.0 < value) & (value < np.inf)))
-    else:
-        ok = 0.0 < value < np.inf
+        ok = value.dtype.kind in "fiu" and bool(np.all((0.0 < value) & (value < np.inf)))
+    else:  # concrete types test faster than numbers.Real; Python's bool is an int
+        ok = (isinstance(value, (float, int, np.floating, np.integer))
+              and type(value) is not bool and 0.0 < value < np.inf)
     if not ok:
         raise error(f"{name} must be finite and positive, got {value!r}")
 

@@ -32,6 +32,7 @@ from csmark import (
     efficient_variance,
     epanechnikov_kernel,
     equivalence_curve,
+    eval_rescaled,
     f1_counting,
     fit_pilot,
     mc_functional,
@@ -287,6 +288,21 @@ def test_finite_positive_checks_name_their_parameter():
                 beta_grid=(0.2,), point=(0.5, 0.5), seed=1)
     cases = [
         ("alpha", InvalidBandwidthError, lambda: Bandwidths(-0.1)),
+        # a bool is not a bandwidth, nor is a string, even of a number
+        ("alpha", InvalidBandwidthError, lambda: Bandwidths(True)),
+        ("alpha", InvalidBandwidthError, lambda: Bandwidths(np.True_)),
+        ("alpha", InvalidBandwidthError, lambda: Bandwidths("0.1")),
+        ("c1", InvalidBandwidthError, lambda: BandwidthSchedule(True)),
+        ("c", InvalidBandwidthError, lambda: mu1_sigma2(B, (0.5, 0.5), True, EPA)),
+        ("alpha_grid", InvalidBandwidthError,
+         lambda: BootstrapPlan(**{**plan, "alpha_grid": (True,)})),
+        ("beta_grid", InvalidBandwidthError,
+         lambda: BootstrapPlan(**{**plan, "beta_grid": (0.2, np.True_)})),
+        ("g_floor", ValueError, lambda: EstimatorConfig(g_floor="0.1")),
+        ("bandwidth", InvalidBandwidthError,
+         lambda: eval_rescaled(EPA, np.array([True, True]), [0.1, 0.2])),
+        ("bandwidth", InvalidBandwidthError,
+         lambda: eval_rescaled(EPA, np.array(["0.1"]), [0.1])),
         ("beta", InvalidBandwidthError, lambda: Bandwidths(0.1, math.nan)),
         ("c1", InvalidBandwidthError, lambda: BandwidthSchedule(0.0)),
         ("c2", InvalidBandwidthError, lambda: BandwidthSchedule(0.5, -1.0, 0.3)),
@@ -345,6 +361,9 @@ def test_counts_are_checked_before_any_sample_is_drawn(monkeypatch):
         ("workers", lambda: mc_mse(**{**mse, "n": 30_000, "workers": 0})),
         ("m", lambda: mc_normality(B, "F1", (0.5, 0.5), 100, 2.5, seed=0, alpha=0.2)),
         ("m", lambda: difference_sample(B, (0.5, 0.5), 100, 2.5, schedule, seed=0)),
+        # n is checked before the schedule is evaluated at it
+        ("n", lambda: difference_sample(B, (0.5, 0.5), 0, 10, schedule, seed=0)),
+        ("n", lambda: difference_sample(B, (0.5, 0.5), -3, 10, schedule, seed=0)),
         ("grid_points", lambda: mean_functional(s, 0.2, grid_points=math.nan)),
         ("grid_points", lambda: mc_functional(B, 100, 3, seed=0, grid_points=math.nan)),
         ("n", lambda: mc_functional(B, 0, 3, seed=0)),

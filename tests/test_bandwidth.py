@@ -74,6 +74,11 @@ def test_bootstrap_plan_validation():
         small_plan(alpha_grid=(0.0, 0.2))
     with pytest.raises(InvalidBandwidthError):
         small_plan(alpha0=0.0)
+    # the seed is checked at construction, not when the first generator is made
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+            small_plan(seed=bad)
+    small_plan(seed=np.int64(0))
 
 
 def test_bootstrap_plan_rejects_non_finite_bandwidths():

@@ -12,7 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from csmark import Sample, UnstableDenominatorError, asymptotics, mc_mse, scenario_b
+from csmark import (
+    Bandwidths, EstimatorConfig, Sample, UnstableDenominatorError, asymptotics,
+    evaluate_grid, mc_mse, sample, scenario_a, scenario_b, write_grid_csv,
+)
 from csmark import cli
 from csmark.cli import ConfigError, main, parse_config
 
@@ -101,6 +104,25 @@ def test_estimate_grid_outputs(tmp_path):
     assert code == 0
     lines = (outdir / "grid.csv").read_text().splitlines()
     assert all(line.endswith(",,") for line in lines[1:])
+
+
+def test_estimate_grid_runs_scenario_a(tmp_path):
+    # scenario A is a config option of its own: the grid is the one of
+    # scenario A's sample, not scenario B's
+    text = (
+        "kind = estimate-grid\nscenario = A\nn = 150\nseed = 4\n"
+        "alpha = 0.25\nbeta = 0.2\nt_grid = 0.4, 0.6\nz_grid = 0.3, 0.5, 0.7\n"
+    )
+    code, outdir = run(tmp_path, "estimate-grid", text)
+    assert code == 0
+    lines = (outdir / "grid.csv").read_text().splitlines()
+    assert lines[0] == "t,z,F1,F2,f2" and len(lines) == 7
+    config = EstimatorConfig(bandwidths=Bandwidths(0.25, 0.2))
+    grid = (np.array([0.4, 0.6]), np.array([0.3, 0.5, 0.7]))
+    for scenario, name in ((scenario_a(), "a.csv"), (scenario_b(), "b.csv")):
+        write_grid_csv(evaluate_grid(sample(scenario, 150, 4), config, *grid), tmp_path / name)
+    assert (outdir / "grid.csv").read_text() == (tmp_path / "a.csv").read_text()
+    assert (tmp_path / "a.csv").read_text() != (tmp_path / "b.csv").read_text()
 
 
 def test_mc_normality_command(tmp_path):

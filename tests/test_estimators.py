@@ -839,3 +839,32 @@ def test_windowed_kernel_sums_equal_every_kernel_on_the_window(case, kernel, bud
                                   alpha, beta, terms)
             for term, got, expected in zip(terms, sums, want):
                 assert got[j].hex() == expected[0].hex(), (term, j)
+
+
+def test_kernel_sums_choose_their_path_from_the_sizes():
+    # both paths give a point the same bits, so only the path taken shows
+    # that the bootstrap's small stacks are not sent through the per-run
+    # loop: one point, and several runs where the vectorized path would pair
+    # one point at a time (an eighth of _CHUNK_BUDGET // n at most one, so
+    # n > 15 625), go per run; several runs at smaller n go vectorized
+    config = EstimatorConfig(bandwidths=Bandwidths(0.2, 0.2))
+    small, edge, large = (sample(scenario_b(), n, 3) for n in (100, 15_625, 15_626))
+    stack = _Stack(*(np.stack([getattr(s, name) for s in (small, sample(scenario_b(), 100, 4))])
+                     for name in ("t", "z", "delta")))
+    t, z, row = np.array([0.3, 0.3, 0.6]), np.array([0.2, 0.5, 0.5]), np.array([0, 1, 1])
+    cases = [
+        ("per-run", small, t[:1], z[:1], None),
+        ("per-run", stack, t[1:2], z[1:2], row[1:2]),
+        ("per-run", large, t[:1], z[:1], None),
+        ("per-run", large, t, z, None),
+        ("vectorized", edge, t, z, None),
+        ("vectorized", small, t, z, None),
+        ("vectorized", stack, t, z, row),
+    ]
+    for want, s, t0, z0, r in cases:
+        with mock.patch.object(estimators, "_run_sums", wraps=estimators._run_sums) as per_run, \
+                mock.patch.object(estimators, "_batch_sums",
+                                  wraps=estimators._batch_sums) as vectorized:
+            estimators._kernel_sums(s, config, t0, z0, 0.2, 0.2, ALL_TERMS, r)
+        taken = {"per-run": per_run.call_count, "vectorized": vectorized.call_count}
+        assert taken == {path: int(path == want) for path in taken}, (want, len(s.t), t0.size)
