@@ -28,12 +28,14 @@ at or below the lower bound accepted, without the density.  Every decision,
 and so every draw, is the one exact evaluation everywhere would give.
 
 Replications run in lockstep groups.  Each keeps its own generator and
-draws what it would draw alone; only the estimator calls are pooled: the
-pilot density evaluates a rejection round's exact proposals for the whole
-group together, in no more calls than one per replication, and one call per
-estimator evaluates every candidate on a stack of the group's samples.  A
-point's estimate does not depend on the other points of its call, so results
-do not depend on the grouping.
+draws what it would draw alone.  A rejection round is one set of array
+calls over the whole group: the proposals of every generator side by side,
+one cell lookup, one squeeze and one ranking of the acceptances; the pilot
+density evaluates the round's exact proposals together, in no more calls
+than one per replication; and one call per estimator evaluates every
+candidate on a stack of the group's samples.  A point's estimate does not
+depend on the other points of its call, so results do not depend on the
+grouping.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .errors import (
     InvalidBandwidthError,
     KernelAssumptionError,
     SelectionError,
-    SupportError,
 )
 # f1 is not called here, but stays importable as bandwidth.f1, which
 # perfbench/tracing.py wraps
@@ -131,10 +132,7 @@ class BootstrapPlan:
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise InvalidBandwidthError(f"{label}_grid must be strictly increasing")
         t0, z0 = self.point
-        if not math.isfinite(t0) or math.isnan(z0):
-            raise SupportError(
-                f"point needs a finite t0 and a z0 that is not NaN, got {self.point!r}"
-            )
+        estimators._checked_points(t0, z0)
 
 
 class PilotModel:
@@ -210,11 +208,14 @@ class PilotModel:
         :class:`DegeneratePilotError` after ``_MAX_DRAW_ROUNDS`` rounds.
 
         Returns ``(len(rngs), size)`` arrays whose row ``r`` is what generator
-        ``r`` alone gives.  Each generator makes its own proposals, squeeze
-        decisions and local envelope refreshes, round by round in lockstep;
-        the exact proposals of all of them go to the density together, in
-        pieces of at least ``_DENSITY_PIECE`` points and at least any one
-        generator's count, so never in more calls than one per generator.
+        ``r`` alone gives.  Generators draw round by round in lockstep: in a
+        round each generator still short of ``size`` draws its own batch,
+        and the cell lookup, squeeze, acceptance and placement run once on
+        all the batches side by side; a local envelope refresh is one
+        generator's, on its own batch.  The exact proposals go to the
+        density together, in pieces of at least ``_DENSITY_PIECE`` points
+        and at least any one generator's count, so never in more calls than
+        one per generator.
         The density is evaluated only at proposals that the bounds of their
         cell cannot decide, and at those whose upper bound exceeds the
         envelope, so that a local refresh sees the same peak as exact
@@ -222,61 +223,91 @@ class PilotModel:
         """
         rngs = list(rngs)
         lower, upper = self._cells
-        envelopes = [self.envelope] * len(rngs)
+        envelopes = np.full(len(rngs), self.envelope)
         x_all, y_all = np.empty((2, len(rngs), size))
-        got, proposed, rounds = ([0] * len(rngs) for _ in range(3))
-        while active := [r for r in range(len(rngs)) if got[r] < size]:
-            proposals = []
-            for r in active:
-                if rounds[r] == _MAX_DRAW_ROUNDS:
-                    raise DegeneratePilotError(
-                        f"rejection sampling accepted {got[r]} of {proposed[r]} "
-                        f"proposals in {rounds[r]} rounds, {size} needed"
-                    )
-                batch = max(256, 2 * (size - got[r]))
-                x = rngs[r].uniform(0.0, 1.0, batch)
-                y = rngs[r].uniform(0.0, 1.0, batch)
-                u = rngs[r].random(batch)
-                cell = (
-                    np.searchsorted(self._edges, x, "right") - 1,
-                    np.searchsorted(self._edges, y, "right") - 1,
+        got, proposed = np.zeros((2, len(rngs)), dtype=np.intp)
+        # every generator still drawing has taken part in every round so far;
+        # the del statements free proposal-sized arrays before the density's
+        # temporaries, which set a round's peak
+        rounds = 0
+        while (active := (got < size).nonzero()[0]).size:
+            if rounds == _MAX_DRAW_ROUNDS:
+                r = active[0]
+                raise DegeneratePilotError(
+                    f"rejection sampling accepted {got[r]} of {proposed[r]} "
+                    f"proposals in {rounds} rounds, {size} needed"
                 )
-                lo, hi = lower[cell], upper[cell]
-                # a proposal is accepted when u * envelope <= its density; lo
-                # stands in for the density where u * envelope <= lo or > hi,
-                # and an upper bound over the envelope may hide a spike
-                bound = u * envelopes[r]
-                exact = (hi > envelopes[r]) | ((lo < bound) & (bound <= hi))
-                proposals.append((r, x, y, u, lo, hi, exact))
-            x_exact = np.concatenate([x[exact] for _, x, _, _, _, _, exact in proposals])
-            y_exact = np.concatenate([y[exact] for _, _, y, _, _, _, exact in proposals])
-            counts = [int(np.count_nonzero(exact)) for *_, exact in proposals]
-            piece = max(_DENSITY_PIECE, *counts)
-            density = np.concatenate([
-                self.density(x_exact[i : i + piece], y_exact[i : i + piece])
-                for i in range(0, max(x_exact.size, 1), piece)
+            need = size - got[active]
+            batch = np.maximum(256, 2 * need)
+            # the round's proposals side by side, generator j's in
+            # [ends[j] - batch[j], ends[j]); one random(3 b) call is bit for
+            # bit uniform(0, 1, b), uniform(0, 1, b) and random(b)
+            ends = np.cumsum(batch)
+            draws = [rngs[r].random(3 * b).reshape(3, b)
+                     for r, b in zip(active.tolist(), batch.tolist())]
+            x, y, u = draws[0] if len(draws) == 1 else np.concatenate(draws, axis=1)
+            del draws
+            # one generator's envelope stays a scalar, with no repeat
+            env = (envelopes[active[0]] if active.size == 1
+                   else np.repeat(envelopes[active], batch))
+            cell = _cell_of(self._edges, x) * (_ENVELOPE_GRID - 1) + _cell_of(self._edges, y)
+            # the cell's lower bound, replaced by the density where evaluated
+            value, hi = lower.take(cell), upper.take(cell)
+            del cell
+            # a proposal is accepted when u * envelope <= its density; the
+            # lower bound stands in for the density where u * envelope is at
+            # most it or above the upper bound, and an upper bound over the
+            # envelope may hide a spike
+            bound = u * env
+            exact = (hi > env) | ((value < bound) & (bound <= hi))
+            del env
+            which = exact.nonzero()[0]
+            counts = np.diff(np.searchsorted(which, ends), prepend=0)
+            piece = max(_DENSITY_PIECE, int(counts.max()))
+            value[which] = np.concatenate([
+                self.density(x[which[i : i + piece]], y[which[i : i + piece]])
+                for i in range(0, max(which.size, 1), piece)
             ])
-            for (r, x, y, u, lo, hi, exact), d in zip(
-                proposals, np.split(density, np.cumsum(counts)[:-1])
-            ):
-                value = lo.copy()
-                value[exact] = d
-                bound = u * envelopes[r]
-                peak = float(np.max(d, initial=0.0))
-                if peak > envelopes[r]:
-                    # local refresh: the precomputed envelope missed a spike,
-                    # which only an exactly evaluated proposal can hold
-                    envelopes[r] = _ENVELOPE_SAFETY * peak
-                    bound = u * envelopes[r]
-                    more = ~exact & (lo < bound) & (bound <= hi)
-                    value[more] = self.density(x[more], y[more])
-                keep = (bound <= value).nonzero()[0][: size - got[r]]
-                x_all[r, got[r] : got[r] + keep.size] = x[keep]
-                y_all[r, got[r] : got[r] + keep.size] = y[keep]
-                got[r] += keep.size
-                proposed[r] += x.size
-                rounds[r] += 1
+            # only an exact proposal can be a spike the precomputed envelope
+            # missed (elsewhere value <= hi <= envelope), and it is refreshed
+            # locally, in its own generator's segment
+            spikes = which[value[which] > np.repeat(envelopes[active], counts)]
+            for j in sorted(set(np.searchsorted(ends, spikes, "right").tolist())):
+                seg = slice(ends[j] - batch[j], ends[j])
+                envelopes[active[j]] = _ENVELOPE_SAFETY * value[seg].max()
+                bound[seg] = u[seg] * envelopes[active[j]]
+                more = seg.start + (~exact[seg] & (value[seg] < bound[seg])
+                                    & (bound[seg] <= hi[seg])).nonzero()[0]
+                value[more] = self.density(x[more], y[more])
+            # each generator keeps its first `need` acceptances, in order,
+            # after those it already has
+            accepted = (bound <= value).nonzero()[0]
+            owner = np.searchsorted(ends, accepted, "right")
+            first = np.searchsorted(accepted, ends - batch)
+            taken = np.minimum(np.diff(first, append=accepted.size), need)
+            rank = np.arange(accepted.size)
+            kept = rank < (first + taken)[owner]
+            dest = (active * size + got[active] - first)[owner[kept]] + rank[kept]
+            x_all.put(dest, x[accepted[kept]])
+            y_all.put(dest, y[accepted[kept]])
+            got[active] += taken
+            proposed[active] += batch
+            rounds += 1
         return x_all, y_all
+
+
+def _cell_of(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(edges, x, "right") - 1``, bit for bit, for ``x`` in
+    [0, 1) and ``edges`` the envelope grid's nodes, at a tenth of its cost.
+
+    ``x (edges.size - 1)``, truncated, is within one of the cell, since the
+    nodes are within a few ulps of ``i / (edges.size - 1)``; one comparison
+    with each edge of the guessed cell corrects it.
+    """
+    i = np.minimum((x * (edges.size - 1)).astype(np.intp), edges.size - 2)
+    i -= edges[i] > x
+    i += edges[i + 1] <= x
+    return i
 
 
 def _epanechnikov_noise(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -333,7 +364,9 @@ class BootstrapMseTable:
 
 
 def _mse(values: np.ndarray, center: float) -> float:
-    return float(np.mean((values - center) ** 2)) if values.size else math.nan
+    # np.mean's sum and division, without its wrapper
+    d = values - center
+    return float(np.add.reduce(d * d) / d.size) if d.size else math.nan
 
 
 def bootstrap_mse(

@@ -62,6 +62,7 @@ from .kernels import (  # noqa: F401
     Bandwidths,
     KernelFamily,
     UnivariateKernel,
+    _REAL,
     _check_bandwidth,
     _epanechnikov_deriv_bounds,
     _epanechnikov_pdf_bounds,
@@ -300,12 +301,25 @@ def _kernel_sums(sample, config, t, z, alpha, beta, terms, row=None) -> list[np.
     return path(kt, sample, t, z, alpha, beta if marked else None, terms, row)
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a float, an int or a numpy real, or an array or
+    sequence of them, but not a bool."""
+    if isinstance(value, _REAL):
+        return type(value) is not bool
+    return np.asarray(value).dtype.kind in "fiu"
+
+
 def _checked_points(t, z) -> tuple[np.ndarray, np.ndarray]:
     """``t`` and ``z`` as float arrays, refusing points no estimate is defined at.
 
-    A NaN ``t`` or ``z`` or an infinite ``t`` raises :class:`SupportError`;
+    A bool, a string or any other value that is not a real number, a NaN
+    ``t`` or ``z`` or an infinite ``t`` raises :class:`SupportError`;
     ``z = +-inf`` is the limit in the mark.
     """
+    if not (_is_real(t) and _is_real(z)):  # before a float cast could hide them
+        raise SupportError(
+            f"cannot estimate at (t, z) = ({t!r}, {z!r}): t and z must be real numbers"
+        )
     t, z = np.array(t, dtype=float, ndmin=1), np.array(z, dtype=float, ndmin=1)
     bad = ~np.isfinite(t) | np.isnan(z)
     if bad.any():
@@ -361,8 +375,12 @@ _BOUND_SLACK = 32
 
 # multiply-adds per matrix product that a threaded BLAS keeps on the calling
 # thread: OpenBLAS threads larger ones, and its threads then spin on the
-# other cores for a while after every call, doubling the process's CPU time
-_SERIAL_PRODUCT = 1 << 16
+# other cores for a while after every call, doubling the process's CPU time.
+# OpenBLAS's gemm (interface/gemm.c) runs M N K <= 65536 * 4 on one thread
+# (SMP_THRESHOLD_MIN times GEMM_MULTITHREAD_THRESHOLD); with numpy 2.4.6 and
+# scipy-openblas 0.3.31 its helper threads used no CPU at M N K = 716 400
+# and did from 1 194 000
+_SERIAL_PRODUCT = 1 << 18
 
 
 def _density_bounds(sample, config, t_lo, t_hi, z_lo, z_hi):
@@ -441,6 +459,9 @@ def _density_bounds(sample, config, t_lo, t_hi, z_lo, z_hi):
             h_hi[b] += w_hi[b] @ v_hi
             dh_lo[b] += np.fmax(d_lo[b], 0.0) @ v_lo - np.fmax(-d_lo[b], 0.0) @ v_hi
             dh_hi[b] += np.fmax(d_hi[b], 0.0) @ v_hi - np.fmax(-d_hi[b], 0.0) @ v_lo
+    # the (interval x observation) arrays go before the (t x z) arithmetic,
+    # which holds the largest arrays here
+    del ua, ub, w_lo, w_hi, d_lo, d_hi, d_abs, v_lo, v_hi
     # the scale factors of _kernel_sums, in place: the arrays are the
     # largest here
     scale = 1.0 / (n * alpha)
@@ -598,15 +619,13 @@ def evaluate_grid(
     missing the corresponding columns are left as None rather than failing
     the whole grid.  Points whose denominator is unstable get None everywhere.
     """
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    z_grid = np.atleast_1d(np.asarray(z_grid, dtype=float))
+    t_grid, z_grid = np.atleast_1d(t_grid), np.atleast_1d(z_grid)
     kinds: tuple[str, ...] = ("F1",)
     if config.bandwidths.beta is not None:
         kinds += ("F2",)
         if config.kernel_t.deriv is not None:
             kinds += ("density",)
-    t = np.repeat(t_grid, z_grid.size)
-    z = np.tile(z_grid, t_grid.size)
+    t, z = _checked_points(np.repeat(t_grid, z_grid.size), np.tile(z_grid, t_grid.size))
     _, values = _estimates(sample, config, t, z, kinds)
     columns = [[None if math.isnan(v) else v for v in x.tolist()] for x in values]
     columns += [[None] * t.size] * (3 - len(columns))

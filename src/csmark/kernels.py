@@ -162,11 +162,14 @@ def _epanechnikov_deriv_bounds(a, b):
     """Least and greatest :func:`_epanechnikov_deriv` over ``[a, b]``, elementwise.
 
     The derivative is ``-1.5 u`` on [-1, 1] and 0 off it, monotone on each
-    piece, so its extremes are at the ends and at the points of ``[a, b]``
-    nearest -1 and 1.
+    piece, so its extremes are at the ends and at -1 and 1 where they lie
+    in ``[a, b]``, where it takes its greatest value 1.5 and its least -1.5.
     """
-    values = [_epanechnikov_deriv(np.clip(c, a, b)) for c in (a, b, -1.0, 1.0)]
-    return np.minimum.reduce(values), np.maximum.reduce(values)
+    at_a, at_b = _epanechnikov_deriv(a), _epanechnikov_deriv(b)
+    return (
+        np.where((a <= 1.0) & (1.0 <= b), -1.5, np.minimum(at_a, at_b)),
+        np.where((a <= -1.0) & (-1.0 <= b), 1.5, np.maximum(at_a, at_b)),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -213,6 +216,11 @@ def custom_kernel(
     )
 
 
+# the scalar types of a number, bools aside: concrete types test faster than
+# numbers.Real, and Python's bool is an int
+_REAL = (float, int, np.floating, np.integer)
+
+
 def _check_bandwidth(value, name: str, error: type = InvalidBandwidthError) -> None:
     """Raise ``error`` naming ``name`` unless ``value``, a float, an int or a
     numpy real, or an array of them, but not a bool, is finite and strictly
@@ -220,9 +228,8 @@ def _check_bandwidth(value, name: str, error: type = InvalidBandwidthError) -> N
     # the chained comparison is False for NaN, inf and nonpositive values
     if isinstance(value, np.ndarray):
         ok = value.dtype.kind in "fiu" and bool(np.all((0.0 < value) & (value < np.inf)))
-    else:  # concrete types test faster than numbers.Real; Python's bool is an int
-        ok = (isinstance(value, (float, int, np.floating, np.integer))
-              and type(value) is not bool and 0.0 < value < np.inf)
+    else:
+        ok = isinstance(value, _REAL) and type(value) is not bool and 0.0 < value < np.inf
     if not ok:
         raise error(f"{name} must be finite and positive, got {value!r}")
 

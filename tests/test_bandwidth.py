@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from csmark import (
     BootstrapMseTable,
@@ -101,6 +100,7 @@ def test_bootstrap_plan_rejects_bad_points(point):
 
 
 def test_kernel_noise_distributions():
+    stats = pytest.importorskip("scipy.stats")  # the KS test's oracle
     rng = np.random.default_rng(90)
     epa = _epanechnikov_noise(rng, 20_000)
     assert np.all(np.abs(epa) <= 1.0)
@@ -140,6 +140,19 @@ def test_pilot_draws_deterministic_and_in_box():
     np.testing.assert_array_equal(t1, t2)
     assert t1.min() >= s.t.min() - 0.4
     assert t1.max() <= s.t.max() + 0.4
+
+
+def test_proposal_cells_are_the_searchsorted_cells():
+    edges = np.linspace(0.0, 1.0, bandwidth._ENVELOPE_GRID)
+    x = np.concatenate([
+        edges[:-1],  # every node, the float after it and the float before it
+        np.nextafter(edges[:-1], 1.0),
+        np.nextafter(edges[1:], 0.0),
+        np.random.default_rng(0).random(100_000),
+    ])
+    assert x.min() >= 0.0 and x.max() < 1.0
+    want = np.searchsorted(edges, x, "right") - 1
+    assert bandwidth._cell_of(edges, x).tobytes() == want.tobytes()
 
 
 def test_draw_xy_gives_up_when_nothing_is_accepted(monkeypatch):
@@ -320,6 +333,18 @@ def test_draw_xy_refreshes_as_the_exact_sampler_does():
     np.testing.assert_array_equal(y, ref_y)
 
 
+class _Recorded:
+    """A generator that records the size of each of its draws."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self._rng.random(size)
+
+
 @pytest.mark.parametrize("scale", [1.0, 0.3])
 @pytest.mark.parametrize("piece", [None, 1])
 def test_lockstep_draws_equal_each_generator_alone(scale, piece, monkeypatch):
@@ -332,32 +357,37 @@ def test_lockstep_draws_equal_each_generator_alone(scale, piece, monkeypatch):
     calls = []
     density = pilot.density
     monkeypatch.setattr(pilot, "density", lambda t, z: calls.append(t.size) or density(t, z))
-    seeds = (5, 6, 7)
-    x, y = pilot.draw_xy([np.random.default_rng(seed) for seed in seeds], 300)
-    assert x.shape == y.shape == (3, 300)
-    lockstep_calls, alone_calls, refreshes = len(calls), 0, 0
-    for r, seed in enumerate(seeds):
-        before = len(calls)
-        (alone_x,), (alone_y,) = pilot.draw_xy([np.random.default_rng(seed)], 300)
-        middle = len(calls)
-        ref_x, ref_y, count = _exact_draw_xy(pilot, np.random.default_rng(seed), 300)
-        # alone, one density call per round (the exact sampler's count of
-        # calls) and one per refresh, however many exact proposals a round has
-        assert middle - before == len(calls) - middle + count
-        alone_calls += middle - before
-        refreshes += count
-        assert x[r].tobytes() == alone_x.tobytes() == ref_x.tobytes()
-        assert y[r].tobytes() == alone_y.tobytes() == ref_y.tobytes()
-    assert (refreshes > 0) == (scale < 1.0)
-    assert lockstep_calls <= alone_calls
-    assert max(calls) > bandwidth._DENSITY_PIECE  # a round's count can exceed it
+    # the generators of a round draw batches of different sizes; at size
+    # 2000 some also need more rounds than others
+    for size, seeds in ((300, (5, 6, 7)), (2000, (5, 6, 7, 8))):
+        calls.clear()
+        recorded = [_Recorded(seed) for seed in seeds]
+        x, y = pilot.draw_xy(recorded, size)
+        assert x.shape == y.shape == (len(seeds), size)
+        batches = [r.sizes for r in recorded]
+        assert any(len(set(round_)) > 1 for round_ in zip(*batches))
+        assert size != 2000 or len({len(b) for b in batches}) > 1
+        lockstep_calls, alone_calls, refreshes = len(calls), 0, 0
+        for r, seed in enumerate(seeds):
+            before = len(calls)
+            (alone_x,), (alone_y,) = pilot.draw_xy([np.random.default_rng(seed)], size)
+            middle = len(calls)
+            ref_x, ref_y, count = _exact_draw_xy(pilot, np.random.default_rng(seed), size)
+            # alone, one density call per round (the exact sampler's count of
+            # calls) and one per refresh, however many exact proposals a
+            # round has
+            assert middle - before == len(calls) - middle + count
+            alone_calls += middle - before
+            refreshes += count
+            assert x[r].tobytes() == alone_x.tobytes() == ref_x.tobytes()
+            assert y[r].tobytes() == alone_y.tobytes() == ref_y.tobytes()
+        assert (refreshes > 0) == (scale < 1.0)
+        assert lockstep_calls <= alone_calls
+        assert max(calls) > bandwidth._DENSITY_PIECE  # a round's count can exceed it
 
 
 class _Stuck:
     """A generator stand-in whose proposals all land where the density is 0."""
-
-    def uniform(self, low, high, size):
-        return np.full(size, 0.75)
 
     def random(self, size):
         return np.full(size, 0.5)

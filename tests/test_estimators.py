@@ -7,6 +7,7 @@ import io
 import re
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from csmark import (
     Bandwidths,
+    BootstrapPlan,
     DegeneratePilotError,
     DerivativeUnavailableError,
     EstimatorConfig,
@@ -35,13 +37,14 @@ from csmark import (
     g_hat,
     g_hat_prime,
     h0_hat,
+    mc_mse,
     sample,
     scenario_a,
     scenario_b,
     uniform_kernel,
     write_grid_csv,
 )
-from csmark import bandwidth, estimators
+from csmark import asymptotics, bandwidth, estimators
 from csmark.scenarios import _Stack
 
 EPA = epanechnikov_kernel()
@@ -286,6 +289,35 @@ def test_points_with_nan_or_infinite_time_are_rejected(t0, z0):
             estimator(s, config, t0, z0)
     with pytest.raises(SupportError):
         evaluate_grid(s, config, np.array([0.5, t0]), np.array([0.5, z0]))
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "0.5", None, Fraction(1, 2)])
+@pytest.mark.parametrize(
+    "call", ["f1", "f2", "f2_density", "g_hat", "evaluate_grid", "mc_mse", "BootstrapPlan"]
+)
+def test_points_that_are_not_real_numbers_are_refused(call, bad, monkeypatch):
+    # as bandwidths are: a float cast would read True as 1.0 and "0.5" as 0.5
+    s = sample(scenario_b(), 200, 1)
+    config = epa_config(0.2, 0.1)
+
+    def no_draws(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(asymptotics, "sample", no_draws)
+    run = {
+        "f1": lambda t, z: f1(s, config, t, z),
+        "f2": lambda t, z: f2(s, config, t, z),
+        "f2_density": lambda t, z: f2_density(s, config, t, z),
+        "g_hat": lambda t, z: g_hat(s, config, t),
+        "evaluate_grid": lambda t, z: evaluate_grid(s, config, [t], [z]),
+        "mc_mse": lambda t, z: mc_mse(
+            scenario_b(), "F2", (t, z), 200, 20, alpha=0.2, beta=0.1, seed=0
+        ),
+        "BootstrapPlan": lambda t, z: BootstrapPlan(0.4, 0.4, 3, (0.2,), (0.2,), (t, z), 0),
+    }[call]
+    for t, z in [(bad, 0.5)] if call == "g_hat" else [(bad, 0.5), (0.5, bad)]:
+        with pytest.raises(SupportError, match="must be real numbers"):
+            run(t, z)
 
 
 @pytest.mark.parametrize("estimator", [g_hat, g_hat_prime, h0_hat])

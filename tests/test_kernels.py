@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -316,6 +316,15 @@ def test_epanechnikov_antiderivative_agrees_with_the_pow_form():
     a=st.floats(-1.6, 1.6),
     width=st.sampled_from([0.0]) | st.floats(0.0, 1.0),
 )
+# the kinks at an end, at both ends, and both inside one interval
+@example(a=-1.0, width=0.5)
+@example(a=1.0, width=0.25)
+@example(a=-1.5, width=0.5)
+@example(a=0.5, width=0.5)
+@example(a=-1.0, width=0.0)
+@example(a=1.0, width=0.0)
+@example(a=-1.0, width=2.0)
+@example(a=-1.5, width=3.0)
 def test_epanechnikov_interval_bounds_hold_and_are_attained(a, width):
     b = a + width
     # the ends, the kinks and peak where inside, and points between
