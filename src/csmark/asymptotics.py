@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -275,10 +275,15 @@ def _replicate(
     replications whose statistic raised :class:`UnstableDenominatorError`;
     more than 1% of those raise :class:`ReplicationFailureError`.  A NaN
     statistic is a bug, not a failure: it raises ``RuntimeError`` naming
-    its seed.  A pool of ``min(workers, m, usable CPUs)`` threads is used
-    only from ``_THREAD_MIN_ROWS`` rows on: below that, threads mostly trade
-    the GIL between short numpy calls and lose.  Values are kept in replication
-    order, so the output is bitwise identical for any ``workers``.  Counts out
+    its seed.  From ``_THREAD_MIN_ROWS`` rows on, the calling thread
+    replicates beside ``min(workers, m, usable CPUs) - 1`` helper threads,
+    all started first, each taking the next replication index in turn;
+    below that, threads mostly trade the GIL between short numpy calls and
+    lose.  Values are kept in replication order, so the output is bitwise
+    identical for any ``workers``.  Once a replication raises, no further
+    index is handed out; the ones running finish, every helper is joined,
+    and the exception of the lowest index is raised: the one a serial run
+    raises, since every lower index was handed out before it.  Counts out
     of range raise ``ValueError`` before any sample is drawn.
     """
     _check_count(m, "m", 2)
@@ -294,12 +299,40 @@ def _replicate(
             raise RuntimeError(f"the statistic is NaN at seed {seed + r}")
         return value
 
+    raw = np.empty(m)
+    lock = threading.Lock()
+    next_r = 0  # the next index to hand out; m once hand-out stops
+    errors: dict[int, BaseException] = {}
+
+    def work() -> None:
+        nonlocal next_r
+        while True:
+            with lock:
+                r = next_r
+                if r == m:
+                    return
+                next_r = r + 1
+            try:
+                raw[r] = one(r)
+            except BaseException as exc:  # raised again by the calling thread
+                with lock:
+                    errors[r] = exc
+                    next_r = m
+                return
+
     threads = min(workers, m, _usable_cpus()) if n >= _THREAD_MIN_ROWS else 1
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = np.fromiter(pool.map(one, range(m)), float, count=m)
-    else:
-        raw = np.fromiter(map(one, range(m)), float, count=m)
+    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        with lock:
+            next_r = m
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors.pop(min(errors))
     replicates = np.flatnonzero(~np.isnan(raw))
     failures = m - replicates.size
     if failures > MAX_FAILURE_FRACTION * m:

@@ -66,7 +66,12 @@ class Scenario:
     g, g_prime : callable
         Censoring density and its derivative on the interior.
     draw_xy, draw_t : callable
-        Inverse-CDF samplers ``(rng, n) -> arrays``.
+        Inverse-CDF samplers ``(rng, n) -> arrays`` of length ``n``.  Each
+        call must return new arrays: :func:`sample` takes them over, writes
+        the marks into the buffer of the event times and freezes the
+        censoring times in place.  An array that is not a writeable,
+        C-contiguous float64 array owning its data (a list, a float32 or
+        a read-only array) is copied first and never written to.
     """
 
     name: str
@@ -125,6 +130,9 @@ class Sample:
             raise ValueError("marks must be finite and nonnegative")
         if np.any((z != 0.0) & (delta == 0)):
             raise ValueError("censored rows must carry a zero mark")
+        self._freeze(t, z, delta)
+
+    def _freeze(self, t: np.ndarray, z: np.ndarray, delta: np.ndarray) -> None:
         for name, arr in (("t", t), ("z", z), ("delta", delta)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -308,15 +316,28 @@ def scenario_b() -> Scenario:
         t = np.asarray(t, dtype=float)
         return np.where(_box(0, 1, t), 2.0, 0.0)
 
+    # in place, in the rounded steps of the formulas above: u becomes x, and
+    # w holds 2 x + 1, then y
     def draw_xy(rng, n):
-        u = rng.random(n)
+        x = rng.random(n)
         v = rng.random(n)
-        x = 0.5 * (np.sqrt(1.0 + 8.0 * u) - 1.0)
-        y = np.sqrt(x * x + v * (2.0 * x + 1.0)) - x
-        return x, y
+        x *= 8.0
+        x += 1.0
+        np.sqrt(x, out=x)
+        x -= 1.0
+        x *= 0.5
+        w = 2.0 * x
+        w += 1.0
+        v *= w
+        np.multiply(x, x, out=w)
+        w += v
+        np.sqrt(w, out=w)
+        w -= x
+        return x, w
 
     def draw_t(rng, n):
-        return np.sqrt(rng.random(n))
+        t = rng.random(n)
+        return np.sqrt(t, out=t)
 
     return Scenario(
         name="B",
@@ -364,13 +385,38 @@ def sample(scenario: Scenario, n: int, seed: int) -> Sample:
     reproducible, and its latent pairs are those of
     ``scenario.draw_xy(np.random.default_rng(seed), n)``.  ``n`` must be an
     integer >= 1 (:class:`EmptySampleError`), ``seed`` one >= 0.
+
+    The result equals ``Sample(*_observed(x, y, t), seed=seed)`` bit for bit,
+    built without copies: ``delta`` is 0/1 and censored marks are +0.0 by
+    construction, so only the draws' lengths, the times' finiteness and the
+    marks' range are checked, as :class:`Sample` checks them.
     """
     _check_count(n, "n", 1, EmptySampleError)
     _check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     x, y = scenario.draw_xy(rng, n)
     t = scenario.draw_t(rng, n)
-    return Sample(*_observed(x, y, t), seed=seed)
+    x, y, t = (np.require(a, float, ["C", "W", "O", "E"]) for a in (x, y, t))
+    for name, a in (("draw_xy", x), ("draw_xy", y), ("draw_t", t)):
+        if a.shape != (n,):
+            raise ValueError(
+                f"{name} must return arrays of length {n}, got shape {a.shape}"
+            )
+    delta = np.less_equal(x, t, out=np.empty(n, np.int64))
+    # x is dead once delta exists: the marks take its buffer, unless a draw
+    # returned one array twice; as in _observed, -delta masks y's bits
+    bits = (x if x is not y and x is not t else np.empty(n)).view(np.int64)
+    np.negative(delta, out=bits)
+    bits &= y.view(np.int64)
+    z = bits.view(float)
+    if not (np.isfinite(t.min()) and np.isfinite(t.max())):
+        raise ValueError("times must be finite")
+    if not (0.0 <= z.min() and z.max() < np.inf):
+        raise ValueError("marks must be finite and nonnegative")
+    s = object.__new__(Sample)
+    s._freeze(t, z, delta)
+    object.__setattr__(s, "seed", seed)
+    return s
 
 
 def observation_density(

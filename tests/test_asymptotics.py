@@ -6,12 +6,14 @@ import dataclasses
 import inspect
 import math
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from csmark import (
     BandwidthRegimeError,
@@ -209,6 +211,7 @@ def test_mc_normality_scales_the_mc_mse_errors():
         sq = run.values**2
         assert run.mse == float(np.mean(sq))
         assert run.mse_se == float(np.std(sq, ddof=1) / math.sqrt(sq.size))
+    stats = pytest.importorskip("scipy.stats")  # the KS distance's oracle
     ks = stats.kstest(summary.values, "norm", args=(summary.mu, math.sqrt(summary.sigma2)))
     assert summary.ks_distance == float(ks.statistic)
     assert errors.ks_distance is None
@@ -222,6 +225,7 @@ def test_mc_normality_scales_the_mc_mse_errors():
 def test_ks_distance_matches_scipy(values, mu, sigma):
     """The KS distance from the standard library's normal law agrees with
     scipy's one-sample test to within 4e-16."""
+    stats = pytest.importorskip("scipy.stats")
     values = np.array(values)
     summary = MonteCarloSummary(values, np.arange(values.size), 0, mu=mu,
                                 sigma2=sigma * sigma)
@@ -490,51 +494,89 @@ def test_failure_accounting(monkeypatch):
         _replicate(B, 5, 1, 0, fails_on(), 1)
 
 
-class RecordingPool:
-    """Stands in for ThreadPoolExecutor: records each pool's size and maps
-    serially, starting no thread."""
-
-    def __init__(self, sizes, max_workers):
-        sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
 def test_thread_pool_only_for_large_samples_and_capped(monkeypatch):
-    sizes = []
-    monkeypatch.setattr(
-        asymptotics, "ThreadPoolExecutor",
-        lambda max_workers: RecordingPool(sizes, max_workers),
-    )
+    helpers = []
+
+    class RecordingThread(threading.Thread):
+        """Records each helper thread the driver starts, then starts it."""
+
+        def start(self):
+            helpers.append(self)
+            super().start()
+
+    monkeypatch.setattr(asymptotics.threading, "Thread", RecordingThread)
     monkeypatch.setattr(asymptotics, "_usable_cpus", lambda: 2)
     first_t = lambda s: float(s.t[0])  # noqa: E731
     large = asymptotics._THREAD_MIN_ROWS
     assert large == 20_000
 
     serial = _replicate(B, large - 1, 3, 0, first_t, 2)
-    assert sizes == []
+    assert helpers == []
     _replicate(B, large, 3, 0, first_t, 1)
-    assert sizes == []
+    assert helpers == []
     pooled = _replicate(B, large, 3, 0, first_t, 2)
-    assert sizes == [2]
+    assert len(helpers) == 1
     assert serial[2] == pooled[2] == 0
 
-    # the pool never outgrows the replications or the usable CPUs
+    def threads(*args):
+        """The threads one call runs on: its helpers and the calling thread."""
+        before = len(helpers)
+        _replicate(B, 5, *args)
+        return len(helpers) - before + 1
+
+    # the threads never outnumber the replications or the usable CPUs
     monkeypatch.setattr(asymptotics, "_THREAD_MIN_ROWS", 1)
-    sizes.clear()
-    _replicate(B, 5, 1000, 0, first_t, 1000)
-    _replicate(B, 5, 3, 0, first_t, 8)
+    totals = [threads(1000, 0, first_t, 1000), threads(3, 0, first_t, 8)]
     monkeypatch.setattr(asymptotics, "_usable_cpus", lambda: 16)
-    _replicate(B, 5, 3, 0, first_t, 8)
-    _replicate(B, 5, 20, 0, first_t, 5)
-    assert sizes == [2, 2, 3, 5]
+    totals += [threads(3, 0, first_t, 8), threads(20, 0, first_t, 5)]
+    assert totals == [2, 2, 3, 5]
+    assert not any(helper.is_alive() for helper in helpers)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_replication_errors_are_those_of_serial_order(monkeypatch, workers):
+    """The lowest failing index raises, however the threads interleave, and
+    every helper has ended when the driver returns or raises."""
+    threads_for_any_size(monkeypatch)
+
+    def raises_on_3_and_8(s):
+        if s.seed == 3:
+            time.sleep(0.05)  # let another thread reach seed 8 first
+        if s.seed in (3, 8):
+            raise ValueError(f"seed {s.seed}")
+        return float(s.seed)
+
+    nan_on_7 = lambda s: math.nan if s.seed == 7 else float(s.seed)  # noqa: E731
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="^seed 3$"):
+        _replicate(B, 5, 100, 0, raises_on_3_and_8, workers)
+    assert threading.active_count() == before
+    with pytest.raises(RuntimeError, match="NaN at seed 7"):
+        _replicate(B, 5, 100, 0, nan_on_7, workers)
+    assert threading.active_count() == before
+    values, _, _ = _replicate(B, 5, 100, 0, fails_on(), workers)
+    assert values.tolist() == list(range(100))
+    assert threading.active_count() == before
+
+
+def test_replication_hands_out_each_index_once_under_contention(monkeypatch):
+    """More threads than cores, switching as often as the interpreter allows:
+    a lost update of the shared index would repeat or skip a replication."""
+    threads_for_any_size(monkeypatch)
+    seen = []
+
+    def record(s):
+        seen.append(s.seed)  # list.append is atomic under the GIL
+        return float(s.seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        values, replicates, _ = _replicate(B, 5, 400, 0, record, 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(seen) == list(range(400))
+    assert values.tolist() == replicates.tolist() == list(range(400))
 
 
 def test_usable_cpus_is_a_positive_count():

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
 
 from csmark import (
     EmptySampleError,
@@ -52,6 +52,7 @@ def test_scenario_a_closed_forms():
 
 
 def test_scenario_b_closed_forms():
+    integrate = pytest.importorskip("scipy.integrate")
     b = scenario_b()
     assert float(b.cdf(0.5, 0.5)) == pytest.approx(0.125, abs=1e-15)
     # oracle: integrate the density over the rectangle
@@ -105,6 +106,7 @@ def test_cdf_shape_properties(scenario):
 
 @pytest.mark.parametrize("scenario", [scenario_a(), scenario_b()])
 def test_censoring_density_integrates_to_one(scenario):
+    integrate = pytest.importorskip("scipy.integrate")
     val, _ = integrate.quad(lambda t: float(scenario.g(t)), 0.0, 1.0)
     assert abs(val - 1.0) < 1e-8
 
@@ -128,6 +130,7 @@ def test_observation_density_values():
 
 @pytest.mark.parametrize("scenario", [scenario_a(), scenario_b()])
 def test_observation_density_total_mass(scenario):
+    integrate = pytest.importorskip("scipy.integrate")
     uncensored, _ = integrate.dblquad(
         lambda z, t: observation_density(scenario, t, z, 1), 0.0, 1.0, 0.0, 1.0
     )
@@ -139,6 +142,7 @@ def test_observation_density_total_mass(scenario):
 
 def test_uncensored_rate_matches_quadrature_oracle():
     """P(delta = 1) = int F0(t, inf) g(t) dt, checked per scenario."""
+    integrate = pytest.importorskip("scipy.integrate")
     a, b = scenario_a(), scenario_b()
     p_a, _ = integrate.quad(
         lambda t: float(a.marginal_cdf(t) * a.g(t)), 0.0, 1.0
@@ -154,6 +158,7 @@ def test_uncensored_rate_matches_quadrature_oracle():
 
 def test_latent_sampler_matches_rejection_oracle():
     """Closed-form inverse-CDF draws agree with rejection sampling."""
+    stats = pytest.importorskip("scipy.stats")
     b = scenario_b()
     n = 10_000
     x, y = b.draw_xy(np.random.default_rng(101), n)  # what sample(b, n, 101) draws
@@ -177,6 +182,7 @@ def test_latent_sampler_matches_rejection_oracle():
 
 
 def test_censoring_time_sampler_distributions():
+    stats = pytest.importorskip("scipy.stats")
     a, b = scenario_a(), scenario_b()
     ta = sample(a, 10_000, 33).t
     tb = sample(b, 10_000, 34).t
@@ -206,6 +212,125 @@ def test_sample_determinism_and_censoring_structure():
     assert one.delta[0] in (0, 1)
     with pytest.raises(EmptySampleError):
         sample(b, 0, 5)
+
+
+def formula_sample(scenario, n, seed):
+    """``sample`` as the inverse-CDF formulas read, through the public
+    constructor, for the two built-in scenarios."""
+    rng = np.random.default_rng(seed)
+    u, v = rng.random(n), rng.random(n)
+    if scenario.name == "B":
+        x = 0.5 * (np.sqrt(1.0 + 8.0 * u) - 1.0)
+        y = np.sqrt(x * x + v * (2.0 * x + 1.0)) - x
+        t = np.sqrt(rng.random(n))
+    else:
+        x, y, t = u, v, rng.random(n)
+    delta = (x <= t).astype(np.int64)
+    return Sample(t=t, z=np.where(delta == 1, y, 0.0), delta=delta, seed=seed)
+
+
+def assert_same_sample(s, expected):
+    for name in ("t", "z", "delta"):
+        a = getattr(s, name)
+        assert a.dtype == getattr(expected, name).dtype
+        assert a.view(np.int64).tobytes() == getattr(expected, name).view(np.int64).tobytes()
+        assert a.flags.c_contiguous and not a.flags.writeable
+    assert s.delta.dtype == np.int64
+    assert s.seed == expected.seed
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["A", "B"]), st.integers(1, 5000), st.integers(0, 2**63))
+def test_sample_is_the_formulas_bit_for_bit(name, n, seed):
+    scenario = scenario_a() if name == "A" else scenario_b()
+    assert_same_sample(sample(scenario, n, seed), formula_sample(scenario, n, seed))
+
+
+def with_draws(draw_xy=None, draw_t=None):
+    b = scenario_b()
+    return dataclasses.replace(b, draw_xy=draw_xy or b.draw_xy, draw_t=draw_t or b.draw_t)
+
+
+def uncensored(marks):
+    """Latent pairs at x = 0, so every row is uncensored and shows its mark."""
+    return lambda rng, n: (np.zeros(n), np.array(marks, dtype=float))
+
+
+N = 6
+# draws whose values Sample refuses, and draws of the wrong length
+BAD_VALUES = {
+    "nan mark": with_draws(draw_xy=uncensored([0.5] * (N - 1) + [np.nan])),
+    "negative mark": with_draws(draw_xy=uncensored([0.5] * (N - 1) + [-0.5])),
+    "infinite mark": with_draws(draw_xy=uncensored([np.inf] + [0.5] * (N - 1))),
+    "infinite time": with_draws(draw_t=lambda rng, n: np.full(n, np.inf)),
+    "nan time": with_draws(draw_t=lambda rng, n: np.full(n, np.nan)),
+}
+BAD_LENGTHS = {
+    "short pairs": with_draws(draw_xy=lambda rng, n: (rng.random(n - 1), rng.random(n - 1))),
+    "long times": with_draws(draw_t=lambda rng, n: rng.random(n + 1)),
+}
+
+
+def public_refusal(scenario):
+    """What Sample refuses the scenario's draws with, built as _observed
+    builds the observations."""
+    rng = np.random.default_rng(3)
+    x, y = scenario.draw_xy(rng, N)
+    t = scenario.draw_t(rng, N)
+    with pytest.raises(ValueError) as refused:
+        Sample(*_observed(x, y, t))
+    return refused.value
+
+
+@pytest.mark.parametrize("case", [*BAD_VALUES, *BAD_LENGTHS])
+def test_sample_refuses_bad_draws_as_the_public_constructor(case):
+    scenario = {**BAD_VALUES, **BAD_LENGTHS}[case]
+    expected = public_refusal(scenario)
+    with pytest.raises(type(expected)) as drawn:
+        sample(scenario, N, 3)
+    if case in BAD_VALUES:
+        assert str(drawn.value) == str(expected)
+    else:
+        assert f"length {N}," in str(drawn.value)
+
+
+def test_sample_takes_any_draw_that_converts_and_writes_only_its_own():
+    """Lists, float32, read-only arrays and views are copied, never written
+    to; one array returned twice is not overwritten before it is read."""
+    b = scenario_b()
+    returned, before = [], []
+
+    def draws(convert):
+        def kept(a):
+            returned.append(convert(a))
+            before.append(np.array(returned[-1], dtype=float))
+            return returned[-1]
+
+        return with_draws(
+            lambda rng, n: tuple(kept(a) for a in b.draw_xy(rng, n)),
+            lambda rng, n: kept(b.draw_t(rng, n)),
+        )
+
+    def read_only(a):
+        a.setflags(write=False)
+        return a
+
+    def view(a):
+        return np.concatenate([a, a])[: a.size]  # C-contiguous, not owning
+
+    for convert in (list, lambda a: a.astype(np.float32), read_only, view):
+        returned.clear()
+        before.clear()
+        s = sample(draws(convert), 500, 8)
+        assert_same_sample(s, Sample(*_observed(*before), seed=8))
+        for a, snapshot in zip(returned, before):
+            assert np.array(a, dtype=float).tobytes() == snapshot.tobytes()
+
+    twice = with_draws(draw_xy=lambda rng, n: (rng.random(n),) * 2)
+    rng = np.random.default_rng(8)
+    x = rng.random(500)
+    t = twice.draw_t(rng, 500)
+    assert_same_sample(sample(twice, 500, 8), Sample(*_observed(x, x, t), seed=8))
 
 
 def test_sample_validation_errors():
