@@ -30,7 +30,6 @@ from .kernels import (
     eval_rescaled,
     eval_rescaled_cdf,
     l2_norm_sq,
-    require_valid,
     second_moment,
     uniform_kernel,
     validate_conditions,
@@ -38,7 +37,6 @@ from .kernels import (
 from .scenarios import (
     Sample,
     Scenario,
-    observation_density,
     sample,
     scenario_a,
     scenario_b,
@@ -50,9 +48,6 @@ from .estimators import (
     f1_counting,
     f2,
     f2_density,
-    g_hat,
-    g_hat_prime,
-    h0_hat,
     write_grid_csv,
 )
 from .asymptotics import (
@@ -110,7 +105,6 @@ __all__ = [
     "eval_rescaled_cdf",
     "second_moment",
     "l2_norm_sq",
-    "require_valid",
     "validate_conditions",
     # scenarios
     "Scenario",
@@ -118,12 +112,8 @@ __all__ = [
     "scenario_a",
     "scenario_b",
     "sample",
-    "observation_density",
     # estimators
     "EstimatorConfig",
-    "g_hat",
-    "g_hat_prime",
-    "h0_hat",
     "f1",
     "f1_counting",
     "f2",

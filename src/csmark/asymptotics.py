@@ -47,12 +47,13 @@ from .errors import (
     ReplicationFailureError,
     UnstableDenominatorError,
 )
-from .estimators import EstimatorConfig, _checked_points, f1, f2
+from .estimators import EstimatorConfig, _checked_points, _is_real, f1, f2
 from .kernels import (
     Bandwidths,
     UnivariateKernel,
     _check_bandwidth,
     _check_count,
+    _check_finite,
     _quad,
     epanechnikov_kernel,
     l2_norm_sq,
@@ -105,10 +106,8 @@ class BandwidthSchedule:
             )
         if self.c2 is not None:
             _check_bandwidth(self.c2, "c2")
-        if self.beta_exponent is not None and not math.isfinite(self.beta_exponent):
-            raise InvalidBandwidthError(
-                f"beta_exponent must be finite, got {self.beta_exponent!r}"
-            )
+        if self.beta_exponent is not None:
+            _check_finite(self.beta_exponent, "beta_exponent")
 
     def alpha(self, n: int) -> float:
         return self.c1 * float(n) ** -0.2
@@ -155,7 +154,7 @@ def mu1_sigma2(
     """
     _check_bandwidth(c, "c")
     t0, z0 = point
-    _checked_points(t0, z0)
+    _checked_points(t0, z0, single=True)
     g0 = float(scenario.g(t0))
     if g0 <= 0.0:
         raise UnstableDenominatorError(
@@ -439,7 +438,7 @@ def mc_mse(
     _check_count(replications, "replications", 2)
     config = _resolve_config(estimator, alpha, beta, kernel_t)
     t0, z0 = point
-    _checked_points(t0, z0)  # before any sample is drawn
+    _checked_points(t0, z0, single=True)  # before any sample is drawn
     truth = float(scenario.cdf(t0, z0))
     est = f1 if estimator == "F1" else f2
 
@@ -485,18 +484,15 @@ def equivalence_curve(
     """
     if schedule.beta_exponent is None:
         raise InvalidBandwidthError("the schedule must include a mark bandwidth")
-    given = np.asarray(n_grid)
-    sizes = given.astype(float)
-    if sizes.size == 0 or not np.all(
-        np.isfinite(sizes) & (sizes >= 1.0) & (sizes == np.floor(sizes))
-    ):
-        raise ValueError(
-            f"n_grid must hold whole sizes of at least 1, got {given.tolist()}"
-        )
-    n_grid = sizes.astype(int)
+    # each entry, before a cast could hide a bool or a string
+    entries = list(n_grid) if np.ndim(n_grid) == 1 else []
+    if not entries or not all(_is_real(v, True) and 1 <= v < np.inf and v == math.floor(v)
+                              for v in entries):
+        raise ValueError(f"n_grid must hold whole sizes of at least 1, got {n_grid!r}")
+    n_grid = np.array(entries, dtype=float).astype(int)
     _check_bandwidth(envelope_constant, "envelope_constant", ValueError)
     t0, z0 = point
-    _checked_points(t0, z0)
+    _checked_points(t0, z0, single=True)
     diffs = np.empty(n_grid.size)
     envelopes = envelope_constant * n_grid.astype(float) ** (-1.0 / 6.0)
     for i, n in enumerate(n_grid):
@@ -660,6 +656,7 @@ def mc_functional(
     """
     _check_count(n, "n", 1, EmptySampleError)
     _check_count(grid_points, "grid_points", 1)
+    _check_finite(alpha_exponent, "alpha_exponent")
     alpha = float(n) ** -float(alpha_exponent)
     _check_bandwidth(alpha, "alpha")  # before any sample is drawn
     truth = true_mean_event_time(scenario)

@@ -132,7 +132,7 @@ class BootstrapPlan:
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise InvalidBandwidthError(f"{label}_grid must be strictly increasing")
         t0, z0 = self.point
-        estimators._checked_points(t0, z0)
+        estimators._checked_points(t0, z0, single=True)
 
 
 class PilotModel:

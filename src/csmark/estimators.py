@@ -17,9 +17,9 @@ smoothing and taking the ratio.  Two variants are implemented:
   i.e. each uncensored observation contributes ``K2((z0 - z_i) / beta)``
   where ``K2`` is the antiderivative of the kernel.  The product's time
   factor is the time kernel itself, so integrating out the mark recovers the
-  time-only smoother exactly, which keeps the marginal identity
-  ``1 - f2(t0, z_max + beta) = h0/g`` an algebraic fact rather than an
-  approximation.
+  time-only smoother exactly, which keeps the marginal identity -- ``1 -
+  f2(t0, z_max + beta)`` is the censored share of ``g_hat`` -- an algebraic
+  fact rather than an approximation.
 
 The bivariate density estimate differentiates the same ratio:
 
@@ -75,9 +75,6 @@ from .scenarios import Sample, _write_csv
 
 __all__ = [
     "EstimatorConfig",
-    "g_hat",
-    "g_hat_prime",
-    "h0_hat",
     "f1",
     "f1_counting",
     "f2",
@@ -168,11 +165,9 @@ def _run_sums(kt, sample, t, z, alpha, beta, terms, row) -> list[np.ndarray]:
             col, u = _support_window(ts, t0, a)
             w = kt.pdf(u)
             d = kt.deriv(u) if derivative else None
-            unc = ds[col] == 1
-            window = {term: _mean(_total(w if term == "g" else d if term == "gp" else w[~unc]),
-                                  term, scale, a, None)
-                      for term in terms if term in ("g", "gp", "h0")}
-            keep = unc.nonzero()[0]
+            window = {term: _mean(_total(w if term == "g" else d), term, scale, a, None)
+                      for term in terms if term in ("g", "gp")}
+            keep = (ds[col] == 1).nonzero()[0]
             w, d = w[keep], None if d is None else d[keep]
             zu = zs[col[keep]]  # once the whole window's w and d are freed
         k2 = v = None
@@ -219,14 +214,12 @@ def _batch_sums(kt, sample, t, z, alpha, beta, terms, row) -> list[np.ndarray]:
         ends = np.arange(first.size + 1) * n  # run r's entries of flat lie below ends[r + 1]
         w = kt.pdf(u)
         d = kt.deriv(u) if derivative else None
-        unc = ds[col] == 1
+        window = np.searchsorted(flat, ends)  # run r's window: flat[window[r]:window[r + 1]]
         for x, term in zip(out, terms):
-            if term in ("g", "gp", "h0"):
-                keep = (~unc).nonzero()[0] if term == "h0" else slice(None)
-                sums = _segment_sums((d if term == "gp" else w)[keep],
-                                     np.searchsorted(flat[keep], ends))
-                x[p0 : p0 + size.sum()] = sums.repeat(size)
-        keep = unc.nonzero()[0]
+            if term in ("g", "gp"):
+                x[p0 : p0 + size.sum()] = _segment_sums(d if term == "gp" else w,
+                                                        window).repeat(size)
+        keep = (ds[col] == 1).nonzero()[0]
         w, d = w[keep], None if d is None else d[keep]
         zu = zs[col[keep]]  # once the whole windows' w and d are freed
         # pair each point with its run's uncensored window columns
@@ -264,14 +257,13 @@ def _kernel_sums(sample, config, t, z, alpha, beta, terms, row=None) -> list[np.
     alpha) / alpha^2`` and ``v = k_beta(z_j - z_i)``, returns for each name
     in ``terms`` the mean over the ``n`` observations ``i`` of the point's
     sample of: ``g``: w; ``f1``: w delta 1{z_i <= z_j}; ``f2``: w delta
-    K2((z_j - z_i) / beta); ``h0``: w (1 - delta); ``gp``: d; ``h``: w v
-    delta; ``dh``: d v delta.
+    K2((z_j - z_i) / beta); ``gp``: d; ``h``: w v delta; ``dh``: d v delta.
 
     Only observations in a point's time window ``|(t_j - t_i) / alpha| <=
     1`` are visited.  Consecutive points sharing ``(row, t, alpha)`` form a
-    run with one window and one time-kernel evaluation; ``g``, ``gp`` and
-    ``h0`` sum over the window, the others over (point, uncensored window
-    column) pairs, along one of two paths chosen from the point count and ``n``:
+    run with one window and one time-kernel evaluation; ``g`` and ``gp``
+    sum over the window, the others over (point, uncensored window column)
+    pairs, along one of two paths chosen from the point count and ``n``:
 
     * per run (:func:`_run_sums`) for one point, and where the other path
       would pair one point at a time (n > 15 625 by default): a run's window
@@ -301,26 +293,31 @@ def _kernel_sums(sample, config, t, z, alpha, beta, terms, row=None) -> list[np.
     return path(kt, sample, t, z, alpha, beta if marked else None, terms, row)
 
 
-def _is_real(value) -> bool:
-    """Whether ``value`` is a float, an int or a numpy real, or an array or
-    sequence of them, but not a bool."""
+def _is_real(value, single) -> bool:
+    """Whether ``value`` is a float, an int or a numpy real, a 0-d array of
+    one or, unless ``single``, an array or a sequence of them, but not a bool."""
     if isinstance(value, _REAL):
         return type(value) is not bool
-    return np.asarray(value).dtype.kind in "fiu"
+    value = np.asarray(value)
+    return value.dtype.kind in "fiu" and not (single and value.ndim)
 
 
-def _checked_points(t, z) -> tuple[np.ndarray, np.ndarray]:
+def _checked_points(t, z, single=False) -> tuple[np.ndarray, np.ndarray]:
     """``t`` and ``z`` as float arrays, refusing points no estimate is defined at.
 
-    A bool, a string or any other value that is not a real number, a NaN
-    ``t`` or ``z`` or an infinite ``t`` raises :class:`SupportError`;
-    ``z = +-inf`` is the limit in the mark.
+    A bool, a string or any other value that is not a real number (with
+    ``single``, also an array or a sequence), ``t`` and ``z`` of different
+    shapes, a NaN ``t`` or ``z`` or an infinite ``t`` raises
+    :class:`SupportError`; ``z = +-inf`` is the limit in the mark.
     """
-    if not (_is_real(t) and _is_real(z)):  # before a float cast could hide them
-        raise SupportError(
-            f"cannot estimate at (t, z) = ({t!r}, {z!r}): t and z must be real numbers"
-        )
+    # before a float cast could hide them
+    if not (_is_real(t, single) and _is_real(z, single)):
+        raise SupportError(f"cannot estimate at (t, z) = ({t!r}, {z!r}): t and z must be "
+                           f"real numbers{', one each' if single else ''}")
     t, z = np.array(t, dtype=float, ndmin=1), np.array(z, dtype=float, ndmin=1)
+    if t.shape != z.shape:
+        raise SupportError(f"cannot estimate at t = {t.tolist()}, z = {z.tolist()}: "
+                           "t and z must have one shape")
     bad = ~np.isfinite(t) | np.isnan(z)
     if bad.any():
         j = bad.argmax()
@@ -331,18 +328,11 @@ def _checked_points(t, z) -> tuple[np.ndarray, np.ndarray]:
     return t, z
 
 
-def _time_mean(sample: Sample, config: EstimatorConfig, t0: float, term: str) -> float:
-    """The time-only kernel mean ``term`` (``g``, ``gp`` or ``h0``) at a checked ``t0``."""
-    t, z = _checked_points(t0, 0.0)
-    (x,) = _kernel_sums(sample, config, t, z, config.bandwidths.alpha, None, (term,))
-    return float(x[0])
-
-
 # the kernel sums each estimate needs besides g; a ratio's numerator comes first
 _TERMS = {"F1": ("f1",), "F2": ("f2",), "density": ("gp", "h", "dh")}
 
 
-def _estimates(sample, config, t, z, kinds, alpha=None, beta=None, row=None):
+def _estimates(sample, config, t, z, kinds, alpha=None, beta=None, row=None, single=False):
     """g_hat and the estimates ``kinds`` at the paired points ``(t[j], z[j])``.
 
     ``kinds`` names estimates among ``"F1"`` (:func:`f1`), ``"F2"``
@@ -351,11 +341,10 @@ def _estimates(sample, config, t, z, kinds, alpha=None, beta=None, row=None):
     are the config's bandwidths when None, else scalars or arrays of one
     value per point.  With ``row``, ``sample`` is a stack of samples and
     point ``j`` is evaluated on its row ``row[j]`` (see :func:`_kernel_sums`).
-    Every estimate is NaN where g_hat falls below ``config.g_floor``.  A NaN
-    ``t`` or ``z`` or an infinite ``t`` raises :class:`SupportError`; ``z =
-    +-inf`` gives the limit in the mark.
+    Every estimate is NaN where g_hat falls below ``config.g_floor``.  Points
+    are refused as :func:`_checked_points` refuses them, with ``single``.
     """
-    t, z = _checked_points(t, z)
+    t, z = _checked_points(t, z, single)
     bw = config.bandwidths
     alpha = bw.alpha if alpha is None else alpha
     beta = bw.beta if beta is None else beta
@@ -496,36 +485,12 @@ def _density_bounds(sample, config, t_lo, t_hi, z_lo, z_hi):
 
 
 def _estimate(sample, config, t0, z0, kind) -> float:
-    """One estimate at one point; :class:`UnstableDenominatorError` below the floor."""
-    (g,), ((value,),) = _estimates(sample, config, t0, z0, (kind,))
+    """One estimate at one point, ``t0`` and ``z0`` one number each;
+    :class:`UnstableDenominatorError` below the floor."""
+    (g,), ((value,),) = _estimates(sample, config, t0, z0, (kind,), single=True)
     if math.isnan(value):
         raise _unstable(float(g), config.g_floor)
     return float(value)
-
-
-def g_hat(sample: Sample, config: EstimatorConfig, t0: float) -> float:
-    """Kernel estimate of the censoring density at ``t0``.
-
-    ``g_hat(t0) = n^{-1} sum_i k_alpha(t0 - t_i)``.  May legitimately be
-    zero when no censoring time falls within ``alpha`` of ``t0``.  A NaN or
-    infinite ``t0`` raises :class:`SupportError`, here and in the other
-    time smoothers.
-    """
-    return _time_mean(sample, config, t0, "g")
-
-
-def g_hat_prime(sample: Sample, config: EstimatorConfig, t0: float) -> float:
-    """Derivative of :func:`g_hat` at ``t0`` via the kernel derivative."""
-    return _time_mean(sample, config, t0, "gp")
-
-
-def h0_hat(sample: Sample, config: EstimatorConfig, t0: float) -> float:
-    """Smoothed sub-density of censored observations at ``t0``.
-
-    Averages ``(1 - delta_i) k_alpha(t0 - t_i)``; together with the
-    uncensored sub-density this decomposes ``g_hat``.
-    """
-    return _time_mean(sample, config, t0, "h0")
 
 
 def _unstable(den: float, g_floor: float) -> UnstableDenominatorError:
@@ -557,7 +522,7 @@ def f1_counting(sample: Sample, config: EstimatorConfig, t0: float, z0: float) -
         raise KernelAssumptionError(
             "counting form is only defined for the uniform time kernel"
         )
-    _checked_points(t0, z0)
+    _checked_points(t0, z0, single=True)
     alpha = config.bandwidths.alpha
     inside = np.abs(sample.t - t0) <= alpha
     num = float(np.sum(inside & (sample.delta == 1) & (sample.z <= z0)))
@@ -620,6 +585,9 @@ def evaluate_grid(
     the whole grid.  Points whose denominator is unstable get None everywhere.
     """
     t_grid, z_grid = np.atleast_1d(t_grid), np.atleast_1d(z_grid)
+    if t_grid.ndim > 1 or z_grid.ndim > 1:
+        raise SupportError(f"cannot estimate on the grid {t_grid.tolist()} x "
+                           f"{z_grid.tolist()}: its entries must be real numbers, one each")
     kinds: tuple[str, ...] = ("F1",)
     if config.bandwidths.beta is not None:
         kinds += ("F2",)

@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidBandwidthError, KernelAssumptionError
+from .errors import InvalidBandwidthError
 
 __all__ = [
     "KernelFamily",
@@ -52,7 +52,6 @@ __all__ = [
     "second_moment",
     "l2_norm_sq",
     "validate_conditions",
-    "require_valid",
 ]
 
 _VALIDATION_TOL = 1e-10
@@ -232,6 +231,12 @@ def _check_bandwidth(value, name: str, error: type = InvalidBandwidthError) -> N
         ok = isinstance(value, _REAL) and type(value) is not bool and 0.0 < value < np.inf
     if not ok:
         raise error(f"{name} must be finite and positive, got {value!r}")
+
+
+def _check_finite(value, name: str) -> None:
+    """Raise InvalidBandwidthError naming ``name`` unless ``value`` is a finite number."""
+    if not (isinstance(value, _REAL) and type(value) is not bool and math.isfinite(value)):
+        raise InvalidBandwidthError(f"{name} must be a finite number, got {value!r}")
 
 
 def _check_count(value, name: str, minimum: int, error: type = ValueError) -> None:
@@ -464,15 +469,3 @@ def validate_conditions(
         shape_residual=shape_residual,
         moments_residual=moments_residual,
     )
-
-
-def require_valid(
-    kernel_t: UnivariateKernel,
-    kernel_mark: UnivariateKernel | None = None,
-) -> None:
-    """Raise :class:`KernelAssumptionError` unless all conditions hold."""
-    report = validate_conditions(kernel_t, kernel_mark)
-    if not report.all_ok:
-        raise KernelAssumptionError(
-            f"kernel {report.kernel_name!r} fails: {', '.join(report.failures())}"
-        )

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import EmptySampleError, SupportError
+from .errors import EmptySampleError
 from .kernels import _check_count
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "scenario_a",
     "scenario_b",
     "sample",
-    "observation_density",
 ]
 
 
@@ -55,10 +54,8 @@ class Scenario:
     cdf : callable
         Joint distribution function ``F0(x, y)``, defined on all of R^2 by
         clipping to the box.
-    density : callable
-        Joint density ``f0(x, y)``.
-    d1, d2 : callable
-        First partials of ``F0`` in the first and second argument.
+    d1 : callable
+        First partial of ``F0`` in the first argument.
     d11, d22 : callable
         Pure second partials of ``F0``.
     marginal_cdf : callable
@@ -77,9 +74,7 @@ class Scenario:
     name: str
     support: tuple[tuple[float, float], tuple[float, float]]
     cdf: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    density: Callable[[np.ndarray, np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray, np.ndarray], np.ndarray]
     d11: Callable[[np.ndarray, np.ndarray], np.ndarray]
     d22: Callable[[np.ndarray, np.ndarray], np.ndarray]
     marginal_cdf: Callable[[np.ndarray], np.ndarray]
@@ -217,18 +212,9 @@ def scenario_a() -> Scenario:
         y = np.clip(np.asarray(y, dtype=float), 0.0, 1.0)
         return x * y
 
-    def density(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.where(_box(0, 1, x) & _box(0, 1, y), 1.0, 0.0)
-
     def d1(x, y):
         x = np.asarray(x, dtype=float)
         return np.where(_box(0, 1, x), np.clip(y, 0.0, 1.0), 0.0)
-
-    def d2(x, y):
-        y = np.asarray(y, dtype=float)
-        return np.where(_box(0, 1, y), np.clip(x, 0.0, 1.0), 0.0)
 
     def zero(x, y):
         return np.zeros_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
@@ -253,9 +239,7 @@ def scenario_a() -> Scenario:
         name="A",
         support=((0.0, 1.0), (0.0, 1.0)),
         cdf=cdf,
-        density=density,
         d1=d1,
-        d2=d2,
         d11=zero,
         d22=zero,
         marginal_cdf=marginal_cdf,
@@ -281,20 +265,10 @@ def scenario_b() -> Scenario:
         y = np.clip(np.asarray(y, dtype=float), 0.0, 1.0)
         return 0.5 * x * y * (x + y)
 
-    def density(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.where(_box(0, 1, x) & _box(0, 1, y), x + y, 0.0)
-
     def d1(x, y):
         x = np.asarray(x, dtype=float)
         yc = np.clip(np.asarray(y, dtype=float), 0.0, 1.0)
         return np.where(_box(0, 1, x), x * yc + 0.5 * yc * yc, 0.0)
-
-    def d2(x, y):
-        y = np.asarray(y, dtype=float)
-        xc = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        return np.where(_box(0, 1, y), xc * y + 0.5 * xc * xc, 0.0)
 
     def d11(x, y):
         x = np.asarray(x, dtype=float)
@@ -343,9 +317,7 @@ def scenario_b() -> Scenario:
         name="B",
         support=((0.0, 1.0), (0.0, 1.0)),
         cdf=cdf,
-        density=density,
         d1=d1,
-        d2=d2,
         d11=d11,
         d22=d22,
         marginal_cdf=marginal_cdf,
@@ -417,24 +389,3 @@ def sample(scenario: Scenario, n: int, seed: int) -> Sample:
     s._freeze(t, z, delta)
     object.__setattr__(s, "seed", seed)
     return s
-
-
-def observation_density(
-    scenario: Scenario, t: float, z: float, delta: int
-) -> float:
-    """Density of one observation under the scenario.
-
-    For ``delta = 1`` this is ``g(t) * d2 F0(t, z)``; for ``delta = 0`` it is
-    ``g(t) * (1 - F0(t, infinity))``.  Points outside the scenario's box
-    raise :class:`SupportError` rather than silently returning zero.
-    """
-    (t_lo, t_hi), (z_lo, z_hi) = scenario.support
-    if not (t_lo <= t <= t_hi):
-        raise SupportError(f"censoring time {t!r} outside [{t_lo}, {t_hi}]")
-    if delta not in (0, 1):
-        raise ValueError(f"delta must be 0 or 1, got {delta!r}")
-    if delta == 1:
-        if not (z_lo <= z <= z_hi):
-            raise SupportError(f"mark {z!r} outside [{z_lo}, {z_hi}]")
-        return float(scenario.g(t) * scenario.d2(t, z))
-    return float(scenario.g(t) * (1.0 - scenario.marginal_cdf(t)))

@@ -43,7 +43,6 @@ from csmark import (
     mean_functional,
     mu1_sigma2,
     mu2,
-    require_valid,
     sample,
     scenario_a,
     scenario_b,
@@ -167,7 +166,9 @@ def test_bandwidth_schedule_rejects_non_finite_constants():
             BandwidthSchedule(c1=bad)
         with pytest.raises(InvalidBandwidthError):
             BandwidthSchedule(c1=0.5, c2=bad, beta_exponent=0.2)
-        with pytest.raises(InvalidBandwidthError):
+    # a bool or a string is not an exponent, as it is not a bandwidth
+    for bad in (math.nan, math.inf, True, np.True_, "0.2"):
+        with pytest.raises(InvalidBandwidthError, match="^beta_exponent must be a finite number"):
             BandwidthSchedule(c1=0.5, c2=0.5, beta_exponent=bad)
 
 
@@ -249,7 +250,6 @@ def test_driver_and_bootstrap_parameters_are_pinned():
         EstimatorConfig: "kernel_t bandwidths g_floor",
         mu2: "scenario point schedule kernel",
         validate_conditions: "kernel_t kernel_mark",
-        require_valid: "kernel_t kernel_mark",
         sample: "scenario n seed",
     }
     for fn, names in expected.items():
@@ -271,12 +271,10 @@ def test_public_names_are_pinned():
         "UnstableDenominatorError", "__version__", "bootstrap_mse", "custom_kernel",
         "difference_sample", "efficient_variance", "epanechnikov_kernel",
         "equivalence_curve", "eval_rescaled", "eval_rescaled_cdf", "evaluate_grid",
-        "f1", "f1_counting", "f2", "f2_density", "fit_pilot", "g_hat", "g_hat_prime",
-        "h0_hat", "l2_norm_sq", "mc_functional", "mc_mse", "mc_normality",
-        "mean_functional", "mu1_sigma2", "mu2", "observation_density",
-        "require_valid", "sample", "scenario_a", "scenario_b",
-        "second_moment", "select", "true_mean_event_time", "uniform_kernel",
-        "validate_conditions", "write_grid_csv",
+        "f1", "f1_counting", "f2", "f2_density", "fit_pilot", "l2_norm_sq",
+        "mc_functional", "mc_mse", "mc_normality", "mean_functional", "mu1_sigma2",
+        "mu2", "sample", "scenario_a", "scenario_b", "second_moment", "select",
+        "true_mean_event_time", "uniform_kernel", "validate_conditions", "write_grid_csv",
     ]
     for name in csmark.__all__:
         assert getattr(csmark, name) is not None, name
@@ -335,9 +333,12 @@ def test_finite_positive_checks_name_their_parameter():
 def test_mc_functional_refuses_its_bandwidth_before_any_sample_is_drawn(monkeypatch):
     drawn = []
     monkeypatch.setattr(asymptotics, "sample", lambda *args: drawn.append(args))
-    for exponent in (math.nan, math.inf, -math.inf):
-        with pytest.raises(InvalidBandwidthError, match="^alpha must be finite and pos"):
+    for exponent in (math.nan, math.inf, -math.inf, True, "0.3"):
+        with pytest.raises(InvalidBandwidthError, match="^alpha_exponent must be a finite number"):
             mc_functional(B, 100, 3, seed=0, alpha_exponent=exponent)
+    # a finite exponent whose bandwidth n^-exponent underflows to 0
+    with pytest.raises(InvalidBandwidthError, match="^alpha must be finite and pos"):
+        mc_functional(B, 100, 3, seed=0, alpha_exponent=1000)
     assert drawn == []
 
 
@@ -642,6 +643,9 @@ def test_equivalence_curve_shape_and_envelope():
     ([400, 9.5], 0.5, 1.5, ValueError),  # not cast to 9
     ([500, math.nan], 0.5, 1.5, ValueError),
     ([500, math.inf], 0.5, 1.5, ValueError),
+    (100, 0.5, 1.5, ValueError),  # not a grid
+    ([True, 100], 0.5, 1.5, ValueError),  # not cast to 1
+    (["100"], 0.5, 1.5, ValueError),  # not cast to 100
 ])
 def test_equivalence_curve_rejects_bad_input(
     monkeypatch, n_grid, c, envelope_constant, error
@@ -651,7 +655,8 @@ def test_equivalence_curve_rejects_bad_input(
 
     monkeypatch.setattr(asymptotics, "sample", no_draws)
     sched = BandwidthSchedule(c1=0.7, c2=c, beta_exponent=None if c is None else 0.45)
-    with pytest.raises(error):
+    name = "envelope_constant" if envelope_constant != 1.5 else "n_grid" if c else "schedule"
+    with pytest.raises(error, match=name):
         equivalence_curve(
             B, (0.5, 0.5), n_grid, sched, seed=3, envelope_constant=envelope_constant
         )

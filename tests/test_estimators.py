@@ -29,15 +29,14 @@ from csmark import (
     SupportError,
     UnstableDenominatorError,
     epanechnikov_kernel,
+    eval_rescaled,
     evaluate_grid,
     f1,
     f1_counting,
     f2,
     f2_density,
-    g_hat,
-    g_hat_prime,
-    h0_hat,
     mc_mse,
+    mu1_sigma2,
     sample,
     scenario_a,
     scenario_b,
@@ -67,35 +66,47 @@ def tiny_sample():
     )
 
 
+def g_at(s, config, t0):
+    """The censoring density estimate at ``t0``, every estimate's denominator."""
+    return float(estimators._estimates(s, config, t0, 0.5, ())[0][0])
+
+
+def gp_at(s, config, t0):
+    """Its derivative at ``t0``, which the density estimate uses."""
+    t, z = np.array([t0]), np.array([0.5])
+    _, gp = estimators._kernel_sums(s, config, t, z, config.bandwidths.alpha, None, ("g", "gp"))
+    return float(gp[0])
+
+
 def test_g_hat_single_observation():
     s = Sample(t=np.array([0.5]), z=np.array([0.2]), delta=np.array([1]))
-    assert g_hat(s, uniform_config(0.2), 0.5) == 2.5
-    assert g_hat(s, epa_config(0.2), 0.5) == 3.75
+    assert g_at(s, uniform_config(0.2), 0.5) == 2.5
+    assert g_at(s, epa_config(0.2), 0.5) == 3.75
 
 
 def test_g_hat_empty_window_is_zero():
     s = Sample(t=np.array([0.1, 0.15]), z=np.array([0.5, 0.0]), delta=np.array([1, 0]))
-    assert g_hat(s, epa_config(0.05), 0.9) == 0.0
+    assert g_at(s, epa_config(0.05), 0.9) == 0.0
 
 
 def test_g_hat_recovers_flat_censoring_density():
     s = sample(scenario_a(), 100_000, 3)
     config = epa_config(0.05)
     for t0 in (0.3, 0.5, 0.7):
-        assert abs(g_hat(s, config, t0) - 1.0) < 0.03
+        assert abs(g_at(s, config, t0) - 1.0) < 0.03
 
 
 def test_g_hat_prime_exact_cases_and_consistency():
     pair = Sample(t=np.array([0.4, 0.6]), z=np.array([0.2, 0.0]), delta=np.array([1, 0]))
-    assert g_hat_prime(pair, epa_config(0.5), 0.5) == 0.0
+    assert gp_at(pair, epa_config(0.5), 0.5) == 0.0
     single = Sample(t=np.array([0.5]), z=np.array([0.0]), delta=np.array([0]))
-    assert g_hat_prime(single, epa_config(0.3), 0.5) == 0.0
+    assert gp_at(single, epa_config(0.3), 0.5) == 0.0
 
     s = sample(scenario_b(), 100_000, 5)
-    assert abs(g_hat_prime(s, epa_config(0.08), 0.5) - 2.0) < 0.3
+    assert abs(gp_at(s, epa_config(0.08), 0.5) - 2.0) < 0.3
 
     with pytest.raises(DerivativeUnavailableError):
-        g_hat_prime(s, uniform_config(0.1), 0.5)
+        gp_at(s, uniform_config(0.1), 0.5)
 
 
 def test_g_hat_prime_matches_finite_difference_of_g_hat():
@@ -105,8 +116,8 @@ def test_g_hat_prime_matches_finite_difference_of_g_hat():
     config = epa_config(0.15)
     d = 1e-5
     for t0 in (0.35, 0.5, 0.65):
-        fd = (g_hat(s, config, t0 + d) - g_hat(s, config, t0 - d)) / (2 * d)
-        assert abs(g_hat_prime(s, config, t0) - fd) < 1e-4
+        fd = (g_at(s, config, t0 + d) - g_at(s, config, t0 - d)) / (2 * d)
+        assert abs(gp_at(s, config, t0) - fd) < 1e-4
 
 
 def test_f1_three_point_window():
@@ -224,21 +235,6 @@ def test_f2_configuration_errors():
         f2(tiny_sample(), no_beta, 0.5, 0.5)  # no mark bandwidth
 
 
-def test_h0_decomposes_g_hat():
-    s = sample(scenario_b(), 2000, 15)
-    config = epa_config(0.2)
-    for t0 in (0.3, 0.5, 0.7):
-        g = g_hat(s, config, t0)
-        uncensored_mass = f1(s, config, t0, 10.0) * g
-        assert abs(h0_hat(s, config, t0) + uncensored_mass - g) < 1e-14
-
-
-def test_h0_value_at_interior_point():
-    s = sample(scenario_b(), 100_000, 9)
-    # truth: g(0.5) * (1 - F0(0.5, inf)) = 1 * 0.625
-    assert abs(h0_hat(s, epa_config(0.05), 0.5) - 0.625) < 0.02
-
-
 def test_f2_density_matches_mixed_finite_difference():
     s = sample(scenario_b(), 2000, 21)
     config = epa_config(0.2, 0.2)
@@ -291,12 +287,15 @@ def test_points_with_nan_or_infinite_time_are_rejected(t0, z0):
         evaluate_grid(s, config, np.array([0.5, t0]), np.array([0.5, z0]))
 
 
-@pytest.mark.parametrize("bad", [True, np.True_, "0.5", None, Fraction(1, 2)])
 @pytest.mark.parametrize(
-    "call", ["f1", "f2", "f2_density", "g_hat", "evaluate_grid", "mc_mse", "BootstrapPlan"]
+    "bad", [True, np.True_, "0.5", None, Fraction(1, 2), [0.5, 0.6], np.array([0.5, 0.6])]
 )
+@pytest.mark.parametrize("call", ["f1", "f2", "f2_density", "evaluate_grid", "mc_mse",
+                                  "BootstrapPlan", "f1_counting", "mu1_sigma2"])
 def test_points_that_are_not_real_numbers_are_refused(call, bad, monkeypatch):
-    # as bandwidths are: a float cast would read True as 1.0 and "0.5" as 0.5
+    # as bandwidths are: a float cast would read True as 1.0 and "0.5" as 0.5;
+    # and a point is one number in each coordinate, not an array, whose
+    # extra entries an estimate would drop or a cast would fail on
     s = sample(scenario_b(), 200, 1)
     config = epa_config(0.2, 0.1)
 
@@ -308,24 +307,25 @@ def test_points_that_are_not_real_numbers_are_refused(call, bad, monkeypatch):
         "f1": lambda t, z: f1(s, config, t, z),
         "f2": lambda t, z: f2(s, config, t, z),
         "f2_density": lambda t, z: f2_density(s, config, t, z),
-        "g_hat": lambda t, z: g_hat(s, config, t),
         "evaluate_grid": lambda t, z: evaluate_grid(s, config, [t], [z]),
         "mc_mse": lambda t, z: mc_mse(
             scenario_b(), "F2", (t, z), 200, 20, alpha=0.2, beta=0.1, seed=0
         ),
         "BootstrapPlan": lambda t, z: BootstrapPlan(0.4, 0.4, 3, (0.2,), (0.2,), (t, z), 0),
+        "f1_counting": lambda t, z: f1_counting(s, uniform_config(0.2), t, z),
+        "mu1_sigma2": lambda t, z: mu1_sigma2(scenario_b(), (t, z), 0.5, EPA),
     }[call]
-    for t, z in [(bad, 0.5)] if call == "g_hat" else [(bad, 0.5), (0.5, bad)]:
-        with pytest.raises(SupportError, match="must be real numbers"):
+    for t, z in [(bad, 0.5), (0.5, bad)]:
+        with pytest.raises(SupportError, match=r"^cannot estimate .*0\.5.*must be real numbers"):
             run(t, z)
 
 
-@pytest.mark.parametrize("estimator", [g_hat, g_hat_prime, h0_hat])
-@pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf])
-def test_time_smoothers_reject_nan_or_infinite_times(estimator, t0):
+def test_points_of_unequal_lengths_are_refused():
+    # pairing would stop at the shorter array and drop the other's extra points
     s = sample(scenario_b(), 200, 1)
-    with pytest.raises(SupportError):
-        estimator(s, epa_config(0.2, 0.1), t0)
+    t, z = np.array([0.4, 0.5]), np.array([0.5])
+    with pytest.raises(SupportError, match=r"t = \[0.4, 0.5\], z = \[0.5\]: .* one shape"):
+        estimators._estimates(s, epa_config(0.2, 0.1), t, z, ("F1", "F2"))
 
 
 @pytest.mark.parametrize(
@@ -614,7 +614,7 @@ def runs(draw, s):
 @PROPERTY
 @given(samples(), st.sampled_from([EPA, UNI]), st.data(), st.integers(1, 100))
 def test_kernel_sums_of_a_point_do_not_depend_on_its_batch(s, kernel, data, budget):
-    terms = ("g", "f1", "f2", "h0") + (("gp", "h", "dh") if kernel is EPA else ())
+    terms = ("g", "f1", "f2") + (("gp", "h", "dh") if kernel is EPA else ())
     config = EstimatorConfig(kernel_t=kernel)
     points = [p for run in data.draw(st.lists(runs(s), min_size=1, max_size=5))
               for p in run]
@@ -634,7 +634,7 @@ def test_kernel_sums_of_a_point_do_not_depend_on_its_batch(s, kernel, data, budg
 def test_stacked_kernel_sums_equal_each_sample_alone(stack, kernel, data, budget):
     # the bootstrap's use: replications' samples as the rows of one stack,
     # each point on its own row
-    terms = ("g", "f1", "f2", "h0") + (("gp", "h", "dh") if kernel is EPA else ())
+    terms = ("g", "f1", "f2") + (("gp", "h", "dh") if kernel is EPA else ())
     config = EstimatorConfig(kernel_t=kernel)
     points = []
     for _ in range(data.draw(st.integers(1, 5))):
@@ -687,7 +687,10 @@ def test_marginal_identity(s, config, t0):
     # the uncensored share of g and its complement the censored share
     top = unless_unstable(f2, s, config, t0, float(s.z.max()) + config.bandwidths.beta)
     assume(top is not None)
-    assert abs(1.0 - top - h0_hat(s, config, t0) / g_hat(s, config, t0)) <= 1e-12
+    # the censored share from dense kernel weights, not from the kernel sums
+    weights = eval_rescaled(config.kernel_t, config.bandwidths.alpha, t0 - s.t)
+    censored = float(np.mean(weights * (1 - s.delta)) / np.mean(weights))
+    assert abs(1.0 - top - censored) <= 1e-12
 
 
 @PROPERTY
@@ -788,7 +791,7 @@ def test_estimates_are_pinned_bit_for_bit(patches):
     assert at_infinity.hex() == "0x1.9811f7bd83f7dp-2"  # F2 at (0.5, 1e300)
 
 
-ALL_TERMS = ("g", "f1", "f2", "h0", "gp", "h", "dh")
+ALL_TERMS = ("g", "f1", "f2", "gp", "h", "dh")
 
 
 def reference_sums(kernel, ti, zi, di, t0, z0, alpha, beta, terms):
@@ -799,7 +802,7 @@ def reference_sums(kernel, ti, zi, di, t0, z0, alpha, beta, terms):
     u, zw, unc = u[inside], zi[inside], di[inside] == 1
     w = kernel.pdf(u)
     s = (z0 - zw[unc]) / beta
-    x = {"g": w, "h0": w[~unc], "f1": w[unc] * (zw[unc] <= z0), "f2": w[unc] * kernel.cdf(s)}
+    x = {"g": w, "f1": w[unc] * (zw[unc] <= z0), "f2": w[unc] * kernel.cdf(s)}
     if kernel.deriv is not None:
         d = kernel.deriv(u)
         x.update(gp=d, h=w[unc] * kernel.pdf(s), dh=d[unc] * kernel.pdf(s))
@@ -851,7 +854,7 @@ def window_edges(draw):
 @given(window_edges(), st.sampled_from([EPA, UNI]), st.integers(1, 1000))
 def test_windowed_kernel_sums_equal_every_kernel_on_the_window(case, kernel, budget):
     stack, (t0, z0, alpha, beta), (t1, z1) = case
-    terms = ALL_TERMS if kernel is EPA else ALL_TERMS[:4]
+    terms = ALL_TERMS if kernel is EPA else ALL_TERMS[:3]
     config = EstimatorConfig(kernel_t=kernel)
     lone = _Stack(stack.t[0], stack.z[0], stack.delta[0])
     # a batch holds the point in a run with another mark, and alone in the

@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 from csmark import (
     EmptySampleError,
     Sample,
-    SupportError,
-    observation_density,
     sample,
     scenario_a,
     scenario_b,
@@ -22,15 +20,6 @@ from csmark import (
 from csmark.scenarios import _observed
 
 INTERIOR = np.linspace(0.1, 0.9, 9)
-
-
-def mixed_fd(f, x, y, h=1e-4):
-    return (
-        float(f(x + h, y + h))
-        - float(f(x + h, y - h))
-        - float(f(x - h, y + h))
-        + float(f(x - h, y - h))
-    ) / (4.0 * h * h)
 
 
 def central_fd(f, x, h=1e-6):
@@ -45,7 +34,6 @@ def test_scenario_a_closed_forms():
     a = scenario_a()
     assert float(a.cdf(0.5, 0.5)) == 0.25
     assert float(a.cdf(0.0, 0.7)) == 0.0
-    assert float(a.density(0.3, 0.7)) == 1.0
     assert float(a.marginal_cdf(1.0)) == 1.0
     assert float(a.g(0.5)) == 1.0
     assert float(a.g_prime(0.5)) == 0.0
@@ -55,10 +43,8 @@ def test_scenario_b_closed_forms():
     integrate = pytest.importorskip("scipy.integrate")
     b = scenario_b()
     assert float(b.cdf(0.5, 0.5)) == pytest.approx(0.125, abs=1e-15)
-    # oracle: integrate the density over the rectangle
-    mass, err = integrate.dblquad(
-        lambda y, x: float(b.density(x, y)), 0.0, 0.5, 0.0, 0.5
-    )
+    # oracle: integrate the density x + y over the rectangle
+    mass, err = integrate.dblquad(lambda y, x: x + y, 0.0, 0.5, 0.0, 0.5)
     assert err < 1e-9
     assert abs(mass - float(b.cdf(0.5, 0.5))) < 1e-9
     assert float(b.d11(0.5, 0.5)) == 0.5
@@ -78,16 +64,10 @@ def test_partials_match_finite_differences(scenario):
                 float(scenario.d1(x, y)) - central_fd(lambda u: scenario.cdf(u, y), x)
             ) < 1e-6
             assert abs(
-                float(scenario.d2(x, y)) - central_fd(lambda v: scenario.cdf(x, v), y)
-            ) < 1e-6
-            assert abs(
                 float(scenario.d11(x, y)) - second_fd(lambda u: scenario.cdf(u, y), x)
             ) < 1e-5
             assert abs(
                 float(scenario.d22(x, y)) - second_fd(lambda v: scenario.cdf(x, v), y)
-            ) < 1e-5
-            assert abs(
-                float(scenario.density(x, y)) - mixed_fd(scenario.cdf, x, y)
             ) < 1e-5
 
 
@@ -109,35 +89,6 @@ def test_censoring_density_integrates_to_one(scenario):
     integrate = pytest.importorskip("scipy.integrate")
     val, _ = integrate.quad(lambda t: float(scenario.g(t)), 0.0, 1.0)
     assert abs(val - 1.0) < 1e-8
-
-
-def test_observation_density_values():
-    b = scenario_b()
-    assert observation_density(b, 0.5, 0.5, 1) == pytest.approx(0.375, abs=1e-12)
-    assert observation_density(b, 0.5, 0.0, 0) == pytest.approx(0.625, abs=1e-12)
-    a = scenario_a()
-    for t in (0.2, 0.5, 0.9):
-        assert observation_density(a, t, 0.3, 1) == pytest.approx(t, abs=1e-12)
-    with pytest.raises(SupportError):
-        observation_density(b, 1.5, 0.5, 1)
-    with pytest.raises(SupportError):
-        observation_density(b, -0.1, 0.0, 0)
-    with pytest.raises(SupportError):
-        observation_density(b, 0.5, 1.5, 1)
-    with pytest.raises(ValueError):
-        observation_density(b, 0.5, 0.5, 2)
-
-
-@pytest.mark.parametrize("scenario", [scenario_a(), scenario_b()])
-def test_observation_density_total_mass(scenario):
-    integrate = pytest.importorskip("scipy.integrate")
-    uncensored, _ = integrate.dblquad(
-        lambda z, t: observation_density(scenario, t, z, 1), 0.0, 1.0, 0.0, 1.0
-    )
-    censored, _ = integrate.quad(
-        lambda t: observation_density(scenario, t, 0.0, 0), 0.0, 1.0
-    )
-    assert abs(uncensored + censored - 1.0) < 1e-6
 
 
 def test_uncensored_rate_matches_quadrature_oracle():
