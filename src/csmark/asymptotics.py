@@ -84,6 +84,17 @@ MAX_FAILURE_FRACTION = 0.01
 _THREAD_MIN_ROWS = 20_000
 
 
+def _decay(n: int, exponent: float, name: str) -> float:
+    """``n ** -exponent``; a power that overflows raises
+    :class:`InvalidBandwidthError` naming the exponent ``name``."""
+    try:
+        return float(n) ** -float(exponent)
+    except OverflowError:
+        raise InvalidBandwidthError(
+            f"{name} = {exponent!r} makes n ** -{name} overflow at n = {n}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class BandwidthSchedule:
     """Deterministic bandwidth sequences ``alpha_n = c1 n^{-1/5}``,
@@ -115,7 +126,7 @@ class BandwidthSchedule:
     def beta(self, n: int) -> float | None:
         if self.c2 is None:
             return None
-        return self.c2 * float(n) ** -float(self.beta_exponent)
+        return self.c2 * _decay(n, self.beta_exponent, "beta_exponent")
 
 
 @dataclass(frozen=True)
@@ -461,6 +472,18 @@ class EquivalenceCurve:
         return float(np.mean(np.abs(self.diffs) <= self.envelopes))
 
 
+def _scaled_difference(
+    point: tuple[float, float], n: int, schedule: BandwidthSchedule
+) -> Callable[[Sample], float]:
+    """The statistic ``n^{2/5} (f2 - f1)`` at ``point`` of a sample of size
+    ``n``, both estimators with the Epanechnikov kernel and the schedule's
+    bandwidths at ``n``, which are checked here."""
+    config = _resolve_config("F2", schedule.alpha(n), schedule.beta(n), None)
+    t0, z0 = point
+    rate = float(n) ** 0.4
+    return lambda s: rate * (f2(s, config, t0, z0) - f1(s, config, t0, z0))
+
+
 def equivalence_curve(
     scenario: Scenario,
     point: tuple[float, float],
@@ -479,13 +502,14 @@ def equivalence_curve(
     envelope for most sizes.  Both estimators use the Epanechnikov kernel,
     F2 in time and mark.  An empty ``n_grid``, a size that is not a whole
     number of at least 1 and an ``envelope_constant`` that is not finite and
-    positive raise ``ValueError``, and a point no estimate is defined at
-    :class:`SupportError`, before any sample is drawn.
+    positive raise ``ValueError``, a point no estimate is defined at
+    :class:`SupportError`, and an entry the schedule gives no valid
+    bandwidths :class:`InvalidBandwidthError`, before any sample is drawn.
     """
     if schedule.beta_exponent is None:
         raise InvalidBandwidthError("the schedule must include a mark bandwidth")
     # each entry, before a cast could hide a bool or a string
-    entries = list(n_grid) if np.ndim(n_grid) == 1 else []
+    entries = list(n_grid) if _is_real(n_grid, False) and np.ndim(n_grid) == 1 else []
     if not entries or not all(_is_real(v, True) and 1 <= v < np.inf and v == math.floor(v)
                               for v in entries):
         raise ValueError(f"n_grid must hold whole sizes of at least 1, got {n_grid!r}")
@@ -493,15 +517,12 @@ def equivalence_curve(
     _check_bandwidth(envelope_constant, "envelope_constant", ValueError)
     t0, z0 = point
     _checked_points(t0, z0, single=True)
-    diffs = np.empty(n_grid.size)
+    # every entry's bandwidths are checked before the first draw
+    sizes = n_grid.tolist()
+    scaled = [_scaled_difference(point, n, schedule) for n in sizes]
+    diffs = np.array([statistic(sample(scenario, n, seed + i))
+                      for i, (n, statistic) in enumerate(zip(sizes, scaled))])
     envelopes = envelope_constant * n_grid.astype(float) ** (-1.0 / 6.0)
-    for i, n in enumerate(n_grid):
-        n = int(n)
-        config = _resolve_config("F2", schedule.alpha(n), schedule.beta(n), None)
-        s = sample(scenario, n, seed + i)
-        diffs[i] = float(n) ** 0.4 * (
-            f2(s, config, t0, z0) - f1(s, config, t0, z0)
-        )
     return EquivalenceCurve(n_grid=n_grid, diffs=diffs, envelopes=envelopes)
 
 
@@ -527,16 +548,11 @@ def difference_sample(
     _check_count(n, "n", 1, EmptySampleError)
     if schedule.beta_exponent is None:
         raise InvalidBandwidthError("the schedule must include a mark bandwidth")
-    config = _resolve_config("F2", schedule.alpha(n), schedule.beta(n), None)
-    base = mu1_sigma2(scenario, point, schedule.c1, config.kernel_t)
-    shift = mu2(scenario, point, schedule, config.kernel_t) - base.mu1
-    t0, z0 = point
-    rate = float(n) ** 0.4
-
-    values, replicates, failures = _replicate(
-        scenario, n, m, seed,
-        lambda s: rate * (f2(s, config, t0, z0) - f1(s, config, t0, z0)), workers,
-    )
+    statistic = _scaled_difference(point, n, schedule)
+    kt = epanechnikov_kernel()
+    base = mu1_sigma2(scenario, point, schedule.c1, kt)
+    shift = mu2(scenario, point, schedule, kt) - base.mu1
+    values, replicates, failures = _replicate(scenario, n, m, seed, statistic, workers)
     return MonteCarloSummary(values, replicates, failures, mu=shift)
 
 
@@ -604,7 +620,7 @@ def mean_functional(
 def true_mean_event_time(scenario: Scenario) -> float:
     """``E X = int (1 - F0(x, inf)) dx`` over the scenario's support."""
     lo, hi = scenario.support[0]
-    return _quad(lambda x: 1.0 - scenario.marginal_cdf(x), lo, hi)[0]
+    return _quad(lambda x: 1.0 - scenario.cdf(x, np.inf), lo, hi)[0]
 
 
 def efficient_variance(scenario: Scenario) -> float:
@@ -618,7 +634,7 @@ def efficient_variance(scenario: Scenario) -> float:
     lo, hi = scenario.support[0]
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        F, g = scenario.marginal_cdf(t), scenario.g(t)
+        F, g = scenario.cdf(t, np.inf), scenario.g(t)
         num = F * (1.0 - F)
         vanishing = t[(num != 0.0) & (g <= 0.0)]
         if vanishing.size:
@@ -657,7 +673,7 @@ def mc_functional(
     _check_count(n, "n", 1, EmptySampleError)
     _check_count(grid_points, "grid_points", 1)
     _check_finite(alpha_exponent, "alpha_exponent")
-    alpha = float(n) ** -float(alpha_exponent)
+    alpha = _decay(n, alpha_exponent, "alpha_exponent")
     _check_bandwidth(alpha, "alpha")  # before any sample is drawn
     truth = true_mean_event_time(scenario)
     variance = efficient_variance(scenario)

@@ -10,6 +10,21 @@ fits, failed replications) derive from :class:`RuntimeError`.
 
 from __future__ import annotations
 
+__all__ = [
+    "CsmarkError",
+    "InvalidBandwidthError",
+    "DerivativeUnavailableError",
+    "KernelAssumptionError",
+    "SupportError",
+    "EmptySampleError",
+    "BandwidthRegimeError",
+    "UnstableDenominatorError",
+    "DegeneratePilotError",
+    "ReplicationFailureError",
+    "SelectionError",
+    "QuadratureError",
+]
+
 
 class CsmarkError(Exception):
     """Base class for all errors raised by this package."""

@@ -79,7 +79,6 @@ __all__ = [
     "f1_counting",
     "f2",
     "f2_density",
-    "GridValue",
     "evaluate_grid",
     "write_grid_csv",
 ]
@@ -298,7 +297,10 @@ def _is_real(value, single) -> bool:
     one or, unless ``single``, an array or a sequence of them, but not a bool."""
     if isinstance(value, _REAL):
         return type(value) is not bool
-    value = np.asarray(value)
+    try:
+        value = np.asarray(value)
+    except ValueError:  # a ragged sequence
+        return False
     return value.dtype.kind in "fiu" and not (single and value.ndim)
 
 
@@ -584,10 +586,10 @@ def evaluate_grid(
     missing the corresponding columns are left as None rather than failing
     the whole grid.  Points whose denominator is unstable get None everywhere.
     """
+    if not all(_is_real(grid, False) and np.ndim(grid) <= 1 for grid in (t_grid, z_grid)):
+        raise SupportError(f"cannot estimate on the grid {t_grid!r} x {z_grid!r}: "
+                           "its entries must be real numbers, one each")
     t_grid, z_grid = np.atleast_1d(t_grid), np.atleast_1d(z_grid)
-    if t_grid.ndim > 1 or z_grid.ndim > 1:
-        raise SupportError(f"cannot estimate on the grid {t_grid.tolist()} x "
-                           f"{z_grid.tolist()}: its entries must be real numbers, one each")
     kinds: tuple[str, ...] = ("F1",)
     if config.bandwidths.beta is not None:
         kinds += ("F2",)

@@ -40,7 +40,6 @@ import numpy as np
 from .errors import InvalidBandwidthError
 
 __all__ = [
-    "KernelFamily",
     "UnivariateKernel",
     "Bandwidths",
     "KernelValidationReport",

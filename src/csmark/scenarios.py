@@ -53,22 +53,21 @@ class Scenario:
         Bounding box of ``(x, y)``; censoring times share the first range.
     cdf : callable
         Joint distribution function ``F0(x, y)``, defined on all of R^2 by
-        clipping to the box.
+        clipping to the box; ``cdf(x, inf)`` is the event-time marginal.
     d1 : callable
         First partial of ``F0`` in the first argument.
     d11, d22 : callable
         Pure second partials of ``F0``.
-    marginal_cdf : callable
-        ``F0(x, infinity)``, the event-time marginal.
     g, g_prime : callable
         Censoring density and its derivative on the interior.
     draw_xy, draw_t : callable
         Inverse-CDF samplers ``(rng, n) -> arrays`` of length ``n``.  Each
-        call must return new arrays: :func:`sample` takes them over, writes
-        the marks into the buffer of the event times and freezes the
-        censoring times in place.  An array that is not a writeable,
-        C-contiguous float64 array owning its data (a list, a float32 or
-        a read-only array) is copied first and never written to.
+        call must return new arrays: :func:`sample` takes them over, forms
+        the observations through ``_observed`` with the marks written into
+        the buffer of the event times, and freezes the censoring times in
+        place.  An array that is not a writeable, C-contiguous float64
+        array owning its data (a list, a float32 or a read-only array) is
+        copied first and never written to.
     """
 
     name: str
@@ -77,7 +76,6 @@ class Scenario:
     d1: Callable[[np.ndarray, np.ndarray], np.ndarray]
     d11: Callable[[np.ndarray, np.ndarray], np.ndarray]
     d22: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    marginal_cdf: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
     g_prime: Callable[[np.ndarray], np.ndarray]
     draw_xy: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
@@ -219,9 +217,6 @@ def scenario_a() -> Scenario:
     def zero(x, y):
         return np.zeros_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
 
-    def marginal_cdf(x):
-        return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-
     def g(t):
         t = np.asarray(t, dtype=float)
         return np.where(_box(0, 1, t), 1.0, 0.0)
@@ -242,7 +237,6 @@ def scenario_a() -> Scenario:
         d1=d1,
         d11=zero,
         d22=zero,
-        marginal_cdf=marginal_cdf,
         g=g,
         g_prime=g_prime,
         draw_xy=draw_xy,
@@ -277,10 +271,6 @@ def scenario_b() -> Scenario:
     def d22(x, y):
         y = np.asarray(y, dtype=float)
         return np.where(_box(0, 1, y), np.clip(x, 0.0, 1.0), 0.0)
-
-    def marginal_cdf(x):
-        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        return 0.5 * x * (x + 1.0)
 
     def g(t):
         t = np.asarray(t, dtype=float)
@@ -320,7 +310,6 @@ def scenario_b() -> Scenario:
         d1=d1,
         d11=d11,
         d22=d22,
-        marginal_cdf=marginal_cdf,
         g=g,
         g_prime=g_prime,
         draw_xy=draw_xy,
@@ -337,14 +326,18 @@ class _Stack(NamedTuple):
     delta: np.ndarray
 
 
-def _observed(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> _Stack:
+def _observed(
+    x: np.ndarray, y: np.ndarray, t: np.ndarray, marks: np.ndarray | None = None
+) -> _Stack:
     """What is observed of latent pairs ``(x, y)`` inspected at times ``t``,
     arrays of one shape: ``delta = 1{x <= t}`` and the mark ``y`` on
-    uncensored entries, else 0."""
-    delta = (x <= t).astype(np.int64)
+    uncensored entries, else 0.  The marks are written into ``marks``, a
+    float64 array of that shape that may be ``x`` itself, when one is given."""
+    delta = np.less_equal(x, t, out=np.empty(x.shape, np.int64))
     # -delta is all ones bits on uncensored rows and all zero bits (+0.0) on
     # censored ones: np.where(delta == 1, y, 0.0) bit for bit, without a select
-    bits = -delta
+    bits = (np.empty(x.shape) if marks is None else marks).view(np.int64)
+    np.negative(delta, out=bits)
     bits &= np.asarray(y, dtype=float).view(np.int64)
     return _Stack(t, bits.view(float), delta)
 
@@ -374,13 +367,9 @@ def sample(scenario: Scenario, n: int, seed: int) -> Sample:
             raise ValueError(
                 f"{name} must return arrays of length {n}, got shape {a.shape}"
             )
-    delta = np.less_equal(x, t, out=np.empty(n, np.int64))
     # x is dead once delta exists: the marks take its buffer, unless a draw
-    # returned one array twice; as in _observed, -delta masks y's bits
-    bits = (x if x is not y and x is not t else np.empty(n)).view(np.int64)
-    np.negative(delta, out=bits)
-    bits &= y.view(np.int64)
-    z = bits.view(float)
+    # returned one array twice
+    _, z, delta = _observed(x, y, t, x if x is not y and x is not t else None)
     if not (np.isfinite(t.min()) and np.isfinite(t.max())):
         raise ValueError("times must be finite")
     if not (0.0 <= z.min() and z.max() < np.inf):

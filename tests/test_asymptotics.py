@@ -160,7 +160,7 @@ def test_bandwidth_schedule_values_and_validation():
         BandwidthSchedule(c1=0.5, c2=-0.1, beta_exponent=0.2)
 
 
-def test_bandwidth_schedule_rejects_non_finite_constants():
+def test_bandwidth_schedule_rejects_non_finite_constants(monkeypatch):
     for bad in (math.nan, math.inf):
         with pytest.raises(InvalidBandwidthError):
             BandwidthSchedule(c1=bad)
@@ -170,6 +170,20 @@ def test_bandwidth_schedule_rejects_non_finite_constants():
     for bad in (math.nan, math.inf, True, np.True_, "0.2"):
         with pytest.raises(InvalidBandwidthError, match="^beta_exponent must be a finite number"):
             BandwidthSchedule(c1=0.5, c2=0.5, beta_exponent=bad)
+    # a finite exponent whose power n^-beta_exponent overflows, refused by
+    # every driver before its first draw
+    monkeypatch.setattr(asymptotics, "sample", lambda *args: pytest.fail("a sample was drawn"))
+    overflow = "^beta_exponent = -1000 makes n \\*\\* -beta_exponent overflow at n = 100$"
+    with pytest.raises(InvalidBandwidthError, match=overflow):
+        BandwidthSchedule(1, 1, -1000).beta(100)
+    with pytest.raises(InvalidBandwidthError, match=overflow):
+        mc_normality(B, "F2", (0.5, 0.5), 100, 3, seed=0,
+                     schedule=BandwidthSchedule(1, 1, -1000))
+    with pytest.raises(InvalidBandwidthError, match=overflow):
+        difference_sample(B, (0.5, 0.5), 100, 3, BandwidthSchedule(1, 1, -1000), seed=0)
+    with pytest.raises(InvalidBandwidthError, match="^beta_exponent .* at n = 200000$"):
+        equivalence_curve(B, (0.5, 0.5), [400, 200_000], BandwidthSchedule(1, 1, -60),
+                          seed=0)
 
 
 def test_mc_normality_plumbing():
@@ -339,6 +353,9 @@ def test_mc_functional_refuses_its_bandwidth_before_any_sample_is_drawn(monkeypa
     # a finite exponent whose bandwidth n^-exponent underflows to 0
     with pytest.raises(InvalidBandwidthError, match="^alpha must be finite and pos"):
         mc_functional(B, 100, 3, seed=0, alpha_exponent=1000)
+    # and one whose power overflows
+    with pytest.raises(InvalidBandwidthError, match="^alpha_exponent = -1000 makes n"):
+        mc_functional(B, 100, 3, seed=0, alpha_exponent=-1000)
     assert drawn == []
 
 
@@ -646,6 +663,7 @@ def test_equivalence_curve_shape_and_envelope():
     (100, 0.5, 1.5, ValueError),  # not a grid
     ([True, 100], 0.5, 1.5, ValueError),  # not cast to 1
     (["100"], 0.5, 1.5, ValueError),  # not cast to 100
+    ([100, [1, 2]], 0.5, 1.5, ValueError),  # ragged
 ])
 def test_equivalence_curve_rejects_bad_input(
     monkeypatch, n_grid, c, envelope_constant, error
@@ -739,7 +757,7 @@ def test_efficient_variance_values():
     assert efficient_variance(scenario_a()) == pytest.approx(1.0 / 6.0, abs=1e-10)
 
     everything_observed = dataclasses.replace(
-        scenario_a(), marginal_cdf=lambda x: np.ones_like(np.asarray(x, dtype=float))
+        scenario_a(), cdf=lambda x, y: np.ones_like(np.asarray(x, dtype=float))
     )
     assert efficient_variance(everything_observed) == 0.0
 

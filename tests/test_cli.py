@@ -432,6 +432,11 @@ BAD_CONFIGS = [
      "'cell.2.beta' must be positive, got '-0.2'", "value"),
     # marks are smoothed with 'kernel' too; there is no mark-kernel key
     ("estimate-grid", "kernel_z", "uniform", (), "unknown key 'kernel_z'", "key"),
+    # an exponent whose power n^-exponent overflows, refused by the library
+    ("functional", "alpha_exponent", "-1000", (),
+     "alpha_exponent = -1000.0 makes n ** -alpha_exponent overflow at n = 300", None),
+    ("equivalence", "beta_exponent", "-200", (),
+     "beta_exponent = -200.0 makes n ** -beta_exponent overflow at n = 400", None),
 ]
 
 
@@ -543,6 +548,8 @@ LIBRARY_CHECKED = [
     ((), "c1 = 0.5", "pass either fixed bandwidths or a schedule, not both"),
     (("alpha",), "", "a time bandwidth is required"),
     (("alpha",), "c1 = 0.5\nc2 = 0.3", "c2 and beta_exponent must be given together"),
+    (("alpha",), "c1 = 0.5\nc2 = 0.3\nbeta_exponent = -1000",
+     "beta_exponent = -1000.0 makes n ** -beta_exponent overflow at n = 250"),
 ]
 
 

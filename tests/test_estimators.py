@@ -288,7 +288,8 @@ def test_points_with_nan_or_infinite_time_are_rejected(t0, z0):
 
 
 @pytest.mark.parametrize(
-    "bad", [True, np.True_, "0.5", None, Fraction(1, 2), [0.5, 0.6], np.array([0.5, 0.6])]
+    "bad", [True, np.True_, "0.5", None, Fraction(1, 2), [0.5, 0.6], np.array([0.5, 0.6]),
+            [0.5, [1, 2]]]
 )
 @pytest.mark.parametrize("call", ["f1", "f2", "f2_density", "evaluate_grid", "mc_mse",
                                   "BootstrapPlan", "f1_counting", "mu1_sigma2"])

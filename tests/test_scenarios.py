@@ -34,7 +34,7 @@ def test_scenario_a_closed_forms():
     a = scenario_a()
     assert float(a.cdf(0.5, 0.5)) == 0.25
     assert float(a.cdf(0.0, 0.7)) == 0.0
-    assert float(a.marginal_cdf(1.0)) == 1.0
+    assert float(a.cdf(1.0, np.inf)) == 1.0
     assert float(a.g(0.5)) == 1.0
     assert float(a.g_prime(0.5)) == 0.0
 
@@ -48,7 +48,7 @@ def test_scenario_b_closed_forms():
     assert err < 1e-9
     assert abs(mass - float(b.cdf(0.5, 0.5))) < 1e-9
     assert float(b.d11(0.5, 0.5)) == 0.5
-    assert float(b.marginal_cdf(1.0)) == 1.0
+    assert float(b.cdf(1.0, np.inf)) == 1.0
     assert float(b.g(0.3)) == pytest.approx(0.6)
     assert float(b.g_prime(0.3)) == 2.0
     # clipping outside the box
@@ -96,10 +96,10 @@ def test_uncensored_rate_matches_quadrature_oracle():
     integrate = pytest.importorskip("scipy.integrate")
     a, b = scenario_a(), scenario_b()
     p_a, _ = integrate.quad(
-        lambda t: float(a.marginal_cdf(t) * a.g(t)), 0.0, 1.0
+        lambda t: float(a.cdf(t, np.inf) * a.g(t)), 0.0, 1.0
     )
     p_b, _ = integrate.quad(
-        lambda t: float(b.marginal_cdf(t) * b.g(t)), 0.0, 1.0
+        lambda t: float(b.cdf(t, np.inf) * b.g(t)), 0.0, 1.0
     )
     assert abs(p_a - 0.5) < 1e-10
     assert abs(p_b - 7.0 / 12.0) < 1e-10
