@@ -21,8 +21,8 @@ against the limiting normal.
 
 The module also contains the smoothed mean functional ``int x dF0(x, inf)``
 estimated as ``int (1 - f1(x, z_max)) dx`` with the Uniform time kernel and a
-midpoint grid; undersmoothing (time bandwidth shrinking faster than
-``n^{-1/4}``) recovers the root-n rate, and the limiting variance has the
+midpoint grid of 2000 cells; undersmoothing (time bandwidth shrinking faster
+than ``n^{-1/4}``) recovers the root-n rate, and the limiting variance has the
 closed form ``int F (1 - F) / g`` computed by :func:`efficient_variance`.
 Both of the functional's integrals use the Gauss-Legendre rule of
 :mod:`csmark.kernels`, and the KS distance the standard library's normal law.
@@ -47,13 +47,14 @@ from .errors import (
     ReplicationFailureError,
     UnstableDenominatorError,
 )
-from .estimators import EstimatorConfig, _checked_points, _is_real, f1, f2
+from .estimators import EstimatorConfig, _checked_points, f1, f2
 from .kernels import (
     Bandwidths,
     UnivariateKernel,
     _check_bandwidth,
     _check_count,
     _check_finite,
+    _is_real,
     _quad,
     epanechnikov_kernel,
     l2_norm_sq,
@@ -80,6 +81,8 @@ __all__ = [
 ]
 
 MAX_FAILURE_FRACTION = 0.01
+# midpoint cells of [0, 1] that mean_functional integrates over
+_GRID_POINTS = 2000
 # smaller samples replicate serially: threads there lose to the GIL (see _replicate)
 _THREAD_MIN_ROWS = 20_000
 
@@ -352,16 +355,11 @@ def _replicate(
     return raw[replicates], replicates, failures
 
 
-def _resolve_config(
-    estimator: str,
-    alpha: float,
-    beta: float | None,
-    kernel_t: UnivariateKernel | None,
-) -> EstimatorConfig:
+def _resolve_config(estimator: str, alpha: float, beta: float | None) -> EstimatorConfig:
+    """The Epanechnikov config of every driver, with these bandwidths."""
     if estimator not in ("F1", "F2"):
         raise ValueError(f"estimator must be 'F1' or 'F2', got {estimator!r}")
-    kt = kernel_t if kernel_t is not None else epanechnikov_kernel()
-    return EstimatorConfig(kernel_t=kt, bandwidths=Bandwidths(alpha, beta))
+    return EstimatorConfig(epanechnikov_kernel(), Bandwidths(alpha, beta))
 
 
 def mc_normality(
@@ -375,7 +373,6 @@ def mc_normality(
     alpha: float | None = None,
     beta: float | None = None,
     schedule: BandwidthSchedule | None = None,
-    kernel_t: UnivariateKernel | None = None,
     workers: int = 1,
 ) -> MonteCarloSummary:
     """Replicate an estimator and compare with its limiting normal.
@@ -388,9 +385,9 @@ def mc_normality(
 
     Bandwidths come either from ``alpha``/``beta`` directly or from a
     ``schedule`` evaluated at ``n`` (exactly one of the two forms must be
-    used).  The time kernel defaults to Epanechnikov and smooths F2's marks
-    too.  More than 1% failed replications raise
-    :class:`ReplicationFailureError`.
+    used).  The kernel is Epanechnikov, in time and, for F2, in mark, and
+    the reference law takes its constants.  More than 1% failed
+    replications raise :class:`ReplicationFailureError`.
     Threads (``workers``, capped at the usable CPUs) share replications
     only when ``n >= 20_000``; results do not depend on ``workers``.  A
     point or regime the reference law refuses is refused before any draw.
@@ -406,17 +403,15 @@ def mc_normality(
         beta = schedule.beta(n)
     if alpha is None:
         raise InvalidBandwidthError("a time bandwidth is required")
-    kt = kernel_t if kernel_t is not None else epanechnikov_kernel()
-    _resolve_config(estimator, alpha, beta, kt)  # estimator, bandwidth errors first
+    # estimator and bandwidth errors first
+    kt = _resolve_config(estimator, alpha, beta).kernel_t
     c = alpha * float(n) ** 0.2
     params = mu1_sigma2(scenario, point, c, kt)
     mu = params.mu1
     if estimator == "F2" and schedule is not None and schedule.beta_exponent is not None:
         mu = mu2(scenario, point, schedule, kt)
-    errors = mc_mse(
-        scenario, estimator, point, n, m,
-        alpha=alpha, beta=beta, seed=seed, kernel_t=kt, workers=workers,
-    )
+    errors = mc_mse(scenario, estimator, point, n, m,
+                    alpha=alpha, beta=beta, seed=seed, workers=workers)
     return MonteCarloSummary(
         values=float(n) ** 0.4 * errors.values, replicates=errors.replicates,
         failures=errors.failures, mu=mu, sigma2=params.sigma2,
@@ -433,7 +428,6 @@ def mc_mse(
     alpha: float,
     beta: float | None = None,
     seed: int,
-    kernel_t: UnivariateKernel | None = None,
     workers: int = 1,
 ) -> MonteCarloSummary:
     """Monte Carlo mean squared error of an estimator at fixed bandwidths.
@@ -441,13 +435,13 @@ def mc_mse(
     Replication ``r`` uses seed ``seed + r``; ``values`` holds the raw
     (unstandardized) errors ``estimate - F0(point)`` of the successful
     replications, so the summary's ``mse`` is their mean square and
-    ``mse_se`` its sampling standard error.  The time kernel defaults to
-    Epanechnikov and smooths F2's marks too.
+    ``mse_se`` its sampling standard error.  The kernel is Epanechnikov,
+    in time and, for F2, in mark.
     Threads (``workers``, capped at the usable CPUs) share replications
     only when ``n >= 20_000``; results do not depend on ``workers``.
     """
     _check_count(replications, "replications", 2)
-    config = _resolve_config(estimator, alpha, beta, kernel_t)
+    config = _resolve_config(estimator, alpha, beta)
     t0, z0 = point
     _checked_points(t0, z0, single=True)  # before any sample is drawn
     truth = float(scenario.cdf(t0, z0))
@@ -478,7 +472,7 @@ def _scaled_difference(
     """The statistic ``n^{2/5} (f2 - f1)`` at ``point`` of a sample of size
     ``n``, both estimators with the Epanechnikov kernel and the schedule's
     bandwidths at ``n``, which are checked here."""
-    config = _resolve_config("F2", schedule.alpha(n), schedule.beta(n), None)
+    config = _resolve_config("F2", schedule.alpha(n), schedule.beta(n))
     t0, z0 = point
     rate = float(n) ** 0.4
     return lambda s: rate * (f2(s, config, t0, z0) - f1(s, config, t0, z0))
@@ -491,18 +485,16 @@ def equivalence_curve(
     schedule: BandwidthSchedule,
     *,
     seed: int,
-    envelope_constant: float = 1.5,
 ) -> EquivalenceCurve:
     """One realization of the scaled difference per grid sample size.
 
     Entry ``i`` draws a sample of size ``n_grid[i]`` with seed ``seed + i``
     and records ``n^{2/5} (f2 - f1)`` at ``point`` next to the reference
-    envelope ``envelope_constant * n^{-1/6}``; when the mark bandwidth
-    shrinks faster than ``n^{-1/5}`` the differences should sit inside the
-    envelope for most sizes.  Both estimators use the Epanechnikov kernel,
-    F2 in time and mark.  An empty ``n_grid``, a size that is not a whole
-    number of at least 1 and an ``envelope_constant`` that is not finite and
-    positive raise ``ValueError``, a point no estimate is defined at
+    envelope ``1.5 n^{-1/6}``; when the mark bandwidth shrinks faster than
+    ``n^{-1/5}`` the differences should sit inside the envelope for most
+    sizes.  Both estimators use the Epanechnikov kernel, F2 in time and
+    mark.  An empty ``n_grid`` and a size that is not a whole number of at
+    least 1 raise ``ValueError``, a point no estimate is defined at
     :class:`SupportError`, and an entry the schedule gives no valid
     bandwidths :class:`InvalidBandwidthError`, before any sample is drawn.
     """
@@ -514,7 +506,6 @@ def equivalence_curve(
                               for v in entries):
         raise ValueError(f"n_grid must hold whole sizes of at least 1, got {n_grid!r}")
     n_grid = np.array(entries, dtype=float).astype(int)
-    _check_bandwidth(envelope_constant, "envelope_constant", ValueError)
     t0, z0 = point
     _checked_points(t0, z0, single=True)
     # every entry's bandwidths are checked before the first draw
@@ -522,7 +513,7 @@ def equivalence_curve(
     scaled = [_scaled_difference(point, n, schedule) for n in sizes]
     diffs = np.array([statistic(sample(scenario, n, seed + i))
                       for i, (n, statistic) in enumerate(zip(sizes, scaled))])
-    envelopes = envelope_constant * n_grid.astype(float) ** (-1.0 / 6.0)
+    envelopes = 1.5 * n_grid.astype(float) ** (-1.0 / 6.0)
     return EquivalenceCurve(n_grid=n_grid, diffs=diffs, envelopes=envelopes)
 
 
@@ -564,19 +555,17 @@ class MeanFunctionalResult:
     fallback_count: int
 
 
-def mean_functional(
-    s: Sample, alpha: float, grid_points: int = 2000
-) -> MeanFunctionalResult:
+def mean_functional(s: Sample, alpha: float) -> MeanFunctionalResult:
     """Estimate ``int x dF0(x, inf)`` from a current status sample.
 
     Uses the identity ``E X = int_0^1 (1 - F0(x, inf)) dx`` with the
     distribution replaced by the singly-smoothed estimator at mark infinity
     and the Uniform time kernel, integrated by a composite midpoint rule on
-    ``grid_points`` cells of [0, 1].  With the Uniform kernel the estimator
-    at grid point ``x`` is the fraction of uncensored observations among
-    those with ``|t_i - x| <= alpha``, which is computed for all grid points
-    at once by binary search in the sorted censoring times, once among all
-    of them and once among the uncensored ones.
+    2000 cells of [0, 1].  With the Uniform kernel the estimator at grid
+    point ``x`` is the fraction of uncensored observations among those with
+    ``|t_i - x| <= alpha``, which is computed for all grid points at once by
+    binary search in the sorted censoring times, once among all of them and
+    once among the uncensored ones.
 
     Grid points with no censoring time within ``alpha`` borrow the value of
     the nearest evaluable grid point (ties resolve to the left);
@@ -584,10 +573,9 @@ def mean_functional(
     evaluable, :class:`UnstableDenominatorError` is raised.
     """
     _check_bandwidth(alpha, "alpha")
-    _check_count(grid_points, "grid_points", 1)
     ts = np.sort(s.t)
     tu = np.sort(s.t[s.delta == 1])
-    x = (np.arange(grid_points) + 0.5) / grid_points
+    x = (np.arange(_GRID_POINTS) + 0.5) / _GRID_POINTS
     left, right = x - alpha, x + alpha
     den = np.searchsorted(ts, right, "right") - np.searchsorted(ts, left, "left")
     good = den > 0
@@ -597,7 +585,7 @@ def mean_functional(
             g_value=0.0,
         )
     num = np.searchsorted(tu, right, "right") - np.searchsorted(tu, left, "left")
-    fx = np.empty(grid_points)
+    fx = np.empty(_GRID_POINTS)
     fx[good] = num[good] / den[good]
     fallback = int(np.count_nonzero(~good))
     if fallback:
@@ -657,7 +645,6 @@ def mc_functional(
     *,
     alpha_exponent: float = 1.0 / 3.0,
     seed: int,
-    grid_points: int = 2000,
     workers: int = 1,
 ) -> MonteCarloSummary:
     """Replicate ``sqrt(n) (mean_functional - E X)``.
@@ -665,13 +652,13 @@ def mc_functional(
     The time bandwidth is ``n^{-alpha_exponent}``; exponents above 1/4
     undersmooth enough for the centered statistic to stabilize at the
     efficient variance, while the pointwise-optimal 1/5 leaves a visible
-    bias.  The summary's ``sigma2`` records :func:`efficient_variance`,
-    computed before any sample is drawn.
+    bias.  :func:`mean_functional` integrates over its fixed grid of 2000
+    midpoint cells.  The summary's ``sigma2`` records
+    :func:`efficient_variance`, computed before any sample is drawn.
     Threads (``workers``, capped at the usable CPUs) share replications
     only when ``n >= 20_000``; results do not depend on ``workers``.
     """
     _check_count(n, "n", 1, EmptySampleError)
-    _check_count(grid_points, "grid_points", 1)
     _check_finite(alpha_exponent, "alpha_exponent")
     alpha = _decay(n, alpha_exponent, "alpha_exponent")
     _check_bandwidth(alpha, "alpha")  # before any sample is drawn
@@ -682,7 +669,7 @@ def mc_functional(
     # mean_functional is looked up at call time, where perfbench/tracing.py wraps it
     values, replicates, failures = _replicate(
         scenario, n, m, seed,
-        lambda s: root_n * (mean_functional(s, alpha, grid_points).value - truth),
+        lambda s: root_n * (mean_functional(s, alpha).value - truth),
         workers,
     )
     return MonteCarloSummary(values, replicates, failures, sigma2=variance)

@@ -33,7 +33,7 @@ from .asymptotics import mc_mse, mc_normality, true_mean_event_time
 from .bandwidth import BootstrapPlan, bootstrap_mse, select
 from .errors import CsmarkError
 from .estimators import EstimatorConfig, evaluate_grid, write_grid_csv
-from .kernels import Bandwidths, epanechnikov_kernel, uniform_kernel
+from .kernels import Bandwidths, epanechnikov_kernel
 from .scenarios import _write_csv, sample, scenario_a, scenario_b
 
 __all__ = ["main"]
@@ -135,11 +135,6 @@ _WHAT = {int: "an integer", _finite: "a number", _positive: "a number",
          _positives: "comma-separated numbers"}
 
 
-def _kernel(name: str):
-    # looked up per call, so a kernel factory patched on this module is used
-    return {"epanechnikov": epanechnikov_kernel, "uniform": uniform_kernel}[name]()
-
-
 @dataclass(frozen=True)
 class _Key:
     """One config key.  ``default`` is config text, parsed like a value from
@@ -177,8 +172,8 @@ class _Key:
         return value
 
 
-def _optional(name: str, default: str | None = None, parse=_finite, **checks) -> _Key:
-    return _Key(name, parse, required=False, default=default, **checks)
+def _optional(name: str, default: str | None = None, parse=_finite) -> _Key:
+    return _Key(name, parse, required=False, default=default)
 
 
 _SEED = _Key("seed", int, minimum=0)
@@ -187,8 +182,6 @@ _N, _M = _Key("n", int, minimum=1), _Key("m", int, minimum=2)
 _T0, _Z0 = _Key("t0"), _Key("z0", _mark)
 _ALPHA, _BETA = _Key("alpha", _positive), _optional("beta", parse=_positive)
 _ESTIMATOR = _Key("estimator", str, choices=("F1", "F2"))
-_KERNEL = _optional("kernel", "epanechnikov", _kernel,
-                    choices=("epanechnikov", "uniform"))
 _REPLICATIONS = _Key("replications", int, minimum=2)
 # one mc-mse run, in the order of a table1 cell's fields and of its CSV row
 _MSE_CELL = (_T0, _Z0, _N, _ESTIMATOR, _ALPHA, _BETA)
@@ -286,9 +279,10 @@ def _simulate(run: _Run, scenario, n) -> None:
 
 
 @_command("estimate-grid", _SCENARIO, _N, _ALPHA, _BETA, _Key("t_grid", _floats),
-          _Key("z_grid", _floats), _KERNEL)
-def _estimate_grid(run: _Run, scenario, n, alpha, beta, t_grid, z_grid, kernel) -> None:
-    config = EstimatorConfig(kernel, Bandwidths(alpha, beta))
+          _Key("z_grid", _floats))
+def _estimate_grid(run: _Run, scenario, n, alpha, beta, t_grid, z_grid) -> None:
+    # looked up per call, so a kernel factory patched on this module is used
+    config = EstimatorConfig(epanechnikov_kernel(), Bandwidths(alpha, beta))
     s = sample(scenario, n, run.seed)
     rows = evaluate_grid(s, config, np.array(t_grid), np.array(z_grid))
     write_grid_csv(rows, run.path("grid.csv"))
@@ -296,13 +290,12 @@ def _estimate_grid(run: _Run, scenario, n, alpha, beta, t_grid, z_grid, kernel) 
 
 @_command("mc-normality", _SCENARIO, _ESTIMATOR, _T0, _Z0, _N, _M,
           _optional("alpha", parse=_positive), _BETA, _optional("c1", parse=_positive),
-          _optional("c2", parse=_positive), _optional("beta_exponent"), _KERNEL)
+          _optional("c2", parse=_positive), _optional("beta_exponent"))
 def _mc_normality(run: _Run, scenario, estimator, t0, z0, n, m, alpha, beta, c1, c2,
-                  beta_exponent, kernel) -> None:
+                  beta_exponent) -> None:
     schedule = None if c1 is None else BandwidthSchedule(c1, c2, beta_exponent)
     summary = mc_normality(scenario, estimator, (t0, z0), n, m, seed=run.seed,
-                           alpha=alpha, beta=beta, schedule=schedule, kernel_t=kernel,
-                           workers=run.threads)
+                           alpha=alpha, beta=beta, schedule=schedule, workers=run.threads)
     _write_csv(run.path("values.csv"), ["replicate", "statistic"],
                zip(summary.replicates, summary.values))
     run.write_json("summary.json", {
@@ -332,22 +325,19 @@ def _table1(run: _Run, scenario, replications, cells) -> None:
 
 @_command("equivalence", _SCENARIO, _T0, _Z0, _Key("c1", _positive),
           _Key("c2", _positive), _Key("beta_exponent"),
-          _Key("n_grid", _ints, minimum=1), _optional("envelope_constant", "1.5", _positive))
-def _equivalence(run: _Run, scenario, t0, z0, c1, c2, beta_exponent, n_grid,
-                 envelope_constant) -> None:
+          _Key("n_grid", _ints, minimum=1))
+def _equivalence(run: _Run, scenario, t0, z0, c1, c2, beta_exponent, n_grid) -> None:
     schedule = BandwidthSchedule(c1, c2, beta_exponent)
-    curve = equivalence_curve(scenario, (t0, z0), np.array(n_grid), schedule,
-                              seed=run.seed, envelope_constant=envelope_constant)
+    curve = equivalence_curve(scenario, (t0, z0), np.array(n_grid), schedule, seed=run.seed)
     _write_csv(run.path("equivalence.csv"), ["n", "diff", "envelope"],
                zip(curve.n_grid, curve.diffs, curve.envelopes))
     run.write_json("summary.json", {"fraction_inside": curve.fraction_inside()})
 
 
-@_command("functional", _SCENARIO, _N, _M, _optional("alpha_exponent", repr(1.0 / 3.0)),
-          _optional("grid_points", "2000", int, minimum=1))
-def _functional(run: _Run, scenario, n, m, alpha_exponent, grid_points) -> None:
+@_command("functional", _SCENARIO, _N, _M, _optional("alpha_exponent", repr(1.0 / 3.0)))
+def _functional(run: _Run, scenario, n, m, alpha_exponent) -> None:
     summary = mc_functional(scenario, n, m, alpha_exponent=alpha_exponent,
-                            seed=run.seed, grid_points=grid_points, workers=run.threads)
+                            seed=run.seed, workers=run.threads)
     _write_csv(run.path("values.csv"), ["replicate", "statistic"],
                zip(summary.replicates, summary.values))
     run.write_json("summary.json", {

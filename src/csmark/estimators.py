@@ -62,10 +62,10 @@ from .kernels import (  # noqa: F401
     Bandwidths,
     KernelFamily,
     UnivariateKernel,
-    _REAL,
     _check_bandwidth,
     _epanechnikov_deriv_bounds,
     _epanechnikov_pdf_bounds,
+    _is_real,
     _support_window,
     epanechnikov_kernel,
     eval_rescaled,
@@ -290,18 +290,6 @@ def _kernel_sums(sample, config, t, z, alpha, beta, terms, row=None) -> list[np.
     n = sample.t.shape[-1]
     path = _run_sums if t.size == 1 or _CHUNK_BUDGET // n // 8 <= 1 else _batch_sums
     return path(kt, sample, t, z, alpha, beta if marked else None, terms, row)
-
-
-def _is_real(value, single) -> bool:
-    """Whether ``value`` is a float, an int or a numpy real, a 0-d array of
-    one or, unless ``single``, an array or a sequence of them, but not a bool."""
-    if isinstance(value, _REAL):
-        return type(value) is not bool
-    try:
-        value = np.asarray(value)
-    except ValueError:  # a ragged sequence
-        return False
-    return value.dtype.kind in "fiu" and not (single and value.ndim)
 
 
 def _checked_points(t, z, single=False) -> tuple[np.ndarray, np.ndarray]:

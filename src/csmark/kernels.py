@@ -219,22 +219,40 @@ def custom_kernel(
 _REAL = (float, int, np.floating, np.integer)
 
 
+def _is_real(value, single) -> bool:
+    """Whether ``value`` is a float, an int or a numpy real, a 0-d array of
+    one or, unless ``single``, an array or a sequence of them, but not a bool
+    and not a Python int too large for a float."""
+    if isinstance(value, _REAL):
+        try:
+            float(value)
+        except OverflowError:
+            return False
+        return type(value) is not bool
+    try:
+        value = np.asarray(value)
+    except ValueError:  # a ragged sequence
+        return False
+    return value.dtype.kind in "fiu" and not (single and value.ndim)
+
+
 def _check_bandwidth(value, name: str, error: type = InvalidBandwidthError) -> None:
-    """Raise ``error`` naming ``name`` unless ``value``, a float, an int or a
-    numpy real, or an array of them, but not a bool, is finite and strictly
+    """Raise ``error`` naming ``name`` unless ``value``, a number as
+    :func:`_is_real` takes one or an array of them, is finite and strictly
     positive throughout."""
     # the chained comparison is False for NaN, inf and nonpositive values
     if isinstance(value, np.ndarray):
         ok = value.dtype.kind in "fiu" and bool(np.all((0.0 < value) & (value < np.inf)))
     else:
-        ok = isinstance(value, _REAL) and type(value) is not bool and 0.0 < value < np.inf
+        ok = _is_real(value, True) and 0.0 < value < np.inf
     if not ok:
         raise error(f"{name} must be finite and positive, got {value!r}")
 
 
 def _check_finite(value, name: str) -> None:
-    """Raise InvalidBandwidthError naming ``name`` unless ``value`` is a finite number."""
-    if not (isinstance(value, _REAL) and type(value) is not bool and math.isfinite(value)):
+    """Raise InvalidBandwidthError naming ``name`` unless ``value`` is a finite
+    number as :func:`_is_real` takes one."""
+    if not (_is_real(value, True) and math.isfinite(value)):
         raise InvalidBandwidthError(f"{name} must be a finite number, got {value!r}")
 
 

@@ -167,7 +167,7 @@ def test_bandwidth_schedule_rejects_non_finite_constants(monkeypatch):
         with pytest.raises(InvalidBandwidthError):
             BandwidthSchedule(c1=0.5, c2=bad, beta_exponent=0.2)
     # a bool or a string is not an exponent, as it is not a bandwidth
-    for bad in (math.nan, math.inf, True, np.True_, "0.2"):
+    for bad in (math.nan, math.inf, True, np.True_, "0.2", 10**400):
         with pytest.raises(InvalidBandwidthError, match="^beta_exponent must be a finite number"):
             BandwidthSchedule(c1=0.5, c2=0.5, beta_exponent=bad)
     # a finite exponent whose power n^-beta_exponent overflows, refused by
@@ -249,15 +249,15 @@ def test_ks_distance_matches_scipy(values, mu, sigma):
 
 
 def test_driver_and_bootstrap_parameters_are_pinned():
-    """Kernels, g_floor, the box and the envelope safety are fixed, not options."""
+    """Kernels, g_floor, the box, the envelope safety, the equivalence
+    envelope's constant and the mean functional's grid are fixed, not options."""
     expected = {
-        mc_normality: "scenario estimator point n m seed alpha beta schedule kernel_t "
-        "workers",
-        mc_mse: "scenario estimator point n replications alpha beta seed kernel_t "
-        "workers",
-        equivalence_curve: "scenario point n_grid schedule seed envelope_constant",
+        mc_normality: "scenario estimator point n m seed alpha beta schedule workers",
+        mc_mse: "scenario estimator point n replications alpha beta seed workers",
+        equivalence_curve: "scenario point n_grid schedule seed",
         difference_sample: "scenario point n m schedule seed workers",
-        mc_functional: "scenario n m alpha_exponent seed grid_points workers",
+        mean_functional: "s alpha",
+        mc_functional: "scenario n m alpha_exponent seed workers",
         bootstrap_mse: "sample_ plan true_value",
         fit_pilot: "sample_ alpha0 beta0",
         PilotModel: "sample_ config",
@@ -296,8 +296,7 @@ def test_public_names_are_pinned():
 
 def test_finite_positive_checks_name_their_parameter():
     """Bandwidths and the constants that scale them share one check, whose
-    message names the parameter; g_floor and envelope_constant keep
-    raising a plain ValueError."""
+    message names the parameter; g_floor keeps raising a plain ValueError."""
     s = sample(B, 50, 1)
     schedule = BandwidthSchedule(0.5, 0.5, 0.3)
     plan = dict(alpha0=0.4, beta0=0.4, replications=2, alpha_grid=(0.2,),
@@ -333,9 +332,13 @@ def test_finite_positive_checks_name_their_parameter():
         ("beta_grid", InvalidBandwidthError,
          lambda: BootstrapPlan(**{**plan, "beta_grid": (math.nan,)})),
         ("g_floor", ValueError, lambda: EstimatorConfig(g_floor=0.0)),
-        ("envelope_constant", ValueError,
-         lambda: equivalence_curve(B, (0.5, 0.5), [400], schedule, seed=0,
-                                   envelope_constant=-1.0)),
+        # a Python int too large for a float is no number either
+        ("alpha", InvalidBandwidthError, lambda: Bandwidths(10**400)),
+        ("alpha0", InvalidBandwidthError,
+         lambda: BootstrapPlan(**{**plan, "alpha0": 10**400})),
+        ("c", InvalidBandwidthError, lambda: mu1_sigma2(B, (0.5, 0.5), 10**400, EPA)),
+        ("alpha", InvalidBandwidthError, lambda: mean_functional(s, 10**400)),
+        ("g_floor", ValueError, lambda: EstimatorConfig(g_floor=10**400)),
     ]
     for name, error, call in cases:
         with pytest.raises(ValueError) as exc:
@@ -347,7 +350,7 @@ def test_finite_positive_checks_name_their_parameter():
 def test_mc_functional_refuses_its_bandwidth_before_any_sample_is_drawn(monkeypatch):
     drawn = []
     monkeypatch.setattr(asymptotics, "sample", lambda *args: drawn.append(args))
-    for exponent in (math.nan, math.inf, -math.inf, True, "0.3"):
+    for exponent in (math.nan, math.inf, -math.inf, True, "0.3", 10**400):
         with pytest.raises(InvalidBandwidthError, match="^alpha_exponent must be a finite number"):
             mc_functional(B, 100, 3, seed=0, alpha_exponent=exponent)
     # a finite exponent whose bandwidth n^-exponent underflows to 0
@@ -360,8 +363,7 @@ def test_mc_functional_refuses_its_bandwidth_before_any_sample_is_drawn(monkeypa
 
 
 def test_counts_are_checked_before_any_sample_is_drawn(monkeypatch):
-    """Sizes, seeds, replication and worker counts and grid sizes share one
-    check, whose ValueError names the parameter; the drivers make it before
+    """Sizes, seeds, and replication and worker counts share one check, whose ValueError names the parameter; the drivers make it before
     they draw a sample."""
     s = sample(B, 50, 1)
     schedule = BandwidthSchedule(0.5, 0.5, 0.3)
@@ -386,8 +388,6 @@ def test_counts_are_checked_before_any_sample_is_drawn(monkeypatch):
         # n is checked before the schedule is evaluated at it
         ("n", lambda: difference_sample(B, (0.5, 0.5), 0, 10, schedule, seed=0)),
         ("n", lambda: difference_sample(B, (0.5, 0.5), -3, 10, schedule, seed=0)),
-        ("grid_points", lambda: mean_functional(s, 0.2, grid_points=math.nan)),
-        ("grid_points", lambda: mc_functional(B, 100, 3, seed=0, grid_points=math.nan)),
         ("n", lambda: mc_functional(B, 0, 3, seed=0)),
         ("n", lambda: mc_functional(B, -5, 3, seed=0)),
         ("replications", lambda: BootstrapPlan(**plan)),
@@ -648,36 +648,27 @@ def test_equivalence_curve_shape_and_envelope():
     assert 0.0 <= curve.fraction_inside() <= 1.0
 
 
-@pytest.mark.parametrize("n_grid,c,envelope_constant,error", [
-    ([500], None, 1.5, InvalidBandwidthError),  # no mark bandwidth
-    ([], 0.5, 1.5, ValueError),
-    ([0], 0.5, 1.5, ValueError),
-    ([500, -3], 0.5, 1.5, ValueError),
-    ([500], 0.5, math.nan, ValueError),
-    ([500], 0.5, -1.0, ValueError),
-    ([500], 0.5, 0.0, ValueError),
-    ([500], 0.5, math.inf, ValueError),
-    ([400, 9.5], 0.5, 1.5, ValueError),  # not cast to 9
-    ([500, math.nan], 0.5, 1.5, ValueError),
-    ([500, math.inf], 0.5, 1.5, ValueError),
-    (100, 0.5, 1.5, ValueError),  # not a grid
-    ([True, 100], 0.5, 1.5, ValueError),  # not cast to 1
-    (["100"], 0.5, 1.5, ValueError),  # not cast to 100
-    ([100, [1, 2]], 0.5, 1.5, ValueError),  # ragged
+@pytest.mark.parametrize("n_grid,c,error", [
+    ([500], None, InvalidBandwidthError),  # no mark bandwidth
+    ([], 0.5, ValueError),
+    ([0], 0.5, ValueError),
+    ([500, -3], 0.5, ValueError),
+    ([400, 9.5], 0.5, ValueError),  # not cast to 9
+    ([500, math.nan], 0.5, ValueError),
+    ([500, math.inf], 0.5, ValueError),
+    (100, 0.5, ValueError),  # not a grid
+    ([True, 100], 0.5, ValueError),  # not cast to 1
+    (["100"], 0.5, ValueError),  # not cast to 100
+    ([100, [1, 2]], 0.5, ValueError),  # ragged
 ])
-def test_equivalence_curve_rejects_bad_input(
-    monkeypatch, n_grid, c, envelope_constant, error
-):
+def test_equivalence_curve_rejects_bad_input(monkeypatch, n_grid, c, error):
     def no_draws(*args):
         raise AssertionError("a sample was drawn")
 
     monkeypatch.setattr(asymptotics, "sample", no_draws)
     sched = BandwidthSchedule(c1=0.7, c2=c, beta_exponent=None if c is None else 0.45)
-    name = "envelope_constant" if envelope_constant != 1.5 else "n_grid" if c else "schedule"
-    with pytest.raises(error, match=name):
-        equivalence_curve(
-            B, (0.5, 0.5), n_grid, sched, seed=3, envelope_constant=envelope_constant
-        )
+    with pytest.raises(error, match="n_grid" if c else "schedule"):
+        equivalence_curve(B, (0.5, 0.5), n_grid, sched, seed=3)
 
 
 def test_difference_shrinks_when_mark_bandwidth_decays_fast():
@@ -704,14 +695,14 @@ def test_mean_functional_zero_for_fully_uncensored_sample():
         z=np.full(n, 0.5),
         delta=np.ones(n, dtype=int),
     )
-    detail = mean_functional(s, 0.2, grid_points=100)
+    detail = mean_functional(s, 0.2)
     assert detail.value == 0.0
     assert detail.fallback_count == 0
 
 
 def test_mean_functional_equals_counting_average():
     s = sample(B, 120, 17)
-    alpha, grid_points = 0.3, 8
+    alpha, grid_points = 0.3, 2000
     config = EstimatorConfig(kernel_t=uniform_kernel(), bandwidths=Bandwidths(alpha))
     z_top = float(s.z.max()) + 1.0
     manual = np.mean(
@@ -720,24 +711,22 @@ def test_mean_functional_equals_counting_average():
             for i in range(grid_points)
         ]
     )
-    assert abs(mean_functional(s, alpha, grid_points).value - manual) < 1e-15
+    assert abs(mean_functional(s, alpha).value - manual) < 1e-15
 
 
 def test_mean_functional_fallback_and_errors():
     rng = np.random.default_rng(8)
     t = rng.uniform(0.45, 0.55, 30)
     s = Sample(t=t, z=np.zeros(30), delta=np.zeros(30, dtype=int))
-    detail = mean_functional(s, 0.03, grid_points=50)
+    detail = mean_functional(s, 0.03)
     assert detail.fallback_count > 0
     assert 0.0 <= detail.value <= 1.0
 
     isolated = Sample(t=np.array([0.5, 0.5]), z=np.zeros(2), delta=np.zeros(2, dtype=int))
     with pytest.raises(UnstableDenominatorError):
-        mean_functional(isolated, 1e-6, grid_points=2000)
+        mean_functional(isolated, 1e-6)
     with pytest.raises(InvalidBandwidthError):
         mean_functional(s, -0.1)
-    with pytest.raises(ValueError):
-        mean_functional(s, 0.1, grid_points=0)
 
 
 def test_mean_functional_single_sample_accuracy():

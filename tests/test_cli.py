@@ -241,8 +241,7 @@ def test_equivalence_command(tmp_path):
 
 def test_functional_command(tmp_path):
     text = (
-        "kind = functional\nscenario = B\nn = 300\nm = 6\n"
-        "grid_points = 400\nseed = 3\n"
+        "kind = functional\nscenario = B\nn = 300\nm = 6\nseed = 3\n"
     )
     code, outdir = run(tmp_path, "functional", text)
     assert code == 0
@@ -356,7 +355,6 @@ BAD_CONFIGS = [
     ("simulate", "n", "five", (), "'n' must be an integer, got 'five'", "value"),
     ("simulate", "n", "0", (), "'n' must be >= 1, got 0", "value"),
     ("mc-normality", "m", "1", (), "'m' must be >= 2, got 1", "value"),
-    ("functional", "grid_points", "0", (), "'grid_points' must be >= 1, got 0", "value"),
     ("mc-mse", "t0", "abc", (), "'t0' must be a number, got 'abc'", "value"),
     ("estimate-grid", "t_grid", "0.3, x", (),
      "'t_grid' must be comma-separated numbers, got '0.3, x'", "value"),
@@ -373,8 +371,6 @@ BAD_CONFIGS = [
      "value"),
     ("mc-mse", "estimator", "F3", (), "'estimator' must be one of ['F1', 'F2'], got 'F3'",
      "value"),
-    ("estimate-grid", "kernel", "gauss", (),
-     "'kernel' must be one of ['epanechnikov', 'uniform'], got 'gauss'", "value"),
     ("bw-select", "compare_truth", "treu", (),
      "'compare_truth' must be one of 1/0/true/false/yes/no, got 'treu'", "value"),
     ("estimate-grid", "t_grid", None, (), "missing required key 't_grid'", None),
@@ -401,8 +397,6 @@ BAD_CONFIGS = [
     ("mc-mse", "z0", "nan", (), "'z0' must be finite or inf, got 'nan'", "value"),
     ("mc-normality", "z0", "-inf", (), "'z0' must be finite or inf, got '-inf'",
      "value"),
-    ("equivalence", "envelope_constant", "nan", (),
-     "'envelope_constant' must be finite, got 'nan'", "value"),
     ("estimate-grid", "z_grid", "0.5, inf", (),
      "'z_grid' must be finite, got '0.5, inf'", "value"),
     ("bw-select", "alpha0", "inf", (), "'alpha0' must be finite, got 'inf'", "value"),
@@ -418,8 +412,6 @@ BAD_CONFIGS = [
     ("estimate-grid", "beta", "0", (), "'beta' must be positive, got '0'", "value"),
     ("mc-normality", "c1", "-1", (), "'c1' must be positive, got '-1'", "value"),
     ("equivalence", "c2", "0", (), "'c2' must be positive, got '0'", "value"),
-    ("equivalence", "envelope_constant", "-1", (),
-     "'envelope_constant' must be positive, got '-1'", "value"),
     ("bw-select", "alpha0", "0", (), "'alpha0' must be positive, got '0'", "value"),
     ("bw-select", "beta0", "-0.4", (), "'beta0' must be positive, got '-0.4'", "value"),
     ("bw-select", "alpha_grid", "0.2, -0.1", (),
@@ -430,8 +422,12 @@ BAD_CONFIGS = [
      "'cell.2.alpha' must be positive, got '0'", "value"),
     ("table1", "cell.2", "0.4, 0.4, 80, F2, 0.25, -0.2", (),
      "'cell.2.beta' must be positive, got '-0.2'", "value"),
-    # marks are smoothed with 'kernel' too; there is no mark-kernel key
+    # the kernel, the envelope's constant and the functional's grid are fixed
     ("estimate-grid", "kernel_z", "uniform", (), "unknown key 'kernel_z'", "key"),
+    ("estimate-grid", "kernel", "uniform", (), "unknown key 'kernel'", "key"),
+    ("mc-normality", "kernel", "uniform", (), "unknown key 'kernel'", "key"),
+    ("equivalence", "envelope_constant", "2", (), "unknown key 'envelope_constant'", "key"),
+    ("functional", "grid_points", "400", (), "unknown key 'grid_points'", "key"),
     # an exponent whose power n^-exponent overflows, refused by the library
     ("functional", "alpha_exponent", "-1000", (),
      "alpha_exponent = -1000.0 makes n ** -alpha_exponent overflow at n = 300", None),
@@ -583,7 +579,7 @@ def test_help_lists_each_commands_keys(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "required: seed, scenario, n, alpha, t_grid, z_grid" in out
-    assert "  optional: beta, kernel = epanechnikov\n" in out
+    assert "  optional: beta\n" in out
     with pytest.raises(SystemExit):
         main(["table1", "--help"])
     assert "cell.<i> = t0,z0,n,estimator,alpha[,beta]" in capsys.readouterr().out
@@ -643,7 +639,7 @@ _CONFIGS = {
                  "alpha_grid = 0.25, 0.45\nbeta_grid = 0.3\nseed = 6\n",
     "mc-normality": "scenario = B\nestimator = F1\nt0 = 0.5\nz0 = 0.5\nn = 100\n"
                     "m = 4\nalpha = 0.25\nseed = 1\n",
-    "functional": "scenario = B\nn = 100\nm = 3\ngrid_points = 50\nseed = 3\n",
+    "functional": "scenario = B\nn = 100\nm = 3\nseed = 3\n",
 }
 
 # makes scipy unimportable, then runs each command and the library's
