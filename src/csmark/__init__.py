@@ -15,10 +15,12 @@ from .kernels import *
 from .scenarios import *
 from .estimators import *
 from .asymptotics import *
+from .pilot import *
 from .bandwidth import *
-from . import asymptotics, bandwidth, errors, estimators, kernels, scenarios
+from . import asymptotics, bandwidth, errors, estimators, kernels, pilot, scenarios
 
 __version__ = "0.1.0"
 
 __all__ = ["__version__", *errors.__all__, *kernels.__all__, *scenarios.__all__,
-           *estimators.__all__, *asymptotics.__all__, *bandwidth.__all__]
+           *estimators.__all__, *asymptotics.__all__, *pilot.__all__,
+           *bandwidth.__all__]

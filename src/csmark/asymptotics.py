@@ -47,7 +47,7 @@ from .errors import (
     ReplicationFailureError,
     UnstableDenominatorError,
 )
-from .estimators import EstimatorConfig, _checked_points, f1, f2
+from .estimators import EstimatorConfig, _checked_pair, f1, f2
 from .kernels import (
     Bandwidths,
     UnivariateKernel,
@@ -158,17 +158,17 @@ def mu1_sigma2(
     scenario : Scenario
         Supplies ``F0``, its partials and the censoring density.
     point : (t0, z0)
-        Interior evaluation point with ``g(t0) > 0``; a NaN ``t0`` or
-        ``z0`` or an infinite ``t0`` raises :class:`SupportError`, and
-        ``z0 = inf`` gives the constants of the marginal in ``t``.
+        Interior evaluation point with ``g(t0) > 0``; a point that is not
+        a pair, a NaN ``t0`` or ``z0`` or an infinite ``t0`` raises
+        :class:`SupportError`, and ``z0 = inf`` gives the constants of the
+        marginal in ``t``.
     c : float
         Bandwidth constant in ``alpha = c n^{-1/5}``.
     kernel : UnivariateKernel
         The time-direction kernel.
     """
     _check_bandwidth(c, "c")
-    t0, z0 = point
-    _checked_points(t0, z0, single=True)
+    t0, z0 = _checked_pair(point)
     g0 = float(scenario.g(t0))
     if g0 <= 0.0:
         raise UnstableDenominatorError(
@@ -356,9 +356,12 @@ def _replicate(
 
 
 def _resolve_config(estimator: str, alpha: float, beta: float | None) -> EstimatorConfig:
-    """The Epanechnikov config of every driver, with these bandwidths."""
+    """The Epanechnikov config of every driver, with these bandwidths; F2
+    needs ``beta``."""
     if estimator not in ("F1", "F2"):
         raise ValueError(f"estimator must be 'F1' or 'F2', got {estimator!r}")
+    if estimator == "F2" and beta is None:
+        raise InvalidBandwidthError("estimator 'F2' needs a mark bandwidth (beta)")
     return EstimatorConfig(epanechnikov_kernel(), Bandwidths(alpha, beta))
 
 
@@ -436,14 +439,14 @@ def mc_mse(
     (unstandardized) errors ``estimate - F0(point)`` of the successful
     replications, so the summary's ``mse`` is their mean square and
     ``mse_se`` its sampling standard error.  The kernel is Epanechnikov,
-    in time and, for F2, in mark.
+    in time and, for F2, in mark.  An F2 without ``beta`` and a point that
+    is not a pair of numbers are refused before any sample is drawn.
     Threads (``workers``, capped at the usable CPUs) share replications
     only when ``n >= 20_000``; results do not depend on ``workers``.
     """
     _check_count(replications, "replications", 2)
     config = _resolve_config(estimator, alpha, beta)
-    t0, z0 = point
-    _checked_points(t0, z0, single=True)  # before any sample is drawn
+    t0, z0 = _checked_pair(point)  # before any sample is drawn
     truth = float(scenario.cdf(t0, z0))
     est = f1 if estimator == "F1" else f2
 
@@ -473,7 +476,7 @@ def _scaled_difference(
     ``n``, both estimators with the Epanechnikov kernel and the schedule's
     bandwidths at ``n``, which are checked here."""
     config = _resolve_config("F2", schedule.alpha(n), schedule.beta(n))
-    t0, z0 = point
+    t0, z0 = _checked_pair(point)
     rate = float(n) ** 0.4
     return lambda s: rate * (f2(s, config, t0, z0) - f1(s, config, t0, z0))
 
@@ -506,9 +509,7 @@ def equivalence_curve(
                               for v in entries):
         raise ValueError(f"n_grid must hold whole sizes of at least 1, got {n_grid!r}")
     n_grid = np.array(entries, dtype=float).astype(int)
-    t0, z0 = point
-    _checked_points(t0, z0, single=True)
-    # every entry's bandwidths are checked before the first draw
+    # every entry's bandwidths, and the point, are checked before the first draw
     sizes = n_grid.tolist()
     scaled = [_scaled_difference(point, n, schedule) for n in sizes]
     diffs = np.array([statistic(sample(scenario, n, seed + i))
@@ -537,8 +538,6 @@ def difference_sample(
     only when ``n >= 20_000``; results do not depend on ``workers``.
     """
     _check_count(n, "n", 1, EmptySampleError)
-    if schedule.beta_exponent is None:
-        raise InvalidBandwidthError("the schedule must include a mark bandwidth")
     statistic = _scaled_difference(point, n, schedule)
     kt = epanechnikov_kernel()
     base = mu1_sigma2(scenario, point, schedule.c1, kt)

@@ -29,9 +29,9 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import BandwidthSchedule, equivalence_curve, mc_functional
-from .asymptotics import mc_mse, mc_normality, true_mean_event_time
+from .asymptotics import _resolve_config, mc_mse, mc_normality, true_mean_event_time
 from .bandwidth import BootstrapPlan, bootstrap_mse, select
-from .errors import CsmarkError
+from .errors import CsmarkError, InvalidBandwidthError
 from .estimators import EstimatorConfig, evaluate_grid, write_grid_csv
 from .kernels import Bandwidths, epanechnikov_kernel
 from .scenarios import _write_csv, sample, scenario_a, scenario_b
@@ -208,8 +208,13 @@ def _cells(cfg: dict[str, _Entry]) -> list[dict[str, Any]]:
         if len(fields) not in (len(_MSE_CELL) - 1, len(_MSE_CELL)):
             raise ConfigError(f"{key!r} must be {_CELL_SYNTAX!r}",
                               entry.line, entry.col)
-        parsed.append({k.name: replace(k, name=f"{key}.{k.name}").value(field)
-                       for k, field in zip_longest(_MSE_CELL, fields)})
+        cell = {k.name: replace(k, name=f"{key}.{k.name}").value(field)
+                for k, field in zip_longest(_MSE_CELL, fields)}
+        try:  # the drivers' rule on a cell's bandwidths, before any cell runs
+            _resolve_config(cell["estimator"], cell["alpha"], cell["beta"])
+        except InvalidBandwidthError as exc:
+            raise ConfigError(f"{key!r}: {exc}", entry.line, entry.col) from None
+        parsed.append(cell)
     return parsed
 
 

@@ -38,6 +38,7 @@ sums, bit for bit: per run of points at one time, with mark windows, for one
 point and at large n; or vectorized over many points at once.
 :func:`_estimates` forms every estimate from those means: it refuses bad
 points and applies the floor on ``g_hat``, the same way for all of them.
+:func:`_checked_pair` refuses a driver's ``(t0, z0)`` point the same way.
 """
 
 from __future__ import annotations
@@ -63,8 +64,6 @@ from .kernels import (  # noqa: F401
     KernelFamily,
     UnivariateKernel,
     _check_bandwidth,
-    _epanechnikov_deriv_bounds,
-    _epanechnikov_pdf_bounds,
     _is_real,
     _support_window,
     epanechnikov_kernel,
@@ -265,7 +264,7 @@ def _kernel_sums(sample, config, t, z, alpha, beta, terms, row=None) -> list[np.
     pairs, along one of two paths chosen from the point count and ``n``:
 
     * per run (:func:`_run_sums`) for one point, and where the other path
-      would pair one point at a time (n > 15 625 by default): a run's window
+      would pair one point at a time (n > 15 625): a run's window
       by a bounds prefilter (:func:`~csmark.kernels._support_window`), a
       point's mark kernels only in its mark window ``|(z_j - z_i) / beta|
       <= 1``; for single estimates, grids at large n, the bootstrap's target;
@@ -318,6 +317,19 @@ def _checked_points(t, z, single=False) -> tuple[np.ndarray, np.ndarray]:
     return t, z
 
 
+def _checked_pair(point) -> tuple:
+    """``point`` unpacked as ``(t, z)``, refused as :func:`_checked_points`
+    refuses a single point; a point that is not a pair raises
+    :class:`SupportError` too."""
+    try:
+        t, z = point
+    except (TypeError, ValueError):
+        raise SupportError(f"cannot estimate at {point!r}: a point must be "
+                           "a pair (t, z)") from None
+    _checked_points(t, z, single=True)
+    return t, z
+
+
 # the kernel sums each estimate needs besides g; a ratio's numerator comes first
 _TERMS = {"F1": ("f1",), "F2": ("f2",), "density": ("gp", "h", "dh")}
 
@@ -347,131 +359,6 @@ def _estimates(sample, config, t, z, kinds, alpha=None, beta=None, row=None, sin
         if kind == "density" else sums[_TERMS[kind][0]] / stable
         for kind in kinds
     ]
-
-
-# the rounding allowance of _density_bounds is _BOUND_SLACK * (n + 8) * eps
-_BOUND_SLACK = 32
-
-# multiply-adds per matrix product that a threaded BLAS keeps on the calling
-# thread: OpenBLAS threads larger ones, and its threads then spin on the
-# other cores for a while after every call, doubling the process's CPU time.
-# OpenBLAS's gemm (interface/gemm.c) runs M N K <= 65536 * 4 on one thread
-# (SMP_THRESHOLD_MIN times GEMM_MULTITHREAD_THRESHOLD); with numpy 2.4.6 and
-# scipy-openblas 0.3.31 its helper threads used no CPU at M N K = 716 400
-# and did from 1 194 000
-_SERIAL_PRODUCT = 1 << 18
-
-
-def _density_bounds(sample, config, t_lo, t_hi, z_lo, z_hi):
-    """Bounds on the clipped density estimate over the cells of a grid.
-
-    Returns ``(lower, upper)`` of shape ``(t_lo.size, z_lo.size)``: at every
-    float ``t`` in ``[t_lo[i], t_hi[i]]`` and ``z`` in ``[z_lo[j], z_hi[j]]``
-    the float value of ``max(density, 0)`` from :func:`_estimates` (0 where
-    g_hat is under the floor) lies in ``[lower[i, j], upper[i, j]]``.
-    Intervals may be degenerate (``t_lo == t_hi``), giving bounds at points.
-
-    The config's kernel must be Epanechnikov and its bandwidths must hold a
-    mark bandwidth; :class:`~csmark.bandwidth.PilotModel`, the one caller,
-    refuses any other config.
-
-    Every factor the kernel sums add up -- ``k(u_i)`` and ``k'(u_i)`` at
-    ``u_i = (t - t_i) / alpha``, ``k((z - z_i) / beta)`` -- is bounded
-    exactly: ``u_i`` rounds monotonically in ``t``, and the kernel helpers
-    bound the float kernels over the ``u`` interval.  Sums of those bounds
-    bound ``g`` and ``gp`` per t-interval; matrix products of the (t-interval
-    x uncensored observation) and (z-interval x uncensored observation)
-    bounds bound ``h`` and ``dh``, with ``k'`` split into its positive and
-    negative parts.  Interval arithmetic then bounds the quotient in the
-    form ``dh / g - gp h / g^2``, in which the two ``g`` of ``g dh / g^2``
-    do not vary independently.
-
-    Rounding.  :func:`_kernel_sums` forms each sum from at most ``n``
-    products and scales it in at most 5 more operations, in some order;
-    by Higham (*Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    §3.1 and §4.2) its float value lies within ``gamma = (n + 5) eps / (1 -
-    (n + 5) eps)`` times the sum of absolute terms, ``A``, of the same sum
-    in exact arithmetic, and so do the matrix products and sums here of
-    the exact values of theirs.  With ``A_g = g``, ``A_h = h``, ``A_gp`` and
-    ``A_dh`` (bounded here through ``|k'|`` and ``k <= 0.75``), these
-    errors move the quotient by
-    at most about ``4 gamma (g A_dh + A_gp h) / g^2`` in either evaluation,
-    and its last five roundings by ``5 eps`` times the same.  The sum,
-    under ``10 (n + 8) eps (g A_dh + A_gp h) / g^2``, is covered more than
-    three times by the margin ``delta (g_hi A_dh + A_gp h_hi) / g_lo^2`` with
-    ``delta = _BOUND_SLACK (n + 8) eps``, taken off the lower and added to
-    the upper bound.  A cell is stable when ``g_lo (1 - delta) >= g_floor``,
-    so g_hat there is at least the floor.
-
-    Cells that are not stable, or whose bounds overflow, get ``[0, inf]``.
-    """
-    alpha, beta = config.bandwidths.alpha, config.bandwidths.beta
-    shape = (t_lo.size, z_lo.size)
-    n, m = len(sample), t_lo.size
-    g_lo, g_hi, gp_lo, gp_hi, gp_abs, dh_abs = np.zeros((6, m))
-    h_lo, h_hi, dh_lo, dh_hi = np.zeros((4, m, z_lo.size))
-    # observations go in blocks, bounding the (interval x observation) arrays
-    step = max(1, _CHUNK_BUDGET // (8 * max(*shape, 1)))
-    for i0 in range(0, n, step):
-        block = slice(i0, i0 + step)
-        ti = sample.t[block]
-        ua, ub = (t_lo[:, None] - ti) / alpha, (t_hi[:, None] - ti) / alpha
-        w_lo, w_hi = _epanechnikov_pdf_bounds(ua, ub)
-        d_lo, d_hi = _epanechnikov_deriv_bounds(ua, ub)
-        d_abs = np.fmax(-d_lo, d_hi)
-        unc = (sample.delta[block] == 1).nonzero()[0]
-        # |dh| <= sum |k'| k over the uncensored, and k <= 0.75
-        for total, x in ((g_lo, w_lo), (g_hi, w_hi), (gp_lo, d_lo), (gp_hi, d_hi),
-                         (gp_abs, d_abs), (dh_abs, 0.75 * d_abs[:, unc])):
-            total += x.sum(axis=1)
-        zi = sample.z[block][unc]
-        v_lo, v_hi = _epanechnikov_pdf_bounds(  # (uncensored x z-interval)
-            (z_lo - zi[:, None]) / beta, (z_hi - zi[:, None]) / beta
-        )
-        w_lo, w_hi, d_lo, d_hi = (x[:, unc] for x in (w_lo, w_hi, d_lo, d_hi))
-        # k' is split into its positive and negative parts; the products go
-        # in blocks of rows small enough for BLAS to keep on this thread
-        rows = max(1, _SERIAL_PRODUCT // max(1, v_lo.size))
-        for r in range(0, m, rows):
-            b = slice(r, r + rows)
-            h_lo[b] += w_lo[b] @ v_lo
-            h_hi[b] += w_hi[b] @ v_hi
-            dh_lo[b] += np.fmax(d_lo[b], 0.0) @ v_lo - np.fmax(-d_lo[b], 0.0) @ v_hi
-            dh_hi[b] += np.fmax(d_hi[b], 0.0) @ v_hi - np.fmax(-d_hi[b], 0.0) @ v_lo
-    # the (interval x observation) arrays go before the (t x z) arithmetic,
-    # which holds the largest arrays here
-    del ua, ub, w_lo, w_hi, d_lo, d_hi, d_abs, v_lo, v_hi
-    # the scale factors of _kernel_sums, in place: the arrays are the
-    # largest here
-    scale = 1.0 / (n * alpha)
-    for x in (h_lo, h_hi):
-        x *= scale / beta
-    for x in (dh_lo, dh_hi):
-        x *= scale / alpha / beta
-    g_lo, g_hi = g_lo * scale, g_hi * scale
-    gp_lo, gp_hi, gp_abs = (x * (scale / alpha) for x in (gp_lo, gp_hi, gp_abs))
-    dh_abs = dh_abs * (scale / alpha / beta)
-
-    delta = _BOUND_SLACK * (n + 8) * np.finfo(float).eps
-    stable = g_lo * (1.0 - delta) >= config.g_floor
-    g_lo, g_hi = (np.where(stable, x, 1.0)[:, None] for x in (g_lo, g_hi))
-    gp_lo, gp_hi, gp_abs, dh_abs = (x[:, None] for x in (gp_lo, gp_hi, gp_abs, dh_abs))
-    g2_lo, g2_hi = g_lo * g_lo, g_hi * g_hi
-    with np.errstate(all="ignore"):
-        # dh / g - gp h / g^2, with g > 0 and h >= 0
-        lower = np.fmin(dh_lo / g_lo, dh_lo / g_hi)
-        p = np.fmax(gp_hi * h_lo, gp_hi * h_hi)
-        lower -= np.fmax(p / g2_lo, p / g2_hi)
-        upper = np.fmax(dh_hi / g_lo, dh_hi / g_hi)
-        p = np.fmin(gp_lo * h_lo, gp_lo * h_hi)
-        upper -= np.fmin(p / g2_lo, p / g2_hi)
-        margin = delta * (g_hi * dh_abs + gp_abs * h_hi) / g2_lo
-        lower -= margin
-        upper += margin
-    ok = stable[:, None] & np.isfinite(lower) & np.isfinite(upper)
-    lower = np.where(ok, np.fmax(lower, 0.0), 0.0)
-    upper = np.where(ok, np.fmax(upper, 0.0), np.inf)
-    return lower, upper
 
 
 def _estimate(sample, config, t0, z0, kind) -> float:

@@ -398,10 +398,18 @@ def test_counts_are_checked_before_any_sample_is_drawn(monkeypatch):
         assert str(exc.value).startswith(f"{name} must be an integer >= "), name
     with pytest.raises(InvalidBandwidthError):
         BootstrapPlan(**plan)
-    # the reference law is refused before the replications, not after them
+    # the reference law is refused before the replications, not after them,
+    # and so is an F2 without a mark bandwidth
     slow = BandwidthSchedule(0.5, 0.5, 0.1)
+    no_beta = BandwidthSchedule(0.5)
     vanishing_g = dataclasses.replace(B, g=lambda t: 3.0 * np.asarray(t, dtype=float) ** 2)
     refused = [
+        (InvalidBandwidthError, lambda: mc_mse(**{**mse, "estimator": "F2"})),
+        (InvalidBandwidthError,
+         lambda: mc_normality(B, "F2", (0.5, 0.5), 100, 20, seed=0, alpha=0.2)),
+        (InvalidBandwidthError,
+         lambda: mc_normality(B, "F2", (0.5, 0.5), 100, 20, seed=0, schedule=no_beta)),
+        (InvalidBandwidthError, lambda: difference_sample(B, (0.5, 0.5), 100, 20, no_beta, seed=0)),
         (BandwidthRegimeError,
          lambda: mc_normality(B, "F2", (0.5, 0.5), 100, 20, seed=0, schedule=slow)),
         (BandwidthRegimeError, lambda: difference_sample(B, (0.5, 0.5), 100, 20, slow, seed=0)),

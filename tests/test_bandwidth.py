@@ -37,9 +37,8 @@ from csmark import (
     EstimatorConfig,
     Bandwidths,
 )
-from csmark import bandwidth, estimators
-from csmark.bandwidth import _ENVELOPE_SAFETY, PilotModel, _epanechnikov_noise
-from csmark.estimators import _density_bounds
+from csmark import bandwidth, estimators, pilot as pilot_module
+from csmark.pilot import _ENVELOPE_SAFETY, PilotModel, _density_bounds, _epanechnikov_noise
 
 B = scenario_b()
 
@@ -143,7 +142,7 @@ def test_pilot_draws_deterministic_and_in_box():
 
 
 def test_proposal_cells_are_the_searchsorted_cells():
-    edges = np.linspace(0.0, 1.0, bandwidth._ENVELOPE_GRID)
+    edges = np.linspace(0.0, 1.0, pilot_module._ENVELOPE_GRID)
     x = np.concatenate([
         edges[:-1],  # every node, the float after it and the float before it
         np.nextafter(edges[:-1], 1.0),
@@ -152,7 +151,7 @@ def test_proposal_cells_are_the_searchsorted_cells():
     ])
     assert x.min() >= 0.0 and x.max() < 1.0
     want = np.searchsorted(edges, x, "right") - 1
-    assert bandwidth._cell_of(edges, x).tobytes() == want.tobytes()
+    assert pilot_module._cell_of(edges, x).tobytes() == want.tobytes()
 
 
 def test_draw_xy_gives_up_when_nothing_is_accepted(monkeypatch):
@@ -201,7 +200,7 @@ def test_envelope_is_the_exact_peak_from_a_few_nodes(monkeypatch):
         return _density_bounds(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(bandwidth, "_density_bounds", counting)
+        m.setattr(pilot_module, "_density_bounds", counting)
         pilot = fit_pilot(s, 0.4, 0.4)
     grid = np.linspace(0.0, 1.0, 200)
     tt, zz = np.meshgrid(grid, grid, indexing="ij")
@@ -246,7 +245,7 @@ def test_density_bounds_hold_the_pilot_density(
         kernel_t=epa, bandwidths=Bandwidths(alpha, beta), g_floor=g_floor
     )
     try:
-        with mock.patch.object(bandwidth, "_ENVELOPE_GRID", 20):
+        with mock.patch.object(pilot_module, "_ENVELOPE_GRID", 20):
             pilot = PilotModel(s, config)
     except DegeneratePilotError:
         reject()
@@ -284,7 +283,7 @@ def test_envelope_is_the_exact_peak_over_all_nodes(scenario, n, seed, alpha, bet
     tt, zz = np.meshgrid(grid, grid, indexing="ij")
     _, (density,) = estimators._estimates(s, config, tt.ravel(), zz.ravel(), ("density",))
     peak = np.fmax(density, 0.0).max()
-    with mock.patch.object(bandwidth, "_ENVELOPE_GRID", nodes):
+    with mock.patch.object(pilot_module, "_ENVELOPE_GRID", nodes):
         if peak <= 0.0:
             with pytest.raises(DegeneratePilotError):
                 PilotModel(s, config)
@@ -300,7 +299,7 @@ def test_pilot_refuses_other_kernels_and_a_missing_beta(monkeypatch):
     def no_bounds(*args):
         raise AssertionError("a bound was computed")
 
-    monkeypatch.setattr(bandwidth, "_density_bounds", no_bounds)
+    monkeypatch.setattr(pilot_module, "_density_bounds", no_bounds)
     s = sample(B, 50, 3)
     epa = epanechnikov_kernel()
     copy = custom_kernel("epanechnikov copy", epa.pdf, epa.cdf, epa.deriv)
@@ -353,7 +352,7 @@ def test_lockstep_draws_equal_each_generator_alone(scale, piece, monkeypatch):
     # pieces of the largest count, which cut across generators
     pilot = _scaled_fit(scale)(sample(B, 100, 14), 0.4, 0.4)
     if piece is not None:
-        monkeypatch.setattr(bandwidth, "_DENSITY_PIECE", piece)
+        monkeypatch.setattr(pilot_module, "_DENSITY_PIECE", piece)
     calls = []
     density = pilot.density
     monkeypatch.setattr(pilot, "density", lambda t, z: calls.append(t.size) or density(t, z))
@@ -383,7 +382,7 @@ def test_lockstep_draws_equal_each_generator_alone(scale, piece, monkeypatch):
             assert y[r].tobytes() == alone_y.tobytes() == ref_y.tobytes()
         assert (refreshes > 0) == (scale < 1.0)
         assert lockstep_calls <= alone_calls
-        assert max(calls) > bandwidth._DENSITY_PIECE  # a round's count can exceed it
+        assert max(calls) > pilot_module._DENSITY_PIECE  # a round's count can exceed it
 
 
 class _Stuck:
@@ -400,7 +399,7 @@ def test_lockstep_draws_give_up_on_the_replication_that_never_accepts(monkeypatc
     monkeypatch.setattr(pilot, "density", lambda t, z: np.where(t < 0.5, envelope, 0.0))
     zeros = np.zeros_like(pilot._cells[0])
     monkeypatch.setattr(pilot, "_cells", (zeros, np.full_like(zeros, np.inf)))
-    monkeypatch.setattr(bandwidth, "_MAX_DRAW_ROUNDS", 5)
+    monkeypatch.setattr(pilot_module, "_MAX_DRAW_ROUNDS", 5)
     # the others accept in their first round; the stuck one uses its own five
     message = "accepted 0 of 1280 proposals in 5 rounds, 10 needed"
     rngs = [np.random.default_rng(1), _Stuck(), np.random.default_rng(2)]

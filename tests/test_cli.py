@@ -422,6 +422,9 @@ BAD_CONFIGS = [
      "'cell.2.alpha' must be positive, got '0'", "value"),
     ("table1", "cell.2", "0.4, 0.4, 80, F2, 0.25, -0.2", (),
      "'cell.2.beta' must be positive, got '-0.2'", "value"),
+    # an F2 cell needs a beta, refused before the valid cell.1 runs
+    ("table1", "cell.2", "0.4, 0.4, 80, F2, 0.25", (),
+     "'cell.2': estimator 'F2' needs a mark bandwidth (beta)", "value"),
     # the kernel, the envelope's constant and the functional's grid are fixed
     ("estimate-grid", "kernel_z", "uniform", (), "unknown key 'kernel_z'", "key"),
     ("estimate-grid", "kernel", "uniform", (), "unknown key 'kernel'", "key"),

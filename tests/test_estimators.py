@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from csmark import (
     Bandwidths,
+    BandwidthSchedule,
     BootstrapPlan,
     DegeneratePilotError,
     DerivativeUnavailableError,
@@ -35,15 +36,19 @@ from csmark import (
     f1_counting,
     f2,
     f2_density,
+    difference_sample,
+    equivalence_curve,
     mc_mse,
+    mc_normality,
     mu1_sigma2,
+    mu2,
     sample,
     scenario_a,
     scenario_b,
     uniform_kernel,
     write_grid_csv,
 )
-from csmark import asymptotics, bandwidth, estimators
+from csmark import asymptotics, estimators, pilot as pilot_module
 from csmark.scenarios import _Stack
 
 EPA = epanechnikov_kernel()
@@ -321,6 +326,35 @@ def test_points_that_are_not_real_numbers_are_refused(call, bad, monkeypatch):
             run(t, z)
 
 
+@pytest.mark.parametrize("point", [0.5, (0.5,), (0.5, 0.5, 0.5), None],
+                         ids=["number", "one", "three", "None"])
+@pytest.mark.parametrize("call", ["mc_mse", "mc_normality", "difference_sample",
+                                  "equivalence_curve", "mu1_sigma2", "mu2", "BootstrapPlan"])
+def test_points_that_are_not_pairs_are_refused(call, point, monkeypatch):
+    # a point is one (t, z) pair, refused by name rather than by a bare
+    # unpacking error, and before any sample is drawn
+    def no_draws(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(asymptotics, "sample", no_draws)
+    schedule = BandwidthSchedule(0.5, 0.5, 0.3)
+    run = {
+        "mc_mse": lambda p: mc_mse(scenario_b(), "F1", p, 200, 20, alpha=0.2, seed=0),
+        "mc_normality": lambda p: mc_normality(scenario_b(), "F1", p, 200, 20, seed=0,
+                                               alpha=0.2),
+        "difference_sample": lambda p: difference_sample(scenario_b(), p, 200, 20, schedule,
+                                                         seed=0),
+        "equivalence_curve": lambda p: equivalence_curve(scenario_b(), p, [200], schedule,
+                                                         seed=0),
+        "mu1_sigma2": lambda p: mu1_sigma2(scenario_b(), p, 0.5, EPA),
+        "mu2": lambda p: mu2(scenario_b(), p, schedule, EPA),
+        "BootstrapPlan": lambda p: BootstrapPlan(0.4, 0.4, 3, (0.2,), (0.2,), p, 0),
+    }[call]
+    with pytest.raises(SupportError, match=rf"^cannot estimate at {re.escape(repr(point))}: "
+                                           "a point must be a pair"):
+        run(point)
+
+
 def test_points_of_unequal_lengths_are_refused():
     # pairing would stop at the shorter array and drop the other's extra points
     s = sample(scenario_b(), 200, 1)
@@ -567,7 +601,7 @@ def test_pilot_density_matches_dense_oracle(s, config, data, budget):
     t_points = data.draw(times(s, config))
     z_points = data.draw(marks(s))
     try:
-        with mock.patch.object(bandwidth, "_ENVELOPE_GRID", 5):
+        with mock.patch.object(pilot_module, "_ENVELOPE_GRID", 5):
             pilot = PilotModel(s, config)
     except DegeneratePilotError:
         assume(False)
@@ -593,7 +627,7 @@ def test_pilot_density_is_the_clipped_f2_density():
     # so the two agree at every point only with one spelling of the quotient
     s = sample(scenario_b(), 100, 4)
     config = epa_config(0.4, 0.4)
-    with mock.patch.object(bandwidth, "_ENVELOPE_GRID", 5):
+    with mock.patch.object(pilot_module, "_ENVELOPE_GRID", 5):
         pilot = PilotModel(s, config)
     t, z = np.random.default_rng(7).uniform(-0.1, 1.1, (2, 10_000))
     want = [max(unless_unstable(f2_density, s, config, a, b) or 0.0, 0.0) for a, b in zip(t, z)]
