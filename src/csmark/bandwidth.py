@@ -132,6 +132,22 @@ def _mse(values: np.ndarray, center: float) -> float:
     return float(np.add.reduce(d * d) / d.size) if d.size else math.nan
 
 
+def _mse_rows(values: np.ndarray, center: float) -> np.ndarray:
+    """``_mse`` of each row's non-NaN entries, bit for bit.
+
+    The rows without NaN go through one reduction along their contiguous
+    axis, which sums each row as ``_mse`` sums it alone; a reduction over a
+    strided view does not from 8 entries a row on.
+    """
+    out = np.empty(len(values))
+    whole = ~np.isnan(values).any(axis=1)
+    d = values[whole] - center
+    out[whole] = np.add.reduce(d * d, axis=1) / values.shape[1]
+    for i in (~whole).nonzero()[0]:
+        out[i] = _mse(values[i][~np.isnan(values[i])], center)
+    return out
+
+
 def bootstrap_mse(
     sample_: Sample,
     plan: BootstrapPlan,
@@ -177,7 +193,8 @@ def bootstrap_mse(
         ("F1", slice(0, k), np.array(plan.alpha_grid, dtype=float), None),
         ("F2", slice(k, None), pair_alpha, pair_beta),
     )
-    estimates = np.full((plan.replications, k + len(pairs)), np.nan)
+    # a candidate's replications side by side in a row
+    estimates = np.full((k + len(pairs), plan.replications), np.nan)
 
     for b0 in range(0, plan.replications, group):
         b1 = min(b0 + group, plan.replications)
@@ -195,26 +212,30 @@ def bootstrap_mse(
             _, (values,) = _estimates(
                 boot, pilot.config, t_m, z_m, (kind,), alpha_m, beta_m, row
             )
-            estimates[b0:b1, cols] = values.reshape(b1 - b0, alpha.size)
+            estimates[cols, b0:b1] = values.reshape(b1 - b0, alpha.size).T
 
     labels: list[tuple[str, float, float | None]] = [
         ("F1", alpha, None) for alpha in plan.alpha_grid
     ] + [("F2", alpha, beta) for alpha, beta in pairs]
 
+    mse_hat = _mse_rows(estimates, target).tolist()
+    mse_tilde = ([None] * len(labels) if true_value is None
+                 else _mse_rows(estimates, true_value).tolist())
+    failed = np.isnan(estimates).sum(axis=1).tolist()
     rows = []
     max_failures = MAX_FAILURE_FRACTION * plan.replications
-    for col, (estimator, alpha, beta) in zip(estimates.T, labels):
-        ok = col[~np.isnan(col)]
-        failures = plan.replications - ok.size
+    for (estimator, alpha, beta), hat, tilde, failures in zip(
+        labels, mse_hat, mse_tilde, failed
+    ):
         rows.append(
             MseRow(
                 estimator=estimator,
                 alpha=float(alpha),
                 beta=None if beta is None else float(beta),
-                mse_hat=_mse(ok, target),
-                mse_tilde=None if true_value is None else _mse(ok, true_value),
+                mse_hat=hat,
+                mse_tilde=tilde,
                 failures=failures,
-                valid=failures <= max_failures and ok.size > 0,
+                valid=failures <= max_failures and failures < plan.replications,
             )
         )
     return BootstrapMseTable(

@@ -21,6 +21,17 @@ lies above its grid cell's upper bound is rejected, and one at or below the
 lower bound accepted, without the density.  Every decision, and so every
 draw, is the one exact evaluation everywhere would give.
 
+A generator keeps only the first acceptances of a round that it still
+needs, so its exact evaluations stop at its quota: past the proposal at
+which its sure acceptances (``u * envelope`` at or below the lower bound)
+alone reach that count, an undecided proposal is not evaluated.  That is
+exact.  No proposal past the quota can be kept, and such a proposal's
+density is at most its upper bound, at most the envelope, so it cannot
+change the peak a local refresh takes either.  Proposals whose upper bound
+exceeds the envelope are evaluated wherever they lie, so that a refresh
+sees every spike; after one, the generator's unevaluated undecided
+proposals are judged again under the new envelope, quota or not.
+
 Latent pairs are drawn for a group of generators in lockstep, each drawing
 what it would draw alone.  A rejection round is one set of array calls over
 the whole group: the proposals of every generator side by side, one cell
@@ -51,8 +62,14 @@ _ENVELOPE_GRID = 200
 
 # fewest exact proposals of a rejection round per pilot-density call: at
 # n = 100 a round's whole count, which varies from round to round, sized
-# temporaries that fragmented the heap and raised peak RSS op after op
-_DENSITY_PIECE = 78
+# temporaries that fragmented the heap and raised peak RSS op after op.
+# With the quota, the draws of a 25-replication bootstrap_mse at n = 100
+# evaluate about 1055 proposals rather than 1389; at 256 rather than 78
+# they take 5.3 density calls rather than 14.6, and bootstrap_mse ran 7.5%
+# faster in process (512: 9%).  A call of 256 points peaks at 1.4 MB of
+# temporaries at n = 100, under half the fit's bound pass (3.2 MB); one of
+# 512 peaks at 2.2 MB
+_DENSITY_PIECE = 256
 
 # rejection rounds after which draw_xy gives up on a pilot density that
 # (almost) never accepts a proposal
@@ -144,7 +161,12 @@ class PilotModel:
         The density is evaluated only at proposals that the bounds of their
         cell cannot decide, and at those whose upper bound exceeds the
         envelope, so that a local refresh sees the same peak as exact
-        evaluation everywhere.
+        evaluation everywhere.  A generator keeps the first ``size - got``
+        acceptances of its batch, so an undecided proposal after the one at
+        which its sure acceptances reach that count is not evaluated: it
+        cannot be kept, and its density, at most its upper bound and so at
+        most the envelope, cannot move a refresh's peak.  A refresh judges
+        its generator's unevaluated undecided proposals again, in one call.
         """
         rngs = list(rngs)
         lower, upper = self._cells
@@ -184,9 +206,22 @@ class PilotModel:
             # most it or above the upper bound, and an upper bound over the
             # envelope may hide a spike
             bound = u * env
-            exact = (hi > env) | ((value < bound) & (bound <= hi))
+            over = hi > env
             del env
+            exact = over | ((value < bound) & (bound <= hi))
+            # a generator's quota ends at its need-th sure acceptance; no
+            # proposal after it is kept, so past it only those over the
+            # envelope are evaluated
+            sure = bound <= value
+            seen = np.cumsum(sure)
+            starts = ends - batch
+            quota = np.searchsorted(seen, seen[starts] - sure[starts] + need)
+            del sure, seen
             which = exact.nonzero()[0]
+            late = (which > quota[np.searchsorted(ends, which, "right")]) & ~over[which]
+            exact[which[late]] = False
+            which = which[~late]
+            del over
             counts = np.diff(np.searchsorted(which, ends), prepend=0)
             piece = max(_DENSITY_PIECE, int(counts.max()))
             value[which] = np.concatenate([
@@ -208,7 +243,7 @@ class PilotModel:
             # after those it already has
             accepted = (bound <= value).nonzero()[0]
             owner = np.searchsorted(ends, accepted, "right")
-            first = np.searchsorted(accepted, ends - batch)
+            first = np.searchsorted(accepted, starts)
             taken = np.minimum(np.diff(first, append=accepted.size), need)
             rank = np.arange(accepted.size)
             kept = rank < (first + taken)[owner]

@@ -385,6 +385,85 @@ def test_lockstep_draws_equal_each_generator_alone(scale, piece, monkeypatch):
         assert max(calls) > pilot_module._DENSITY_PIECE  # a round's count can exceed it
 
 
+class _Kept(_Recorded):
+    """A recorded generator that also keeps what it drew."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.drawn = []
+
+    def random(self, size):
+        self.drawn.append(super().random(size))
+        return self.drawn[-1]
+
+
+def _replay_rounds(pilot, drawn, size):
+    """One generator's rounds of ``draw_xy``, replayed from its draws.
+
+    Returns the proposals the squeeze alone would evaluate exactly, those
+    of them the quota leaves out and those ``draw_xy`` must evaluate, each
+    as ``x + 1j y``, and the number of local refreshes.  Past the
+    generator's need-th sure acceptance (``u * envelope`` at or below the
+    cell's lower bound), a proposal whose upper bound is at or below the
+    envelope is evaluated only when a local refresh judges it again under
+    the new envelope.
+    """
+    lower, upper = pilot._cells
+    envelope, got, refreshes = pilot.envelope, 0, 0
+    squeezed, skipped, evaluated = [], [], []
+    for draws in drawn:
+        x, y, u = draws.reshape(3, -1)
+        need = size - got
+        cell = tuple(np.searchsorted(pilot._edges, v, "right") - 1 for v in (x, y))
+        lo, hi = lower[cell], upper[cell]
+        bound = u * envelope
+        over = hi > envelope
+        squeeze = over | ((lo < bound) & (bound <= hi))
+        past = np.arange(x.size) > np.searchsorted(np.cumsum(bound <= lo), need)
+        exact = squeeze & ~(past & ~over)
+        dens = pilot.density(x, y)
+        if dens.max() > envelope:
+            # a refresh evaluates every undecided proposal under the new envelope
+            envelope = _ENVELOPE_SAFETY * dens.max()
+            bound = u * envelope
+            again = (lo < bound) & (bound <= hi)
+            squeeze, exact = squeeze | again, exact | again
+            refreshes += 1
+        point = x + 1j * y
+        squeezed.append(point[squeeze])
+        skipped.append(point[squeeze & ~exact])
+        evaluated.append(point[exact])
+        got += min(int(np.count_nonzero(u * envelope <= dens)), need)
+    assert got == size
+    return *(np.concatenate(p) for p in (squeezed, skipped, evaluated)), refreshes
+
+
+@pytest.mark.parametrize("scale,fit_seed,seeds,size", [
+    (1.0, 14, (5, 6, 7), 300),
+    (0.3, 14, (5, 6, 7), 300),
+    # the bootstrap-select plan's draw: n = 100, 25 replications at seed 0
+    (1.0, 0, tuple(range(1, 26)), 100),
+])
+def test_draw_xy_evaluates_nothing_past_a_generators_quota(
+    scale, fit_seed, seeds, size, monkeypatch
+):
+    pilot = _scaled_fit(scale)(sample(B, 100, fit_seed), 0.4, 0.4)
+    calls = []
+    density = pilot.density
+    monkeypatch.setattr(pilot, "density", lambda t, z: calls.append(t + 1j * z) or density(t, z))
+    kept = [_Kept(seed) for seed in seeds]
+    pilot.draw_xy(kept, size)
+    monkeypatch.undo()
+    seen = np.sort(np.concatenate(calls))
+    *parts, refreshes = zip(*(_replay_rounds(pilot, k.drawn, size) for k in kept))
+    squeezed, skipped, evaluated = (np.concatenate(p) for p in parts)
+    assert (sum(refreshes) > 0) == (scale < 1.0)
+    assert seen.tobytes() == np.sort(evaluated).tobytes()
+    assert not np.isin(skipped, seen).any()
+    # the quota bites: fewer exact evaluations than the squeeze alone makes
+    assert skipped.size > 0 and seen.size == squeezed.size - skipped.size
+
+
 class _Stuck:
     """A generator stand-in whose proposals all land where the density is 0."""
 
@@ -571,6 +650,17 @@ def test_bootstrap_refuses_a_true_value_that_is_not_finite(monkeypatch):
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="^true_value must be finite, got "):
             bootstrap_mse(s, small_plan(), true_value=bad)
+
+
+@pytest.mark.parametrize("replications", [1, 7, 8, 9, 25, 129])
+def test_mse_rows_equal_the_mse_of_each_row(replications):
+    """The rows without failures share one reduction, bit for bit each
+    row's own ``_mse``; rows with failures, all failed among them, too."""
+    values = np.random.default_rng(replications).normal(0.3, 0.2, (6, replications))
+    for _ in range(2):
+        want = np.array([bandwidth._mse(row[~np.isnan(row)], 0.31) for row in values])
+        assert bandwidth._mse_rows(values, 0.31).tobytes() == want.tobytes()
+        values[1, 0] = values[4] = np.nan  # a failed replication, and a row of them
 
 
 def test_bootstrap_single_replication_is_one_squared_deviation():
