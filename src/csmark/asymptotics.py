@@ -185,6 +185,13 @@ def mu1_sigma2(
     )
 
 
+def _mark_exponent(schedule: BandwidthSchedule) -> float:
+    """``schedule``'s mark exponent; a schedule without one is refused."""
+    if schedule.beta_exponent is None:
+        raise InvalidBandwidthError("the schedule has no mark bandwidth (c2, beta_exponent)")
+    return schedule.beta_exponent
+
+
 def mu2(
     scenario: Scenario,
     point: tuple[float, float],
@@ -201,14 +208,13 @@ def mu2(
     the time kernel itself, so the extra term's second moment is
     ``kernel``'s too.
     """
-    if schedule.beta_exponent is None:
-        raise InvalidBandwidthError("schedule carries no mark bandwidth")
+    exponent = _mark_exponent(schedule)
     base = mu1_sigma2(scenario, point, schedule.c1, kernel)
     # an exponent written as, say, 0.3 - 0.1 misses 1/5 by an ulp
-    critical = math.isclose(schedule.beta_exponent, 0.2, abs_tol=1e-9)
-    if not critical and schedule.beta_exponent < 0.2:
+    critical = math.isclose(exponent, 0.2, abs_tol=1e-9)
+    if not critical and exponent < 0.2:
         raise BandwidthRegimeError(
-            f"mark bandwidth exponent {schedule.beta_exponent!r} below 1/5: "
+            f"mark bandwidth exponent {exponent!r} below 1/5: "
             "standardized bias diverges"
         )
     if critical:
@@ -501,8 +507,7 @@ def equivalence_curve(
     :class:`SupportError`, and an entry the schedule gives no valid
     bandwidths :class:`InvalidBandwidthError`, before any sample is drawn.
     """
-    if schedule.beta_exponent is None:
-        raise InvalidBandwidthError("the schedule must include a mark bandwidth")
+    _mark_exponent(schedule)
     # each entry, before a cast could hide a bool or a string
     entries = list(n_grid) if _is_real(n_grid, False) and np.ndim(n_grid) == 1 else []
     if not entries or not all(_is_real(v, True) and 1 <= v < np.inf and v == math.floor(v)

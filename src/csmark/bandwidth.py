@@ -13,9 +13,10 @@ model and its draws are :class:`~csmark.pilot.PilotModel`), the table of
 bootstrap MSEs and the selection from it.  Replications run in lockstep
 groups.  Each keeps its own generator and draws what it would draw alone:
 one :meth:`~csmark.pilot.PilotModel.draw_xy` call draws the whole group's
-latent pairs, and one call per estimator evaluates every candidate on a
-stack of the group's samples.  A point's estimate does not depend on the
-other points of its call, so results do not depend on the grouping.
+latent pairs, and one call evaluates both estimators at every ``(alpha,
+beta)`` candidate on a stack of the group's samples, so the two share each
+time window.  A point's estimate does not depend on the other points of its
+call, so results do not depend on the grouping.
 """
 
 from __future__ import annotations
@@ -171,10 +172,11 @@ def bootstrap_mse(
     Replications go in lockstep groups of ``_CHUNK_BUDGET // n`` (at least
     one): per group, one :meth:`PilotModel.draw_xy` call on the group's
     generators, their :meth:`PilotModel.draw_t` calls, and one stack of the
-    group's samples on which every candidate is evaluated in one call per
-    estimator.  Each replication's draws are those of its own generator and
-    each estimate is the one its sample alone gives, so results do not
-    depend on the grouping.
+    group's samples on which one call evaluates both estimators at every
+    ``(alpha, beta)`` pair; an ``alpha``'s F1 value, which never reads
+    ``beta``, is taken at its first ``beta``.  Each replication's draws are
+    those of its own generator and each estimate is the one its sample alone
+    gives, so results do not depend on the grouping.
     """
     if true_value is not None and not math.isfinite(true_value):
         raise ValueError(f"true_value must be finite, got {true_value!r}")
@@ -184,17 +186,13 @@ def bootstrap_mse(
     n = len(sample_)
     group = max(1, estimators._CHUNK_BUDGET // n)
 
-    # one batch of candidates, each with its own bandwidths, per estimator:
-    # the alphas for F1, all (alpha, beta) pairs for F2
+    # all (alpha, beta) pairs in one batch, each with its own bandwidths; F1
+    # never reads beta, so an alpha's F1 value is the one at its first beta
     pairs = list(itertools.product(plan.alpha_grid, plan.beta_grid))
-    k = len(plan.alpha_grid)
+    k, m = len(plan.alpha_grid), len(pairs)
     pair_alpha, pair_beta = np.array(pairs, dtype=float).T
-    batches = (
-        ("F1", slice(0, k), np.array(plan.alpha_grid, dtype=float), None),
-        ("F2", slice(k, None), pair_alpha, pair_beta),
-    )
     # a candidate's replications side by side in a row
-    estimates = np.full((k + len(pairs), plan.replications), np.nan)
+    estimates = np.full((k + m, plan.replications), np.nan)
 
     for b0 in range(0, plan.replications, group):
         b1 = min(b0 + group, plan.replications)
@@ -202,21 +200,16 @@ def bootstrap_mse(
         x, y = pilot.draw_xy(rngs, n)
         t = np.stack([pilot.draw_t(rng, n) for rng in rngs])
         boot = _observed(x, y, t)
-        for kind, cols, alpha, beta in batches:
-            # every candidate on every row, row by row
-            row = np.arange(b1 - b0).repeat(alpha.size)
-            t_m, z_m = np.full(row.size, t0), np.full(row.size, z0)
-            alpha_m = np.tile(alpha, b1 - b0)
-            beta_m = None if beta is None else np.tile(beta, b1 - b0)
-            # unstable candidates are NaN
-            _, (values,) = _estimates(
-                boot, pilot.config, t_m, z_m, (kind,), alpha_m, beta_m, row
-            )
-            estimates[cols, b0:b1] = values.reshape(b1 - b0, alpha.size).T
+        # every pair on every row, row by row; unstable candidates are NaN
+        row = np.arange(b1 - b0).repeat(m)
+        t_m, z_m = np.full(row.size, t0), np.full(row.size, z0)
+        _, (v1, v2) = _estimates(boot, pilot.config, t_m, z_m, ("F1", "F2"),
+                                 np.tile(pair_alpha, b1 - b0), np.tile(pair_beta, b1 - b0), row)
+        estimates[:k, b0:b1] = v1.reshape(b1 - b0, k, len(plan.beta_grid))[:, :, 0].T
+        estimates[k:, b0:b1] = v2.reshape(b1 - b0, m).T
 
-    labels: list[tuple[str, float, float | None]] = [
-        ("F1", alpha, None) for alpha in plan.alpha_grid
-    ] + [("F2", alpha, beta) for alpha, beta in pairs]
+    labels: list[tuple[str, float, float | None]] = [("F1", a, None) for a in plan.alpha_grid]
+    labels += [("F2", a, b) for a, b in pairs]
 
     mse_hat = _mse_rows(estimates, target).tolist()
     mse_tilde = ([None] * len(labels) if true_value is None
@@ -224,12 +217,10 @@ def bootstrap_mse(
     failed = np.isnan(estimates).sum(axis=1).tolist()
     rows = []
     max_failures = MAX_FAILURE_FRACTION * plan.replications
-    for (estimator, alpha, beta), hat, tilde, failures in zip(
-        labels, mse_hat, mse_tilde, failed
-    ):
+    for (kind, alpha, beta), hat, tilde, failures in zip(labels, mse_hat, mse_tilde, failed):
         rows.append(
             MseRow(
-                estimator=estimator,
+                estimator=kind,
                 alpha=float(alpha),
                 beta=None if beta is None else float(beta),
                 mse_hat=hat,

@@ -231,7 +231,10 @@ def _batch_sums(kt, sample, t, z, alpha, beta, terms, row) -> list[np.ndarray]:
             points = slice(p0 + j, p0 + j + counts.size)
             pair_edges = np.concatenate(([0], np.cumsum(counts)))
             offset = start[j : j + counts.size] - pair_edges[:-1]
-            i = np.arange(pair_edges[-1]) + offset.repeat(counts)
+            # offset falls within a run and holds across runs; where it is one value, as
+            # when each run is one point, the pairs are one slice of the columns
+            i = (slice(offset[0], offset[0] + pair_edges[-1]) if offset[0] == offset[-1]
+                 else np.arange(pair_edges[-1]) + offset.repeat(counts))
             wi, di, zi = w[i], None if d is None else d[i], zu[i]
             zj = z[points].repeat(counts)
             s = (zj - zi) / beta[points].repeat(counts) if cdf or pdf else None
@@ -270,8 +273,9 @@ def _kernel_sums(sample, config, t, z, alpha, beta, terms, row=None) -> list[np.
       <= 1``; for single estimates, grids at large n, the bootstrap's target;
     * vectorized (:func:`_batch_sums`) otherwise: ``_CHUNK_BUDGET // n``
       runs' windows at a time by one (runs x n) mask, an eighth of a chunk's
-      points paired at a time, every kernel on every pair; for the
-      bootstrap's pilot densities and candidate stacks.
+      points paired at a time, by a slice where each is its run's only point
+      and by a gather else, every kernel on every pair; for the bootstrap's
+      pilot densities and candidate stacks.
 
     Both add the same values in sample order: a point's sums are bit for
     bit the same whatever the path, the chunk budget, the other points of

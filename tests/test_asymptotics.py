@@ -679,6 +679,19 @@ def test_equivalence_curve_rejects_bad_input(monkeypatch, n_grid, c, error):
         equivalence_curve(B, (0.5, 0.5), n_grid, sched, seed=3)
 
 
+def test_a_schedule_without_a_mark_bandwidth_is_refused_in_one_wording():
+    # the drivers' "estimator 'F2' needs a mark bandwidth (beta)" is about a
+    # config's beta; these two are about the schedule
+    no_beta = BandwidthSchedule(0.5)
+    messages = []
+    for call in (lambda: mu2(B, (0.5, 0.5), no_beta, EPA),
+                 lambda: equivalence_curve(B, (0.5, 0.5), [100], no_beta, seed=0)):
+        with pytest.raises(InvalidBandwidthError, match="schedule") as exc:
+            call()
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
 def test_difference_shrinks_when_mark_bandwidth_decays_fast():
     sched = BandwidthSchedule(c1=0.5, c2=0.5, beta_exponent=0.45)
     small = difference_sample(B, (0.5, 0.5), 500, 100, sched, seed=50)

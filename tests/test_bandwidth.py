@@ -532,6 +532,53 @@ def test_bootstrap_groups_equal_a_loop_over_replications(monkeypatch):
     assert bootstrap_mse(s, plan).rows == table.rows
 
 
+# the bootstrap-select benchmark's grids
+BENCH_ALPHAS = tuple(round(0.10 + 0.05 * i, 2) for i in range(17))
+BENCH_BETAS = (0.1, 0.2, 0.3, 0.4, 0.5)
+
+
+@pytest.mark.parametrize("n, overrides, group", [
+    (100, dict(replications=25, alpha_grid=BENCH_ALPHAS, beta_grid=BENCH_BETAS), None),
+    # a starved alpha makes some replications fail
+    (40, dict(replications=7, alpha_grid=(0.01, 0.3), seed=9), None),
+    (40, dict(replications=7, alpha_grid=(0.01, 0.3), beta_grid=(0.3,), seed=9), None),
+    # groups of 3, 3 and 1 replications
+    (40, dict(replications=7, alpha_grid=(0.01, 0.2, 0.3), seed=9), 3),
+], ids=["benchmark-plan", "starved-alpha", "one-beta", "split-groups"])
+def test_bootstrap_f1_rows_equal_an_f1_only_stack(monkeypatch, n, overrides, group):
+    # one call evaluates F1 and F2 at every (alpha, beta) pair; F1 never
+    # reads beta, so its value at an alpha's first beta is the one an F1-only
+    # call over the alphas gives on the same stack
+    s = sample(B, n, 31)
+    plan = small_plan(**overrides)
+    if group is not None:
+        monkeypatch.setattr(estimators, "_CHUNK_BUDGET", group * n)
+    calls = []
+
+    def recording(boot, config, t, z, kinds, alpha, beta, row):
+        g, values = estimators._estimates(boot, config, t, z, kinds, alpha, beta, row)
+        calls.append((boot, config, row[-1] + 1, values[0]))
+        return g, values
+
+    monkeypatch.setattr(bandwidth, "_estimates", recording)
+    table = bootstrap_mse(s, plan)
+    k, t0, z0 = len(plan.alpha_grid), *plan.point
+    groups = []
+    for boot, config, rows, v1 in calls:
+        _, (f1_only,) = estimators._estimates(
+            boot, config, np.full(rows * k, t0), np.full(rows * k, z0), ("F1",),
+            np.tile(np.array(plan.alpha_grid), rows), None, np.arange(rows).repeat(k))
+        merged = v1.reshape(rows, k, len(plan.beta_grid))[:, :, 0]
+        assert merged.tobytes() == f1_only.reshape(rows, k).tobytes()
+        groups.append(f1_only.reshape(rows, k).T)
+    assert len(calls) == (1 if group is None else 3)
+    estimates = np.hstack(groups)
+    f1_rows = table.for_estimator("F1")
+    assert [r.mse_hat for r in f1_rows] == bandwidth._mse_rows(estimates, table.target).tolist()
+    assert [r.failures for r in f1_rows] == np.isnan(estimates).sum(axis=1).tolist()
+    assert any(r.failures for r in f1_rows) == (0.01 in plan.alpha_grid)
+
+
 @PROPERTY
 @given(
     scenario=st.sampled_from([scenario_a(), B]),

@@ -662,6 +662,33 @@ def test_kernel_sums_of_a_point_do_not_depend_on_its_batch(s, kernel, data, budg
             assert x[j] == y[0], term
 
 
+@pytest.mark.parametrize("kernel", [EPA, UNI])
+def test_one_point_runs_pair_by_slice_as_by_gather(kernel):
+    # a chunk of one-point runs pairs its points with one slice of the
+    # uncensored window columns, a chunk that also holds a longer run by a
+    # gather; a point's sums are the same bits either way, and alone
+    terms = ("g", "f1", "f2") + (("gp", "h", "dh") if kernel is EPA else ())
+    config = EstimatorConfig(kernel_t=kernel)
+    s = Sample(t=np.array([0.1, 0.15, 0.2, 0.5, 0.55, 0.9, 0.95]),
+               z=np.array([0.3, 0.0, 0.7, 0.2, 0.6, 0.0, 0.0]),
+               delta=np.array([1, 0, 1, 1, 1, 0, 0]))
+    # at alpha = 0.06 the window of t = 0.92 holds only censored columns and
+    # that of t = 0.7 nothing
+    t, z = np.array([0.15, 0.92, 0.7, 0.5, 0.12]), np.array([0.4, 0.5, 0.5, 0.3, 0.8])
+    alpha, beta = np.full(7, 0.06), np.array([0.3, 0.3, 0.3, 0.2, 0.4, 0.5, 0.1])
+    one_point_runs = estimators._kernel_sums(s, config, t, z, alpha[2:], beta[2:], terms)
+    # a run of two points at t = 0.5, the first with two pairs
+    with_a_run = estimators._kernel_sums(s, config, np.r_[0.5, 0.5, t], np.r_[0.1, 0.9, z],
+                                         alpha, beta, terms)
+    for j in range(t.size):
+        alone = estimators._kernel_sums(s, config, t[j : j + 1], z[j : j + 1], 0.06,
+                                        beta[j + 2], terms)
+        for term, x, y, a in zip(terms, one_point_runs, with_a_run, alone):
+            assert x[j].hex() == y[j + 2].hex() == a[0].hex(), (term, j)
+    g, f1_sums = with_a_run[:2]
+    assert g[4] == 0.0 < g[3] and f1_sums[3] == 0.0 < f1_sums[2]
+
+
 @PROPERTY
 @given(st.integers(1, 30).flatmap(lambda n: st.lists(samples(n, n), min_size=1,
                                                     max_size=5)),
