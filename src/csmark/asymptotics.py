@@ -39,27 +39,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BandwidthRegimeError,
-    EmptySampleError,
-    InvalidBandwidthError,
-    QuadratureError,
-    ReplicationFailureError,
-    UnstableDenominatorError,
-)
-from .estimators import EstimatorConfig, _checked_pair, f1, f2
-from .kernels import (
-    Bandwidths,
-    UnivariateKernel,
-    _check_bandwidth,
-    _check_count,
-    _check_finite,
-    _is_real,
-    _quad,
-    epanechnikov_kernel,
-    l2_norm_sq,
-    second_moment,
-)
+from .errors import (BandwidthRegimeError, InvalidBandwidthError, QuadratureError,
+                     ReplicationFailureError, UnstableDenominatorError)
+from .errors import (check_bandwidth, check_count, check_estimator, check_finite,
+                     check_mark_bandwidth, check_pair, check_schedule, check_size, check_sizes)
+from .estimators import EstimatorConfig, f1, f2
+from .kernels import (Bandwidths, UnivariateKernel, _quad, epanechnikov_kernel, l2_norm_sq,
+                      second_moment)
 from .scenarios import Sample, Scenario, sample
 
 __all__ = [
@@ -113,15 +99,12 @@ class BandwidthSchedule:
     beta_exponent: float | None = None
 
     def __post_init__(self) -> None:
-        _check_bandwidth(self.c1, "c1")
+        check_bandwidth(self.c1, "c1")
         if (self.c2 is None) != (self.beta_exponent is None):
-            raise InvalidBandwidthError(
-                "c2 and beta_exponent must be given together"
-            )
-        if self.c2 is not None:
-            _check_bandwidth(self.c2, "c2")
-        if self.beta_exponent is not None:
-            _check_finite(self.beta_exponent, "beta_exponent")
+            raise InvalidBandwidthError("c2 and beta_exponent must be given together")
+        if self.c2 is not None:  # and so beta_exponent
+            check_bandwidth(self.c2, "c2")
+            check_finite(self.beta_exponent, "beta_exponent", InvalidBandwidthError)
 
     def alpha(self, n: int) -> float:
         return self.c1 * float(n) ** -0.2
@@ -158,22 +141,19 @@ def mu1_sigma2(
     scenario : Scenario
         Supplies ``F0``, its partials and the censoring density.
     point : (t0, z0)
-        Interior evaluation point with ``g(t0) > 0``; a point that is not
-        a pair, a NaN ``t0`` or ``z0`` or an infinite ``t0`` raises
-        :class:`SupportError`, and ``z0 = inf`` gives the constants of the
-        marginal in ``t``.
+        Interior evaluation point with ``g(t0) > 0``, refused as
+        :func:`~csmark.errors.check_pair` refuses one; ``z0 = inf`` gives
+        the constants of the marginal in ``t``.
     c : float
         Bandwidth constant in ``alpha = c n^{-1/5}``.
     kernel : UnivariateKernel
         The time-direction kernel.
     """
-    _check_bandwidth(c, "c")
-    t0, z0 = _checked_pair(point)
+    check_bandwidth(c, "c")
+    t0, z0 = check_pair(point)
     g0 = float(scenario.g(t0))
     if g0 <= 0.0:
-        raise UnstableDenominatorError(
-            f"censoring density vanishes at t0={t0!r}", g_value=g0
-        )
+        raise UnstableDenominatorError(f"censoring density vanishes at t0={t0!r}", g_value=g0)
     bracket = float(
         scenario.d11(t0, z0) + 2.0 * scenario.g_prime(t0) * scenario.d1(t0, z0) / g0
     )
@@ -183,13 +163,6 @@ def mu1_sigma2(
     return AsymptoticParams(
         mu1=mu1, sigma2=sigma2, degenerate_bias=(abs(bracket) < 1e-12)
     )
-
-
-def _mark_exponent(schedule: BandwidthSchedule) -> float:
-    """``schedule``'s mark exponent; a schedule without one is refused."""
-    if schedule.beta_exponent is None:
-        raise InvalidBandwidthError("the schedule has no mark bandwidth (c2, beta_exponent)")
-    return schedule.beta_exponent
 
 
 def mu2(
@@ -208,15 +181,13 @@ def mu2(
     the time kernel itself, so the extra term's second moment is
     ``kernel``'s too.
     """
-    exponent = _mark_exponent(schedule)
+    exponent = check_schedule(schedule)
     base = mu1_sigma2(scenario, point, schedule.c1, kernel)
     # an exponent written as, say, 0.3 - 0.1 misses 1/5 by an ulp
     critical = math.isclose(exponent, 0.2, abs_tol=1e-9)
     if not critical and exponent < 0.2:
-        raise BandwidthRegimeError(
-            f"mark bandwidth exponent {exponent!r} below 1/5: "
-            "standardized bias diverges"
-        )
+        raise BandwidthRegimeError(f"mark bandwidth exponent {exponent!r} below 1/5: "
+                                   "standardized bias diverges")
     if critical:
         t0, z0 = point
         extra = (
@@ -302,12 +273,13 @@ def _replicate(
     identical for any ``workers``.  Once a replication raises, no further
     index is handed out; the ones running finish, every helper is joined,
     and the exception of the lowest index is raised: the one a serial run
-    raises, since every lower index was handed out before it.  Counts out
-    of range raise ``ValueError`` before any sample is drawn.
+    raises, since every lower index was handed out before it.  Sizes and
+    counts out of range are refused before any sample is drawn.
     """
-    _check_count(m, "m", 2)
-    _check_count(seed, "seed", 0)
-    _check_count(workers, "workers", 1)
+    check_size(n, "n")
+    check_count(m, "m", 2)
+    check_count(seed, "seed", 0)
+    check_count(workers, "workers", 1)
 
     def one(r: int) -> float:
         try:
@@ -364,10 +336,8 @@ def _replicate(
 def _resolve_config(estimator: str, alpha: float, beta: float | None) -> EstimatorConfig:
     """The Epanechnikov config of every driver, with these bandwidths; F2
     needs ``beta``."""
-    if estimator not in ("F1", "F2"):
-        raise ValueError(f"estimator must be 'F1' or 'F2', got {estimator!r}")
-    if estimator == "F2" and beta is None:
-        raise InvalidBandwidthError("estimator 'F2' needs a mark bandwidth (beta)")
+    check_estimator(estimator)
+    check_mark_bandwidth(beta, "beta", estimator)
     return EstimatorConfig(epanechnikov_kernel(), Bandwidths(alpha, beta))
 
 
@@ -401,15 +371,14 @@ def mc_normality(
     only when ``n >= 20_000``; results do not depend on ``workers``.  A
     point or regime the reference law refuses is refused before any draw.
     """
-    _check_count(m, "m", 2)
-    _check_count(n, "n", 1, EmptySampleError)
+    check_count(m, "m", 2)
+    check_size(n, "n")
     if schedule is not None:
         if alpha is not None or beta is not None:
-            raise InvalidBandwidthError(
-                "pass either fixed bandwidths or a schedule, not both"
-            )
-        alpha = schedule.alpha(n)
-        beta = schedule.beta(n)
+            raise InvalidBandwidthError("pass either fixed bandwidths or a schedule, not both")
+        if estimator == "F2":  # F2 smooths the mark with the schedule's beta
+            check_schedule(schedule)
+        alpha, beta = schedule.alpha(n), schedule.beta(n)
     if alpha is None:
         raise InvalidBandwidthError("a time bandwidth is required")
     # estimator and bandwidth errors first
@@ -417,7 +386,7 @@ def mc_normality(
     c = alpha * float(n) ** 0.2
     params = mu1_sigma2(scenario, point, c, kt)
     mu = params.mu1
-    if estimator == "F2" and schedule is not None and schedule.beta_exponent is not None:
+    if estimator == "F2" and schedule is not None:
         mu = mu2(scenario, point, schedule, kt)
     errors = mc_mse(scenario, estimator, point, n, m,
                     alpha=alpha, beta=beta, seed=seed, workers=workers)
@@ -450,9 +419,9 @@ def mc_mse(
     Threads (``workers``, capped at the usable CPUs) share replications
     only when ``n >= 20_000``; results do not depend on ``workers``.
     """
-    _check_count(replications, "replications", 2)
+    check_count(replications, "replications", 2)
     config = _resolve_config(estimator, alpha, beta)
-    t0, z0 = _checked_pair(point)  # before any sample is drawn
+    t0, z0 = check_pair(point)  # before any sample is drawn
     truth = float(scenario.cdf(t0, z0))
     est = f1 if estimator == "F1" else f2
 
@@ -482,7 +451,7 @@ def _scaled_difference(
     ``n``, both estimators with the Epanechnikov kernel and the schedule's
     bandwidths at ``n``, which are checked here."""
     config = _resolve_config("F2", schedule.alpha(n), schedule.beta(n))
-    t0, z0 = _checked_pair(point)
+    t0, z0 = check_pair(point)
     rate = float(n) ** 0.4
     return lambda s: rate * (f2(s, config, t0, z0) - f1(s, config, t0, z0))
 
@@ -502,18 +471,12 @@ def equivalence_curve(
     envelope ``1.5 n^{-1/6}``; when the mark bandwidth shrinks faster than
     ``n^{-1/5}`` the differences should sit inside the envelope for most
     sizes.  Both estimators use the Epanechnikov kernel, F2 in time and
-    mark.  An empty ``n_grid`` and a size that is not a whole number of at
-    least 1 raise ``ValueError``, a point no estimate is defined at
-    :class:`SupportError`, and an entry the schedule gives no valid
-    bandwidths :class:`InvalidBandwidthError`, before any sample is drawn.
+    mark.  A schedule without a mark bandwidth, an ``n_grid`` that is not a
+    list of sizes, a point no estimate is defined at and an entry the
+    schedule gives no valid bandwidths are refused before any draw.
     """
-    _mark_exponent(schedule)
-    # each entry, before a cast could hide a bool or a string
-    entries = list(n_grid) if _is_real(n_grid, False) and np.ndim(n_grid) == 1 else []
-    if not entries or not all(_is_real(v, True) and 1 <= v < np.inf and v == math.floor(v)
-                              for v in entries):
-        raise ValueError(f"n_grid must hold whole sizes of at least 1, got {n_grid!r}")
-    n_grid = np.array(entries, dtype=float).astype(int)
+    check_schedule(schedule)
+    n_grid = check_sizes(n_grid, "n_grid")
     # every entry's bandwidths, and the point, are checked before the first draw
     sizes = n_grid.tolist()
     scaled = [_scaled_difference(point, n, schedule) for n in sizes]
@@ -542,7 +505,8 @@ def difference_sample(
     Threads (``workers``, capped at the usable CPUs) share replications
     only when ``n >= 20_000``; results do not depend on ``workers``.
     """
-    _check_count(n, "n", 1, EmptySampleError)
+    check_size(n, "n")
+    check_schedule(schedule)
     statistic = _scaled_difference(point, n, schedule)
     kt = epanechnikov_kernel()
     base = mu1_sigma2(scenario, point, schedule.c1, kt)
@@ -576,7 +540,7 @@ def mean_functional(s: Sample, alpha: float) -> MeanFunctionalResult:
     ``fallback_count`` reports how many needed this.  If no grid point is
     evaluable, :class:`UnstableDenominatorError` is raised.
     """
-    _check_bandwidth(alpha, "alpha")
+    check_bandwidth(alpha, "alpha")
     ts = np.sort(s.t)
     tu = np.sort(s.t[s.delta == 1])
     x = (np.arange(_GRID_POINTS) + 0.5) / _GRID_POINTS
@@ -662,10 +626,10 @@ def mc_functional(
     Threads (``workers``, capped at the usable CPUs) share replications
     only when ``n >= 20_000``; results do not depend on ``workers``.
     """
-    _check_count(n, "n", 1, EmptySampleError)
-    _check_finite(alpha_exponent, "alpha_exponent")
+    check_size(n, "n")
+    check_finite(alpha_exponent, "alpha_exponent", InvalidBandwidthError)
     alpha = _decay(n, alpha_exponent, "alpha_exponent")
-    _check_bandwidth(alpha, "alpha")  # before any sample is drawn
+    check_bandwidth(alpha, "alpha")  # before any sample is drawn
     truth = true_mean_event_time(scenario)
     variance = efficient_variance(scenario)
     root_n = math.sqrt(n)

@@ -31,11 +31,12 @@ import numpy as np
 
 from . import estimators
 from .asymptotics import MAX_FAILURE_FRACTION
-from .errors import InvalidBandwidthError, SelectionError
+from .errors import (SelectionError, check_bandwidth, check_count, check_finite, check_grid,
+                     check_pair)
 # f1 and f2 are not called here, but stay importable from this module, where
 # perfbench/tracing.py wraps them
 from .estimators import EstimatorConfig, _estimates, f1, f2  # noqa: F401
-from .kernels import Bandwidths, _check_bandwidth, _check_count, epanechnikov_kernel
+from .kernels import Bandwidths, epanechnikov_kernel
 from .pilot import PilotModel
 from .scenarios import Sample, _observed, _write_csv
 
@@ -68,18 +69,13 @@ class BootstrapPlan:
     seed: int
 
     def __post_init__(self) -> None:
-        _check_bandwidth(self.alpha0, "alpha0")
-        _check_bandwidth(self.beta0, "beta0")
-        _check_count(self.replications, "replications", 1, InvalidBandwidthError)
-        _check_count(self.seed, "seed", 0)
-        for label, grid in (("alpha", self.alpha_grid), ("beta", self.beta_grid)):
-            if len(grid) == 0:
-                raise InvalidBandwidthError(f"{label}_grid must be nonempty")
-            for value in grid:  # each entry, before a float cast could hide a bool
-                _check_bandwidth(value, f"{label}_grid")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise InvalidBandwidthError(f"{label}_grid must be strictly increasing")
-        estimators._checked_pair(self.point)
+        check_bandwidth(self.alpha0, "alpha0")
+        check_bandwidth(self.beta0, "beta0")
+        check_count(self.replications, "replications", 1)
+        check_count(self.seed, "seed", 0)
+        check_grid(self.alpha_grid, "alpha_grid")
+        check_grid(self.beta_grid, "beta_grid")
+        check_pair(self.point)
 
 
 def fit_pilot(sample_: Sample, alpha0: float, beta0: float) -> PilotModel:
@@ -178,8 +174,8 @@ def bootstrap_mse(
     those of its own generator and each estimate is the one its sample alone
     gives, so results do not depend on the grouping.
     """
-    if true_value is not None and not math.isfinite(true_value):
-        raise ValueError(f"true_value must be finite, got {true_value!r}")
+    if true_value is not None:
+        check_finite(true_value, "true_value")
     pilot = fit_pilot(sample_, plan.alpha0, plan.beta0)
     t0, z0 = plan.point
     target = pilot.target(t0, z0)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -29,9 +28,11 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import BandwidthSchedule, equivalence_curve, mc_functional
-from .asymptotics import _resolve_config, mc_mse, mc_normality, true_mean_event_time
+from .asymptotics import mc_mse, mc_normality, true_mean_event_time
 from .bandwidth import BootstrapPlan, bootstrap_mse, select
-from .errors import CsmarkError, InvalidBandwidthError
+from .errors import (CsmarkError, check_bandwidth, check_choice, check_count, check_estimator,
+                     check_finite, check_grid, check_mark, check_mark_bandwidth, check_size,
+                     check_sizes)
 from .estimators import EstimatorConfig, evaluate_grid, write_grid_csv
 from .kernels import Bandwidths, epanechnikov_kernel
 from .scenarios import _write_csv, sample, scenario_a, scenario_b
@@ -95,57 +96,36 @@ def _items(parse: Callable[[str], Any]) -> Callable[[str], tuple]:
     return items
 
 
-class _Refused(ValueError):
-    """A number that parsed, but lies outside the values the key accepts;
-    the message says what it must be."""
-
-
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise _Refused("finite")
-    return value
-
-
-def _positive(text: str) -> float:
-    """A bandwidth or a constant that scales one: finite and above 0."""
-    value = _finite(text)
-    if not value > 0.0:
-        raise _Refused("positive")
-    return value
-
-
-def _mark(text: str) -> float:
-    """A mark: finite, or ``inf`` for the marginal ``F0(t, inf)``."""
-    value = float(text)
-    if not (math.isfinite(value) or value == math.inf):
-        raise _Refused("finite or inf")
-    return value
-
-
 def _boolean(text: str) -> bool:
     return {"1": True, "true": True, "yes": True,
             "0": False, "false": False, "no": False}[text.lower()]
 
 
-_floats, _positives, _ints = _items(_finite), _items(_positive), _items(int)
-_WHAT = {int: "an integer", _finite: "a number", _positive: "a number",
-         _mark: "a number", _boolean: "one of 1/0/true/false/yes/no",
-         _ints: "comma-separated integers", _floats: "comma-separated numbers",
-         _positives: "comma-separated numbers"}
+def _each(rule: Callable[[Any, str], Any]) -> Callable[[tuple, str], list]:
+    """``rule`` on every entry of a list, naming the list."""
+    return lambda values, name: [rule(value, name) for value in values]
+
+
+def _count(minimum: int) -> Callable[[Any, str], None]:
+    return functools.partial(check_count, minimum=minimum)
+
+
+_floats, _ints = _items(float), _items(int)
+_WHAT = {int: "an integer", float: "a number", _boolean: "one of 1/0/true/false/yes/no",
+         _ints: "comma-separated integers", _floats: "comma-separated numbers"}
 
 
 @dataclass(frozen=True)
 class _Key:
-    """One config key.  ``default`` is config text, parsed like a value from
-    the file (an optional key without one is ``None`` when absent);
-    ``minimum`` bounds a number or every item of a list."""
+    """One config key: its text, one of ``choices`` if any, read by ``parse``
+    and checked by the library's ``rule`` under the key's name.  ``default``
+    is config text (an optional key without one is ``None`` when absent)."""
 
     name: str
-    parse: Callable[[str], Any] = _finite
+    parse: Callable[[str], Any] = float
+    rule: Callable[[Any, str], Any] | None = None
     required: bool = True
     default: str | None = None
-    minimum: int | None = None
     choices: tuple[str, ...] = ()
 
     def value(self, entry: _Entry | None) -> Any:
@@ -153,36 +133,32 @@ class _Key:
             if self.required:
                 raise ConfigError(f"missing required key {self.name!r}")
             return None if self.default is None else self.parse(self.default)
-
-        def error(what: str, got) -> ConfigError:
-            return ConfigError(f"{self.name!r} must be {what}, got {got}",
-                               entry.line, entry.col)
-
-        if self.choices and entry.value not in self.choices:
-            raise error(f"one of {list(self.choices)}", repr(entry.value))
         try:
-            value = self.parse(entry.value)
-        except _Refused as exc:
-            raise error(str(exc), repr(entry.value)) from None
-        except (KeyError, ValueError):
-            raise error(_WHAT[self.parse], repr(entry.value)) from None
-        low = min(value) if isinstance(value, tuple) else value
-        if self.minimum is not None and low < self.minimum:
-            raise error(f">= {self.minimum}", low)
+            if self.choices:
+                check_choice(entry.value, self.name, self.choices)
+            try:
+                value = self.parse(entry.value)
+            except (KeyError, ValueError):  # positioned below, as a rule's refusal is
+                raise ConfigError(f"{self.name} must be {_WHAT[self.parse]}, "
+                                  f"got {entry.value!r}") from None
+            if self.rule is not None:
+                self.rule(value, self.name)
+        except CsmarkError as exc:  # the rule's message at the value's position
+            raise ConfigError(str(exc), entry.line, entry.col) from None
         return value
 
 
-def _optional(name: str, default: str | None = None, parse=_finite) -> _Key:
-    return _Key(name, parse, required=False, default=default)
+def _optional(name: str, rule=None, default: str | None = None, parse=float) -> _Key:
+    return _Key(name, parse, rule, required=False, default=default)
 
 
-_SEED = _Key("seed", int, minimum=0)
+_SEED = _Key("seed", int, _count(0))
 _SCENARIO = _Key("scenario", lambda name: _SCENARIOS[name](), choices=tuple(_SCENARIOS))
-_N, _M = _Key("n", int, minimum=1), _Key("m", int, minimum=2)
-_T0, _Z0 = _Key("t0"), _Key("z0", _mark)
-_ALPHA, _BETA = _Key("alpha", _positive), _optional("beta", parse=_positive)
-_ESTIMATOR = _Key("estimator", str, choices=("F1", "F2"))
-_REPLICATIONS = _Key("replications", int, minimum=2)
+_N, _M = _Key("n", int, check_size), _Key("m", int, _count(2))
+_T0, _Z0 = _Key("t0", float, check_finite), _Key("z0", float, check_mark)
+_ALPHA, _BETA = _Key("alpha", float, check_bandwidth), _optional("beta", check_bandwidth)
+_ESTIMATOR = _Key("estimator", str, check_estimator)
+_REPLICATIONS = _Key("replications", int, _count(2))
 # one mc-mse run, in the order of a table1 cell's fields and of its CSV row
 _MSE_CELL = (_T0, _Z0, _N, _ESTIMATOR, _ALPHA, _BETA)
 _MSE_HEADER = [key.name for key in _MSE_CELL] + ["mse", "se"]
@@ -206,14 +182,14 @@ def _cells(cfg: dict[str, _Entry]) -> list[dict[str, Any]]:
     for _, (key, entry) in sorted(cells.items()):
         fields = [replace(entry, value=part.strip()) for part in entry.value.split(",")]
         if len(fields) not in (len(_MSE_CELL) - 1, len(_MSE_CELL)):
-            raise ConfigError(f"{key!r} must be {_CELL_SYNTAX!r}",
+            raise ConfigError(f"{key} must be {_CELL_SYNTAX}, got {entry.value!r}",
                               entry.line, entry.col)
         cell = {k.name: replace(k, name=f"{key}.{k.name}").value(field)
                 for k, field in zip_longest(_MSE_CELL, fields)}
-        try:  # the drivers' rule on a cell's bandwidths, before any cell runs
-            _resolve_config(cell["estimator"], cell["alpha"], cell["beta"])
-        except InvalidBandwidthError as exc:
-            raise ConfigError(f"{key!r}: {exc}", entry.line, entry.col) from None
+        try:  # the drivers' rule on an F2 cell's beta, before any cell runs
+            check_mark_bandwidth(cell["beta"], f"{key}.beta", cell["estimator"])
+        except CsmarkError as exc:
+            raise ConfigError(str(exc), entry.line, entry.col) from None
         parsed.append(cell)
     return parsed
 
@@ -283,8 +259,9 @@ def _simulate(run: _Run, scenario, n) -> None:
     sample(scenario, n, run.seed).to_csv(run.path("sample.csv"))
 
 
-@_command("estimate-grid", _SCENARIO, _N, _ALPHA, _BETA, _Key("t_grid", _floats),
-          _Key("z_grid", _floats))
+@_command("estimate-grid", _SCENARIO, _N, _ALPHA, _BETA,
+          _Key("t_grid", _floats, _each(check_finite)),
+          _Key("z_grid", _floats, _each(check_mark)))
 def _estimate_grid(run: _Run, scenario, n, alpha, beta, t_grid, z_grid) -> None:
     # looked up per call, so a kernel factory patched on this module is used
     config = EstimatorConfig(epanechnikov_kernel(), Bandwidths(alpha, beta))
@@ -294,8 +271,8 @@ def _estimate_grid(run: _Run, scenario, n, alpha, beta, t_grid, z_grid) -> None:
 
 
 @_command("mc-normality", _SCENARIO, _ESTIMATOR, _T0, _Z0, _N, _M,
-          _optional("alpha", parse=_positive), _BETA, _optional("c1", parse=_positive),
-          _optional("c2", parse=_positive), _optional("beta_exponent"))
+          _optional("alpha", check_bandwidth), _BETA, _optional("c1", check_bandwidth),
+          _optional("c2", check_bandwidth), _optional("beta_exponent", check_finite))
 def _mc_normality(run: _Run, scenario, estimator, t0, z0, n, m, alpha, beta, c1, c2,
                   beta_exponent) -> None:
     schedule = None if c1 is None else BandwidthSchedule(c1, c2, beta_exponent)
@@ -328,9 +305,9 @@ def _table1(run: _Run, scenario, replications, cells) -> None:
     _write_csv(run.path("table1.csv"), _MSE_HEADER, rows)
 
 
-@_command("equivalence", _SCENARIO, _T0, _Z0, _Key("c1", _positive),
-          _Key("c2", _positive), _Key("beta_exponent"),
-          _Key("n_grid", _ints, minimum=1))
+@_command("equivalence", _SCENARIO, _T0, _Z0, _Key("c1", float, check_bandwidth),
+          _Key("c2", float, check_bandwidth), _Key("beta_exponent", float, check_finite),
+          _Key("n_grid", _ints, check_sizes))
 def _equivalence(run: _Run, scenario, t0, z0, c1, c2, beta_exponent, n_grid) -> None:
     schedule = BandwidthSchedule(c1, c2, beta_exponent)
     curve = equivalence_curve(scenario, (t0, z0), np.array(n_grid), schedule, seed=run.seed)
@@ -339,7 +316,8 @@ def _equivalence(run: _Run, scenario, t0, z0, c1, c2, beta_exponent, n_grid) -> 
     run.write_json("summary.json", {"fraction_inside": curve.fraction_inside()})
 
 
-@_command("functional", _SCENARIO, _N, _M, _optional("alpha_exponent", repr(1.0 / 3.0)))
+@_command("functional", _SCENARIO, _N, _M,
+          _optional("alpha_exponent", check_finite, repr(1.0 / 3.0)))
 def _functional(run: _Run, scenario, n, m, alpha_exponent) -> None:
     summary = mc_functional(scenario, n, m, alpha_exponent=alpha_exponent,
                             seed=run.seed, workers=run.threads)
@@ -352,10 +330,11 @@ def _functional(run: _Run, scenario, n, m, alpha_exponent) -> None:
     })
 
 
-@_command("bw-select", _SCENARIO, _N, _T0, _Z0, _Key("replications", int, minimum=1),
-          _optional("alpha0", "0.4", _positive), _optional("beta0", "0.4", _positive),
-          _Key("alpha_grid", _positives), _Key("beta_grid", _positives),
-          _optional("compare_truth", "false", _boolean))
+@_command("bw-select", _SCENARIO, _N, _T0, _Z0, _Key("replications", int, _count(1)),
+          _optional("alpha0", check_bandwidth, "0.4"),
+          _optional("beta0", check_bandwidth, "0.4"),
+          _Key("alpha_grid", _floats, check_grid), _Key("beta_grid", _floats, check_grid),
+          _optional("compare_truth", default="false", parse=_boolean))
 def _bw_select(run: _Run, scenario, n, t0, z0, replications, alpha0, beta0, alpha_grid,
                beta_grid, compare_truth) -> None:
     plan = BootstrapPlan(alpha0, beta0, replications, alpha_grid, beta_grid,
@@ -422,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="key = value config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=_flag(_SEED), help="overrides config seed")
-        p.add_argument("--threads", type=_flag(_Key("threads", int, minimum=1)),
+        p.add_argument("--threads", type=_flag(_Key("threads", int, _count(1))),
                        default=1, metavar="K", help="worker threads for replications "
                        "of samples of 20 000 rows or more")
     return parser

@@ -37,8 +37,8 @@ alpha <= 1`` is visited, along one of two paths that give a point the same
 sums, bit for bit: per run of points at one time, with mark windows, for one
 point and at large n; or vectorized over many points at once.
 :func:`_estimates` forms every estimate from those means: it refuses bad
-points and applies the floor on ``g_hat``, the same way for all of them.
-:func:`_checked_pair` refuses a driver's ``(t0, z0)`` point the same way.
+points (:func:`~csmark.errors.check_points`) and applies the floor on
+``g_hat``, the same way for all of them.
 """
 
 from __future__ import annotations
@@ -50,26 +50,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DerivativeUnavailableError,
-    InvalidBandwidthError,
-    KernelAssumptionError,
-    SupportError,
-    UnstableDenominatorError,
-)
+from .errors import (DerivativeUnavailableError, InvalidValueError, KernelAssumptionError,
+                     UnstableDenominatorError, check_bandwidth, check_grid_points, check_points)
 # eval_rescaled and eval_rescaled_cdf are not called here, but stay
 # importable from this module, where perfbench/tracing.py wraps them
-from .kernels import (  # noqa: F401
-    Bandwidths,
-    KernelFamily,
-    UnivariateKernel,
-    _check_bandwidth,
-    _is_real,
-    _support_window,
-    epanechnikov_kernel,
-    eval_rescaled,
-    eval_rescaled_cdf,
-)
+from .kernels import (Bandwidths, KernelFamily, UnivariateKernel,  # noqa: F401
+                      _support_window, epanechnikov_kernel, eval_rescaled, eval_rescaled_cdf)
 from .scenarios import Sample, _write_csv
 
 __all__ = [
@@ -109,7 +95,7 @@ class EstimatorConfig:
     g_floor: float = DEFAULT_G_FLOOR
 
     def __post_init__(self) -> None:
-        _check_bandwidth(self.g_floor, "g_floor", ValueError)
+        check_bandwidth(self.g_floor, "g_floor", InvalidValueError)
 
 
 def _segment_sums(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -283,55 +269,14 @@ def _kernel_sums(sample, config, t, z, alpha, beta, terms, row=None) -> list[np.
     """
     kt = config.kernel_t
     marked = "f2" in terms or "h" in terms or "dh" in terms
-    if marked and beta is None:
-        raise InvalidBandwidthError("doubly-smoothed estimation needs a mark bandwidth (beta)")
     if marked:
-        _check_bandwidth(beta, "beta")
+        check_bandwidth(beta, "beta")
     if ("gp" in terms or "dh" in terms) and kt.deriv is None:
         raise DerivativeUnavailableError(f"kernel {kt.name!r} has no derivative")
-    _check_bandwidth(alpha, "alpha")
+    check_bandwidth(alpha, "alpha")
     n = sample.t.shape[-1]
     path = _run_sums if t.size == 1 or _CHUNK_BUDGET // n // 8 <= 1 else _batch_sums
     return path(kt, sample, t, z, alpha, beta if marked else None, terms, row)
-
-
-def _checked_points(t, z, single=False) -> tuple[np.ndarray, np.ndarray]:
-    """``t`` and ``z`` as float arrays, refusing points no estimate is defined at.
-
-    A bool, a string or any other value that is not a real number (with
-    ``single``, also an array or a sequence), ``t`` and ``z`` of different
-    shapes, a NaN ``t`` or ``z`` or an infinite ``t`` raises
-    :class:`SupportError`; ``z = +-inf`` is the limit in the mark.
-    """
-    # before a float cast could hide them
-    if not (_is_real(t, single) and _is_real(z, single)):
-        raise SupportError(f"cannot estimate at (t, z) = ({t!r}, {z!r}): t and z must be "
-                           f"real numbers{', one each' if single else ''}")
-    t, z = np.array(t, dtype=float, ndmin=1), np.array(z, dtype=float, ndmin=1)
-    if t.shape != z.shape:
-        raise SupportError(f"cannot estimate at t = {t.tolist()}, z = {z.tolist()}: "
-                           "t and z must have one shape")
-    bad = ~np.isfinite(t) | np.isnan(z)
-    if bad.any():
-        j = bad.argmax()
-        raise SupportError(
-            f"cannot estimate at (t, z) = ({t[j]}, {z[j]}): "
-            "t must be finite and z a number"
-        )
-    return t, z
-
-
-def _checked_pair(point) -> tuple:
-    """``point`` unpacked as ``(t, z)``, refused as :func:`_checked_points`
-    refuses a single point; a point that is not a pair raises
-    :class:`SupportError` too."""
-    try:
-        t, z = point
-    except (TypeError, ValueError):
-        raise SupportError(f"cannot estimate at {point!r}: a point must be "
-                           "a pair (t, z)") from None
-    _checked_points(t, z, single=True)
-    return t, z
 
 
 # the kernel sums each estimate needs besides g; a ratio's numerator comes first
@@ -348,9 +293,10 @@ def _estimates(sample, config, t, z, kinds, alpha=None, beta=None, row=None, sin
     value per point.  With ``row``, ``sample`` is a stack of samples and
     point ``j`` is evaluated on its row ``row[j]`` (see :func:`_kernel_sums`).
     Every estimate is NaN where g_hat falls below ``config.g_floor``.  Points
-    are refused as :func:`_checked_points` refuses them, with ``single``.
+    are refused as :func:`~csmark.errors.check_points` refuses them, with
+    ``single``.
     """
-    t, z = _checked_points(t, z, single)
+    t, z = check_points(t, z, single)
     bw = config.bandwidths
     alpha = bw.alpha if alpha is None else alpha
     beta = bw.beta if beta is None else beta
@@ -400,10 +346,8 @@ def f1_counting(sample: Sample, config: EstimatorConfig, t0: float, z0: float) -
     :func:`f1` refuses them.
     """
     if config.kernel_t.family is not KernelFamily.UNIFORM:
-        raise KernelAssumptionError(
-            "counting form is only defined for the uniform time kernel"
-        )
-    _checked_points(t0, z0, single=True)
+        raise KernelAssumptionError("counting form is only defined for the uniform time kernel")
+    check_points(t0, z0, single=True)
     alpha = config.bandwidths.alpha
     inside = np.abs(sample.t - t0) <= alpha
     num = float(np.sum(inside & (sample.delta == 1) & (sample.z <= z0)))
@@ -465,16 +409,12 @@ def evaluate_grid(
     missing the corresponding columns are left as None rather than failing
     the whole grid.  Points whose denominator is unstable get None everywhere.
     """
-    if not all(_is_real(grid, False) and np.ndim(grid) <= 1 for grid in (t_grid, z_grid)):
-        raise SupportError(f"cannot estimate on the grid {t_grid!r} x {z_grid!r}: "
-                           "its entries must be real numbers, one each")
-    t_grid, z_grid = np.atleast_1d(t_grid), np.atleast_1d(z_grid)
     kinds: tuple[str, ...] = ("F1",)
     if config.bandwidths.beta is not None:
         kinds += ("F2",)
         if config.kernel_t.deriv is not None:
             kinds += ("density",)
-    t, z = _checked_points(np.repeat(t_grid, z_grid.size), np.tile(z_grid, t_grid.size))
+    t, z = check_grid_points(t_grid, z_grid)
     _, values = _estimates(sample, config, t, z, kinds)
     columns = [[None if math.isnan(v) else v for v in x.tolist()] for x in values]
     columns += [[None] * t.size] * (3 - len(columns))

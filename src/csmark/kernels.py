@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidBandwidthError
+from .errors import check_bandwidth
 
 __all__ = [
     "UnivariateKernel",
@@ -104,9 +103,9 @@ class Bandwidths:
     beta: float | None = None
 
     def __post_init__(self) -> None:
-        _check_bandwidth(self.alpha, "alpha")
+        check_bandwidth(self.alpha, "alpha")
         if self.beta is not None:
-            _check_bandwidth(self.beta, "beta")
+            check_bandwidth(self.beta, "beta")
 
 
 def _uniform_pdf(u):
@@ -214,55 +213,6 @@ def custom_kernel(
     )
 
 
-# the scalar types of a number, bools aside: concrete types test faster than
-# numbers.Real, and Python's bool is an int
-_REAL = (float, int, np.floating, np.integer)
-
-
-def _is_real(value, single) -> bool:
-    """Whether ``value`` is a float, an int or a numpy real, a 0-d array of
-    one or, unless ``single``, an array or a sequence of them, but not a bool
-    and not a Python int too large for a float."""
-    if isinstance(value, _REAL):
-        try:
-            float(value)
-        except OverflowError:
-            return False
-        return type(value) is not bool
-    try:
-        value = np.asarray(value)
-    except ValueError:  # a ragged sequence
-        return False
-    return value.dtype.kind in "fiu" and not (single and value.ndim)
-
-
-def _check_bandwidth(value, name: str, error: type = InvalidBandwidthError) -> None:
-    """Raise ``error`` naming ``name`` unless ``value``, a number as
-    :func:`_is_real` takes one or an array of them, is finite and strictly
-    positive throughout."""
-    # the chained comparison is False for NaN, inf and nonpositive values
-    if isinstance(value, np.ndarray):
-        ok = value.dtype.kind in "fiu" and bool(np.all((0.0 < value) & (value < np.inf)))
-    else:
-        ok = _is_real(value, True) and 0.0 < value < np.inf
-    if not ok:
-        raise error(f"{name} must be finite and positive, got {value!r}")
-
-
-def _check_finite(value, name: str) -> None:
-    """Raise InvalidBandwidthError naming ``name`` unless ``value`` is a finite
-    number as :func:`_is_real` takes one."""
-    if not (_is_real(value, True) and math.isfinite(value)):
-        raise InvalidBandwidthError(f"{name} must be a finite number, got {value!r}")
-
-
-def _check_count(value, name: str, minimum: int, error: type = ValueError) -> None:
-    """Raise ``error`` naming ``name`` unless ``value`` is an integer >= ``minimum``."""
-    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    if not (integer and value >= minimum):
-        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
 # how far _support_window widens its prefilter's bounds, per unit of |c| + h
 _WINDOW_SLACK = 4 * float(np.finfo(float).eps)
 
@@ -296,14 +246,10 @@ def eval_rescaled(kernel: UnivariateKernel, bandwidth, u) -> np.ndarray:
     """Evaluate ``k(u / bandwidth) / bandwidth`` elementwise.
 
     ``bandwidth`` is a scalar or an array that broadcasts against ``u``
-    (one bandwidth per row, say).
-
-    Raises
-    ------
-    InvalidBandwidthError
-        If any bandwidth is not finite and strictly positive.
+    (one bandwidth per row, say), refused as
+    :func:`~csmark.errors.check_bandwidth` refuses one.
     """
-    _check_bandwidth(bandwidth, "bandwidth")
+    check_bandwidth(bandwidth, "bandwidth")
     return kernel.pdf(np.asarray(u, dtype=float) / bandwidth) / bandwidth
 
 
@@ -312,7 +258,7 @@ def eval_rescaled_cdf(kernel: UnivariateKernel, bandwidth, u) -> np.ndarray:
 
     ``bandwidth`` broadcasts as in :func:`eval_rescaled`.
     """
-    _check_bandwidth(bandwidth, "bandwidth")
+    check_bandwidth(bandwidth, "bandwidth")
     return kernel.cdf(np.asarray(u, dtype=float) / bandwidth)
 
 

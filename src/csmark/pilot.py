@@ -47,7 +47,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import estimators
-from .errors import DegeneratePilotError, InvalidBandwidthError, KernelAssumptionError
+from .errors import DegeneratePilotError, KernelAssumptionError, check_bandwidth
 from .estimators import EstimatorConfig, _estimates
 from .kernels import KernelFamily, _epanechnikov_deriv_bounds, _epanechnikov_pdf_bounds
 from .scenarios import Sample
@@ -97,8 +97,7 @@ class PilotModel:
         if config.kernel_t.family is not KernelFamily.EPANECHNIKOV:
             raise KernelAssumptionError(f"the pilot kernel must be epanechnikov, "
                                         f"not {config.kernel_t.name!r}")
-        if config.bandwidths.beta is None:
-            raise InvalidBandwidthError("the pilot needs a mark bandwidth (beta)")
+        check_bandwidth(config.bandwidths.beta, "beta")  # None too: the pilot smooths marks
         self.sample = sample_
         self.config = config
         self._edges = grid = np.linspace(0.0, 1.0, _ENVELOPE_GRID)

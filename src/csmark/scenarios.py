@@ -29,8 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import EmptySampleError
-from .kernels import _check_count
+from .errors import EmptySampleError, InvalidValueError, check_count, check_size
 
 __all__ = [
     "Scenario",
@@ -98,31 +97,33 @@ class Sample:
     seed: int | None = field(default=None)
 
     def __post_init__(self) -> None:
-        t = np.ascontiguousarray(np.asarray(self.t, dtype=float))
-        z = np.ascontiguousarray(np.asarray(self.z, dtype=float))
+        try:
+            t, z = (np.ascontiguousarray(np.asarray(a, dtype=float)) for a in (self.t, self.z))
+        except (TypeError, ValueError, OverflowError):  # no float holds 10**400
+            raise InvalidValueError("times and marks must be numbers") from None
         delta = np.asarray(self.delta)
         if not (t.ndim == z.ndim == delta.ndim == 1):
-            raise ValueError("sample arrays must be one-dimensional")
+            raise InvalidValueError("sample arrays must be one-dimensional")
         if not (t.shape == z.shape == delta.shape):
-            raise ValueError("sample arrays must share one length")
+            raise InvalidValueError("sample arrays must share one length")
         if t.size == 0:
             raise EmptySampleError("sample must contain at least one row")
         # min and max propagate NaN; few whole-array passes keep this cheap
         # for the many small samples of threaded Monte Carlo runs
         if not (np.isfinite(t.min()) and np.isfinite(t.max())):
-            raise ValueError("times must be finite")
+            raise InvalidValueError("times must be finite")
         # the integer cast would truncate 0.7 to 0 and fail on NaN
         if delta.dtype.kind not in "biu" and not np.all(
             (delta == 0) | (delta == 1)
         ):
-            raise ValueError("delta must be 0 or 1")
+            raise InvalidValueError("delta must be 0 or 1")
         delta = np.ascontiguousarray(delta, dtype=np.int64)
         if not (0 <= delta.min() and delta.max() <= 1):
-            raise ValueError("delta must be 0 or 1")
+            raise InvalidValueError("delta must be 0 or 1")
         if not (0.0 <= z.min() and z.max() < np.inf):
-            raise ValueError("marks must be finite and nonnegative")
+            raise InvalidValueError("marks must be finite and nonnegative")
         if np.any((z != 0.0) & (delta == 0)):
-            raise ValueError("censored rows must carry a zero mark")
+            raise InvalidValueError("censored rows must carry a zero mark")
         self._freeze(t, z, delta)
 
     def _freeze(self, t: np.ndarray, z: np.ndarray, delta: np.ndarray) -> None:
@@ -143,8 +144,8 @@ class Sample:
         """Read ``t,z,delta`` rows as :meth:`to_csv` writes them.
 
         A row without exactly three fields, or whose ``t`` or ``z`` is not a
-        number or whose ``delta`` is not an integer, raises ``ValueError``
-        naming its line.
+        number or whose ``delta`` is not an integer, raises
+        :class:`InvalidValueError` naming its line.
         """
         if isinstance(path, io.TextIOBase):
             return cls._read(path)
@@ -156,19 +157,19 @@ class Sample:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["t", "z", "delta"]:
-            raise ValueError(f"expected header 't,z,delta', got {header!r}")
+            raise InvalidValueError(f"expected header 't,z,delta', got {header!r}")
         t, z, d = [], [], []
         for row in reader:
             if not row:
                 continue
             if len(row) != 3:
-                raise ValueError(
+                raise InvalidValueError(
                     f"line {reader.line_num}: expected 3 fields t,z,delta, got {len(row)}"
                 )
             try:
                 ti, zi, di = float(row[0]), float(row[1]), int(row[2])
             except ValueError:
-                raise ValueError(
+                raise InvalidValueError(
                     f"line {reader.line_num}: expected numbers t,z and an integer "
                     f"delta, got {','.join(row)!r}"
                 ) from None
@@ -348,32 +349,32 @@ def sample(scenario: Scenario, n: int, seed: int) -> Sample:
     The generator is seeded with ``seed`` and consumed in a fixed order
     (latent pairs first, censoring times second), so the result is bitwise
     reproducible, and its latent pairs are those of
-    ``scenario.draw_xy(np.random.default_rng(seed), n)``.  ``n`` must be an
-    integer >= 1 (:class:`EmptySampleError`), ``seed`` one >= 0.
+    ``scenario.draw_xy(np.random.default_rng(seed), n)``.  ``n`` must be a
+    size (:func:`~csmark.errors.check_size`), ``seed`` an integer >= 0.
 
     The result equals ``Sample(*_observed(x, y, t), seed=seed)`` bit for bit,
     built without copies: ``delta`` is 0/1 and censored marks are +0.0 by
     construction, so only the draws' lengths, the times' finiteness and the
     marks' range are checked, as :class:`Sample` checks them.
     """
-    _check_count(n, "n", 1, EmptySampleError)
-    _check_count(seed, "seed", 0)
+    check_size(n, "n")
+    check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     x, y = scenario.draw_xy(rng, n)
     t = scenario.draw_t(rng, n)
     x, y, t = (np.require(a, float, ["C", "W", "O", "E"]) for a in (x, y, t))
     for name, a in (("draw_xy", x), ("draw_xy", y), ("draw_t", t)):
         if a.shape != (n,):
-            raise ValueError(
+            raise InvalidValueError(
                 f"{name} must return arrays of length {n}, got shape {a.shape}"
             )
     # x is dead once delta exists: the marks take its buffer, unless a draw
     # returned one array twice
     _, z, delta = _observed(x, y, t, x if x is not y and x is not t else None)
     if not (np.isfinite(t.min()) and np.isfinite(t.max())):
-        raise ValueError("times must be finite")
+        raise InvalidValueError("times must be finite")
     if not (0.0 <= z.min() and z.max() < np.inf):
-        raise ValueError("marks must be finite and nonnegative")
+        raise InvalidValueError("marks must be finite and nonnegative")
     s = object.__new__(Sample)
     s._freeze(t, z, delta)
     object.__setattr__(s, "seed", seed)

@@ -21,7 +21,9 @@ from csmark import (
     BootstrapPlan,
     EstimatorConfig,
     Bandwidths,
+    EmptySampleError,
     InvalidBandwidthError,
+    InvalidValueError,
     MonteCarloSummary,
     PilotModel,
     QuadratureError,
@@ -278,7 +280,8 @@ def test_public_names_are_pinned():
         "AsymptoticParams", "BandwidthRegimeError", "BandwidthSchedule", "Bandwidths",
         "BootstrapMseTable", "BootstrapPlan", "CsmarkError", "DegeneratePilotError",
         "DerivativeUnavailableError", "EmptySampleError", "EquivalenceCurve",
-        "EstimatorConfig", "InvalidBandwidthError", "KernelAssumptionError",
+        "EstimatorConfig", "InvalidBandwidthError", "InvalidValueError",
+        "KernelAssumptionError",
         "KernelValidationReport", "MeanFunctionalResult", "MonteCarloSummary",
         "MseRow", "PilotModel", "QuadratureError", "ReplicationFailureError",
         "Sample", "Scenario", "SelectionError", "SupportError", "UnivariateKernel",
@@ -296,7 +299,8 @@ def test_public_names_are_pinned():
 
 def test_finite_positive_checks_name_their_parameter():
     """Bandwidths and the constants that scale them share one check, whose
-    message names the parameter; g_floor keeps raising a plain ValueError."""
+    message names the parameter; g_floor, not a bandwidth, raises
+    InvalidValueError."""
     s = sample(B, 50, 1)
     schedule = BandwidthSchedule(0.5, 0.5, 0.3)
     plan = dict(alpha0=0.4, beta0=0.4, replications=2, alpha_grid=(0.2,),
@@ -313,7 +317,7 @@ def test_finite_positive_checks_name_their_parameter():
          lambda: BootstrapPlan(**{**plan, "alpha_grid": (True,)})),
         ("beta_grid", InvalidBandwidthError,
          lambda: BootstrapPlan(**{**plan, "beta_grid": (0.2, np.True_)})),
-        ("g_floor", ValueError, lambda: EstimatorConfig(g_floor="0.1")),
+        ("g_floor", InvalidValueError, lambda: EstimatorConfig(g_floor="0.1")),
         ("bandwidth", InvalidBandwidthError,
          lambda: eval_rescaled(EPA, np.array([True, True]), [0.1, 0.2])),
         ("bandwidth", InvalidBandwidthError,
@@ -331,14 +335,14 @@ def test_finite_positive_checks_name_their_parameter():
          lambda: BootstrapPlan(**{**plan, "alpha_grid": (0.2, -0.1)})),
         ("beta_grid", InvalidBandwidthError,
          lambda: BootstrapPlan(**{**plan, "beta_grid": (math.nan,)})),
-        ("g_floor", ValueError, lambda: EstimatorConfig(g_floor=0.0)),
+        ("g_floor", InvalidValueError, lambda: EstimatorConfig(g_floor=0.0)),
         # a Python int too large for a float is no number either
         ("alpha", InvalidBandwidthError, lambda: Bandwidths(10**400)),
         ("alpha0", InvalidBandwidthError,
          lambda: BootstrapPlan(**{**plan, "alpha0": 10**400})),
         ("c", InvalidBandwidthError, lambda: mu1_sigma2(B, (0.5, 0.5), 10**400, EPA)),
         ("alpha", InvalidBandwidthError, lambda: mean_functional(s, 10**400)),
-        ("g_floor", ValueError, lambda: EstimatorConfig(g_floor=10**400)),
+        ("g_floor", InvalidValueError, lambda: EstimatorConfig(g_floor=10**400)),
     ]
     for name, error, call in cases:
         with pytest.raises(ValueError) as exc:
@@ -363,8 +367,10 @@ def test_mc_functional_refuses_its_bandwidth_before_any_sample_is_drawn(monkeypa
 
 
 def test_counts_are_checked_before_any_sample_is_drawn(monkeypatch):
-    """Sizes, seeds, and replication and worker counts share one check, whose ValueError names the parameter; the drivers make it before
-    they draw a sample."""
+    """Sizes share one check, which raises EmptySampleError, and seeds and
+    replication and worker counts another, which raises InvalidValueError;
+    each names the parameter, and the drivers make them before they draw a
+    sample."""
     s = sample(B, 50, 1)
     schedule = BandwidthSchedule(0.5, 0.5, 0.3)
     plan = dict(alpha0=0.4, beta0=0.4, replications=2.5, alpha_grid=(0.2,),
@@ -383,6 +389,8 @@ def test_counts_are_checked_before_any_sample_is_drawn(monkeypatch):
         ("replications", lambda: mc_mse(**{**mse, "replications": 2.5})),
         ("seed", lambda: mc_mse(**{**mse, "seed": -1})),
         ("workers", lambda: mc_mse(**{**mse, "n": 30_000, "workers": 0})),
+        # a size is checked before it is compared with the thread threshold
+        ("n", lambda: mc_mse(**{**mse, "n": "100"})),
         ("m", lambda: mc_normality(B, "F1", (0.5, 0.5), 100, 2.5, seed=0, alpha=0.2)),
         ("m", lambda: difference_sample(B, (0.5, 0.5), 100, 2.5, schedule, seed=0)),
         # n is checked before the schedule is evaluated at it
@@ -395,30 +403,32 @@ def test_counts_are_checked_before_any_sample_is_drawn(monkeypatch):
     for name, call in cases:
         with pytest.raises(ValueError) as exc:
             call()
+        assert type(exc.value) is (EmptySampleError if name == "n" else InvalidValueError)
         assert str(exc.value).startswith(f"{name} must be an integer >= "), name
-    with pytest.raises(InvalidBandwidthError):
-        BootstrapPlan(**plan)
     # the reference law is refused before the replications, not after them,
     # and so is an F2 without a mark bandwidth
     slow = BandwidthSchedule(0.5, 0.5, 0.1)
     no_beta = BandwidthSchedule(0.5)
     vanishing_g = dataclasses.replace(B, g=lambda t: 3.0 * np.asarray(t, dtype=float) ** 2)
     refused = [
-        (InvalidBandwidthError, lambda: mc_mse(**{**mse, "estimator": "F2"})),
-        (InvalidBandwidthError,
+        (InvalidBandwidthError, None, lambda: mc_mse(**{**mse, "estimator": "F2"})),
+        (InvalidBandwidthError, None,
          lambda: mc_normality(B, "F2", (0.5, 0.5), 100, 20, seed=0, alpha=0.2)),
-        (InvalidBandwidthError,
+        (InvalidBandwidthError, None,
          lambda: mc_normality(B, "F2", (0.5, 0.5), 100, 20, seed=0, schedule=no_beta)),
-        (InvalidBandwidthError, lambda: difference_sample(B, (0.5, 0.5), 100, 20, no_beta, seed=0)),
-        (BandwidthRegimeError,
+        # the schedule's refusal, as mu2 and equivalence_curve word it
+        (InvalidBandwidthError, "^schedule must be one with a mark bandwidth",
+         lambda: difference_sample(B, (0.5, 0.5), 100, 20, no_beta, seed=0)),
+        (BandwidthRegimeError, None,
          lambda: mc_normality(B, "F2", (0.5, 0.5), 100, 20, seed=0, schedule=slow)),
-        (BandwidthRegimeError, lambda: difference_sample(B, (0.5, 0.5), 100, 20, slow, seed=0)),
-        (UnstableDenominatorError,  # g(0) = 0
+        (BandwidthRegimeError, None,
+         lambda: difference_sample(B, (0.5, 0.5), 100, 20, slow, seed=0)),
+        (UnstableDenominatorError, None,  # g(0) = 0
          lambda: mc_normality(B, "F1", (0.0, 0.5), 100, 20, seed=0, alpha=0.2)),
-        (QuadratureError, lambda: mc_functional(vanishing_g, 100, 20, seed=0)),
+        (QuadratureError, None, lambda: mc_functional(vanishing_g, 100, 20, seed=0)),
     ]
-    for error, call in refused:
-        with pytest.raises(error):
+    for error, match, call in refused:
+        with pytest.raises(error, match=match):
             call()
 
 
@@ -668,6 +678,7 @@ def test_equivalence_curve_shape_and_envelope():
     ([True, 100], 0.5, ValueError),  # not cast to 1
     (["100"], 0.5, ValueError),  # not cast to 100
     ([100, [1, 2]], 0.5, ValueError),  # ragged
+    ([500, 10**20], 0.5, ValueError),  # more than numpy can allocate
 ])
 def test_equivalence_curve_rejects_bad_input(monkeypatch, n_grid, c, error):
     def no_draws(*args):
@@ -675,21 +686,25 @@ def test_equivalence_curve_rejects_bad_input(monkeypatch, n_grid, c, error):
 
     monkeypatch.setattr(asymptotics, "sample", no_draws)
     sched = BandwidthSchedule(c1=0.7, c2=c, beta_exponent=None if c is None else 0.45)
-    with pytest.raises(error, match="n_grid" if c else "schedule"):
+    with pytest.raises(error, match="^n_grid must be " if c else "^schedule must be ") as exc:
         equivalence_curve(B, (0.5, 0.5), n_grid, sched, seed=3)
+    # a bad grid is refused as a bad size is
+    assert isinstance(exc.value, EmptySampleError if c else InvalidBandwidthError)
 
 
 def test_a_schedule_without_a_mark_bandwidth_is_refused_in_one_wording():
-    # the drivers' "estimator 'F2' needs a mark bandwidth (beta)" is about a
-    # config's beta; these two are about the schedule
+    # an F2 driver's refusal of a missing beta is about a config's beta;
+    # these are about the schedule
     no_beta = BandwidthSchedule(0.5)
     messages = []
     for call in (lambda: mu2(B, (0.5, 0.5), no_beta, EPA),
-                 lambda: equivalence_curve(B, (0.5, 0.5), [100], no_beta, seed=0)):
+                 lambda: equivalence_curve(B, (0.5, 0.5), [100], no_beta, seed=0),
+                 lambda: difference_sample(B, (0.5, 0.5), 100, 20, no_beta, seed=0),
+                 lambda: mc_normality(B, "F2", (0.5, 0.5), 100, 20, seed=0, schedule=no_beta)):
         with pytest.raises(InvalidBandwidthError, match="schedule") as exc:
             call()
         messages.append(str(exc.value))
-    assert messages[0] == messages[1]
+    assert len(set(messages)) == 1
 
 
 def test_difference_shrinks_when_mark_bandwidth_decays_fast():

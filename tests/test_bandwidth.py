@@ -16,6 +16,7 @@ from csmark import (
     BootstrapPlan,
     DegeneratePilotError,
     InvalidBandwidthError,
+    InvalidValueError,
     KernelAssumptionError,
     MseRow,
     Sample,
@@ -60,8 +61,8 @@ def small_plan(**overrides):
 def test_bootstrap_plan_validation():
     small_plan()  # the baseline parameters are valid
     assert issubclass(InvalidBandwidthError, ValueError)
-    for bad in (0, 2.5):
-        with pytest.raises(InvalidBandwidthError):
+    for bad in (0, 2.5):  # a count, not a bandwidth
+        with pytest.raises(InvalidValueError, match=r"^replications must be an integer >= 1"):
             small_plan(replications=bad)
     small_plan(replications=np.int64(3))
     with pytest.raises(InvalidBandwidthError):
@@ -74,7 +75,7 @@ def test_bootstrap_plan_validation():
         small_plan(alpha0=0.0)
     # the seed is checked at construction, not when the first generator is made
     for bad in (-1, 1.5, True):
-        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+        with pytest.raises(InvalidValueError, match=r"^seed must be an integer >= 0, got "):
             small_plan(seed=bad)
     small_plan(seed=np.int64(0))
 
@@ -694,8 +695,8 @@ def test_bootstrap_refuses_a_true_value_that_is_not_finite(monkeypatch):
 
     monkeypatch.setattr(bandwidth, "fit_pilot", no_fit)
     s = sample(B, 60, 23)
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="^true_value must be finite, got "):
+    for bad in (np.nan, np.inf, -np.inf, "0.5"):
+        with pytest.raises(InvalidValueError, match="^true_value must be a finite number, got "):
             bootstrap_mse(s, small_plan(), true_value=bad)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 
 from csmark import (
-    Bandwidths, EstimatorConfig, Sample, UnstableDenominatorError, asymptotics,
-    evaluate_grid, mc_mse, sample, scenario_a, scenario_b, write_grid_csv,
+    BandwidthSchedule, Bandwidths, BootstrapPlan, CsmarkError, EstimatorConfig, Sample,
+    UnstableDenominatorError, asymptotics, equivalence_curve, evaluate_grid, mc_functional,
+    mc_mse, mc_normality, sample, scenario_a, scenario_b, write_grid_csv,
 )
 from csmark import cli
 from csmark.cli import ConfigError, main, parse_config
@@ -349,82 +351,91 @@ VALID = {
 }
 CELL = "0.4, 0.4, 80, F1, 0.25"
 
+# the size rule's bound: the largest size numpy can allocate
+INDEX_MAX = np.iinfo(np.intp).max
 # command, key, bad value (None drops the key), extra arguments, expected
 # message, and where it points: the key's value, the key itself, or nowhere
 BAD_CONFIGS = [
-    ("simulate", "n", "five", (), "'n' must be an integer, got 'five'", "value"),
-    ("simulate", "n", "0", (), "'n' must be >= 1, got 0", "value"),
-    ("mc-normality", "m", "1", (), "'m' must be >= 2, got 1", "value"),
-    ("mc-mse", "t0", "abc", (), "'t0' must be a number, got 'abc'", "value"),
-    ("estimate-grid", "t_grid", "0.3, x", (),
-     "'t_grid' must be comma-separated numbers, got '0.3, x'", "value"),
-    ("estimate-grid", "t_grid", ",", (),
-     "'t_grid' must be comma-separated numbers, got ','", "value"),
-    ("bw-select", "alpha_grid", ",", (),
-     "'alpha_grid' must be comma-separated numbers, got ','", "value"),
-    ("equivalence", "n_grid", "400, 9.5", (),
-     "'n_grid' must be comma-separated integers, got '400, 9.5'", "value"),
-    ("equivalence", "n_grid", "0, -5", (), "'n_grid' must be >= 1, got -5", "value"),
-    ("equivalence", "n_grid", ",", (),
-     "'n_grid' must be comma-separated integers, got ','", "value"),
-    ("simulate", "scenario", "Q", (), "'scenario' must be one of ['A', 'B'], got 'Q'",
+    ("simulate", "n", "five", (), "n must be an integer, got 'five'", "value"),
+    ("simulate", "n", "0", (), f"n must be an integer >= 1 and <= {INDEX_MAX}, got 0",
      "value"),
-    ("mc-mse", "estimator", "F3", (), "'estimator' must be one of ['F1', 'F2'], got 'F3'",
+    # sizes numpy cannot allocate are refused by the size rule, not by numpy
+    ("simulate", "n", "18446744073709551616", (),
+     f"n must be an integer >= 1 and <= {INDEX_MAX}, got 18446744073709551616", "value"),
+    ("mc-normality", "m", "1", (), "m must be an integer >= 2, got 1", "value"),
+    ("mc-mse", "t0", "abc", (), "t0 must be a number, got 'abc'", "value"),
+    ("estimate-grid", "t_grid", "0.3, x", (),
+     "t_grid must be comma-separated numbers, got '0.3, x'", "value"),
+    ("estimate-grid", "t_grid", ",", (),
+     "t_grid must be comma-separated numbers, got ','", "value"),
+    ("bw-select", "alpha_grid", ",", (),
+     "alpha_grid must be comma-separated numbers, got ','", "value"),
+    ("equivalence", "n_grid", "400, 9.5", (),
+     "n_grid must be comma-separated integers, got '400, 9.5'", "value"),
+    ("equivalence", "n_grid", "0, -5", (),
+     f"n_grid must be an integer >= 1 and <= {INDEX_MAX}, got 0", "value"),
+    ("equivalence", "n_grid", "400, 100000000000000000000", (),
+     f"n_grid must be an integer >= 1 and <= {INDEX_MAX}, got 100000000000000000000",
+     "value"),
+    ("equivalence", "n_grid", ",", (),
+     "n_grid must be comma-separated integers, got ','", "value"),
+    ("simulate", "scenario", "Q", (), "scenario must be one of ['A', 'B'], got 'Q'",
+     "value"),
+    ("mc-mse", "estimator", "F3", (), "estimator must be one of ['F1', 'F2'], got 'F3'",
      "value"),
     ("bw-select", "compare_truth", "treu", (),
-     "'compare_truth' must be one of 1/0/true/false/yes/no, got 'treu'", "value"),
+     "compare_truth must be one of 1/0/true/false/yes/no, got 'treu'", "value"),
     ("estimate-grid", "t_grid", None, (), "missing required key 't_grid'", None),
     ("simulate", "seed", None, (), "missing required key 'seed'", None),
     ("simulate", "bogus", "3", (), "unknown key 'bogus'", "key"),
     ("simulate", "kind", "mc-mse", (), "config is for 'mc-mse', not 'simulate'", "value"),
-    ("simulate", "seed", "-4", (), "'seed' must be >= 0, got -4", "value"),
-    ("simulate", "seed", "abc", ("--seed", "3"), "'seed' must be an integer, got 'abc'",
+    ("simulate", "seed", "-4", (), "seed must be an integer >= 0, got -4", "value"),
+    ("simulate", "seed", "abc", ("--seed", "3"), "seed must be an integer, got 'abc'",
      "value"),
     ("table1", "cell.x", CELL, (), "'cell.x' needs an index of digits", "key"),
     ("table1", "cell.", CELL, (), "'cell.' needs an index of digits", "key"),
     ("table1", "cell.01", CELL, (), "'cell.01' repeats the index of 'cell.1'", "key"),
-    ("table1", "cell.2", "0.4, 0.4, 0, F1, 0.25", (), "'cell.2.n' must be >= 1, got 0",
-     "value"),
+    ("table1", "cell.2", "0.4, 0.4, 0, F1, 0.25", (),
+     f"cell.2.n must be an integer >= 1 and <= {INDEX_MAX}, got 0", "value"),
     ("table1", "cell.2", "0.4, 0.4, 80, F3, 0.25", (),
-     "'cell.2.estimator' must be one of ['F1', 'F2'], got 'F3'", "value"),
+     "cell.2.estimator must be one of ['F1', 'F2'], got 'F3'", "value"),
     ("table1", "cell.2", "0.4, 0.4, 80", (),
-     "'cell.2' must be 't0,z0,n,estimator,alpha[,beta]'", "value"),
-    # numbers are finite; a mark may also be inf, for the marginal F0(t, inf)
-    ("mc-mse", "t0", "nan", (), "'t0' must be finite, got 'nan'", "value"),
-    ("mc-mse", "t0", "inf", (), "'t0' must be finite, got 'inf'", "value"),
-    ("mc-mse", "alpha", "-inf", (), "'alpha' must be finite, got '-inf'", "value"),
-    ("mc-mse", "alpha", "1e400", (), "'alpha' must be finite, got '1e400'", "value"),
-    ("mc-mse", "z0", "nan", (), "'z0' must be finite or inf, got 'nan'", "value"),
-    ("mc-normality", "z0", "-inf", (), "'z0' must be finite or inf, got '-inf'",
+     "cell.2 must be t0,z0,n,estimator,alpha[,beta], got '0.4, 0.4, 80'", "value"),
+    # times are finite; a mark is any number but NaN, +-inf giving the limits
+    ("mc-mse", "t0", "nan", (), "t0 must be a finite number, got nan", "value"),
+    ("mc-mse", "t0", "inf", (), "t0 must be a finite number, got inf", "value"),
+    ("mc-mse", "alpha", "-inf", (), "alpha must be finite and positive, got -inf", "value"),
+    ("mc-mse", "alpha", "1e400", (), "alpha must be finite and positive, got inf", "value"),
+    ("mc-mse", "z0", "nan", (), "z0 must be a number other than NaN, got nan", "value"),
+    ("estimate-grid", "z_grid", "0.5, nan", (),
+     "z_grid must be a number other than NaN, got nan", "value"),
+    ("bw-select", "alpha0", "inf", (), "alpha0 must be finite and positive, got inf",
      "value"),
-    ("estimate-grid", "z_grid", "0.5, inf", (),
-     "'z_grid' must be finite, got '0.5, inf'", "value"),
-    ("bw-select", "alpha0", "inf", (), "'alpha0' must be finite, got 'inf'", "value"),
     ("table1", "cell.2", "nan, 0.4, 80, F1, 0.25", (),
-     "'cell.2.t0' must be finite, got 'nan'", "value"),
-    ("table1", "cell.2", "0.4, -inf, 80, F1, 0.25", (),
-     "'cell.2.z0' must be finite or inf, got '-inf'", "value"),
+     "cell.2.t0 must be a finite number, got nan", "value"),
     ("table1", "cell.2", "0.4, 0.4, 80, F2, 0.25, nan", (),
-     "'cell.2.beta' must be finite, got 'nan'", "value"),
+     "cell.2.beta must be finite and positive, got nan", "value"),
     # bandwidths, and the constants that scale them, are positive too
-    ("estimate-grid", "alpha", "-0.1", (), "'alpha' must be positive, got '-0.1'",
+    ("estimate-grid", "alpha", "-0.1", (), "alpha must be finite and positive, got -0.1",
      "value"),
-    ("estimate-grid", "beta", "0", (), "'beta' must be positive, got '0'", "value"),
-    ("mc-normality", "c1", "-1", (), "'c1' must be positive, got '-1'", "value"),
-    ("equivalence", "c2", "0", (), "'c2' must be positive, got '0'", "value"),
-    ("bw-select", "alpha0", "0", (), "'alpha0' must be positive, got '0'", "value"),
-    ("bw-select", "beta0", "-0.4", (), "'beta0' must be positive, got '-0.4'", "value"),
+    ("estimate-grid", "beta", "0", (), "beta must be finite and positive, got 0.0", "value"),
+    ("mc-normality", "c1", "-1", (), "c1 must be finite and positive, got -1.0", "value"),
+    ("equivalence", "c2", "0", (), "c2 must be finite and positive, got 0.0", "value"),
+    ("bw-select", "alpha0", "0", (), "alpha0 must be finite and positive, got 0.0",
+     "value"),
+    ("bw-select", "beta0", "-0.4", (), "beta0 must be finite and positive, got -0.4",
+     "value"),
     ("bw-select", "alpha_grid", "0.2, -0.1", (),
-     "'alpha_grid' must be positive, got '0.2, -0.1'", "value"),
-    ("bw-select", "beta_grid", "0", (), "'beta_grid' must be positive, got '0'",
+     "alpha_grid must be finite and positive, got -0.1", "value"),
+    ("bw-select", "beta_grid", "0", (), "beta_grid must be finite and positive, got 0.0",
      "value"),
     ("table1", "cell.2", "0.4, 0.4, 80, F1, 0", (),
-     "'cell.2.alpha' must be positive, got '0'", "value"),
+     "cell.2.alpha must be finite and positive, got 0.0", "value"),
     ("table1", "cell.2", "0.4, 0.4, 80, F2, 0.25, -0.2", (),
-     "'cell.2.beta' must be positive, got '-0.2'", "value"),
+     "cell.2.beta must be finite and positive, got -0.2", "value"),
     # an F2 cell needs a beta, refused before the valid cell.1 runs
     ("table1", "cell.2", "0.4, 0.4, 80, F2, 0.25", (),
-     "'cell.2': estimator 'F2' needs a mark bandwidth (beta)", "value"),
+     "cell.2.beta must be finite and positive, got None", "value"),
     # the kernel, the envelope's constant and the functional's grid are fixed
     ("estimate-grid", "kernel_z", "uniform", (), "unknown key 'kernel_z'", "key"),
     ("estimate-grid", "kernel", "uniform", (), "unknown key 'kernel'", "key"),
@@ -475,6 +486,103 @@ def test_z0_inf_is_the_marginal_distribution(tmp_path):
     code, outdir = run(tmp_path, "table1", cell, out="table1")
     assert code == 0
     assert (outdir / "table1.csv").read_text().splitlines()[2].startswith("0.4,inf,80,")
+
+
+def test_infinite_marks_write_the_limits(tmp_path):
+    """A mark is any number but NaN: z0 = -inf and infinite z_grid entries
+    run, and write the limits in the mark."""
+    normality = VALID["mc-normality"].replace("z0 = 0.5", "z0 = -inf")
+    code, outdir = run(tmp_path, "mc-normality", normality, out="normality")
+    assert code == 0
+    values = (outdir / "values.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in values] == ["0.0"] * 12  # F1 = F0 = 0
+    cells = VALID["table1"] + ("cell.2 = 0.4, -inf, 80, F1, 0.25\n"
+                               "cell.3 = 0.4, -inf, 80, F2, 0.25, 0.2\n")
+    code, outdir = run(tmp_path, "table1", cells, out="table1")
+    assert code == 0
+    rows = (outdir / "table1.csv").read_text().splitlines()[2:]
+    assert rows == ["0.4,-inf,80,F1,0.25,,0.0,0.0", "0.4,-inf,80,F2,0.25,0.2,0.0,0.0"]
+    grid = VALID["estimate-grid"].replace("z_grid = 0.5", "z_grid = -inf, 0.5, inf")
+    code, outdir = run(tmp_path, "estimate-grid", grid + "beta = 0.2\n", out="grid")
+    assert code == 0
+    config = EstimatorConfig(bandwidths=Bandwidths(0.25, 0.2))
+    write_grid_csv(evaluate_grid(sample(scenario_b(), 150, 4), config, [0.4],
+                                 [-math.inf, 0.5, math.inf]), tmp_path / "grid.csv")
+    lines = (outdir / "grid.csv").read_text().splitlines()
+    assert lines == (tmp_path / "grid.csv").read_text().splitlines()
+    assert lines[1] == "0.4,-inf,0.0,0.0,0.0" and lines[3].endswith(",0.0")
+
+
+# one bad value for each config key that names a library parameter: the
+# command, the key, its text, the library call given the same value and the
+# library's name for the parameter; --threads is a flag, not a config key
+_MSE = dict(scenario=scenario_b(), estimator="F1", point=(0.4, 0.4), n=120,
+            replications=10, alpha=0.25, seed=4)
+_PLAN = dict(alpha0=0.4, beta0=0.4, replications=2, alpha_grid=(0.45,), beta_grid=(0.3,),
+             point=(0.5, 0.5), seed=7)
+_SCHEDULE = BandwidthSchedule(0.5, 0.5, 0.45)
+SAME_RULE = [
+    ("mc-mse", "alpha", "-1", lambda: mc_mse(**{**_MSE, "alpha": -1.0}), "alpha"),
+    ("mc-mse", "beta", "0", lambda: mc_mse(**{**_MSE, "beta": 0.0}), "beta"),
+    ("mc-normality", "c1", "-1", lambda: BandwidthSchedule(-1.0), "c1"),
+    ("equivalence", "c2", "0", lambda: BandwidthSchedule(0.5, 0.0, 0.45), "c2"),
+    ("bw-select", "alpha0", "0", lambda: BootstrapPlan(**{**_PLAN, "alpha0": 0.0}), "alpha0"),
+    ("bw-select", "beta0", "inf", lambda: BootstrapPlan(**{**_PLAN, "beta0": math.inf}),
+     "beta0"),
+    ("mc-mse", "t0", "nan", lambda: mc_mse(**{**_MSE, "point": (math.nan, 0.4)}), "t0"),
+    ("mc-mse", "z0", "nan", lambda: mc_mse(**{**_MSE, "point": (0.4, math.nan)}), "z0"),
+    ("simulate", "n", str(2**64), lambda: sample(scenario_b(), 2**64, 1), "n"),
+    ("mc-normality", "m", "1",
+     lambda: mc_normality(scenario_b(), "F1", (0.5, 0.5), 250, 1, seed=1, alpha=0.2), "m"),
+    ("mc-mse", "replications", "1", lambda: mc_mse(**{**_MSE, "replications": 1}),
+     "replications"),
+    ("simulate", "seed", "-4", lambda: sample(scenario_b(), 5, -4), "seed"),
+    ("mc-mse", "threads", "0", lambda: mc_mse(**{**_MSE, "workers": 0}), "workers"),
+    ("equivalence", "n_grid", "400, 100000000000000000000",
+     lambda: equivalence_curve(scenario_b(), (0.5, 0.5), [400, 10**20], _SCHEDULE, seed=12),
+     "n_grid"),
+    ("bw-select", "alpha_grid", "0.3, 0.2",
+     lambda: BootstrapPlan(**{**_PLAN, "alpha_grid": (0.3, 0.2)}), "alpha_grid"),
+    ("bw-select", "beta_grid", "0.3, -0.1",
+     lambda: BootstrapPlan(**{**_PLAN, "beta_grid": (0.3, -0.1)}), "beta_grid"),
+    ("equivalence", "beta_exponent", "nan", lambda: BandwidthSchedule(0.5, 0.5, math.nan),
+     "beta_exponent"),
+    ("functional", "alpha_exponent", "inf",
+     lambda: mc_functional(scenario_b(), 300, 6, alpha_exponent=math.inf, seed=3),
+     "alpha_exponent"),
+    ("mc-mse", "estimator", "F3", lambda: mc_mse(**{**_MSE, "estimator": "F3"}),
+     "estimator"),
+]
+
+
+@pytest.mark.parametrize("command, key, value, library, name", SAME_RULE,
+                         ids=[row[1] for row in SAME_RULE])
+def test_the_cli_and_the_library_refuse_a_value_in_the_same_words(
+    tmp_path, capsys, monkeypatch, command, key, value, library, name
+):
+    def no_draws(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(asymptotics, "sample", no_draws)
+    with pytest.raises(CsmarkError) as refused:
+        library()
+    message = str(refused.value)
+    assert message.startswith(f"{name} must be ")
+    if key == "threads":  # argparse refuses a flag, and names it
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, command, VALID[command], extra=("--threads", value))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f": error: argument --threads: threads{message[len(name):]}\n")
+        assert not (tmp_path / "out").exists()
+        return
+    lines = [line for line in VALID[command].splitlines()
+             if not line.startswith(f"{key} =")] + [f"{key} = {value}"]
+    code, outdir = run(tmp_path, command, "\n".join(lines) + "\n")
+    assert code == 2
+    position = f"line {len(lines)}, column {len(key) + 4}"
+    assert capsys.readouterr().err == f"config error: {position}: {message}\n"
+    assert not outdir.exists()
 
 
 def test_out_that_cannot_be_created_is_a_config_error(tmp_path, capsys, monkeypatch):
@@ -534,10 +642,12 @@ def test_out_whose_ancestors_cannot_be_examined_is_a_config_error(
     assert not (tmp_path / "locked").exists()
 
 def test_bw_select_unsorted_grid_is_a_config_error(tmp_path, capsys):
+    # the grid rule names one key, so its refusal points at that key's value
     text = VALID["bw-select"].replace("alpha_grid = 0.45", "alpha_grid = 0.3, 0.2")
     code, outdir = run(tmp_path, "bw-select", text)
     assert code == 2
-    assert "config error: alpha_grid must be strictly increasing" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("config error: line 6, column 14: alpha_grid must be "
+                                       "non-empty and strictly increasing, got (0.3, 0.2)\n")
     assert not outdir.exists()
 
 

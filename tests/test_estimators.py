@@ -321,9 +321,11 @@ def test_points_that_are_not_real_numbers_are_refused(call, bad, monkeypatch):
         "f1_counting": lambda t, z: f1_counting(s, uniform_config(0.2), t, z),
         "mu1_sigma2": lambda t, z: mu1_sigma2(scenario_b(), (t, z), 0.5, EPA),
     }[call]
-    for t, z in [(bad, 0.5), (0.5, bad)]:
-        with pytest.raises(SupportError, match=r"^cannot estimate .*0\.5.*must be real numbers"):
-            run(t, z)
+    # the time is refused as a finite number, the mark as a number other than NaN
+    with pytest.raises(SupportError, match=r"^t(0|_grid) must be a finite number, got "):
+        run(bad, 0.5)
+    with pytest.raises(SupportError, match=r"^z(0|_grid) must be a number other than NaN, got "):
+        run(0.5, bad)
 
 
 @pytest.mark.parametrize("point", [0.5, (0.5,), (0.5, 0.5, 0.5), None],
@@ -350,8 +352,8 @@ def test_points_that_are_not_pairs_are_refused(call, point, monkeypatch):
         "mu2": lambda p: mu2(scenario_b(), p, schedule, EPA),
         "BootstrapPlan": lambda p: BootstrapPlan(0.4, 0.4, 3, (0.2,), (0.2,), p, 0),
     }[call]
-    with pytest.raises(SupportError, match=rf"^cannot estimate at {re.escape(repr(point))}: "
-                                           "a point must be a pair"):
+    with pytest.raises(SupportError, match=r"^point must be a pair \(t0, z0\), got "
+                                           rf"{re.escape(repr(point))}$"):
         run(point)
 
 
@@ -359,7 +361,8 @@ def test_points_of_unequal_lengths_are_refused():
     # pairing would stop at the shorter array and drop the other's extra points
     s = sample(scenario_b(), 200, 1)
     t, z = np.array([0.4, 0.5]), np.array([0.5])
-    with pytest.raises(SupportError, match=r"t = \[0.4, 0.5\], z = \[0.5\]: .* one shape"):
+    with pytest.raises(SupportError, match=r"^t0 and z0 must be of one shape, "
+                                           r"got \(\[0.4, 0.5\], \[0.5\]\)$"):
         estimators._estimates(s, epa_config(0.2, 0.1), t, z, ("F1", "F2"))
 
 

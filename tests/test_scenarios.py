@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from csmark import (
     EmptySampleError,
+    InvalidValueError,
     Sample,
     sample,
     scenario_a,
@@ -286,18 +287,22 @@ def test_sample_takes_any_draw_that_converts_and_writes_only_its_own():
 
 def test_sample_validation_errors():
     good_t = np.array([0.1, 0.2])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidValueError):
         Sample(t=good_t, z=np.array([0.5, 0.0]), delta=np.array([1, 2]))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidValueError):
         Sample(t=good_t, z=np.array([-0.5, 0.0]), delta=np.array([1, 0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidValueError):
         Sample(t=good_t, z=np.array([0.5, 0.3]), delta=np.array([1, 0]))
-    with pytest.raises(ValueError, match="zero mark"):
+    with pytest.raises(InvalidValueError, match="zero mark"):
         Sample(t=good_t, z=np.array([0.5, 5e-324]), delta=np.array([1, 0]))
     Sample(t=good_t, z=np.array([0.5, -0.0]), delta=np.array([1, 0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidValueError):
         Sample(t=good_t, z=np.array([0.5]), delta=np.array([1]))
-    with pytest.raises(ValueError):
+    # entries that are not numbers are refused, not left to numpy's cast
+    for bad in (["a", "b"], [{}, 0.2], [[0.1], [0.2, 0.3]], [10**400, 0.2]):
+        with pytest.raises(InvalidValueError, match="^times and marks must be numbers$"):
+            Sample(t=bad, z=np.array([0.5, 0.0]), delta=np.array([1, 0]))
+    with pytest.raises(InvalidValueError):
         Sample(
             t=good_t.reshape(1, 2),
             z=np.array([[0.5, 0.0]]),
