@@ -488,29 +488,48 @@ def test_z0_inf_is_the_marginal_distribution(tmp_path):
     assert (outdir / "table1.csv").read_text().splitlines()[2].startswith("0.4,inf,80,")
 
 
-def test_infinite_marks_write_the_limits(tmp_path):
-    """A mark is any number but NaN: z0 = -inf and infinite z_grid entries
-    run, and write the limits in the mark."""
-    normality = VALID["mc-normality"].replace("z0 = 0.5", "z0 = -inf")
-    code, outdir = run(tmp_path, "mc-normality", normality, out="normality")
-    assert code == 0
+def _normality_limits(outdir, tmp_path):
     values = (outdir / "values.csv").read_text().splitlines()[1:]
     assert [row.split(",")[1] for row in values] == ["0.0"] * 12  # F1 = F0 = 0
-    cells = VALID["table1"] + ("cell.2 = 0.4, -inf, 80, F1, 0.25\n"
-                               "cell.3 = 0.4, -inf, 80, F2, 0.25, 0.2\n")
-    code, outdir = run(tmp_path, "table1", cells, out="table1")
-    assert code == 0
+
+
+def _table1_limits(outdir, tmp_path):
     rows = (outdir / "table1.csv").read_text().splitlines()[2:]
     assert rows == ["0.4,-inf,80,F1,0.25,,0.0,0.0", "0.4,-inf,80,F2,0.25,0.2,0.0,0.0"]
-    grid = VALID["estimate-grid"].replace("z_grid = 0.5", "z_grid = -inf, 0.5, inf")
-    code, outdir = run(tmp_path, "estimate-grid", grid + "beta = 0.2\n", out="grid")
-    assert code == 0
+
+
+def _grid_limits(outdir, tmp_path):
     config = EstimatorConfig(bandwidths=Bandwidths(0.25, 0.2))
     write_grid_csv(evaluate_grid(sample(scenario_b(), 150, 4), config, [0.4],
                                  [-math.inf, 0.5, math.inf]), tmp_path / "grid.csv")
     lines = (outdir / "grid.csv").read_text().splitlines()
     assert lines == (tmp_path / "grid.csv").read_text().splitlines()
     assert lines[1] == "0.4,-inf,0.0,0.0,0.0" and lines[3].endswith(",0.0")
+
+
+# configs with an infinite mark, once refused by the CLI: the command, the key,
+# its text, a further line and the check of the limits written
+INFINITE_MARKS = [
+    ("mc-normality", "z0", "-inf", "", _normality_limits),
+    ("table1", "cell.2", "0.4, -inf, 80, F1, 0.25", "cell.3 = 0.4, -inf, 80, F2, 0.25, 0.2",
+     _table1_limits),
+    ("estimate-grid", "z_grid", "-inf, 0.5, inf", "beta = 0.2", _grid_limits),
+]
+
+
+@pytest.mark.parametrize(
+    "command, key, value, more, check", INFINITE_MARKS,
+    ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in INFINITE_MARKS],
+)
+def test_infinite_marks_write_the_limits(tmp_path, command, key, value, more, check):
+    """A mark is any number but NaN: z0 = -inf and infinite z_grid entries
+    run, and write the limits in the mark."""
+    lines = [line for line in VALID[command].splitlines()
+             if not line.startswith(f"{key} =")]
+    lines += [f"{key} = {value}", *([more] if more else [])]
+    code, outdir = run(tmp_path, command, "\n".join(lines) + "\n")
+    assert code == 0
+    check(outdir, tmp_path)
 
 
 # one bad value for each config key that names a library parameter: the
