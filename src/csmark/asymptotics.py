@@ -74,14 +74,16 @@ _THREAD_MIN_ROWS = 20_000
 
 
 def _decay(n: int, exponent: float, name: str) -> float:
-    """``n ** -exponent``; a power that overflows raises
-    :class:`InvalidBandwidthError` naming the exponent ``name``."""
+    """``n ** -exponent``; a power that overflows, or underflows to 0,
+    raises :class:`InvalidBandwidthError` naming the exponent ``name``."""
     try:
-        return float(n) ** -float(exponent)
+        power = float(n) ** -float(exponent)
     except OverflowError:
-        raise InvalidBandwidthError(
-            f"{name} = {exponent!r} makes n ** -{name} overflow at n = {n}"
-        ) from None
+        power = math.inf
+    if 0.0 < power < math.inf:
+        return power
+    way = "overflow" if power else "underflow"
+    raise InvalidBandwidthError(f"{name} = {exponent!r} makes n ** -{name} {way} at n = {n}")
 
 
 @dataclass(frozen=True)
@@ -277,7 +279,7 @@ def _replicate(
     counts out of range are refused before any sample is drawn.
     """
     check_size(n, "n")
-    check_count(m, "m", 2)
+    check_count(m, "m", 2, bounded=True)
     check_count(seed, "seed", 0)
     check_count(workers, "workers", 1)
 
@@ -371,13 +373,13 @@ def mc_normality(
     only when ``n >= 20_000``; results do not depend on ``workers``.  A
     point or regime the reference law refuses is refused before any draw.
     """
-    check_count(m, "m", 2)
+    check_count(m, "m", 2, bounded=True)
     check_size(n, "n")
     if schedule is not None:
         if alpha is not None or beta is not None:
             raise InvalidBandwidthError("pass either fixed bandwidths or a schedule, not both")
-        if estimator == "F2":  # F2 smooths the mark with the schedule's beta
-            check_schedule(schedule)
+        # F1 takes any schedule; F2 smooths the mark with the schedule's beta
+        check_schedule(schedule, marked=estimator == "F2")
         alpha, beta = schedule.alpha(n), schedule.beta(n)
     if alpha is None:
         raise InvalidBandwidthError("a time bandwidth is required")
@@ -419,7 +421,7 @@ def mc_mse(
     Threads (``workers``, capped at the usable CPUs) share replications
     only when ``n >= 20_000``; results do not depend on ``workers``.
     """
-    check_count(replications, "replications", 2)
+    check_count(replications, "replications", 2, bounded=True)
     config = _resolve_config(estimator, alpha, beta)
     t0, z0 = check_pair(point)  # before any sample is drawn
     truth = float(scenario.cdf(t0, z0))
@@ -482,7 +484,9 @@ def equivalence_curve(
     scaled = [_scaled_difference(point, n, schedule) for n in sizes]
     diffs = np.array([statistic(sample(scenario, n, seed + i))
                       for i, (n, statistic) in enumerate(zip(sizes, scaled))])
-    envelopes = 1.5 * n_grid.astype(float) ** (-1.0 / 6.0)
+    # scalar powers, libm's pow: numpy's array power may take SIMD code that
+    # rounds otherwise, depending on the CPU
+    envelopes = np.array([1.5 * float(n) ** (-1.0 / 6.0) for n in sizes])
     return EquivalenceCurve(n_grid=n_grid, diffs=diffs, envelopes=envelopes)
 
 

@@ -71,7 +71,7 @@ class BootstrapPlan:
     def __post_init__(self) -> None:
         check_bandwidth(self.alpha0, "alpha0")
         check_bandwidth(self.beta0, "beta0")
-        check_count(self.replications, "replications", 1)
+        check_count(self.replications, "replications", 1, bounded=True)
         check_count(self.seed, "seed", 0)
         check_grid(self.alpha_grid, "alpha_grid")
         check_grid(self.beta_grid, "beta_grid")

@@ -106,8 +106,8 @@ def _each(rule: Callable[[Any, str], Any]) -> Callable[[tuple, str], list]:
     return lambda values, name: [rule(value, name) for value in values]
 
 
-def _count(minimum: int) -> Callable[[Any, str], None]:
-    return functools.partial(check_count, minimum=minimum)
+def _count(minimum: int, bounded: bool = False) -> Callable[[Any, str], None]:
+    return functools.partial(check_count, minimum=minimum, bounded=bounded)
 
 
 _floats, _ints = _items(float), _items(int)
@@ -154,11 +154,12 @@ def _optional(name: str, rule=None, default: str | None = None, parse=float) -> 
 
 _SEED = _Key("seed", int, _count(0))
 _SCENARIO = _Key("scenario", lambda name: _SCENARIOS[name](), choices=tuple(_SCENARIOS))
-_N, _M = _Key("n", int, check_size), _Key("m", int, _count(2))
+# counts of replications, each an array entry, are bounded as sizes are
+_N, _M = _Key("n", int, check_size), _Key("m", int, _count(2, bounded=True))
 _T0, _Z0 = _Key("t0", float, check_finite), _Key("z0", float, check_mark)
 _ALPHA, _BETA = _Key("alpha", float, check_bandwidth), _optional("beta", check_bandwidth)
 _ESTIMATOR = _Key("estimator", str, check_estimator)
-_REPLICATIONS = _Key("replications", int, _count(2))
+_REPLICATIONS = _Key("replications", int, _count(2, bounded=True))
 # one mc-mse run, in the order of a table1 cell's fields and of its CSV row
 _MSE_CELL = (_T0, _Z0, _N, _ESTIMATOR, _ALPHA, _BETA)
 _MSE_HEADER = [key.name for key in _MSE_CELL] + ["mse", "se"]
@@ -330,7 +331,8 @@ def _functional(run: _Run, scenario, n, m, alpha_exponent) -> None:
     })
 
 
-@_command("bw-select", _SCENARIO, _N, _T0, _Z0, _Key("replications", int, _count(1)),
+@_command("bw-select", _SCENARIO, _N, _T0, _Z0,
+          _Key("replications", int, _count(1, bounded=True)),
           _optional("alpha0", check_bandwidth, "0.4"),
           _optional("beta0", check_bandwidth, "0.4"),
           _Key("alpha_grid", _floats, check_grid), _Key("beta_grid", _floats, check_grid),

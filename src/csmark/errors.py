@@ -156,6 +156,8 @@ def check_mark(value, name: str, error: type = SupportError) -> None:
 def check_bandwidth(value, name: str, error: type = InvalidBandwidthError) -> None:
     """A bandwidth, a constant that scales one or a floor; an array of them."""
     # the chained comparison is False for NaN, inf and nonpositive values
+    if type(value) is float and 0.0 < value < math.inf:
+        return  # the common case, without the general path's tests
     if isinstance(value, np.ndarray):
         ok = value.dtype.kind in "fiu" and bool(np.all((0.0 < value) & (value < np.inf)))
     else:
@@ -170,11 +172,18 @@ def check_mark_bandwidth(value, name: str, estimator: str) -> None:
         check_bandwidth(value, name)
 
 
+def _check_integer(value, name: str, minimum: int, bounded: bool, error: type) -> None:
+    """An integer from ``minimum``, and with ``bounded`` to the largest size
+    numpy can allocate."""
+    if not (isinstance(value, numbers.Integral) and type(value) is not bool
+            and minimum <= value and (not bounded or value <= _INDEX_MAX)):
+        bound = f" and <= {_INDEX_MAX}" if bounded else ""
+        raise _refused(error, name, f"an integer >= {minimum}{bound}", value)
+
+
 def check_size(value, name: str) -> None:
     """A sample size: an integer from 1 to the largest numpy can allocate."""
-    if not (isinstance(value, numbers.Integral) and type(value) is not bool
-            and 1 <= value <= _INDEX_MAX):
-        raise _refused(EmptySampleError, name, f"an integer >= 1 and <= {_INDEX_MAX}", value)
+    _check_integer(value, name, 1, True, EmptySampleError)
 
 
 def check_sizes(value, name: str) -> np.ndarray:
@@ -187,11 +196,11 @@ def check_sizes(value, name: str) -> np.ndarray:
     return np.array(entries, dtype=np.intp)
 
 
-def check_count(value, name: str, minimum: int) -> None:
-    """A count: replications, a seed, threads."""
-    if not (isinstance(value, numbers.Integral) and type(value) is not bool
-            and value >= minimum):
-        raise _refused(InvalidValueError, name, f"an integer >= {minimum}", value)
+def check_count(value, name: str, minimum: int, bounded: bool = False) -> None:
+    """A count: replications, a seed, threads.  A ``bounded`` count, of
+    replications, each of which takes an array entry, is at most the
+    largest size numpy can allocate; seeds and threads have no upper bound."""
+    _check_integer(value, name, minimum, bounded, InvalidValueError)
 
 
 def check_choice(value, name: str, choices: tuple[str, ...]) -> None:
@@ -212,9 +221,14 @@ def check_grid(value, name: str) -> None:
         raise _refused(InvalidBandwidthError, name, "non-empty and strictly increasing", value)
 
 
-def check_schedule(value, name: str = "schedule") -> float:
-    """A bandwidth schedule with a mark bandwidth; its mark exponent."""
-    if getattr(value, "beta_exponent", None) is None:
+def check_schedule(value, name: str = "schedule", marked: bool = True) -> float | None:
+    """A :class:`~csmark.asymptotics.BandwidthSchedule`, with ``marked`` one
+    with a mark bandwidth; its mark exponent."""
+    from .asymptotics import BandwidthSchedule  # a module that imports this one
+
+    if not isinstance(value, BandwidthSchedule):
+        raise _refused(InvalidBandwidthError, name, "a BandwidthSchedule", value)
+    if marked and value.beta_exponent is None:
         raise _refused(InvalidBandwidthError, name,
                        "one with a mark bandwidth (c2, beta_exponent)", value)
     return value.beta_exponent
@@ -225,6 +239,9 @@ def check_points(t, z, single: bool = False,
     """Points ``(t[j], z[j])`` as float arrays of one shape (with ``single``,
     one number each): times :func:`check_finite` and marks :func:`check_mark`
     take, and no bool or string, which a float cast would hide."""
+    if (single and type(t) is float and type(z) is float
+            and math.isfinite(t) and not math.isnan(z)):
+        return np.array((t,)), np.array((z,))  # the common case, as below
     if not (_is_real(t, single) and _is_real(z, single)):
         for value, name, what in ((t, names[0], _FINITE), (z, names[1], _MARK)):
             if not _is_real(value, single):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -282,19 +283,20 @@ def scenario_b() -> Scenario:
         return np.where(_box(0, 1, t), 2.0, 0.0)
 
     # in place, in the rounded steps of the formulas above: u becomes x, and
-    # w holds 2 x + 1, then y
+    # w holds y.  Once x holds r = fl(sqrt(1 + 8 u)) in [1, 3], the formulas'
+    # x = fl(0.5 fl(r - 1)) is 0.5 (r - 1) exactly (r - 1, a multiple of r's
+    # ulp and at most 2, is a double), so their 2 x + 1 is r itself and v is
+    # scaled by r; fl(0.5 r) - 0.5 is that exact x too, rounding nothing.
     def draw_xy(rng, n):
         x = rng.random(n)
         v = rng.random(n)
         x *= 8.0
         x += 1.0
         np.sqrt(x, out=x)
-        x -= 1.0
+        v *= x
         x *= 0.5
-        w = 2.0 * x
-        w += 1.0
-        v *= w
-        np.multiply(x, x, out=w)
+        x -= 0.5
+        w = x * x
         w += v
         np.sqrt(w, out=w)
         w -= x
@@ -343,6 +345,18 @@ def _observed(
     return _Stack(t, bits.view(float), delta)
 
 
+_FLOAT = np.dtype(float)
+
+
+def _owned(a) -> bool:
+    """Whether ``a`` is what ``np.require(a, float, "CWOE")`` returns as it
+    is: a float64 ndarray, C-contiguous, writeable and owning its data."""
+    if type(a) is not np.ndarray or a.dtype is not _FLOAT:
+        return False
+    flags = a.flags
+    return flags.c_contiguous and flags.writeable and flags.owndata
+
+
 def sample(scenario: Scenario, n: int, seed: int) -> Sample:
     """Draw ``n`` current status observations.
 
@@ -362,7 +376,8 @@ def sample(scenario: Scenario, n: int, seed: int) -> Sample:
     rng = np.random.default_rng(seed)
     x, y = scenario.draw_xy(rng, n)
     t = scenario.draw_t(rng, n)
-    x, y, t = (np.require(a, float, ["C", "W", "O", "E"]) for a in (x, y, t))
+    x, y, t = (a if _owned(a) else np.require(a, float, ["C", "W", "O", "E"])
+               for a in (x, y, t))
     for name, a in (("draw_xy", x), ("draw_xy", y), ("draw_t", t)):
         if a.shape != (n,):
             raise InvalidValueError(
@@ -371,9 +386,10 @@ def sample(scenario: Scenario, n: int, seed: int) -> Sample:
     # x is dead once delta exists: the marks take its buffer, unless a draw
     # returned one array twice
     _, z, delta = _observed(x, y, t, x if x is not y and x is not t else None)
-    if not (np.isfinite(t.min()) and np.isfinite(t.max())):
+    # the reductions propagate NaN, as Sample's min and max do
+    if not (math.isfinite(np.minimum.reduce(t)) and math.isfinite(np.maximum.reduce(t))):
         raise InvalidValueError("times must be finite")
-    if not (0.0 <= z.min() and z.max() < np.inf):
+    if not (0.0 <= np.minimum.reduce(z) and np.maximum.reduce(z) < math.inf):
         raise InvalidValueError("marks must be finite and nonnegative")
     s = object.__new__(Sample)
     s._freeze(t, z, delta)

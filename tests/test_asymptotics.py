@@ -357,9 +357,14 @@ def test_mc_functional_refuses_its_bandwidth_before_any_sample_is_drawn(monkeypa
     for exponent in (math.nan, math.inf, -math.inf, True, "0.3", 10**400):
         with pytest.raises(InvalidBandwidthError, match="^alpha_exponent must be a finite number"):
             mc_functional(B, 100, 3, seed=0, alpha_exponent=exponent)
-    # a finite exponent whose bandwidth n^-exponent underflows to 0
-    with pytest.raises(InvalidBandwidthError, match="^alpha must be finite and pos"):
+    # a finite exponent whose bandwidth n^-exponent underflows to 0, refused
+    # by naming the exponent, as an overflow is
+    with pytest.raises(InvalidBandwidthError, match="^alpha_exponent = 1000 makes n .* underflow"):
         mc_functional(B, 100, 3, seed=0, alpha_exponent=1000)
+    with pytest.raises(InvalidBandwidthError,
+                       match=r"^alpha_exponent = 1\.8446744073709552e\+19 makes n \*\* "
+                             r"-alpha_exponent underflow at n = 100$"):
+        mc_functional(B, 100, 3, seed=0, alpha_exponent=2.0**64)
     # and one whose power overflows
     with pytest.raises(InvalidBandwidthError, match="^alpha_exponent = -1000 makes n"):
         mc_functional(B, 100, 3, seed=0, alpha_exponent=-1000)
@@ -705,6 +710,68 @@ def test_a_schedule_without_a_mark_bandwidth_is_refused_in_one_wording():
             call()
         messages.append(str(exc.value))
     assert len(set(messages)) == 1
+
+
+@pytest.mark.parametrize("bad", [1.5, (0.5, 0.5, 0.3), "schedule", {"c1": 0.5}],
+                         ids=["float", "tuple", "str", "dict"])
+def test_only_a_schedule_passes_as_a_schedule(monkeypatch, bad):
+    # F1 takes a schedule without a mark bandwidth, but not a value that is
+    # no schedule at all; each refusal comes before any draw
+    def no_draws(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(asymptotics, "sample", no_draws)
+    for call in (lambda: mc_normality(B, "F1", (0.5, 0.5), 100, 20, seed=0, schedule=bad),
+                 lambda: mc_normality(B, "F2", (0.5, 0.5), 100, 20, seed=0, schedule=bad),
+                 lambda: mu2(B, (0.5, 0.5), bad, EPA),
+                 lambda: equivalence_curve(B, (0.5, 0.5), [100], bad, seed=0),
+                 lambda: difference_sample(B, (0.5, 0.5), 100, 20, bad, seed=0)):
+        with pytest.raises(InvalidBandwidthError) as exc:
+            call()
+        assert str(exc.value) == f"schedule must be a BandwidthSchedule, got {bad!r}"
+
+
+def test_counts_of_replications_are_bounded_as_sizes_are(monkeypatch):
+    """m and replications, each replication an array entry, are refused
+    above the largest size numpy can allocate, by the count rule and before
+    any draw; seeds have no upper bound."""
+    def no_draws(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(asymptotics, "sample", no_draws)
+    big, most = 2**64, int(np.iinfo(np.intp).max)
+    schedule = BandwidthSchedule(0.5, 0.5, 0.3)
+    plan = dict(alpha0=0.4, beta0=0.4, replications=big, alpha_grid=(0.2,),
+                beta_grid=(0.2,), point=(0.5, 0.5), seed=1)
+    cases = [
+        ("m", 2, lambda: mc_normality(B, "F1", (0.5, 0.5), 100, big, seed=0, alpha=0.2)),
+        ("replications", 2,
+         lambda: mc_mse(B, "F1", (0.5, 0.5), 100, big, alpha=0.2, seed=0)),
+        ("m", 2, lambda: difference_sample(B, (0.5, 0.5), 100, big, schedule, seed=0)),
+        ("m", 2, lambda: mc_functional(B, 100, big, seed=0)),
+        ("m", 2, lambda: _replicate(B, 100, big, 0, lambda s: 0.0, 1)),
+        ("replications", 1, lambda: BootstrapPlan(**plan)),
+    ]
+    for name, minimum, call in cases:
+        with pytest.raises(InvalidValueError) as exc:
+            call()
+        assert str(exc.value) == (f"{name} must be an integer >= {minimum} and <= {most}, "
+                                  f"got {big}")
+    # the bound itself passes the rule, and a seed may exceed it
+    assert BootstrapPlan(**{**plan, "replications": most}).replications == most
+    monkeypatch.undo()
+    assert sample(B, 5, big).seed == big
+    assert mc_mse(B, "F1", (0.5, 0.5), 100, 2, alpha=0.2, seed=big).values.size == 2
+
+
+def test_equivalence_envelopes_are_scalar_powers():
+    # Python's float power is libm's pow, which numpy's SIMD dispatch for an
+    # array power does not reach: at n = 900 the two round apart
+    sched = BandwidthSchedule(c1=0.7, c2=0.5, beta_exponent=0.45)
+    ns = [100, 400, 900, 1600, 2500]
+    curve = equivalence_curve(B, (0.5, 0.5), ns, sched, seed=3)
+    assert ([e.hex() for e in curve.envelopes.tolist()]
+            == [(1.5 * float(n) ** (-1.0 / 6.0)).hex() for n in ns])
 
 
 def test_difference_shrinks_when_mark_bandwidth_decays_fast():

@@ -362,7 +362,22 @@ BAD_CONFIGS = [
     # sizes numpy cannot allocate are refused by the size rule, not by numpy
     ("simulate", "n", "18446744073709551616", (),
      f"n must be an integer >= 1 and <= {INDEX_MAX}, got 18446744073709551616", "value"),
-    ("mc-normality", "m", "1", (), "m must be an integer >= 2, got 1", "value"),
+    ("mc-normality", "m", "1", (), f"m must be an integer >= 2 and <= {INDEX_MAX}, got 1",
+     "value"),
+    # so are counts of replications, each an array entry; seeds are not bounded
+    ("mc-normality", "m", "18446744073709551616", (),
+     f"m must be an integer >= 2 and <= {INDEX_MAX}, got 18446744073709551616", "value"),
+    ("functional", "m", "18446744073709551616", (),
+     f"m must be an integer >= 2 and <= {INDEX_MAX}, got 18446744073709551616", "value"),
+    ("mc-mse", "replications", "18446744073709551616", (),
+     f"replications must be an integer >= 2 and <= {INDEX_MAX}, got 18446744073709551616",
+     "value"),
+    ("table1", "replications", "18446744073709551616", (),
+     f"replications must be an integer >= 2 and <= {INDEX_MAX}, got 18446744073709551616",
+     "value"),
+    ("bw-select", "replications", "18446744073709551616", (),
+     f"replications must be an integer >= 1 and <= {INDEX_MAX}, got 18446744073709551616",
+     "value"),
     ("mc-mse", "t0", "abc", (), "t0 must be a number, got 'abc'", "value"),
     ("estimate-grid", "t_grid", "0.3, x", (),
      "t_grid must be comma-separated numbers, got '0.3, x'", "value"),
@@ -447,6 +462,13 @@ BAD_CONFIGS = [
      "alpha_exponent = -1000.0 makes n ** -alpha_exponent overflow at n = 300", None),
     ("equivalence", "beta_exponent", "-200", (),
      "beta_exponent = -200.0 makes n ** -beta_exponent overflow at n = 400", None),
+    # and one whose power underflows to 0, refused by naming the exponent too
+    ("functional", "alpha_exponent", "18446744073709551616", (),
+     "alpha_exponent = 1.8446744073709552e+19 makes n ** -alpha_exponent underflow at n = 300",
+     None),
+    ("equivalence", "beta_exponent", "18446744073709551616", (),
+     "beta_exponent = 1.8446744073709552e+19 makes n ** -beta_exponent underflow at n = 400",
+     None),
 ]
 
 

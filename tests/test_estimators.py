@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -48,7 +49,8 @@ from csmark import (
     uniform_kernel,
     write_grid_csv,
 )
-from csmark import asymptotics, estimators, pilot as pilot_module
+from csmark import asymptotics, errors, estimators, pilot as pilot_module
+from csmark.errors import CsmarkError, check_bandwidth, check_points
 from csmark.scenarios import _Stack
 
 EPA = epanechnikov_kernel()
@@ -742,6 +744,95 @@ def test_batch_estimates_equal_single_point_estimates(s, kernel, floor, data, bu
                 assert np.isnan(values[j])
             else:
                 assert values[j] == single
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_point_estimates_are_the_grid_values_bit_for_bit(seed):
+    """f1, f2 and f2_density at a point, which floor and divide Python
+    floats, give evaluate_grid's value there, and under the floor raise
+    with the g_value the grid's sums give."""
+    s = sample(scenario_b(), 400, seed)
+    t_grid = [0.02, 0.1, 0.5, 0.93, 0.999, 1.3]
+    z_grid = [-np.inf, 0.0, 0.25, 0.5, 0.8, np.inf]
+    unstable = 0
+    base = epa_config(0.15, 0.1)
+    (g_mid,), _ = estimators._estimates(s, base, np.array([0.5]), np.array([0.5]), ())
+    # a floor of 0.5, and one exactly at g_hat(0.5), which is not under it
+    for config in (base, replace(base, g_floor=0.5), replace(base, g_floor=g_mid)):
+        rows = evaluate_grid(s, config, t_grid, z_grid)
+        t, z = (np.array([getattr(row, name) for row in rows]) for name in ("t", "z"))
+        g, _ = estimators._estimates(s, config, t, z, ("F1",))
+        for row, g_value in zip(rows, g.tolist()):
+            for estimator, value in ((f1, row.f1), (f2, row.f2), (f2_density, row.density)):
+                if value is None:
+                    unstable += 1
+                    with pytest.raises(UnstableDenominatorError) as exc:
+                        estimator(s, config, row.t, row.z)
+                    assert exc.value.g_value.hex() == g_value.hex()
+                else:
+                    assert estimator(s, config, row.t, row.z).hex() == value.hex()
+        assert rows[t_grid.index(0.5) * len(z_grid)].f1 is not None
+    assert 0 < unstable < 3 * 3 * len(t_grid) * len(z_grid)
+
+
+def test_a_density_whose_g_squared_underflows_is_unstable_at_a_point_as_on_the_grid():
+    # g_hat = 7.5e-163 clears the floor, but g_hat ** 2 rounds to 0, which
+    # a Python float refuses to divide by and numpy divides by to NaN
+    s = sample(scenario_b(), 100, 1)
+    config = EstimatorConfig(bandwidths=Bandwidths(1e162, 0.3), g_floor=1e-320)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        (row,) = evaluate_grid(s, config, [0.5], [0.5])
+        with pytest.raises(UnstableDenominatorError) as exc:
+            f2_density(s, config, 0.5, 0.5)
+    (g,), _ = estimators._estimates(s, config, np.array([0.5]), np.array([0.5]), ())
+    assert row.density is None and row.f1 == f1(s, config, 0.5, 0.5)
+    assert exc.value.g_value == g and g * g == 0.0 < g
+
+
+class _Float(float):
+    """A float that the checks' fast paths, which take only type float, pass by."""
+
+
+# a float, ints, numpy scalars, bools, NaN and +-inf, and values at the rules' edges
+CHECKED = [0.5, 0.0, -0.0, 5e-324, -1.5, 1e308, 3, -2, np.float64(0.5), np.float32(0.25),
+           np.int64(3), True, False, np.True_, math.nan, math.inf, -math.inf]
+
+
+def check_outcome(check, *args):
+    """What a check gives: its arrays' bits, or its error's type and message."""
+    try:
+        result = check(*args)
+    except CsmarkError as exc:
+        return type(exc), str(exc)
+    return None if result is None else [(a.dtype, a.shape, a.tobytes()) for a in result]
+
+
+@pytest.mark.parametrize("value", CHECKED, ids=repr)
+def test_fast_checks_give_what_the_general_path_gives(value):
+    # only a Python float takes a fast path; the same number as a float
+    # subclass takes the general path, and prints the same
+    general = _Float(value) if type(value) is float else value
+    assert repr(general) == repr(value)
+    for fast, slow in (((value, 0.5), (general, 0.5)), ((0.5, value), (0.5, general))):
+        assert check_outcome(check_points, *fast, True) == check_outcome(check_points, *slow, True)
+    assert (check_outcome(check_bandwidth, value, "alpha")
+            == check_outcome(check_bandwidth, general, "alpha"))
+    # a number that is not a bool is taken as its float, or refused as it is
+    if not isinstance(value, (bool, np.bool_)):
+        for args in ((value, 0.5), (0.5, value)):
+            accepted = check_outcome(check_points, *args, True)
+            if isinstance(accepted, list):
+                floats = (float(a) for a in args)
+                assert accepted == check_outcome(check_points, *floats, True)
+    # and a float the rules take never reaches the general path
+    if type(value) is float:
+        with mock.patch.object(errors, "_is_real", side_effect=AssertionError("general path")):
+            if math.isfinite(value):
+                check_points(value, 0.5, True)
+            if not math.isnan(value):
+                check_points(0.5, value, True)
+            if 0.0 < value < math.inf:
+                check_bandwidth(value, "alpha")
 
 
 @PROPERTY

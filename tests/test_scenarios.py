@@ -198,6 +198,13 @@ def test_sample_is_the_formulas_bit_for_bit(name, n, seed):
     assert_same_sample(sample(scenario, n, seed), formula_sample(scenario, n, seed))
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**63])
+def test_a_large_sample_is_the_formulas_bit_for_bit(seed):
+    # the hypothesis range above stops at n = 5000
+    b = scenario_b()
+    assert_same_sample(sample(b, 200_000, seed), formula_sample(b, 200_000, seed))
+
+
 def with_draws(draw_xy=None, draw_t=None):
     b = scenario_b()
     return dataclasses.replace(b, draw_xy=draw_xy or b.draw_xy, draw_t=draw_t or b.draw_t)
@@ -283,6 +290,29 @@ def test_sample_takes_any_draw_that_converts_and_writes_only_its_own():
     x = rng.random(500)
     t = twice.draw_t(rng, 500)
     assert_same_sample(sample(twice, 500, 8), Sample(*_observed(x, x, t), seed=8))
+
+
+def test_sample_copies_float64_draws_it_cannot_take_over():
+    """A float64 draw that is byte-swapped or of an ndarray subclass is
+    copied and left as it was, as lists and float32 draws are."""
+    b = scenario_b()
+
+    class Sub(np.ndarray):
+        pass
+
+    returned = []
+
+    def kept(a):
+        returned.append((a, a.copy()))
+        return a
+
+    for convert in (lambda a: a.astype(">f8"), lambda a: a.view(Sub)):
+        returned.clear()
+        odd = with_draws(lambda rng, n: tuple(kept(convert(a)) for a in b.draw_xy(rng, n)),
+                         lambda rng, n: kept(convert(b.draw_t(rng, n))))
+        assert_same_sample(sample(odd, 500, 8), formula_sample(b, 500, 8))
+        for a, snapshot in returned:
+            assert a.tobytes() == snapshot.tobytes()
 
 
 def test_sample_validation_errors():
