@@ -40,9 +40,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import (BandwidthRegimeError, InvalidBandwidthError, QuadratureError,
-                     ReplicationFailureError, UnstableDenominatorError)
+                     ReplicationFailureError, UnstableDenominatorError, _refused)
 from .errors import (check_bandwidth, check_count, check_estimator, check_finite,
-                     check_mark_bandwidth, check_pair, check_schedule, check_size, check_sizes)
+                     check_mark_bandwidth, check_pair, check_size, check_sizes)
 from .estimators import EstimatorConfig, f1, f2
 from .kernels import (Bandwidths, UnivariateKernel, _quad, epanechnikov_kernel, l2_norm_sq,
                       second_moment)
@@ -117,6 +117,18 @@ class BandwidthSchedule:
         return self.c2 * _decay(n, self.beta_exponent, "beta_exponent")
 
 
+def _check_schedule(value, marked: bool = True) -> float | None:
+    """The rule on a ``schedule``, kept with its class: a
+    :class:`BandwidthSchedule`, with ``marked`` one with a mark bandwidth;
+    its mark exponent."""
+    if not isinstance(value, BandwidthSchedule):
+        raise _refused(InvalidBandwidthError, "schedule", "a BandwidthSchedule", value)
+    if marked and value.beta_exponent is None:
+        raise _refused(InvalidBandwidthError, "schedule",
+                       "one with a mark bandwidth (c2, beta_exponent)", value)
+    return value.beta_exponent
+
+
 @dataclass(frozen=True)
 class AsymptoticParams:
     """Limiting mean and variance of the standardized estimator.
@@ -183,7 +195,7 @@ def mu2(
     the time kernel itself, so the extra term's second moment is
     ``kernel``'s too.
     """
-    exponent = check_schedule(schedule)
+    exponent = _check_schedule(schedule)
     base = mu1_sigma2(scenario, point, schedule.c1, kernel)
     # an exponent written as, say, 0.3 - 0.1 misses 1/5 by an ulp
     critical = math.isclose(exponent, 0.2, abs_tol=1e-9)
@@ -379,7 +391,7 @@ def mc_normality(
         if alpha is not None or beta is not None:
             raise InvalidBandwidthError("pass either fixed bandwidths or a schedule, not both")
         # F1 takes any schedule; F2 smooths the mark with the schedule's beta
-        check_schedule(schedule, marked=estimator == "F2")
+        _check_schedule(schedule, marked=estimator == "F2")
         alpha, beta = schedule.alpha(n), schedule.beta(n)
     if alpha is None:
         raise InvalidBandwidthError("a time bandwidth is required")
@@ -477,7 +489,7 @@ def equivalence_curve(
     list of sizes, a point no estimate is defined at and an entry the
     schedule gives no valid bandwidths are refused before any draw.
     """
-    check_schedule(schedule)
+    _check_schedule(schedule)
     n_grid = check_sizes(n_grid, "n_grid")
     # every entry's bandwidths, and the point, are checked before the first draw
     sizes = n_grid.tolist()
@@ -510,7 +522,7 @@ def difference_sample(
     only when ``n >= 20_000``; results do not depend on ``workers``.
     """
     check_size(n, "n")
-    check_schedule(schedule)
+    _check_schedule(schedule)
     statistic = _scaled_difference(point, n, schedule)
     kt = epanechnikov_kernel()
     base = mu1_sigma2(scenario, point, schedule.c1, kt)
@@ -536,8 +548,8 @@ def mean_functional(s: Sample, alpha: float) -> MeanFunctionalResult:
     2000 cells of [0, 1].  With the Uniform kernel the estimator at grid
     point ``x`` is the fraction of uncensored observations among those with
     ``|t_i - x| <= alpha``, which is computed for all grid points at once by
-    binary search in the sorted censoring times, once among all of them and
-    once among the uncensored ones.
+    binary search in the sorted censoring times, the uncensored ones counted
+    by a running sum over them.
 
     Grid points with no censoring time within ``alpha`` borrow the value of
     the nearest evaluable grid point (ties resolve to the left);
@@ -545,18 +557,21 @@ def mean_functional(s: Sample, alpha: float) -> MeanFunctionalResult:
     evaluable, :class:`UnstableDenominatorError` is raised.
     """
     check_bandwidth(alpha, "alpha")
-    ts = np.sort(s.t)
-    tu = np.sort(s.t[s.delta == 1])
+    order = np.argsort(s.t)
+    ts = s.t[order]
+    uncensored = np.zeros(ts.size + 1, dtype=np.int64)  # [k]: those among ts[:k]
+    np.cumsum(s.delta[order], out=uncensored[1:])
     x = (np.arange(_GRID_POINTS) + 0.5) / _GRID_POINTS
     left, right = x - alpha, x + alpha
-    den = np.searchsorted(ts, right, "right") - np.searchsorted(ts, left, "left")
+    hi, lo = np.searchsorted(ts, right, "right"), np.searchsorted(ts, left, "left")
+    den = hi - lo
     good = den > 0
     if not np.any(good):
         raise UnstableDenominatorError(
             "no censoring times within the bandwidth of any grid point",
             g_value=0.0,
         )
-    num = np.searchsorted(tu, right, "right") - np.searchsorted(tu, left, "left")
+    num = uncensored[hi] - uncensored[lo]
     fx = np.empty(_GRID_POINTS)
     fx[good] = num[good] / den[good]
     fallback = int(np.count_nonzero(~good))

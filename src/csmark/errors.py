@@ -9,9 +9,10 @@ fits, failed replications) derive from :class:`RuntimeError`.
 
 The ``check_*`` functions are the one rule of each kind of value the library
 takes: finite numbers, marks, bandwidths, sizes, counts, the estimator's
-name, bandwidth grids, points and schedules.  The library and the command
-line refuse a bad value through them, so in the same words:
-``<name> must be <what>, got <value>``.
+name, bandwidth grids and points.  The library and the command line refuse
+a bad value through them, so in the same words:
+``<name> must be <what>, got <value>``; a schedule's rule, which needs its
+class, is kept with it in :mod:`csmark.asymptotics`.
 """
 
 from __future__ import annotations
@@ -156,8 +157,6 @@ def check_mark(value, name: str, error: type = SupportError) -> None:
 def check_bandwidth(value, name: str, error: type = InvalidBandwidthError) -> None:
     """A bandwidth, a constant that scales one or a floor; an array of them."""
     # the chained comparison is False for NaN, inf and nonpositive values
-    if type(value) is float and 0.0 < value < math.inf:
-        return  # the common case, without the general path's tests
     if isinstance(value, np.ndarray):
         ok = value.dtype.kind in "fiu" and bool(np.all((0.0 < value) & (value < np.inf)))
     else:
@@ -219,19 +218,6 @@ def check_grid(value, name: str) -> None:
         check_bandwidth(entry, name)
     if not entries or any(b <= a for a, b in zip(entries, entries[1:])):
         raise _refused(InvalidBandwidthError, name, "non-empty and strictly increasing", value)
-
-
-def check_schedule(value, name: str = "schedule", marked: bool = True) -> float | None:
-    """A :class:`~csmark.asymptotics.BandwidthSchedule`, with ``marked`` one
-    with a mark bandwidth; its mark exponent."""
-    from .asymptotics import BandwidthSchedule  # a module that imports this one
-
-    if not isinstance(value, BandwidthSchedule):
-        raise _refused(InvalidBandwidthError, name, "a BandwidthSchedule", value)
-    if marked and value.beta_exponent is None:
-        raise _refused(InvalidBandwidthError, name,
-                       "one with a mark bandwidth (c2, beta_exponent)", value)
-    return value.beta_exponent
 
 
 def check_points(t, z, single: bool = False,

@@ -36,11 +36,9 @@ sample or a stack of equal-size samples.  The kernel is taken as 0, and
 alpha <= 1`` is visited, along one of two paths that give a point the same
 sums, bit for bit: per run of points at one time, with mark windows, for one
 point and at large n; or vectorized over many points at once.
-:func:`_estimates` forms the estimates of many points from those means, as
-arrays, and :func:`_estimate` one point's, as Python floats, faster: both
-refuse bad points (:func:`~csmark.errors.check_points`), apply the floor on
-``g_hat`` and take the ratio of :func:`_ratio`, so a point gets the same
-bits either way.
+:func:`_estimates` forms every estimate from those means: it refuses bad
+points (:func:`~csmark.errors.check_points`) and applies the floor on
+``g_hat``, the same way for all of them.
 """
 
 from __future__ import annotations
@@ -285,57 +283,47 @@ def _kernel_sums(sample, config, t, z, alpha, beta, terms, row=None) -> list[np.
 _TERMS = {"F1": ("f1",), "F2": ("f2",), "density": ("gp", "h", "dh")}
 
 
-def _estimates(sample, config, t, z, kinds, alpha=None, beta=None, row=None):
+def _estimates(sample, config, t, z, kinds, alpha=None, beta=None, row=None, single=False):
     """g_hat and the estimates ``kinds`` at the paired points ``(t[j], z[j])``.
 
     ``kinds`` names estimates among ``"F1"`` (:func:`f1`), ``"F2"``
     (:func:`f2`) and ``"density"`` (:func:`f2_density`).  ``t`` and ``z``
-    are equal-length arrays; ``alpha``/``beta``
+    are equal-length arrays, or with ``single`` one point's numbers, whose
+    g_hat and estimates are then numpy scalars; ``alpha``/``beta``
     are the config's bandwidths when None, else scalars or arrays of one
     value per point.  With ``row``, ``sample`` is a stack of samples and
     point ``j`` is evaluated on its row ``row[j]`` (see :func:`_kernel_sums`).
     Every estimate is NaN where g_hat falls below ``config.g_floor``.  Points
-    are refused as :func:`~csmark.errors.check_points` refuses them.
+    are refused as :func:`~csmark.errors.check_points` refuses them, with
+    ``single``.
     """
-    t, z = check_points(t, z)
+    t, z = check_points(t, z, single)
     bw = config.bandwidths
     alpha = bw.alpha if alpha is None else alpha
     beta = bw.beta if beta is None else beta
     terms = ("g",) + tuple(term for kind in kinds for term in _TERMS[kind])
-    sums = dict(zip(terms, _kernel_sums(sample, config, t, z, alpha, beta, terms, row)))
+    sums = _kernel_sums(sample, config, t, z, alpha, beta, terms, row)
+    if single:  # numpy scalars round and warn as arrays do, at less cost per operation
+        sums = [x[0] for x in sums]
+    sums = dict(zip(terms, sums))
     g = sums["g"]
-    stable = np.where(g >= config.g_floor, g, np.nan)  # NaN spreads to every estimate
-    return g, [_ratio(kind, stable, sums) for kind in kinds]
-
-
-def _ratio(kind, g, sums):
-    """The estimate ``kind`` from g_hat ``g`` and the kernel sums ``sums``
-    by term, arrays or Python floats: the same IEEE operations in the same
-    order, so the same bits either way."""
-    if kind == "density":
-        return (g * sums["dh"] - sums["gp"] * sums["h"]) / (g * g)
-    return sums[_TERMS[kind][0]] / g
+    # NaN spreads to every estimate
+    stable = ((g if g >= config.g_floor else np.nan) if single
+              else np.where(g >= config.g_floor, g, np.nan))
+    return g, [
+        (stable * sums["dh"] - sums["gp"] * sums["h"]) / (stable * stable)
+        if kind == "density" else sums[_TERMS[kind][0]] / stable
+        for kind in kinds
+    ]
 
 
 def _estimate(sample, config, t0, z0, kind) -> float:
     """One estimate at one point, ``t0`` and ``z0`` one number each;
-    :class:`UnstableDenominatorError` below the floor.  The point is
-    refused, and the floor and ratio applied, as :func:`_estimates` does,
-    on the point's sums as Python floats."""
-    t, z = check_points(t0, z0, single=True)
-    bw = config.bandwidths
-    terms = ("g",) + _TERMS[kind]
-    sums = {term: x.item()
-            for term, x in zip(terms, _kernel_sums(sample, config, t, z, bw.alpha, bw.beta, terms))}
-    g, value = sums["g"], math.nan
-    if g >= config.g_floor:
-        try:
-            value = _ratio(kind, g, sums)
-        except ZeroDivisionError:  # g * g underflowed to 0: numpy's inf or NaN
-            value = _ratio(kind, np.array([g]), sums).item()
+    :class:`UnstableDenominatorError` below the floor."""
+    g, (value,) = _estimates(sample, config, t0, z0, (kind,), single=True)
     if math.isnan(value):
-        raise _unstable(g, config.g_floor)
-    return value
+        raise _unstable(float(g), config.g_floor)
+    return float(value)
 
 
 def _unstable(den: float, g_floor: float) -> UnstableDenominatorError:

@@ -804,17 +804,22 @@ def test_mean_functional_zero_for_fully_uncensored_sample():
 
 
 def test_mean_functional_equals_counting_average():
-    s = sample(B, 120, 17)
+    drawn = sample(B, 120, 17)
+    # and with times on a coarse lattice, many shared by censored and
+    # uncensored rows, which the sorted times may hold in any order
+    tied = Sample(t=np.round(drawn.t, 2), z=drawn.z, delta=drawn.delta)
     alpha, grid_points = 0.3, 2000
     config = EstimatorConfig(kernel_t=uniform_kernel(), bandwidths=Bandwidths(alpha))
-    z_top = float(s.z.max()) + 1.0
-    manual = np.mean(
-        [
-            1.0 - f1_counting(s, config, (i + 0.5) / grid_points, z_top)
-            for i in range(grid_points)
-        ]
-    )
-    assert abs(mean_functional(s, alpha).value - manual) < 1e-15
+    for s in (drawn, tied):
+        z_top = float(s.z.max()) + 1.0
+        manual = np.mean(
+            [
+                1.0 - f1_counting(s, config, (i + 0.5) / grid_points, z_top)
+                for i in range(grid_points)
+            ]
+        )
+        assert abs(mean_functional(s, alpha).value - manual) < 1e-15
+    assert np.unique(tied.t).size <= tied.t.size // 2
 
 
 def test_mean_functional_fallback_and_errors():

@@ -50,7 +50,7 @@ from csmark import (
     write_grid_csv,
 )
 from csmark import asymptotics, errors, estimators, pilot as pilot_module
-from csmark.errors import CsmarkError, check_bandwidth, check_points
+from csmark.errors import CsmarkError, check_points
 from csmark.scenarios import _Stack
 
 EPA = epanechnikov_kernel()
@@ -748,8 +748,8 @@ def test_batch_estimates_equal_single_point_estimates(s, kernel, floor, data, bu
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_one_point_estimates_are_the_grid_values_bit_for_bit(seed):
-    """f1, f2 and f2_density at a point, which floor and divide Python
-    floats, give evaluate_grid's value there, and under the floor raise
+    """f1, f2 and f2_density at a point, which floor and divide numpy
+    scalars, give evaluate_grid's value there, and under the floor raise
     with the g_value the grid's sums give."""
     s = sample(scenario_b(), 400, seed)
     t_grid = [0.02, 0.1, 0.5, 0.93, 0.999, 1.3]
@@ -776,8 +776,8 @@ def test_one_point_estimates_are_the_grid_values_bit_for_bit(seed):
 
 
 def test_a_density_whose_g_squared_underflows_is_unstable_at_a_point_as_on_the_grid():
-    # g_hat = 7.5e-163 clears the floor, but g_hat ** 2 rounds to 0, which
-    # a Python float refuses to divide by and numpy divides by to NaN
+    # g_hat = 7.5e-163 clears the floor, but g_hat ** 2 rounds to 0, which a
+    # numpy scalar, as an array, divides by to NaN (a Python float would raise)
     s = sample(scenario_b(), 100, 1)
     config = EstimatorConfig(bandwidths=Bandwidths(1e162, 0.3), g_floor=1e-320)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -790,7 +790,7 @@ def test_a_density_whose_g_squared_underflows_is_unstable_at_a_point_as_on_the_g
 
 
 class _Float(float):
-    """A float that the checks' fast paths, which take only type float, pass by."""
+    """A float that check_points' fast path, which takes only type float, passes by."""
 
 
 # a float, ints, numpy scalars, bools, NaN and +-inf, and values at the rules' edges
@@ -808,15 +808,13 @@ def check_outcome(check, *args):
 
 
 @pytest.mark.parametrize("value", CHECKED, ids=repr)
-def test_fast_checks_give_what_the_general_path_gives(value):
-    # only a Python float takes a fast path; the same number as a float
+def test_the_fast_point_check_gives_what_the_general_path_gives(value):
+    # only a point of Python floats takes the fast path; the same number as a float
     # subclass takes the general path, and prints the same
     general = _Float(value) if type(value) is float else value
     assert repr(general) == repr(value)
     for fast, slow in (((value, 0.5), (general, 0.5)), ((0.5, value), (0.5, general))):
         assert check_outcome(check_points, *fast, True) == check_outcome(check_points, *slow, True)
-    assert (check_outcome(check_bandwidth, value, "alpha")
-            == check_outcome(check_bandwidth, general, "alpha"))
     # a number that is not a bool is taken as its float, or refused as it is
     if not isinstance(value, (bool, np.bool_)):
         for args in ((value, 0.5), (0.5, value)):
@@ -824,15 +822,13 @@ def test_fast_checks_give_what_the_general_path_gives(value):
             if isinstance(accepted, list):
                 floats = (float(a) for a in args)
                 assert accepted == check_outcome(check_points, *floats, True)
-    # and a float the rules take never reaches the general path
+    # and a point of floats the rule takes never reaches the general path
     if type(value) is float:
         with mock.patch.object(errors, "_is_real", side_effect=AssertionError("general path")):
             if math.isfinite(value):
                 check_points(value, 0.5, True)
             if not math.isnan(value):
                 check_points(0.5, value, True)
-            if 0.0 < value < math.inf:
-                check_bandwidth(value, "alpha")
 
 
 @PROPERTY
