@@ -404,8 +404,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=_flag(_SEED), help="overrides config seed")
         p.add_argument("--threads", type=_flag(_Key("threads", int, _count(1))),
-                       default=1, metavar="K", help="worker threads for replications "
-                       "of samples of 20 000 rows or more")
+                       default=1, metavar="K", help="worker threads for the replications "
+                       "of mc-normality, mc-mse, table1 and functional, on samples of "
+                       "20 000 rows or more; simulate, estimate-grid, equivalence and "
+                       "bw-select accept it and run on one thread")
     return parser
 
 

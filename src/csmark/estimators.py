@@ -56,7 +56,7 @@ from .errors import (DerivativeUnavailableError, InvalidValueError, KernelAssump
 # importable from this module, where perfbench/tracing.py wraps them
 from .kernels import (Bandwidths, KernelFamily, UnivariateKernel,  # noqa: F401
                       _support_window, epanechnikov_kernel, eval_rescaled, eval_rescaled_cdf)
-from .scenarios import Sample, _write_csv
+from .scenarios import Sample, _Stack, _write_csv
 
 __all__ = [
     "EstimatorConfig",
@@ -169,36 +169,33 @@ def _run_sums(kt, sample, t, z, alpha, beta, terms, row) -> list[np.ndarray]:
     return [np.array(x) for x in out]
 
 
-def _batch_sums(kt, sample, t, z, alpha, beta, terms, row) -> list[np.ndarray]:
-    """The vectorized path of :func:`_kernel_sums`."""
-    ts, zs, ds = sample.t, sample.z.ravel(), sample.delta.ravel()
-    n, m = ts.shape[-1], t.size
+def _batch_sums(kt, stack, t, z, alpha, beta, terms, row) -> list[np.ndarray]:
+    """The vectorized path of :func:`_kernel_sums`, on a stack of samples: a
+    lone sample comes as a stack of one row, with ``row`` all zeros."""
+    ts, zs, ds = stack.t, stack.z.ravel(), stack.delta.ravel()
+    n, m = ts.shape[1], t.size
     derivative = "gp" in terms or "dh" in terms
     cdf, pdf = "f2" in terms, "h" in terms or "dh" in terms
     alpha = np.full(m, alpha, dtype=float)
     beta = None if beta is None else np.full(m, beta, dtype=float)
     out = [np.empty(m) for _ in terms]
     new_run = np.ones(m + 1, dtype=bool)
-    new_run[1:m] = (t[1:] != t[:-1]) | (alpha[1:] != alpha[:-1])
-    if row is not None:
-        new_run[1:m] |= row[1:] != row[:-1]
+    new_run[1:m] = (t[1:] != t[:-1]) | (alpha[1:] != alpha[:-1]) | (row[1:] != row[:-1])
     bounds = new_run.nonzero()[0]  # run r holds the points bounds[r]:bounds[r + 1]
     step = _CHUNK_BUDGET // n
     for r0 in range(0, bounds.size - 1, step):
         first = bounds[r0 : r0 + step + 1]
         size, first = first[1:] - first[:-1], first[:-1]  # points per run, first points
         p0 = first[0]
-        rows = ts if row is None else ts[row[first]]  # a lone sample broadcasts
-        u = ((t[first, None] - rows) / alpha[first, None]).ravel()
+        u = ((t[first, None] - ts[row[first]]) / alpha[first, None]).ravel()
         flat = (np.abs(u) <= 1.0).nonzero()[0]  # the runs' windows, one after another
         u = u[flat]
-        col = flat % n
-        if row is not None:  # the entries' places in the flattened stack
-            col += n * row[first][flat // n]
         ends = np.arange(first.size + 1) * n  # run r's entries of flat lie below ends[r + 1]
+        window = np.searchsorted(flat, ends)  # run r's window: flat[window[r]:window[r + 1]]
+        # the entries' places in the flattened stack: run r's row in place of r
+        col = flat + (n * row[first] - ends[:-1]).repeat(np.diff(window))
         w = kt.pdf(u)
         d = kt.deriv(u) if derivative else None
-        window = np.searchsorted(flat, ends)  # run r's window: flat[window[r]:window[r + 1]]
         for x, term in zip(out, terms):
             if term in ("g", "gp"):
                 x[p0 : p0 + size.sum()] = _segment_sums(d if term == "gp" else w,
@@ -207,7 +204,7 @@ def _batch_sums(kt, sample, t, z, alpha, beta, terms, row) -> list[np.ndarray]:
         w, d = w[keep], None if d is None else d[keep]
         zu = zs[col[keep]]  # once the whole windows' w and d are freed
         # pair each point with its run's uncensored window columns
-        edges = np.searchsorted(flat[keep], ends)
+        edges = np.searchsorted(keep, window)
         cols = (edges[1:] - edges[:-1]).repeat(size)  # pairs per point
         start = edges[:-1].repeat(size)
         # about ten pair-sized temporaries live at once, so pairs are formed
@@ -257,11 +254,12 @@ def _kernel_sums(sample, config, t, z, alpha, beta, terms, row=None) -> list[np.
       by a bounds prefilter (:func:`~csmark.kernels._support_window`), a
       point's mark kernels only in its mark window ``|(z_j - z_i) / beta|
       <= 1``; for single estimates, grids at large n, the bootstrap's target;
-    * vectorized (:func:`_batch_sums`) otherwise: ``_CHUNK_BUDGET // n``
-      runs' windows at a time by one (runs x n) mask, an eighth of a chunk's
-      points paired at a time, by a slice where each is its run's only point
-      and by a gather else, every kernel on every pair; for the bootstrap's
-      pilot densities and candidate stacks.
+    * vectorized (:func:`_batch_sums`) otherwise, a lone sample taken as a
+      stack of one row: ``_CHUNK_BUDGET // n`` runs' windows at a time by
+      one (runs x n) mask, an eighth of a chunk's points paired at a time,
+      by a slice where each is its run's only point and by a gather else,
+      every kernel on every pair; for the bootstrap's pilot densities and
+      candidate stacks.
 
     Both add the same values in sample order: a point's sums are bit for
     bit the same whatever the path, the chunk budget, the other points of
@@ -276,6 +274,9 @@ def _kernel_sums(sample, config, t, z, alpha, beta, terms, row=None) -> list[np.
     check_bandwidth(alpha, "alpha")
     n = sample.t.shape[-1]
     path = _run_sums if t.size == 1 or _CHUNK_BUDGET // n // 8 <= 1 else _batch_sums
+    if path is _batch_sums and row is None:  # a lone sample as a stack of one row
+        sample = _Stack(sample.t[None], sample.z[None], sample.delta[None])
+        row = np.zeros(t.size, dtype=np.intp)
     return path(kt, sample, t, z, alpha, beta if marked else None, terms, row)
 
 

@@ -191,11 +191,9 @@ class PilotModel:
             ends = np.cumsum(batch)
             draws = [rngs[r].random(3 * b).reshape(3, b)
                      for r, b in zip(active.tolist(), batch.tolist())]
-            x, y, u = draws[0] if len(draws) == 1 else np.concatenate(draws, axis=1)
+            x, y, u = np.concatenate(draws, axis=1)
             del draws
-            # one generator's envelope stays a scalar, with no repeat
-            env = (envelopes[active[0]] if active.size == 1
-                   else np.repeat(envelopes[active], batch))
+            env = np.repeat(envelopes[active], batch)
             cell = _cell_of(self._edges, x) * (_ENVELOPE_GRID - 1) + _cell_of(self._edges, y)
             # the cell's lower bound, replaced by the density where evaluated
             value, hi = lower.take(cell), upper.take(cell)

@@ -113,14 +113,11 @@ class Sample:
         # for the many small samples of threaded Monte Carlo runs
         if not (np.isfinite(t.min()) and np.isfinite(t.max())):
             raise InvalidValueError("times must be finite")
-        # the integer cast would truncate 0.7 to 0 and fail on NaN
-        if delta.dtype.kind not in "biu" and not np.all(
-            (delta == 0) | (delta == 1)
-        ):
+        # tested before the integer cast, which truncates 0.7 to 0, wraps
+        # 2**64 - 1 to -1 and warns on NaN
+        if not np.all((delta == 0) | (delta == 1)):
             raise InvalidValueError("delta must be 0 or 1")
         delta = np.ascontiguousarray(delta, dtype=np.int64)
-        if not (0 <= delta.min() and delta.max() <= 1):
-            raise InvalidValueError("delta must be 0 or 1")
         if not (0.0 <= z.min() and z.max() < np.inf):
             raise InvalidValueError("marks must be finite and nonnegative")
         if np.any((z != 0.0) & (delta == 0)):

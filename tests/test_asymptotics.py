@@ -867,6 +867,13 @@ def test_efficient_variance_divergent_integrand():
         efficient_variance(vanishing_g)
 
 
+def test_efficient_variance_refuses_a_censoring_density_that_vanishes_inside():
+    # F (1 - F) > 0 on all of (0, 1), so no time is left where g is 0
+    gap = dataclasses.replace(B, g=lambda t: np.where(t < 0.5, 2.0 * t, 0.0))
+    with pytest.raises(QuadratureError, match="^censoring density vanishes at t="):
+        efficient_variance(gap)
+
+
 def test_mc_functional_plumbing():
     summary = mc_functional(B, 400, 6, seed=2)
     assert summary.values.size == 6

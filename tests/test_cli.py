@@ -819,6 +819,7 @@ print(json.dumps({
     "true_mean": true_mean_event_time(scenario_b()), "ks": summary.ks_distance,
     "scipy": sorted(m for m, mod in sys.modules.items()
                     if m.startswith("scipy") and mod is not None),
+    "statistics": "statistics" in sys.modules,
 }))
 """
 
@@ -842,3 +843,4 @@ def test_every_command_runs_with_scipy_unimportable(tmp_path):
     # the largest gap: the empirical cdf is 0 just below -0.3, Phi(-0.3) = 0.38209
     assert report["ks"] == pytest.approx(0.3820885778110474, abs=1e-15)
     assert report["scipy"] == []
+    assert report["statistics"] is False

@@ -187,6 +187,12 @@ def test_antiderivatives_match_numeric_integration():
         assert float(kernel.cdf(3.0)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_kernel_repr_is_its_name():
+    assert repr(epanechnikov_kernel()) == "UnivariateKernel(epanechnikov)"
+    assert repr(custom_kernel("copy", uniform_kernel().pdf, uniform_kernel().cdf)) == (
+        "UnivariateKernel(copy)")
+
+
 def test_symmetry_and_compact_support():
     grid = np.linspace(0.0, 1.0, 57)
     outside = np.array([1.0001, 1.5, 2.0, -1.2, -7.0])

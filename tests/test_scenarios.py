@@ -449,6 +449,11 @@ def test_csv_round_trip():
     assert np.array_equal(back.t, s.t)
     assert np.array_equal(back.z, s.z)
     assert np.array_equal(back.delta, s.delta)
+    # blank lines are skipped, and count in later lines' numbers
+    spaced = Sample.from_csv(io.StringIO(text.replace("\n", "\n\n", 2)))
+    assert np.array_equal(spaced.t, s.t) and np.array_equal(spaced.delta, s.delta)
+    with pytest.raises(ValueError, match="^line 4: "):
+        Sample.from_csv(io.StringIO("t,z,delta\n\n0.4,0.2,1\n0.5,0.1\n"))
     with pytest.raises(ValueError):
         Sample.from_csv(io.StringIO("a,b,c\n0.1,0.2,1\n"))
     # a row with too few or too many fields, a field that is not a number or
