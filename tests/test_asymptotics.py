@@ -868,7 +868,7 @@ def test_efficient_variance_divergent_integrand():
 
 
 def test_efficient_variance_refuses_a_censoring_density_that_vanishes_inside():
-    # F (1 - F) > 0 on all of (0, 1), so no time is left where g is 0
+    # g is 0 on [0.5, 1), where F (1 - F) is positive
     gap = dataclasses.replace(B, g=lambda t: np.where(t < 0.5, 2.0 * t, 0.0))
     with pytest.raises(QuadratureError, match="^censoring density vanishes at t="):
         efficient_variance(gap)

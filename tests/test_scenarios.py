@@ -360,9 +360,13 @@ def test_sample_rejects_non_integral_delta():
         Sample(t=[0.1, 0.2], z=[0.0, 0.3], delta=[0.7, 1.9])
     with pytest.raises(ValueError, match="^delta must be 0 or 1$"):
         Sample(t=[0.1, 0.2], z=[0.0, 0.3], delta=[np.nan, 1.0])
-    s = Sample(t=[0.1, 0.2], z=[0.0, 0.3], delta=[0.0, 1.0])
-    assert s.delta.dtype == np.int64
-    assert s.delta.tolist() == [0, 1]
+    # an unsigned integer that the int64 cast would wrap to -1
+    with pytest.raises(ValueError, match="^delta must be 0 or 1$"):
+        Sample(t=[0.1], z=[0.0], delta=np.array([2**64 - 1], dtype=np.uint64))
+    for delta in ([0.0, 1.0], [False, True]):
+        s = Sample(t=[0.1, 0.2], z=[0.0, 0.3], delta=delta)
+        assert s.delta.dtype == np.int64
+        assert s.delta.tolist() == [0, 1]
 
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
