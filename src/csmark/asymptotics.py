@@ -41,7 +41,7 @@ import numpy as np
 from .errors import (BandwidthRegimeError, InvalidBandwidthError, QuadratureError,
                      ReplicationFailureError, UnstableDenominatorError, _refused)
 from .errors import (check_bandwidth, check_count, check_estimator, check_finite,
-                     check_mark_bandwidth, check_pair, check_size, check_sizes)
+                     check_instance, check_mark_bandwidth, check_pair, check_size, check_sizes)
 from .estimators import EstimatorConfig, f1, f2
 from .kernels import (Bandwidths, UnivariateKernel, _quad, epanechnikov_kernel, l2_norm_sq,
                       second_moment)
@@ -120,8 +120,7 @@ def _check_schedule(value, marked: bool = True) -> float | None:
     """The rule on a ``schedule``, kept with its class: a
     :class:`BandwidthSchedule`, with ``marked`` one with a mark bandwidth;
     its mark exponent."""
-    if not isinstance(value, BandwidthSchedule):
-        raise _refused(InvalidBandwidthError, "schedule", "a BandwidthSchedule", value)
+    check_instance(value, "schedule", BandwidthSchedule, InvalidBandwidthError)
     if marked and value.beta_exponent is None:
         raise _refused(InvalidBandwidthError, "schedule",
                        "one with a mark bandwidth (c2, beta_exponent)", value)

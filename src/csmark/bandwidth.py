@@ -32,7 +32,7 @@ import numpy as np
 from . import estimators
 from .asymptotics import MAX_FAILURE_FRACTION
 from .errors import (SelectionError, check_bandwidth, check_count, check_finite, check_grid,
-                     check_pair)
+                     check_instance, check_pair)
 # f1 and f2 are not called here, but stay importable from this module, where
 # perfbench/tracing.py wraps them
 from .estimators import EstimatorConfig, _estimates, f1, f2  # noqa: F401
@@ -174,6 +174,8 @@ def bootstrap_mse(
     those of its own generator and each estimate is the one its sample alone
     gives, so results do not depend on the grouping.
     """
+    check_instance(sample_, "sample", Sample)
+    check_instance(plan, "plan", BootstrapPlan)
     if true_value is not None:
         check_finite(true_value, "true_value")
     pilot = fit_pilot(sample_, plan.alpha0, plan.beta0)
@@ -240,6 +242,7 @@ def select(table: BootstrapMseTable) -> dict[str, tuple[float, float | None]]:
     An estimator whose candidates are all invalid raises
     :class:`SelectionError`.
     """
+    check_instance(table, "table", BootstrapMseTable)
     if not table.rows:
         raise SelectionError("empty bootstrap table")
     chosen: dict[str, tuple[float, float | None]] = {}

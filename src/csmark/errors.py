@@ -9,10 +9,10 @@ fits, failed replications) derive from :class:`RuntimeError`.
 
 The ``check_*`` functions are the one rule of each kind of value the library
 takes: finite numbers, marks, bandwidths, sizes, counts, the estimator's
-name, bandwidth grids and points.  The library and the command line refuse
-a bad value through them, so in the same words:
-``<name> must be <what>, got <value>``; a schedule's rule, which needs its
-class, is kept with it in :mod:`csmark.asymptotics`.
+name, bandwidth grids, points and the package's own objects, by their
+type.  The library and the command line refuse a bad value through them, so
+in the same words: ``<name> must be <what>, got <value>``; a schedule's
+rule, which needs its class, is kept with it in :mod:`csmark.asymptotics`.
 """
 
 from __future__ import annotations
@@ -146,6 +146,13 @@ def check_finite(value, name: str, error: type = InvalidValueError) -> None:
     """A finite number: a time ``t0``, an exponent, a true value."""
     if not (_is_real(value, True) and math.isfinite(value)):
         raise _refused(error, name, _FINITE, value)
+
+
+def check_instance(value, name: str, cls: type, error: type = InvalidValueError) -> None:
+    """An object of one of the package's classes: a sample, a config, a plan."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIO" else "a"
+        raise _refused(error, name, f"{article} {cls.__name__}", value)
 
 
 def check_mark(value, name: str, error: type = SupportError) -> None:

@@ -51,7 +51,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (DerivativeUnavailableError, InvalidValueError, KernelAssumptionError,
-                     UnstableDenominatorError, check_bandwidth, check_grid_points, check_points)
+                     UnstableDenominatorError, check_bandwidth, check_grid_points, check_instance,
+                     check_points)
 # eval_rescaled and eval_rescaled_cdf are not called here, but stay
 # importable from this module, where perfbench/tracing.py wraps them
 from .kernels import (Bandwidths, KernelFamily, UnivariateKernel,  # noqa: F401
@@ -95,6 +96,8 @@ class EstimatorConfig:
     g_floor: float = DEFAULT_G_FLOOR
 
     def __post_init__(self) -> None:
+        check_instance(self.kernel_t, "kernel_t", UnivariateKernel)
+        check_instance(self.bandwidths, "bandwidths", Bandwidths)
         check_bandwidth(self.g_floor, "g_floor", InvalidValueError)
 
 

@@ -147,11 +147,12 @@ def _epanechnikov_pdf_bounds(a, b):
     """Least and greatest :func:`_epanechnikov_pdf` over ``[a, b]``, elementwise.
 
     The pdf does not increase in ``|u|``: its least value is at an end, its
-    greatest at the point nearest 0 (0.75 when 0 lies inside).
+    greatest 0.75 where 0 lies in ``[a, b]`` and the larger end value else.
     """
+    at_a, at_b = _epanechnikov_pdf(a), _epanechnikov_pdf(b)
     return (
-        np.minimum(_epanechnikov_pdf(a), _epanechnikov_pdf(b)),
-        _epanechnikov_pdf(np.clip(0.0, a, b)),
+        np.minimum(at_a, at_b),
+        np.where((a <= 0.0) & (0.0 <= b), 0.75, np.maximum(at_a, at_b)),
     )
 
 

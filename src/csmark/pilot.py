@@ -12,7 +12,11 @@ a grid-based envelope.
 
 Both uses of the pilot density go through one set of certified bounds on
 it over the envelope grid's cells (:func:`_density_bounds`) and evaluate it
-exactly only where the bounds cannot decide.  A node's density is at most
+exactly only where the bounds cannot decide.  The bounds take the density
+one uncensored observation at a time: each observation's term of the
+quotient ``dh / g - gp h / g^2``, whose ``g`` and ``gp`` sum over the whole
+sample, gets one interval per t-cell, and matrix products with the mark
+kernel's bounds sum the terms over each cell.  A node's density is at most
 the upper bound of each cell around it, and a cell's lower bound holds at
 its corners, so the envelope's peak is searched among the nodes whose least
 cell upper bound reaches the largest lower bound.  Rejection is squeezed
@@ -47,7 +51,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import estimators
-from .errors import DegeneratePilotError, KernelAssumptionError, check_bandwidth
+from .errors import DegeneratePilotError, KernelAssumptionError, check_bandwidth, check_instance
 from .estimators import EstimatorConfig, _estimates
 from .kernels import KernelFamily, _epanechnikov_deriv_bounds, _epanechnikov_pdf_bounds
 from .scenarios import Sample
@@ -67,8 +71,8 @@ _ENVELOPE_GRID = 200
 # evaluate about 1055 proposals rather than 1389; at 256 rather than 78
 # they take 5.3 density calls rather than 14.6, and bootstrap_mse ran 7.5%
 # faster in process (512: 9%).  A call of 256 points peaks at 1.4 MB of
-# temporaries at n = 100, under half the fit's bound pass (3.2 MB); one of
-# 512 peaks at 2.2 MB
+# temporaries at n = 100, under the fit's bound pass (1.6 MB); one of 512
+# peaks at 2.2 MB
 _DENSITY_PIECE = 256
 
 # rejection rounds after which draw_xy gives up on a pilot density that
@@ -94,6 +98,8 @@ class PilotModel:
     """
 
     def __init__(self, sample_: Sample, config: EstimatorConfig) -> None:
+        check_instance(sample_, "sample", Sample)
+        check_instance(config, "config", EstimatorConfig)
         if config.kernel_t.family is not KernelFamily.EPANECHNIKOV:
             raise KernelAssumptionError(f"the pilot kernel must be epanechnikov, "
                                         f"not {config.kernel_t.name!r}")
@@ -284,8 +290,17 @@ _BOUND_SLACK = 32
 # OpenBLAS's gemm (interface/gemm.c) runs M N K <= 65536 * 4 on one thread
 # (SMP_THRESHOLD_MIN times GEMM_MULTITHREAD_THRESHOLD); with numpy 2.4.6 and
 # scipy-openblas 0.3.31 its helper threads used no CPU at M N K = 716 400
-# and did from 1 194 000
+# and did from 1 194 000.  _density_bounds' four products of a block of
+# uncensored observations go in blocks of t-cell rows under this count
 _SERIAL_PRODUCT = 1 << 18
+
+
+def _time_bounds(t_lo, t_hi, ti, alpha):
+    """Bounds on ``k(u)`` and ``k'(u)``, ``u = (t - t_i) / alpha``, for ``t`` in
+    each interval ``[t_lo, t_hi]`` (rows) and each observation time ``ti``
+    (columns): ``(w_lo, w_hi, d_lo, d_hi)``."""
+    ua, ub = (t_lo[:, None] - ti) / alpha, (t_hi[:, None] - ti) / alpha
+    return _epanechnikov_pdf_bounds(ua, ub) + _epanechnikov_deriv_bounds(ua, ub)
 
 
 def _density_bounds(sample, config, t_lo, t_hi, z_lo, z_hi):
@@ -302,101 +317,128 @@ def _density_bounds(sample, config, t_lo, t_hi, z_lo, z_hi):
     mark bandwidth; :class:`PilotModel`, the one caller, refuses any other
     config.
 
-    Every factor the kernel sums add up -- ``k(u_i)`` and ``k'(u_i)`` at
+    Every kernel factor of the estimate -- ``k(u_i)`` and ``k'(u_i)`` at
     ``u_i = (t - t_i) / alpha``, ``k((z - z_i) / beta)`` -- is bounded
     exactly: ``u_i`` rounds monotonically in ``t``, and the kernel helpers
-    bound the float kernels over the ``u`` interval.  Sums of those bounds
-    bound ``g`` and ``gp`` per t-interval; matrix products of the (t-interval
-    x uncensored observation) and (z-interval x uncensored observation)
-    bounds bound ``h`` and ``dh``, with ``k'`` split into its positive and
-    negative parts.  Interval arithmetic then bounds the quotient in the
-    form ``dh / g - gp h / g^2``, in which the two ``g`` of ``g dh / g^2``
-    do not vary independently.
+    bound the float kernels over the ``u`` interval.  With the unscaled sums
+    ``G = sum_j k(u_j)`` and ``GP = sum_j k'(u_j)`` over all observations,
+    the estimate ``dh / g - gp h / g^2`` is exactly
+
+        sum_i k((z - z_i) / beta) e_i / (alpha beta),
+        e_i = k'(u_i) / G - (GP / G^2) k(u_i),
+
+    over the uncensored observations ``i``.  A first pass sums the bounds of
+    ``k`` and ``k'`` into intervals of ``G`` and ``GP`` per t-interval.  A
+    second pass, over the uncensored observations only, forms one interval
+    ``[e_lo, e_hi]`` per (t-interval, observation), each quotient over the
+    end of ``G`` its numerator's sign calls for, and bounds the sum by
+    matrix products with the mark kernel's bounds ``v_lo <= v <= v_hi``:
+    ``S_lo = e_lo+ v_lo - e_lo- v_hi`` and ``S_hi = e_hi+ v_hi - e_hi- v_lo``,
+    with ``+`` and ``-`` the positive and negative parts.  The quotient is
+    formed per observation, before the mark products: formed from interval
+    bounds of ``g``, ``gp``, ``h`` and ``dh`` instead, each ``h`` and ``dh``
+    would vary apart from the ``g`` it is divided by.
 
     Rounding.  :func:`~csmark.estimators._kernel_sums` forms each sum from
     at most ``n`` products and scales it in at most 5 more operations, in
     some order; by Higham (*Accuracy and Stability of Numerical Algorithms*,
-    2nd ed., §3.1 and §4.2) its float value lies within ``gamma = (n + 5)
-    eps / (1 - (n + 5) eps)`` times the sum of absolute terms, ``A``, of the
-    same sum in exact arithmetic, and so do the matrix products and sums
-    here of the exact values of theirs.  With ``A_g = g``, ``A_h = h``,
-    ``A_gp`` and ``A_dh`` (bounded here through ``|k'|`` and ``k <= 0.75``),
-    these errors move the quotient by
-    at most about ``4 gamma (g A_dh + A_gp h) / g^2`` in either evaluation,
-    and its last five roundings by ``5 eps`` times the same.  The sum,
-    under ``10 (n + 8) eps (g A_dh + A_gp h) / g^2``, is covered more than
-    three times by the margin ``delta (g_hi A_dh + A_gp h_hi) / g_lo^2`` with
-    ``delta = _BOUND_SLACK (n + 8) eps``, taken off the lower and added to
-    the upper bound.  A cell is stable when ``g_lo (1 - delta) >= g_floor``,
-    so g_hat there is at least the floor.
+    2nd ed., §3.1 and §4.2) its float value lies within ``gamma_(n + 5)``
+    times the sum of absolute terms, ``A``, of the same sum in exact
+    arithmetic (``gamma_k = k eps / (1 - k eps)``).  With ``A_g = g``,
+    ``A_h = h``, ``A_gp`` and ``A_dh``, these errors move the estimate by at
+    most about ``4 gamma_(n + 5) (g A_dh + A_gp h) / g^2``, and its last
+    five roundings by ``5 eps`` times the same.  The roundings here, in the
+    same terms but unscaled:
+
+    * the sums ``G_lo``, ``G_hi``, ``GP_lo`` and ``GP_hi`` lie within
+      ``gamma_n`` of their sums of absolute terms;
+    * ``e_i``'s quotients, product and difference then move it by at most
+      ``(gamma_n + 2 eps) |k'| / G_lo + (8 gamma_n + 6 eps) GP_abs k /
+      G_lo^2``; the ``8 gamma_n`` allows a rounded ``GP`` or ``GP / G^2``
+      to take the other sign, and so the other end of an interval;
+    * the products sum at most ``2 n`` terms, within ``gamma_2n`` of the sum
+      of ``|e_i| v_i``;
+    * the scale ``1 / (alpha beta)``, its product and the margin's
+      subtraction make four more roundings, ``4 eps``.
+
+    With ``v <= 0.75``, each of these, and the estimate's own error, is at
+    most its factor times ``M = (G_hi D_abs + GP_abs W_abs) / (alpha beta
+    G_lo^2)``.  ``GP_abs`` sums the bounds of ``|k'|`` over all
+    observations; ``D_abs`` and ``W_abs`` sum the bounds of ``0.75 |k'|``
+    and ``0.75 k`` over the uncensored ones.  The factors add up to under
+    ``14 (n + 8) eps``, which the margin ``2 delta M``, with ``delta =
+    _BOUND_SLACK (n + 8) eps``, covers more than four times; it is taken
+    off the lower and added to the upper bound.  A cell is stable when
+    ``g_lo (1 - delta) >= g_floor``, with ``g_lo = G_lo / (n alpha)``, so
+    g_hat there is at least the floor.
 
     Cells that are not stable, or whose bounds overflow, get ``[0, inf]``.
     """
     alpha, beta = config.bandwidths.alpha, config.bandwidths.beta
-    shape = (t_lo.size, z_lo.size)
     n, m = len(sample), t_lo.size
-    g_lo, g_hi, gp_lo, gp_hi, gp_abs, dh_abs = np.zeros((6, m))
-    h_lo, h_hi, dh_lo, dh_hi = np.zeros((4, m, z_lo.size))
     # observations go in blocks, bounding the (interval x observation)
     # arrays; the budget is looked up at call time, so a patched one is used
-    step = max(1, estimators._CHUNK_BUDGET // (8 * max(*shape, 1)))
+    step = max(1, estimators._CHUNK_BUDGET // (8 * max(m, z_lo.size, 1)))
+    # per t-interval, as columns: G's and GP's bounds, and sum |k'|
+    g_lo, g_hi, gp_lo, gp_hi, gp_abs = np.zeros((5, m, 1))
     for i0 in range(0, n, step):
-        block = slice(i0, i0 + step)
-        ti = sample.t[block]
-        ua, ub = (t_lo[:, None] - ti) / alpha, (t_hi[:, None] - ti) / alpha
-        w_lo, w_hi = _epanechnikov_pdf_bounds(ua, ub)
-        d_lo, d_hi = _epanechnikov_deriv_bounds(ua, ub)
-        d_abs = np.fmax(-d_lo, d_hi)
-        unc = (sample.delta[block] == 1).nonzero()[0]
-        # |dh| <= sum |k'| k over the uncensored, and k <= 0.75
+        w_lo, w_hi, d_lo, d_hi = _time_bounds(t_lo, t_hi, sample.t[i0 : i0 + step], alpha)
         for total, x in ((g_lo, w_lo), (g_hi, w_hi), (gp_lo, d_lo), (gp_hi, d_hi),
-                         (gp_abs, d_abs), (dh_abs, 0.75 * d_abs[:, unc])):
-            total += x.sum(axis=1)
-        zi = sample.z[block][unc]
-        v_lo, v_hi = _epanechnikov_pdf_bounds(  # (uncensored x z-interval)
-            (z_lo - zi[:, None]) / beta, (z_hi - zi[:, None]) / beta
-        )
-        w_lo, w_hi, d_lo, d_hi = (x[:, unc] for x in (w_lo, w_hi, d_lo, d_hi))
-        # k' is split into its positive and negative parts; the products go
-        # in blocks of rows small enough for BLAS to keep on this thread
-        rows = max(1, _SERIAL_PRODUCT // max(1, v_lo.size))
-        for r in range(0, m, rows):
-            b = slice(r, r + rows)
-            h_lo[b] += w_lo[b] @ v_lo
-            h_hi[b] += w_hi[b] @ v_hi
-            dh_lo[b] += np.fmax(d_lo[b], 0.0) @ v_lo - np.fmax(-d_lo[b], 0.0) @ v_hi
-            dh_hi[b] += np.fmax(d_hi[b], 0.0) @ v_hi - np.fmax(-d_hi[b], 0.0) @ v_lo
-    # the (interval x observation) arrays go before the (t x z) arithmetic,
-    # which holds the largest arrays here
-    del ua, ub, w_lo, w_hi, d_lo, d_hi, d_abs, v_lo, v_hi
-    # the scale factors of _kernel_sums, in place: the arrays are the
-    # largest here
-    scale = 1.0 / (n * alpha)
-    for x in (h_lo, h_hi):
-        x *= scale / beta
-    for x in (dh_lo, dh_hi):
-        x *= scale / alpha / beta
-    g_lo, g_hi = g_lo * scale, g_hi * scale
-    gp_lo, gp_hi, gp_abs = (x * (scale / alpha) for x in (gp_lo, gp_hi, gp_abs))
-    dh_abs = dh_abs * (scale / alpha / beta)
+                         (gp_abs, np.fmax(-d_lo, d_hi))):
+            total += x.sum(axis=1, keepdims=True)
+        del w_lo, w_hi, d_lo, d_hi
 
     delta = _BOUND_SLACK * (n + 8) * np.finfo(float).eps
-    stable = g_lo * (1.0 - delta) >= config.g_floor
-    g_lo, g_hi = (np.where(stable, x, 1.0)[:, None] for x in (g_lo, g_hi))
-    gp_lo, gp_hi, gp_abs, dh_abs = (x[:, None] for x in (gp_lo, gp_hi, gp_abs, dh_abs))
-    g2_lo, g2_hi = g_lo * g_lo, g_hi * g_hi
+    stable = g_lo * (1.0 / (n * alpha)) * (1.0 - delta) >= config.g_floor
+    g_lo, g_hi = np.where(stable, g_lo, 1.0), np.where(stable, g_hi, 1.0)
+    s_lo, s_hi = np.zeros((2, m, z_lo.size))
+    d_abs, w_abs = np.zeros((2, m, 1))  # uncensored sums of |k'| and k
+    unc = (sample.delta == 1).nonzero()[0]
     with np.errstate(all="ignore"):
-        # dh / g - gp h / g^2, with g > 0 and h >= 0
-        lower = np.fmin(dh_lo / g_lo, dh_lo / g_hi)
-        p = np.fmax(gp_hi * h_lo, gp_hi * h_hi)
-        lower -= np.fmax(p / g2_lo, p / g2_hi)
-        upper = np.fmax(dh_hi / g_lo, dh_hi / g_hi)
-        p = np.fmin(gp_lo * h_lo, gp_lo * h_hi)
-        upper -= np.fmin(p / g2_lo, p / g2_hi)
-        margin = delta * (g_hi * dh_abs + gp_abs * h_hi) / g2_lo
-        lower -= margin
-        upper += margin
-    ok = stable[:, None] & np.isfinite(lower) & np.isfinite(upper)
-    lower = np.where(ok, np.fmax(lower, 0.0), 0.0)
-    upper = np.where(ok, np.fmax(upper, 0.0), np.inf)
-    return lower, upper
+        # GP / G^2 lies in [q_lo, q_hi]
+        q_lo = gp_lo / np.where(gp_lo >= 0.0, g_hi * g_hi, g_lo * g_lo)
+        q_hi = gp_hi / np.where(gp_hi >= 0.0, g_lo * g_lo, g_hi * g_hi)
+        for i0 in range(0, unc.size, step):
+            i = unc[i0 : i0 + step]
+            w_lo, w_hi, d_lo, d_hi = _time_bounds(t_lo, t_hi, sample.t[i], alpha)
+            d_abs += np.fmax(-d_lo, d_hi).sum(axis=1, keepdims=True)
+            w_abs += w_hi.sum(axis=1, keepdims=True)
+            # k' / G over the end of G its sign calls for, less (GP / G^2) k
+            e_lo = d_lo / np.where(d_lo >= 0.0, g_hi, g_lo)
+            e_lo -= q_hi * np.where(q_hi >= 0.0, w_hi, w_lo)
+            e_hi = d_hi / np.where(d_hi >= 0.0, g_lo, g_hi)
+            e_hi -= q_lo * np.where(q_lo >= 0.0, w_lo, w_hi)
+            del w_lo, w_hi, d_lo, d_hi
+            zi = sample.z[i]
+            v_lo, v_hi = _epanechnikov_pdf_bounds(  # (uncensored x z-interval)
+                (z_lo - zi[:, None]) / beta, (z_hi - zi[:, None]) / beta
+            )
+            # e's positive parts, and in place minus its negative parts; the
+            # products go in blocks of rows small enough for BLAS to keep on
+            # this thread
+            p_lo, p_hi = np.fmax(e_lo, 0.0), np.fmax(e_hi, 0.0)
+            np.fmin(e_lo, 0.0, out=e_lo)
+            np.fmin(e_hi, 0.0, out=e_hi)
+            rows = max(1, _SERIAL_PRODUCT // v_lo.size)
+            for r in range(0, m, rows):
+                b = slice(r, r + rows)
+                s_lo[b] += p_lo[b] @ v_lo
+                s_lo[b] += e_lo[b] @ v_hi
+                s_hi[b] += p_hi[b] @ v_hi
+                s_hi[b] += e_hi[b] @ v_lo
+            del e_lo, e_hi, p_lo, p_hi, v_lo, v_hi
+        # S / (alpha beta), less and plus the margin, in place: these are
+        # the largest arrays here
+        scale = 1.0 / (alpha * beta)
+        # 2 delta M: D_abs and W_abs are 0.75 times d_abs and w_abs
+        margin = 1.5 * delta * scale * (g_hi * d_abs + gp_abs * w_abs) / (g_lo * g_lo)
+        s_lo *= scale
+        s_lo -= margin
+        s_hi *= scale
+        s_hi += margin
+    bad = ~(stable & np.isfinite(s_lo) & np.isfinite(s_hi))
+    np.fmax(s_lo, 0.0, out=s_lo)
+    np.fmax(s_hi, 0.0, out=s_hi)
+    s_lo[bad] = 0.0
+    s_hi[bad] = np.inf
+    return s_lo, s_hi

@@ -268,6 +268,16 @@ def test_density_bounds_hold_the_pilot_density(
             assert np.all(dens <= upper[i, j]), (i, j)
 
 
+def test_density_bounds_hold_across_observation_blocks(monkeypatch):
+    """The property above with a chunk budget of 64, so observations go in
+    blocks of a few: 2 to 8 for the property's cells (at most four a side)
+    and one for its 20-node fit, against n >= 10.  The first pass's sums of
+    k and k' then span several blocks before the second pass bounds any
+    observation's term, as in every fit above n = 157 on the envelope grid."""
+    monkeypatch.setattr(estimators, "_CHUNK_BUDGET", 64)
+    test_density_bounds_hold_the_pilot_density()
+
+
 @PROPERTY
 @given(
     scenario=st.sampled_from([scenario_a(), B]),
@@ -310,6 +320,32 @@ def test_pilot_refuses_other_kernels_and_a_missing_beta(monkeypatch):
         config = EstimatorConfig(kernel_t=kernel, bandwidths=Bandwidths(0.3, beta))
         with pytest.raises(error):
             PilotModel(s, config)
+
+
+def test_objects_are_refused_by_their_type(monkeypatch):
+    """A parameter that takes one of the package's objects refuses any other
+    value by one rule, in one wording, before a bound is computed."""
+
+    def no_bounds(*args):
+        raise AssertionError("a bound was computed")
+
+    monkeypatch.setattr(pilot_module, "_density_bounds", no_bounds)
+    s = sample(B, 50, 3)
+    config = EstimatorConfig(bandwidths=Bandwidths(0.4, 0.4))
+    cases = [
+        ("kernel_t", "a UnivariateKernel", "epa", lambda bad: EstimatorConfig(kernel_t=bad)),
+        ("bandwidths", "a Bandwidths", 0.3, lambda bad: EstimatorConfig(bandwidths=bad)),
+        ("sample", "a Sample", None, lambda bad: fit_pilot(bad, 0.4, 0.4)),
+        ("sample", "a Sample", (s.t, s.z, s.delta), lambda bad: PilotModel(bad, config)),
+        ("config", "an EstimatorConfig", {}, lambda bad: PilotModel(s, bad)),
+        ("sample", "a Sample", [], lambda bad: bootstrap_mse(bad, small_plan())),
+        ("plan", "a BootstrapPlan", {}, lambda bad: bootstrap_mse(s, bad)),
+        ("table", "a BootstrapMseTable", [], lambda bad: select(bad)),
+    ]
+    for name, what, bad, call in cases:
+        with pytest.raises(InvalidValueError) as exc:
+            call(bad)
+        assert str(exc.value) == f"{name} must be {what}, got {bad!r}"
 
 
 def _scaled_fit(scale):
@@ -463,6 +499,27 @@ def test_draw_xy_evaluates_nothing_past_a_generators_quota(
     assert not np.isin(skipped, seen).any()
     # the quota bites: fewer exact evaluations than the squeeze alone makes
     assert skipped.size > 0 and seen.size == squeezed.size - skipped.size
+
+
+@pytest.mark.parametrize("n,fit_seed,seeds,most", [
+    # the bootstrap-select plan's draw: n = 100, 25 replications at seed 0
+    (100, 0, tuple(range(1, 26)), 1216),
+    (1000, 5, (9,), 449),
+])
+def test_the_squeeze_leaves_at_most_its_recorded_exact_evaluations(
+    n, fit_seed, seeds, most, monkeypatch
+):
+    """Looser cell bounds leave more proposals to the exact density.  The
+    counts are those of bounds that divided intervals of g, gp, h and dh
+    cell by cell; the per-observation bounds read 1159 and 425 with
+    numpy 2.4.6.  The bounds' products go through BLAS, whose rounding may
+    differ by platform, so a count may not exceed, rather than must equal."""
+    pilot = fit_pilot(sample(B, n, fit_seed), 0.4, 0.4)
+    calls = []
+    density = pilot.density
+    monkeypatch.setattr(pilot, "density", lambda t, z: calls.append(t.size) or density(t, z))
+    pilot.draw_xy([np.random.default_rng(seed) for seed in seeds], n)
+    assert sum(calls) <= most
 
 
 class _Stuck:
