@@ -556,6 +556,7 @@ def mean_functional(s: Sample, alpha: float) -> MeanFunctionalResult:
     ``fallback_count`` reports how many needed this.  If no grid point is
     evaluable, :class:`UnstableDenominatorError` is raised.
     """
+    check_instance(s, "s", Sample)
     check_bandwidth(alpha, "alpha")
     order = np.argsort(s.t)
     ts = s.t[order]

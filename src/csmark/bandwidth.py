@@ -85,6 +85,8 @@ def fit_pilot(sample_: Sample, alpha0: float, beta0: float) -> PilotModel:
     :class:`PilotModel` takes: its density needs the kernel's derivative,
     and its bounds and noise are exact for that kernel.
     """
+    check_bandwidth(alpha0, "alpha0")
+    check_bandwidth(beta0, "beta0")
     config = EstimatorConfig(
         kernel_t=epanechnikov_kernel(), bandwidths=Bandwidths(alpha0, beta0)
     )

@@ -324,6 +324,8 @@ def _estimates(sample, config, t, z, kinds, alpha=None, beta=None, row=None, sin
 def _estimate(sample, config, t0, z0, kind) -> float:
     """One estimate at one point, ``t0`` and ``z0`` one number each;
     :class:`UnstableDenominatorError` below the floor."""
+    check_instance(sample, "sample", Sample)
+    check_instance(config, "config", EstimatorConfig)
     g, (value,) = _estimates(sample, config, t0, z0, (kind,), single=True)
     if math.isnan(value):
         raise _unstable(float(g), config.g_floor)
@@ -355,6 +357,8 @@ def f1_counting(sample: Sample, config: EstimatorConfig, t0: float, z0: float) -
     natural unsmoothed reading of the estimator.  Points are refused as
     :func:`f1` refuses them.
     """
+    check_instance(sample, "sample", Sample)
+    check_instance(config, "config", EstimatorConfig)
     if config.kernel_t.family is not KernelFamily.UNIFORM:
         raise KernelAssumptionError("counting form is only defined for the uniform time kernel")
     check_points(t0, z0, single=True)
@@ -419,6 +423,8 @@ def evaluate_grid(
     missing the corresponding columns are left as None rather than failing
     the whole grid.  Points whose denominator is unstable get None everywhere.
     """
+    check_instance(sample, "sample", Sample)
+    check_instance(config, "config", EstimatorConfig)
     kinds: tuple[str, ...] = ("F1",)
     if config.bandwidths.beta is not None:
         kinds += ("F2",)

@@ -138,38 +138,6 @@ def _epanechnikov_deriv(u):
     return np.where(np.abs(u) <= 1.0, -1.5 * u, 0.0)
 
 
-# Interval bounds.  Each rounded operation of the two functions above is
-# monotone, so their float values over the floats u in [a, b] are bounded
-# by their float values at a few points of [a, b], with no rounding margin.
-
-
-def _epanechnikov_pdf_bounds(a, b):
-    """Least and greatest :func:`_epanechnikov_pdf` over ``[a, b]``, elementwise.
-
-    The pdf does not increase in ``|u|``: its least value is at an end, its
-    greatest 0.75 where 0 lies in ``[a, b]`` and the larger end value else.
-    """
-    at_a, at_b = _epanechnikov_pdf(a), _epanechnikov_pdf(b)
-    return (
-        np.minimum(at_a, at_b),
-        np.where((a <= 0.0) & (0.0 <= b), 0.75, np.maximum(at_a, at_b)),
-    )
-
-
-def _epanechnikov_deriv_bounds(a, b):
-    """Least and greatest :func:`_epanechnikov_deriv` over ``[a, b]``, elementwise.
-
-    The derivative is ``-1.5 u`` on [-1, 1] and 0 off it, monotone on each
-    piece, so its extremes are at the ends and at -1 and 1 where they lie
-    in ``[a, b]``, where it takes its greatest value 1.5 and its least -1.5.
-    """
-    at_a, at_b = _epanechnikov_deriv(a), _epanechnikov_deriv(b)
-    return (
-        np.where((a <= 1.0) & (1.0 <= b), -1.5, np.minimum(at_a, at_b)),
-        np.where((a <= -1.0) & (-1.0 <= b), 1.5, np.maximum(at_a, at_b)),
-    )
-
-
 @lru_cache(maxsize=None)
 def uniform_kernel() -> UnivariateKernel:
     """The Uniform kernel ``1/2`` on [-1, 1].  Not differentiable."""

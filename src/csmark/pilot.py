@@ -51,9 +51,10 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import estimators
-from .errors import DegeneratePilotError, KernelAssumptionError, check_bandwidth, check_instance
+from .errors import (DegeneratePilotError, KernelAssumptionError, check_bandwidth, check_count,
+                     check_instance)
 from .estimators import EstimatorConfig, _estimates
-from .kernels import KernelFamily, _epanechnikov_deriv_bounds, _epanechnikov_pdf_bounds
+from .kernels import KernelFamily, _epanechnikov_deriv, _epanechnikov_pdf
 from .scenarios import Sample
 
 __all__ = ["PilotModel"]
@@ -109,9 +110,7 @@ class PilotModel:
         self._edges = grid = np.linspace(0.0, 1.0, _ENVELOPE_GRID)
         # the squeeze's bounds on the grid's cells [edges[i], edges[i + 1]]
         # x [edges[j], edges[j + 1]]
-        self._cells = lower, upper = _density_bounds(
-            sample_, config, grid[:-1], grid[1:], grid[:-1], grid[1:]
-        )
+        self._cells = lower, upper = _density_bounds(sample_, config, grid, grid)
         # a node's density is at most the upper bound of each cell around
         # it, and a cell's lower bound holds at its corner nodes, so the
         # peak is at least the largest lower bound: only nodes whose bound
@@ -144,6 +143,7 @@ class PilotModel:
         noise; values may spill slightly outside the box, exactly as the
         kernel estimate does.
         """
+        check_count(size, "size", 0, bounded=True)
         idx = rng.integers(0, len(self.sample), size)
         noise = _epanechnikov_noise(rng, size)
         return self.sample.t[idx] + self.config.bandwidths.alpha * noise
@@ -173,6 +173,7 @@ class PilotModel:
         most the envelope, cannot move a refresh's peak.  A refresh judges
         its generator's unevaluated undecided proposals again, in one call.
         """
+        check_count(size, "size", 0, bounded=True)
         rngs = list(rngs)
         lower, upper = self._cells
         envelopes = np.full(len(rngs), self.envelope)
@@ -295,23 +296,38 @@ _BOUND_SLACK = 32
 _SERIAL_PRODUCT = 1 << 18
 
 
-def _time_bounds(t_lo, t_hi, ti, alpha):
-    """Bounds on ``k(u)`` and ``k'(u)``, ``u = (t - t_i) / alpha``, for ``t`` in
-    each interval ``[t_lo, t_hi]`` (rows) and each observation time ``ti``
-    (columns): ``(w_lo, w_hi, d_lo, d_hi)``."""
-    ua, ub = (t_lo[:, None] - ti) / alpha, (t_hi[:, None] - ti) / alpha
-    return _epanechnikov_pdf_bounds(ua, ub) + _epanechnikov_deriv_bounds(ua, ub)
+def _node_bounds(nodes, x, h):
+    """Bounds on ``k(u)`` and ``k'(u)``, ``u = (t - x_j) / h``, for ``t`` in each
+    cell between consecutive nodes, down a column of ``nodes`` or along a
+    row: ``(w_lo, w_hi, d_lo, d_hi)``, with one row or column per cell.
+
+    ``u`` rounds monotonically in ``t``, and so does each rounded operation
+    of the float kernels, so their values over a cell are bounded by those at
+    its two nodes, with no rounding margin, and at the kinks it holds: ``k``
+    peaks at 0.75 at ``u = 0``, and ``k'``, ``-1.5 u`` on [-1, 1] and 0 off
+    it, at -1.5 at ``u = 1`` and 1.5 at ``u = -1``.
+    """
+    u = (nodes - x) / h
+    k, d = _epanechnikov_pdf(u), _epanechnikov_deriv(u)
+    lo, hi = (np.s_[:-1], np.s_[1:]) if nodes.ndim == 2 else (np.s_[..., :-1], np.s_[..., 1:])
+    a, b = u[lo], u[hi]
+    return (
+        np.minimum(k[lo], k[hi]),
+        np.where((a <= 0.0) & (0.0 <= b), 0.75, np.maximum(k[lo], k[hi])),
+        np.where((a <= 1.0) & (1.0 <= b), -1.5, np.minimum(d[lo], d[hi])),
+        np.where((a <= -1.0) & (-1.0 <= b), 1.5, np.maximum(d[lo], d[hi])),
+    )
 
 
-def _density_bounds(sample, config, t_lo, t_hi, z_lo, z_hi):
+def _density_bounds(sample, config, t_nodes, z_nodes):
     """Bounds on the clipped density estimate over the cells of a grid.
 
-    Returns ``(lower, upper)`` of shape ``(t_lo.size, z_lo.size)``: at every
-    float ``t`` in ``[t_lo[i], t_hi[i]]`` and ``z`` in ``[z_lo[j], z_hi[j]]``
+    Returns ``(lower, upper)``, one row per t-cell ``[t_nodes[i], t_nodes[i +
+    1]]`` and one column per z-cell: at every float ``(t, z)`` in the cell
     the float value of ``max(density, 0)`` from
     :func:`~csmark.estimators._estimates` (0 where g_hat is under the floor)
-    lies in ``[lower[i, j], upper[i, j]]``.  Intervals may be degenerate
-    (``t_lo == t_hi``), giving bounds at points.
+    lies in ``[lower[i, j], upper[i, j]]``.  Nodes do not decrease; a
+    repeated node gives a point cell, and bounds at points.
 
     The config's kernel must be Epanechnikov and its bandwidths must hold a
     mark bandwidth; :class:`PilotModel`, the one caller, refuses any other
@@ -319,8 +335,8 @@ def _density_bounds(sample, config, t_lo, t_hi, z_lo, z_hi):
 
     Every kernel factor of the estimate -- ``k(u_i)`` and ``k'(u_i)`` at
     ``u_i = (t - t_i) / alpha``, ``k((z - z_i) / beta)`` -- is bounded
-    exactly: ``u_i`` rounds monotonically in ``t``, and the kernel helpers
-    bound the float kernels over the ``u`` interval.  With the unscaled sums
+    exactly over a cell from its values at the cell's nodes
+    (:func:`_node_bounds`).  With the unscaled sums
     ``G = sum_j k(u_j)`` and ``GP = sum_j k'(u_j)`` over all observations,
     the estimate ``dh / g - gp h / g^2`` is exactly
 
@@ -375,14 +391,14 @@ def _density_bounds(sample, config, t_lo, t_hi, z_lo, z_hi):
     Cells that are not stable, or whose bounds overflow, get ``[0, inf]``.
     """
     alpha, beta = config.bandwidths.alpha, config.bandwidths.beta
-    n, m = len(sample), t_lo.size
+    n, m, mz = len(sample), t_nodes.size - 1, z_nodes.size - 1
     # observations go in blocks, bounding the (interval x observation)
     # arrays; the budget is looked up at call time, so a patched one is used
-    step = max(1, estimators._CHUNK_BUDGET // (8 * max(m, z_lo.size, 1)))
+    step = max(1, estimators._CHUNK_BUDGET // (8 * max(m, mz, 1)))
     # per t-interval, as columns: G's and GP's bounds, and sum |k'|
     g_lo, g_hi, gp_lo, gp_hi, gp_abs = np.zeros((5, m, 1))
     for i0 in range(0, n, step):
-        w_lo, w_hi, d_lo, d_hi = _time_bounds(t_lo, t_hi, sample.t[i0 : i0 + step], alpha)
+        w_lo, w_hi, d_lo, d_hi = _node_bounds(t_nodes[:, None], sample.t[i0 : i0 + step], alpha)
         for total, x in ((g_lo, w_lo), (g_hi, w_hi), (gp_lo, d_lo), (gp_hi, d_hi),
                          (gp_abs, np.fmax(-d_lo, d_hi))):
             total += x.sum(axis=1, keepdims=True)
@@ -391,7 +407,7 @@ def _density_bounds(sample, config, t_lo, t_hi, z_lo, z_hi):
     delta = _BOUND_SLACK * (n + 8) * np.finfo(float).eps
     stable = g_lo * (1.0 / (n * alpha)) * (1.0 - delta) >= config.g_floor
     g_lo, g_hi = np.where(stable, g_lo, 1.0), np.where(stable, g_hi, 1.0)
-    s_lo, s_hi = np.zeros((2, m, z_lo.size))
+    s_lo, s_hi = np.zeros((2, m, mz))
     d_abs, w_abs = np.zeros((2, m, 1))  # uncensored sums of |k'| and k
     unc = (sample.delta == 1).nonzero()[0]
     with np.errstate(all="ignore"):
@@ -400,7 +416,7 @@ def _density_bounds(sample, config, t_lo, t_hi, z_lo, z_hi):
         q_hi = gp_hi / np.where(gp_hi >= 0.0, g_lo * g_lo, g_hi * g_hi)
         for i0 in range(0, unc.size, step):
             i = unc[i0 : i0 + step]
-            w_lo, w_hi, d_lo, d_hi = _time_bounds(t_lo, t_hi, sample.t[i], alpha)
+            w_lo, w_hi, d_lo, d_hi = _node_bounds(t_nodes[:, None], sample.t[i], alpha)
             d_abs += np.fmax(-d_lo, d_hi).sum(axis=1, keepdims=True)
             w_abs += w_hi.sum(axis=1, keepdims=True)
             # k' / G over the end of G its sign calls for, less (GP / G^2) k
@@ -409,10 +425,8 @@ def _density_bounds(sample, config, t_lo, t_hi, z_lo, z_hi):
             e_hi = d_hi / np.where(d_hi >= 0.0, g_lo, g_hi)
             e_hi -= q_lo * np.where(q_lo >= 0.0, w_lo, w_hi)
             del w_lo, w_hi, d_lo, d_hi
-            zi = sample.z[i]
-            v_lo, v_hi = _epanechnikov_pdf_bounds(  # (uncensored x z-interval)
-                (z_lo - zi[:, None]) / beta, (z_hi - zi[:, None]) / beta
-            )
+            # (uncensored x z-interval), C-contiguous for the products
+            v_lo, v_hi, _, _ = _node_bounds(z_nodes, sample.z[i][:, None], beta)
             # e's positive parts, and in place minus its negative parts; the
             # products go in blocks of rows small enough for BLAS to keep on
             # this thread

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import EmptySampleError, InvalidValueError, check_count, check_size
+from .errors import EmptySampleError, InvalidValueError, check_count, check_instance, check_size
 
 __all__ = [
     "Scenario",
@@ -368,6 +368,7 @@ def sample(scenario: Scenario, n: int, seed: int) -> Sample:
     construction, so only the draws' lengths, the times' finiteness and the
     marks' range are checked, as :class:`Sample` checks them.
     """
+    check_instance(scenario, "scenario", Scenario)
     check_size(n, "n")
     check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)

@@ -27,9 +27,13 @@ from csmark import (
     custom_kernel,
     epanechnikov_kernel,
     eval_rescaled_cdf,
+    evaluate_grid,
     f1,
+    f1_counting,
     f2,
+    f2_density,
     fit_pilot,
+    mean_functional,
     sample,
     scenario_a,
     scenario_b,
@@ -222,6 +226,10 @@ PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=N
 
 fractions = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 
+# a start and 1-4 cell widths, summed into nodes; a zero width gives a point cell
+axis = st.tuples(st.floats(-0.3, 1.3),
+                 st.lists(st.sampled_from([0.0]) | st.floats(0.0, 0.1), min_size=1, max_size=4))
+
 
 @PROPERTY
 @given(
@@ -231,14 +239,12 @@ fractions = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
     alpha=st.floats(0.03, 0.8),
     beta=st.floats(0.03, 0.8),
     g_floor=st.sampled_from([1e-8, 0.1, 0.6]),
-    t_cells=st.lists(st.tuples(st.floats(-0.3, 1.3), st.sampled_from([0.0]) | st.floats(0.0, 0.1)),
-                     min_size=1, max_size=4),
-    z_cells=st.lists(st.tuples(st.floats(-0.3, 1.3), st.sampled_from([0.0]) | st.floats(0.0, 0.1)),
-                     min_size=1, max_size=4),
+    t_axis=axis,
+    z_axis=axis,
     frac=st.lists(st.tuples(fractions, fractions), min_size=1, max_size=6),
 )
 def test_density_bounds_hold_the_pilot_density(
-    scenario, n, seed, alpha, beta, g_floor, t_cells, z_cells, frac
+    scenario, n, seed, alpha, beta, g_floor, t_axis, z_axis, frac
 ):
     s = sample(scenario, n, seed)
     epa = epanechnikov_kernel()
@@ -250,18 +256,18 @@ def test_density_bounds_hold_the_pilot_density(
             pilot = PilotModel(s, config)
     except DegeneratePilotError:
         reject()
-    (t_lo, t_w), (z_lo, z_w) = (np.array(c).T for c in (t_cells, z_cells))
-    t_hi, z_hi = t_lo + t_w, z_lo + z_w
-    lower, upper = _density_bounds(s, config, t_lo, t_hi, z_lo, z_hi)
-    assert lower.shape == upper.shape == (t_lo.size, z_lo.size)
+    t_nodes, z_nodes = (np.cumsum([start, *widths]) for start, widths in (t_axis, z_axis))
+    lower, upper = _density_bounds(s, config, t_nodes, z_nodes)
+    assert lower.shape == upper.shape == (t_nodes.size - 1, z_nodes.size - 1)
     # every cell holds the corners, the edges' points and inner points
     ft, fz = np.array(frac).T
     ft, fz = np.concatenate((ft, [0.0, 1.0, 0.0, 1.0])), np.concatenate((fz, [0.0, 0.0, 1.0, 1.0]))
+    (t_lo, t_hi), (z_lo, z_hi) = (t_nodes[:-1], t_nodes[1:]), (z_nodes[:-1], z_nodes[1:])
     for i in range(t_lo.size):
-        t = np.clip(t_lo[i] + ft * t_w[i], t_lo[i], t_hi[i])
+        t = np.clip(t_lo[i] + ft * (t_hi[i] - t_lo[i]), t_lo[i], t_hi[i])
         t = np.where(ft == 1.0, t_hi[i], t)
         for j in range(z_lo.size):
-            z = np.clip(z_lo[j] + fz * z_w[j], z_lo[j], z_hi[j])
+            z = np.clip(z_lo[j] + fz * (z_hi[j] - z_lo[j]), z_lo[j], z_hi[j])
             z = np.where(fz == 1.0, z_hi[j], z)
             dens = pilot.density(t, z)
             assert np.all(lower[i, j] <= dens), (i, j)
@@ -305,7 +311,8 @@ def test_envelope_is_the_exact_peak_over_all_nodes(scenario, n, seed, alpha, bet
 def test_pilot_refuses_other_kernels_and_a_missing_beta(monkeypatch):
     """The pilot's bounds and noise hold for the Epanechnikov kernel alone, so
     any other kernel, even an Epanechnikov copy, is refused before a bound is
-    computed; so is a config without a mark bandwidth."""
+    computed; so is a config without a mark bandwidth, and fit_pilot's bad
+    bandwidths by their own names."""
 
     def no_bounds(*args):
         raise AssertionError("a bound was computed")
@@ -320,6 +327,11 @@ def test_pilot_refuses_other_kernels_and_a_missing_beta(monkeypatch):
         config = EstimatorConfig(kernel_t=kernel, bandwidths=Bandwidths(0.3, beta))
         with pytest.raises(error):
             PilotModel(s, config)
+    for alpha0, beta0, message in ((np.nan, 0.4, "alpha0 must be finite and positive, got nan"),
+                                   (0.4, None, "beta0 must be finite and positive, got None")):
+        with pytest.raises(InvalidBandwidthError) as exc:
+            fit_pilot(s, alpha0, beta0)
+        assert str(exc.value) == message
 
 
 def test_objects_are_refused_by_their_type(monkeypatch):
@@ -341,11 +353,38 @@ def test_objects_are_refused_by_their_type(monkeypatch):
         ("sample", "a Sample", [], lambda bad: bootstrap_mse(bad, small_plan())),
         ("plan", "a BootstrapPlan", {}, lambda bad: bootstrap_mse(s, bad)),
         ("table", "a BootstrapMseTable", [], lambda bad: select(bad)),
+        ("sample", "a Sample", [1, 2], lambda bad: f1(bad, config, 0.5, 0.5)),
+        ("config", "an EstimatorConfig", None, lambda bad: f1(s, bad, 0.5, 0.5)),
+        ("sample", "a Sample", None, lambda bad: f2(bad, config, 0.5, 0.5)),
+        ("config", "an EstimatorConfig", {}, lambda bad: f2_density(s, bad, 0.5, 0.5)),
+        ("sample", "a Sample", None, lambda bad: f1_counting(bad, config, 0.5, 0.5)),
+        ("config", "an EstimatorConfig", None, lambda bad: f1_counting(s, bad, 0.5, 0.5)),
+        ("sample", "a Sample", None, lambda bad: evaluate_grid(bad, config, [0.5], [0.5])),
+        ("config", "an EstimatorConfig", None, lambda bad: evaluate_grid(s, bad, [0.5], [0.5])),
+        ("s", "a Sample", None, lambda bad: mean_functional(bad, 0.2)),
+        ("scenario", "a Scenario", None, lambda bad: sample(bad, 100, 0)),
     ]
     for name, what, bad, call in cases:
         with pytest.raises(InvalidValueError) as exc:
             call(bad)
         assert str(exc.value) == f"{name} must be {what}, got {bad!r}"
+
+
+def test_draws_refuse_a_bad_size():
+    """A draw's size is a count, refused by name before the generator is
+    used; size 0 draws nothing."""
+    pilot = fit_pilot(sample(B, 50, 3), 0.4, 0.4)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for draw in (lambda size: pilot.draw_xy([rng], size), lambda size: pilot.draw_t(rng, size)):
+        for bad in (-1, 2.5, "3"):
+            with pytest.raises(InvalidValueError) as exc:
+                draw(bad)
+            assert str(exc.value) == (f"size must be an integer >= 0 and "
+                                      f"<= {np.iinfo(np.intp).max}, got {bad!r}")
+    assert rng.bit_generator.state == state
+    (x,), (y,) = pilot.draw_xy([rng], 0)
+    assert x.size == y.size == pilot.draw_t(rng, 0).size == 0
 
 
 def _scaled_fit(scale):

@@ -23,13 +23,8 @@ from csmark import (
     uniform_kernel,
     validate_conditions,
 )
-from csmark.kernels import (
-    _epanechnikov_deriv,
-    _epanechnikov_deriv_bounds,
-    _epanechnikov_pdf,
-    _epanechnikov_pdf_bounds,
-    _moment_cached,
-)
+from csmark.kernels import _epanechnikov_deriv, _epanechnikov_pdf, _moment_cached
+from csmark.pilot import _node_bounds
 
 
 def biweight_kernel():
@@ -328,10 +323,8 @@ def test_epanechnikov_interval_bounds_hold_and_are_attained(a, width):
     b = a + width
     # the ends, the kinks and peak where inside, and points between
     u = np.concatenate(([a, b], np.clip([-1.0, 0.0, 1.0], a, b), np.linspace(a, b, 41)))
-    for f, bounds in (
-        (_epanechnikov_pdf, _epanechnikov_pdf_bounds),
-        (_epanechnikov_deriv, _epanechnikov_deriv_bounds),
-    ):
-        lo, hi = bounds(np.array([a]), np.array([b]))
+    # the one cell between the nodes a and b, at x = 0 and h = 1
+    (w_lo,), (w_hi,), (d_lo,), (d_hi,) = _node_bounds(np.array([a, b]), 0.0, 1.0)
+    for f, lo, hi in ((_epanechnikov_pdf, w_lo, w_hi), (_epanechnikov_deriv, d_lo, d_hi)):
         values = f(u)
-        assert values.min() == lo[0] and values.max() == hi[0]
+        assert values.min() == lo and values.max() == hi
