@@ -43,8 +43,7 @@ from .errors import (BandwidthRegimeError, InvalidBandwidthError, QuadratureErro
 from .errors import (check_bandwidth, check_count, check_estimator, check_finite,
                      check_instance, check_mark_bandwidth, check_pair, check_size, check_sizes)
 from .estimators import EstimatorConfig, f1, f2
-from .kernels import (Bandwidths, UnivariateKernel, _quad, epanechnikov_kernel, l2_norm_sq,
-                      second_moment)
+from .kernels import UnivariateKernel, _quad, epanechnikov_kernel, l2_norm_sq, second_moment
 from .scenarios import Sample, Scenario, sample
 
 __all__ = [
@@ -161,6 +160,8 @@ def mu1_sigma2(
     kernel : UnivariateKernel
         The time-direction kernel.
     """
+    check_instance(scenario, "scenario", Scenario)
+    check_instance(kernel, "kernel", UnivariateKernel)
     check_bandwidth(c, "c")
     t0, z0 = check_pair(point)
     g0 = float(scenario.g(t0))
@@ -352,7 +353,7 @@ def _resolve_config(estimator: str, alpha: float, beta: float | None) -> Estimat
     needs ``beta``."""
     check_estimator(estimator)
     check_mark_bandwidth(beta, "beta", estimator)
-    return EstimatorConfig(epanechnikov_kernel(), Bandwidths(alpha, beta))
+    return EstimatorConfig(epanechnikov_kernel(), alpha, beta)
 
 
 def mc_normality(
@@ -385,6 +386,7 @@ def mc_normality(
     only when ``n >= 20_000``; results do not depend on ``workers``.  A
     point or regime the reference law refuses is refused before any draw.
     """
+    check_instance(scenario, "scenario", Scenario)
     check_count(m, "m", 2, bounded=True)
     check_size(n, "n")
     if schedule is not None:
@@ -433,6 +435,7 @@ def mc_mse(
     Threads (``workers``, capped at the usable CPUs) share replications
     only when ``n >= 20_000``; results do not depend on ``workers``.
     """
+    check_instance(scenario, "scenario", Scenario)
     check_count(replications, "replications", 2, bounded=True)
     config = _resolve_config(estimator, alpha, beta)
     t0, z0 = check_pair(point)  # before any sample is drawn
@@ -521,6 +524,7 @@ def difference_sample(
     Threads (``workers``, capped at the usable CPUs) share replications
     only when ``n >= 20_000``; results do not depend on ``workers``.
     """
+    check_instance(scenario, "scenario", Scenario)
     check_size(n, "n")
     _check_schedule(schedule)
     statistic = _scaled_difference(point, n, schedule)
@@ -595,6 +599,7 @@ def mean_functional(s: Sample, alpha: float) -> MeanFunctionalResult:
 
 def true_mean_event_time(scenario: Scenario) -> float:
     """``E X = int (1 - F0(x, inf)) dx`` over the scenario's support."""
+    check_instance(scenario, "scenario", Scenario)
     lo, hi = scenario.support[0]
     return _quad(lambda x: 1.0 - scenario.cdf(x, np.inf), lo, hi)[0]
 
@@ -607,6 +612,7 @@ def efficient_variance(scenario: Scenario) -> float:
     finite, an error estimate above ``1e-8 max(1, |value|)``, or a node
     where ``g <= 0`` but ``F0 (1 - F0) != 0`` raises :class:`QuadratureError`.
     """
+    check_instance(scenario, "scenario", Scenario)
     lo, hi = scenario.support[0]
 
     def integrand(t: np.ndarray) -> np.ndarray:
@@ -646,6 +652,7 @@ def mc_functional(
     Threads (``workers``, capped at the usable CPUs) share replications
     only when ``n >= 20_000``; results do not depend on ``workers``.
     """
+    check_instance(scenario, "scenario", Scenario)
     check_size(n, "n")
     check_finite(alpha_exponent, "alpha_exponent", InvalidBandwidthError)
     alpha = _decay(n, alpha_exponent, "alpha_exponent")

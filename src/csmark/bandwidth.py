@@ -36,7 +36,7 @@ from .errors import (SelectionError, check_bandwidth, check_count, check_finite,
 # f1 and f2 are not called here, but stay importable from this module, where
 # perfbench/tracing.py wraps them
 from .estimators import EstimatorConfig, _estimates, f1, f2  # noqa: F401
-from .kernels import Bandwidths, epanechnikov_kernel
+from .kernels import epanechnikov_kernel
 from .pilot import PilotModel
 from .scenarios import Sample, _observed, _write_csv
 
@@ -58,6 +58,8 @@ class BootstrapPlan:
     number of bootstrap samples, the grids enumerate candidate bandwidths,
     ``point`` is where the estimators are compared, and ``seed`` feeds the
     per-replication generators (replication ``b`` uses ``seed + b``).
+    The grids and the point are kept, once checked, as tuples of floats,
+    so the plan does not change when the caller's lists do.
     """
 
     alpha0: float
@@ -75,7 +77,10 @@ class BootstrapPlan:
         check_count(self.seed, "seed", 0)
         check_grid(self.alpha_grid, "alpha_grid")
         check_grid(self.beta_grid, "beta_grid")
-        check_pair(self.point)
+        point = check_pair(self.point)
+        for name, values in (("alpha_grid", self.alpha_grid), ("beta_grid", self.beta_grid),
+                             ("point", point)):
+            object.__setattr__(self, name, tuple(float(x) for x in values))
 
 
 def fit_pilot(sample_: Sample, alpha0: float, beta0: float) -> PilotModel:
@@ -87,10 +92,7 @@ def fit_pilot(sample_: Sample, alpha0: float, beta0: float) -> PilotModel:
     """
     check_bandwidth(alpha0, "alpha0")
     check_bandwidth(beta0, "beta0")
-    config = EstimatorConfig(
-        kernel_t=epanechnikov_kernel(), bandwidths=Bandwidths(alpha0, beta0)
-    )
-    return PilotModel(sample_, config)
+    return PilotModel(sample_, EstimatorConfig(epanechnikov_kernel(), alpha0, beta0))
 
 
 @dataclass(frozen=True)

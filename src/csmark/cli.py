@@ -34,7 +34,7 @@ from .errors import (CsmarkError, check_bandwidth, check_choice, check_count, ch
                      check_finite, check_grid, check_mark, check_mark_bandwidth, check_size,
                      check_sizes)
 from .estimators import EstimatorConfig, evaluate_grid, write_grid_csv
-from .kernels import Bandwidths, epanechnikov_kernel
+from .kernels import epanechnikov_kernel
 from .scenarios import _write_csv, sample, scenario_a, scenario_b
 
 __all__ = ["main"]
@@ -265,7 +265,7 @@ def _simulate(run: _Run, scenario, n) -> None:
           _Key("z_grid", _floats, _each(check_mark)))
 def _estimate_grid(run: _Run, scenario, n, alpha, beta, t_grid, z_grid) -> None:
     # looked up per call, so a kernel factory patched on this module is used
-    config = EstimatorConfig(epanechnikov_kernel(), Bandwidths(alpha, beta))
+    config = EstimatorConfig(epanechnikov_kernel(), alpha, beta)
     s = sample(scenario, n, run.seed)
     rows = evaluate_grid(s, config, np.array(t_grid), np.array(z_grid))
     write_grid_csv(rows, run.path("grid.csv"))

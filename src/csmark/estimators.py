@@ -55,8 +55,8 @@ from .errors import (DerivativeUnavailableError, InvalidValueError, KernelAssump
                      check_points)
 # eval_rescaled and eval_rescaled_cdf are not called here, but stay
 # importable from this module, where perfbench/tracing.py wraps them
-from .kernels import (Bandwidths, KernelFamily, UnivariateKernel,  # noqa: F401
-                      _support_window, epanechnikov_kernel, eval_rescaled, eval_rescaled_cdf)
+from .kernels import (KernelFamily, UnivariateKernel, _support_window,  # noqa: F401
+                      epanechnikov_kernel, eval_rescaled, eval_rescaled_cdf)
 from .scenarios import Sample, _Stack, _write_csv
 
 __all__ = [
@@ -86,18 +86,23 @@ class EstimatorConfig:
     ``kernel_t`` smooths censoring times, and marks too in the
     doubly-smoothed estimators, whose product kernel ``kernel_t(x)
     kernel_t(y)`` so has two equal second moments, as the limit law needs.
-    Those estimators also need the mark bandwidth ``bandwidths.beta``.
+    ``alpha`` is the time bandwidth; the doubly-smoothed estimators also
+    need the mark bandwidth ``beta``, which operations that smooth in time
+    only leave None.  Each bandwidth given must be finite and positive.
     ``g_floor`` is the positive floor under the estimated censoring density
     below which ratios are refused.
     """
 
     kernel_t: UnivariateKernel = field(default_factory=epanechnikov_kernel)
-    bandwidths: Bandwidths = field(default_factory=lambda: Bandwidths(0.1))
+    alpha: float = 0.1
+    beta: float | None = None
     g_floor: float = DEFAULT_G_FLOOR
 
     def __post_init__(self) -> None:
         check_instance(self.kernel_t, "kernel_t", UnivariateKernel)
-        check_instance(self.bandwidths, "bandwidths", Bandwidths)
+        check_bandwidth(self.alpha, "alpha")
+        if self.beta is not None:
+            check_bandwidth(self.beta, "beta")
         check_bandwidth(self.g_floor, "g_floor", InvalidValueError)
 
 
@@ -302,9 +307,8 @@ def _estimates(sample, config, t, z, kinds, alpha=None, beta=None, row=None, sin
     ``single``.
     """
     t, z = check_points(t, z, single)
-    bw = config.bandwidths
-    alpha = bw.alpha if alpha is None else alpha
-    beta = bw.beta if beta is None else beta
+    alpha = config.alpha if alpha is None else alpha
+    beta = config.beta if beta is None else beta
     terms = ("g",) + tuple(term for kind in kinds for term in _TERMS[kind])
     sums = _kernel_sums(sample, config, t, z, alpha, beta, terms, row)
     if single:  # numpy scalars round and warn as arrays do, at less cost per operation
@@ -362,7 +366,7 @@ def f1_counting(sample: Sample, config: EstimatorConfig, t0: float, z0: float) -
     if config.kernel_t.family is not KernelFamily.UNIFORM:
         raise KernelAssumptionError("counting form is only defined for the uniform time kernel")
     check_points(t0, z0, single=True)
-    alpha = config.bandwidths.alpha
+    alpha = config.alpha
     inside = np.abs(sample.t - t0) <= alpha
     num = float(np.sum(inside & (sample.delta == 1) & (sample.z <= z0)))
     # scale both counts to density units so the floor means the same thing
@@ -426,7 +430,7 @@ def evaluate_grid(
     check_instance(sample, "sample", Sample)
     check_instance(config, "config", EstimatorConfig)
     kinds: tuple[str, ...] = ("F1",)
-    if config.bandwidths.beta is not None:
+    if config.beta is not None:
         kinds += ("F2",)
         if config.kernel_t.deriv is not None:
             kinds += ("density",)

@@ -36,11 +36,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import check_bandwidth
+from .errors import check_bandwidth, check_instance
 
 __all__ = [
     "UnivariateKernel",
-    "Bandwidths",
     "KernelValidationReport",
     "uniform_kernel",
     "epanechnikov_kernel",
@@ -89,23 +88,6 @@ class UnivariateKernel:
 
     def __repr__(self) -> str:  # keep reprs short; callables are noise
         return f"UnivariateKernel({self.name})"
-
-
-@dataclass(frozen=True)
-class Bandwidths:
-    """Smoothing bandwidths: ``alpha`` for time, optional ``beta`` for mark.
-
-    Both must be strictly positive; ``beta`` may be None for operations that
-    smooth in the time direction only.
-    """
-
-    alpha: float
-    beta: float | None = None
-
-    def __post_init__(self) -> None:
-        check_bandwidth(self.alpha, "alpha")
-        if self.beta is not None:
-            check_bandwidth(self.beta, "beta")
 
 
 def _uniform_pdf(u):
@@ -218,6 +200,7 @@ def eval_rescaled(kernel: UnivariateKernel, bandwidth, u) -> np.ndarray:
     (one bandwidth per row, say), refused as
     :func:`~csmark.errors.check_bandwidth` refuses one.
     """
+    check_instance(kernel, "kernel", UnivariateKernel)
     check_bandwidth(bandwidth, "bandwidth")
     return kernel.pdf(np.asarray(u, dtype=float) / bandwidth) / bandwidth
 
@@ -227,6 +210,7 @@ def eval_rescaled_cdf(kernel: UnivariateKernel, bandwidth, u) -> np.ndarray:
 
     ``bandwidth`` broadcasts as in :func:`eval_rescaled`.
     """
+    check_instance(kernel, "kernel", UnivariateKernel)
     check_bandwidth(bandwidth, "bandwidth")
     return kernel.cdf(np.asarray(u, dtype=float) / bandwidth)
 
@@ -282,6 +266,7 @@ def second_moment(kernel: UnivariateKernel) -> float:
     families; otherwise Gauss-Legendre quadrature over [-1, 1], cached per
     kernel object.
     """
+    check_instance(kernel, "kernel", UnivariateKernel)  # before the cache sees it
     return _moment_cached(kernel, 2)
 
 
@@ -291,6 +276,7 @@ def l2_norm_sq(kernel: UnivariateKernel) -> float:
     The closed forms 1/2 (Uniform) and 3/5 (Epanechnikov) for the built-in
     families; otherwise Gauss-Legendre quadrature over [-1, 1].
     """
+    check_instance(kernel, "kernel", UnivariateKernel)
     if kernel.family in _CLOSED_FORMS:
         return _CLOSED_FORMS[kernel.family][1]
     return _quad(lambda u: kernel.pdf(u) ** 2, -1.0, 1.0)[0]
@@ -373,6 +359,9 @@ def validate_conditions(
     evaluations and is taken on trust; the Uniform factor therefore
     passes the shape check despite its jumps at the edges.
     """
+    check_instance(kernel_t, "kernel_t", UnivariateKernel)
+    if kernel_mark is not None:
+        check_instance(kernel_mark, "kernel_mark", UnivariateKernel)
     kt, kz = kernel_t, kernel_mark or kernel_t
 
     mass_t = _moment_cached(kt, 0)

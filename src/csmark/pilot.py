@@ -104,7 +104,7 @@ class PilotModel:
         if config.kernel_t.family is not KernelFamily.EPANECHNIKOV:
             raise KernelAssumptionError(f"the pilot kernel must be epanechnikov, "
                                         f"not {config.kernel_t.name!r}")
-        check_bandwidth(config.bandwidths.beta, "beta")  # None too: the pilot smooths marks
+        check_bandwidth(config.beta, "beta")  # None too: the pilot smooths marks
         self.sample = sample_
         self.config = config
         self._edges = grid = np.linspace(0.0, 1.0, _ENVELOPE_GRID)
@@ -146,7 +146,7 @@ class PilotModel:
         check_count(size, "size", 0, bounded=True)
         idx = rng.integers(0, len(self.sample), size)
         noise = _epanechnikov_noise(rng, size)
-        return self.sample.t[idx] + self.config.bandwidths.alpha * noise
+        return self.sample.t[idx] + self.config.alpha * noise
 
     def draw_xy(
         self, rngs: Sequence[np.random.Generator], size: int
@@ -296,10 +296,11 @@ _BOUND_SLACK = 32
 _SERIAL_PRODUCT = 1 << 18
 
 
-def _node_bounds(nodes, x, h):
+def _node_bounds(nodes, x, h, slope=True):
     """Bounds on ``k(u)`` and ``k'(u)``, ``u = (t - x_j) / h``, for ``t`` in each
     cell between consecutive nodes, down a column of ``nodes`` or along a
-    row: ``(w_lo, w_hi, d_lo, d_hi)``, with one row or column per cell.
+    row: ``(w_lo, w_hi, d_lo, d_hi)``, with one row or column per cell;
+    without ``slope``, ``(w_lo, w_hi)`` alone, and ``k'`` is not formed.
 
     ``u`` rounds monotonically in ``t``, and so does each rounded operation
     of the float kernels, so their values over a cell are bounded by those at
@@ -308,15 +309,16 @@ def _node_bounds(nodes, x, h):
     it, at -1.5 at ``u = 1`` and 1.5 at ``u = -1``.
     """
     u = (nodes - x) / h
-    k, d = _epanechnikov_pdf(u), _epanechnikov_deriv(u)
+    k = _epanechnikov_pdf(u)
     lo, hi = (np.s_[:-1], np.s_[1:]) if nodes.ndim == 2 else (np.s_[..., :-1], np.s_[..., 1:])
     a, b = u[lo], u[hi]
-    return (
-        np.minimum(k[lo], k[hi]),
-        np.where((a <= 0.0) & (0.0 <= b), 0.75, np.maximum(k[lo], k[hi])),
-        np.where((a <= 1.0) & (1.0 <= b), -1.5, np.minimum(d[lo], d[hi])),
-        np.where((a <= -1.0) & (-1.0 <= b), 1.5, np.maximum(d[lo], d[hi])),
-    )
+    w = (np.minimum(k[lo], k[hi]),
+         np.where((a <= 0.0) & (0.0 <= b), 0.75, np.maximum(k[lo], k[hi])))
+    if not slope:
+        return w
+    d = _epanechnikov_deriv(u)
+    return w + (np.where((a <= 1.0) & (1.0 <= b), -1.5, np.minimum(d[lo], d[hi])),
+                np.where((a <= -1.0) & (-1.0 <= b), 1.5, np.maximum(d[lo], d[hi])))
 
 
 def _density_bounds(sample, config, t_nodes, z_nodes):
@@ -329,8 +331,8 @@ def _density_bounds(sample, config, t_nodes, z_nodes):
     lies in ``[lower[i, j], upper[i, j]]``.  Nodes do not decrease; a
     repeated node gives a point cell, and bounds at points.
 
-    The config's kernel must be Epanechnikov and its bandwidths must hold a
-    mark bandwidth; :class:`PilotModel`, the one caller, refuses any other
+    The config's kernel must be Epanechnikov and its mark bandwidth
+    ``beta`` set; :class:`PilotModel`, the one caller, refuses any other
     config.
 
     Every kernel factor of the estimate -- ``k(u_i)`` and ``k'(u_i)`` at
@@ -390,7 +392,7 @@ def _density_bounds(sample, config, t_nodes, z_nodes):
 
     Cells that are not stable, or whose bounds overflow, get ``[0, inf]``.
     """
-    alpha, beta = config.bandwidths.alpha, config.bandwidths.beta
+    alpha, beta = config.alpha, config.beta
     n, m, mz = len(sample), t_nodes.size - 1, z_nodes.size - 1
     # observations go in blocks, bounding the (interval x observation)
     # arrays; the budget is looked up at call time, so a patched one is used
@@ -426,7 +428,7 @@ def _density_bounds(sample, config, t_nodes, z_nodes):
             e_hi -= q_lo * np.where(q_lo >= 0.0, w_lo, w_hi)
             del w_lo, w_hi, d_lo, d_hi
             # (uncensored x z-interval), C-contiguous for the products
-            v_lo, v_hi, _, _ = _node_bounds(z_nodes, sample.z[i][:, None], beta)
+            v_lo, v_hi = _node_bounds(z_nodes, sample.z[i][:, None], beta, slope=False)
             # e's positive parts, and in place minus its negative parts; the
             # products go in blocks of rows small enough for BLAS to keep on
             # this thread

@@ -87,9 +87,10 @@ class Sample:
     """Arrays ``t``, ``z``, ``delta`` of equal length, plus the seed used.
 
     Invariants enforced at construction: times and marks are finite,
-    ``delta`` is 0/1, marks are nonnegative, and censored rows carry a zero
-    mark.  The arrays are frozen (non-writeable views) so estimators can
-    share them safely.
+    ``delta`` is 0/1, marks are nonnegative, censored rows carry a zero
+    mark, and ``seed`` is None or an integer >= 0.  The arrays are the
+    sample's own copies, frozen (non-writeable) so estimators can share
+    them safely; the caller's arrays stay as they were.
     """
 
     t: np.ndarray
@@ -98,8 +99,10 @@ class Sample:
     seed: int | None = field(default=None)
 
     def __post_init__(self) -> None:
+        if self.seed is not None:
+            check_count(self.seed, "seed", 0)
         try:
-            t, z = (np.ascontiguousarray(np.asarray(a, dtype=float)) for a in (self.t, self.z))
+            t, z = (np.array(a, dtype=float) for a in (self.t, self.z))
         except (TypeError, ValueError, OverflowError):  # no float holds 10**400
             raise InvalidValueError("times and marks must be numbers") from None
         delta = np.asarray(self.delta)
@@ -117,7 +120,7 @@ class Sample:
         # 2**64 - 1 to -1 and warns on NaN
         if not np.all((delta == 0) | (delta == 1)):
             raise InvalidValueError("delta must be 0 or 1")
-        delta = np.ascontiguousarray(delta, dtype=np.int64)
+        delta = np.array(delta, dtype=np.int64)
         if not (0.0 <= z.min() and z.max() < np.inf):
             raise InvalidValueError("marks must be finite and nonnegative")
         if np.any((z != 0.0) & (delta == 0)):

@@ -16,7 +16,6 @@ from scipy import integrate
 
 from csmark import (
     BandwidthSchedule,
-    Bandwidths,
     BootstrapPlan,
     EstimatorConfig,
     bootstrap_mse,
@@ -172,7 +171,7 @@ def test_05_equivalence_regimes():
 def test_06_identities():
     # uniform-kernel ratio estimator coincides with its counting form
     uniform_cfg = EstimatorConfig(
-        kernel_t=uniform_kernel(), bandwidths=Bandwidths(0.25)
+        kernel_t=uniform_kernel(), alpha=0.25
     )
     worst_counting = 0.0
     for i in range(100):
@@ -190,7 +189,7 @@ def test_06_identities():
     for i in range(20):
         s = sample(B, 300, 6000 + i)
         beta = 0.15
-        cfg = EstimatorConfig(kernel_t=epa, bandwidths=Bandwidths(0.2, beta))
+        cfg = EstimatorConfig(kernel_t=epa, alpha=0.2, beta=beta)
         t0 = 0.3 + 0.4 * (i / 19.0)
         z_hi = float(s.z.max()) + beta
         weights = eval_rescaled(epa, 0.2, t0 - s.t)
@@ -238,7 +237,7 @@ def test_08_density_positivity():
     alpha = float(n) ** (-1.0 / 6.0)
     beta = float(n) ** (-1.0 / 5.0)
     epa = epanechnikov_kernel()
-    cfg = EstimatorConfig(kernel_t=epa, bandwidths=Bandwidths(alpha, beta))
+    cfg = EstimatorConfig(kernel_t=epa, alpha=alpha, beta=beta)
     grid = np.round(np.arange(0.2, 0.81, 0.1), 1)
     positive_runs = 0
     worst_min = math.inf

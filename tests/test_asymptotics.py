@@ -20,7 +20,6 @@ from csmark import (
     BandwidthSchedule,
     BootstrapPlan,
     EstimatorConfig,
-    Bandwidths,
     EmptySampleError,
     InvalidBandwidthError,
     InvalidValueError,
@@ -263,7 +262,7 @@ def test_driver_and_bootstrap_parameters_are_pinned():
         bootstrap_mse: "sample_ plan true_value",
         fit_pilot: "sample_ alpha0 beta0",
         PilotModel: "sample_ config",
-        EstimatorConfig: "kernel_t bandwidths g_floor",
+        EstimatorConfig: "kernel_t alpha beta g_floor",
         mu2: "scenario point schedule kernel",
         validate_conditions: "kernel_t kernel_mark",
         sample: "scenario n seed",
@@ -277,7 +276,7 @@ def test_driver_and_bootstrap_parameters_are_pinned():
 def test_public_names_are_pinned():
     """The package exports these names and no others, and each resolves."""
     assert sorted(csmark.__all__) == [
-        "AsymptoticParams", "BandwidthRegimeError", "BandwidthSchedule", "Bandwidths",
+        "AsymptoticParams", "BandwidthRegimeError", "BandwidthSchedule",
         "BootstrapMseTable", "BootstrapPlan", "CsmarkError", "DegeneratePilotError",
         "DerivativeUnavailableError", "EmptySampleError", "EquivalenceCurve",
         "EstimatorConfig", "InvalidBandwidthError", "InvalidValueError",
@@ -306,11 +305,11 @@ def test_finite_positive_checks_name_their_parameter():
     plan = dict(alpha0=0.4, beta0=0.4, replications=2, alpha_grid=(0.2,),
                 beta_grid=(0.2,), point=(0.5, 0.5), seed=1)
     cases = [
-        ("alpha", InvalidBandwidthError, lambda: Bandwidths(-0.1)),
+        ("alpha", InvalidBandwidthError, lambda: EstimatorConfig(alpha=-0.1)),
         # a bool is not a bandwidth, nor is a string, even of a number
-        ("alpha", InvalidBandwidthError, lambda: Bandwidths(True)),
-        ("alpha", InvalidBandwidthError, lambda: Bandwidths(np.True_)),
-        ("alpha", InvalidBandwidthError, lambda: Bandwidths("0.1")),
+        ("alpha", InvalidBandwidthError, lambda: EstimatorConfig(alpha=True)),
+        ("alpha", InvalidBandwidthError, lambda: EstimatorConfig(alpha=np.True_)),
+        ("alpha", InvalidBandwidthError, lambda: EstimatorConfig(alpha="0.1")),
         ("c1", InvalidBandwidthError, lambda: BandwidthSchedule(True)),
         ("c", InvalidBandwidthError, lambda: mu1_sigma2(B, (0.5, 0.5), True, EPA)),
         ("alpha_grid", InvalidBandwidthError,
@@ -322,7 +321,7 @@ def test_finite_positive_checks_name_their_parameter():
          lambda: eval_rescaled(EPA, np.array([True, True]), [0.1, 0.2])),
         ("bandwidth", InvalidBandwidthError,
          lambda: eval_rescaled(EPA, np.array(["0.1"]), [0.1])),
-        ("beta", InvalidBandwidthError, lambda: Bandwidths(0.1, math.nan)),
+        ("beta", InvalidBandwidthError, lambda: EstimatorConfig(beta=math.nan)),
         ("c1", InvalidBandwidthError, lambda: BandwidthSchedule(0.0)),
         ("c2", InvalidBandwidthError, lambda: BandwidthSchedule(0.5, -1.0, 0.3)),
         ("c", InvalidBandwidthError, lambda: mu1_sigma2(B, (0.5, 0.5), math.inf, EPA)),
@@ -337,7 +336,7 @@ def test_finite_positive_checks_name_their_parameter():
          lambda: BootstrapPlan(**{**plan, "beta_grid": (math.nan,)})),
         ("g_floor", InvalidValueError, lambda: EstimatorConfig(g_floor=0.0)),
         # a Python int too large for a float is no number either
-        ("alpha", InvalidBandwidthError, lambda: Bandwidths(10**400)),
+        ("alpha", InvalidBandwidthError, lambda: EstimatorConfig(alpha=10**400)),
         ("alpha0", InvalidBandwidthError,
          lambda: BootstrapPlan(**{**plan, "alpha0": 10**400})),
         ("c", InvalidBandwidthError, lambda: mu1_sigma2(B, (0.5, 0.5), 10**400, EPA)),
@@ -809,7 +808,7 @@ def test_mean_functional_equals_counting_average():
     # uncensored rows, which the sorted times may hold in any order
     tied = Sample(t=np.round(drawn.t, 2), z=drawn.z, delta=drawn.delta)
     alpha, grid_points = 0.3, 2000
-    config = EstimatorConfig(kernel_t=uniform_kernel(), bandwidths=Bandwidths(alpha))
+    config = EstimatorConfig(kernel_t=uniform_kernel(), alpha=alpha)
     for s in (drawn, tied):
         z_top = float(s.z.max()) + 1.0
         manual = np.mean(

@@ -12,6 +12,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from csmark import (
+    BandwidthSchedule,
     BootstrapMseTable,
     BootstrapPlan,
     DegeneratePilotError,
@@ -25,7 +26,10 @@ from csmark import (
     UnstableDenominatorError,
     bootstrap_mse,
     custom_kernel,
+    difference_sample,
+    efficient_variance,
     epanechnikov_kernel,
+    eval_rescaled,
     eval_rescaled_cdf,
     evaluate_grid,
     f1,
@@ -33,19 +37,28 @@ from csmark import (
     f2,
     f2_density,
     fit_pilot,
+    l2_norm_sq,
+    mc_functional,
+    mc_mse,
+    mc_normality,
     mean_functional,
+    mu1_sigma2,
+    mu2,
     sample,
     scenario_a,
     scenario_b,
+    second_moment,
     select,
+    true_mean_event_time,
     uniform_kernel,
+    validate_conditions,
     EstimatorConfig,
-    Bandwidths,
 )
-from csmark import bandwidth, estimators, pilot as pilot_module
+from csmark import asymptotics, bandwidth, estimators, kernels, pilot as pilot_module
 from csmark.pilot import _ENVELOPE_SAFETY, PilotModel, _density_bounds, _epanechnikov_noise
 
 B = scenario_b()
+EPA = epanechnikov_kernel()
 
 
 def small_plan(**overrides):
@@ -82,6 +95,20 @@ def test_bootstrap_plan_validation():
         with pytest.raises(InvalidValueError, match=r"^seed must be an integer >= 0, got "):
             small_plan(seed=bad)
     small_plan(seed=np.int64(0))
+
+
+def test_bootstrap_plan_keeps_what_it_checked():
+    """A plan holds its grids and point as tuples of floats, so a later
+    write into the caller's lists does not reach it, and it hashes."""
+    alpha_grid, beta_grid, point = [0.2, 0.3], np.array([0.2, 0.4]), [0.5, np.float64(0.5)]
+    plan = small_plan(replications=2, alpha_grid=alpha_grid, beta_grid=beta_grid, point=point)
+    alpha_grid[0], beta_grid[0], point[0] = 0.5, np.nan, np.inf
+    assert (plan.alpha_grid, plan.beta_grid, plan.point) == ((0.2, 0.3), (0.2, 0.4), (0.5, 0.5))
+    for values in (plan.alpha_grid, plan.beta_grid, plan.point):
+        assert type(values) is tuple and all(type(x) is float for x in values)
+    assert hash(plan) == hash(small_plan(replications=2, alpha_grid=(0.2, 0.3)))
+    table = bootstrap_mse(sample(scenario_b(), 50, 3), plan)
+    assert [r.alpha for r in table.for_estimator("F1")] == [0.2, 0.3]
 
 
 def test_bootstrap_plan_rejects_non_finite_bandwidths():
@@ -249,7 +276,7 @@ def test_density_bounds_hold_the_pilot_density(
     s = sample(scenario, n, seed)
     epa = epanechnikov_kernel()
     config = EstimatorConfig(
-        kernel_t=epa, bandwidths=Bandwidths(alpha, beta), g_floor=g_floor
+        kernel_t=epa, alpha=alpha, beta=beta, g_floor=g_floor
     )
     try:
         with mock.patch.object(pilot_module, "_ENVELOPE_GRID", 20):
@@ -295,7 +322,7 @@ def test_density_bounds_hold_across_observation_blocks(monkeypatch):
 )
 def test_envelope_is_the_exact_peak_over_all_nodes(scenario, n, seed, alpha, beta, nodes):
     s = sample(scenario, n, seed)
-    config = EstimatorConfig(kernel_t=epanechnikov_kernel(), bandwidths=Bandwidths(alpha, beta))
+    config = EstimatorConfig(kernel_t=epanechnikov_kernel(), alpha=alpha, beta=beta)
     grid = np.linspace(0.0, 1.0, nodes)
     tt, zz = np.meshgrid(grid, grid, indexing="ij")
     _, (density,) = estimators._estimates(s, config, tt.ravel(), zz.ravel(), ("density",))
@@ -324,7 +351,7 @@ def test_pilot_refuses_other_kernels_and_a_missing_beta(monkeypatch):
     for kernel, error in ((uniform_kernel(), KernelAssumptionError),
                           (copy, KernelAssumptionError), (epa, InvalidBandwidthError)):
         beta = None if error is InvalidBandwidthError else 0.3
-        config = EstimatorConfig(kernel_t=kernel, bandwidths=Bandwidths(0.3, beta))
+        config = EstimatorConfig(kernel_t=kernel, alpha=0.3, beta=beta)
         with pytest.raises(error):
             PilotModel(s, config)
     for alpha0, beta0, message in ((np.nan, 0.4, "alpha0 must be finite and positive, got nan"),
@@ -336,17 +363,24 @@ def test_pilot_refuses_other_kernels_and_a_missing_beta(monkeypatch):
 
 def test_objects_are_refused_by_their_type(monkeypatch):
     """A parameter that takes one of the package's objects refuses any other
-    value by one rule, in one wording, before a bound is computed."""
+    value by one rule, in one wording, before a bound is computed, a sample
+    is drawn or a quadrature runs."""
 
-    def no_bounds(*args):
-        raise AssertionError("a bound was computed")
+    def never(what):
+        def call(*args):
+            raise AssertionError(what)
+        return call
 
-    monkeypatch.setattr(pilot_module, "_density_bounds", no_bounds)
     s = sample(B, 50, 3)
-    config = EstimatorConfig(bandwidths=Bandwidths(0.4, 0.4))
+    monkeypatch.setattr(pilot_module, "_density_bounds", never("a bound was computed"))
+    monkeypatch.setattr(asymptotics, "sample", never("a sample was drawn"))
+    monkeypatch.setattr(asymptotics, "_quad", never("a quadrature ran"))
+    monkeypatch.setattr(kernels, "_quad", never("a quadrature ran"))
+    config = EstimatorConfig(alpha=0.4, beta=0.4)
+    schedule = BandwidthSchedule(0.5, 0.5, 0.2)
+    point = (0.5, 0.5)
     cases = [
         ("kernel_t", "a UnivariateKernel", "epa", lambda bad: EstimatorConfig(kernel_t=bad)),
-        ("bandwidths", "a Bandwidths", 0.3, lambda bad: EstimatorConfig(bandwidths=bad)),
         ("sample", "a Sample", None, lambda bad: fit_pilot(bad, 0.4, 0.4)),
         ("sample", "a Sample", (s.t, s.z, s.delta), lambda bad: PilotModel(bad, config)),
         ("config", "an EstimatorConfig", {}, lambda bad: PilotModel(s, bad)),
@@ -363,11 +397,31 @@ def test_objects_are_refused_by_their_type(monkeypatch):
         ("config", "an EstimatorConfig", None, lambda bad: evaluate_grid(s, bad, [0.5], [0.5])),
         ("s", "a Sample", None, lambda bad: mean_functional(bad, 0.2)),
         ("scenario", "a Scenario", None, lambda bad: sample(bad, 100, 0)),
+        ("scenario", "a Scenario", None, lambda bad: mu1_sigma2(bad, point, 0.5, EPA)),
+        ("kernel", "a UnivariateKernel", None, lambda bad: mu1_sigma2(B, point, 0.5, bad)),
+        ("kernel", "a UnivariateKernel", None, lambda bad: mu2(B, point, schedule, kernel=bad)),
+        ("kernel", "a UnivariateKernel", None, second_moment),
+        ("kernel", "a UnivariateKernel", None, l2_norm_sq),
+        ("kernel", "a UnivariateKernel", None, lambda bad: eval_rescaled(bad, 0.1, 0.0)),
+        ("kernel", "a UnivariateKernel", "epa", lambda bad: eval_rescaled_cdf(bad, 0.1, 0.0)),
+        ("kernel_t", "a UnivariateKernel", None, validate_conditions),
+        ("kernel_mark", "a UnivariateKernel", "epa", lambda bad: validate_conditions(EPA, bad)),
+        ("scenario", "a Scenario", None,
+         lambda bad: mc_mse(bad, "F1", point, 100, 3, alpha=0.2, seed=0)),
+        ("scenario", "a Scenario", None,
+         lambda bad: mc_normality(bad, "F1", point, 100, 3, alpha=0.2, seed=0)),
+        ("scenario", "a Scenario", None,
+         lambda bad: difference_sample(bad, point, 100, 3, schedule, seed=0)),
+        ("scenario", "a Scenario", None, lambda bad: mc_functional(bad, 100, 3, seed=0)),
+        ("scenario", "a Scenario", None, true_mean_event_time),
+        ("scenario", "a Scenario", None, efficient_variance),
     ]
+    cached = kernels._moment_cached.cache_info()
     for name, what, bad, call in cases:
         with pytest.raises(InvalidValueError) as exc:
             call(bad)
         assert str(exc.value) == f"{name} must be {what}, got {bad!r}"
+    assert kernels._moment_cached.cache_info() == cached  # refused before the cache
 
 
 def test_draws_refuse_a_bad_size():
@@ -593,8 +647,8 @@ def _bootstrap_reference(s, plan):
     pilot = fit_pilot(s, plan.alpha0, plan.beta0)
     t0, z0 = plan.point
     target = pilot.target(t0, z0)
-    candidates = [(f1, Bandwidths(a)) for a in plan.alpha_grid] + [
-        (f2, Bandwidths(a, b)) for a in plan.alpha_grid for b in plan.beta_grid
+    candidates = [(f1, a, None) for a in plan.alpha_grid] + [
+        (f2, a, b) for a in plan.alpha_grid for b in plan.beta_grid
     ]
     values = np.full((plan.replications, len(candidates)), np.nan)
     for b in range(plan.replications):
@@ -603,9 +657,10 @@ def _bootstrap_reference(s, plan):
         t = pilot.draw_t(rng, len(s))
         delta = (x <= t).astype(int)
         boot = Sample(t=t, z=np.where(delta == 1, y, 0.0), delta=delta)
-        for j, (estimator, bw) in enumerate(candidates):
+        for j, (estimator, alpha, beta) in enumerate(candidates):
             try:
-                values[b, j] = estimator(boot, replace(pilot.config, bandwidths=bw), t0, z0)
+                config = replace(pilot.config, alpha=alpha, beta=beta)
+                values[b, j] = estimator(boot, config, t0, z0)
             except UnstableDenominatorError:
                 pass
     out = []
@@ -822,10 +877,10 @@ def test_bootstrap_single_replication_is_one_squared_deviation():
 
     kt = pilot.config.kernel_t
     target = pilot.target(0.5, 0.5)
-    v1 = f1(boot, EstimatorConfig(kernel_t=kt, bandwidths=Bandwidths(0.3)), 0.5, 0.5)
+    v1 = f1(boot, EstimatorConfig(kernel_t=kt, alpha=0.3), 0.5, 0.5)
     v2 = f2(
         boot,
-        EstimatorConfig(kernel_t=kt, bandwidths=Bandwidths(0.3, 0.3)),
+        EstimatorConfig(kernel_t=kt, alpha=0.3, beta=0.3),
         0.5,
         0.5,
     )

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from csmark import (
-    BandwidthSchedule, Bandwidths, BootstrapPlan, CsmarkError, EstimatorConfig, Sample,
+    BandwidthSchedule, BootstrapPlan, CsmarkError, EstimatorConfig, Sample,
     UnstableDenominatorError, asymptotics, equivalence_curve, evaluate_grid, mc_functional,
     mc_mse, mc_normality, sample, scenario_a, scenario_b, write_grid_csv,
 )
@@ -119,7 +119,7 @@ def test_estimate_grid_runs_scenario_a(tmp_path):
     assert code == 0
     lines = (outdir / "grid.csv").read_text().splitlines()
     assert lines[0] == "t,z,F1,F2,f2" and len(lines) == 7
-    config = EstimatorConfig(bandwidths=Bandwidths(0.25, 0.2))
+    config = EstimatorConfig(alpha=0.25, beta=0.2)
     grid = (np.array([0.4, 0.6]), np.array([0.3, 0.5, 0.7]))
     for scenario, name in ((scenario_a(), "a.csv"), (scenario_b(), "b.csv")):
         write_grid_csv(evaluate_grid(sample(scenario, 150, 4), config, *grid), tmp_path / name)
@@ -521,7 +521,7 @@ def _table1_limits(outdir, tmp_path):
 
 
 def _grid_limits(outdir, tmp_path):
-    config = EstimatorConfig(bandwidths=Bandwidths(0.25, 0.2))
+    config = EstimatorConfig(alpha=0.25, beta=0.2)
     write_grid_csv(evaluate_grid(sample(scenario_b(), 150, 4), config, [0.4],
                                  [-math.inf, 0.5, math.inf]), tmp_path / "grid.csv")
     lines = (outdir / "grid.csv").read_text().splitlines()

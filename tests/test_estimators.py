@@ -18,7 +18,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from csmark import (
-    Bandwidths,
     BandwidthSchedule,
     BootstrapPlan,
     DegeneratePilotError,
@@ -58,11 +57,11 @@ UNI = uniform_kernel()
 
 
 def uniform_config(alpha, beta=None):
-    return EstimatorConfig(kernel_t=UNI, bandwidths=Bandwidths(alpha, beta))
+    return EstimatorConfig(kernel_t=UNI, alpha=alpha, beta=beta)
 
 
 def epa_config(alpha, beta=None):
-    return EstimatorConfig(kernel_t=EPA, bandwidths=Bandwidths(alpha, beta))
+    return EstimatorConfig(kernel_t=EPA, alpha=alpha, beta=beta)
 
 
 def tiny_sample():
@@ -81,7 +80,7 @@ def g_at(s, config, t0):
 def gp_at(s, config, t0):
     """Its derivative at ``t0``, which the density estimate uses."""
     t, z = np.array([t0]), np.array([0.5])
-    _, gp = estimators._kernel_sums(s, config, t, z, config.bandwidths.alpha, None, ("g", "gp"))
+    _, gp = estimators._kernel_sums(s, config, t, z, config.alpha, None, ("g", "gp"))
     return float(gp[0])
 
 
@@ -237,7 +236,7 @@ def test_f2_collapses_to_f1_for_tiny_beta():
 
 
 def test_f2_configuration_errors():
-    no_beta = EstimatorConfig(kernel_t=EPA, bandwidths=Bandwidths(0.1))
+    no_beta = EstimatorConfig(kernel_t=EPA, alpha=0.1)
     with pytest.raises(InvalidBandwidthError):
         f2(tiny_sample(), no_beta, 0.5, 0.5)  # no mark bandwidth
 
@@ -473,7 +472,7 @@ RTOL = 1e-12
 def dense_sums(s, config, t0, z0):
     """Kernel means at one point (g, f1 and f2 numerators, g', h, dh/dt),
     and the means of their terms' absolute values."""
-    kt, alpha, beta = config.kernel_t, config.bandwidths.alpha, config.bandwidths.beta
+    kt, alpha, beta = config.kernel_t, config.alpha, config.beta
     ut = (t0 - s.t) / alpha
     w = kt.pdf(ut) / alpha
     terms = {"g": w, "f1": w * s.delta * (s.z <= z0)}
@@ -546,7 +545,7 @@ def configs(draw, kernel=None, floors=(1e-8, 0.1, 0.5, 2.0)):
     beta = draw(st.one_of(st.none(), st.floats(0.02, 0.6)))
     return EstimatorConfig(
         kernel_t=k,
-        bandwidths=Bandwidths(alpha, beta),
+        alpha=alpha, beta=beta,
         # floors up to the size of a typical g probe both sides of the check
         g_floor=draw(st.sampled_from(floors)),
     )
@@ -561,7 +560,7 @@ def grid_axis(lo, hi, ties):
 def times(s, config):
     # t0 beyond the data's range reaches empty windows and unstable
     # denominators; t_i +- alpha sits on a window's edge
-    alpha = config.bandwidths.alpha
+    alpha = config.alpha
     return grid_axis(-0.4, 1.4, [t + e for t in s.t.tolist() for e in (-alpha, 0.0, alpha)])
 
 
@@ -576,7 +575,7 @@ PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=N
 @PROPERTY
 @given(samples(), configs(), st.data(), st.integers(1, 100))
 def test_estimators_and_grid_match_dense_oracle(s, config, data, budget):
-    beta = config.bandwidths.beta
+    beta = config.beta
     density = beta is not None and config.kernel_t.deriv is not None
     t_grid = data.draw(times(s, config))
     z_grid = data.draw(marks(s))
@@ -600,7 +599,7 @@ def test_estimators_and_grid_match_dense_oracle(s, config, data, budget):
 
 
 @PROPERTY
-@given(samples(), configs(kernel=EPA).filter(lambda c: c.bandwidths.beta is not None),
+@given(samples(), configs(kernel=EPA).filter(lambda c: c.beta is not None),
        st.data(), st.integers(1, 100))
 def test_pilot_density_matches_dense_oracle(s, config, data, budget):
     t_points = data.draw(times(s, config))
@@ -737,7 +736,7 @@ def test_batch_estimates_equal_single_point_estimates(s, kernel, floor, data, bu
             s, config, t, z, tuple(estimates), alpha, beta
         )
     for j, (t0, z0, a, b) in enumerate(points):
-        alone = replace(config, bandwidths=Bandwidths(a, b))
+        alone = replace(config, alpha=a, beta=b)
         for estimator, values in zip(estimates.values(), batched):
             single = unless_unstable(estimator, s, alone, t0, z0)
             if single is None:
@@ -779,7 +778,7 @@ def test_a_density_whose_g_squared_underflows_is_unstable_at_a_point_as_on_the_g
     # g_hat = 7.5e-163 clears the floor, but g_hat ** 2 rounds to 0, which a
     # numpy scalar, as an array, divides by to NaN (a Python float would raise)
     s = sample(scenario_b(), 100, 1)
-    config = EstimatorConfig(bandwidths=Bandwidths(1e162, 0.3), g_floor=1e-320)
+    config = EstimatorConfig(alpha=1e162, beta=0.3, g_floor=1e-320)
     with np.errstate(divide="ignore", invalid="ignore"):
         (row,) = evaluate_grid(s, config, [0.5], [0.5])
         with pytest.raises(UnstableDenominatorError) as exc:
@@ -832,15 +831,15 @@ def test_the_fast_point_check_gives_what_the_general_path_gives(value):
 
 
 @PROPERTY
-@given(samples(), configs().filter(lambda c: c.bandwidths.beta is not None),
+@given(samples(), configs().filter(lambda c: c.beta is not None),
        st.floats(-0.2, 1.2))
 def test_marginal_identity(s, config, t0):
     # above every mark plus beta each smoothed indicator is one, so f2 is
     # the uncensored share of g and its complement the censored share
-    top = unless_unstable(f2, s, config, t0, float(s.z.max()) + config.bandwidths.beta)
+    top = unless_unstable(f2, s, config, t0, float(s.z.max()) + config.beta)
     assume(top is not None)
     # the censored share from dense kernel weights, not from the kernel sums
-    weights = eval_rescaled(config.kernel_t, config.bandwidths.alpha, t0 - s.t)
+    weights = eval_rescaled(config.kernel_t, config.alpha, t0 - s.t)
     censored = float(np.mean(weights * (1 - s.delta)) / np.mean(weights))
     assert abs(1.0 - top - censored) <= 1e-12
 
@@ -848,7 +847,7 @@ def test_marginal_identity(s, config, t0):
 @PROPERTY
 @given(samples(), configs(), st.floats(-0.2, 1.2), st.data())
 def test_distribution_estimates_are_bounded_and_monotone_in_mark(s, config, t0, data):
-    beta = config.bandwidths.beta
+    beta = config.beta
     z_points = data.draw(marks(s))
     try:
         v1 = [f1(s, config, t0, z0) for z0 in sorted(z_points)]
@@ -867,7 +866,7 @@ def test_distribution_estimates_are_bounded_and_monotone_in_mark(s, config, t0, 
 def test_f1_with_uniform_kernel_is_the_counting_form(s, config, t0, z0):
     # away from ties at the window's edge, where |t_i - t0| <= alpha and
     # |(t0 - t_i) / alpha| <= 1 may round differently
-    gap = np.abs(np.abs(s.t - t0) / config.bandwidths.alpha - 1.0)
+    gap = np.abs(np.abs(s.t - t0) / config.alpha - 1.0)
     assume(np.all(gap > 1e-9))
     try:
         counted = f1_counting(s, config, t0, z0)
@@ -926,9 +925,9 @@ def constants(**values):
 def test_estimates_are_pinned_bit_for_bit(patches):
     n = PINNED_N
     s = sample(scenario_b(), n, 7)
-    bw = Bandwidths(n ** (-1 / 6), n ** (-1 / 5))
-    epa = EstimatorConfig(kernel_t=EPA, bandwidths=bw)
-    uni = EstimatorConfig(kernel_t=UNI, bandwidths=bw)
+    alpha, beta = n ** (-1 / 6), n ** (-1 / 5)
+    epa = EstimatorConfig(kernel_t=EPA, alpha=alpha, beta=beta)
+    uni = EstimatorConfig(kernel_t=UNI, alpha=alpha, beta=beta)
     with constants(**patches):
         grid = evaluate_grid(s, epa, np.array(PINNED_T), np.array(PINNED_Z))
         row = evaluate_grid(s, uni, np.array([0.5]), np.array(PINNED_Z))
@@ -1034,7 +1033,7 @@ def test_kernel_sums_choose_their_path_from_the_sizes():
     # loop: one point, and several runs where the vectorized path would pair
     # one point at a time (an eighth of _CHUNK_BUDGET // n at most one, so
     # n > 15 625), go per run; several runs at smaller n go vectorized
-    config = EstimatorConfig(bandwidths=Bandwidths(0.2, 0.2))
+    config = EstimatorConfig(alpha=0.2, beta=0.2)
     small, edge, large = (sample(scenario_b(), n, 3) for n in (100, 15_625, 15_626))
     stack = _Stack(*(np.stack([getattr(s, name) for s in (small, sample(scenario_b(), 100, 4))])
                      for name in ("t", "z", "delta")))

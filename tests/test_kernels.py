@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csmark import (
-    Bandwidths,
+    EstimatorConfig,
     InvalidBandwidthError,
     custom_kernel,
     epanechnikov_kernel,
@@ -155,14 +155,14 @@ def test_eval_rescaled_rejects_bad_bandwidths():
 
 
 def test_bandwidths_validation():
-    bw = Bandwidths(0.1)
-    assert bw.beta is None
-    assert Bandwidths(0.1, 0.05).beta == 0.05
+    config = EstimatorConfig()
+    assert (config.alpha, config.beta) == (0.1, None)
+    assert EstimatorConfig(alpha=0.1, beta=0.05).beta == 0.05
     for bad in (0.0, -1.0, math.nan):
-        with pytest.raises(InvalidBandwidthError):
-            Bandwidths(bad)
-        with pytest.raises(InvalidBandwidthError):
-            Bandwidths(0.1, bad)
+        with pytest.raises(InvalidBandwidthError, match="^alpha must be finite and positive"):
+            EstimatorConfig(alpha=bad)
+        with pytest.raises(InvalidBandwidthError, match="^beta must be finite and positive"):
+            EstimatorConfig(alpha=0.1, beta=bad)
 
 
 def test_antiderivatives_match_numeric_integration():

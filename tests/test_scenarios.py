@@ -340,6 +340,10 @@ def test_sample_validation_errors():
         )
     with pytest.raises(EmptySampleError):
         Sample(t=np.array([]), z=np.array([]), delta=np.array([]))
+    for bad in (-1, "x", 1.5, True):
+        with pytest.raises(InvalidValueError) as exc:
+            Sample(t=good_t, z=np.array([0.5, 0.0]), delta=np.array([1, 0]), seed=bad)
+        assert str(exc.value) == f"seed must be an integer >= 0, got {bad!r}"
 
     s = Sample(t=good_t, z=np.array([0.5, 0.0]), delta=np.array([1, 0]))
     with pytest.raises(ValueError):
@@ -367,6 +371,29 @@ def test_sample_rejects_non_integral_delta():
         s = Sample(t=[0.1, 0.2], z=[0.0, 0.3], delta=delta)
         assert s.delta.dtype == np.int64
         assert s.delta.tolist() == [0, 1]
+
+
+def test_sample_keeps_its_own_copies():
+    """A sample copies the arrays it is given: they stay writeable, and a
+    write into them, or into a buffer they are views of, does not reach it."""
+    views = [
+        lambda a: a,  # the arrays themselves
+        lambda a: a[:4],  # views of part of a buffer
+        lambda a: a[::2],  # strided views
+    ]
+    for view in views:
+        buffers = (np.array([0.1, 0.9, 0.2, 0.9, 0.5, 0.9, 0.6, 0.9]),
+                   np.array([0.0, 9.0, 0.3, 9.0, 0.0, 9.0, 0.4, 9.0]),
+                   np.array([0, 1, 1, 1, 0, 1, 1, 1]))
+        arrays = [view(b) for b in buffers]
+        s = Sample(*arrays)
+        before = [a.tobytes() for a in (s.t, s.z, s.delta)]
+        assert all(a.flags.writeable for a in arrays)
+        for a, b, value in zip(arrays, buffers, (np.nan, 5.0, 0)):
+            a[...] = value
+            b[...] = value
+        assert [a.tobytes() for a in (s.t, s.z, s.delta)] == before
+        assert not any(a.flags.writeable for a in (s.t, s.z, s.delta))
 
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
