@@ -162,14 +162,21 @@ def check_mark(value, name: str, error: type = SupportError) -> None:
 
 
 def check_bandwidth(value, name: str, error: type = InvalidBandwidthError) -> None:
-    """A bandwidth, a constant that scales one or a floor; an array of them."""
+    """A bandwidth, a constant that scales one or a floor: one number, not
+    an array, even of one entry."""
     # the chained comparison is False for NaN, inf and nonpositive values
-    if isinstance(value, np.ndarray):
-        ok = value.dtype.kind in "fiu" and bool(np.all((0.0 < value) & (value < np.inf)))
-    else:
-        ok = _is_real(value, True) and 0.0 < value < np.inf
-    if not ok:
+    if not (_is_real(value, True) and not isinstance(value, np.ndarray)
+            and 0.0 < value < np.inf):
         raise _refused(error, name, "finite and positive", value)
+
+
+def check_bandwidths(value, name: str) -> None:
+    """A bandwidth (:func:`check_bandwidth`), or an array of them, one per
+    point or row of an evaluation."""
+    if not isinstance(value, np.ndarray):
+        check_bandwidth(value, name)
+    elif not (value.dtype.kind in "fiu" and bool(np.all((0.0 < value) & (value < np.inf)))):
+        raise _refused(InvalidBandwidthError, name, "finite and positive", value)
 
 
 def check_mark_bandwidth(value, name: str, estimator: str) -> None:

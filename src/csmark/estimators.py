@@ -51,8 +51,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (DerivativeUnavailableError, InvalidValueError, KernelAssumptionError,
-                     UnstableDenominatorError, check_bandwidth, check_grid_points, check_instance,
-                     check_points)
+                     UnstableDenominatorError, check_bandwidth, check_bandwidths,
+                     check_grid_points, check_instance, check_points)
 # eval_rescaled and eval_rescaled_cdf are not called here, but stay
 # importable from this module, where perfbench/tracing.py wraps them
 from .kernels import (KernelFamily, UnivariateKernel, _support_window,  # noqa: F401
@@ -276,10 +276,10 @@ def _kernel_sums(sample, config, t, z, alpha, beta, terms, row=None) -> list[np.
     kt = config.kernel_t
     marked = "f2" in terms or "h" in terms or "dh" in terms
     if marked:
-        check_bandwidth(beta, "beta")
+        check_bandwidths(beta, "beta")
     if ("gp" in terms or "dh" in terms) and kt.deriv is None:
         raise DerivativeUnavailableError(f"kernel {kt.name!r} has no derivative")
-    check_bandwidth(alpha, "alpha")
+    check_bandwidths(alpha, "alpha")
     n = sample.t.shape[-1]
     path = _run_sums if t.size == 1 or _CHUNK_BUDGET // n // 8 <= 1 else _batch_sums
     if path is _batch_sums and row is None:  # a lone sample as a stack of one row

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import check_bandwidth, check_instance
+from .errors import check_bandwidths, check_instance
 
 __all__ = [
     "UnivariateKernel",
@@ -198,10 +198,10 @@ def eval_rescaled(kernel: UnivariateKernel, bandwidth, u) -> np.ndarray:
 
     ``bandwidth`` is a scalar or an array that broadcasts against ``u``
     (one bandwidth per row, say), refused as
-    :func:`~csmark.errors.check_bandwidth` refuses one.
+    :func:`~csmark.errors.check_bandwidths` refuses one.
     """
     check_instance(kernel, "kernel", UnivariateKernel)
-    check_bandwidth(bandwidth, "bandwidth")
+    check_bandwidths(bandwidth, "bandwidth")
     return kernel.pdf(np.asarray(u, dtype=float) / bandwidth) / bandwidth
 
 
@@ -211,7 +211,7 @@ def eval_rescaled_cdf(kernel: UnivariateKernel, bandwidth, u) -> np.ndarray:
     ``bandwidth`` broadcasts as in :func:`eval_rescaled`.
     """
     check_instance(kernel, "kernel", UnivariateKernel)
-    check_bandwidth(bandwidth, "bandwidth")
+    check_bandwidths(bandwidth, "bandwidth")
     return kernel.cdf(np.asarray(u, dtype=float) / bandwidth)
 
 

@@ -16,7 +16,10 @@ exactly only where the bounds cannot decide.  The bounds take the density
 one uncensored observation at a time: each observation's term of the
 quotient ``dh / g - gp h / g^2``, whose ``g`` and ``gp`` sum over the whole
 sample, gets one interval per t-cell, and matrix products with the mark
-kernel's bounds sum the terms over each cell.  A node's density is at most
+kernel's bounds sum the terms over each cell.  A term's interval is a
+mean-value form (Moore 1966): its values at the cell's two nodes, the
+cell's width times an interval of its t-derivative, and the jumps at the
+support edges in the cell, whose signs are known.  A node's density is at most
 the upper bound of each cell around it, and a cell's lower bound holds at
 its corners, so the envelope's peak is searched among the nodes whose least
 cell upper bound reaches the largest lower bound.  Rejection is squeezed
@@ -118,8 +121,11 @@ class PilotModel:
         padded = np.pad(upper, 1, constant_values=np.inf)
         node = np.fmin.reduce([padded[:-1, :-1], padded[1:, :-1],
                                padded[:-1, 1:], padded[1:, 1:]])
-        near = ((node >= lower.max()) & (node > 0.0)).nonzero()
-        peak = float(np.max(self.density(grid[near[0]], grid[near[1]]), initial=0.0))
+        # evaluated in pieces, as draw_xy's proposals are, which bounds the
+        # temporaries at large n; a node's value does not depend on its piece
+        t, z = (grid[axis] for axis in ((node >= lower.max()) & (node > 0.0)).nonzero())
+        peak = max((float(self.density(t[j : j + _DENSITY_PIECE], z[j : j + _DENSITY_PIECE]).max())
+                    for j in range(0, t.size, _DENSITY_PIECE)), default=0.0)
         if peak <= 0.0:
             raise DegeneratePilotError(
                 "pilot density is nonpositive everywhere on the envelope grid"
@@ -282,7 +288,8 @@ def _epanechnikov_noise(rng: np.random.Generator, size: int) -> np.ndarray:
     return 2.0 * np.cos((np.arccos(1.0 - 2.0 * u) + 4.0 * np.pi) / 3.0)
 
 
-# the rounding allowance of _density_bounds is _BOUND_SLACK * (n + 8) * eps
+# the rounding margin of _density_bounds is 2 delta (1 + w / alpha) M, with
+# delta = _BOUND_SLACK * (n + 8) * eps
 _BOUND_SLACK = 32
 
 # multiply-adds per matrix product that a threaded BLAS keeps on the calling
@@ -299,8 +306,10 @@ _SERIAL_PRODUCT = 1 << 18
 def _node_bounds(nodes, x, h, slope=True):
     """Bounds on ``k(u)`` and ``k'(u)``, ``u = (t - x_j) / h``, for ``t`` in each
     cell between consecutive nodes, down a column of ``nodes`` or along a
-    row: ``(w_lo, w_hi, d_lo, d_hi)``, with one row or column per cell;
-    without ``slope``, ``(w_lo, w_hi)`` alone, and ``k'`` is not formed.
+    row: ``(w_lo, w_hi, d_lo, d_hi, k, d)``, with one row or column per cell
+    for the bounds and one per node for the node values ``k`` and ``d`` of
+    ``k`` and ``k'``; without ``slope``, ``(w_lo, w_hi)`` alone, and ``k'`` is
+    not formed.
 
     ``u`` rounds monotonically in ``t``, and so does each rounded operation
     of the float kernels, so their values over a cell are bounded by those at
@@ -318,7 +327,7 @@ def _node_bounds(nodes, x, h, slope=True):
         return w
     d = _epanechnikov_deriv(u)
     return w + (np.where((a <= 1.0) & (1.0 <= b), -1.5, np.minimum(d[lo], d[hi])),
-                np.where((a <= -1.0) & (-1.0 <= b), 1.5, np.maximum(d[lo], d[hi])))
+                np.where((a <= -1.0) & (-1.0 <= b), 1.5, np.maximum(d[lo], d[hi])), k, d)
 
 
 def _density_bounds(sample, config, t_nodes, z_nodes):
@@ -335,60 +344,93 @@ def _density_bounds(sample, config, t_nodes, z_nodes):
     ``beta`` set; :class:`PilotModel`, the one caller, refuses any other
     config.
 
-    Every kernel factor of the estimate -- ``k(u_i)`` and ``k'(u_i)`` at
-    ``u_i = (t - t_i) / alpha``, ``k((z - z_i) / beta)`` -- is bounded
-    exactly over a cell from its values at the cell's nodes
-    (:func:`_node_bounds`).  With the unscaled sums
-    ``G = sum_j k(u_j)`` and ``GP = sum_j k'(u_j)`` over all observations,
-    the estimate ``dh / g - gp h / g^2`` is exactly
+    With ``u_j = (t - t_j) / alpha``, the unscaled sums ``G = sum_j k(u_j)``
+    and ``GP = sum_j k'(u_j)`` over all observations, ``A = k'(u_i)`` and
+    ``B = k(u_i)``, the estimate ``dh / g - gp h / g^2`` is exactly
 
-        sum_i k((z - z_i) / beta) e_i / (alpha beta),
-        e_i = k'(u_i) / G - (GP / G^2) k(u_i),
+        sum_i k((z - z_i) / beta) e_i / (alpha beta),    e_i = A / G - GP B / G^2,
 
-    over the uncensored observations ``i``.  A first pass sums the bounds of
-    ``k`` and ``k'`` into intervals of ``G`` and ``GP`` per t-interval.  A
-    second pass, over the uncensored observations only, forms one interval
-    ``[e_lo, e_hi]`` per (t-interval, observation), each quotient over the
-    end of ``G`` its numerator's sign calls for, and bounds the sum by
-    matrix products with the mark kernel's bounds ``v_lo <= v <= v_hi``:
-    ``S_lo = e_lo+ v_lo - e_lo- v_hi`` and ``S_hi = e_hi+ v_hi - e_hi- v_lo``,
-    with ``+`` and ``-`` the positive and negative parts.  The quotient is
-    formed per observation, before the mark products: formed from interval
-    bounds of ``g``, ``gp``, ``h`` and ``dh`` instead, each ``h`` and ``dh``
-    would vary apart from the ``g`` it is divided by.
+    over the uncensored observations ``i``.  A first pass sums the cell
+    bounds of ``k`` and ``k'`` from :func:`_node_bounds` into intervals of
+    ``G`` and ``GP`` per t-cell, and their node values into ``G`` and ``GP``
+    at each node.  A second pass, over the uncensored observations only,
+    bounds each ``e_i`` over each t-cell ``[a, b]`` of width ``w`` by a
+    mean-value form (Moore 1966, *Interval Analysis*) about the cell's nodes.
+    Between the support edges ``t_j -+ alpha``, ``e_i`` is smooth in ``t``,
+
+        de_i/dt = A' / G - 2 A GP / (alpha G^2) + (1.5 m + 2 GP^2 / G) B / (alpha G^2),
+
+    with ``A' = -1.5 / alpha`` inside the observation's own support and 0
+    off it, and ``m`` the number of observations inside their supports.
+    Off its own support ``e_i`` and its derivative are 0, so ``A'`` is
+    taken as ``-1.5 / alpha`` throughout: only the derivative's positive
+    and negative parts are used.
+    Its interval ``[D_lo, D_hi]`` per (cell, observation) takes ``G`` and
+    ``GP`` in their intervals, ``A`` and ``B`` in theirs, ``A`` times the
+    midpoint and radius of ``-2 GP / (alpha G^2)``, and ``m`` between the
+    supports that cover the cell and those that meet it.  The jumps have
+    known signs: as ``t`` rises, each edge of another observation's support
+    lifts ``GP`` by exactly 1.5, lowering ``e_i`` by at most ``1.5 B /
+    G^2``, and each edge of the own support lifts ``A`` by 1.5 where ``B =
+    0``, raising ``e_i`` by ``1.5 / G``.  So with the rise ``R = w max(D_hi,
+    0) + 1.5 / G_lo`` per own edge in the cell (those ``_node_bounds`` puts
+    at a kink) and the fall ``F = w max(-D_lo, 0) + 1.5 B_hi / G_lo^2`` per
+    support edge in it (counted on the sorted ``t_j -+ alpha``, the cell
+    widened by a few ulps), every ``e_i(t)`` of the cell lies in
+
+        [max(e_i(a) - F, e_i(b) - R), min(e_i(a) + R, e_i(b) + F)].
+
+    Matrix products with the mark kernel's bounds ``v_lo <= v <= v_hi`` sum
+    these intervals: ``S_lo = e_lo+ v_lo - e_lo- v_hi`` and ``S_hi = e_hi+
+    v_hi - e_hi- v_lo``, with ``+`` and ``-`` the positive and negative
+    parts.
 
     Rounding.  :func:`~csmark.estimators._kernel_sums` forms each sum from
     at most ``n`` products and scales it in at most 5 more operations, in
     some order; by Higham (*Accuracy and Stability of Numerical Algorithms*,
     2nd ed., §3.1 and §4.2) its float value lies within ``gamma_(n + 5)``
-    times the sum of absolute terms, ``A``, of the same sum in exact
-    arithmetic (``gamma_k = k eps / (1 - k eps)``).  With ``A_g = g``,
-    ``A_h = h``, ``A_gp`` and ``A_dh``, these errors move the estimate by at
-    most about ``4 gamma_(n + 5) (g A_dh + A_gp h) / g^2``, and its last
+    times the sum of absolute terms, ``T``, of the same sum in exact
+    arithmetic (``gamma_k = k eps / (1 - k eps)``).  With ``T_g = g``,
+    ``T_h = h``, ``T_gp`` and ``T_dh``, these errors move the estimate by at
+    most about ``4 gamma_(n + 5) (g T_dh + T_gp h) / g^2``, and its last
     five roundings by ``5 eps`` times the same.  The roundings here, in the
     same terms but unscaled:
 
-    * the sums ``G_lo``, ``G_hi``, ``GP_lo`` and ``GP_hi`` lie within
-      ``gamma_n`` of their sums of absolute terms;
-    * ``e_i``'s quotients, product and difference then move it by at most
-      ``(gamma_n + 2 eps) |k'| / G_lo + (8 gamma_n + 6 eps) GP_abs k /
-      G_lo^2``; the ``8 gamma_n`` allows a rounded ``GP`` or ``GP / G^2``
-      to take the other sign, and so the other end of an interval;
+    * the sums of the first pass lie within ``gamma_n`` of their sums of
+      absolute terms;
+    * a node value of ``e_i`` then lies within ``(gamma_n + 3 eps) |k'| /
+      G_lo + (3 gamma_n + 6 eps) GP_abs k / G_lo^2`` of its exact value;
+    * the form holds for the smooth kernels of real ``t``, and the float
+      kernels at a float ``t`` are those of the float ``u_j``, each within
+      ``eps |u_j|`` of its exact value, and ``k``'s float value is within
+      ``eps (|k'| + k)`` of the polynomial there.  The form is applied
+      along a path that moves every ``u_j`` by ``(t - a) / alpha`` from its
+      float value at ``a``, then each by the rest, at most ``2 eps (|u_j(a)|
+      + |u_j(t)|)``, to its float value at ``t``: it crosses the edges the
+      float values cross, and others only in pairs of jumps of opposite signs.
+      As ``|k'| + 2 k >= 1.5`` on a support, ``(GP_abs + 2 G) / 1.5`` bounds
+      the observations inside theirs, so the rest and the kernels' rounding move
+      ``e_i`` by a few ``eps (|k'| / G + (GP_abs + G) k / G^2) (1 + GP_abs /
+      G)``; the path may leave the cell by the rest, which widens the
+      derivative's intervals by as much relative to their terms, and with
+      the rounding of ``w D`` and of its factors, moves the bound by a few
+      ``eps w / alpha`` times the same;
     * the products sum at most ``2 n`` terms, within ``gamma_2n`` of the sum
       of ``|e_i| v_i``;
     * the scale ``1 / (alpha beta)``, its product and the margin's
       subtraction make four more roundings, ``4 eps``.
 
     With ``v <= 0.75``, each of these, and the estimate's own error, is at
-    most its factor times ``M = (G_hi D_abs + GP_abs W_abs) / (alpha beta
-    G_lo^2)``.  ``GP_abs`` sums the bounds of ``|k'|`` over all
-    observations; ``D_abs`` and ``W_abs`` sum the bounds of ``0.75 |k'|``
-    and ``0.75 k`` over the uncensored ones.  The factors add up to under
-    ``14 (n + 8) eps``, which the margin ``2 delta M``, with ``delta =
-    _BOUND_SLACK (n + 8) eps``, covers more than four times; it is taken
-    off the lower and added to the upper bound.  A cell is stable when
-    ``g_lo (1 - delta) >= g_floor``, with ``g_lo = G_lo / (n alpha)``, so
-    g_hat there is at least the floor.
+    most its factor times ``(1 + w / alpha) M``, ``M = (1 + GP_abs / G_lo)
+    (G_hi D_abs + (GP_abs + G_hi) W_abs) / (alpha beta G_lo^2)``.
+    ``GP_abs`` sums the bounds of ``|k'|`` over all observations; ``D_abs``
+    and ``W_abs`` sum the bounds of ``0.75 |k'|`` and ``0.75 k`` over the
+    uncensored ones.  The factors add up to under ``21 (n + 8) eps``, which
+    the margin ``2 delta (1 + w / alpha) M``, with ``delta = _BOUND_SLACK (n +
+    8) eps``, covers more than three times; it is taken off the lower and
+    added to the upper bound.  A cell is stable when ``g_lo (1 - delta) >=
+    g_floor``, with ``g_lo = G_lo / (n alpha)``, so g_hat there is at least
+    the floor.
 
     Cells that are not stable, or whose bounds overflow, get ``[0, inf]``.
     """
@@ -397,14 +439,17 @@ def _density_bounds(sample, config, t_nodes, z_nodes):
     # observations go in blocks, bounding the (interval x observation)
     # arrays; the budget is looked up at call time, so a patched one is used
     step = max(1, estimators._CHUNK_BUDGET // (8 * max(m, mz, 1)))
-    # per t-interval, as columns: G's and GP's bounds, and sum |k'|
+    # per t-cell, as columns: G's and GP's bounds, and sum |k'|; per node,
+    # G and GP
     g_lo, g_hi, gp_lo, gp_hi, gp_abs = np.zeros((5, m, 1))
+    g_node, gp_node = np.zeros((2, m + 1, 1))
     for i0 in range(0, n, step):
-        w_lo, w_hi, d_lo, d_hi = _node_bounds(t_nodes[:, None], sample.t[i0 : i0 + step], alpha)
+        w_lo, w_hi, d_lo, d_hi, k, d = _node_bounds(t_nodes[:, None], sample.t[i0 : i0 + step],
+                                                    alpha)
         for total, x in ((g_lo, w_lo), (g_hi, w_hi), (gp_lo, d_lo), (gp_hi, d_hi),
-                         (gp_abs, np.fmax(-d_lo, d_hi))):
+                         (gp_abs, np.fmax(-d_lo, d_hi)), (g_node, k), (gp_node, d)):
             total += x.sum(axis=1, keepdims=True)
-        del w_lo, w_hi, d_lo, d_hi
+        del w_lo, w_hi, d_lo, d_hi, k, d
 
     delta = _BOUND_SLACK * (n + 8) * np.finfo(float).eps
     stable = g_lo * (1.0 / (n * alpha)) * (1.0 - delta) >= config.g_floor
@@ -413,20 +458,74 @@ def _density_bounds(sample, config, t_nodes, z_nodes):
     d_abs, w_abs = np.zeros((2, m, 1))  # uncensored sums of |k'| and k
     unc = (sample.delta == 1).nonzero()[0]
     with np.errstate(all="ignore"):
+        # a node of a stable cell has G >= G_lo > 0
+        g_node = np.where(g_node > 0.0, g_node, 1.0)
+        # per t-cell, the observations whose support [t_j - alpha, t_j +
+        # alpha] can meet the cell, those that can cover it and the support
+        # edges it can hold, each cell widened by a few ulps of its floats
+        t = np.sort(sample.t)
+        starts, ends = t - alpha, t + alpha
+        tol = 4.0 * np.finfo(float).eps * (alpha + np.abs(t_nodes).max() + np.abs(t).max())
+        cell_lo, cell_hi = t_nodes[:-1, None] - tol, t_nodes[1:, None] + tol
+        started, ended = np.searchsorted(starts, cell_hi, "right"), np.searchsorted(ends, cell_lo)
+        m_hi = started - ended
+        m_lo = np.fmax(np.searchsorted(starts, cell_lo, "right") - np.searchsorted(ends, cell_hi),
+                       0)
+        edges = (started - np.searchsorted(starts, cell_lo)
+                 + np.searchsorted(ends, cell_hi, "right") - ended)
+        width = np.diff(t_nodes)[:, None]
         # GP / G^2 lies in [q_lo, q_hi]
         q_lo = gp_lo / np.where(gp_lo >= 0.0, g_hi * g_hi, g_lo * g_lo)
         q_hi = gp_hi / np.where(gp_hi >= 0.0, g_lo * g_lo, g_hi * g_hi)
+        # e_i at a node is k'(u_i) r_node - k(u_i) q_node
+        r_node = 1.0 / g_node
+        q_node = gp_node * r_node * r_node
+        # the width times de_i/dt's factors: -1.5 / (alpha G) inside the
+        # support, k'(u_i) c2 with c2 = -2 GP / (alpha G^2), as a midpoint
+        # and a radius, and k(u_i) c3 with c3 = (1.5 m + 2 GP^2 / G) / (alpha
+        # G^2) >= 0
+        h = width / alpha
+        a_lo, a_hi = -1.5 * h / g_lo, -1.5 * h / g_hi
+        c2_mid, c2_rad = -h * (q_lo + q_hi), h * (q_hi - q_lo)
+        sq_hi = np.fmax(gp_lo * gp_lo, gp_hi * gp_hi)
+        sq_lo = np.where(gp_lo > 0.0, gp_lo * gp_lo, np.where(gp_hi < 0.0, gp_hi * gp_hi, 0.0))
+        c3_hi = h * (1.5 * m_hi + 2.0 * sq_hi / g_lo) / (g_lo * g_lo)
+        c3_lo = h * (1.5 * m_lo + 2.0 * sq_lo / g_hi) / (g_hi * g_hi)
+        # the jumps: each edge of the own support lifts e_i by 1.5 / G, and
+        # each other edge lowers it by at most 1.5 k(u_i) / G^2
+        lift, drop = 1.5 / g_lo, 1.5 * edges / (g_lo * g_lo)
         for i0 in range(0, unc.size, step):
             i = unc[i0 : i0 + step]
-            w_lo, w_hi, d_lo, d_hi = _node_bounds(t_nodes[:, None], sample.t[i], alpha)
-            d_abs += np.fmax(-d_lo, d_hi).sum(axis=1, keepdims=True)
+            w_lo, w_hi, d_lo, d_hi, k, d = _node_bounds(t_nodes[:, None], sample.t[i], alpha)
+            d_max = np.fmax(-d_lo, d_hi)
+            d_abs += d_max.sum(axis=1, keepdims=True)
             w_abs += w_hi.sum(axis=1, keepdims=True)
-            # k' / G over the end of G its sign calls for, less (GP / G^2) k
-            e_lo = d_lo / np.where(d_lo >= 0.0, g_hi, g_lo)
-            e_lo -= q_hi * np.where(q_hi >= 0.0, w_hi, w_lo)
-            e_hi = d_hi / np.where(d_hi >= 0.0, g_lo, g_hi)
-            e_hi -= q_lo * np.where(q_lo >= 0.0, w_lo, w_hi)
-            del w_lo, w_hi, d_lo, d_hi
+            d *= r_node
+            k *= q_node
+            e = np.subtract(d, k, out=d)
+            del k
+            # the width times de_i/dt lies in [lo, hi]
+            x, lo = d_lo * c2_mid, d_hi * c2_mid
+            hi = np.fmax(x, lo)
+            np.fmin(x, lo, out=lo)
+            del x
+            d_max *= c2_rad
+            hi += d_max
+            lo -= d_max
+            hi += w_hi * c3_hi
+            lo += w_lo * c3_lo
+            hi += a_hi
+            lo += a_lo
+            # e_i's largest rise from a node to a point of the cell, and its
+            # largest fall
+            rises = np.fmax(hi, 0.0, out=hi)
+            rises += lift * np.add(d_hi == 1.5, d_lo == -1.5, dtype=float)
+            falls = np.multiply(drop, w_hi, out=w_hi)
+            falls -= np.fmin(lo, 0.0, out=lo)
+            del w_lo, d_lo, d_hi, d_max, hi, lo
+            e_lo = np.fmax(e[:-1] - falls, e[1:] - rises)
+            e_hi = np.fmin(e[:-1] + rises, e[1:] + falls)
+            del e, rises, falls
             # (uncensored x z-interval), C-contiguous for the products
             v_lo, v_hi = _node_bounds(z_nodes, sample.z[i][:, None], beta, slope=False)
             # e's positive parts, and in place minus its negative parts; the
@@ -446,8 +545,9 @@ def _density_bounds(sample, config, t_nodes, z_nodes):
         # S / (alpha beta), less and plus the margin, in place: these are
         # the largest arrays here
         scale = 1.0 / (alpha * beta)
-        # 2 delta M: D_abs and W_abs are 0.75 times d_abs and w_abs
-        margin = 1.5 * delta * scale * (g_hi * d_abs + gp_abs * w_abs) / (g_lo * g_lo)
+        # 2 delta M': D_abs and W_abs are 0.75 times d_abs and w_abs
+        margin = (1.5 * delta * scale * (1.0 + gp_abs / g_lo) * (1.0 + h)
+                  * (g_hi * d_abs + (gp_abs + g_hi) * w_abs) / (g_lo * g_lo))
         s_lo *= scale
         s_lo -= margin
         s_hi *= scale

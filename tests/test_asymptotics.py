@@ -342,6 +342,13 @@ def test_finite_positive_checks_name_their_parameter():
         ("c", InvalidBandwidthError, lambda: mu1_sigma2(B, (0.5, 0.5), 10**400, EPA)),
         ("alpha", InvalidBandwidthError, lambda: mean_functional(s, 10**400)),
         ("g_floor", InvalidValueError, lambda: EstimatorConfig(g_floor=10**400)),
+        # a config's or a plan's bandwidth is one number, not an array of any shape
+        ("alpha", InvalidBandwidthError,
+         lambda: EstimatorConfig(alpha=np.array([0.1, 0.2]), beta=0.2)),
+        ("alpha", InvalidBandwidthError, lambda: EstimatorConfig(alpha=np.array(0.2))),
+        ("beta", InvalidBandwidthError, lambda: EstimatorConfig(beta=np.array([0.2]))),
+        ("alpha0", InvalidBandwidthError,
+         lambda: BootstrapPlan(**{**plan, "alpha0": np.array([0.4, 0.5])})),
     ]
     for name, error, call in cases:
         with pytest.raises(ValueError) as exc:

@@ -311,6 +311,78 @@ def test_density_bounds_hold_across_observation_blocks(monkeypatch):
     test_density_bounds_hold_the_pilot_density()
 
 
+def _ulps_from(x, k):
+    """``x`` moved ``k`` steps of its spacing, a few ulps for small ``k``."""
+    return x + k * np.spacing(np.abs(x))
+
+
+@PROPERTY
+@given(
+    scenario=st.sampled_from([scenario_a(), B]),
+    n=st.integers(10, 150),
+    seed=st.integers(0, 10_000),
+    alpha=st.floats(0.03, 0.8),
+    beta=st.floats(0.03, 0.8),
+    g_floor=st.sampled_from([1e-8, 0.1]),
+    # nodes a few ulps from a support edge t_j -+ alpha: (j, side, ulps)
+    edges=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from([-1.0, 1.0]),
+                             st.integers(-4, 4)), min_size=1, max_size=4),
+    others=st.lists(st.floats(-0.3, 1.3), min_size=1, max_size=2),
+    repeat=st.booleans(),
+    z_axis=axis,
+    alone=st.booleans(),
+)
+def test_density_bounds_hold_at_the_support_edges(
+    scenario, n, seed, alpha, beta, g_floor, edges, others, repeat, z_axis, alone
+):
+    """The bounds' t-direction jumps sit at the support edges t_j -+ alpha:
+    cell ends, point cells and probes a few ulps from them, and probes a few
+    ulps from each cell's midpoint, where the bounds are formed.  With
+    ``alone``, one observation is uncensored and the z-cell is the point at
+    its mark, so the bounds are its term's interval, which no other term's
+    slack can hide, and its own edges are among the nodes."""
+    s = sample(scenario, n, seed)
+    z_nodes = np.cumsum([z_axis[0], *z_axis[1]])
+    if alone:
+        first = np.flatnonzero(s.delta == 1)[:1]
+        if not first.size:
+            reject()
+        delta = np.zeros(n, dtype=np.int64)
+        delta[first] = 1
+        s = Sample(s.t, np.where(delta == 1, s.z, 0.0), delta)
+        z_nodes = np.repeat(s.z[first], 2)
+        edges = edges + [(first[0], side, k) for side in (-1.0, 1.0) for k in (-1, 0, 1)]
+    config = EstimatorConfig(kernel_t=EPA, alpha=alpha, beta=beta, g_floor=g_floor)
+    try:
+        with mock.patch.object(pilot_module, "_ENVELOPE_GRID", 20):
+            pilot = PilotModel(s, config)
+    except DegeneratePilotError:
+        reject()
+    near = np.array([s.t[j % n] + side * alpha for j, side, _ in edges])
+    nodes = _ulps_from(near, np.array([k for *_, k in edges], dtype=float))
+    t_nodes = np.sort(np.concatenate((nodes, others, nodes[:1] if repeat else [])))
+    lower, upper = _density_bounds(s, config, t_nodes, z_nodes)
+    steps = np.arange(-3.0, 4.0)
+    for i, (lo, hi) in enumerate(zip(t_nodes[:-1], t_nodes[1:])):
+        t = np.concatenate(([lo, hi, np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)],
+                            _ulps_from(0.5 * (lo + hi), steps),
+                            _ulps_from(near[:, None], steps).ravel()))
+        t = t[(lo <= t) & (t <= hi)]
+        for j, (z_lo, z_hi) in enumerate(zip(z_nodes[:-1], z_nodes[1:])):
+            z = np.array([z_lo, 0.5 * (z_lo + z_hi), z_hi])
+            tt, zz = np.repeat(t, z.size), np.tile(z, t.size)
+            dens = pilot.density(tt, zz)
+            assert np.all(lower[i, j] <= dens), (i, j)
+            assert np.all(dens <= upper[i, j]), (i, j)
+
+
+def test_density_bounds_hold_at_the_support_edges_across_observation_blocks(monkeypatch):
+    """The property above in blocks of a few observations, as in the test
+    before it."""
+    monkeypatch.setattr(estimators, "_CHUNK_BUDGET", 64)
+    test_density_bounds_hold_at_the_support_edges()
+
+
 @PROPERTY
 @given(
     scenario=st.sampled_from([scenario_a(), B]),
@@ -604,15 +676,36 @@ def test_the_squeeze_leaves_at_most_its_recorded_exact_evaluations(
 ):
     """Looser cell bounds leave more proposals to the exact density.  The
     counts are those of bounds that divided intervals of g, gp, h and dh
-    cell by cell; the per-observation bounds read 1159 and 425 with
-    numpy 2.4.6.  The bounds' products go through BLAS, whose rounding may
-    differ by platform, so a count may not exceed, rather than must equal."""
+    cell by cell; bounds with one interval per observation's term read 1159
+    and 425 with numpy 2.4.6, and the mean-value bounds 594 and 225.  The
+    bounds' products go through BLAS, whose rounding may differ by
+    platform, so a count may not exceed, rather than must equal."""
     pilot = fit_pilot(sample(B, n, fit_seed), 0.4, 0.4)
     calls = []
     density = pilot.density
     monkeypatch.setattr(pilot, "density", lambda t, z: calls.append(t.size) or density(t, z))
     pilot.draw_xy([np.random.default_rng(seed) for seed in seeds], n)
     assert sum(calls) <= most
+
+
+@pytest.mark.parametrize("n,fit_most,draw_most", [(100, 65, 20), (1000, 1149, 225)])
+def test_the_fit_and_a_draw_leave_at_most_their_recorded_exact_evaluations(
+    n, fit_most, draw_most, monkeypatch
+):
+    """The cell bounds pick the candidate nodes of the envelope's peak and
+    squeeze the draws: the exact densities of fit_pilot(sample(B, n, 5),
+    0.4, 0.4) and of one generator's draw_xy(n), as the mean-value bounds
+    read them with numpy 2.4.6.  The bounds with one interval per
+    observation's term read 121 + 40 and 4057 + 425; at most, as above."""
+    calls = []
+    density = PilotModel.density
+    monkeypatch.setattr(PilotModel, "density",
+                        lambda self, t, z: calls.append(t.size) or density(self, t, z))
+    pilot = fit_pilot(sample(B, n, 5), 0.4, 0.4)
+    fit = sum(calls)
+    calls.clear()
+    pilot.draw_xy([np.random.default_rng(9)], n)
+    assert fit <= fit_most and sum(calls) <= draw_most
 
 
 class _Stuck:

@@ -324,7 +324,10 @@ def test_epanechnikov_interval_bounds_hold_and_are_attained(a, width):
     # the ends, the kinks and peak where inside, and points between
     u = np.concatenate(([a, b], np.clip([-1.0, 0.0, 1.0], a, b), np.linspace(a, b, 41)))
     # the one cell between the nodes a and b, at x = 0 and h = 1
-    (w_lo,), (w_hi,), (d_lo,), (d_hi,) = _node_bounds(np.array([a, b]), 0.0, 1.0)
-    for f, lo, hi in ((_epanechnikov_pdf, w_lo, w_hi), (_epanechnikov_deriv, d_lo, d_hi)):
+    nodes = np.array([a, b])
+    (w_lo,), (w_hi,), (d_lo,), (d_hi,), k, d = _node_bounds(nodes, 0.0, 1.0)
+    for f, lo, hi, at_nodes in ((_epanechnikov_pdf, w_lo, w_hi, k),
+                                (_epanechnikov_deriv, d_lo, d_hi, d)):
         values = f(u)
         assert values.min() == lo and values.max() == hi
+        assert at_nodes.tobytes() == f(nodes).tobytes()
